@@ -7,7 +7,8 @@ type Loop struct {
 	// Header is the loop header block index.
 	Header int
 	// Blocks are the indices of all blocks in the loop (including the
-	// header).
+	// header), ascending: LICM hoists in this order, so it must not
+	// depend on map iteration.
 	Blocks []int
 	// Latches are the blocks with back edges to the header.
 	Latches []int
@@ -65,7 +66,7 @@ func NewLoopInfo(dt *DomTree) *LoopInfo {
 	// Collect loop bodies: backwards reachability from each latch,
 	// stopping at the header.
 	for _, l := range li.Loops {
-		in := make(map[int]bool)
+		in := make([]bool, n)
 		in[l.Header] = true
 		var stack []int
 		for _, latch := range l.Latches {
@@ -84,8 +85,10 @@ func NewLoopInfo(dt *DomTree) *LoopInfo {
 				}
 			}
 		}
-		for b := range in {
-			l.Blocks = append(l.Blocks, b)
+		for b, member := range in {
+			if member {
+				l.Blocks = append(l.Blocks, b)
+			}
 		}
 	}
 

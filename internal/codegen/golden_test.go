@@ -1,0 +1,178 @@
+package codegen_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"flag"
+	"os"
+	"testing"
+
+	"llva/internal/codegen"
+	"llva/internal/core"
+	"llva/internal/machine"
+	"llva/internal/mem"
+	"llva/internal/prof"
+	"llva/internal/rt"
+	"llva/internal/target"
+	"llva/internal/telemetry"
+	"llva/internal/workloads"
+)
+
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/native_golden.json from the code the translator emits now")
+
+const nativeGoldenPath = "testdata/native_golden.json"
+
+// nativeGolden pins the translator's output on the workload suite: one
+// SHA-256 over code bytes and relocations per function, keyed
+// "tier/target/workload/function", and per tier the registry counters
+// the translations added up to. A change that means to leave the emitted
+// code alone — a faster allocator, say — is held to this file; a change
+// that means to move it regenerates the file with -update-golden and
+// says so.
+type nativeGolden struct {
+	Counters map[string]map[string]uint64 `json:"counters"`
+	Funcs    map[string]string            `json:"funcs"`
+}
+
+func hashNative(nf *codegen.NativeFunc) string {
+	h := sha256.New()
+	var n [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(n[:], v)
+		h.Write(n[:])
+	}
+	word(uint64(len(nf.Code)))
+	h.Write(nf.Code)
+	word(uint64(nf.NumInstrs))
+	for _, r := range nf.Relocs {
+		word(uint64(r.Offset)<<8 | uint64(r.Kind))
+		word(uint64(len(r.Sym)))
+		h.Write([]byte(r.Sym))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func counterValues(reg *telemetry.Registry, names ...string) map[string]uint64 {
+	out := make(map[string]uint64, len(names))
+	for _, n := range names {
+		out[n] = reg.CounterValue(n)
+	}
+	return out
+}
+
+// suiteProfile runs w's tier-1 vx86 code under the sampling profiler
+// and returns the artifact tier 2 is guided by.
+func suiteProfile(t *testing.T, m *core.Module, obj *codegen.NativeObject) *prof.Artifact {
+	t.Helper()
+	var out bytes.Buffer
+	mc, err := machine.New(target.VX86, m, rt.NewEnv(mem.New(0, true), &out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prof.NewProfiler(0)
+	mc.SetProfiler(p)
+	if err := mc.LoadObject(obj); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mc.Run("main"); err != nil && !errors.Is(err, rt.ErrExit) {
+		t.Fatal(err)
+	}
+	return p.Artifact(m.Name, target.VX86.Name)
+}
+
+// TestNativeGolden translates the 17 workloads for both targets at tier
+// 1 and, unless -short, for vx86 at tier 2 from a sampled profile, and
+// compares every function and the spill counters with the recorded file.
+func TestNativeGolden(t *testing.T) {
+	got := nativeGolden{Counters: map[string]map[string]uint64{}, Funcs: map[string]string{}}
+	record := func(tier string, d *target.Desc, w *workloads.Workload, obj *codegen.NativeObject) {
+		for _, nf := range obj.Funcs {
+			got.Funcs[tier+"/"+d.Name+"/"+w.Name+"/"+nf.Name] = hashNative(nf)
+		}
+	}
+	reg1, reg2 := telemetry.New(), telemetry.New()
+	for _, w := range workloads.All() {
+		m, err := w.CompileOptimized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+			tr, err := codegen.New(d, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.SetTelemetry(reg1)
+			obj, err := tr.TranslateModule()
+			if err != nil {
+				t.Fatal(err)
+			}
+			record("tier1", d, w, obj)
+			if d != target.VX86 || testing.Short() {
+				continue
+			}
+			tr2, err := codegen.New(d, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr2.SetTelemetry(reg2)
+			obj2, err := tr2.WithTier2(suiteProfile(t, m, obj)).TranslateModule()
+			if err != nil {
+				t.Fatal(err)
+			}
+			record("tier2", d, w, obj2)
+		}
+	}
+	got.Counters["tier1"] = counterValues(reg1, codegen.MetricSpills, codegen.MetricReloads)
+	if !testing.Short() {
+		got.Counters["tier2"] = counterValues(reg2, codegen.MetricSpills, codegen.MetricReloads,
+			codegen.MetricTier2Funcs, codegen.MetricSuperblocks, codegen.MetricTailDupInstrs)
+	}
+
+	if *updateGolden {
+		if testing.Short() {
+			t.Fatal("-update-golden needs the tier-2 half: run without -short")
+		}
+		b, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(nativeGoldenPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(nativeGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want nativeGolden
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	for tier, counters := range got.Counters {
+		for name, v := range counters {
+			if w := want.Counters[tier][name]; v != w {
+				t.Errorf("%s %s = %d, golden %d", tier, name, v, w)
+			}
+		}
+	}
+	bad := 0
+	for key, h := range got.Funcs {
+		if want.Funcs[key] != h {
+			if bad++; bad <= 10 {
+				t.Errorf("%s: code or relocations differ from golden", key)
+			}
+		}
+	}
+	if bad > 10 {
+		t.Errorf("... and %d more functions", bad-10)
+	}
+	if !testing.Short() && len(got.Funcs) != len(want.Funcs) {
+		t.Errorf("translated %d functions, golden holds %d", len(got.Funcs), len(want.Funcs))
+	}
+}

@@ -6,7 +6,7 @@ import (
 
 // InlineThreshold is the maximum callee size (in instructions) eligible
 // for inlining.
-var InlineThreshold = 40
+const InlineThreshold = 40
 
 // Inline performs bottom-up function inlining of small, non-recursive
 // callees at direct call sites — the interprocedural optimization most

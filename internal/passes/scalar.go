@@ -1,6 +1,9 @@
 package passes
 
 import (
+	"encoding/binary"
+	"math"
+
 	"llva/internal/analysis"
 	"llva/internal/core"
 )
@@ -198,14 +201,17 @@ func ADCE(m *core.Module, s *Stats) bool {
 // CSE performs dominator-scoped common subexpression elimination over
 // pure instructions (global value numbering lite): two instructions with
 // the same opcode, type and operands compute the same value; the
-// dominating one replaces the other.
+// dominating one replaces the other. Operand numbering lives and dies
+// with one function's walk, so concurrent CSE of different modules
+// shares nothing and no value outlives its compile.
 func CSE(m *core.Module, s *Stats) bool {
 	return forEachDefined(m, func(f *core.Function) bool {
 		cfg := analysis.NewCFG(f)
 		dt := analysis.NewDomTreeCFG(cfg)
 		changed := false
 
-		type scope map[string]*core.Instruction
+		operands := make(map[operandKey]uint32)
+		type scope map[cseKey]*core.Instruction
 		var walk func(b int, table []scope)
 		walk = func(b int, table []scope) {
 			local := make(scope)
@@ -215,7 +221,7 @@ func CSE(m *core.Module, s *Stats) bool {
 				if !cseable(in) {
 					continue
 				}
-				key := cseKey(in)
+				key := makeCSEKey(in, operands)
 				var found *core.Instruction
 				for i := len(table) - 1; i >= 0 && found == nil; i-- {
 					found = table[i][key]
@@ -246,48 +252,75 @@ func cseable(in *core.Instruction) bool {
 	return isPure(in) && in.HasResult()
 }
 
-func cseKey(in *core.Instruction) string {
-	key := in.Op().String() + ":" + in.Type().String()
-	for _, op := range in.Operands() {
-		key += "|" + operandKey(op)
-	}
-	return key
+// cseKey identifies the value an instruction computes: opcode, result
+// type (types are interned per module, so the pointer is the identity)
+// and the value numbers of its operands. Numbers start at 1, so a zero
+// entry means "no such operand"; the rare instruction with more than
+// three operands (a long getelementptr) packs the remainder into rest.
+type cseKey struct {
+	op   core.Opcode
+	ty   *core.Type
+	ops  [3]uint32
+	rest string
 }
 
-func operandKey(v core.Value) string {
-	switch x := v.(type) {
-	case *core.Constant:
-		return "c" + x.Type().String() + " " + x.Ident()
+// operandKey identifies one operand. Non-constant values are keyed by
+// identity. Constants are not interned, so they are keyed by content:
+// type and kind, plus the bit pattern of a scalar, the referenced global
+// of an address constant, or the rendered text of an aggregate.
+type operandKey struct {
+	v    core.Value
+	ty   *core.Type
+	ck   core.ConstKind
+	bits uint64
+	text string
+}
+
+func makeOperandKey(v core.Value) operandKey {
+	c, ok := v.(*core.Constant)
+	if !ok {
+		return operandKey{v: v}
+	}
+	k := operandKey{ty: c.Type(), ck: c.CK}
+	switch c.CK {
+	case core.ConstInt:
+		k.bits = uint64(c.Int64())
+	case core.ConstBool:
+		if c.I != 0 {
+			k.bits = 1
+		}
+	case core.ConstFloat:
+		k.bits = math.Float64bits(c.F)
+		if c.F != c.F { // every NaN renders, and so numbers, alike
+			k.bits = math.Float64bits(math.NaN())
+		}
+	case core.ConstGlobal:
+		k.v = c.Ref
+	case core.ConstNull, core.ConstUndef, core.ConstZero:
 	default:
-		// identity-based: use the pointer via a stable per-value name
-		return valueKey(v)
+		k.text = c.Ident()
 	}
-}
-
-// valueKeys assigns stable unique IDs to values for CSE keys.
-var valueKeys = map[core.Value]string{}
-var valueKeyN int
-
-func valueKey(v core.Value) string {
-	if k, ok := valueKeys[v]; ok {
-		return k
-	}
-	valueKeyN++
-	k := "v" + itoa(valueKeyN)
-	valueKeys[v] = k
 	return k
 }
 
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
+func makeCSEKey(in *core.Instruction, operands map[operandKey]uint32) cseKey {
+	key := cseKey{op: in.Op(), ty: in.Type()}
+	var rest []byte
+	for i, op := range in.Operands() {
+		ok := makeOperandKey(op)
+		id, seen := operands[ok]
+		if !seen {
+			id = uint32(len(operands) + 1)
+			operands[ok] = id
+		}
+		if i < len(key.ops) {
+			key.ops[i] = id
+		} else {
+			rest = binary.LittleEndian.AppendUint32(rest, id)
+		}
 	}
-	var b []byte
-	for i > 0 {
-		b = append([]byte{byte('0' + i%10)}, b...)
-		i /= 10
-	}
-	return string(b)
+	key.rest = string(rest)
+	return key
 }
 
 // LoadElim forwards stored values to subsequent loads within a basic
