@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-concurrent race-llee race-codegen race-prof race-tier2 race-cache race-serve race-pool tier1 bench bench-compare bench-smoke serve-bench serve-bench-compare fmt-check
+.PHONY: all build vet test race race-short tier1 bench bench-compare bench-smoke serve-bench serve-bench-compare fmt-check
 
 all: tier1
 
@@ -13,71 +13,23 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs every test under the race detector. The workload suite alone
+# outlasts go test's 10-minute default there on a slow host, hence the
+# explicit timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 45m ./...
+
+# race-short is the same gate for every push: all packages, all tests by
+# name (no -run subsets to fall out of date when a test is renamed), with
+# the long ones — whole-suite workload runs, the tier-2 half of the
+# golden code hashes — trimmed by -short. The workload package still
+# takes 8 of the run's 9 minutes on a 2-core host, hence the timeout.
+race-short:
+	$(GO) test -race -short -timeout 30m ./...
 
 # tier1 is the CI gate: everything must build, vet clean, and pass the
 # full test suite under the race detector.
 tier1: vet build race
-
-# race-concurrent is the focused concurrency gate: every test named
-# *Concurrent* (the translation-pipeline stress tests) under the race
-# detector, fast enough to run on every push.
-race-concurrent:
-	$(GO) test -race -run Concurrent ./...
-
-# race-llee exercises the session API's sharing surface — the llee
-# System/Session split and the machine it drives — under the race
-# detector: shared native-code cache, single-flight demands, context
-# cancellation at block boundaries.
-race-llee:
-	$(GO) test -race ./internal/llee/... ./internal/machine/...
-
-# race-codegen runs the translator tests — including the randomized
-# allocator differential test — under the race detector; TranslateFunction
-# must stay safe to call concurrently on one Translator.
-race-codegen:
-	$(GO) test -race ./internal/codegen/...
-
-# race-prof exercises the guest-observability surface under the race
-# detector: the prof package itself, the telemetry event ring's
-# concurrent Emit/Snapshot contract, and the profiler/tracer/flight-
-# recorder paths through the machine and session layers.
-race-prof:
-	$(GO) test -race ./internal/prof/... ./internal/telemetry/...
-	$(GO) test -race -run 'Prof|Ring|Tracing|FlightRecorder|Mnemonic' ./internal/machine/... ./internal/llee/...
-
-# race-cache exercises the persistent code cache under the race
-# detector: the content-addressed store's concurrent write/read/delete
-# with eviction, cross-instance dedup through a shared directory, lazy
-# migration of legacy flat entries, and the flat store it supersedes.
-race-cache:
-	$(GO) test -race -count=1 -run 'TestCAS|TestDirStorage|Cache' ./internal/llee/...
-
-# race-tier2 exercises the profile-guided tier-2 path under the race
-# detector: background tier-up racing demand translation and hot-swap
-# installs across sessions, plus the N-way differential oracle holding
-# interpreter, tier-1 and tier-2 output identical on both targets.
-race-tier2:
-	$(GO) test -race -count=1 -run 'Tier2|RegallocDiff' ./internal/codegen/... ./internal/llee/...
-
-# race-serve exercises the multi-tenant execution service under the
-# race detector: admission control (shedding, tenant rate limits,
-# tenant gas budgets), the sync/async job paths, graceful drain, and
-# the gas meter's exhaustion determinism through Session.Run and across
-# the HTTP boundary.
-race-serve:
-	$(GO) test -race -count=1 ./internal/serve/...
-	$(GO) test -race -count=1 -run Gas ./internal/llee/... ./internal/machine/...
-
-# race-pool exercises the session-pool hot path under the race
-# detector: dirty-page seal/reset at the mem and machine layers, the
-# fresh-vs-reset bit-identity differential over the workload suite, the
-# adversarial cross-tenant secret scans (llee host-side and serve
-# end-to-end), and pool disqualification (online states, SMC redirects).
-race-pool:
-	$(GO) test -race -count=1 -short -run 'Reset|Seal|Dirty|Pool|Reuse|Isolation' \
-		./internal/mem/... ./internal/machine/... ./internal/llee/... ./internal/serve/...
 
 # Regenerate the paper's Table 2 with registry-sourced telemetry,
 # archived under bench/ with the run date. Measures the tier-2
@@ -96,16 +48,18 @@ BENCH_BASELINE ?= bench/BENCH_2026-08-07_zeroalloc.json
 bench-compare:
 	$(GO) run ./cmd/llva-bench $(BENCH_FLAGS) -compare $(BENCH_BASELINE)
 
-# bench-smoke compiles and runs the Table 2 and pipeline benchmarks
-# once, as a CI-cheap check that the benchmarks themselves stay green
-# (in particular the block-engine execution path under Table2RunTime),
-# plus the observability smoke: a workload under -trace-out and the
+# bench-smoke compiles and runs the Table 2, pipeline and translator
+# (BenchmarkLower per target and tier, BenchmarkAllocLinear; their doc
+# comments give the before/after command line) benchmarks once, as a
+# CI-cheap check that the benchmarks themselves stay green (in
+# particular the block-engine execution path under Table2RunTime), plus
+# the observability smoke: a workload under -trace-out and the
 # sampling profiler whose emitted trace must be valid Perfetto-loadable
 # JSON with a complete span, and a trapping program whose crash report
 # must render. The serve smoke drives a short loadgen burst against an
 # in-process server: non-zero completions, zero 5xx.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|SpeculativeColdStart|CacheCodec' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|SpeculativeColdStart|CacheCodec|Lower|AllocLinear' -benchtime 1x ./...
 	$(GO) test -run TestTraceSmoke .
 	$(GO) test -count=1 -run TestLoadGenSmoke ./internal/serve/
 

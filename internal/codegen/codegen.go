@@ -203,8 +203,8 @@ func (t *Translator) TranslateFunction(f *core.Function) (nf *NativeFunc, err er
 // allocation, so live intervals (and therefore spills) are measured in
 // the stable IR order the profile was gathered against. A non-nil hm
 // feeds per-block heat to the allocator for interval weights and spill
-// pricing; with tier2 false it only prices (the returned selector's
-// spillCost), producing code identical to the profile-free path.
+// pricing. The returned selector still holds what the tier-2 gate reads
+// off a lowering: block byte offsets and per-block spill traffic.
 func (t *Translator) lower(f *core.Function, tier2 bool, perm []int, hm map[*core.BasicBlock]uint64) (*NativeFunc, *selector) {
 	sel := newSelector(t, f)
 	if hm != nil {
@@ -217,7 +217,7 @@ func (t *Translator) lower(f *core.Function, tier2 bool, perm []int, hm map[*cor
 
 	// Register allocation: the global linear scan handles both targets
 	// and invoke-containing functions (values live into an unwind handler
-	// are force-spilled; see allocLinear). The naive allocator runs only
+	// are force-spilled; see linearScan). The naive allocator runs only
 	// as the differential-testing oracle.
 	start := time.Now()
 	switch {
@@ -234,10 +234,7 @@ func (t *Translator) lower(f *core.Function, tier2 bool, perm []int, hm map[*cor
 		t.reloads.Add(uint64(sel.nSpillLoads))
 	}
 
-	addFrame(sel)
-	if perm != nil {
-		reorderBlocks(sel, perm)
-	}
+	addFrame(sel, perm)
 	if tier2 {
 		invertBranches(sel)
 		threadJumps(sel)
@@ -253,97 +250,60 @@ func (t *Translator) lower(f *core.Function, tier2 bool, perm []int, hm map[*cor
 	}, sel
 }
 
-// reorderBlocks rearranges the machine code into the block order given
-// by perm (a permutation of the selector's block indices, entry first).
-// Branch targets are block indices, so only the start table changes;
-// every block ends in an explicit branch — ret lowers to a jump to the
-// epilogue label, invoke to a jump to its normal successor — so no
-// implicit fallthrough is broken. The prologue stays ahead of the entry
-// block and the epilogue stays last.
-func reorderBlocks(s *selector, perm []int) {
-	n := len(s.blockStart) - 1 // the final entry is the epilogue label
-	out := make([]target.MInstr, 0, len(s.code))
-	out = append(out, s.code[:s.blockStart[0]]...) // prologue
-	newStart := make([]int, len(s.blockStart))
-	for _, bi := range perm {
-		newStart[bi] = len(out)
-		out = append(out, s.code[s.blockStart[bi]:s.blockStart[bi+1]]...)
-	}
-	newStart[n] = len(out)
-	out = append(out, s.code[s.blockStart[n]:]...) // epilogue
-	s.code = out
-	s.blockStart = newStart
-}
-
 // elideFallthroughs removes an unconditional jump whose target is the
 // block that immediately follows it in layout order. Taken branches cost
 // an extra cycle on the simulated processor, so block placement — and in
 // particular trace-driven relayout (Section 4.2) — directly affects the
-// measured cycle counts. blockStart need not be monotonic here:
-// reorderBlocks places trace-ordered code with the original indices.
+// measured cycle counts. blockStart need not be monotonic here: addFrame
+// places trace-ordered code with the original indices.
 func elideFallthroughs(s *selector) {
-	startsAt := make(map[int][]int, len(s.blockStart))
-	for bi, p := range s.blockStart {
-		startsAt[p] = append(startsAt[p], bi)
-	}
-	drop := make([]bool, len(s.code))
-	for i := range s.code {
-		in := &s.code[i]
-		if in.Op != target.MJmp {
-			continue
-		}
-		for _, nb := range startsAt[i+1] {
-			if int32(nb) == in.Target {
-				drop[i] = true
-			}
-		}
-	}
 	newPos := make([]int, len(s.code)+1)
 	n := 0
 	for i := range s.code {
 		newPos[i] = n
-		if !drop[i] {
-			n++
+		if in := &s.code[i]; in.Op == target.MJmp && s.blockStart[in.Target] == i+1 {
+			continue
 		}
+		if n != i {
+			s.code[n] = s.code[i]
+		}
+		n++
 	}
 	newPos[len(s.code)] = n
-	out := make([]target.MInstr, 0, n)
-	for i := range s.code {
-		if !drop[i] {
-			out = append(out, s.code[i])
-		}
-	}
+	s.code = s.code[:n]
 	for bi, p := range s.blockStart {
 		s.blockStart[bi] = newPos[p]
 	}
-	s.code = out
 }
 
 // layout assigns byte offsets, resolves PC-relative branch targets and
-// encodes the final bytes.
+// encodes the final bytes. It leaves each block's byte offset in
+// s.blockOff.
 func layout(s *selector) ([]byte, []target.Reloc) {
 	d := s.desc
 	// Pass 1: measure offsets.
 	offs := make([]int, len(s.code)+1)
+	nRelocs := 0
 	var probe []byte
 	for i := range s.code {
-		probe = probe[:0]
-		b, _ := d.Encode(&s.code[i], probe)
-		offs[i+1] = offs[i] + len(b)
+		var rl []target.Reloc
+		probe, rl = d.Encode(&s.code[i], probe[:0])
+		offs[i+1] = offs[i] + len(probe)
+		nRelocs += len(rl)
 	}
 	// Block index -> byte offset of its first instruction.
-	blockOff := make([]int, len(s.blockStart))
+	s.blockOff = make([]int, len(s.blockStart))
 	for b, idx := range s.blockStart {
-		blockOff[b] = offs[idx]
+		s.blockOff[b] = offs[idx]
 	}
 	// Pass 2: rewrite branch targets PC-relative and encode.
-	var code []byte
-	var relocs []target.Reloc
+	code := make([]byte, 0, offs[len(s.code)])
+	relocs := make([]target.Reloc, 0, nRelocs)
 	for i := range s.code {
 		in := s.code[i]
 		switch in.Op {
 		case target.MJmp, target.MJcc, target.MInvokePush:
-			delta := blockOff[in.Target] - offs[i]
+			delta := s.blockOff[in.Target] - offs[i]
 			in.Target = int32(delta / d.RelBranchScale)
 		}
 		start := len(code)

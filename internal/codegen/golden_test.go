@@ -65,12 +65,12 @@ func counterValues(reg *telemetry.Registry, names ...string) map[string]uint64 {
 	return out
 }
 
-// suiteProfile runs w's tier-1 vx86 code under the sampling profiler
-// and returns the artifact tier 2 is guided by.
-func suiteProfile(t *testing.T, m *core.Module, obj *codegen.NativeObject) *prof.Artifact {
+// suiteProfile runs a suite module's tier-1 code for d under the
+// sampling profiler and returns the artifact tier 2 is guided by.
+func suiteProfile(t testing.TB, d *target.Desc, m *core.Module, obj *codegen.NativeObject) *prof.Artifact {
 	t.Helper()
 	var out bytes.Buffer
-	mc, err := machine.New(target.VX86, m, rt.NewEnv(mem.New(0, true), &out))
+	mc, err := machine.New(d, m, rt.NewEnv(mem.New(0, true), &out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func suiteProfile(t *testing.T, m *core.Module, obj *codegen.NativeObject) *prof
 	if _, err := mc.Run("main"); err != nil && !errors.Is(err, rt.ErrExit) {
 		t.Fatal(err)
 	}
-	return p.Artifact(m.Name, target.VX86.Name)
+	return p.Artifact(m.Name, d.Name)
 }
 
 // TestNativeGolden translates the 17 workloads for both targets at tier
@@ -120,7 +120,7 @@ func TestNativeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr2.SetTelemetry(reg2)
-			obj2, err := tr2.WithTier2(suiteProfile(t, m, obj)).TranslateModule()
+			obj2, err := tr2.WithTier2(suiteProfile(t, d, m, obj)).TranslateModule()
 			if err != nil {
 				t.Fatal(err)
 			}

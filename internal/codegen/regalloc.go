@@ -2,6 +2,8 @@ package codegen
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"llva/internal/target"
@@ -58,18 +60,74 @@ func instrUses(m *target.MInstr, out []target.Reg) []target.Reg {
 	return out
 }
 
-// replaceRegs rewrites every register field through fn.
-func replaceRegs(m *target.MInstr, fn func(target.Reg) target.Reg) {
-	m.Rd = fn(m.Rd)
-	m.Rs1 = fn(m.Rs1)
-	m.Rs2 = fn(m.Rs2)
-	m.Base = fn(m.Base)
-	m.Index = fn(m.Index)
-}
-
 // slotDisp computes the FP-relative displacement of spill slot i.
 func (s *selector) slotDisp(slot int32) int32 {
 	return -(s.saveArea + s.allocaBytes + 8*(slot+1))
+}
+
+// allocation is the allocator's decision for one function. Virtual
+// registers are dense from VRegBase, so both tables are slices indexed by
+// the register number less VRegBase; a register never has both a
+// physical register and a frame slot.
+type allocation struct {
+	assigned []target.Reg // physical register, or NoReg
+	slotOf   []int32      // frame slot, or -1
+	nSlots   int32
+	saved    []target.Reg // callee-saved registers handed out, ascending
+	// ranDry records that some interval found its pools empty, the only
+	// point where the eviction policy is consulted.
+	ranDry bool
+}
+
+func newAllocation(nv int) *allocation {
+	a := &allocation{assigned: make([]target.Reg, nv), slotOf: make([]int32, nv)}
+	for i := range a.assigned {
+		a.assigned[i] = target.NoReg
+		a.slotOf[i] = -1
+	}
+	return a
+}
+
+func (a *allocation) spill(v int) {
+	a.slotOf[v] = a.nSlots
+	a.nSlots++
+}
+
+// slot returns r's frame slot, if it is a spilled virtual register.
+func (a *allocation) slot(r target.Reg) (int32, bool) {
+	if !r.IsVirtual() {
+		return -1, false
+	}
+	sl := a.slotOf[r-target.VRegBase]
+	return sl, sl >= 0
+}
+
+// rewritten is the code an allocation rewrites to, with the spill
+// traffic that took: the accesses emitted per block (spillCost prices
+// them against a profile) and their totals (telemetry).
+type rewritten struct {
+	code          []target.MInstr
+	blockStart    []int
+	spillAt       []uint32
+	loads, stores int
+}
+
+// commit makes a and the code it rewrote to the selector's state.
+func (s *selector) commit(a *allocation, r *rewritten) {
+	s.code, s.blockStart = r.code, r.blockStart
+	s.spillAt, s.nSpillLoads, s.nSpillStores = r.spillAt, r.loads, r.stores
+	s.spillBytes, s.savedRegs = a.nSlots*8, a.saved
+}
+
+// spillCost prices per-block spill accesses at each block's profile heat
+// (+1 so unsampled blocks still count). allocBest compares allocations
+// by this total and the tier-2 gate its two candidates.
+func spillCost(spillAt []uint32, heat []uint64) uint64 {
+	var cost uint64
+	for b, n := range spillAt {
+		cost += uint64(n) * (heat[b] + 1)
+	}
+	return cost
 }
 
 // allocSpill is the naive spill-everything allocator: every virtual
@@ -77,68 +135,119 @@ func (s *selector) slotDisp(slot int32) int32 {
 // into scratch registers and stores its result back. This reproduces the
 // paper's minimal-effort x86 back-end ("significant spill code").
 func allocSpill(s *selector) {
-	slotOf := make(map[target.Reg]int32)
-	slot := func(v target.Reg) int32 {
-		if sl, ok := slotOf[v]; ok {
-			return sl
+	a := newAllocation(len(s.vFP))
+	slot := func(r target.Reg) {
+		if v := int(r) - int(target.VRegBase); r.IsVirtual() && a.slotOf[v] < 0 {
+			a.spill(v)
 		}
-		sl := int32(len(slotOf))
-		slotOf[v] = sl
-		return sl
 	}
-	// Pre-assign slots in first-appearance order for determinism.
+	// Slots in first-appearance order.
 	var uses []target.Reg
 	for i := range s.code {
 		uses = instrUses(&s.code[i], uses[:0])
 		for _, r := range uses {
-			if r.IsVirtual() {
-				slot(r)
-			}
+			slot(r)
 		}
-		if d := instrDef(&s.code[i]); d.IsVirtual() {
-			slot(d)
-		}
+		slot(instrDef(&s.code[i]))
 	}
-	s.spillBytes = int32(len(slotOf)) * 8
-	rewriteWithSlots(s, slotOf, nil)
+	s.commit(a, rewriteWithSlots(s, a))
 }
 
-// rewriteWithSlots rewrites the code: virtual registers in slotOf load
-// from / store to their frame slot through scratch registers; virtual
-// registers in assigned map to their physical register.
-func rewriteWithSlots(s *selector, slotOf map[target.Reg]int32, assigned map[target.Reg]target.Reg) {
-	d := s.desc
-	var out []target.MInstr
-	newBlockStart := make([]int, len(s.blockStart))
-	bi := 0
-	var usesBuf []target.Reg
+// rewriter carries rewriteWithSlots' state. The per-instruction part is
+// a handful of fixed arrays: an instruction names at most five registers.
+type rewriter struct {
+	s   *selector
+	a   *allocation
+	out rewritten
+	// block and pos index the block and instruction being rewritten.
+	block, pos int
 
-	// heatAt prices one spill access at the current block's profile heat
-	// (+1 so unsampled blocks still count); allocBest compares allocations
-	// by this total.
-	heatAt := func() uint64 {
-		if s.blockHeat == nil {
-			return 0
+	// busy is the set of physical registers the current instruction
+	// already names; they must not be chosen as its scratch registers.
+	busy [2]uint64
+	// scrV[i] sits in scratch register scrR[i] for this instruction.
+	scrV, scrR      [8]target.Reg
+	nScr            int
+	intNext, fpNext int
+}
+
+func (rw *rewriter) setBusy(r target.Reg) { rw.busy[r>>6] |= 1 << (r & 63) }
+
+func (rw *rewriter) isBusy(r target.Reg) bool { return rw.busy[r>>6]&(1<<(r&63)) != 0 }
+
+func (rw *rewriter) bind(v, r target.Reg) {
+	rw.scrV[rw.nScr], rw.scrR[rw.nScr] = v, r
+	rw.nScr++
+}
+
+// scratchOf returns the scratch register v is bound to, or NoReg.
+func (rw *rewriter) scratchOf(v target.Reg) target.Reg {
+	for i := 0; i < rw.nScr; i++ {
+		if rw.scrV[i] == v {
+			return rw.scrR[i]
 		}
-		b := bi - 1
-		if b < 0 {
-			b = 0
-		}
-		if b >= len(s.blockHeat) {
-			b = len(s.blockHeat) - 1
-		}
-		return s.blockHeat[b] + 1
 	}
-	emitFrame := func(op target.MOp, reg target.Reg, disp int32, fp bool) {
-		// Spill slots always hold the full canonical 64-bit value.
-		if op == target.MLoad {
-			s.nSpillLoads++
-		} else {
-			s.nSpillStores++
-		}
-		s.spillCost += heatAt()
-		out = frameInstrs(out, d, op, reg, disp, fp)
+	return target.NoReg
+}
+
+func (rw *rewriter) scratchFor(v target.Reg) target.Reg {
+	if r := rw.scratchOf(v); r != target.NoReg {
+		return r
 	}
+	d := rw.s.desc
+	pool, idx := &d.Scratch, &rw.intNext
+	if rw.s.isFPReg(v) {
+		pool, idx = &d.FPScratch, &rw.fpNext
+	}
+	for *idx < len(pool) && rw.isBusy(pool[*idx]) {
+		*idx++
+	}
+	if *idx >= len(pool) {
+		panic(fmt.Sprintf("codegen: out of scratch registers for %s", rw.s.code[rw.pos].String()))
+	}
+	r := pool[*idx]
+	*idx++
+	rw.bind(v, r)
+	return r
+}
+
+func (rw *rewriter) mapReg(v target.Reg) target.Reg {
+	if !v.IsVirtual() {
+		return v
+	}
+	if p := rw.a.assigned[v-target.VRegBase]; p != target.NoReg {
+		return p
+	}
+	return rw.scratchFor(v)
+}
+
+// emitFrame emits one spill-slot access; slots always hold the full
+// canonical 64-bit value.
+func (rw *rewriter) emitFrame(op target.MOp, reg target.Reg, disp int32, fp bool) {
+	if op == target.MLoad {
+		rw.out.loads++
+	} else {
+		rw.out.stores++
+	}
+	rw.out.spillAt[rw.block]++
+	rw.out.code = frameInstrs(rw.out.code, rw.s.desc, op, reg, disp, fp)
+}
+
+// rewriteWithSlots rewrites the code under allocation a: spilled virtual
+// registers load from / store to their frame slot through scratch
+// registers; assigned ones map to their physical register. The
+// selector's own code is left as it was, so two allocations can be
+// rewritten side by side.
+func rewriteWithSlots(s *selector, a *allocation) *rewritten {
+	d := s.desc
+	rw := rewriter{s: s, a: a}
+	rw.out = rewritten{
+		code:       make([]target.MInstr, 0, len(s.code)+len(s.code)/4+8),
+		blockStart: make([]int, len(s.blockStart)),
+		spillAt:    make([]uint32, len(s.blockStart)-1),
+	}
+	bi := 0
+	var usesArr, loaded [8]target.Reg
 
 	// One-instruction forwarding window: the most recent definition stays
 	// valid in its scratch register until a block boundary or a clobber,
@@ -149,29 +258,32 @@ func rewriteWithSlots(s *selector, slotOf map[target.Reg]int32, assigned map[tar
 	for i := range s.code {
 		atBoundary := false
 		for bi < len(s.blockStart) && s.blockStart[bi] == i {
-			newBlockStart[bi] = len(out)
+			rw.out.blockStart[bi] = len(rw.out.code)
 			bi++
 			atBoundary = true
 		}
 		if atBoundary {
 			lastV, lastR = target.NoReg, target.NoReg
+			// The epilogue label starts past the last instruction, so bi-1
+			// is a real block here.
+			rw.block = bi - 1
 		}
 		in := s.code[i] // copy
+		rw.pos = i
 
-		// Post-allocation peepholes over values still in slots (a vreg is
-		// never both spilled and assigned, so slotOf membership decides):
+		// Post-allocation peepholes over values still in slots:
 		// 1. A register-register move between two spilled values is a
 		//    load + store, not load + mov + store.
-		if in.Op == target.MMovRR && in.Rd.IsVirtual() && in.Rs1.IsVirtual() {
-			_, dSp := slotOf[in.Rd]
-			_, sSp := slotOf[in.Rs1]
+		if in.Op == target.MMovRR {
+			dSl, dSp := a.slot(in.Rd)
+			sSl, sSp := a.slot(in.Rs1)
 			if dSp && sSp {
 				sc := d.Scratch[0]
 				if s.isFPReg(in.Rs1) {
 					sc = d.FPScratch[0]
 				}
-				emitFrame(target.MLoad, sc, s.slotDisp(slotOf[in.Rs1]), s.isFPReg(in.Rs1))
-				emitFrame(target.MStore, sc, s.slotDisp(slotOf[in.Rd]), s.isFPReg(in.Rd))
+				rw.emitFrame(target.MLoad, sc, s.slotDisp(sSl), s.isFPReg(in.Rs1))
+				rw.emitFrame(target.MStore, sc, s.slotDisp(dSl), s.isFPReg(in.Rd))
 				// The copy clobbered a scratch register; the moved value
 				// now lives there, so it becomes the forwarding window.
 				lastV, lastR = in.Rd, sc
@@ -182,113 +294,63 @@ func rewriteWithSlots(s *selector, slotOf map[target.Reg]int32, assigned map[tar
 		//    (vx86 "add reg, [slot]"), except float32 whose in-register
 		//    canonical form differs from its memory image.
 		if in.Op == target.MALU && d.MemOperands && !in.HasImm && !in.HasMem &&
-			in.Rs2.IsVirtual() && !(in.FP && in.Size == 4) {
-			if sl, sp := slotOf[in.Rs2]; sp {
+			!(in.FP && in.Size == 4) {
+			if sl, sp := a.slot(in.Rs2); sp {
 				in.HasMem = true
 				in.Base = d.FP
 				in.Index = target.NoReg
 				in.Disp = s.slotDisp(sl)
 				in.Rs2 = target.NoReg
-				s.nSpillLoads++
-				s.spillCost += heatAt()
+				rw.out.loads++
+				rw.out.spillAt[rw.block]++
 			}
 		}
 
-		// Physical registers already present must not be chosen as
-		// scratch for this instruction.
-		busy := map[target.Reg]bool{}
-		usesBuf = instrUses(&in, usesBuf[:0])
-		for _, r := range usesBuf {
+		rw.busy = [2]uint64{}
+		rw.nScr, rw.intNext, rw.fpNext = 0, 0, 0
+		uses := instrUses(&in, usesArr[:0])
+		for _, r := range uses {
 			if !r.IsVirtual() {
-				busy[r] = true
+				rw.setBusy(r)
 			}
 		}
 		if dd := instrDef(&in); dd != target.NoReg && !dd.IsVirtual() {
-			busy[dd] = true
-		}
-
-		scratchMap := map[target.Reg]target.Reg{}
-		forwarded := false
-		if lastV != target.NoReg {
-			usesLast := false
-			for _, r := range usesBuf {
-				if r == lastV {
-					usesLast = true
-					break
-				}
-			}
-			if usesLast {
-				scratchMap[lastV] = lastR
-				busy[lastR] = true
-				forwarded = true
-			}
-		}
-		intNext, fpNext := 0, 0
-		scratchFor := func(v target.Reg) target.Reg {
-			if r, ok := scratchMap[v]; ok {
-				return r
-			}
-			var pool [3]target.Reg
-			var idx *int
-			if s.isFPReg(v) {
-				pool = d.FPScratch
-				idx = &fpNext
-			} else {
-				pool = d.Scratch
-				idx = &intNext
-			}
-			for *idx < len(pool) && busy[pool[*idx]] {
-				*idx++
-			}
-			if *idx >= len(pool) {
-				panic(fmt.Sprintf("codegen: out of scratch registers for %s", in.String()))
-			}
-			r := pool[*idx]
-			*idx++
-			scratchMap[v] = r
-			return r
-		}
-
-		mapReg := func(v target.Reg) target.Reg {
-			if !v.IsVirtual() {
-				return v
-			}
-			if p, ok := assigned[v]; ok {
-				return p
-			}
-			return scratchFor(v)
+			rw.setBusy(dd)
 		}
 
 		// Load spilled sources (the forwarded value needs no reload).
-		loaded := map[target.Reg]bool{}
-		if forwarded {
-			loaded[lastV] = true
+		nLoaded := 0
+		if lastV != target.NoReg && slices.Contains(uses, lastV) {
+			rw.bind(lastV, lastR)
+			rw.setBusy(lastR)
+			loaded[0], nLoaded = lastV, 1
 		}
-		for _, r := range usesBuf {
-			if !r.IsVirtual() || loaded[r] {
+		for _, r := range uses {
+			if slices.Contains(loaded[:nLoaded], r) {
 				continue
 			}
-			if sl, spilled := slotOf[r]; spilled {
-				loaded[r] = true
-				emitFrame(target.MLoad, mapReg(r), s.slotDisp(sl), s.isFPReg(r))
+			if sl, spilled := a.slot(r); spilled {
+				loaded[nLoaded] = r
+				nLoaded++
+				rw.emitFrame(target.MLoad, rw.mapReg(r), s.slotDisp(sl), s.isFPReg(r))
 			}
 		}
 		def := instrDef(&in)
-		replaceRegs(&in, mapReg)
+		defSlot, defSpilled := a.slot(def)
+		in.Rd = rw.mapReg(in.Rd)
+		in.Rs1 = rw.mapReg(in.Rs1)
+		in.Rs2 = rw.mapReg(in.Rs2)
+		in.Base = rw.mapReg(in.Base)
+		in.Index = rw.mapReg(in.Index)
 		// Coalescing: a register-register move whose source and
 		// destination landed in the same physical register is a no-op
 		// (common for phi carriers and their phis with disjoint ranges).
-		if in.Op == target.MMovRR && in.Rd == in.Rs1 {
-			if _, sp := slotOf[def]; !sp {
-				continue
-			}
+		if in.Op == target.MMovRR && in.Rd == in.Rs1 && !defSpilled {
+			continue
 		}
-		out = append(out, in)
-		// Store a spilled definition.
-		if def.IsVirtual() {
-			if sl, spilled := slotOf[def]; spilled {
-				emitFrame(target.MStore, mapReg(def), s.slotDisp(sl), s.isFPReg(def))
-			}
+		rw.out.code = append(rw.out.code, in)
+		if defSpilled {
+			rw.emitFrame(target.MStore, rw.mapReg(def), s.slotDisp(defSlot), s.isFPReg(def))
 		}
 
 		// Update the forwarding window.
@@ -300,31 +362,26 @@ func rewriteWithSlots(s *selector, slotOf map[target.Reg]int32, assigned map[tar
 		default:
 			// a reused scratch register invalidates the old forwarding
 			if lastR != target.NoReg {
-				for v, r := range scratchMap {
-					if r == lastR && v != lastV {
+				for k := 0; k < rw.nScr; k++ {
+					if rw.scrR[k] == lastR && rw.scrV[k] != lastV {
 						lastV, lastR = target.NoReg, target.NoReg
 						break
 					}
 				}
 			}
-			if def.IsVirtual() {
-				if _, sp := slotOf[def]; sp {
-					lastV, lastR = def, scratchMap[def]
-				}
-			} else if def != target.NoReg {
+			if defSpilled {
+				lastV, lastR = def, rw.scratchOf(def)
+			} else if def == lastR && def != target.NoReg {
 				// a physical definition may have clobbered the window
-				if def == lastR {
-					lastV, lastR = target.NoReg, target.NoReg
-				}
+				lastV, lastR = target.NoReg, target.NoReg
 			}
 		}
 	}
-	for bi < len(s.blockStart) {
-		newBlockStart[bi] = len(out)
-		bi++
+	for ; bi < len(s.blockStart); bi++ {
+		rw.out.blockStart[bi] = len(rw.out.code)
 	}
-	s.code = out
-	s.blockStart = newBlockStart
+	out := rw.out // rw, and with it every instruction copy, stays on the stack
+	return &out
 }
 
 // frameInstrs appends one 64-bit FP-relative frame-slot access,
@@ -336,7 +393,7 @@ func frameInstrs(list []target.MInstr, d *target.Desc, op target.MOp,
 	base := d.FP
 	if d.WordSize == 4 && (disp < -256 || disp > 255) {
 		at := target.Reg(31)
-		list = append(list, synthImmInto(at, int64(disp), d)...)
+		list = appendImm(list, at, int64(disp), d)
 		list = append(list, target.MInstr{Op: target.MALU, Alu: target.AAdd,
 			Rd: at, Rs1: base, Rs2: at, Size: 8})
 		base, disp = at, 0
@@ -351,16 +408,15 @@ func frameInstrs(list []target.MInstr, d *target.Desc, op target.MOp,
 	return append(list, mi)
 }
 
-// synthImmInto builds the movi sequence for an immediate (selector.synthImm
+// appendImm appends the movi sequence for an immediate (selector.synthImm
 // delegates here; the rewriter and frame lowering call it directly).
-func synthImmInto(reg target.Reg, v int64, d *target.Desc) []target.MInstr {
+func appendImm(out []target.MInstr, reg target.Reg, v int64, d *target.Desc) []target.MInstr {
 	if d.WordSize != 4 {
-		return []target.MInstr{{Op: target.MMovRI, Rd: reg, Imm: v}}
+		return append(out, target.MInstr{Op: target.MMovRI, Rd: reg, Imm: v})
 	}
 	if v >= -32768 && v <= 32767 {
-		return []target.MInstr{{Op: target.MMovRI, Rd: reg, Imm: v & 0xffff}}
+		return append(out, target.MInstr{Op: target.MMovRI, Rd: reg, Imm: v & 0xffff})
 	}
-	var out []target.MInstr
 	top := 3
 	for top > 0 && uint16(uint64(v)>>(16*top)) == 0 {
 		top--
@@ -384,10 +440,10 @@ func synthImmInto(reg target.Reg, v int64, d *target.Desc) []target.MInstr {
 	return out
 }
 
-// interval is a live range for linear scan.
+// interval is a live range for linear scan: conservative [start, end]
+// positions of one virtual register.
 type interval struct {
-	v          target.Reg
-	start, end int
+	start, end int // start < 0: the register never appears
 	fp         bool
 	cross      bool // live across a call: needs a callee-saved register
 	// weight is the heat-weighted use count, accumulated only when the
@@ -397,20 +453,195 @@ type interval struct {
 	weight uint64
 }
 
-// allocLinear is the global linear-scan register allocator, shared by
-// both back-ends. It computes block-level liveness, builds conservative
-// [min,max] live intervals, and walks them in start order over two pools
-// per register class from target.Desc: caller-saved registers for
+// liveness is what the linear scan needs to know about a function, and
+// all of it is independent of the eviction policy: allocBest computes it
+// once for both. Everything is indexed by virtual register number less
+// VRegBase.
+type liveness struct {
+	ivals []interval
+	// order lists the registers that appear as start<<32 | index, sorted:
+	// by (start, register), a total order, so the scan does not depend on
+	// how the list was produced.
+	order []uint64
+	// forceSpill is the bitset of registers live into an unwind handler.
+	forceSpill []uint64
+}
+
+func setBit(row []uint64, v int)      { row[v>>6] |= 1 << (v & 63) }
+func hasBit(row []uint64, v int) bool { return row[v>>6]&(1<<(v&63)) != 0 }
+
+// computeLiveness solves block-level liveness over one slab of bitset
+// rows (use, def, live-in and live-out per block, word-wise to the
+// fixpoint — the least one, whatever order it is reached in) and builds
+// the intervals from it.
+func computeLiveness(s *selector) *liveness {
+	nb := len(s.blockStart) - 1 // last entry is the (empty) epilogue label
+	nv := len(s.vFP)
+	words := (nv + 63) / 64
+	const (
+		useRow = iota
+		defRow
+		inRow
+		outRow
+		rowKinds
+	)
+	// Rows exist for the epilogue label too: branches target it.
+	slab := make([]uint64, (rowKinds*(nb+1)+1)*words)
+	row := func(kind, b int) []uint64 {
+		o := (kind*(nb+1) + b) * words
+		return slab[o : o+words]
+	}
+	lv := &liveness{
+		ivals:      make([]interval, nv),
+		forceSpill: slab[len(slab)-words:],
+	}
+
+	// Per-block use/def, successor lists (branch targets, in code order),
+	// call sites and invoke handlers, in one walk.
+	succOff := make([]int32, nb+1)
+	succ := make([]int32, 0, 2*nb)
+	var callPos []int
+	var handlers []int32
+	var ubArr [8]target.Reg
+	for b := 0; b < nb; b++ {
+		use, def := row(useRow, b), row(defRow, b)
+		succOff[b] = int32(len(succ))
+		for i := s.blockStart[b]; i < s.blockStart[b+1]; i++ {
+			m := &s.code[i]
+			switch m.Op {
+			case target.MJmp, target.MJcc:
+				succ = append(succ, m.Target)
+			case target.MInvokePush:
+				succ = append(succ, m.Target)
+				handlers = append(handlers, m.Target)
+			case target.MCall, target.MCallInd, target.MCallExt:
+				callPos = append(callPos, i)
+			}
+			for _, r := range instrUses(m, ubArr[:0]) {
+				if v := int(r) - int(target.VRegBase); r.IsVirtual() && !hasBit(def, v) {
+					setBit(use, v)
+				}
+			}
+			if d := instrDef(m); d.IsVirtual() {
+				setBit(def, int(d-target.VRegBase))
+			}
+		}
+	}
+	succOff[nb] = int32(len(succ))
+
+	for changed := true; changed; {
+		changed = false
+		for b := nb - 1; b >= 0; b-- {
+			in, out := row(inRow, b), row(outRow, b)
+			use, def := row(useRow, b), row(defRow, b)
+			for _, sc := range succ[succOff[b]:succOff[b+1]] {
+				if int(sc) > nb {
+					continue
+				}
+				for w, x := range row(inRow, int(sc)) {
+					if x&^out[w] != 0 {
+						out[w] |= x
+						changed = true
+					}
+				}
+			}
+			for w := range in {
+				if x := use[w] | out[w]&^def[w]; x&^in[w] != 0 {
+					in[w] |= x
+					changed = true
+				}
+			}
+		}
+	}
+
+	// Intervals: conservative [min, max] positions.
+	for i := range lv.ivals {
+		lv.ivals[i].start = -1
+	}
+	touch := func(v, pos int) {
+		iv := &lv.ivals[v]
+		switch {
+		case iv.start < 0:
+			iv.start, iv.end, iv.fp = pos, pos, s.vFP[v]
+		case pos < iv.start:
+			iv.start = pos
+		case pos > iv.end:
+			iv.end = pos
+		}
+	}
+	touchRow := func(r []uint64, pos int) {
+		for w, x := range r {
+			for ; x != 0; x &= x - 1 {
+				touch(w<<6+bits.TrailingZeros64(x), pos)
+			}
+		}
+	}
+	var heat uint64 // of the block being walked
+	touchWeigh := func(r target.Reg, pos int) {
+		if !r.IsVirtual() {
+			return
+		}
+		v := int(r - target.VRegBase)
+		touch(v, pos)
+		if s.blockHeat != nil {
+			lv.ivals[v].weight += heat + 1
+		}
+	}
+	for b := 0; b < nb; b++ {
+		first, end := s.blockStart[b], s.blockStart[b+1]
+		touchRow(row(inRow, b), first)
+		touchRow(row(outRow, b), end-1)
+		heat = 0
+		if b < len(s.blockHeat) {
+			heat = s.blockHeat[b]
+		}
+		for i := first; i < end; i++ {
+			for _, r := range instrUses(&s.code[i], ubArr[:0]) {
+				touchWeigh(r, i)
+			}
+			touchWeigh(instrDef(&s.code[i]), i)
+		}
+	}
+
+	// Calls clobber caller-saved registers. Every block ends with a
+	// terminator — never a call — so a value live out of a block whose
+	// last call sits at position p is always touched at a position > p,
+	// and the strict start <= p < end test below is sound even for
+	// intervals wrapping a loop back edge.
+	lv.order = make([]uint64, 0, nv)
+	for v := range lv.ivals {
+		iv := &lv.ivals[v]
+		if iv.start < 0 {
+			continue
+		}
+		j := sort.SearchInts(callPos, iv.start)
+		iv.cross = j < len(callPos) && callPos[j] < iv.end
+		lv.order = append(lv.order, uint64(iv.start)<<32|uint64(v))
+	}
+	slices.Sort(lv.order)
+	for _, h := range handlers {
+		if int(h) <= nb {
+			for w, x := range row(inRow, int(h)) {
+				lv.forceSpill[w] |= x
+			}
+		}
+	}
+	return lv
+}
+
+// linearScan is the global linear-scan register allocator, shared by
+// both back-ends. It walks the live intervals in start order over two
+// pools per register class from target.Desc: caller-saved registers for
 // intervals containing no call, callee-saved registers (saved by the
 // prologue) for intervals that cross one. When every pool is exhausted
 // it spills second-chance style: a victim interval loses its register
 // to the current one and moves to a frame slot — and a non-crossing
 // victim gets a second chance to relocate into a caller-saved register
-// that has been free since before the victim itself began. Without
-// profile heat the victim is the interval ending furthest (classic
-// linear scan); with per-block heat (tier 2) it is the interval with
-// the lowest heat-weighted use count, so hot-loop values keep their
-// registers.
+// that has been free since before the victim itself began. With
+// byWeight false the victim is the interval ending furthest (classic
+// linear scan); with it true (tier 2, per-block heat) it is the interval
+// with the lowest heat-weighted use count, so hot-loop values keep
+// their registers.
 //
 // Two invoke-specific rules keep unwinding — which restores only SP and
 // FP — correct:
@@ -422,259 +653,105 @@ type interval struct {
 //  2. values live across the invoke only on the normal path follow the
 //     ordinary call-crossing rule — on a normal return the callee's
 //     epilogue has restored every callee-saved register.
-func allocLinear(s *selector) {
-	n := len(s.code)
-	// Block structure for liveness.
-	nb := len(s.blockStart) - 1 // last entry is the (empty) epilogue label
-	blockOf := make([]int, n)
-	for b := 0; b < nb; b++ {
-		end := n
-		if b+1 < len(s.blockStart) {
-			end = s.blockStart[b+1]
-		}
-		for i := s.blockStart[b]; i < end && i < n; i++ {
-			blockOf[i] = b
-		}
-	}
-	succs := make([][]int, nb+1)
-	for i := range s.code {
-		m := &s.code[i]
-		switch m.Op {
-		case target.MJmp, target.MJcc, target.MInvokePush:
-			b := blockOf[i]
-			succs[b] = append(succs[b], int(m.Target))
-		}
-	}
+//
+// The result depends on nothing but lv and the pools' order: intervals
+// arrive in a total order, the active list and the pools are sequences,
+// and everything else is indexed by register number.
+func linearScan(s *selector, lv *liveness, byWeight bool) *allocation {
+	d := s.desc
+	a := newAllocation(len(lv.ivals))
 
-	// Per-block use/def over virtual registers.
-	useB := make([]map[target.Reg]bool, nb+1)
-	defB := make([]map[target.Reg]bool, nb+1)
-	for b := 0; b <= nb; b++ {
-		useB[b] = map[target.Reg]bool{}
-		defB[b] = map[target.Reg]bool{}
+	// The four pools share one backing array; each is capped at its own
+	// size, which a release cannot exceed: it returns a register to the
+	// pool it came from.
+	backing := make([]target.Reg, 0,
+		len(d.Allocatable)+len(d.FPAllocatable)+len(d.CallerSaved)+len(d.FPCallerSaved))
+	pool := func(regs []target.Reg) []target.Reg {
+		o := len(backing)
+		backing = append(backing, regs...)
+		return backing[o:len(backing):len(backing)]
 	}
-	var ub []target.Reg
-	for b := 0; b < nb; b++ {
-		end := n
-		if b+1 < len(s.blockStart) {
-			end = s.blockStart[b+1]
-		}
-		for i := s.blockStart[b]; i < end; i++ {
-			ub = instrUses(&s.code[i], ub[:0])
-			for _, r := range ub {
-				if r.IsVirtual() && !defB[b][r] {
-					useB[b][r] = true
-				}
-			}
-			if d := instrDef(&s.code[i]); d.IsVirtual() {
-				defB[b][d] = true
-			}
-		}
-	}
-	liveIn := make([]map[target.Reg]bool, nb+1)
-	liveOut := make([]map[target.Reg]bool, nb+1)
-	for b := range liveIn {
-		liveIn[b] = map[target.Reg]bool{}
-		liveOut[b] = map[target.Reg]bool{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for b := nb - 1; b >= 0; b-- {
-			for _, sc := range succs[b] {
-				if sc > nb {
-					continue
-				}
-				for v := range liveIn[sc] {
-					if !liveOut[b][v] {
-						liveOut[b][v] = true
-						changed = true
-					}
-				}
-			}
-			for v := range useB[b] {
-				if !liveIn[b][v] {
-					liveIn[b][v] = true
-					changed = true
-				}
-			}
-			for v := range liveOut[b] {
-				if !defB[b][v] && !liveIn[b][v] {
-					liveIn[b][v] = true
-					changed = true
-				}
-			}
-		}
-	}
+	calleeInt, calleeFP := pool(d.Allocatable), pool(d.FPAllocatable)
+	callerInt, callerFP := pool(d.CallerSaved), pool(d.FPCallerSaved)
 
-	// Intervals: conservative [min, max] positions.
-	ivals := map[target.Reg]*interval{}
-	touch := func(v target.Reg, pos int) {
-		if !v.IsVirtual() {
-			return
-		}
-		iv, ok := ivals[v]
-		if !ok {
-			ivals[v] = &interval{v: v, start: pos, end: pos, fp: s.isFPReg(v)}
-			return
-		}
-		if pos < iv.start {
-			iv.start = pos
-		}
-		if pos > iv.end {
-			iv.end = pos
-		}
-	}
-	weigh := func(v target.Reg, b int) {
-		if s.blockHeat == nil || !v.IsVirtual() {
-			return
-		}
-		if iv, ok := ivals[v]; ok {
-			if b < len(s.blockHeat) {
-				iv.weight += s.blockHeat[b]
-			}
-			iv.weight++
-		}
-	}
-	for b := 0; b < nb; b++ {
-		end := n
-		if b+1 < len(s.blockStart) {
-			end = s.blockStart[b+1]
-		}
-		for v := range liveIn[b] {
-			touch(v, s.blockStart[b])
-		}
-		for v := range liveOut[b] {
-			touch(v, end-1)
-		}
-		for i := s.blockStart[b]; i < end; i++ {
-			ub = instrUses(&s.code[i], ub[:0])
-			for _, r := range ub {
-				touch(r, i)
-				weigh(r, b)
-			}
-			if d := instrDef(&s.code[i]); d != target.NoReg {
-				touch(d, i)
-				weigh(d, b)
-			}
-		}
-	}
-
-	// Call sites (which clobber caller-saved registers) and the values
-	// live into any unwind handler block. Every block ends with a
-	// terminator — never a call — so a value live out of a block whose
-	// last call sits at position p is always touched at a position > p,
-	// and the strict start <= p < end test below is sound even for
-	// intervals wrapping a loop back edge.
-	var callPos []int
-	forceSpill := map[target.Reg]bool{}
-	for i := range s.code {
-		switch s.code[i].Op {
-		case target.MCall, target.MCallInd, target.MCallExt:
-			callPos = append(callPos, i)
-		case target.MInvokePush:
-			if h := int(s.code[i].Target); h <= nb {
-				for v := range liveIn[h] {
-					forceSpill[v] = true
-				}
-			}
-		}
-	}
-	for _, iv := range ivals {
-		j := sort.SearchInts(callPos, iv.start)
-		iv.cross = j < len(callPos) && callPos[j] < iv.end
-	}
-
-	sorted := make([]*interval, 0, len(ivals))
-	for _, iv := range ivals {
-		sorted = append(sorted, iv)
-	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].start != sorted[j].start {
-			return sorted[i].start < sorted[j].start
-		}
-		return sorted[i].v < sorted[j].v
-	})
-
-	assigned := map[target.Reg]target.Reg{}
-	slotOf := map[target.Reg]int32{}
-	newSlot := func(v target.Reg) { slotOf[v] = int32(len(slotOf)) }
-
-	calleeInt := append([]target.Reg(nil), s.desc.Allocatable...)
-	calleeFP := append([]target.Reg(nil), s.desc.FPAllocatable...)
-	callerInt := append([]target.Reg(nil), s.desc.CallerSaved...)
-	callerFP := append([]target.Reg(nil), s.desc.FPCallerSaved...)
-	callerSet := map[target.Reg]bool{}
-	for _, r := range s.desc.CallerSaved {
+	// Physical registers number below 128 (target.Reg).
+	var callerSet, used [128]bool
+	for _, r := range callerInt {
 		callerSet[r] = true
 	}
-	for _, r := range s.desc.FPCallerSaved {
+	for _, r := range callerFP {
 		callerSet[r] = true
 	}
+	// freeAt records, per register, the end position of its last owner
+	// (zero: never handed out). A register in a pool is only guaranteed
+	// free after that point: safe for the interval being scanned (which
+	// starts later), but not automatically for an evicted victim that
+	// started earlier.
+	var freeAt [128]int
 
 	type activeEntry struct {
-		iv  *interval
+		v   int32
 		reg target.Reg
 	}
-	var active []activeEntry
+	active := make([]activeEntry, 0, cap(backing))
 
-	// freeAt records, per register, the end position of its last owner.
-	// A register in a pool is only guaranteed free after that point: safe
-	// for the interval being scanned (which starts later), but not
-	// automatically for an evicted victim that started earlier.
-	freeAt := map[target.Reg]int{}
-	release := func(r target.Reg) {
+	poolOf := func(r target.Reg) *[]target.Reg {
 		switch {
 		case callerSet[r] && r.IsFP():
-			callerFP = append(callerFP, r)
+			return &callerFP
 		case callerSet[r]:
-			callerInt = append(callerInt, r)
+			return &callerInt
 		case r.IsFP():
-			calleeFP = append(calleeFP, r)
-		default:
-			calleeInt = append(calleeInt, r)
+			return &calleeFP
 		}
+		return &calleeInt
 	}
 	expire := func(pos int) {
 		keep := active[:0]
-		for _, a := range active {
-			if a.iv.end < pos {
-				if a.iv.end > freeAt[a.reg] {
-					freeAt[a.reg] = a.iv.end
+		for _, e := range active {
+			if end := lv.ivals[e.v].end; end < pos {
+				if end > freeAt[e.reg] {
+					freeAt[e.reg] = end
 				}
-				release(a.reg)
+				p := poolOf(e.reg)
+				*p = append(*p, e.reg)
 			} else {
-				keep = append(keep, a)
+				keep = append(keep, e)
 			}
 		}
 		active = keep
+	}
+	// takeAt removes and returns the pool's i'th register, keeping the
+	// order of the rest.
+	takeAt := func(p *[]target.Reg, i int) target.Reg {
+		r := (*p)[i]
+		*p = append((*p)[:i], (*p)[i+1:]...)
+		return r
 	}
 	take := func(p *[]target.Reg) target.Reg {
 		if len(*p) == 0 {
 			return target.NoReg
 		}
-		r := (*p)[0]
-		*p = (*p)[1:]
-		return r
+		return takeAt(p, 0)
 	}
-	// takeFreeBefore pops the first pool register whose last owner ended
+	// takeFreeBefore takes the first pool register whose last owner ended
 	// before pos — the legality condition for relocating an already-live
-	// victim (registers never handed out are absent from freeAt and
-	// always qualify).
+	// victim.
 	takeFreeBefore := func(p *[]target.Reg, pos int) target.Reg {
 		for i, r := range *p {
-			if e, used := freeAt[r]; used && e >= pos {
+			if e := freeAt[r]; e > 0 && e >= pos {
 				continue
 			}
-			*p = append((*p)[:i], (*p)[i+1:]...)
-			return r
+			return takeAt(p, i)
 		}
 		return target.NoReg
 	}
 
-	usedSet := map[target.Reg]bool{}
-	for _, iv := range sorted {
-		if forceSpill[iv.v] {
-			newSlot(iv.v)
+	for _, key := range lv.order {
+		v := int32(key)
+		iv := &lv.ivals[v]
+		if hasBit(lv.forceSpill, int(v)) {
+			a.spill(int(v))
 			continue
 		}
 		expire(iv.start)
@@ -693,110 +770,111 @@ func allocLinear(s *selector) {
 			reg = take(callee)
 		}
 		if reg != target.NoReg {
-			assigned[iv.v] = reg
-			usedSet[reg] = true
-			active = append(active, activeEntry{iv: iv, reg: reg})
+			a.assigned[v] = reg
+			used[reg] = true
+			active = append(active, activeEntry{v, reg})
 			continue
 		}
 		// Pools exhausted: an active interval of the same class yields its
 		// register, provided that register is legal for the current
-		// interval. Without profile heat the victim is the interval ending
-		// furthest (classic linear scan); with it (tier 2) the victim is
-		// the cheapest to spill — lowest heat-weighted use count — and only
-		// if it is both cheaper than the current interval and ends later,
-		// so hot-loop values keep their registers. (The ends-later filter
-		// is a measured heuristic, not a soundness condition: evicting an
-		// interval shorter than the current one trades a long register
-		// occupancy for little gain.)
+		// interval. The classic victim is the interval ending furthest;
+		// the weighted one is the cheapest to spill — lowest heat-weighted
+		// use count — and only if it is both cheaper than the current
+		// interval and ends later, so hot-loop values keep their registers.
+		// (The ends-later filter is a measured heuristic, not a soundness
+		// condition: evicting an interval shorter than the current one
+		// trades a long register occupancy for little gain.)
+		a.ranDry = true
 		victim := -1
-		useWeight := s.evictByWeight
-		for ai, a := range active {
-			if a.reg.IsFP() != iv.fp {
+		for ai, e := range active {
+			if e.reg.IsFP() != iv.fp {
 				continue
 			}
-			if iv.cross && callerSet[a.reg] {
+			if iv.cross && callerSet[e.reg] {
 				continue
 			}
-			if !useWeight {
-				if a.iv.end <= iv.end {
-					continue
-				}
-				if victim == -1 || a.iv.end > active[victim].iv.end {
+			c := &lv.ivals[e.v]
+			if c.end <= iv.end {
+				continue
+			}
+			if !byWeight {
+				if victim == -1 || c.end > lv.ivals[active[victim].v].end {
 					victim = ai
 				}
 				continue
 			}
-			if a.iv.weight >= iv.weight || a.iv.end <= iv.end {
+			if c.weight >= iv.weight {
 				continue
 			}
-			if victim == -1 || a.iv.weight < active[victim].iv.weight ||
-				(a.iv.weight == active[victim].iv.weight && a.iv.end > active[victim].iv.end) {
+			if victim == -1 {
+				victim = ai
+				continue
+			}
+			if best := &lv.ivals[active[victim].v]; c.weight < best.weight ||
+				(c.weight == best.weight && c.end > best.end) {
 				victim = ai
 			}
 		}
 		if victim < 0 {
-			newSlot(iv.v)
+			a.spill(int(v))
 			continue
 		}
-		a := active[victim]
-		assigned[iv.v] = a.reg
-		active[victim] = activeEntry{iv: iv, reg: a.reg}
+		e := active[victim]
+		ev := &lv.ivals[e.v]
+		a.assigned[v] = e.reg
+		active[victim] = activeEntry{v, e.reg}
 		// Second chance: a non-crossing victim may relocate into a
 		// caller-saved register instead of spilling — but only one whose
 		// previous owner died before the victim began. The pool invariant
 		// (owners dead before the current position) is not enough here:
-		// the victim has been live since a.iv.start < iv.start, and an
+		// the victim has been live since ev.start < iv.start, and an
 		// owner that died in between would overlap it.
-		if !a.iv.cross {
-			if reloc := takeFreeBefore(caller, a.iv.start); reloc != target.NoReg {
-				assigned[a.iv.v] = reloc
-				usedSet[reloc] = true
-				active = append(active, activeEntry{iv: a.iv, reg: reloc})
+		if !ev.cross {
+			if reloc := takeFreeBefore(caller, ev.start); reloc != target.NoReg {
+				a.assigned[e.v] = reloc
+				used[reloc] = true
+				active = append(active, activeEntry{e.v, reloc})
 				continue
 			}
 		}
-		newSlot(a.iv.v)
-		delete(assigned, a.iv.v)
+		a.assigned[e.v] = target.NoReg
+		a.spill(int(e.v))
 	}
 
-	s.spillBytes = int32(len(slotOf)) * 8
 	// The prologue saves only the callee-saved registers actually used.
-	for r := range usedSet {
-		if !callerSet[r] {
-			s.savedRegs = append(s.savedRegs, r)
+	for r := range used {
+		if used[r] && !callerSet[r] {
+			a.saved = append(a.saved, target.Reg(r))
 		}
 	}
-	sort.Slice(s.savedRegs, func(i, j int) bool { return s.savedRegs[i] < s.savedRegs[j] })
-	rewriteWithSlots(s, slotOf, assigned)
+	return a
 }
 
-// allocBest runs the linear scan twice on a profiled function — once
-// with heat-weighted eviction, once with the classic furthest-end rule —
-// and keeps whichever allocation emits the cheaper heat-weighted spill
-// traffic (spillCost). Weighted eviction wins big on functions dominated
-// by one hot loop, but on flat profiles its weight ties resolve
-// arbitrarily and can cost more than the classic rule saves; measuring
-// both settles it per function. The extra pass runs only on the tier-2
-// path, where translation is background work.
+// allocLinear allocates with the classic furthest-end eviction rule.
+func allocLinear(s *selector) {
+	a := linearScan(s, computeLiveness(s), false)
+	s.commit(a, rewriteWithSlots(s, a))
+}
+
+// allocBest allocates a profiled function under both eviction rules —
+// heat-weighted and classic furthest-end — and keeps whichever emits the
+// cheaper heat-weighted spill traffic. Weighted eviction wins big on
+// functions dominated by one hot loop, but on flat profiles its weight
+// ties resolve arbitrarily and can cost more than the classic rule
+// saves; measuring both settles it per function. The two scans share
+// one liveness solution, and when the weighted scan never ran a pool dry
+// the classic one is skipped: the rules differ only in the choice of a
+// victim, so without one the allocations are the same.
 func allocBest(s *selector) {
-	code0 := append([]target.MInstr(nil), s.code...)
-	bs0 := append([]int(nil), s.blockStart...)
-
-	s.evictByWeight = true
-	allocLinear(s)
-	wCode, wBS := s.code, s.blockStart
-	wBytes, wSaved := s.spillBytes, s.savedRegs
-	wLoads, wStores, wCost := s.nSpillLoads, s.nSpillStores, s.spillCost
-
-	s.code, s.blockStart = code0, bs0
-	s.spillBytes, s.savedRegs = 0, nil
-	s.nSpillLoads, s.nSpillStores, s.spillCost = 0, 0, 0
-	s.evictByWeight = false
-	allocLinear(s)
-
-	if wCost < s.spillCost {
-		s.code, s.blockStart = wCode, wBS
-		s.spillBytes, s.savedRegs = wBytes, wSaved
-		s.nSpillLoads, s.nSpillStores, s.spillCost = wLoads, wStores, wCost
+	lv := computeLiveness(s)
+	a := linearScan(s, lv, true)
+	r := rewriteWithSlots(s, a)
+	if a.ranDry {
+		ac := linearScan(s, lv, false)
+		rc := rewriteWithSlots(s, ac)
+		if spillCost(r.spillAt, s.blockHeat) >= spillCost(rc.spillAt, s.blockHeat) {
+			a, r = ac, rc
+		}
 	}
+	s.commit(a, r)
 }

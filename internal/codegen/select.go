@@ -39,19 +39,23 @@ type selector struct {
 	hasInvoke    bool
 	maxStackArgs int
 
-	// spill traffic emitted by the allocator's rewrite (telemetry)
+	// spill traffic emitted by the allocator's rewrite: totals (telemetry)
+	// and accesses per block, which spillCost prices against a profile
 	nSpillLoads  int
 	nSpillStores int
+	spillAt      []uint32
 
 	// blockHeat is per-block profile heat (indexed like blockStart), set
 	// only on the tier-2 path. It weighs the allocator's live intervals
-	// and prices emitted spill traffic (spillCost); evictByWeight switches
-	// the linear scan from furthest-end to lowest-heat-weight eviction so
-	// hot-loop values keep registers (allocBest tries both and keeps the
-	// cheaper allocation).
-	blockHeat     []uint64
-	evictByWeight bool
-	spillCost     uint64
+	// so that heat-weighted eviction keeps hot-loop values in registers,
+	// and prices each allocation's spill traffic (allocBest tries both
+	// eviction rules and keeps the cheaper allocation).
+	blockHeat []uint64
+
+	// blockOff is each block's byte offset in the final code (epilogue
+	// last), recorded by layout: the address space profile samples of
+	// this code are taken in.
+	blockOff []int
 }
 
 func newSelector(t *Translator, f *core.Function) *selector {
@@ -252,10 +256,10 @@ func (s *selector) emitFrameAccess(op target.MOp, reg, base target.Reg,
 
 // synthImm materializes a 64-bit immediate into reg. On vx86 this is one
 // movi with an imm64; on vsparc it is a SPARC-style sethi/or chain of
-// 16-bit pieces (1-4 instructions). synthImmInto (regalloc.go) is the
+// 16-bit pieces (1-4 instructions). appendImm (regalloc.go) is the
 // single implementation.
 func (s *selector) synthImm(reg target.Reg, v int64) {
-	s.code = append(s.code, synthImmInto(reg, v, s.desc)...)
+	s.code = appendImm(s.code, reg, v, s.desc)
 }
 
 // synthSym materializes the address of a symbol.

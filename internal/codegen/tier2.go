@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -68,14 +69,17 @@ func (t *Translator) Tier() int {
 // tier 1).
 func (t *Translator) Profile() *prof.Artifact { return t.art }
 
-// tryTier2 translates f through the superblock pipeline. It reports
-// ok=false — fall back to tier-1 lowering — when the profile has no
-// samples for f or a transformed body fails verification. When the
-// tier-2 candidate's estimated dynamic cost does not beat a tier-1
-// lowering, the tier-1 code is returned (ok=true); tier2_funcs still
-// counts the translation — it mirrors pipeline.tierups one-for-one —
-// but only shipped transformations count superblocks and duplicated
-// instructions.
+// tryTier2 translates f through the superblock pipeline: one tier-1
+// lowering of the untouched function, then one lowering of the
+// transformed clone. The tier-1 lowering is both the code the profile
+// was sampled on — its block offsets map samples back to blocks — and
+// the baseline the candidate must beat. It reports ok=false — translate
+// at tier 1 — when the profile has no samples for f. When a transformed
+// body fails verification, or the candidate's estimated dynamic cost
+// does not beat the tier-1 lowering, the tier-1 code is returned
+// (ok=true); tier2_funcs counts every translation that reached the gate
+// — it mirrors pipeline.tierups one-for-one — but only shipped
+// transformations count superblocks and duplicated instructions.
 func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	counts := t.art.BlockCounts(f.Name())
 	if len(counts) == 0 {
@@ -85,10 +89,11 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	tier2Mu.Lock()
 	defer tier2Mu.Unlock()
 
-	// Map the sampled native offsets — recorded against the tier-1 code
-	// this profile was gathered on — back to MIR blocks: a sample belongs
-	// to the block with the greatest start offset ≤ it.
-	offs := t.tier1BlockOffsets(f)
+	// The code the profile was sampled on. Its block offsets map the
+	// sampled native offsets back to MIR blocks: a sample belongs to the
+	// block with the greatest start offset ≤ it.
+	nf1, sel1 := t.lower(f, false, nil, nil)
+	offs := sel1.blockOff
 	heat := make([]uint64, len(f.Blocks))
 	for off, n := range counts {
 		bi := sort.Search(len(offs), func(i int) bool { return uint64(offs[i]) > off }) - 1
@@ -132,20 +137,19 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 
 	if core.VerifyFunction(clone) != nil {
 		// A transform produced invalid IR; tier-1 output is always safe.
-		return nil, false
+		return nf1, true
 	}
 	nf2, sel2 := t.lower(clone, true, perm, hm)
 	nf2.NumLLVA = f.NumInstructions()
 
 	// Final gate: estimate each candidate's dynamic cost — heat-priced
 	// spill traffic (~2 cycles per access) plus the layout's branch cost —
-	// and ship tier-2 only if it beats a heat-priced tier-1 lowering of
-	// the untouched function. Inlining and tail duplication can raise
+	// and ship tier-2 only if it beats the tier-1 lowering of the
+	// untouched function. Inlining and tail duplication can raise
 	// register pressure faster than they retire branches (the per-pass
 	// gates see only their own axis), and block-granular samples are
 	// noisy; a candidate that cannot beat the code the profile was
 	// measured on is not an optimization.
-	nf1, sel1 := t.lower(f, false, nil, hmOrig)
 	order2 := clone.Blocks
 	if perm != nil {
 		order2 = make([]*core.BasicBlock, len(perm))
@@ -153,8 +157,8 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 			order2[i] = clone.Blocks[bi]
 		}
 	}
-	est2 := 2*sel2.spillCost + layoutCost(order2, hm) + callCost(order2, hm)
-	est1 := 2*sel1.spillCost + layoutCost(f.Blocks, hmOrig) + callCost(f.Blocks, hmOrig)
+	est2 := 2*spillCost(sel2.spillAt, sel2.blockHeat) + layoutCost(order2, hm) + callCost(order2, hm)
+	est1 := 2*spillCost(sel1.spillAt, heat) + layoutCost(f.Blocks, hmOrig) + callCost(f.Blocks, hmOrig)
 	if t.tier2Funcs != nil {
 		t.tier2Funcs.Inc()
 	}
@@ -166,34 +170,6 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 		t.tailDupInstrs.Add(uint64(nDup))
 	}
 	return nf2, true
-}
-
-// tier1BlockOffsets replays the tier-1 pipeline for f and measures the
-// byte offset of each MIR block's first instruction — the address space
-// the profile's block counts were sampled in. No telemetry is recorded;
-// this is a measurement pass, not a translation.
-func (t *Translator) tier1BlockOffsets(f *core.Function) []int {
-	sel := newSelector(t, f)
-	sel.run()
-	if t.spillOnly {
-		allocSpill(sel)
-	} else {
-		allocLinear(sel)
-	}
-	addFrame(sel)
-	elideFallthroughs(sel)
-	offs := make([]int, len(sel.code)+1)
-	var probe []byte
-	for i := range sel.code {
-		probe = probe[:0]
-		b, _ := t.desc.Encode(&sel.code[i], probe)
-		offs[i+1] = offs[i] + len(b)
-	}
-	out := make([]int, len(sel.blockStart))
-	for b, idx := range sel.blockStart {
-		out[b] = offs[idx]
-	}
-	return out
 }
 
 // inlineHot repeatedly inlines the hottest eligible call site in clone:
@@ -602,22 +578,23 @@ func invertBranches(s *selector) {
 // executed instruction is an unconditional jump — a shape trace reorder
 // leaves behind when a cold block holds nothing but a jump to the join.
 // Each threaded branch saves the intermediate jump's 2 cycles. Chains
-// are followed to a fixed point; a visited set breaks degenerate cycles.
+// are followed to a fixed point; the list of targets already visited
+// (chains are a few hops at most) breaks degenerate cycles.
 func threadJumps(s *selector) {
-	resolve := func(t0 int32) int32 {
-		t := t0
-		seen := map[int32]bool{t: true}
+	var seen []int32
+	resolve := func(t int32) int32 {
+		seen = append(seen[:0], t)
 		for {
 			bi := int(t)
 			if bi < 0 || bi >= len(s.blockStart) || s.blockStart[bi] >= len(s.code) {
 				return t
 			}
-			in := s.code[s.blockStart[bi]]
-			if in.Op != target.MJmp || seen[in.Target] {
+			in := &s.code[s.blockStart[bi]]
+			if in.Op != target.MJmp || slices.Contains(seen, in.Target) {
 				return t
 			}
 			t = in.Target
-			seen[t] = true
+			seen = append(seen, t)
 		}
 	}
 	for i := range s.code {
