@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short tier1 bench bench-compare bench-smoke serve-bench serve-bench-compare fmt-check
+.PHONY: all build vet test race race-short tier1 bench bench-compare bench-smoke serve-bench serve-bench-compare fmt-check loc
 
 all: tier1
 
@@ -48,7 +48,8 @@ BENCH_BASELINE ?= bench/BENCH_2026-08-07_zeroalloc.json
 bench-compare:
 	$(GO) run ./cmd/llva-bench $(BENCH_FLAGS) -compare $(BENCH_BASELINE)
 
-# bench-smoke compiles and runs the Table 2, pipeline and translator
+# bench-smoke compiles and runs the Table 2, pipeline, cache
+# (BenchmarkCacheCodec, BenchmarkCASRead) and translator
 # (BenchmarkLower per target and tier, BenchmarkAllocLinear; their doc
 # comments give the before/after command line) benchmarks once, as a
 # CI-cheap check that the benchmarks themselves stay green (in
@@ -59,7 +60,7 @@ bench-compare:
 # must render. The serve smoke drives a short loadgen burst against an
 # in-process server: non-zero completions, zero 5xx.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|SpeculativeColdStart|CacheCodec|Lower|AllocLinear' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|SpeculativeColdStart|CacheCodec|CASRead|Lower|AllocLinear' -benchtime 1x ./...
 	$(GO) test -run TestTraceSmoke .
 	$(GO) test -count=1 -run TestLoadGenSmoke ./internal/serve/
 
@@ -79,3 +80,9 @@ serve-bench-compare:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# loc prints non-test and test Go lines per package and in total
+# (testdata and generated files excluded): ROADMAP aim 2 reports lines
+# removed, and CHANGES.md quotes this before and after.
+loc:
+	@sh scripts/loc.sh

@@ -263,10 +263,11 @@ func BenchmarkLLEEColdVsWarm(b *testing.B) {
 			if _, err := sess.Run(context.Background(), "main"); err != nil {
 				b.Fatal(err)
 			}
-			if sess.Stats().Translations == 0 {
+			tele := sys.Telemetry()
+			if tele.CounterValue(llee.MetricTranslations) == 0 {
 				b.Fatal("cold run did not translate")
 			}
-			transNS = sess.Stats().TranslateNS
+			transNS = tele.Histogram(llee.MetricTranslateNS).Sum()
 		}
 		b.ReportMetric(float64(transNS), "translate-ns")
 	})
@@ -570,10 +571,11 @@ func BenchmarkSpeculativeColdStart(b *testing.B) {
 				if _, err := sess.Run(context.Background(), "main"); err != nil {
 					b.Fatal(err)
 				}
-				if sess.Stats().Translations == 0 {
+				tele := sys.Telemetry()
+				if tele.CounterValue(llee.MetricTranslations) == 0 {
 					b.Fatal("cold run did not translate")
 				}
-				stall = sess.Stats().TranslateNS
+				stall = tele.Histogram(llee.MetricTranslateNS).Sum()
 				if err := sys.Close(); err != nil {
 					b.Fatal(err)
 				}

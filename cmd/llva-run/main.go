@@ -247,9 +247,9 @@ func main() {
 			fatal(err)
 		}
 		if *stats {
-			st := sess.Stats()
 			fmt.Fprintf(os.Stderr, "offline: translated %d functions in %v\n",
-				st.Translations, time.Duration(st.TranslateNS))
+				reg.CounterValue(llee.MetricTranslations),
+				time.Duration(reg.Histogram(llee.MetricTranslateNS).Sum()))
 		}
 		exit(0)
 	}
@@ -260,7 +260,7 @@ func main() {
 		}
 		if *stats {
 			fmt.Fprintf(os.Stderr, "idle-time: %d traces, %.0f%% coverage, %d functions retranslated\n",
-				ts.Traces, ts.Coverage*100, sess.Stats().Translations)
+				ts.Traces, ts.Coverage*100, reg.CounterValue(llee.MetricTranslations))
 		}
 		exit(0)
 	}
@@ -317,12 +317,11 @@ func main() {
 	}
 	if *stats {
 		mc := sess.Machine()
-		st := sess.Stats()
 		fmt.Fprintf(os.Stderr,
 			"target=%s cacheHit=%v translated=%d translateTime=%v\n"+
 				"instrs=%d cycles=%d calls=%d externs=%d wall=%v\n",
-			d.Name, st.CacheHit, st.Translations,
-			time.Duration(st.TranslateNS),
+			d.Name, sess.CacheHit(), reg.CounterValue(llee.MetricTranslations),
+			time.Duration(reg.Histogram(llee.MetricTranslateNS).Sum()),
 			mc.Stats.Instrs, mc.Stats.Cycles, mc.Stats.Calls,
 			mc.Stats.ExternCalls, res.Wall)
 	}

@@ -165,6 +165,6 @@ int main() { print_str("app output"); print_nl(); return 0; }
 			log.Fatal(err)
 		}
 		fmt.Printf("run %d: cacheHit=%v translated=%d output=%q\n",
-			run, sess.CacheHit(), sess.Stats().Translations, o.String())
+			run, sess.CacheHit(), sys.Telemetry().CounterValue(llee.MetricTranslations), o.String())
 	}
 }

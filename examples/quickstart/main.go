@@ -107,12 +107,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		before := sess.Stats().Translations // counters aggregate system-wide
+		translated := sys.Telemetry().Counter(llee.MetricTranslations) // aggregates system-wide
+		before := translated.Value()
 		res, err := sess.Run(context.Background(), "main")
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("(%d native instructions, %d cycles, %d functions JIT-translated)\n",
-			res.Instrs, res.Cycles, sess.Stats().Translations-before)
+			res.Instrs, res.Cycles, translated.Value()-before)
 	}
 }

@@ -99,8 +99,9 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(mout.String())
+		tele := sess.System().Telemetry()
 		fmt.Printf("functions translated: %d (kernel translated twice), invalidations: %d\n",
-			sess.Stats().Translations, sess.Stats().Invalidations)
+			tele.CounterValue(llee.MetricTranslations), tele.CounterValue(llee.MetricInvalidations))
 	}
 	fmt.Println("\nboth versions ran: 0 8 16 (generic ×8) then 24 32 40 (tuned <<3)")
 }

@@ -14,9 +14,9 @@ import (
 	"llva/internal/telemetry"
 )
 
-// CASStorage is the content-addressed on-disk cache: the default
-// persistent Storage since PR 8, replacing the flat one-file-per-key
-// DirStorage (which remains readable — legacy entries migrate lazily).
+// CASStorage is the content-addressed on-disk cache, the one persistent
+// Storage: NewDirStorage returns it and nothing else writes to a cache
+// directory.
 //
 // Entries are stored once per unique content: the object file name is
 // the SHA-256 of the entry's stamp and payload, and a small index maps
@@ -37,6 +37,9 @@ import (
 //	objects/<sha256 hex>   stamp line + payload (self-describing)
 //	index.llvaidx          "LLVAIDX 1" header, then "seq hash size key"
 //
+// Any other file in the directory is foreign: never read, listed or
+// removed.
+//
 // Concurrency: one CASStorage serializes its operations with a mutex,
 // and the index and every object are replaced atomically (temp file +
 // rename + fsync), so concurrent stores sharing a directory never
@@ -55,20 +58,16 @@ type CASStorage struct {
 
 // CAS metric families (recorded when SetTelemetry attached a registry).
 const (
-	MetricCASHits       = "llee.cas.hits"
-	MetricCASMisses     = "llee.cas.misses"
-	MetricCASDedups     = "llee.cas.dedup_hits"
-	MetricCASEvictions  = "llee.cas.evictions"
-	MetricCASMigrations = "llee.cas.migrations"
-	MetricCASCorrupt    = "llee.cas.corrupt"
-	MetricCASBytes      = "llee.cas.bytes"
+	MetricCASHits      = "llee.cas.hits"
+	MetricCASMisses    = "llee.cas.misses"
+	MetricCASDedups    = "llee.cas.dedup_hits"
+	MetricCASEvictions = "llee.cas.evictions"
+	MetricCASCorrupt   = "llee.cas.corrupt"
+	MetricCASBytes     = "llee.cas.bytes"
 )
 
 // NewDirStorage opens (creating if needed) the content-addressed disk
-// cache rooted at dir. The name is kept from the flat-format
-// predecessor so existing callers transparently get the CAS store;
-// flat ".llvacache" entries already in dir keep working and are
-// migrated into the CAS layout the first time they are read.
+// cache rooted at dir.
 func NewDirStorage(dir string) (*CASStorage, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, err
@@ -221,9 +220,6 @@ func (s *CASStorage) Write(key, stamp string, data []byte) error {
 	if old.hash != "" && old.hash != hash {
 		s.gcObject(idx, old.hash)
 	}
-	// The key may still exist in the legacy flat layout; the CAS entry
-	// supersedes it.
-	os.Remove(filepath.Join(s.dir, encodeKey(key)+".llvacache"))
 	return nil
 }
 
@@ -270,16 +266,15 @@ func (s *CASStorage) gcObject(idx map[string]casEntry, hash string) {
 
 // Read implements Storage. The object's bytes are rehashed before use;
 // a mismatch (torn foreign write, bit rot) is a recorded miss, so the
-// system falls back to translation instead of running bad code. A key
-// absent from the index but present in the legacy flat layout is
-// migrated into the CAS on the spot.
+// system falls back to translation instead of running bad code.
 func (s *CASStorage) Read(key string) ([]byte, string, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	idx := s.loadIndex()
 	e, ok := idx[key]
 	if !ok {
-		return s.migrateLocked(idx, key)
+		s.count(MetricCASMisses)
+		return nil, "", false, nil
 	}
 	blob, err := os.ReadFile(s.objectPath(e.hash))
 	if err != nil {
@@ -300,9 +295,10 @@ func (s *CASStorage) Read(key string) ([]byte, string, bool, error) {
 	s.seq++
 	e.seq = s.seq
 	idx[key] = e
-	if err := s.storeIndex(idx); err != nil {
-		return nil, "", false, err
-	}
+	// The recency bump is best effort: on a read-only or full cache
+	// directory (a pre-populated system cache) the index cannot be
+	// rewritten, and data that just passed its hash check is still a hit.
+	_ = s.storeIndex(idx)
 	s.count(MetricCASHits)
 	return blob[i+1:], string(blob[:i]), true, nil
 }
@@ -317,48 +313,10 @@ func (s *CASStorage) dropCorrupt(idx map[string]casEntry, key string) {
 	s.count(MetricCASMisses)
 }
 
-// migrateLocked adopts a legacy flat-format entry into the CAS layout
-// (index + object, legacy file removed) and serves it; with no legacy
-// file either, the read is a plain miss.
-func (s *CASStorage) migrateLocked(idx map[string]casEntry, key string) ([]byte, string, bool, error) {
-	legacy := filepath.Join(s.dir, encodeKey(key)+".llvacache")
-	blob, err := os.ReadFile(legacy)
-	if err != nil {
-		s.count(MetricCASMisses)
-		return nil, "", false, nil
-	}
-	i := strings.IndexByte(string(blob), '\n')
-	if i < 0 {
-		s.count(MetricCASMisses)
-		return nil, "", false, nil
-	}
-	stamp, data := string(blob[:i]), blob[i+1:]
-	hash := casHash(stamp, data)
-	if _, err := os.Stat(s.objectPath(hash)); err != nil {
-		if err := atomicWriteFile(filepath.Join(s.dir, "objects"), s.objectPath(hash), blob); err != nil {
-			return nil, "", false, err
-		}
-	}
-	s.seq++
-	idx[key] = casEntry{hash: hash, size: int64(len(blob)), seq: s.seq}
-	s.evictLocked(idx, key)
-	if err := s.storeIndex(idx); err != nil {
-		return nil, "", false, err
-	}
-	os.Remove(legacy)
-	s.count(MetricCASMigrations)
-	s.count(MetricCASHits)
-	return data, stamp, true, nil
-}
-
 // Delete implements Storage.
 func (s *CASStorage) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// A not-yet-migrated legacy entry is still this key's data.
-	if err := os.Remove(filepath.Join(s.dir, encodeKey(key)+".llvacache")); err != nil && !os.IsNotExist(err) {
-		return err
-	}
 	idx := s.loadIndex()
 	e, ok := idx[key]
 	if !ok {
@@ -372,28 +330,14 @@ func (s *CASStorage) Delete(key string) error {
 	return nil
 }
 
-// Keys implements Storage: indexed keys plus legacy entries not yet
-// migrated, sorted.
+// Keys implements Storage: the indexed keys, sorted.
 func (s *CASStorage) Keys() ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	idx := s.loadIndex()
-	seen := make(map[string]bool, len(idx))
 	out := make([]string, 0, len(idx))
 	for k := range idx {
-		seen[k] = true
 		out = append(out, k)
-	}
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".llvacache") {
-			if k := decodeKey(strings.TrimSuffix(e.Name(), ".llvacache")); !seen[k] {
-				out = append(out, k)
-			}
-		}
 	}
 	sort.Strings(out)
 	return out, nil

@@ -137,49 +137,6 @@ func TestCASLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCASLegacyMigration: entries written by the flat-format DirStorage
-// are listed, readable, and adopted into the CAS layout on first read.
-func TestCASLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	legacy, err := NewFlatDirStorage(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Write("native:prog:vx86", "oldstamp", []byte("legacy code")); err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewDirStorage(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	st.SetTelemetry(reg)
-	keys, err := st.Keys()
-	if err != nil || len(keys) != 1 || keys[0] != "native:prog:vx86" {
-		t.Fatalf("Keys() = %v, %v; want the legacy key", keys, err)
-	}
-	data, stamp, ok, err := st.Read("native:prog:vx86")
-	if err != nil || !ok || stamp != "oldstamp" || string(data) != "legacy code" {
-		t.Fatalf("migrating read: data=%q stamp=%q ok=%v err=%v", data, stamp, ok, err)
-	}
-	if n := reg.CounterValue(MetricCASMigrations); n != 1 {
-		t.Errorf("migration counter = %d, want 1", n)
-	}
-	if _, err := os.Stat(filepath.Join(dir, encodeKey("native:prog:vx86")+".llvacache")); !os.IsNotExist(err) {
-		t.Error("legacy flat file still present after migration")
-	}
-	if n := len(casObjects(t, dir)); n != 1 {
-		t.Errorf("objects after migration = %d, want 1", n)
-	}
-	// Second read comes from the CAS, not migration.
-	if _, _, ok, err := st.Read("native:prog:vx86"); !ok || err != nil {
-		t.Fatalf("post-migration read: ok=%v err=%v", ok, err)
-	}
-	if n := reg.CounterValue(MetricCASMigrations); n != 1 {
-		t.Errorf("second read migrated again (counter %d)", n)
-	}
-}
-
 // TestCASCorruptObject: a bit-flipped object fails hash verification
 // and reads as a miss — never as data.
 func TestCASCorruptObject(t *testing.T) {
@@ -212,6 +169,42 @@ func TestCASCorruptObject(t *testing.T) {
 	}
 	if n := reg.CounterValue(MetricCASCorrupt); n != 1 {
 		t.Errorf("corrupt counter = %d, want 1", n)
+	}
+}
+
+// TestCASReadOnlyDirectory: a cache directory the process may read but
+// not write (the paper's pre-populated, offline-translated system cache)
+// still serves its entries. The recency bump cannot be written back;
+// that must not turn hash-verified data into an error.
+func TestCASReadOnlyDirectory(t *testing.T) {
+	if os.Geteuid() == 0 {
+		t.Skip("file modes do not bind root")
+	}
+	dir := t.TempDir()
+	st, err := NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	st.SetTelemetry(reg)
+	if err := st.Write("k", "s", []byte("translated offline")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(dir, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chmod(dir, 0o755) // so TempDir's cleanup can remove it
+	for i := 0; i < 2; i++ {
+		data, stamp, ok, err := st.Read("k")
+		if err != nil || !ok || stamp != "s" || string(data) != "translated offline" {
+			t.Fatalf("read %d: data=%q stamp=%q ok=%v err=%v", i, data, stamp, ok, err)
+		}
+	}
+	if n := reg.CounterValue(MetricCASHits); n != 2 {
+		t.Errorf("hit counter = %d, want 2", n)
+	}
+	if err := st.Write("k2", "s", []byte("x")); err == nil {
+		t.Error("write into a read-only directory reported success")
 	}
 }
 

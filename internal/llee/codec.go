@@ -3,7 +3,6 @@ package llee
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,14 +11,13 @@ import (
 	"llva/internal/target"
 )
 
-// The translation-cache codec. Cached native objects are hot on every
-// start (read on the warm path, written on every cold run), so they use
-// a hand-rolled length-prefixed binary format instead of gob: no
-// reflection, no per-blob type dictionary, and ~an order of magnitude
-// faster both ways (BenchmarkCacheCodec). The format is versioned by a
-// magic header; blobs written by older builds (plain gob) don't start
-// with the magic and fall back to the gob decoder, so existing caches
-// keep working.
+// The translation-cache codec: the one format of a cached native object,
+// for both code tiers. Cached objects are hot on every start (read on the
+// warm path, written on every cold run), so the format is a hand-rolled
+// length-prefixed binary one: no reflection, no per-blob type dictionary
+// (BenchmarkCacheCodec). It is versioned by a magic header; a blob
+// without the magic, or with a version this build does not write, is
+// corrupt, which the caller treats as a miss.
 //
 // Allocation discipline (DESIGN.md §13): encoding sizes the output
 // exactly (one allocation per blob, no append regrowth), and decoding
@@ -100,12 +98,7 @@ var codecReaderPool = sync.Pool{New: func() any { return new(codecReader) }}
 
 func decodeCachedObject(data []byte) (*cachedObject, error) {
 	if !bytes.HasPrefix(data, codecMagic) {
-		// Pre-versioning blob: gob.
-		var co cachedObject
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&co); err != nil {
-			return nil, fmt.Errorf("%w: %v", errCorruptCache, err)
-		}
-		return &co, nil
+		return nil, fmt.Errorf("%w: no codec magic", errCorruptCache)
 	}
 	d := codecReaderPool.Get().(*codecReader)
 	defer func() {

@@ -2,7 +2,6 @@ package llee
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"reflect"
 	"testing"
@@ -44,23 +43,6 @@ func TestCacheCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(co, got) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, co)
-	}
-}
-
-// TestCacheCodecGobFallback: blobs written before the binary codec are
-// plain gob and must still decode.
-func TestCacheCodecGobFallback(t *testing.T) {
-	co := sampleCachedObject()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(co); err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeCachedObject(buf.Bytes())
-	if err != nil {
-		t.Fatalf("gob fallback: %v", err)
-	}
-	if !reflect.DeepEqual(co, got) {
-		t.Error("gob fallback round trip mismatch")
 	}
 }
 

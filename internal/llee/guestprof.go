@@ -16,10 +16,6 @@ import (
 // artifact carries its own format version so a future encoding change
 // fails loudly instead of decoding garbage.
 
-func (ms *moduleState) guestProfileKey() string {
-	return "guestprof:" + ms.module.Name + ":" + ms.desc.Name
-}
-
 // storeGuestProfile persists the sampler's current aggregate, merged
 // into any stamp-valid profile already stored (prof.Artifact.Merge sums
 // the counts), so repeated runs accumulate hotness instead of the last
@@ -33,7 +29,8 @@ func (ms *moduleState) storeGuestProfile(p *prof.Profiler) error {
 		return fmt.Errorf("llee: no profiler attached")
 	}
 	art := p.Artifact(ms.module.Name, ms.desc.Name)
-	if old, stamp, ok, _ := ms.sys.storage.Read(ms.guestProfileKey()); ok && stamp == ms.stamp {
+	key := ms.key("guestprof")
+	if old, stamp, ok, _ := ms.sys.storage.Read(key); ok && stamp == ms.stamp {
 		if prev, err := prof.DecodeArtifact(old); err == nil && prev.Merge(art) == nil {
 			art = prev
 		}
@@ -42,40 +39,33 @@ func (ms *moduleState) storeGuestProfile(p *prof.Profiler) error {
 	if err != nil {
 		return err
 	}
-	if err := ms.sys.storage.Write(ms.guestProfileKey(), ms.stamp, data); err != nil {
+	if err := ms.sys.storage.Write(key, ms.stamp, data); err != nil {
 		return err
 	}
-	tele := ms.sys.tele
-	tele.Counter(MetricProfileStores).Inc()
-	tele.Events().Emit(telemetry.EvProfileStored, ms.guestProfileKey(), int64(len(data)))
+	ms.sys.tele.Counter(MetricProfileStores).Inc()
+	ms.sys.tele.Events().Emit(telemetry.EvProfileStored, key, int64(len(data)))
 	return nil
 }
 
 // loadGuestProfile reads back a persisted sampling profile, validating
-// both the module stamp and the artifact's format version. A missing or
-// stale profile is not an error (ok=false); a corrupt or
+// both the module stamp and the artifact's format version. A missing,
+// unreadable or stale profile is not an error (ok=false); a corrupt or
 // wrong-version one is.
 func (ms *moduleState) loadGuestProfile() (*prof.Artifact, bool, error) {
 	if ms.sys.storage == nil {
 		return nil, false, nil
 	}
-	tele := ms.sys.tele
-	data, stamp, ok, err := ms.sys.storage.Read(ms.guestProfileKey())
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if stamp != ms.stamp {
-		tele.Counter(MetricStampMismatches).Inc()
-		tele.Events().Emit(telemetry.EvStampMismatch, ms.guestProfileKey(), 0)
-		ms.evictCache(ms.guestProfileKey())
+	key := ms.key("guestprof")
+	data, ok := ms.readStamped(key, ms.stamp)
+	if !ok {
 		return nil, false, nil
 	}
 	a, err := prof.DecodeArtifact(data)
 	if err != nil {
 		return nil, false, fmt.Errorf("llee: guest profile: %w", err)
 	}
-	tele.Counter(MetricProfileLoads).Inc()
-	tele.Events().Emit(telemetry.EvProfileLoaded, ms.guestProfileKey(), int64(a.Total))
+	ms.sys.tele.Counter(MetricProfileLoads).Inc()
+	ms.sys.tele.Events().Emit(telemetry.EvProfileLoaded, key, int64(a.Total))
 	return a, true, nil
 }
 

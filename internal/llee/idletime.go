@@ -31,10 +31,6 @@ type profileBlob struct {
 	Call  map[string]uint64
 }
 
-func (ms *moduleState) profileKey() string {
-	return "profile:" + ms.module.Name + ":" + ms.desc.Name
-}
-
 // gatherProfile executes the program once on the instrumented reference
 // interpreter (the paper's static-instrumentation-assisted profiling) and
 // stores the profile in the offline cache.
@@ -55,31 +51,22 @@ func (ms *moduleState) gatherProfile(entry string, args ...uint64) error {
 	if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
 		return err
 	}
-	if err := ms.sys.storage.Write(ms.profileKey(), ms.stamp, buf.Bytes()); err != nil {
+	if err := ms.sys.storage.Write(ms.key("profile"), ms.stamp, buf.Bytes()); err != nil {
 		return err
 	}
 	tele := ms.sys.tele
 	prof.Export(tele)
 	tele.Counter(MetricProfileStores).Inc()
-	tele.Events().Emit(telemetry.EvProfileStored, ms.profileKey(), int64(buf.Len()))
+	tele.Events().Emit(telemetry.EvProfileStored, ms.key("profile"), int64(buf.Len()))
 	return nil
 }
 
 // loadProfile reads and decodes the persisted profile, validating its
-// stamp against the current virtual object code. A missing or stale
-// profile is not an error (ok=false); a corrupt one is.
+// stamp against the current virtual object code. A missing, unreadable
+// or stale profile is not an error (ok=false); a corrupt one is.
 func (ms *moduleState) loadProfile() (*interp.Profile, bool, error) {
-	tele := ms.sys.tele
-	data, stamp, ok, err := ms.sys.storage.Read(ms.profileKey())
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if stamp != ms.stamp {
-		tele.Counter(MetricStampMismatches).Inc()
-		tele.Events().Emit(telemetry.EvStampMismatch, ms.profileKey(), 0)
-		// A profile for different object code is dead weight: evict it
-		// so the cache does not accumulate garbage across recompiles.
-		ms.evictCache(ms.profileKey())
+	data, ok := ms.readStamped(ms.key("profile"), ms.stamp)
+	if !ok {
 		return nil, false, nil
 	}
 	var blob profileBlob
@@ -87,8 +74,8 @@ func (ms *moduleState) loadProfile() (*interp.Profile, bool, error) {
 		return nil, false, fmt.Errorf("llee: corrupt profile: %w", err)
 	}
 	prof := decodeProfile(ms.module, &blob)
-	tele.Counter(MetricProfileLoads).Inc()
-	tele.Events().Emit(telemetry.EvProfileLoaded, ms.profileKey(), int64(len(prof.Block)))
+	ms.sys.tele.Counter(MetricProfileLoads).Inc()
+	ms.sys.tele.Events().Emit(telemetry.EvProfileLoaded, ms.key("profile"), int64(len(prof.Block)))
 	return prof, true, nil
 }
 

@@ -88,8 +88,8 @@ func TestIdleTimePGO(t *testing.T) {
 	if !sess3.CacheHit() {
 		t.Error("post-idle-time run missed the cache")
 	}
-	if sess3.Stats().Translations != 0 {
-		t.Errorf("post-idle-time run translated %d functions online", sess3.Stats().Translations)
+	if n := sys3.Telemetry().CounterValue(MetricTranslations); n != 0 {
+		t.Errorf("post-idle-time run translated %d functions online", n)
 	}
 	if out3.String() != out1.String() {
 		t.Errorf("optimized output differs: %q vs %q", out3.String(), out1.String())

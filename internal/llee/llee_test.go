@@ -52,8 +52,8 @@ func TestRunWithoutStorage(t *testing.T) {
 	if out.String() != "328350\n" {
 		t.Errorf("output = %q", out.String())
 	}
-	if sess.CacheHit() || sess.Stats().Translations == 0 {
-		t.Errorf("expected online JIT translation: %+v", sess.Stats())
+	if n := sys.Telemetry().CounterValue(MetricTranslations); sess.CacheHit() || n == 0 {
+		t.Errorf("expected online JIT translation: cacheHit=%v translations=%d", sess.CacheHit(), n)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestColdThenWarmCache(t *testing.T) {
 	if sess1.CacheHit() {
 		t.Error("cold run claimed a cache hit")
 	}
-	if sess1.Stats().Translations == 0 {
+	if sys1.Telemetry().CounterValue(MetricTranslations) == 0 {
 		t.Error("cold run translated nothing")
 	}
 	if err := sys1.Close(); err != nil {
@@ -95,8 +95,8 @@ func TestColdThenWarmCache(t *testing.T) {
 	if !sess2.CacheHit() {
 		t.Error("warm run missed the cache")
 	}
-	if sess2.Stats().Translations != 0 {
-		t.Errorf("warm run translated %d functions, want 0", sess2.Stats().Translations)
+	if n := sys2.Telemetry().CounterValue(MetricTranslations); n != 0 {
+		t.Errorf("warm run translated %d functions, want 0", n)
 	}
 	if out1.String() != out2.String() {
 		t.Errorf("outputs differ: %q vs %q", out1.String(), out2.String())
@@ -258,8 +258,8 @@ func TestSMCOnMachine(t *testing.T) {
 		if out.String() != "6\n500\n" {
 			t.Errorf("%s: output = %q, want %q", d.Name, out.String(), "6\n500\n")
 		}
-		if sess.Stats().Invalidations != 1 {
-			t.Errorf("%s: invalidations = %d, want 1", d.Name, sess.Stats().Invalidations)
+		if n := sys.Telemetry().CounterValue(MetricInvalidations); n != 1 {
+			t.Errorf("%s: invalidations = %d, want 1", d.Name, n)
 		}
 	}
 }

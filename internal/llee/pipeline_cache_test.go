@@ -1,8 +1,13 @@
 package llee
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -37,94 +42,261 @@ int main() {
 }
 `
 
-// TestCorruptCacheFallsBackToJIT: a cache blob with a valid stamp but
-// garbage contents must be treated as a miss — surfaced through
-// telemetry, evicted, and replaced by online translation — never as an
-// execution failure.
+// TestCorruptCacheFallsBackToJIT: whatever sits where a cached
+// translation should be and is not one (garbage under a valid stamp, a
+// gob encoding of the object, a flat <key>.llvacache file beside the
+// CAS) must be treated as a miss and replaced by online translation,
+// never run and never an execution failure. Blobs the store did return
+// are counted as corrupt and evicted; files the store does not own are
+// left alone.
 func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 	m := compileTest(t)
-	st := NewMemStorage()
-	reg := telemetry.New()
-	// Plant garbage under the real key with the real stamp, so only the
-	// decode step can reject it.
 	key, stamp := cacheKeyStamp(t, m, target.VX86)
-	if err := st.Write(key, stamp, []byte("\x00not a cache blob")); err != nil {
+	var gobBlob bytes.Buffer
+	if err := gob.NewEncoder(&gobBlob).Encode(sampleCachedObject()); err != nil {
 		t.Fatal(err)
 	}
-	sys := NewSystem(WithStorage(st), WithTelemetry(reg))
-	var out strings.Builder
-	sess, err := sys.NewSession(m, target.VX86, &out)
-	if err != nil {
-		t.Fatal(err)
+	stray := encodeKey(key) + ".llvacache"
+	planted := func(blob []byte) func(*testing.T) Storage {
+		return func(t *testing.T) Storage {
+			// The real key with the real stamp, so only the decode step
+			// can reject the blob.
+			st := NewMemStorage()
+			if err := st.Write(key, stamp, blob); err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
 	}
-	if _, err := sess.Run(context.Background(), "main"); err != nil {
-		t.Fatalf("run with corrupt cache: %v", err)
+	cases := []struct {
+		name    string
+		storage func(t *testing.T) Storage
+		corrupt uint64
+	}{
+		{"garbage", planted([]byte("\x00not a cache blob")), 1},
+		{"gob blob", planted(gobBlob.Bytes()), 1},
+		{"stray flat file", func(t *testing.T) Storage {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, stray), []byte(stamp+"\nlegacy code"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := NewDirStorage(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				blob, err := os.ReadFile(filepath.Join(dir, stray))
+				if err != nil || string(blob) != stamp+"\nlegacy code" {
+					t.Errorf("stray file touched: %q, %v", blob, err)
+				}
+			})
+			return st
+		}, 0},
 	}
-	if out.String() != "328350\n" {
-		t.Errorf("output = %q", out.String())
-	}
-	if sess.CacheHit() {
-		t.Error("corrupt entry counted as a cache hit")
-	}
-	if sess.Stats().Translations == 0 {
-		t.Error("corrupt cache did not fall back to JIT")
-	}
-	if got := reg.CounterValue(MetricCacheCorrupt); got != 1 {
-		t.Errorf("%s = %d, want 1", MetricCacheCorrupt, got)
-	}
-	if got := reg.CounterValue(MetricCacheEvictions); got != 1 {
-		t.Errorf("%s = %d, want 1", MetricCacheEvictions, got)
-	}
-	// The run's write-back must have replaced the garbage with a valid
-	// blob: the next run is a clean warm hit.
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sys2 := NewSystem(WithStorage(st))
-	var out2 strings.Builder
-	sess2, err := sys2.NewSession(compileTest(t), target.VX86, &out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess2.Run(context.Background(), "main"); err != nil {
-		t.Fatalf("warm run after corruption recovery: %v", err)
-	}
-	if !sess2.CacheHit() {
-		t.Error("recovered cache entry missed")
-	}
-	if out2.String() != out.String() {
-		t.Errorf("outputs differ: %q vs %q", out2.String(), out.String())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			st := c.storage(t)
+			reg := telemetry.New()
+			sys := NewSystem(WithStorage(st), WithTelemetry(reg))
+			var out strings.Builder
+			sess, err := sys.NewSession(m, target.VX86, &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Run(context.Background(), "main"); err != nil {
+				t.Fatalf("run with corrupt cache: %v", err)
+			}
+			if out.String() != "328350\n" {
+				t.Errorf("output = %q", out.String())
+			}
+			if sess.CacheHit() {
+				t.Error("corrupt entry counted as a cache hit")
+			}
+			if reg.CounterValue(MetricTranslations) == 0 {
+				t.Error("corrupt cache did not fall back to JIT")
+			}
+			if got := reg.CounterValue(MetricCacheMisses); got != 1 {
+				t.Errorf("%s = %d, want 1", MetricCacheMisses, got)
+			}
+			if got := reg.CounterValue(MetricCacheCorrupt); got != c.corrupt {
+				t.Errorf("%s = %d, want %d", MetricCacheCorrupt, got, c.corrupt)
+			}
+			if got := reg.CounterValue(MetricCacheEvictions); got != c.corrupt {
+				t.Errorf("%s = %d, want %d", MetricCacheEvictions, got, c.corrupt)
+			}
+			// The run's write-back must have put a valid blob under the key:
+			// the next run is a clean warm hit, and the key is listed once.
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if keys, err := st.Keys(); err != nil || len(keys) != 1 || keys[0] != key {
+				t.Errorf("Keys() = %v, %v; want [%s]", keys, err, key)
+			}
+			sys2 := NewSystem(WithStorage(st))
+			var out2 strings.Builder
+			sess2, err := sys2.NewSession(compileTest(t), target.VX86, &out2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess2.Run(context.Background(), "main"); err != nil {
+				t.Fatalf("warm run after corruption recovery: %v", err)
+			}
+			if !sess2.CacheHit() {
+				t.Error("recovered cache entry missed")
+			}
+			if out2.String() != out.String() {
+				t.Errorf("outputs differ: %q vs %q", out2.String(), out.String())
+			}
+		})
 	}
 }
 
-// TestStaleCacheEvicted: a stamp mismatch must delete the dead blob, not
-// just ignore it.
+// TestStaleCacheEvicted: every kind of persisted artifact goes through
+// the one stamped read, so for each of them an entry written against a
+// different stamp is absent to the system, counted once, and deleted, not
+// just ignored.
 func TestStaleCacheEvicted(t *testing.T) {
-	m := compileTest(t)
-	st := NewMemStorage()
-	reg := telemetry.New()
-	key, _ := cacheKeyStamp(t, m, target.VSPARC)
-	if err := st.Write(key, "stale-stamp", []byte("old translation")); err != nil {
+	for _, kind := range []string{"native", "native2", "profile", "guestprof"} {
+		t.Run(kind, func(t *testing.T) {
+			m, err := minic.Compile("hot.c", hotProg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := NewMemStorage()
+			if kind == "native2" {
+				// The tier-2 entry is looked for only under a valid guest
+				// profile; without the tier-1 entry the start stays online
+				// and does not translate (and store) tier 2 eagerly.
+				seedGuestProfile(t, st, target.VX86)
+				if err := st.Delete("native:" + m.Name + ":" + target.VX86.Name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			key := kind + ":" + m.Name + ":" + target.VX86.Name
+			if err := st.Write(key, "stale-stamp", []byte("written against other object code")); err != nil {
+				t.Fatal(err)
+			}
+			// Creating the session validates the entries: the stale blob
+			// must be detected and evicted right there.
+			reg := telemetry.New()
+			sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(true))
+			defer sys.Close()
+			sess, err := sys.NewSession(m, target.VX86, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sess.CacheHit() || sess.ProfileSeeded() {
+				t.Error("stale entry was used")
+			}
+			if _, _, ok, _ := st.Read(key); ok {
+				t.Error("stale blob survived the stamp mismatch")
+			}
+			if got := reg.CounterValue(MetricStampMismatches); got != 1 {
+				t.Errorf("%s = %d, want 1", MetricStampMismatches, got)
+			}
+			if got := reg.CounterValue(MetricCacheEvictions); got != 1 {
+				t.Errorf("%s = %d, want 1", MetricCacheEvictions, got)
+			}
+			if evs := reg.Events().Find(telemetry.EvStampMismatch); len(evs) != 1 || evs[0].Name != key {
+				t.Errorf("StampMismatch events = %+v, want one for %s", evs, key)
+			}
+		})
+	}
+}
+
+// faultStorage fails every Read of the given artifact kinds, the way a
+// storage API implementation on a failing or unreachable device would.
+type faultStorage struct {
+	Storage
+	kinds  []string
+	faults uint64
+}
+
+func (f *faultStorage) Read(key string) ([]byte, string, bool, error) {
+	for _, kind := range f.kinds {
+		if strings.HasPrefix(key, kind+":") {
+			f.faults++
+			return nil, "", false, errors.New("injected read fault")
+		}
+	}
+	return f.Storage.Read(key)
+}
+
+// TestStorageReadFaultIsMiss: the storage API is optional (paper, Section
+// 4.1), so a read it fails costs what its absence would, a miss on that
+// artifact, and never the session. Every kind of artifact is stored
+// first, so every faulted read withholds data that was really there.
+func TestStorageReadFaultIsMiss(t *testing.T) {
+	run := func(sys *System) (*Session, string) {
+		t.Helper()
+		m, err := minic.Compile("hot.c", hotProg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		sess, err := sys.NewSession(m, target.VX86, &out)
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		if _, err := sess.Run(context.Background(), "main"); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return sess, out.String()
+	}
+	_, ref := run(NewSystem())
+
+	full := NewMemStorage()
+	seedGuestProfile(t, full, target.VX86) // native, guestprof
+	sess, _ := run(NewSystem(WithStorage(full), WithTier2(true)))
+	if err := sess.GatherProfile("main"); err != nil {
 		t.Fatal(err)
 	}
-	// Creating the session validates the cache entry: the stale blob must
-	// be detected and evicted right there.
-	sys := NewSystem(WithStorage(st), WithTelemetry(reg))
-	sess, err := sys.NewSession(m, target.VSPARC, io.Discard)
-	if err != nil {
-		t.Fatal(err)
+	keys, err := full.Keys()
+	if err != nil || len(keys) != 4 {
+		t.Fatalf("seeded keys = %v, %v; want one of each of the four kinds", keys, err)
 	}
-	if sess.CacheHit() {
-		t.Error("stale entry counted as a cache hit")
+
+	all := []string{"native", "native2", "profile", "guestprof"}
+	cases := []struct {
+		kinds  []string
+		faults uint64
+	}{
+		{all[0:1], 1}, {all[1:2], 1}, {all[2:3], 1}, {all[3:4], 1},
+		// Without a guest profile tier 2 never arms, so its entry is not
+		// looked for: three reads, not four.
+		{all, 3},
 	}
-	if _, _, ok, _ := st.Read(key); ok {
-		t.Error("stale blob survived the stamp mismatch")
-	}
-	if got := reg.CounterValue(MetricStampMismatches); got != 1 {
-		t.Errorf("%s = %d, want 1", MetricStampMismatches, got)
-	}
-	if got := reg.CounterValue(MetricCacheEvictions); got != 1 {
-		t.Errorf("%s = %d, want 1", MetricCacheEvictions, got)
+	for _, c := range cases {
+		t.Run(strings.Join(c.kinds, "+"), func(t *testing.T) {
+			st := &faultStorage{Storage: NewMemStorage(), kinds: c.kinds}
+			for _, k := range keys {
+				data, stamp, _, _ := full.Read(k)
+				if err := st.Write(k, stamp, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reg := telemetry.New()
+			sess, out := run(NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(true)))
+			if out != ref {
+				t.Errorf("output = %q, want %q as without storage", out, ref)
+			}
+			if st.faults != c.faults {
+				t.Errorf("%d reads faulted, want %d", st.faults, c.faults)
+			}
+			if got := reg.CounterValue(MetricCacheReadErrors); got != st.faults {
+				t.Errorf("%s = %d, want %d (one per faulted read)", MetricCacheReadErrors, got, st.faults)
+			}
+			if online := c.kinds[0] == "native"; sess.CacheHit() == online {
+				t.Errorf("CacheHit = %v with reads of %v failing", sess.CacheHit(), c.kinds)
+			}
+			// A fault is not a verdict on the data: nothing is evicted.
+			if got := reg.CounterValue(MetricCacheEvictions); got != 0 {
+				t.Errorf("%s = %d, want 0", MetricCacheEvictions, got)
+			}
+		})
 	}
 }
 
@@ -246,7 +418,7 @@ func TestSpeculativeAndSequentialRunsAgree(t *testing.T) {
 	if !sessQ.CacheHit() {
 		t.Error("speculative run's write-back was not a usable warm cache")
 	}
-	if sessQ.Stats().Translations != 0 {
-		t.Errorf("warm sequential run translated %d functions, want 0", sessQ.Stats().Translations)
+	if n := sysQ.Telemetry().CounterValue(MetricTranslations); n != 0 {
+		t.Errorf("warm sequential run translated %d functions, want 0", n)
 	}
 }

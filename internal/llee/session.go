@@ -81,16 +81,6 @@ type Result struct {
 	Wall   time.Duration // host wall-clock time of this run
 }
 
-// Stats is a point-in-time snapshot of what the execution manager did,
-// taken from the telemetry registry (the authoritative source).
-type Stats struct {
-	CacheHit      bool
-	CacheMisses   int
-	Translations  int
-	TranslateNS   int64
-	Invalidations int
-}
-
 // NewSession prepares an execution of module m on target d, writing
 // program output to out. Session-scoped settings (WithMemSize, WithGas,
 // WithTenant, WithProfiler, WithFlightRecorder) are SessionOptions;
@@ -355,21 +345,6 @@ func mapRunError(err error) error {
 		return fmt.Errorf("llee: %w", err)
 	}
 	return err
-}
-
-// Stats snapshots the system's telemetry registry into the legacy
-// counter struct. CacheHit reports whether THIS session loaded a cached
-// translation; the counters aggregate over the whole system (exact
-// per-session attribution lives in the event trace).
-func (s *Session) Stats() Stats {
-	t := s.sys.tele
-	return Stats{
-		CacheHit:      s.cacheHit,
-		CacheMisses:   int(t.CounterValue(MetricCacheMisses)),
-		Translations:  int(t.CounterValue(MetricTranslations)),
-		TranslateNS:   t.Histogram(MetricTranslateNS).Sum(),
-		Invalidations: int(t.CounterValue(MetricInvalidations)),
-	}
 }
 
 // SetGas replaces the session's per-run gas budget (0: unmetered) for

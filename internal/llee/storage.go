@@ -11,8 +11,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -97,28 +95,10 @@ func (s *MemStorage) Keys() ([]string, error) {
 	return out, nil
 }
 
-// DirStorage persists cache entries as flat files in a directory — the
-// original on-disk format, superseded as the default by CASStorage
-// (cas.go), which NewDirStorage now returns. It remains for
-// compatibility: caches written by older builds read and migrate
-// cleanly, and tests use it to produce legacy layouts.
-type DirStorage struct {
-	Dir string
-}
-
-// NewFlatDirStorage opens a legacy flat-format store (one file per
-// key, no dedup, no eviction), creating the directory if needed.
-func NewFlatDirStorage(dir string) (*DirStorage, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &DirStorage{Dir: dir}, nil
-}
-
-// encodeKey maps a cache key to a filesystem-safe name, injectively:
-// bytes outside [A-Za-z0-9._-] become %XX hex escapes ('%' itself
-// included), so distinct keys such as "a/b" and "a_b" can never collide
-// on one file name.
+// encodeKey maps a cache key to the token that ends its line of the CAS
+// index, injectively: bytes outside [A-Za-z0-9._-] become %XX hex escapes
+// ('%' and white space included), so distinct keys such as "a/b" and
+// "a_b" can never collide and a key never splits a line.
 func encodeKey(key string) string {
 	var b strings.Builder
 	for i := 0; i < len(key); i++ {
@@ -135,7 +115,7 @@ func encodeKey(key string) string {
 }
 
 // decodeKey inverts encodeKey; malformed escapes are kept literally (a
-// foreign file in the cache directory, not one of ours).
+// foreign line in the index, not one of ours).
 func decodeKey(name string) string {
 	var b strings.Builder
 	for i := 0; i < len(name); i++ {
@@ -161,61 +141,4 @@ func unhex(c byte) int {
 		return int(c-'a') + 10
 	}
 	return -1
-}
-
-func (s *DirStorage) path(key string) string {
-	return filepath.Join(s.Dir, encodeKey(key)+".llvacache")
-}
-
-// Write implements Storage: the stamp occupies the first line. The
-// entry is written to a temporary file in the cache directory, fsynced
-// and renamed into place, and the directory is fsynced after the
-// rename — so neither a reader nor a crash (even a power cut between
-// rename and the directory metadata reaching disk) can observe a torn
-// or vanished entry: it sees either the old blob or the complete new
-// one.
-func (s *DirStorage) Write(key, stamp string, data []byte) error {
-	blob := append([]byte(stamp+"\n"), data...)
-	return atomicWriteFile(s.Dir, s.path(key), blob)
-}
-
-// Read implements Storage.
-func (s *DirStorage) Read(key string) ([]byte, string, bool, error) {
-	blob, err := os.ReadFile(s.path(key))
-	if os.IsNotExist(err) {
-		return nil, "", false, nil
-	}
-	if err != nil {
-		return nil, "", false, err
-	}
-	i := strings.IndexByte(string(blob), '\n')
-	if i < 0 {
-		return nil, "", false, fmt.Errorf("llee: corrupt cache entry %q", key)
-	}
-	return blob[i+1:], string(blob[:i]), true, nil
-}
-
-// Delete implements Storage.
-func (s *DirStorage) Delete(key string) error {
-	err := os.Remove(s.path(key))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
-// Keys implements Storage.
-func (s *DirStorage) Keys() ([]string, error) {
-	ents, err := os.ReadDir(s.Dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".llvacache") {
-			out = append(out, decodeKey(strings.TrimSuffix(e.Name(), ".llvacache")))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }

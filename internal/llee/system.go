@@ -249,19 +249,15 @@ func (ms *moduleState) ensureOffline() error {
 	if err != nil {
 		return err
 	}
-	loaded := make(map[string]*codegen.NativeFunc, len(nobj.Funcs))
-	for _, nf := range nobj.Funcs {
-		loaded[nf.Name] = nf
-	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if ms.sys.storage != nil {
-		if err := ms.writeCache(nobj.Funcs); err != nil {
+		if err := ms.writeObject(ms.key("native"), ms.stamp, nobj.Funcs); err != nil {
 			return err
 		}
 	}
 	ms.nobj = nobj
-	ms.loaded = loaded
+	ms.loaded = funcsByName(nobj.Funcs)
 	ms.online = false
 	return nil
 }
@@ -330,13 +326,14 @@ type moduleState struct {
 	// Tier-2 state, armed by initTier2 when WithTier2 is on and a
 	// stamp-valid guest profile exists. These four are written once under
 	// the system lock, before any session exists, then only read:
-	// guestArt is the guiding profile, profStamp its content stamp (the
-	// tier-2 cache qualifier), tr2 the profile-guided translator and hot
-	// the HotFuncs(tier2MinShare) candidate set.
-	guestArt  *prof.Artifact
-	profStamp string
-	tr2       *codegen.Translator
-	hot       map[string]bool
+	// guestArt is the guiding profile, stamp2 the tier-2 cache entry's
+	// stamp (module content + profile content: new object code or a
+	// different profile each invalidate it), tr2 the profile-guided
+	// translator and hot the HotFuncs(tier2MinShare) candidate set.
+	guestArt *prof.Artifact
+	stamp2   string
+	tr2      *codegen.Translator
+	hot      map[string]bool
 	// loaded2 holds tier-2 code decoded from the profile-stamped cache
 	// (or translated eagerly on a warm tier-1 start); written once in
 	// initTier2, read-only after.
@@ -387,24 +384,15 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 	if sys.storage != nil {
 		// The paper's translation strategy: look for a cached
 		// translation, validate its stamp, and fall back to online
-		// translation when any condition fails. A corrupt entry is a
-		// miss — evicted and surfaced through telemetry, never an error.
-		nobj, ok, err := ms.readCache()
-		if err != nil && !errors.Is(err, errCorruptCache) {
-			return nil, err
-		}
-		if ok {
+		// translation when any condition fails.
+		key := ms.key("native")
+		if nobj, ok := ms.readObject(key, ms.stamp); ok {
 			ms.nobj = nobj
-			ms.loaded = make(map[string]*codegen.NativeFunc, len(nobj.Funcs))
-			for _, nf := range nobj.Funcs {
-				ms.loaded[nf.Name] = nf
-			}
+			ms.loaded = funcsByName(nobj.Funcs)
 			ms.online = false
-			sys.tele.Counter(MetricCacheHits).Inc()
-			sys.tele.Events().Emit(telemetry.EvCacheHit, ms.cacheKey(), 0)
 		} else {
 			sys.tele.Counter(MetricCacheMisses).Inc()
-			sys.tele.Events().Emit(telemetry.EvCacheMiss, ms.cacheKey(), 0)
+			sys.tele.Events().Emit(telemetry.EvCacheMiss, key, 0)
 		}
 		// A persisted profile (Section 4.2) seeds the software trace
 		// cache once per module state; on the online path it also
@@ -454,23 +442,14 @@ func (ms *moduleState) initTier2() error {
 		return err
 	}
 	ms.guestArt = art
-	ms.profStamp = Stamp(enc)
+	ms.stamp2 = ms.stamp + "+" + Stamp(enc)
 	ms.tr2 = ms.tr.WithTier2(art)
 	ms.hot = make(map[string]bool)
 	for _, fs := range art.HotFuncs(tier2MinShare) {
 		ms.hot[fs.Name] = true
 	}
-	nobj2, ok, err := ms.readCache2()
-	if err != nil && !errors.Is(err, errCorruptCache) {
-		return err
-	}
-	if ok {
-		ms.loaded2 = make(map[string]*codegen.NativeFunc, len(nobj2.Funcs))
-		for _, nf := range nobj2.Funcs {
-			ms.loaded2[nf.Name] = nf
-		}
-		ms.sys.tele.Counter(MetricCacheHits).Inc()
-		ms.sys.tele.Events().Emit(telemetry.EvCacheHit, ms.cacheKey2(), 0)
+	if nobj2, ok := ms.readObject(ms.key("native2"), ms.stamp2); ok {
+		ms.loaded2 = funcsByName(nobj2.Funcs)
 		return nil
 	}
 	if !ms.online {
@@ -487,56 +466,10 @@ func (ms *moduleState) initTier2() error {
 			ms.loaded2[f.Name()] = nf
 		}
 		if len(ms.loaded2) > 0 {
-			return ms.writeCache2(ms.tier2Funcs(ms.loaded2, nil))
+			return ms.writeObject(ms.key("native2"), ms.stamp2, mergeForWriteBack(ms.module, ms.loaded2, nil))
 		}
 	}
 	return nil
-}
-
-// cacheKey2 / stamp2 qualify the tier-2 cache entry by both the module
-// content and the guiding profile: new object code or a different
-// profile each invalidate it.
-func (ms *moduleState) cacheKey2() string {
-	return "native2:" + ms.module.Name + ":" + ms.desc.Name
-}
-
-func (ms *moduleState) stamp2() string { return ms.stamp + "+" + ms.profStamp }
-
-func (ms *moduleState) readCache2() (*codegen.NativeObject, bool, error) {
-	tele := ms.sys.tele
-	data, stamp, ok, err := ms.sys.storage.Read(ms.cacheKey2())
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if stamp != ms.stamp2() {
-		tele.Counter(MetricStampMismatches).Inc()
-		tele.Events().Emit(telemetry.EvStampMismatch, ms.cacheKey2(), 0)
-		ms.evictCache(ms.cacheKey2())
-		return nil, false, nil
-	}
-	co, err := decodeCachedObject(data)
-	if err != nil {
-		tele.Counter(MetricCacheCorrupt).Inc()
-		tele.Events().Emit(telemetry.EvCacheCorrupt, ms.cacheKey2(), 0)
-		ms.evictCache(ms.cacheKey2())
-		return nil, false, fmt.Errorf("llee: %w", err)
-	}
-	nobj := &codegen.NativeObject{TargetName: co.TargetName, Module: co.Module}
-	for _, f := range co.Funcs {
-		nobj.Add(f)
-	}
-	return nobj, true, nil
-}
-
-func (ms *moduleState) writeCache2(funcs []*codegen.NativeFunc) error {
-	co := cachedObject{TargetName: ms.desc.Name, Module: ms.module.Name, Funcs: funcs}
-	return ms.sys.storage.Write(ms.cacheKey2(), ms.stamp2(), encodeCachedObject(&co))
-}
-
-// tier2Funcs merges two tier-2 code maps (fresh wins) into module
-// function order — the deterministic cache layout.
-func (ms *moduleState) tier2Funcs(cached, fresh map[string]*codegen.NativeFunc) []*codegen.NativeFunc {
-	return mergeForWriteBack(ms.module, cached, fresh)
 }
 
 // onTierUp receives one finished background tier-2 translation (on a
@@ -585,8 +518,11 @@ func (ms *moduleState) tier2For(name string) *codegen.NativeFunc {
 	return nf
 }
 
-func (ms *moduleState) cacheKey() string {
-	return "native:" + ms.module.Name + ":" + ms.desc.Name
+// key names one persisted artifact of this module on this target. The
+// four kinds are "native" (tier-1 code), "native2" (tier-2 code, stamped
+// stamp2), "profile" (idletime.go) and "guestprof" (guestprof.go).
+func (ms *moduleState) key(kind string) string {
+	return kind + ":" + ms.module.Name + ":" + ms.desc.Name
 }
 
 // cachedObject is the serialized cache payload.
@@ -609,83 +545,106 @@ func (ms *moduleState) evictCache(key string) {
 	tele.Events().Emit(telemetry.EvCacheEvicted, key, 0)
 }
 
-func (ms *moduleState) readCache() (*codegen.NativeObject, bool, error) {
+// readStamped is the one read of a persisted artifact: the bytes stored
+// under key, provided they were written against stamp. Anything else is
+// a miss, which every caller answers by doing the work online (paper,
+// Section 4.1: the system "will operate correctly in [the storage API's]
+// absence"). A storage fault is counted and costs exactly that; an entry
+// written against other object code or another profile (the paper's
+// timestamp check failing) is counted and evicted.
+func (ms *moduleState) readStamped(key, stamp string) ([]byte, bool) {
 	tele := ms.sys.tele
-	data, stamp, ok, err := ms.sys.storage.Read(ms.cacheKey())
-	if err != nil || !ok {
-		return nil, false, err
+	data, got, ok, err := ms.sys.storage.Read(key)
+	if err != nil {
+		tele.Counter(MetricCacheReadErrors).Inc()
+		tele.Events().Emit(telemetry.EvCacheMiss, key+": "+err.Error(), -1)
+		return nil, false
 	}
-	if stamp != ms.stamp {
-		// Out-of-date translation: ignore it (the paper's timestamp
-		// check failing) and evict the dead blob.
+	if !ok {
+		return nil, false
+	}
+	if got != stamp {
 		tele.Counter(MetricStampMismatches).Inc()
-		tele.Events().Emit(telemetry.EvStampMismatch, ms.cacheKey(), 0)
-		ms.evictCache(ms.cacheKey())
-		return nil, false, nil
+		tele.Events().Emit(telemetry.EvStampMismatch, key, 0)
+		ms.evictCache(key)
+		return nil, false
 	}
+	return data, true
+}
+
+// readObject loads the native code cached under key, for either tier. A
+// blob that passes its stamp but does not decode is a miss as well:
+// counted, evicted, and replaced by the next write-back.
+func (ms *moduleState) readObject(key, stamp string) (*codegen.NativeObject, bool) {
+	data, ok := ms.readStamped(key, stamp)
+	if !ok {
+		return nil, false
+	}
+	tele := ms.sys.tele
 	co, err := decodeCachedObject(data)
 	if err != nil {
 		tele.Counter(MetricCacheCorrupt).Inc()
-		tele.Events().Emit(telemetry.EvCacheCorrupt, ms.cacheKey(), 0)
-		ms.evictCache(ms.cacheKey())
-		return nil, false, fmt.Errorf("llee: %w", err)
+		tele.Events().Emit(telemetry.EvCacheCorrupt, key, 0)
+		ms.evictCache(key)
+		return nil, false
 	}
 	nobj := &codegen.NativeObject{TargetName: co.TargetName, Module: co.Module}
 	for _, f := range co.Funcs {
 		nobj.Add(f)
 	}
-	return nobj, true, nil
+	tele.Counter(MetricCacheHits).Inc()
+	tele.Events().Emit(telemetry.EvCacheHit, key, 0)
+	return nobj, true
 }
 
-func (ms *moduleState) writeCache(funcs []*codegen.NativeFunc) error {
+func (ms *moduleState) writeObject(key, stamp string, funcs []*codegen.NativeFunc) error {
 	co := cachedObject{TargetName: ms.desc.Name, Module: ms.module.Name, Funcs: funcs}
-	return ms.sys.storage.Write(ms.cacheKey(), ms.stamp, encodeCachedObject(&co))
+	return ms.sys.storage.Write(key, stamp, encodeCachedObject(&co))
 }
 
-// writeBack persists the shared cache's settled translations — demanded
-// by any session plus unconsumed speculative ones — merged with the
-// offline-cache contents decoded at creation. It never re-reads
-// storage, and skips the write when nothing settled since the last
-// flush. Called after every online run and at System.Close.
+func funcsByName(funcs []*codegen.NativeFunc) map[string]*codegen.NativeFunc {
+	m := make(map[string]*codegen.NativeFunc, len(funcs))
+	for _, nf := range funcs {
+		m[nf.Name] = nf
+	}
+	return m
+}
+
+// writeBack persists each tier's settled translations (demanded by any
+// session, unconsumed speculative ones, background tier-ups) merged with
+// the cache contents decoded at creation, so the next start of this
+// module, and for tier 2 of this profile, skips straight to them. It
+// never re-reads storage. Called after every run and at System.Close.
 func (ms *moduleState) writeBack() error {
 	if ms.sys.storage == nil {
 		return nil
 	}
-	var first error
 	done := ms.spec.Completed()
-	ms.mu.Lock()
-	if len(done) != 0 && len(done) != ms.flushed {
-		if err := ms.writeCache(mergeForWriteBack(ms.module, ms.loaded, done)); err != nil {
-			first = err
-		} else {
-			ms.flushed = len(done)
-		}
+	var done2 map[string]*codegen.NativeFunc
+	if ms.tr2 != nil {
+		done2 = ms.spec.CompletedTier2()
 	}
-	ms.mu.Unlock()
-	if err := ms.writeBack2(); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
-
-// writeBack2 persists background tier-up results under the
-// profile-stamped tier-2 cache key, merged with what was already loaded,
-// so the next start of this module+profile skips straight to optimized
-// code.
-func (ms *moduleState) writeBack2() error {
-	if ms.tr2 == nil {
-		return nil
-	}
-	done2 := ms.spec.CompletedTier2()
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if len(done2) == 0 || len(done2) == ms.flushed2 {
+	err := ms.flush("native", ms.stamp, ms.loaded, done, &ms.flushed)
+	if err2 := ms.flush("native2", ms.stamp2, ms.loaded2, done2, &ms.flushed2); err == nil {
+		err = err2
+	}
+	return err
+}
+
+// flush writes one tier's cache entry, unless nothing settled since the
+// write that set *flushed: the case after every run of an offline
+// session, which is why the key is built only past that check. The
+// caller holds ms.mu.
+func (ms *moduleState) flush(kind, stamp string, loaded, done map[string]*codegen.NativeFunc, flushed *int) error {
+	if len(done) == 0 || len(done) == *flushed {
 		return nil
 	}
-	if err := ms.writeCache2(ms.tier2Funcs(ms.loaded2, done2)); err != nil {
+	if err := ms.writeObject(ms.key(kind), stamp, mergeForWriteBack(ms.module, loaded, done)); err != nil {
 		return err
 	}
-	ms.flushed2 = len(done2)
+	*flushed = len(done)
 	return nil
 }
 
@@ -737,5 +696,5 @@ func (ms *moduleState) translateOffline() error {
 	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	return ms.writeCache(nobj.Funcs)
+	return ms.writeObject(ms.key("native"), ms.stamp, nobj.Funcs)
 }

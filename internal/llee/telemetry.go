@@ -13,6 +13,7 @@ const (
 	MetricStampMismatches = "llee.cache.stamp_mismatches"
 	MetricCacheEvictions  = "llee.cache.evictions"
 	MetricCacheCorrupt    = "llee.cache.corrupt"
+	MetricCacheReadErrors = "llee.cache.read_errors"
 	MetricTranslations    = "llee.translations"
 	MetricTranslateNS     = "llee.translate_ns"
 	MetricInvalidations   = "llee.invalidations"
