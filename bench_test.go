@@ -1,7 +1,8 @@
 // Package llva's top-level benchmark harness regenerates every
 // experiment in DESIGN.md's per-experiment index (the paper's Table 2
 // columns E1-E5, the qualitative optimization experiment E6, the
-// execution-manager experiments E7-E8, and the ablations A1-A3).
+// execution-manager experiment E7, and the ablations A1-A3; E8 is held
+// by tests in internal/llee).
 //
 // The complete Table 2 (all 17 workloads, all 11 columns) is printed by
 // cmd/llva-bench; these benchmarks time the underlying operations and
@@ -30,7 +31,6 @@ import (
 	"llva/internal/passes"
 	"llva/internal/rt"
 	"llva/internal/target"
-	"llva/internal/trace"
 	"llva/internal/workloads"
 )
 
@@ -297,77 +297,6 @@ func BenchmarkLLEEColdVsWarm(b *testing.B) {
 		}
 		b.ReportMetric(0, "translate-ns")
 	})
-}
-
-// BenchmarkTraceFormation (E8): profile, form traces, and measure the
-// cycle effect of trace-driven relayout (Section 4.2).
-func BenchmarkTraceFormation(b *testing.B) {
-	w := workloads.ByName("bc")
-	b.Run("form", func(b *testing.B) {
-		m, err := w.CompileOptimized()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var st trace.Stats
-		for i := 0; i < b.N; i++ {
-			prof := interp.NewProfile()
-			ip, err := interp.New(m, io.Discard, interp.WithProfile(prof))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ip.RunMain(); err != nil {
-				b.Fatal(err)
-			}
-			traces := trace.Form(m, prof, trace.Options{})
-			st = trace.Summarize(prof, traces)
-		}
-		b.ReportMetric(float64(st.Traces), "traces")
-		b.ReportMetric(st.Coverage*100, "coverage-%")
-	})
-	b.Run("layout-cycles", func(b *testing.B) {
-		var baseCycles, optCycles uint64
-		for i := 0; i < b.N; i++ {
-			base, err := w.CompileOptimized()
-			if err != nil {
-				b.Fatal(err)
-			}
-			baseCycles = runCycles(b, base)
-			opt, err := w.CompileOptimized()
-			if err != nil {
-				b.Fatal(err)
-			}
-			prof := interp.NewProfile()
-			ip, err := interp.New(opt, io.Discard, interp.WithProfile(prof))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ip.RunMain(); err != nil {
-				b.Fatal(err)
-			}
-			trace.ApplyLayout(opt, trace.Form(opt, prof, trace.Options{}))
-			optCycles = runCycles(b, opt)
-		}
-		b.ReportMetric(float64(baseCycles), "cycles-base")
-		b.ReportMetric(float64(optCycles), "cycles-traced")
-		b.ReportMetric(100*(float64(baseCycles)-float64(optCycles))/float64(baseCycles), "saved-%")
-	})
-}
-
-func runCycles(b *testing.B, m *core.Module) uint64 {
-	b.Helper()
-	o := translate(b, m, target.VSPARC)
-	env := rt.NewEnv(mem.New(0, true), io.Discard)
-	mc, err := machine.New(target.VSPARC, m, env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := mc.LoadObject(o); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := mc.Run("main"); err != nil {
-		b.Fatal(err)
-	}
-	return mc.Stats.Cycles
 }
 
 // BenchmarkAblationExceptions (A1): how much optimization latitude the

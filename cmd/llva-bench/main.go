@@ -8,15 +8,17 @@
 // Like the paper, native code size is measured on the SPARC-flavoured
 // target, the translate time is the whole-program JIT compile time for
 // the x86-flavoured target, and the run time is the program's execution
-// (here: on the simulated vx86 processor; both virtual seconds at 1 GHz
-// and host wall clock are reported, the ratio uses wall clock for both
-// sides).
+// (here: on the simulated vx86 processor, by the execution manager from
+// its offline cache; both virtual seconds at 1 GHz and host wall clock
+// are reported, the ratio uses wall clock for both sides). With -tier2
+// the run is the one llva-run -tier2 gives a user whose earlier run
+// stored a guest profile.
 //
 // With -json the same rows are emitted machine-readable, extended with
 // a telemetry block sourced from the execution manager's metric
-// registry over a cold (JIT + cache write-back) and warm (cache hit)
-// run pair: translate nanoseconds, cache hits/misses, and instructions
-// retired on the simulated processor.
+// registry over the cold (JIT + cache write-back) and warm (cache hit)
+// processes that run: translate nanoseconds, cache hits/misses, and
+// instructions retired on the simulated processor.
 //
 // Usage: llva-bench [-workload NAME] [-O0] [-md] [-json] [-tier2]
 //
@@ -41,11 +43,9 @@ import (
 	"llva/internal/image"
 	"llva/internal/llee"
 	"llva/internal/llee/pipeline"
-	"llva/internal/machine"
 	"llva/internal/mem"
 	"llva/internal/obj"
 	"llva/internal/prof"
-	"llva/internal/rt"
 	"llva/internal/target"
 	"llva/internal/telemetry"
 	"llva/internal/workloads"
@@ -89,7 +89,7 @@ type Row struct {
 	MIPS        float64 `json:"mips"`
 	AllocsPerOp uint64  `json:"allocs_per_op"`
 
-	Telemetry *TelemetryRow `json:"telemetry,omitempty"`
+	Telemetry *TelemetryRow `json:"telemetry"`
 }
 
 // TelemetryRow carries the registry-sourced metrics of a cold+warm
@@ -133,28 +133,36 @@ type TelemetryRow struct {
 	CodeReplacements uint64 `json:"code_replacements"`
 }
 
-// measureTelemetry runs the workload through a sequence of llee.Systems
-// sharing one in-memory storage API and one registry — modelling a cold
-// process (speculative JIT, cache write-back at Close) followed by a
-// warm one (stamp-validated cache hit) — and reads the results out of
-// the shared telemetry registry. With tier2, the cold process also
-// samples the guest and persists its profile, and an extra middle
-// process models a profile-warm but code-cold start: its hot functions
-// tier up in the background and hot-swap over the running tier-1 code,
-// after which the final warm process decodes both cache tiers.
-func measureTelemetry(m *core.Module, workers int, tier2 bool) (*TelemetryRow, error) {
+// measureLLEE runs the workload the way llva-run would, through a
+// sequence of llee.Systems sharing one in-memory storage API and one
+// registry: a cold process (speculative JIT, cache write-back at Close)
+// followed by a warm one (stamp-validated cache hit). With tier2, the
+// cold process also samples the guest and persists its profile, and an
+// extra middle process models a profile-warm but code-cold start: its
+// hot functions tier up in the background and hot-swap over the running
+// tier-1 code, after which the warm process decodes both cache tiers.
+// The row's telemetry block is the registry's totals over all of these
+// processes; its run columns are the warm process's run, whose output
+// must match the cold run's byte for byte.
+func measureLLEE(row *Row, m *core.Module, workers int, tier2 bool) error {
 	reg := telemetry.New()
 	st := llee.NewMemStorage()
-	runOne := func(opts []llee.SystemOption, sessOpts []llee.SessionOption, runs int) error {
+	var res llee.Result
+	runOne := func(out io.Writer, opts []llee.SystemOption, sessOpts []llee.SessionOption, runs int) error {
 		sys := llee.NewSystem(append([]llee.SystemOption{
 			llee.WithStorage(st), llee.WithTelemetry(reg),
 			llee.WithTranslateWorkers(workers)}, opts...)...)
-		sess, err := sys.NewSession(m, target.VX86, io.Discard, sessOpts...)
+		sess, err := sys.NewSession(m, target.VX86, out, sessOpts...)
 		if err != nil {
 			return err
 		}
 		for i := 0; i < runs; i++ {
-			if _, err := sess.Run(context.Background(), "main"); err != nil && !errors.Is(err, llee.ErrExit) {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			res, err = sess.Run(context.Background(), "main")
+			runtime.ReadMemStats(&ms1)
+			row.AllocsPerOp = ms1.Mallocs - ms0.Mallocs
+			if err != nil && !errors.Is(err, llee.ErrExit) {
 				sys.Close()
 				return err
 			}
@@ -164,7 +172,7 @@ func measureTelemetry(m *core.Module, workers int, tier2 bool) (*TelemetryRow, e
 				waitCounterStable(reg, pipeline.MetricTierUps)
 			}
 		}
-		if tier2 && sess.Profiler() != nil {
+		if sess.Profiler() != nil {
 			if err := sess.StoreGuestProfile(); err != nil {
 				sys.Close()
 				return err
@@ -172,35 +180,47 @@ func measureTelemetry(m *core.Module, workers int, tier2 bool) (*TelemetryRow, e
 		}
 		return sys.Close()
 	}
-	if !tier2 {
-		for i := 0; i < 2; i++ {
-			if err := runOne(nil, nil, 1); err != nil {
-				return nil, err
-			}
-		}
-	} else {
+	var cold, warm bytes.Buffer
+	var coldOpts []llee.SessionOption
+	var warmOpts []llee.SystemOption
+	if tier2 {
 		// Cold: tier-1 JIT under the sampling profiler; the profile is
-		// persisted, the translations are written back.
-		if err := runOne(nil, []llee.SessionOption{llee.WithProfiler(prof.NewProfiler(profRate))}, 1); err != nil {
-			return nil, err
-		}
+		// persisted, the translations are written back. Sampling is
+		// deterministic, so the profile, and with it the tier-2 code, is
+		// reproducible.
+		coldOpts = []llee.SessionOption{llee.WithProfiler(prof.NewProfiler(profRate))}
+		warmOpts = []llee.SystemOption{llee.WithTier2(true)}
+	}
+	if err := runOne(&cold, nil, coldOpts, 1); err != nil {
+		return err
+	}
+	if tier2 {
 		// Profile-warm, code-cold: the native cache is gone (evicted) but
 		// the profile survives, so the process JITs at tier 1 and the hot
 		// functions tier up in the background and hot-swap mid-flight.
 		if err := st.Delete("native:" + m.Name + ":" + target.VX86.Name); err != nil {
-			return nil, err
+			return err
 		}
-		if err := runOne([]llee.SystemOption{llee.WithTier2(true)}, nil, 2); err != nil {
-			return nil, err
-		}
-		// Fully warm: both the tier-1 and the profile-stamped tier-2 cache
-		// decode from storage; nothing is translated.
-		if err := runOne([]llee.SystemOption{llee.WithTier2(true)}, nil, 1); err != nil {
-			return nil, err
+		if err := runOne(io.Discard, warmOpts, nil, 2); err != nil {
+			return err
 		}
 	}
+	// Fully warm: the tier-1 and, with tier2, the profile-stamped tier-2
+	// cache decode from storage; nothing is translated.
+	if err := runOne(&warm, warmOpts, nil, 1); err != nil {
+		return err
+	}
+	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
+		return fmt.Errorf("warm output differs from the cold run's (%d vs %d bytes)", warm.Len(), cold.Len())
+	}
+	row.RunWallS = res.Wall.Seconds()
+	row.RunVirtualS = float64(res.Cycles) / 1e9
+	if row.RunWallS > 0 {
+		row.Ratio = row.TranslateS / row.RunWallS
+		row.MIPS = float64(res.Instrs) / row.RunWallS / 1e6
+	}
 	snap := reg.Snapshot()
-	return &TelemetryRow{
+	row.Telemetry = &TelemetryRow{
 		TranslateNS:   reg.Histogram(llee.MetricTranslateNS).Sum(),
 		Translations:  reg.CounterValue(llee.MetricTranslations),
 		CacheHits:     reg.CounterValue(llee.MetricCacheHits),
@@ -228,7 +248,8 @@ func measureTelemetry(m *core.Module, workers int, tier2 bool) (*TelemetryRow, e
 		Superblocks:      reg.CounterValue(codegen.MetricSuperblocks),
 		TailDupInstrs:    reg.CounterValue(codegen.MetricTailDupInstrs),
 		CodeReplacements: reg.CounterValue("machine.code_replacements"),
-	}, nil
+	}
+	return nil
 }
 
 // waitCounterStable polls a counter until it stops moving (three
@@ -249,11 +270,12 @@ func waitCounterStable(reg *telemetry.Registry, name string) {
 }
 
 // Measure computes one row; whole-module translations run on the
-// pipeline worker pool (workers=1 reproduces the serial timings). With
-// tier2, the vx86 run-time columns (#vx86, cycles, run time) reflect
-// profile-guided tier-2 code: the tier-1 run's deterministic sampling
-// profile guides a whole-module re-translation, and the tier-2 run must
-// produce byte-identical program output or the measurement fails.
+// pipeline worker pool (workers=1 reproduces the serial timings). The
+// size and expansion columns are static properties of the tier-1
+// translation. The run columns (cycles, run time, MIPS, allocations)
+// are the warm run of measureLLEE: tier-1 code from the offline cache,
+// or with tier2 the profile-guided code llee builds from the cold run's
+// sampling profile.
 func Measure(w *workloads.Workload, optimize bool, workers int, tier2 bool) (*Row, error) {
 	var m *core.Module
 	var err error
@@ -309,84 +331,14 @@ func Measure(w *workloads.Workload, optimize bool, workers int, tier2 bool) (*Ro
 		return nil, err
 	}
 	row.TranslateS = time.Since(start).Seconds()
-
-	var tier1Out bytes.Buffer
-	if tier2 {
-		// Profile run on the tier-1 code: deterministic sampling, so the
-		// guiding artifact — and with it the tier-2 code — is reproducible.
-		p := prof.NewProfiler(profRate)
-		if _, _, err := runObject(m, objX, &tier1Out, p); err != nil {
-			return nil, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		tr2 := trX.WithTier2(p.Artifact(m.Name, target.VX86.Name))
-		objX, err = pipeline.TranslateModule(tr2, workers, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
 	row.NumX86 = objX.NumInstrs()
 	row.RatioX86 = float64(row.NumX86) / float64(row.NumLLVA)
 
-	// Run time (column 11) on the simulated vx86 processor. With -tier2
-	// this is the profile-warm tier-2 run; its output must match the
-	// tier-1 profile run byte for byte.
-	var outSink io.Writer = io.Discard
-	var tier2Out bytes.Buffer
-	if tier2 {
-		outSink = &tier2Out
-	}
-	env := rt.NewEnv(mem.New(0, true), outSink)
-	mc, err := machine.New(target.VX86, m, env)
-	if err != nil {
-		return nil, err
-	}
-	if err := mc.LoadObject(objX); err != nil {
-		return nil, err
-	}
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	wall := time.Now()
-	if _, err := mc.Run("main"); err != nil {
-		if _, isExit := err.(*rt.ExitError); !isExit {
-			return nil, fmt.Errorf("%s: %w", w.Name, err)
-		}
-	}
-	row.RunWallS = time.Since(wall).Seconds()
-	if tier2 && !bytes.Equal(tier1Out.Bytes(), tier2Out.Bytes()) {
-		return nil, fmt.Errorf("%s: tier-2 output differs from tier-1 (%d vs %d bytes)",
-			w.Name, tier2Out.Len(), tier1Out.Len())
-	}
-	runtime.ReadMemStats(&ms1)
-	row.AllocsPerOp = ms1.Mallocs - ms0.Mallocs
-	row.RunVirtualS = float64(mc.Stats.Cycles) / 1e9
-	if row.RunWallS > 0 {
-		row.Ratio = row.TranslateS / row.RunWallS
-		row.MIPS = float64(mc.Stats.Instrs) / row.RunWallS / 1e6
+	// Run time (column 11) on the simulated vx86 processor.
+	if err := measureLLEE(row, m, workers, tier2); err != nil {
+		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
 	return row, nil
-}
-
-// runObject executes a translated object on a fresh simulated vx86
-// machine, optionally under the sampling profiler, and returns the
-// simulated cycle and instruction counts.
-func runObject(m *core.Module, nobj *codegen.NativeObject, out io.Writer, p *prof.Profiler) (cycles, instrs uint64, err error) {
-	env := rt.NewEnv(mem.New(0, true), out)
-	mc, err := machine.New(target.VX86, m, env)
-	if err != nil {
-		return 0, 0, err
-	}
-	if p != nil {
-		mc.SetProfiler(p)
-	}
-	if err := mc.LoadObject(nobj); err != nil {
-		return 0, 0, err
-	}
-	if _, err := mc.Run("main"); err != nil {
-		if _, isExit := err.(*rt.ExitError); !isExit {
-			return 0, 0, err
-		}
-	}
-	return mc.Stats.Cycles, mc.Stats.Instrs, nil
 }
 
 // columnSet collects the JSON column names a bench row array carries,
@@ -525,7 +477,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable rows with manager telemetry")
 	workers := flag.Int("translate-workers", 0, "translation worker-pool size (0: one per CPU; 1: serial, the paper's setup)")
 	compare := flag.String("compare", "", "baseline bench JSON: diff deterministic columns against a fresh measurement and exit non-zero on regression")
-	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 measurement: the vx86 run columns reflect superblock-optimized code built from a deterministic profile run (output must stay byte-identical)")
+	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 measurement: the run columns reflect the superblock-optimized code the execution manager builds from a deterministic profile run (output must stay byte-identical)")
 	flag.Parse()
 
 	suite := workloads.All()
@@ -544,21 +496,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "llva-bench: %v\n", err)
 			os.Exit(1)
-		}
-		if *jsonOut {
-			var m *core.Module
-			if *noOpt {
-				m, err = w.Compile()
-			} else {
-				m, err = w.CompileOptimized()
-			}
-			if err == nil {
-				row.Telemetry, err = measureTelemetry(m, *workers, *tier2)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "llva-bench: %s telemetry: %v\n", w.Name, err)
-				os.Exit(1)
-			}
 		}
 		rows = append(rows, row)
 	}

@@ -91,8 +91,7 @@ func main() {
 	useInterp := flag.Bool("interp", false, "run on the reference interpreter instead")
 	stats := flag.Bool("stats", false, "print execution statistics to stderr")
 	offline := flag.Bool("translate-only", false, "offline-translate into the cache, do not execute")
-	profile := flag.Bool("profile", false, "gather and store a profile after the run (needs -cache)")
-	idleOpt := flag.Bool("idle-optimize", false, "idle-time PGO: re-layout from the stored profile and retranslate into the cache")
+	idleOpt := flag.Bool("idle-optimize", false, "idle-time PGO: translate the module into the cache, and its hot functions at tier 2 when a guest profile is stored (-prof-store), so a later -tier2 start translates nothing; does not execute (needs -cache)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics, /metrics/events, /debug/llva/trace, /debug/llva/prof, /debug/vars, /debug/pprof)")
 	traceLog := flag.String("trace-log", "", "write the structured event log as JSON lines to FILE at exit")
 	traceOut := flag.String("trace-out", "", "write the session span trace as Chrome trace_event JSON (Perfetto-loadable) to FILE at exit")
@@ -259,8 +258,8 @@ func main() {
 			fatal(err)
 		}
 		if *stats {
-			fmt.Fprintf(os.Stderr, "idle-time: %d traces, %.0f%% coverage, %d functions retranslated\n",
-				ts.Traces, ts.Coverage*100, reg.CounterValue(llee.MetricTranslations))
+			fmt.Fprintf(os.Stderr, "idle-time: %d functions translated, %d of them again at tier 2 (%d superblocks)\n",
+				reg.CounterValue(llee.MetricTranslations), ts.Tier2Funcs, ts.Traces)
 		}
 		exit(0)
 	}
@@ -303,11 +302,6 @@ func main() {
 				exit(1)
 			}
 			fatal(err)
-		}
-	}
-	if *profile {
-		if perr := sess.GatherProfile("main"); perr != nil {
-			fatal(perr)
 		}
 	}
 	if *profStore {

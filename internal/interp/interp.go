@@ -48,10 +48,6 @@ type Interp struct {
 	trapHandlers map[uint64]uint64
 	storageAPI   uint64
 
-	// profile, when non-nil, accumulates block and edge execution counts
-	// used by the trace-formation machinery (paper, Section 4.2).
-	profile *Profile
-
 	// smcRedirect maps a function to its replacement body, installed by
 	// the llva.smc.replace intrinsic. The redirect takes effect on the
 	// NEXT invocation of the function; active invocations are unaffected
@@ -81,34 +77,6 @@ func WithMemSize(n uint64) Option {
 // 2 billion).
 func WithMaxSteps(n uint64) Option {
 	return func(ip *Interp) { ip.MaxSteps = n }
-}
-
-// Profile records dynamic control-flow counts: per-block executions,
-// per-edge traversals and per-function invocation counts. The software
-// trace cache consumes it to identify hot paths (Section 4.2).
-type Profile struct {
-	Block map[*core.BasicBlock]uint64
-	Edge  map[Edge]uint64
-	Call  map[*core.Function]uint64
-}
-
-// Edge is one traversed CFG edge.
-type Edge struct {
-	From, To *core.BasicBlock
-}
-
-// NewProfile creates an empty profile.
-func NewProfile() *Profile {
-	return &Profile{
-		Block: make(map[*core.BasicBlock]uint64),
-		Edge:  make(map[Edge]uint64),
-		Call:  make(map[*core.Function]uint64),
-	}
-}
-
-// WithProfile attaches a profile to the interpreter.
-func WithProfile(p *Profile) Option {
-	return func(ip *Interp) { ip.profile = p }
 }
 
 // New creates an interpreter for module m writing program output to out.
@@ -275,18 +243,9 @@ func (ip *Interp) call(f *core.Function, args []uint64) (uint64, *trap) {
 	}
 	defer ip.mem.SetSP(fr.savedSP)
 
-	if ip.profile != nil {
-		ip.profile.Call[f]++
-	}
 	bb := f.Entry()
 	var prev *core.BasicBlock
 	for {
-		if ip.profile != nil {
-			ip.profile.Block[bb]++
-			if prev != nil {
-				ip.profile.Edge[Edge{From: prev, To: bb}]++
-			}
-		}
 		v, next, tr := ip.execBlock(fr, bb, prev)
 		if tr != nil {
 			return v, tr

@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"llva/internal/codegen"
 	"llva/internal/core"
 	"llva/internal/machine"
 	"llva/internal/minic"
@@ -67,57 +68,57 @@ func TestGasThroughSessionRun(t *testing.T) {
 // different cycle counts than tier-1 by design; the invariant is that
 // each configuration exhausts at ITS same cycle on every run.)
 func TestGasDeterministicTier2(t *testing.T) {
-	m, err := compileHot(t)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Seed: a cold sampled run populates the native cache and stores the
+	// guest profile tier 2 needs.
 	st := NewMemStorage()
-
-	// Seed: cold run populates the native cache, profile gathering the
-	// guest profile tier-2 needs.
-	sys := NewSystem(WithStorage(st))
-	sess, err := sys.NewSession(m, target.VX86, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Run(context.Background(), "main"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.GatherProfile("main"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
+	seedGuestProfile(t, st, target.VX86)
 
 	const budget = 10_000
-	var firstUsed uint64
-	for run := 0; run < 2; run++ {
-		m2, err := compileHot(t)
+	exhaust := func(reg *telemetry.Registry, tier2 bool) (*Session, uint64) {
+		t.Helper()
+		m, err := compileHot(t)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys2 := NewSystem(WithStorage(st), WithTier2(true))
-		sess2, err := sys2.NewSession(m2, target.VX86, io.Discard, WithGas(budget))
+		sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(tier2))
+		sess, err := sys.NewSession(m, target.VX86, io.Discard, WithGas(budget))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sess2.CacheHit() {
-			t.Fatal("tier-2 run missed the cache (online tier-up is wall-clock-timed; this test needs the deterministic offline path)")
+		if !sess.CacheHit() {
+			t.Fatal("run missed the cache (online tier-up is wall-clock-timed; this test needs the deterministic offline path)")
 		}
-		_, err = sess2.Run(context.Background(), "main")
+		_, err = sess.Run(context.Background(), "main")
 		var ge *machine.GasError
 		if !errors.As(err, &ge) {
-			t.Fatalf("run %d: want *machine.GasError, got %v", run, err)
+			t.Fatalf("want *machine.GasError, got %v", err)
 		}
-		if run == 0 {
-			firstUsed = ge.Used
-		} else if ge.Used != firstUsed {
-			t.Fatalf("tier-2 nondeterministic exhaustion: %d vs %d cycles", firstUsed, ge.Used)
-		}
-		if err := sys2.Close(); err != nil {
+		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
+		return sess, ge.Used
+	}
+
+	var firstUsed uint64
+	for run := 0; run < 2; run++ {
+		reg := telemetry.New()
+		sess, used := exhaust(reg, true)
+		if len(sess.ms.loaded2) == 0 {
+			t.Fatalf("run %d: no tier-2 code installed: this checked tier 1", run)
+		}
+		if run == 0 {
+			// The first start translates the hot functions; the second
+			// decodes them from the profile-stamped cache.
+			if reg.CounterValue(codegen.MetricTier2Funcs) == 0 {
+				t.Fatalf("%s = 0 on the first tier-2 start", codegen.MetricTier2Funcs)
+			}
+			firstUsed = used
+		} else if used != firstUsed {
+			t.Fatalf("tier-2 nondeterministic exhaustion: %d vs %d cycles", firstUsed, used)
+		}
+	}
+	if _, tier1 := exhaust(telemetry.New(), false); tier1 == firstUsed {
+		t.Errorf("tier-2 exhausts at cycle %d, exactly where tier 1 does: different code was not run", tier1)
 	}
 }
 

@@ -9,18 +9,19 @@ import (
 
 // Guest-profile persistence: the sampling profiler's aggregate (virtual
 // PCs, virtual call stacks, per-block hotness) survives the process
-// through the same storage API that backs the offline translation cache
-// and the instrumented-interpreter profile. The artifact is stamped with
-// the module's content hash, so a profile gathered against different
-// virtual object code is evicted rather than misattributed, and the
-// artifact carries its own format version so a future encoding change
-// fails loudly instead of decoding garbage.
+// through the same storage API that backs the offline translation
+// cache. The artifact is stamped with the module's content hash, so a
+// profile gathered against different virtual object code is evicted
+// rather than misattributed, and the artifact carries its own format
+// version so a future encoding change is rejected instead of decoding
+// garbage.
 
 // storeGuestProfile persists the sampler's current aggregate, merged
 // into any stamp-valid profile already stored (prof.Artifact.Merge sums
 // the counts), so repeated runs accumulate hotness instead of the last
-// run winning. A stale, corrupt, or incompatible (version/rate) stored
-// profile is simply overwritten.
+// run winning. A stale stored profile is counted and evicted by the
+// stamped read like any other artifact; a corrupt or incompatible
+// (version/rate) one is simply overwritten.
 func (ms *moduleState) storeGuestProfile(p *prof.Profiler) error {
 	if ms.sys.storage == nil {
 		return fmt.Errorf("llee: guest-profile persistence requires the storage API")
@@ -30,7 +31,7 @@ func (ms *moduleState) storeGuestProfile(p *prof.Profiler) error {
 	}
 	art := p.Artifact(ms.module.Name, ms.desc.Name)
 	key := ms.key("guestprof")
-	if old, stamp, ok, _ := ms.sys.storage.Read(key); ok && stamp == ms.stamp {
+	if old, ok := ms.readStamped(key, ms.stamp); ok {
 		if prev, err := prof.DecodeArtifact(old); err == nil && prev.Merge(art) == nil {
 			art = prev
 		}
@@ -67,6 +68,21 @@ func (ms *moduleState) loadGuestProfile() (*prof.Artifact, bool, error) {
 	ms.sys.tele.Counter(MetricProfileLoads).Inc()
 	ms.sys.tele.Events().Emit(telemetry.EvProfileLoaded, key, int64(a.Total))
 	return a, true, nil
+}
+
+// guestProfile is loadGuestProfile for a start, where the profile is
+// optional like everything else in storage: one that does not decode or
+// has the wrong version is a miss, counted and evicted, and the start
+// proceeds at tier 1.
+func (ms *moduleState) guestProfile() (*prof.Artifact, bool) {
+	a, ok, err := ms.loadGuestProfile()
+	if err != nil {
+		key := ms.key("guestprof")
+		ms.sys.tele.Counter(MetricCacheCorrupt).Inc()
+		ms.sys.tele.Events().Emit(telemetry.EvCacheCorrupt, key, 0)
+		ms.evictCache(key)
+	}
+	return a, ok
 }
 
 // ID returns the session's process-unique ID (its pid lane in the span

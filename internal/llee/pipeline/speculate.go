@@ -44,11 +44,12 @@ func tier2Key(name string) string { return "tier2:" + name }
 // Speculator runs ahead-of-time JIT translation on background workers
 // (paper Section 4.1: use otherwise-idle resources to hide translator
 // cost). The demand path calls Demand; callees of demanded functions are
-// queued via EnqueueCallees, ordered by persisted-profile call counts
-// when available (Section 4.2). Single-flight bookkeeping guarantees
-// each function is translated at most once no matter how demand and
-// speculation interleave — the flights map doubles as the shared
-// native-code cache when many sessions demand from one Speculator.
+// queued via EnqueueCallees, ordered by the persisted profile's sample
+// counts when available (Section 4.2). Single-flight bookkeeping
+// guarantees each function is translated at most once no matter how
+// demand and speculation interleave — the flights map doubles as the
+// shared native-code cache when many sessions demand from one
+// Speculator.
 type Speculator struct {
 	tr     *codegen.Translator
 	reg    *telemetry.Registry
@@ -277,7 +278,7 @@ func (s *Speculator) TierUp(fns []*core.Function) {
 }
 
 // EnqueueCallees queues f's static callees for ahead-of-time
-// translation, hottest-first when profile call counts are available.
+// translation, hottest-first when profile weights are available.
 func (s *Speculator) EnqueueCallees(f *core.Function, weights map[string]uint64) {
 	callees := Callees(f)
 	if len(weights) > 0 {

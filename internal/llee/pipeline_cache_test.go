@@ -16,6 +16,7 @@ import (
 	"llva/internal/llee/pipeline"
 	"llva/internal/minic"
 	"llva/internal/obj"
+	"llva/internal/prof"
 	"llva/internal/target"
 	"llva/internal/telemetry"
 )
@@ -43,12 +44,13 @@ int main() {
 `
 
 // TestCorruptCacheFallsBackToJIT: whatever sits where a cached
-// translation should be and is not one (garbage under a valid stamp, a
-// gob encoding of the object, a flat <key>.llvacache file beside the
-// CAS) must be treated as a miss and replaced by online translation,
-// never run and never an execution failure. Blobs the store did return
-// are counted as corrupt and evicted; files the store does not own are
-// left alone.
+// translation or a guest profile should be and is not one (garbage
+// under a valid stamp, a gob encoding of the object, a flat
+// <key>.llvacache file beside the CAS, a profile of a format version
+// this build does not read) must be treated as a miss and replaced by
+// online translation at tier 1, never run and never an execution
+// failure. Blobs the store did return are counted as corrupt and
+// evicted; files the store does not own are left alone.
 func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 	m := compileTest(t)
 	key, stamp := cacheKeyStamp(t, m, target.VX86)
@@ -57,7 +59,13 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 		t.Fatal(err)
 	}
 	stray := encodeKey(key) + ".llvacache"
-	planted := func(blob []byte) func(*testing.T) Storage {
+	profKey := "guestprof:" + m.Name + ":" + target.VX86.Name
+	futureProf, err := (&prof.Artifact{Version: prof.ArtifactVersion, Module: m.Name, Target: target.VX86.Name}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	futureProf = bytes.Replace(futureProf, []byte(" v1\n"), []byte(" v99\n"), 1)
+	planted := func(key string, blob []byte) func(*testing.T) Storage {
 		return func(t *testing.T) Storage {
 			// The real key with the real stamp, so only the decode step
 			// can reject the blob.
@@ -73,8 +81,10 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 		storage func(t *testing.T) Storage
 		corrupt uint64
 	}{
-		{"garbage", planted([]byte("\x00not a cache blob")), 1},
-		{"gob blob", planted(gobBlob.Bytes()), 1},
+		{"garbage", planted(key, []byte("\x00not a cache blob")), 1},
+		{"gob blob", planted(key, gobBlob.Bytes()), 1},
+		{"guestprof garbage", planted(profKey, []byte("not a profile")), 1},
+		{"guestprof wrong version", planted(profKey, futureProf), 1},
 		{"stray flat file", func(t *testing.T) Storage {
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, stray), []byte(stamp+"\nlegacy code"), 0o644); err != nil {
@@ -97,7 +107,7 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			st := c.storage(t)
 			reg := telemetry.New()
-			sys := NewSystem(WithStorage(st), WithTelemetry(reg))
+			sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(true))
 			var out strings.Builder
 			sess, err := sys.NewSession(m, target.VX86, &out)
 			if err != nil {
@@ -156,7 +166,7 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 // different stamp is absent to the system, counted once, and deleted, not
 // just ignored.
 func TestStaleCacheEvicted(t *testing.T) {
-	for _, kind := range []string{"native", "native2", "profile", "guestprof"} {
+	for _, kind := range []string{"native", "native2", "guestprof"} {
 		t.Run(kind, func(t *testing.T) {
 			m, err := minic.Compile("hot.c", hotProg)
 			if err != nil {
@@ -185,7 +195,7 @@ func TestStaleCacheEvicted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sess.CacheHit() || sess.ProfileSeeded() {
+			if sess.CacheHit() || len(sess.ms.loaded2) > 0 || (kind == "guestprof" && sess.ms.callWeights != nil) {
 				t.Error("stale entry was used")
 			}
 			if _, _, ok, _ := st.Read(key); ok {
@@ -249,25 +259,22 @@ func TestStorageReadFaultIsMiss(t *testing.T) {
 	_, ref := run(NewSystem())
 
 	full := NewMemStorage()
-	seedGuestProfile(t, full, target.VX86) // native, guestprof
-	sess, _ := run(NewSystem(WithStorage(full), WithTier2(true)))
-	if err := sess.GatherProfile("main"); err != nil {
-		t.Fatal(err)
-	}
+	seedGuestProfile(t, full, target.VX86)             // native, guestprof
+	run(NewSystem(WithStorage(full), WithTier2(true))) // native2
 	keys, err := full.Keys()
-	if err != nil || len(keys) != 4 {
-		t.Fatalf("seeded keys = %v, %v; want one of each of the four kinds", keys, err)
+	if err != nil || len(keys) != 3 {
+		t.Fatalf("seeded keys = %v, %v; want one of each of the three kinds", keys, err)
 	}
 
-	all := []string{"native", "native2", "profile", "guestprof"}
+	all := []string{"native", "native2", "guestprof"}
 	cases := []struct {
 		kinds  []string
 		faults uint64
 	}{
-		{all[0:1], 1}, {all[1:2], 1}, {all[2:3], 1}, {all[3:4], 1},
+		{all[0:1], 1}, {all[1:2], 1}, {all[2:3], 1},
 		// Without a guest profile tier 2 never arms, so its entry is not
-		// looked for: three reads, not four.
-		{all, 3},
+		// looked for: two reads, not three.
+		{all, 2},
 	}
 	for _, c := range cases {
 		t.Run(strings.Join(c.kinds, "+"), func(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 	"llva/internal/rt"
 	"llva/internal/target"
 	"llva/internal/telemetry"
-	"llva/internal/trace"
 )
 
 // Session is one execution of a module on one simulated processor,
@@ -86,8 +85,8 @@ type Result struct {
 // WithTenant, WithProfiler, WithFlightRecorder) are SessionOptions;
 // system-scoped policy was fixed by NewSystem — the two option types
 // make passing one at the wrong scope a compile error. The first
-// session of a module pays for cache validation and profile seeding;
-// later sessions of the same module reuse that work.
+// session of a module pays for cache validation and loading the stored
+// profile; later sessions of the same module reuse that work.
 func (sys *System) NewSession(m *core.Module, d *target.Desc, out io.Writer, opts ...SessionOption) (*Session, error) {
 	cfg := sessionConfig{}
 	for _, o := range opts {
@@ -110,11 +109,10 @@ func (sys *System) NewSession(m *core.Module, d *target.Desc, out io.Writer, opt
 	if err != nil {
 		return nil, err
 	}
-	// The canonical module copy (possibly relaid-out by a persisted
-	// profile) is what every session executes — never the caller's m,
-	// which may be a structurally identical duplicate. The data image
-	// was built once with the module state; each session clones the
-	// prototype instead of re-encoding every global initializer.
+	// The canonical module copy is what every session executes — never
+	// the caller's m, which may be a structurally identical duplicate.
+	// The data image was built once with the module state; each session
+	// clones the prototype instead of re-encoding every global initializer.
 	env := rt.NewEnv(mem.New(cfg.memSize, ms.module.LittleEndian), out)
 	mc, err := machine.NewWithImage(d, ms.module, env, ms.img.Clone())
 	if err != nil {
@@ -362,7 +360,8 @@ func (s *Session) Machine() *machine.Machine { return s.mc }
 func (s *Session) Env() *rt.Env { return s.env }
 
 // Module returns the canonical module this session executes (the
-// system's copy, which profile-driven relayout may have reordered).
+// system's copy, which may be a structurally identical duplicate of the
+// one passed to NewSession).
 func (s *Session) Module() *core.Module { return s.ms.module }
 
 // System returns the owning system.
@@ -375,27 +374,15 @@ func (s *Session) CacheHit() bool { return s.cacheHit }
 // StorageAPIAddr reports the address registered via llva.storage.register.
 func (s *Session) StorageAPIAddr() uint64 { return s.storageAPIAddr }
 
-// TraceCacheStats reports the state of the software trace cache seeded
-// from the persisted profile (zero value when no profile was loaded).
-func (s *Session) TraceCacheStats() trace.Stats { return s.ms.traceStats }
-
-// ProfileSeeded reports whether a valid persisted profile was reloaded.
-func (s *Session) ProfileSeeded() bool { return s.ms.profileSeeded }
-
-// GatherProfile executes the program once on the instrumented reference
-// interpreter and persists the profile through the storage API.
-func (s *Session) GatherProfile(entry string, args ...uint64) error {
-	return s.ms.gatherProfile(entry, args...)
-}
-
 // TranslateOffline compiles the whole module into the offline cache
 // without executing anything (idle-time translation, Section 4.1).
 func (s *Session) TranslateOffline() error { return s.ms.translateOffline() }
 
-// IdleTimeOptimize reoptimizes the cached translation from the
-// persisted profile (Section 4.2). It re-lays out the shared module, so
-// call it between executions, not while other sessions run.
-func (s *Session) IdleTimeOptimize() (trace.Stats, error) { return s.ms.idleTimeOptimize() }
+// IdleTimeOptimize compiles the whole module into the offline cache and,
+// when a guest profile is stored (StoreGuestProfile), its hot functions
+// at tier 2 beside it, so a later WithTier2 start translates nothing
+// (Section 4.2).
+func (s *Session) IdleTimeOptimize() (IdleStats, error) { return s.ms.idleTimeOptimize() }
 
 // onJIT translates one function on demand (honoring SMC redirects) and
 // installs its code in this session's machine. The unredirected path

@@ -16,7 +16,6 @@ import (
 	"llva/internal/prof"
 	"llva/internal/target"
 	"llva/internal/telemetry"
-	"llva/internal/trace"
 )
 
 // System is the process-wide half of the LLEE: it owns the storage API
@@ -291,13 +290,12 @@ func (sys *System) Close() error {
 
 // moduleState is the system-wide state of one module on one target,
 // keyed by content stamp: the translator, the shared single-flight
-// translation cache, the decoded offline-cache contents, and the
-// profile-seeded trace-cache state. It is created once — under the
-// system lock, before any session's machine exists — so the
-// profile-driven relayout of the module happens exactly once.
+// translation cache, the decoded offline-cache contents, and what the
+// persisted guest profile armed. It is created once, under the system
+// lock, before any session's machine exists.
 type moduleState struct {
 	sys    *System
-	module *core.Module // the canonical (possibly relaid-out) module copy
+	module *core.Module // the canonical module copy every session executes
 	desc   *target.Desc
 	stamp  string
 
@@ -306,8 +304,7 @@ type moduleState struct {
 
 	// img is the prototype data image, built once per module state and
 	// cloned per session: repeated NewSession skips global layout and
-	// initializer encoding. Valid for the state's whole lifetime —
-	// relayout reorders blocks, never globals.
+	// initializer encoding.
 	img *image.Data
 
 	// online reports no valid cached translation existed at creation:
@@ -318,22 +315,20 @@ type moduleState struct {
 	loaded map[string]*codegen.NativeFunc
 
 	// callWeights orders speculation hottest-first when a persisted
-	// profile (Section 4.2) was loaded: function name -> call count.
-	callWeights   map[string]uint64
-	traceStats    trace.Stats
-	profileSeeded bool
+	// guest profile (Section 4.2) was loaded: function name -> inclusive
+	// sample count.
+	callWeights map[string]uint64
 
 	// Tier-2 state, armed by initTier2 when WithTier2 is on and a
-	// stamp-valid guest profile exists. These four are written once under
-	// the system lock, before any session exists, then only read:
-	// guestArt is the guiding profile, stamp2 the tier-2 cache entry's
-	// stamp (module content + profile content: new object code or a
-	// different profile each invalidate it), tr2 the profile-guided
-	// translator and hot the HotFuncs(tier2MinShare) candidate set.
-	guestArt *prof.Artifact
-	stamp2   string
-	tr2      *codegen.Translator
-	hot      map[string]bool
+	// stamp-valid guest profile exists. These three are written once under
+	// the system lock, before any session exists, then only read: stamp2
+	// is the tier-2 cache entry's stamp (module content + profile content:
+	// new object code or a different profile each invalidate it), tr2 the
+	// profile-guided translator and hot the HotFuncs(tier2MinShare)
+	// candidate set.
+	stamp2 string
+	tr2    *codegen.Translator
+	hot    map[string]bool
 	// loaded2 holds tier-2 code decoded from the profile-stamped cache
 	// (or translated eagerly on a warm tier-1 start); written once in
 	// initTier2, read-only after.
@@ -394,20 +389,19 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 			sys.tele.Counter(MetricCacheMisses).Inc()
 			sys.tele.Events().Emit(telemetry.EvCacheMiss, key, 0)
 		}
-		// A persisted profile (Section 4.2) seeds the software trace
-		// cache once per module state; on the online path it also
-		// re-lays out the virtual object code — here, before any session
-		// machine or translation exists, so every session sees one
-		// consistent block order.
-		if err := ms.seedTraceCache(ms.online); err != nil {
-			return nil, err
-		}
-		// Tier-2 arms only when a stamp-valid guest profile exists: the
-		// first run of a fresh module is always plain tier-1, and the
-		// profile a session stores pays off from the next System on.
-		if sys.tier2 {
-			if err := ms.initTier2(); err != nil {
-				return nil, err
+		// A persisted guest profile (Section 4.2) orders speculative JIT
+		// hottest-first, and arms tier 2 when that is on: the first run of
+		// a fresh module is always plain tier 1, and the profile a session
+		// stores pays off from the next System on.
+		if art, ok := ms.guestProfile(); ok {
+			ms.callWeights = make(map[string]uint64, len(art.Funcs))
+			for _, fs := range art.Funcs {
+				ms.callWeights[fs.Name] = fs.Incl
+			}
+			if sys.tier2 {
+				if err := ms.initTier2(art); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -425,51 +419,65 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 	return ms, nil
 }
 
-// initTier2 loads the persisted guest profile and prepares the tier-2
-// translator, hot set, and code: from the profile-stamped native2 cache
-// when valid, or — on a warm tier-1 start, where demand translation
-// never runs and background tier-up would have nothing to swap into a
-// direct-call object — by eagerly translating the hot functions now,
-// under the system lock, so every session of this module state sees the
-// same optimized code. Runs once per module state.
-func (ms *moduleState) initTier2() error {
-	art, ok, err := ms.loadGuestProfile()
-	if err != nil || !ok {
-		return err
-	}
+// tier2Plan derives what tier 2 needs from a guest profile: the
+// profile-guided translator, the stamp of the tier-2 cache entry, and
+// the HotFuncs(tier2MinShare) candidate set.
+func (ms *moduleState) tier2Plan(art *prof.Artifact) (tr2 *codegen.Translator, stamp2 string, hot map[string]bool, err error) {
 	enc, err := art.Encode()
 	if err != nil {
-		return err
+		return nil, "", nil, err
 	}
-	ms.guestArt = art
-	ms.stamp2 = ms.stamp + "+" + Stamp(enc)
-	ms.tr2 = ms.tr.WithTier2(art)
-	ms.hot = make(map[string]bool)
+	hot = make(map[string]bool)
 	for _, fs := range art.HotFuncs(tier2MinShare) {
-		ms.hot[fs.Name] = true
+		hot[fs.Name] = true
+	}
+	return ms.tr.WithTier2(art), ms.stamp + "+" + Stamp(enc), hot, nil
+}
+
+// translateHot translates the hot functions with tr2 and stores them
+// under stamp2. This is tier 2 done ahead of execution: by a cache-warm
+// WithTier2 start, and by idle-time optimization so that such a start
+// finds the work done.
+func (ms *moduleState) translateHot(tr2 *codegen.Translator, stamp2 string, hot map[string]bool) (map[string]*codegen.NativeFunc, error) {
+	funcs := make(map[string]*codegen.NativeFunc, len(hot))
+	for _, f := range ms.module.Functions {
+		if f.IsDeclaration() || !hot[f.Name()] {
+			continue
+		}
+		nf, err := tr2.TranslateFunction(f)
+		if err != nil {
+			// Tier-1 code is always a correct stand-in.
+			continue
+		}
+		funcs[f.Name()] = nf
+	}
+	if len(funcs) == 0 {
+		return funcs, nil
+	}
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	return funcs, ms.writeObject(ms.key("native2"), stamp2, mergeForWriteBack(ms.module, funcs, nil))
+}
+
+// initTier2 arms tier 2 under the persisted guest profile art: the
+// translator, the hot set, and the code. The code comes from the
+// profile-stamped native2 cache when valid, or — on a warm tier-1 start,
+// where demand translation never runs and background tier-up would have
+// nothing to swap into a direct-call object — from translating the hot
+// functions now, under the system lock, so every session of this module
+// state sees the same optimized code. Runs once per module state.
+func (ms *moduleState) initTier2(art *prof.Artifact) (err error) {
+	if ms.tr2, ms.stamp2, ms.hot, err = ms.tier2Plan(art); err != nil {
+		return err
 	}
 	if nobj2, ok := ms.readObject(ms.key("native2"), ms.stamp2); ok {
 		ms.loaded2 = funcsByName(nobj2.Funcs)
 		return nil
 	}
 	if !ms.online {
-		ms.loaded2 = make(map[string]*codegen.NativeFunc, len(ms.hot))
-		for _, f := range ms.module.Functions {
-			if f.IsDeclaration() || !ms.hot[f.Name()] {
-				continue
-			}
-			nf, err := ms.tr2.TranslateFunction(f)
-			if err != nil {
-				// Tier-1 code is always a correct stand-in.
-				continue
-			}
-			ms.loaded2[f.Name()] = nf
-		}
-		if len(ms.loaded2) > 0 {
-			return ms.writeObject(ms.key("native2"), ms.stamp2, mergeForWriteBack(ms.module, ms.loaded2, nil))
-		}
+		ms.loaded2, err = ms.translateHot(ms.tr2, ms.stamp2, ms.hot)
 	}
-	return nil
+	return err
 }
 
 // onTierUp receives one finished background tier-2 translation (on a
@@ -519,8 +527,8 @@ func (ms *moduleState) tier2For(name string) *codegen.NativeFunc {
 }
 
 // key names one persisted artifact of this module on this target. The
-// four kinds are "native" (tier-1 code), "native2" (tier-2 code, stamped
-// stamp2), "profile" (idletime.go) and "guestprof" (guestprof.go).
+// three kinds are "native" (tier-1 code), "native2" (tier-2 code, stamped
+// stamp2) and "guestprof" (guestprof.go).
 func (ms *moduleState) key(kind string) string {
 	return kind + ":" + ms.module.Name + ":" + ms.desc.Name
 }

@@ -1,9 +1,6 @@
 package llee
 
-import (
-	"llva/internal/telemetry"
-	"llva/internal/trace"
-)
+import "llva/internal/telemetry"
 
 // Metric families recorded by the execution manager. DESIGN.md's
 // Observability section documents the full schema.
@@ -19,12 +16,6 @@ const (
 	MetricInvalidations   = "llee.invalidations"
 	MetricProfileLoads    = "llee.profile.loads"
 	MetricProfileStores   = "llee.profile.stores"
-
-	MetricTraceCount     = "llee.trace.count"
-	MetricTraceCovered   = "llee.trace.blocks_covered"
-	MetricTraceCrossProc = "llee.trace.cross_procedure"
-	MetricTraceCoverage  = "llee.trace.coverage_pct"
-	MetricTraceRelaid    = "llee.trace.relaid_functions"
 
 	// Per-tenant usage, labeled {tenant=...} via telemetry.Key
 	// (tenant.go): completed runs and simulated cycles consumed.
@@ -42,10 +33,4 @@ func (sys *System) recordTranslate(name string, ns int64, n int) {
 	sys.tele.Histogram(MetricTranslateNS).Observe(ns)
 	sys.tele.Counter(MetricTranslations).Add(uint64(n))
 	sys.tele.Events().Emit(telemetry.EvTranslateEnd, name, ns)
-}
-
-// recordTraceStats publishes software-trace-cache state.
-func (ms *moduleState) recordTraceStats(st trace.Stats) {
-	st.Export(ms.sys.tele)
-	ms.sys.tele.Events().Emit(telemetry.EvTraceFormed, ms.module.Name, int64(st.Traces))
 }

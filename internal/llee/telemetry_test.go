@@ -6,30 +6,61 @@ import (
 	"testing"
 
 	"llva/internal/minic"
+	"llva/internal/prof"
 	"llva/internal/target"
 	"llva/internal/telemetry"
 )
 
-// TestProfilePersistenceRoundTrip checks the tentpole claim end to end:
-// a profile gathered in one session and persisted through the storage
-// API is reloaded by a fresh manager (observable as a ProfileLoaded
-// event and non-empty trace-cache stats) without re-profiling, and
-// seeds trace-driven relayout on the online-translation path.
+// specProg calls cold before hot, so unguided speculation enqueues them
+// in that order; only hot collects samples.
+const specProg = `
+static int cold(int n) { return n + 1; }
+static int hot(int n) {
+	int k, s = 0;
+	for (k = 0; k < 8; k++) s += n % (k + 2);
+	return s;
+}
+int main() {
+	int i, acc = cold(1);
+	for (i = 0; i < 2000; i++) acc += hot(i);
+	print_int(acc); print_nl();
+	return 0;
+}
+`
+
+// specOrder lists the functions a registry saw enqueued for speculative
+// translation, in order.
+func specOrder(reg *telemetry.Registry) string {
+	var names []string
+	for _, ev := range reg.Events().Find(telemetry.EvSpecEnqueued) {
+		names = append(names, ev.Name)
+	}
+	return strings.Join(names, ",")
+}
+
+// TestProfilePersistenceRoundTrip checks the Section 4.2 loop end to
+// end: a guest profile sampled in one session and persisted through the
+// storage API is reloaded by a fresh System (one ProfileLoaded event)
+// without re-profiling, and orders speculative translation on the
+// online path by sample share.
 func TestProfilePersistenceRoundTrip(t *testing.T) {
 	st := NewMemStorage()
 
-	// Session 1: gather and persist the profile only — no native cache,
-	// so the next session exercises the JIT path.
-	m1, err := minic.Compile("hot.c", hotProg)
+	// Session 1: sample a run and persist the profile. Its native cache
+	// entry is dropped, so the next session exercises the JIT path.
+	m1, err := minic.Compile("spec.c", specProg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys1 := NewSystem(WithStorage(st))
-	sess1, err := sys1.NewSession(m1, target.VSPARC, &strings.Builder{})
+	sess1, err := sys1.NewSession(m1, target.VSPARC, &strings.Builder{}, WithProfiler(prof.NewProfiler(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess1.GatherProfile("main"); err != nil {
+	if _, err := sess1.Run(context.Background(), "main"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess1.StoreGuestProfile(); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys1.Telemetry().CounterValue(MetricProfileStores); got != 1 {
@@ -38,11 +69,20 @@ func TestProfilePersistenceRoundTrip(t *testing.T) {
 	if evs := sys1.Telemetry().Events().Find(telemetry.EvProfileStored); len(evs) != 1 {
 		t.Errorf("ProfileStored events = %d, want 1", len(evs))
 	}
+	if got := specOrder(sys1.Telemetry()); got != "cold,hot" {
+		t.Errorf("speculation order without a profile = %q, want call order cold,hot", got)
+	}
+	if err := sys1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Delete("native:" + m1.Name + ":" + target.VSPARC.Name); err != nil {
+		t.Fatal(err)
+	}
 
 	// Session 2: fresh manager, same storage. The run misses the native
-	// cache but reloads the persisted profile, so the trace cache is
-	// seeded before the JIT translates anything.
-	m2, err := minic.Compile("hot.c", hotProg)
+	// cache but reloads the persisted profile, so the JIT speculates on
+	// the sampled function first.
+	m2, err := minic.Compile("spec.c", specProg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,17 +99,11 @@ func TestProfilePersistenceRoundTrip(t *testing.T) {
 	if _, err := sess2.Run(context.Background(), "main"); err != nil {
 		t.Fatal(err)
 	}
-	if !sess2.ProfileSeeded() {
-		t.Error("persisted profile was not reloaded")
-	}
 	if evs := reg.Events().Find(telemetry.EvProfileLoaded); len(evs) != 1 {
 		t.Errorf("ProfileLoaded events = %d, want 1", len(evs))
 	}
-	if ts := sess2.TraceCacheStats(); ts.Traces == 0 || ts.BlocksCovered == 0 {
-		t.Errorf("trace cache not seeded: %+v", ts)
-	}
-	if evs := reg.Events().Find(telemetry.EvTraceFormed); len(evs) != 1 {
-		t.Errorf("TraceFormed events = %d, want 1", len(evs))
+	if got := specOrder(reg); got != "hot,cold" {
+		t.Errorf("speculation order under the profile = %q, want hottest first: hot,cold", got)
 	}
 	// No re-profiling happened: exactly the one stored profile exists and
 	// the manager never wrote another.
@@ -103,9 +137,9 @@ func TestProfilePersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Session 3: warm start — cache hit, profile still seeds the trace
-	// cache (without relayout), output identical.
-	m3, err := minic.Compile("hot.c", hotProg)
+	// Session 3: warm start — cache hit, the profile loads again, output
+	// identical.
+	m3, err := minic.Compile("spec.c", specProg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +155,8 @@ func TestProfilePersistenceRoundTrip(t *testing.T) {
 	if !sess3.CacheHit() {
 		t.Error("warm run missed the native cache")
 	}
-	if !sess3.ProfileSeeded() || sess3.TraceCacheStats().Traces == 0 {
-		t.Error("warm run did not reseed the trace cache from storage")
+	if evs := sys3.Telemetry().Events().Find(telemetry.EvProfileLoaded); len(evs) != 1 {
+		t.Errorf("warm run: ProfileLoaded events = %d, want 1", len(evs))
 	}
 	if out3.String() != out2.String() {
 		t.Errorf("output differs: %q vs %q", out3.String(), out2.String())

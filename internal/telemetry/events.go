@@ -17,7 +17,6 @@ const (
 	EvStampMismatch
 	EvInvalidate
 	EvTrapTaken
-	EvTraceFormed
 	EvProfileLoaded
 	EvProfileStored
 	EvJITRequest
@@ -36,7 +35,6 @@ var eventNames = [...]string{
 	EvStampMismatch:  "StampMismatch",
 	EvInvalidate:     "Invalidate",
 	EvTrapTaken:      "TrapTaken",
-	EvTraceFormed:    "TraceFormed",
 	EvProfileLoaded:  "ProfileLoaded",
 	EvProfileStored:  "ProfileStored",
 	EvJITRequest:     "JITRequest",

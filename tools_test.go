@@ -44,7 +44,8 @@ func runTool(t *testing.T, bin string, args ...string) (string, string) {
 
 // TestToolPipeline drives the full command-line pipeline exactly as the
 // README shows: minicc -> llva-dis -> llva-as -> llva-opt -> llva-llc ->
-// llva-run (cold, then warm through the storage-API cache), checking each
+// llva-run (cold, then warm through the storage-API cache; sampled, then
+// idle-time optimized, then tier 2 from the cache), checking each
 // artifact flows into the next.
 func TestToolPipeline(t *testing.T) {
 	if testing.Short() {
@@ -124,6 +125,28 @@ int main() { print_int(fib(20)); print_nl(); return 0; }
 	out3, err3 := runTool(t, bins["llva-run"], "-target", "vsparc", "-cache", cache2, "-stats", bc2)
 	if out3 != want || !strings.Contains(err3, "cacheHit=true") {
 		t.Errorf("offline-translated run: out=%q stats=%s", out3, err3)
+	}
+
+	// 7. idle-time PGO (Section 4.2): a sampled run stores the guest
+	// profile, idle time translates both tiers, and a -tier2 start finds
+	// both in the cache and translates nothing
+	cache3 := filepath.Join(work, "cache3")
+	events := filepath.Join(work, "tier2.jsonl")
+	runTool(t, bins["llva-run"], "-target", "vx86", "-cache", cache3, "-prof-store", bc2)
+	_, errIdle := runTool(t, bins["llva-run"], "-target", "vx86", "-cache", cache3, "-idle-optimize", "-stats", bc2)
+	if !strings.Contains(errIdle, "idle-time:") {
+		t.Errorf("-idle-optimize -stats printed no summary: %s", errIdle)
+	}
+	out4, err4 := runTool(t, bins["llva-run"], "-target", "vx86", "-cache", cache3, "-tier2", "-stats", "-trace-log", events, bc2)
+	if out4 != want || !strings.Contains(err4, "cacheHit=true translated=0 ") {
+		t.Errorf("-tier2 run after -idle-optimize: out=%q stats=%s", out4, err4)
+	}
+	log, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(log), `"CacheHit"`); n != 2 || !strings.Contains(string(log), "native2:") {
+		t.Errorf("-tier2 run after -idle-optimize: %d CacheHit events, want one per code tier:\n%s", n, log)
 	}
 }
 
