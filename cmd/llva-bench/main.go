@@ -123,32 +123,28 @@ type TelemetryRow struct {
 	Reloads    uint64 `json:"codegen_reloads"`
 	RegallocNS int64  `json:"codegen_regalloc_ns"`
 
-	// Tier-2 counters (all zero without -tier2): functions re-translated
-	// at tier 2, superblocks formed, instructions added by tail
-	// duplication, and tier-up installations that replaced already-running
-	// tier-1 code.
-	Tier2Funcs       uint64 `json:"tier2_funcs"`
-	Superblocks      uint64 `json:"superblocks"`
-	TailDupInstrs    uint64 `json:"tail_dup_instrs"`
-	CodeReplacements uint64 `json:"code_replacements"`
+	// Tier-2 counters (all zero without -tier2): functions translated at
+	// tier 2, superblocks formed, instructions added by tail duplication.
+	Tier2Funcs    uint64 `json:"tier2_funcs"`
+	Superblocks   uint64 `json:"superblocks"`
+	TailDupInstrs uint64 `json:"tail_dup_instrs"`
 }
 
-// measureLLEE runs the workload the way llva-run would, through a
-// sequence of llee.Systems sharing one in-memory storage API and one
-// registry: a cold process (speculative JIT, cache write-back at Close)
-// followed by a warm one (stamp-validated cache hit). With tier2, the
-// cold process also samples the guest and persists its profile, and an
-// extra middle process models a profile-warm but code-cold start: its
-// hot functions tier up in the background and hot-swap over the running
-// tier-1 code, after which the warm process decodes both cache tiers.
-// The row's telemetry block is the registry's totals over all of these
-// processes; its run columns are the warm process's run, whose output
-// must match the cold run's byte for byte.
+// measureLLEE runs the workload the way llva-run would, through two
+// llee.Systems sharing one in-memory storage API and one registry: a
+// cold process (speculative JIT, cache write-back at Close) followed by
+// a warm one (stamp-validated cache hit). With tier2, the cold process
+// also samples the guest and persists its profile, and the warm one,
+// built WithTier2, finds the cached code and the profile and translates
+// the hot functions at tier 2 before it runs. The row's telemetry block
+// is the registry's totals over both processes; its run columns are the
+// warm process's run, whose output must match the cold run's byte for
+// byte.
 func measureLLEE(row *Row, m *core.Module, workers int, tier2 bool) error {
 	reg := telemetry.New()
 	st := llee.NewMemStorage()
 	var res llee.Result
-	runOne := func(out io.Writer, opts []llee.SystemOption, sessOpts []llee.SessionOption, runs int) error {
+	runOne := func(out io.Writer, opts []llee.SystemOption, sessOpts []llee.SessionOption) error {
 		sys := llee.NewSystem(append([]llee.SystemOption{
 			llee.WithStorage(st), llee.WithTelemetry(reg),
 			llee.WithTranslateWorkers(workers)}, opts...)...)
@@ -156,21 +152,14 @@ func measureLLEE(row *Row, m *core.Module, workers int, tier2 bool) error {
 		if err != nil {
 			return err
 		}
-		for i := 0; i < runs; i++ {
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			res, err = sess.Run(context.Background(), "main")
-			runtime.ReadMemStats(&ms1)
-			row.AllocsPerOp = ms1.Mallocs - ms0.Mallocs
-			if err != nil && !errors.Is(err, llee.ErrExit) {
-				sys.Close()
-				return err
-			}
-			if tier2 && i == 0 && runs > 1 {
-				// Give background tier-up a chance to finish before the
-				// second run, whose pre-run drain installs the results.
-				waitCounterStable(reg, pipeline.MetricTierUps)
-			}
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		res, err = sess.Run(context.Background(), "main")
+		runtime.ReadMemStats(&ms1)
+		row.AllocsPerOp = ms1.Mallocs - ms0.Mallocs
+		if err != nil && !errors.Is(err, llee.ErrExit) {
+			sys.Close()
+			return err
 		}
 		if sess.Profiler() != nil {
 			if err := sess.StoreGuestProfile(); err != nil {
@@ -191,23 +180,12 @@ func measureLLEE(row *Row, m *core.Module, workers int, tier2 bool) error {
 		coldOpts = []llee.SessionOption{llee.WithProfiler(prof.NewProfiler(profRate))}
 		warmOpts = []llee.SystemOption{llee.WithTier2(true)}
 	}
-	if err := runOne(&cold, nil, coldOpts, 1); err != nil {
+	if err := runOne(&cold, nil, coldOpts); err != nil {
 		return err
 	}
-	if tier2 {
-		// Profile-warm, code-cold: the native cache is gone (evicted) but
-		// the profile survives, so the process JITs at tier 1 and the hot
-		// functions tier up in the background and hot-swap mid-flight.
-		if err := st.Delete("native:" + m.Name + ":" + target.VX86.Name); err != nil {
-			return err
-		}
-		if err := runOne(io.Discard, warmOpts, nil, 2); err != nil {
-			return err
-		}
-	}
-	// Fully warm: the tier-1 and, with tier2, the profile-stamped tier-2
-	// cache decode from storage; nothing is translated.
-	if err := runOne(&warm, warmOpts, nil, 1); err != nil {
+	// Warm: the tier-1 cache decodes from storage; with tier2 the hot
+	// functions are translated again, at tier 2, before the run.
+	if err := runOne(&warm, warmOpts, nil); err != nil {
 		return err
 	}
 	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
@@ -244,29 +222,11 @@ func measureLLEE(row *Row, m *core.Module, workers int, tier2 bool) error {
 		Reloads:    reg.CounterValue(codegen.MetricReloads),
 		RegallocNS: reg.Histogram(codegen.MetricRegallocNS).Sum(),
 
-		Tier2Funcs:       reg.CounterValue(codegen.MetricTier2Funcs),
-		Superblocks:      reg.CounterValue(codegen.MetricSuperblocks),
-		TailDupInstrs:    reg.CounterValue(codegen.MetricTailDupInstrs),
-		CodeReplacements: reg.CounterValue("machine.code_replacements"),
+		Tier2Funcs:    reg.CounterValue(codegen.MetricTier2Funcs),
+		Superblocks:   reg.CounterValue(codegen.MetricSuperblocks),
+		TailDupInstrs: reg.CounterValue(codegen.MetricTailDupInstrs),
 	}
 	return nil
-}
-
-// waitCounterStable polls a counter until it stops moving (three
-// consecutive reads 20ms apart) or a 3s deadline passes — enough for
-// the background tier-up workers to drain on every workload size
-// without coupling the bench to pipeline internals.
-func waitCounterStable(reg *telemetry.Registry, name string) {
-	deadline := time.Now().Add(3 * time.Second)
-	last, same := reg.CounterValue(name), 0
-	for same < 3 && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-		if v := reg.CounterValue(name); v == last {
-			same++
-		} else {
-			last, same = v, 0
-		}
-	}
 }
 
 // Measure computes one row; whole-module translations run on the

@@ -103,7 +103,7 @@ func main() {
 	flightEvents := flag.Int("flight-events", 16, "trap-time flight recorder depth in telemetry events (0: disable crash reports)")
 	workers := flag.Int("translate-workers", 0, "translation worker-pool size for offline and speculative JIT translation (0: one per CPU)")
 	speculate := flag.Bool("speculate", true, "speculatively JIT-translate static callees on background workers")
-	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 translation: re-translate hot functions with superblocks and inlining when a stored guest profile exists (needs -cache; store one with -prof-store)")
+	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 translation: when a stored guest profile exists, translate its hot functions with superblocks and inlining, before the run on a cache-warm start, at their first call otherwise (needs -cache; store a profile with -prof-store)")
 	timeout := flag.Duration("timeout", 0, "abort execution after this long on the wall clock (0: no limit)")
 	gas := flag.Uint64("gas", 0, "per-run gas budget in simulated cycles; exhaustion stops the run at a block boundary (0: unmetered)")
 	flag.Parse()

@@ -41,33 +41,21 @@ const (
 // tier2Mu serializes all tier-2 IR transformation. Cloning, inlining and
 // tail duplication mutate use lists on *shared* module-level values
 // (functions, globals), which tier-1 translation never touches — so
-// demand translation stays fully concurrent while background tier-up
-// runs one function at a time.
+// tier-1 translations stay fully concurrent, with each other and with
+// tier 2, while tier-2 translations run one function at a time.
 var tier2Mu sync.Mutex
 
 // WithTier2 derives a tier-2 translator guided by art, sharing the
 // module, target and telemetry handles of t. The receiver is unchanged:
-// tier-1 demand translation and tier-2 background translation coexist on
-// their respective translators. Call after SetTelemetry so the derived
-// translator inherits the counter handles.
+// the execution manager translates a module's hot functions on the
+// derived translator and the rest on t, concurrently. Call after
+// SetTelemetry so the derived translator inherits the counter handles.
 func (t *Translator) WithTier2(art *prof.Artifact) *Translator {
 	nt := *t
 	nt.tier = 2
 	nt.art = art
 	return &nt
 }
-
-// Tier reports the translator's optimization tier (1 or 2).
-func (t *Translator) Tier() int {
-	if t.tier < 2 {
-		return 1
-	}
-	return t.tier
-}
-
-// Profile returns the guiding artifact of a tier-2 translator (nil at
-// tier 1).
-func (t *Translator) Profile() *prof.Artifact { return t.art }
 
 // tryTier2 translates f through the superblock pipeline: one tier-1
 // lowering of the untouched function, then one lowering of the
@@ -77,9 +65,9 @@ func (t *Translator) Profile() *prof.Artifact { return t.art }
 // at tier 1 — when the profile has no samples for f. When a transformed
 // body fails verification, or the candidate's estimated dynamic cost
 // does not beat the tier-1 lowering, the tier-1 code is returned
-// (ok=true); tier2_funcs counts every translation that reached the gate
-// — it mirrors pipeline.tierups one-for-one — but only shipped
-// transformations count superblocks and duplicated instructions.
+// (ok=true); tier2_funcs counts every translation that reached the gate,
+// but only shipped transformations count superblocks and duplicated
+// instructions.
 func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	counts := t.art.BlockCounts(f.Name())
 	if len(counts) == 0 {

@@ -63,10 +63,12 @@ func TestGasThroughSessionRun(t *testing.T) {
 }
 
 // TestGasDeterministicTier2: exhaustion stays deterministic when the
-// session executes profile-guided tier-2 code from a warm cache — the
-// config the serving daemon runs steady-state. (Tier-2 code retires
-// different cycle counts than tier-1 by design; the invariant is that
-// each configuration exhausts at ITS same cycle on every run.)
+// session executes profile-guided tier-2 code: from a warm cache, the
+// config the serving daemon runs steady-state, and on a code-cold start,
+// where the hot functions are translated at their first call. (Tier-2
+// code retires different cycle counts than tier-1 by design; the
+// invariant is that each configuration exhausts at ITS same cycle on
+// every run.)
 func TestGasDeterministicTier2(t *testing.T) {
 	// Seed: a cold sampled run populates the native cache and stores the
 	// guest profile tier 2 needs.
@@ -74,7 +76,7 @@ func TestGasDeterministicTier2(t *testing.T) {
 	seedGuestProfile(t, st, target.VX86)
 
 	const budget = 10_000
-	exhaust := func(reg *telemetry.Registry, tier2 bool) (*Session, uint64) {
+	exhaust := func(st Storage, reg *telemetry.Registry, tier2 bool) (*Session, uint64) {
 		t.Helper()
 		m, err := compileHot(t)
 		if err != nil {
@@ -84,9 +86,6 @@ func TestGasDeterministicTier2(t *testing.T) {
 		sess, err := sys.NewSession(m, target.VX86, io.Discard, WithGas(budget))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !sess.CacheHit() {
-			t.Fatal("run missed the cache (online tier-up is wall-clock-timed; this test needs the deterministic offline path)")
 		}
 		_, err = sess.Run(context.Background(), "main")
 		var ge *machine.GasError
@@ -102,7 +101,7 @@ func TestGasDeterministicTier2(t *testing.T) {
 	var firstUsed uint64
 	for run := 0; run < 2; run++ {
 		reg := telemetry.New()
-		sess, used := exhaust(reg, true)
+		sess, used := exhaust(st, reg, true)
 		if len(sess.ms.loaded2) == 0 {
 			t.Fatalf("run %d: no tier-2 code installed: this checked tier 1", run)
 		}
@@ -117,8 +116,26 @@ func TestGasDeterministicTier2(t *testing.T) {
 			t.Fatalf("tier-2 nondeterministic exhaustion: %d vs %d cycles", firstUsed, used)
 		}
 	}
-	if _, tier1 := exhaust(telemetry.New(), false); tier1 == firstUsed {
+	if _, tier1 := exhaust(st, telemetry.New(), false); tier1 == firstUsed {
 		t.Errorf("tier-2 exhausts at cycle %d, exactly where tier 1 does: different code was not run", tier1)
+	}
+
+	// Online: two fresh Systems, each over its own profile-warm, code-cold
+	// store, so each translates the hot functions itself, mid-run.
+	var online [2]uint64
+	for i := range online {
+		st := NewMemStorage()
+		seedCodeCold(t, st, target.VX86)
+		reg := telemetry.New()
+		var sess *Session
+		sess, online[i] = exhaust(st, reg, true)
+		if sess.CacheHit() || reg.CounterValue(codegen.MetricTier2Funcs) == 0 {
+			t.Fatalf("online start %d: cacheHit=%v, %s = %d: this did not translate at tier 2 on demand",
+				i, sess.CacheHit(), codegen.MetricTier2Funcs, reg.CounterValue(codegen.MetricTier2Funcs))
+		}
+	}
+	if online[0] != online[1] {
+		t.Errorf("online tier-2 nondeterministic exhaustion: %d vs %d cycles", online[0], online[1])
 	}
 }
 

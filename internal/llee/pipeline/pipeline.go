@@ -50,17 +50,15 @@ const (
 	MetricWorkers     = "pipeline.workers"
 	MetricTranslateNS = "pipeline.translate_ns" // per-worker histogram, label worker=N
 
-	MetricSpecQueueDepth  = "pipeline.spec.queue_depth"
-	MetricSpecQueuePeak   = "pipeline.spec.queue_peak"
-	MetricSpecEnqueued    = "pipeline.spec.enqueued"
-	MetricSpecDropped     = "pipeline.spec.dropped"
-	MetricSpecTranslated  = "pipeline.spec.translated"
-	MetricSpecHits        = "pipeline.spec.hits"
-	MetricSpecJoins       = "pipeline.spec.joins"
-	MetricSpecWaste       = "pipeline.spec.waste"
-	MetricSpecInvalidated = "pipeline.spec.invalidated"
-	MetricDemandInline    = "pipeline.demand_inline"
-	MetricTierUps         = "pipeline.tierups"
+	MetricSpecQueueDepth = "pipeline.spec.queue_depth"
+	MetricSpecQueuePeak  = "pipeline.spec.queue_peak"
+	MetricSpecEnqueued   = "pipeline.spec.enqueued"
+	MetricSpecDropped    = "pipeline.spec.dropped"
+	MetricSpecTranslated = "pipeline.spec.translated"
+	MetricSpecHits       = "pipeline.spec.hits"
+	MetricSpecJoins      = "pipeline.spec.joins"
+	MetricSpecWaste      = "pipeline.spec.waste"
+	MetricDemandInline   = "pipeline.demand_inline"
 )
 
 // Workers resolves a worker-count setting: n <= 0 means one worker per

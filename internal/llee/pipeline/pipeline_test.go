@@ -116,7 +116,7 @@ func TestConcurrentDemandSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.New()
-	s := NewSpeculator(tr, 4, reg)
+	s := NewSpeculator(tr.TranslateFunction, 4, reg)
 
 	var fns []*core.Function
 	for _, f := range m.Functions {
@@ -194,7 +194,7 @@ func TestSpeculatorWasteAndSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.New()
-	s := NewSpeculator(tr, 2, reg)
+	s := NewSpeculator(tr.TranslateFunction, 2, reg)
 	var fns []*core.Function
 	for _, f := range m.Functions {
 		if !f.IsDeclaration() {
@@ -232,41 +232,6 @@ func TestSpeculatorWasteAndSalvage(t *testing.T) {
 		t.Error("second Close returned results")
 	}
 	s.Enqueue(fns)
-}
-
-// TestSpeculatorInvalidate drops a completed speculative translation so
-// it is neither hit nor salvaged.
-func TestSpeculatorInvalidate(t *testing.T) {
-	m := compileN(t, 3)
-	tr, err := codegen.New(target.VX86, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	s := NewSpeculator(tr, 1, reg)
-	f := m.Function("f1")
-	nf1, performed1, err := s.Demand("f1", f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !performed1 {
-		t.Error("first demand did not perform the translation")
-	}
-	s.Invalidate("f1")
-	nf2, performed2, err := s.Demand("f1", f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !performed2 {
-		t.Error("post-invalidate demand did not retranslate")
-	}
-	if nf1 == nf2 {
-		t.Error("invalidated translation was reused")
-	}
-	if reg.CounterValue(MetricSpecInvalidated) != 1 {
-		t.Errorf("invalidated = %d, want 1", reg.CounterValue(MetricSpecInvalidated))
-	}
-	s.Close()
 }
 
 // TestCallees checks static call-graph extraction order and filtering.

@@ -24,22 +24,8 @@ type flight struct {
 	nf          *codegen.NativeFunc
 	err         error
 	speculative bool // started by a background worker
-	tier2       bool // profile-guided retranslation (key "tier2:<name>")
 	consumed    atomic.Bool
 }
-
-// specJob is one queued background translation: a speculative tier-1
-// translation of a not-yet-demanded function, or a tier-2 re-translation
-// of a hot, already-running one.
-type specJob struct {
-	f     *core.Function
-	tier2 bool
-}
-
-// tier2Key is the flights-map key of a tier-2 translation; tier-1 and
-// tier-2 code of one function are distinct cache entries with their own
-// singleflight.
-func tier2Key(name string) string { return "tier2:" + name }
 
 // Speculator runs ahead-of-time JIT translation on background workers
 // (paper Section 4.1: use otherwise-idle resources to hide translator
@@ -51,9 +37,9 @@ func tier2Key(name string) string { return "tier2:" + name }
 // shared native-code cache when many sessions demand from one
 // Speculator.
 type Speculator struct {
-	tr     *codegen.Translator
-	reg    *telemetry.Registry
-	tracer *prof.Tracer // nil-safe; spans for background translations
+	translate func(*core.Function) (*codegen.NativeFunc, error)
+	reg       *telemetry.Registry
+	tracer    *prof.Tracer // nil-safe; spans for background translations
 
 	mu      sync.Mutex
 	flights map[string]*flight
@@ -63,30 +49,29 @@ type Speculator struct {
 	depth   int64 // queued-but-not-started entries, mirrors the gauge
 	peak    int64
 
-	// Background tier-up (SetTier2): tr2 is the profile-guided
-	// translator, onTierUp delivers each finished tier-2 translation for
-	// hot-swap installation. Both nil until a profile exists.
-	tr2      *codegen.Translator
-	onTierUp func(name string, nf *codegen.NativeFunc)
-
-	queue chan specJob
+	queue chan *core.Function
 	wg    sync.WaitGroup
 }
 
 // NewSpeculator creates a speculation pipeline with the given worker
-// pool size over tr. Workers are spawned lazily on the first Enqueue, so
-// a Speculator used purely as a single-flight demand cache costs no
-// goroutines. A nil registry records into a private one.
-func NewSpeculator(tr *codegen.Translator, workers int, reg *telemetry.Registry) *Speculator {
+// pool size over translate, which produces the native code of one
+// function and must be safe for concurrent use on distinct functions.
+// The Speculator calls it at most once per function, from the demanding
+// goroutine or a background worker alike, so whatever it decides per
+// function (which translator, which profile) is decided once, before
+// that function's first translation. Workers are spawned lazily on the
+// first Enqueue, so a Speculator used purely as a single-flight demand
+// cache costs no goroutines. A nil registry records into a private one.
+func NewSpeculator(translate func(*core.Function) (*codegen.NativeFunc, error), workers int, reg *telemetry.Registry) *Speculator {
 	if reg == nil {
 		reg = telemetry.New()
 	}
 	s := &Speculator{
-		tr:      tr,
-		reg:     reg,
-		flights: make(map[string]*flight),
-		workers: Workers(workers),
-		queue:   make(chan specJob, specQueueCap),
+		translate: translate,
+		reg:       reg,
+		flights:   make(map[string]*flight),
+		workers:   Workers(workers),
+		queue:     make(chan *core.Function, specQueueCap),
 	}
 	reg.Gauge(MetricWorkers).Set(int64(s.workers))
 	return s
@@ -129,31 +114,23 @@ func (s *Speculator) worker(id int) {
 	s.mu.Unlock()
 	tid := specWorkerTIDBase + id
 	tracer.NameThread(0, tid, "spec worker "+strconv.Itoa(id))
-	for j := range s.queue {
+	for f := range s.queue {
 		depth.Add(-1)
-		name := j.f.Name()
-		key, span := name, "speculate:"
-		if j.tier2 {
-			key, span = tier2Key(name), "tierup:"
-		}
+		name := f.Name()
 		s.mu.Lock()
 		s.depth--
-		tr, deliver := s.tr, (func(string, *codegen.NativeFunc))(nil)
-		if j.tier2 {
-			tr, deliver = s.tr2, s.onTierUp
-		}
-		if s.flights[key] != nil || s.closed || tr == nil {
+		if s.flights[name] != nil || s.closed {
 			// Demanded (or already speculated) since it was queued, or
 			// shutting down: skip.
 			s.mu.Unlock()
 			continue
 		}
-		fl := &flight{done: make(chan struct{}), speculative: true, tier2: j.tier2}
-		s.flights[key] = fl
+		fl := &flight{done: make(chan struct{}), speculative: true}
+		s.flights[name] = fl
 		s.mu.Unlock()
-		end := tracer.Begin(0, tid, "pipeline", span+name, nil)
+		end := tracer.Begin(0, tid, "pipeline", "speculate:"+name, nil)
 		start := time.Now()
-		nf, err := tr.TranslateFunction(j.f)
+		nf, err := s.translate(f)
 		fl.nf = nf
 		if err != nil {
 			fl.err = translateErr(name, err)
@@ -161,13 +138,6 @@ func (s *Speculator) worker(id int) {
 		h.Observe(time.Since(start).Nanoseconds())
 		end()
 		translated.Inc()
-		if j.tier2 && err == nil && deliver != nil {
-			// Hand the optimized code to the system for hot-swap; the
-			// callback owns delivery, so a tier-2 flight is never waste.
-			s.reg.Counter(MetricTierUps).Inc()
-			fl.consumed.Store(true)
-			deliver(name, nf)
-		}
 		close(fl.done)
 	}
 }
@@ -187,7 +157,7 @@ func (s *Speculator) Demand(name string, f *core.Function) (*codegen.NativeFunc,
 		fl = &flight{done: make(chan struct{})}
 		s.flights[name] = fl
 		s.mu.Unlock()
-		nf, err := s.tr.TranslateFunction(f)
+		nf, err := s.translate(f)
 		fl.nf = nf
 		if err != nil {
 			fl.err = translateErr(name, err)
@@ -210,71 +180,27 @@ func (s *Speculator) Demand(name string, f *core.Function) (*codegen.NativeFunc,
 	return fl.nf, false, fl.err
 }
 
-// Completed returns the successfully settled tier-1 translations —
-// demanded and speculative alike — without stopping the pipeline or
-// blocking on in-flight work. This is the write-back view of the shared
-// cache; tier-2 results live under their own profile-stamped cache key
-// and are reported by CompletedTier2.
+// Completed returns the successfully settled translations — demanded
+// and speculative alike — without stopping the pipeline or blocking on
+// in-flight work: the write-back view of the shared cache. It returns nil
+// when nothing has settled.
 func (s *Speculator) Completed() map[string]*codegen.NativeFunc {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]*codegen.NativeFunc, len(s.flights))
+	var out map[string]*codegen.NativeFunc
 	for name, fl := range s.flights {
-		if fl.tier2 {
-			continue
-		}
 		select {
 		case <-fl.done:
 			if fl.err == nil && fl.nf != nil {
+				if out == nil {
+					out = make(map[string]*codegen.NativeFunc, len(s.flights))
+				}
 				out[name] = fl.nf
 			}
 		default:
 		}
 	}
 	return out
-}
-
-// CompletedTier2 returns the settled tier-2 translations, keyed by
-// plain function name.
-func (s *Speculator) CompletedTier2() map[string]*codegen.NativeFunc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out map[string]*codegen.NativeFunc
-	for name, fl := range s.flights {
-		if !fl.tier2 {
-			continue
-		}
-		select {
-		case <-fl.done:
-			if fl.err == nil && fl.nf != nil {
-				if out == nil {
-					out = make(map[string]*codegen.NativeFunc)
-				}
-				out[name[len("tier2:"):]] = fl.nf
-			}
-		default:
-		}
-	}
-	return out
-}
-
-// SetTier2 arms background tier-up: hot functions passed to TierUp are
-// re-translated on the worker pool with tr2 (a profile-guided
-// translator) and each result is delivered through onTierUp, from the
-// worker goroutine, for hot-swap installation. Passing nil disarms.
-func (s *Speculator) SetTier2(tr2 *codegen.Translator, onTierUp func(name string, nf *codegen.NativeFunc)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tr2 = tr2
-	s.onTierUp = onTierUp
-}
-
-// TierUp queues functions for background tier-2 re-translation.
-// Singleflight holds per function across every session of the System:
-// a function already tiered-up or in flight is skipped. No-op until
-// SetTier2 armed the pipeline.
-func (s *Speculator) TierUp(fns []*core.Function) {
-	s.enqueue(fns, true)
 }
 
 // EnqueueCallees queues f's static callees for ahead-of-time
@@ -292,27 +218,19 @@ func (s *Speculator) EnqueueCallees(f *core.Function, weights map[string]uint64)
 // Enqueue queues functions for speculative translation. Functions
 // already translated, in flight, or not fitting the queue are skipped.
 func (s *Speculator) Enqueue(fns []*core.Function) {
-	s.enqueue(fns, false)
-}
-
-func (s *Speculator) enqueue(fns []*core.Function, tier2 bool) {
 	depth := s.reg.Gauge(MetricSpecQueueDepth)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || len(fns) == 0 || (tier2 && s.tr2 == nil) {
+	if s.closed || len(fns) == 0 {
 		return
 	}
 	s.start()
 	for _, f := range fns {
-		key := f.Name()
-		if tier2 {
-			key = tier2Key(key)
-		}
-		if s.flights[key] != nil {
+		if s.flights[f.Name()] != nil {
 			continue
 		}
 		select {
-		case s.queue <- specJob{f: f, tier2: tier2}:
+		case s.queue <- f:
 			s.depth++
 			if s.depth > s.peak {
 				s.peak = s.depth
@@ -324,18 +242,6 @@ func (s *Speculator) enqueue(fns []*core.Function, tier2 bool) {
 		default:
 			s.reg.Counter(MetricSpecDropped).Inc()
 		}
-	}
-}
-
-// Invalidate drops any completed or in-flight translation of name (SMC
-// replacement, Section 3.4): the next Demand retranslates and an
-// orphaned in-flight result is discarded.
-func (s *Speculator) Invalidate(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.flights[name] != nil {
-		delete(s.flights, name)
-		s.reg.Counter(MetricSpecInvalidated).Inc()
 	}
 }
 
@@ -361,7 +267,7 @@ func (s *Speculator) Close() map[string]*codegen.NativeFunc {
 	out := make(map[string]*codegen.NativeFunc)
 	for name, fl := range s.flights {
 		<-fl.done // all settled: workers exited, demands are synchronous
-		if fl.err != nil || !fl.speculative || fl.tier2 || fl.consumed.Load() {
+		if fl.err != nil || !fl.speculative || fl.consumed.Load() {
 			continue
 		}
 		s.reg.Counter(MetricSpecWaste).Inc()

@@ -56,18 +56,6 @@ type Session struct {
 	// redirect acquired at run time disqualifies it (Resettable).
 	reusable bool
 
-	// Tier-up hot-swap state: pending holds tier-2 code delivered by
-	// background workers (any goroutine, guarded by pendMu) until the
-	// machine installs it at a block boundary; installed2 guards against
-	// reinstalling a function this session already swapped (touched only
-	// on the machine/run goroutine). drain is the second half of the
-	// double buffer: installPending swaps it with pending so repeated
-	// drains reuse both slices' storage.
-	pendMu     sync.Mutex
-	pending    []*codegen.NativeFunc
-	drain      []*codegen.NativeFunc
-	installed2 map[string]bool
-
 	runMu sync.Mutex
 }
 
@@ -152,28 +140,7 @@ func (sys *System) NewSession(m *core.Module, d *target.Desc, out io.Writer, opt
 		if err := mc.PrepareLazy(); err != nil {
 			return nil, err
 		}
-		if ms.tr2 != nil {
-			// Background tier-up can hot-swap this session's code: the
-			// machine runs the installs at block boundaries, and finished
-			// translations (including ones that predate this session) are
-			// queued for it.
-			s.installed2 = make(map[string]bool)
-			mc.OnSwap = s.installPending
-			ms.subscribe(s)
-		}
 	} else {
-		if len(ms.loaded2) > 0 {
-			// Offline mode binds direct calls at install, so tier-2 code
-			// must be merged in before loading, not swapped in after.
-			merged := &codegen.NativeObject{TargetName: nobj.TargetName, Module: nobj.Module}
-			for _, nf := range nobj.Funcs {
-				if nf2 := ms.loaded2[nf.Name]; nf2 != nil {
-					nf = nf2
-				}
-				merged.Add(nf)
-			}
-			nobj = merged
-		}
 		if err := mc.LoadObject(nobj); err != nil {
 			return nil, err
 		}
@@ -228,41 +195,6 @@ func (s *Session) Reset(out io.Writer, gas uint64, tenant string) error {
 	return nil
 }
 
-// enqueueSwap queues one tier-2 translation for installation and pokes
-// the machine; called from background worker goroutines.
-func (s *Session) enqueueSwap(nf *codegen.NativeFunc) {
-	s.pendMu.Lock()
-	s.pending = append(s.pending, nf)
-	s.pendMu.Unlock()
-	s.mc.RequestSwap()
-}
-
-// installPending installs queued tier-2 code. It runs with the machine
-// quiescent — at a block boundary mid-run (machine.OnSwap) or before a
-// Run — so replacement is the PR 3 SMC path: InstallCode rebinds the
-// name and every later call through the stub lands in optimized code,
-// while code already on the virtual stack keeps running validly to
-// completion. Each function swaps at most once per session, and
-// SMC-redirected functions are skipped (the session's own replacement
-// wins over the shared profile).
-func (s *Session) installPending() {
-	s.pendMu.Lock()
-	pend := s.pending
-	s.pending = s.drain[:0]
-	s.drain = pend
-	s.pendMu.Unlock()
-	for _, nf := range pend {
-		if s.installed2[nf.Name] || s.redirect[nf.Name] != "" {
-			continue
-		}
-		if _, err := s.mc.InstallCode(nf); err != nil {
-			// Code segment exhausted: tier-1 code keeps running.
-			continue
-		}
-		s.installed2[nf.Name] = true
-	}
-}
-
 // Run executes the entry function until it returns, the program exits,
 // an unhandled trap fires, or ctx is done. Cancellation is honored at
 // basic-block boundaries: an uncancellable context costs one nil
@@ -276,11 +208,6 @@ func (s *Session) Run(ctx context.Context, entry string, args ...uint64) (Result
 	defer s.runMu.Unlock()
 	if f := s.ms.module.Function(entry); f == nil || f.IsDeclaration() {
 		return Result{}, fmt.Errorf("%w: no entry function %%%s", ErrBadModule, entry)
-	}
-	if s.installed2 != nil {
-		// Drain tier-up deliveries that arrived while the machine was
-		// idle, so this run starts on the freshest code.
-		s.installPending()
 	}
 	instrs0, cycles0 := s.mc.Stats.Instrs, s.mc.Stats.Cycles
 	endRun := s.sys.tracer.Begin(int(s.id), 0, "guest", "run:"+entry, s.spanArgs())
@@ -388,9 +315,10 @@ func (s *Session) IdleTimeOptimize() (IdleStats, error) { return s.ms.idleTimeOp
 // installs its code in this session's machine. The unredirected path
 // goes through the system's shared single-flight cache: the demand
 // finds a ready translation, joins the in-flight one, or translates
-// inline — each function is translated once per system, however many
-// sessions demand it. Installation always happens here, on the
-// machine's goroutine.
+// inline — each function is translated once per system, at the tier
+// moduleState.translate picks for it, however many sessions demand it.
+// Installation always happens here, on the machine's goroutine, and
+// only llva.smc.replace ever makes a name demand code a second time.
 func (s *Session) onJIT(name string) (uint64, error) {
 	body := name
 	if r, ok := s.redirect[name]; ok {
@@ -403,18 +331,11 @@ func (s *Session) onJIT(name string) (uint64, error) {
 	tele := s.sys.tele
 	tele.Events().Emit(telemetry.EvJITRequest, name, 0)
 	if body == name {
-		// Tier-2 code already translated (by background tier-up in this
-		// System, or decoded from the profile-stamped cache) is served
-		// directly: the demand skips tier-1 entirely.
+		// Tier-2 code translated ahead of execution (decoded from the
+		// profile-stamped cache by a start that missed the tier-1 one) is
+		// served as it is: nothing is translated.
 		if nf2 := s.ms.tier2For(name); nf2 != nil {
-			addr, err := s.mc.InstallCode(nf2)
-			if err != nil {
-				return 0, err
-			}
-			if s.installed2 != nil {
-				s.installed2[name] = true
-			}
-			return addr, nil
+			return s.mc.InstallCode(nf2)
 		}
 	}
 	tele.Events().Emit(telemetry.EvTranslateStart, body, 0)
@@ -459,13 +380,6 @@ func (s *Session) onJIT(name string) (uint64, error) {
 	}
 	if s.sys.speculate && body == name {
 		s.ms.spec.EnqueueCallees(f, s.ms.callWeights)
-	}
-	if body == name && s.ms.tr2 != nil && s.ms.hot[name] {
-		// The function just started running at tier 1 and the profile
-		// says it is hot: queue its tier-2 re-translation. Singleflight
-		// in the Speculator makes this once per System no matter how
-		// many sessions demand it.
-		s.ms.spec.TierUp([]*core.Function{f})
 	}
 	return addr, nil
 }

@@ -85,7 +85,7 @@ type sessionConfig struct {
 }
 
 // tier2MinShare is the exclusive-sample share above which a function is
-// considered hot enough for background tier-2 re-translation.
+// considered hot enough for tier-2 translation.
 const tier2MinShare = 0.02
 
 // WithStorage registers the OS storage API implementation. Without it
@@ -124,11 +124,13 @@ func WithSpeculation(on bool) SystemOption { return func(c *systemConfig) { c.sp
 
 // WithTier2 toggles profile-guided tier-2 translation (default off,
 // system-scoped; requires the storage API). When a stamp-valid guest
-// profile exists for a module, its hot functions are re-translated with
-// superblock formation and hot inlining: eagerly on cache-warm offline
-// starts, and in the background — hot-swapped at block boundaries while
-// tier-1 code keeps running — on online starts. Tier-2 code is cached
-// under a profile-stamped key, so later starts skip straight to it.
+// profile exists for a module, its hot functions are translated with
+// superblock formation and hot inlining instead of at tier 1: ahead of
+// execution on cache-warm offline starts, and at their first call (or by
+// speculation ahead of it) on online starts. Either way a function's
+// translator is chosen before its first translation; installed code is
+// never exchanged for a better one mid-run. Tier-2 code is cached under
+// a profile-stamped key, so later starts skip straight to it.
 func WithTier2(on bool) SystemOption { return func(c *systemConfig) { c.tier2 = on } }
 
 // WithTracer attaches a span tracer to the system: the session
@@ -232,9 +234,11 @@ func (sys *System) Preload(m *core.Module, d *target.Desc) error {
 }
 
 // ensureOffline flips an online module state to offline by translating
-// the whole module now. The flip publishes nobj/loaded under ms.mu —
-// NewSession snapshots them under the same lock — and persists the
-// translation so the next process starts warm.
+// the whole module now, and, when tier 2 is armed and no tier-2 code was
+// cached, its hot functions at tier 2 as a cache-warm start would. The
+// flip publishes nobj/loaded/loaded2 under ms.mu — NewSession snapshots
+// them under the same lock — and persists the translations so the next
+// process starts warm.
 func (ms *moduleState) ensureOffline() error {
 	ms.preMu.Lock()
 	defer ms.preMu.Unlock()
@@ -248,6 +252,14 @@ func (ms *moduleState) ensureOffline() error {
 	if err != nil {
 		return err
 	}
+	// loaded2 is written only before the state is published and below,
+	// under preMu: reading it here needs no more than that.
+	loaded2 := ms.loaded2
+	if ms.tr2 != nil && len(loaded2) == 0 {
+		if loaded2, err = ms.translateHot(ms.tr2, ms.stamp2, ms.hot); err != nil {
+			return err
+		}
+	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if ms.sys.storage != nil {
@@ -255,10 +267,28 @@ func (ms *moduleState) ensureOffline() error {
 			return err
 		}
 	}
-	ms.nobj = nobj
-	ms.loaded = funcsByName(nobj.Funcs)
-	ms.online = false
+	ms.loaded2 = loaded2
+	ms.goOffline(nobj)
 	return nil
+}
+
+// goOffline makes the state offline over the tier-1 code in nobj and
+// whatever tier-2 code is loaded. What an offline session installs up
+// front is, per module function in module order, its tier-2 code when
+// there is some, else its tier-1 code: a hot function an online tier-2
+// run cached only in native2 is installed like any other. The caller
+// holds ms.mu, or the system lock before the state is published.
+func (ms *moduleState) goOffline(nobj *codegen.NativeObject) {
+	ms.loaded = funcsByName(nobj.Funcs)
+	if len(ms.loaded2) > 0 {
+		merged := &codegen.NativeObject{TargetName: nobj.TargetName, Module: nobj.Module}
+		for _, nf := range mergeForWriteBack(ms.module, ms.loaded, ms.loaded2) {
+			merged.Add(nf)
+		}
+		nobj = merged
+	}
+	ms.nobj = nobj
+	ms.online = false
 }
 
 // Close flushes every module's pending write-back and stops background
@@ -308,9 +338,13 @@ type moduleState struct {
 	img *image.Data
 
 	// online reports no valid cached translation existed at creation:
-	// sessions JIT on demand and write translations back.
+	// sessions JIT on demand and write translations back. online, nobj,
+	// loaded and loaded2 change at most once after creation, in
+	// ensureOffline under mu; NewSession, tier2For and writeBack read them
+	// under mu.
 	online bool
-	// nobj/loaded hold the decoded offline-cache contents on a hit.
+	// nobj is the object an offline session installs (goOffline); loaded
+	// is the tier-1 cache contents it was built from, kept for write-back.
 	nobj   *codegen.NativeObject
 	loaded map[string]*codegen.NativeFunc
 
@@ -324,14 +358,13 @@ type moduleState struct {
 	// the system lock, before any session exists, then only read: stamp2
 	// is the tier-2 cache entry's stamp (module content + profile content:
 	// new object code or a different profile each invalidate it), tr2 the
-	// profile-guided translator and hot the HotFuncs(tier2MinShare)
-	// candidate set.
+	// profile-guided translator and hot the HotFuncs(tier2MinShare) set,
+	// the functions translate gives to tr2.
 	stamp2 string
 	tr2    *codegen.Translator
 	hot    map[string]bool
-	// loaded2 holds tier-2 code decoded from the profile-stamped cache
-	// (or translated eagerly on a warm tier-1 start); written once in
-	// initTier2, read-only after.
+	// loaded2 holds tier-2 code decoded from the profile-stamped cache,
+	// or translated ahead of execution by a cache-warm start or a Preload.
 	loaded2 map[string]*codegen.NativeFunc
 
 	// preMu serializes Preload's eager whole-module translation so
@@ -340,12 +373,6 @@ type moduleState struct {
 
 	mu      sync.Mutex
 	flushed int // settled translations persisted by the last write-back
-	// done2 collects tier-2 translations delivered by the background
-	// workers; subs are the online sessions hot-swap deliveries fan out
-	// to. Both guarded by mu.
-	done2    map[string]*codegen.NativeFunc
-	subs     []*Session
-	flushed2 int
 }
 
 // state returns (creating on first use) the shared per-module state for
@@ -381,11 +408,8 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 		// translation, validate its stamp, and fall back to online
 		// translation when any condition fails.
 		key := ms.key("native")
-		if nobj, ok := ms.readObject(key, ms.stamp); ok {
-			ms.nobj = nobj
-			ms.loaded = funcsByName(nobj.Funcs)
-			ms.online = false
-		} else {
+		nobj, hit := ms.readObject(key, ms.stamp)
+		if !hit {
 			sys.tele.Counter(MetricCacheMisses).Inc()
 			sys.tele.Events().Emit(telemetry.EvCacheMiss, key, 0)
 		}
@@ -399,10 +423,13 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 				ms.callWeights[fs.Name] = fs.Incl
 			}
 			if sys.tier2 {
-				if err := ms.initTier2(art); err != nil {
+				if err := ms.initTier2(art, hit); err != nil {
 					return nil, err
 				}
 			}
+		}
+		if hit {
+			ms.goOffline(nobj)
 		}
 	}
 	img, err := image.Build(m, mem.NullGuard)
@@ -410,13 +437,21 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadModule, err)
 	}
 	ms.img = img
-	ms.spec = pipeline.NewSpeculator(tr, sys.workers, sys.tele)
+	ms.spec = pipeline.NewSpeculator(ms.translate, sys.workers, sys.tele)
 	ms.spec.SetTracer(sys.tracer)
-	if ms.tr2 != nil {
-		ms.spec.SetTier2(ms.tr2, ms.onTierUp)
-	}
 	sys.mods[key] = ms
 	return ms, nil
+}
+
+// translate is the online translation of f, demanded or speculative: at
+// tier 2 when the loaded profile marks f hot, else at tier 1. The
+// Speculator calls it once per function, so which code a name gets is
+// settled before its first translation and never revisited.
+func (ms *moduleState) translate(f *core.Function) (*codegen.NativeFunc, error) {
+	if ms.hot[f.Name()] {
+		return ms.tr2.TranslateFunction(f)
+	}
+	return ms.tr.TranslateFunction(f)
 }
 
 // tier2Plan derives what tier 2 needs from a guest profile: the
@@ -461,12 +496,13 @@ func (ms *moduleState) translateHot(tr2 *codegen.Translator, stamp2 string, hot 
 
 // initTier2 arms tier 2 under the persisted guest profile art: the
 // translator, the hot set, and the code. The code comes from the
-// profile-stamped native2 cache when valid, or — on a warm tier-1 start,
-// where demand translation never runs and background tier-up would have
-// nothing to swap into a direct-call object — from translating the hot
+// profile-stamped native2 cache when valid, or, on a warm tier-1 start
+// (warm), where demand translation never runs, from translating the hot
 // functions now, under the system lock, so every session of this module
-// state sees the same optimized code. Runs once per module state.
-func (ms *moduleState) initTier2(art *prof.Artifact) (err error) {
+// state sees the same optimized code. On an online start there is no
+// code yet: translate produces it as functions are demanded. Runs once
+// per module state.
+func (ms *moduleState) initTier2(art *prof.Artifact, warm bool) (err error) {
 	if ms.tr2, ms.stamp2, ms.hot, err = ms.tier2Plan(art); err != nil {
 		return err
 	}
@@ -474,56 +510,19 @@ func (ms *moduleState) initTier2(art *prof.Artifact) (err error) {
 		ms.loaded2 = funcsByName(nobj2.Funcs)
 		return nil
 	}
-	if !ms.online {
+	if warm {
 		ms.loaded2, err = ms.translateHot(ms.tr2, ms.stamp2, ms.hot)
 	}
 	return err
 }
 
-// onTierUp receives one finished background tier-2 translation (on a
-// worker goroutine) and fans it out to every subscribed session for
-// hot-swap at its machine's next block boundary.
-func (ms *moduleState) onTierUp(name string, nf *codegen.NativeFunc) {
-	ms.mu.Lock()
-	if ms.done2 == nil {
-		ms.done2 = make(map[string]*codegen.NativeFunc)
-	}
-	ms.done2[name] = nf
-	subs := append([]*Session(nil), ms.subs...)
-	ms.mu.Unlock()
-	ms.sys.tele.Events().Emit(telemetry.EvTranslateEnd, "tier2:"+name, 0)
-	for _, s := range subs {
-		s.enqueueSwap(nf)
-	}
-}
-
-// subscribe registers a session for tier-up hot-swap delivery and
-// replays any translations that finished before it existed.
-func (ms *moduleState) subscribe(s *Session) {
-	ms.mu.Lock()
-	ms.subs = append(ms.subs, s)
-	ready := make([]*codegen.NativeFunc, 0, len(ms.done2))
-	for _, nf := range ms.done2 {
-		ready = append(ready, nf)
-	}
-	ms.mu.Unlock()
-	for _, nf := range ready {
-		s.enqueueSwap(nf)
-	}
-}
-
-// tier2For returns the best available tier-2 code for name, or nil.
+// tier2For returns name's tier-2 code translated ahead of execution, or
+// nil: what an online start that still found the native2 entry serves
+// its demands from, instead of translating it again.
 func (ms *moduleState) tier2For(name string) *codegen.NativeFunc {
-	if ms.tr2 == nil {
-		return nil
-	}
 	ms.mu.Lock()
-	nf := ms.done2[name]
-	ms.mu.Unlock()
-	if nf == nil {
-		nf = ms.loaded2[name]
-	}
-	return nf
+	defer ms.mu.Unlock()
+	return ms.loaded2[name]
 }
 
 // key names one persisted artifact of this module on this target. The
@@ -618,42 +617,48 @@ func funcsByName(funcs []*codegen.NativeFunc) map[string]*codegen.NativeFunc {
 	return m
 }
 
-// writeBack persists each tier's settled translations (demanded by any
-// session, unconsumed speculative ones, background tier-ups) merged with
-// the cache contents decoded at creation, so the next start of this
-// module, and for tier 2 of this profile, skips straight to them. It
-// never re-reads storage. Called after every run and at System.Close.
+// writeBack persists the settled translations (demanded by any session,
+// and unconsumed speculative ones) merged with the cache contents decoded
+// at creation, so the next start of this module, and for tier 2 of this
+// profile, skips straight to them: the hot functions, which translate
+// gave to tr2, go to native2 under stamp2, the rest to native. native is
+// written even when every settled function was hot, so that the next
+// start finds both entries and installs all of it up front. It never
+// re-reads storage, and when nothing settled since the last write-back
+// (every run of an offline session) it writes and allocates nothing.
+// Called after every run and at System.Close.
 func (ms *moduleState) writeBack() error {
 	if ms.sys.storage == nil {
 		return nil
 	}
 	done := ms.spec.Completed()
-	var done2 map[string]*codegen.NativeFunc
-	if ms.tr2 != nil {
-		done2 = ms.spec.CompletedTier2()
-	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	err := ms.flush("native", ms.stamp, ms.loaded, done, &ms.flushed)
-	if err2 := ms.flush("native2", ms.stamp2, ms.loaded2, done2, &ms.flushed2); err == nil {
-		err = err2
-	}
-	return err
-}
-
-// flush writes one tier's cache entry, unless nothing settled since the
-// write that set *flushed: the case after every run of an offline
-// session, which is why the key is built only past that check. The
-// caller holds ms.mu.
-func (ms *moduleState) flush(kind, stamp string, loaded, done map[string]*codegen.NativeFunc, flushed *int) error {
-	if len(done) == 0 || len(done) == *flushed {
+	if len(done) == ms.flushed {
 		return nil
 	}
-	if err := ms.writeObject(ms.key(kind), stamp, mergeForWriteBack(ms.module, loaded, done)); err != nil {
-		return err
+	settled := len(done)
+	var done2 map[string]*codegen.NativeFunc
+	for name := range ms.hot {
+		if nf := done[name]; nf != nil {
+			if done2 == nil {
+				done2 = make(map[string]*codegen.NativeFunc, len(ms.hot))
+			}
+			done2[name] = nf
+			delete(done, name)
+		}
 	}
-	*flushed = len(done)
-	return nil
+	err := ms.writeObject(ms.key("native"), ms.stamp, mergeForWriteBack(ms.module, ms.loaded, done))
+	if len(done2) > 0 {
+		err2 := ms.writeObject(ms.key("native2"), ms.stamp2, mergeForWriteBack(ms.module, ms.loaded2, done2))
+		if err == nil {
+			err = err2
+		}
+	}
+	if err == nil {
+		ms.flushed = settled
+	}
+	return err
 }
 
 // mergeForWriteBack merges previously cached translations with fresh

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"llva/internal/codegen"
 	"llva/internal/llee/pipeline"
@@ -44,10 +43,10 @@ func seedGuestProfile(t *testing.T, st Storage, d *target.Desc) (string, uint64)
 	return out.String(), cycles
 }
 
-// hotFuncCount decodes the persisted guest profile and reports how many
-// functions clear the tier-2 hotness bar — the expected number of
-// background tier-ups.
-func hotFuncCount(t *testing.T, st Storage, module string, d *target.Desc) int {
+// hotFuncs decodes the persisted guest profile and reports which
+// functions clear the tier-2 hotness bar: the ones a WithTier2 System
+// translates at tier 2, once each.
+func hotFuncs(t *testing.T, st Storage, module string, d *target.Desc) map[string]bool {
 	t.Helper()
 	data, _, ok, err := st.Read("guestprof:" + module + ":" + d.Name)
 	if err != nil || !ok {
@@ -57,7 +56,48 @@ func hotFuncCount(t *testing.T, st Storage, module string, d *target.Desc) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(art.HotFuncs(tier2MinShare))
+	hot := make(map[string]bool)
+	for _, fs := range art.HotFuncs(tier2MinShare) {
+		hot[fs.Name] = true
+	}
+	if len(hot) == 0 {
+		t.Fatal("no hot functions in the seeded profile")
+	}
+	return hot
+}
+
+// seedCodeCold is seedGuestProfile followed by the loss of the tier-1
+// code cache (an eviction that spared the small, recently read profile):
+// the next System starts profile-warm and code-cold.
+func seedCodeCold(t *testing.T, st *MemStorage, d *target.Desc) (ref string, tier1 uint64) {
+	t.Helper()
+	ref, tier1 = seedGuestProfile(t, st, d)
+	if err := st.Delete("native:hot.c:" + d.Name); err != nil {
+		t.Fatal(err)
+	}
+	return ref, tier1
+}
+
+// settledHot reports how many of the translations s's System settled
+// are of hot functions. Not every hot function need be among them:
+// tier 2 may have inlined one into its only caller, which then never
+// demands it, and speculation may or may not have got to it.
+func settledHot(s *Session, hot map[string]bool) (n int) {
+	for name := range s.ms.spec.Completed() {
+		if hot[name] {
+			n++
+		}
+	}
+	return n
+}
+
+// jitRequests returns the names of reg's JITRequest events, in order.
+func jitRequests(reg *telemetry.Registry) []string {
+	var names []string
+	for _, ev := range reg.Events().Find(telemetry.EvJITRequest) {
+		names = append(names, ev.Name)
+	}
+	return names
 }
 
 // TestTier2WarmStartUsesOptimizedCode: with both the tier-1 cache and a
@@ -133,91 +173,76 @@ func TestTier2WarmStartUsesOptimizedCode(t *testing.T) {
 	t.Logf("cycles: tier-1 %d -> tier-2 %d", baseCycles, optCycles)
 }
 
-// waitTierUps blocks until the background workers finished n tier-up
-// translations (they run on, and synchronize through, the speculator's
-// worker pool; the machine installs them later, at block boundaries).
-func waitTierUps(t *testing.T, reg *telemetry.Registry, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for reg.CounterValue(pipeline.MetricTierUps) < uint64(n) {
-		if time.Now().After(deadline) {
-			t.Fatalf("tier-ups stalled: %d of %d after 10s",
-				reg.CounterValue(pipeline.MetricTierUps), n)
+// TestTier2OnlineFirstCall: on a profile-warm, code-cold start a hot
+// function is translated at tier 2 the first time it is called. The
+// first run is already cheaper than tier 1, no installed code is ever
+// replaced, and, since nothing on the way reads the host clock, two
+// fresh Systems over two identically seeded stores retire the same
+// cycles.
+func TestTier2OnlineFirstCall(t *testing.T) {
+	var first [2]uint64
+	for i := range first {
+		st := NewMemStorage()
+		ref, tier1 := seedCodeCold(t, st, target.VX86)
+		m, err := compileHot(t)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		hot := hotFuncs(t, st, m.Name, target.VX86)
+
+		reg := telemetry.New()
+		sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(true))
+		var out strings.Builder
+		s, err := sys.NewSession(m, target.VX86, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.CacheHit() {
+			t.Fatal("code-cold start hit the tier-1 cache")
+		}
+		r, err := s.Run(context.Background(), "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != ref {
+			t.Errorf("output = %q, want %q", out.String(), ref)
+		}
+		if r.Cycles >= tier1 {
+			t.Errorf("first run is not cheaper than tier 1: %d vs %d cycles", r.Cycles, tier1)
+		}
+		if n := s.Machine().Stats.Replacements; n != 0 {
+			t.Errorf("%d installed functions were replaced, want 0", n)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Every hot function that was translated was translated by tr2.
+		if got, want := reg.CounterValue(codegen.MetricTier2Funcs), settledHot(s, hot); want == 0 || got != uint64(want) {
+			t.Errorf("%s = %d, want %d (> 0)", codegen.MetricTier2Funcs, got, want)
+		}
+		first[i] = r.Cycles
+		t.Logf("start %d: tier-1 %d -> first run %d cycles (%d hot funcs)", i, tier1, r.Cycles, len(hot))
+	}
+	if first[0] != first[1] {
+		t.Errorf("two identically seeded code-cold starts retired %d and %d cycles", first[0], first[1])
 	}
 }
 
-// TestTier2HotSwapReplacesTier1: on an online start (guest profile
-// present, no tier-1 cache), the first run JIT-compiles at tier 1 and
-// queues the hot functions for background tier-up; the finished
-// translations hot-swap over the installed tier-1 code, so the second
-// run of the same session is cheaper — with byte-identical output.
-func TestTier2HotSwapReplacesTier1(t *testing.T) {
-	st := NewMemStorage()
-	ref, _ := seedGuestProfile(t, st, target.VX86)
-	m, err := minic.Compile("hot.c", hotProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop the tier-1 cache so the next system starts online.
-	if err := st.Delete("native:" + m.Name + ":" + target.VX86.Name); err != nil {
-		t.Fatal(err)
-	}
-	hot := hotFuncCount(t, st, m.Name, target.VX86)
-	if hot == 0 {
-		t.Fatal("no hot functions in the seeded profile")
-	}
-
-	reg := telemetry.New()
-	sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(true))
-	defer sys.Close()
-	var out strings.Builder
-	s, err := sys.NewSession(m, target.VX86, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := s.Run(context.Background(), "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTierUps(t, reg, hot)
-	r2, err := s.Run(context.Background(), "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != ref+ref {
-		t.Errorf("output across hot-swap = %q, want %q", out.String(), ref+ref)
-	}
-	if s.Machine().Stats.Replacements == 0 {
-		t.Error("hot-swap never replaced installed tier-1 code")
-	}
-	if r2.Cycles >= r1.Cycles {
-		t.Errorf("post-swap run is not cheaper: %d -> %d cycles", r1.Cycles, r2.Cycles)
-	}
-	if got := reg.CounterValue(codegen.MetricTier2Funcs); got != uint64(hot) {
-		t.Errorf("%s = %d, want %d", codegen.MetricTier2Funcs, got, hot)
-	}
-	t.Logf("run cycles: %d -> %d (%d hot funcs, %d replacements)",
-		r1.Cycles, r2.Cycles, hot, s.Machine().Stats.Replacements)
-}
-
-// TestTier2ConcurrentSessions: 8 sessions racing background tier-up
-// must each keep producing the reference output, while the system
-// translates each hot function at tier 2 exactly once (singleflight),
-// and no session installs a given tier-2 function more than once.
-// Run under -race by CI (make race-tier2).
+// TestTier2ConcurrentSessions: 8 sessions of one code-cold WithTier2
+// System demand the same functions at once. Each must produce the
+// reference output; the System translates each demanded function exactly
+// once, the hot ones at tier 2 and never at tier 1 (singleflight, with
+// the translator chosen before the flight starts); no session ever has
+// installed code replaced; and every run of every session retires the
+// same cycles, whichever session's demand did the translating.
 func TestTier2ConcurrentSessions(t *testing.T) {
 	st := NewMemStorage()
-	ref, _ := seedGuestProfile(t, st, target.VX86)
-	m, err := minic.Compile("hot.c", hotProg)
+	ref, _ := seedCodeCold(t, st, target.VX86)
+	m, err := compileHot(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Delete("native:" + m.Name + ":" + target.VX86.Name); err != nil {
-		t.Fatal(err)
-	}
-	hot := hotFuncCount(t, st, m.Name, target.VX86)
+	hot := hotFuncs(t, st, m.Name, target.VX86)
 
 	reg := telemetry.New()
 	sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(true))
@@ -231,19 +256,19 @@ func TestTier2ConcurrentSessions(t *testing.T) {
 		}
 		sess[i] = s
 	}
+	var cycles [sessions][2]uint64
 	var wg sync.WaitGroup
 	for i := range sess {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Two runs per session: the second drains any tier-up
-			// deliveries that arrived while the machine was idle, so
-			// swapped and unswapped executions interleave freely.
-			for run := 0; run < 2; run++ {
-				if _, err := sess[i].Run(context.Background(), "main"); err != nil {
+			for run := range cycles[i] {
+				r, err := sess[i].Run(context.Background(), "main")
+				if err != nil {
 					t.Errorf("session %d run %d: %v", i, run, err)
 					return
 				}
+				cycles[i][run] = r.Cycles
 			}
 		}(i)
 	}
@@ -252,27 +277,164 @@ func TestTier2ConcurrentSessions(t *testing.T) {
 		if outs[i].String() != ref+ref {
 			t.Errorf("session %d: output = %q, want %q", i, outs[i].String(), ref+ref)
 		}
-	}
-	// Exactly-once tier-up system-wide: every hot function was demanded
-	// by all 8 sessions, but the singleflight key collapses the 8 TierUp
-	// requests into one background translation each.
-	if got := reg.CounterValue(pipeline.MetricTierUps); got != uint64(hot) {
-		t.Errorf("%s = %d, want %d", pipeline.MetricTierUps, got, hot)
-	}
-	if got := reg.CounterValue(codegen.MetricTier2Funcs); got != uint64(hot) {
-		t.Errorf("%s = %d, want %d", codegen.MetricTier2Funcs, got, hot)
-	}
-	// Exactly-once installation per session: a function is either served
-	// at tier 2 directly on demand (no replacement) or swapped over its
-	// tier-1 installation once — never twice. Which of the two happens
-	// per function is a benign timing race.
-	for i := range sess {
-		if n := sess[i].Machine().Stats.Replacements; n > uint64(hot) {
-			t.Errorf("session %d: %d replacements for %d hot funcs", i, n, hot)
+		if cycles[i] != cycles[0] {
+			t.Errorf("session %d retired %v cycles per run, session 0 %v", i, cycles[i], cycles[0])
+		}
+		if n := sess[i].Machine().Stats.Replacements; n != 0 {
+			t.Errorf("session %d: %d installed functions were replaced, want 0", i, n)
 		}
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Speculation is on, so a function may have been translated by a
+	// worker rather than by one of the 8 demands for it; either way once,
+	// and the hot ones by tr2.
+	settled := sess[0].ms.spec.Completed()
+	for _, name := range jitRequests(reg) {
+		if settled[name] == nil {
+			t.Errorf("%s was demanded and has no settled translation", name)
+		}
+	}
+	translated := reg.CounterValue(MetricTranslations) + reg.CounterValue(pipeline.MetricSpecTranslated)
+	if translated != uint64(len(settled)) {
+		t.Errorf("%d translations for %d distinct functions", translated, len(settled))
+	}
+	if got, want := reg.CounterValue(codegen.MetricTier2Funcs), settledHot(sess[0], hot); want == 0 || got != uint64(want) {
+		t.Errorf("%s = %d, want %d (> 0)", codegen.MetricTier2Funcs, got, want)
+	}
+}
+
+// TestTier2OnlineWriteBack: what an online tier-2 run translated is
+// written back split by tier, hot functions to native2 and the rest to
+// native, so the next WithTier2 start hits both entries, translates
+// nothing and installs all of it before the run; and a plain start over
+// the same store, which may not use native2, demands exactly the hot
+// functions once and is fully warm on the start after.
+func TestTier2OnlineWriteBack(t *testing.T) {
+	st := NewMemStorage()
+	ref, tier1 := seedCodeCold(t, st, target.VX86)
+	m, err := compileHot(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := hotFuncs(t, st, m.Name, target.VX86)
+	start := func(tier2 bool) (*telemetry.Registry, *Session, uint64) {
+		t.Helper()
+		m, err := compileHot(t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.New()
+		sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(tier2))
+		var out strings.Builder
+		s, err := sys.NewSession(m, target.VX86, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Run(context.Background(), "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != ref {
+			t.Errorf("tier2=%v: output = %q, want %q", tier2, out.String(), ref)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return reg, s, r.Cycles
+	}
+	warm := func(what string, reg *telemetry.Registry, s *Session, hits uint64) {
+		t.Helper()
+		if !s.CacheHit() {
+			t.Errorf("%s missed the tier-1 cache", what)
+		}
+		if got := reg.CounterValue(MetricCacheHits); got != hits {
+			t.Errorf("%s: %s = %d, want %d", what, MetricCacheHits, got, hits)
+		}
+		if got := reg.CounterValue(MetricTranslations) + reg.CounterValue(codegen.MetricTier2Funcs); got != 0 {
+			t.Errorf("%s translated %d functions, want 0", what, got)
+		}
+		if names := jitRequests(reg); len(names) != 0 {
+			t.Errorf("%s demanded %v: not everything cached was installed before the run", what, names)
+		}
+	}
+
+	start(true) // online: translates, writes both entries back
+
+	reg, s, cycles := start(true)
+	warm("the WithTier2 start after the online run", reg, s, 2)
+	if cycles >= tier1 {
+		t.Errorf("warm tier-2 start is not cheaper than tier 1: %d vs %d cycles", cycles, tier1)
+	}
+
+	reg, s, _ = start(false)
+	if !s.CacheHit() {
+		t.Error("plain start missed the tier-1 cache")
+	}
+	names := jitRequests(reg)
+	if len(names) != len(hot) {
+		t.Errorf("plain start demanded %v, want the %d hot functions once each", names, len(hot))
+	}
+	for _, name := range names {
+		if !hot[name] {
+			t.Errorf("plain start demanded %s, which is not hot and should have been in native", name)
+		}
+	}
+	if got := reg.CounterValue(codegen.MetricTier2Funcs); got != 0 {
+		t.Errorf("plain start translated %d functions at tier 2", got)
+	}
+
+	reg, s, _ = start(false)
+	warm("the plain start after that", reg, s, 1)
+}
+
+// TestPreloadArmsTier2: Preload on a profile-warm, code-cold module (the
+// LRU evicted the code, not the profile) translates the hot functions at
+// tier 2 along with the whole module at tier 1, as a cache-warm start
+// would have, and its sessions run that code.
+func TestPreloadArmsTier2(t *testing.T) {
+	preloaded := func(tier2 bool) (*telemetry.Registry, *Session, uint64, int) {
+		t.Helper()
+		st := NewMemStorage()
+		ref, _ := seedCodeCold(t, st, target.VX86)
+		m, err := compileHot(t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.New()
+		sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(tier2))
+		defer sys.Close()
+		if err := sys.Preload(m, target.VX86); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		s, err := sys.NewSession(m, target.VX86, &out, WithReuse(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Resettable() {
+			t.Errorf("tier2=%v: session of a preloaded module is not reusable", tier2)
+		}
+		r, err := s.Run(context.Background(), "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != ref {
+			t.Errorf("tier2=%v: output = %q, want %q", tier2, out.String(), ref)
+		}
+		return reg, s, r.Cycles, len(hotFuncs(t, st, m.Name, target.VX86))
+	}
+	_, _, plain, _ := preloaded(false)
+	reg, s, cycles, hot := preloaded(true)
+	if got := reg.CounterValue(codegen.MetricTier2Funcs); got != uint64(hot) {
+		t.Errorf("%s = %d, want %d", codegen.MetricTier2Funcs, got, hot)
+	}
+	if len(s.ms.loaded2) != hot {
+		t.Errorf("%d tier-2 functions loaded, want %d", len(s.ms.loaded2), hot)
+	}
+	if cycles >= plain {
+		t.Errorf("preloaded tier-2 session is not cheaper than a plain one: %d vs %d cycles", cycles, plain)
 	}
 }
 

@@ -46,7 +46,7 @@ const maxBlockInstrs = 64
 // O(1/chunk) allocations instead of one block struct plus log2(len)
 // append-growth reallocations per block. Invalidated blocks are dropped
 // from the map but their arena storage is reclaimed only when the
-// machine itself dies — bounded by SMC/tier-up activity, which is rare
+// machine itself dies — bounded by SMC activity, which is rare
 // by the §3.5 contract.
 const (
 	blockChunkLen = 64

@@ -252,13 +252,6 @@ func (mc *Machine) loop() error {
 		if mc.prof != nil && mc.Stats.Instrs >= mc.profNext {
 			mc.takeSample()
 		}
-		// Tier-up hot swap: pending optimized code is installed here,
-		// between blocks, so replacement never races guest execution.
-		// Off (no OnSwap), this is one nil compare per block.
-		if mc.OnSwap != nil && mc.swapPend.Load() {
-			mc.swapPend.Store(false)
-			mc.OnSwap()
-		}
 	}
 }
 

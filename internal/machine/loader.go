@@ -10,7 +10,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"llva/internal/codegen"
 	"llva/internal/core"
@@ -99,15 +98,6 @@ type Machine struct {
 	// OnJIT is invoked when a lazy stub is hit; it must install the
 	// function's code (via InstallCode) and return its entry address.
 	OnJIT func(name string) (uint64, error)
-	// OnSwap is invoked on the machine's own goroutine at the next block
-	// boundary after RequestSwap, so background tier-up can hand
-	// optimized code to the machine without racing the run: the callback
-	// installs replacements via InstallCode while no guest instruction
-	// is in flight.
-	OnSwap func()
-	// swapPend is armed by RequestSwap (any goroutine) and drained by
-	// loop() on the machine goroutine.
-	swapPend atomic.Bool
 	// OnIntrinsic handles llva.* intrinsic calls not implemented by the
 	// machine itself (smc, storage). args are raw words.
 	OnIntrinsic func(name string, args []uint64) (uint64, error)
@@ -343,13 +333,6 @@ func (mc *Machine) InstallCode(nf *codegen.NativeFunc) (uint64, error) {
 	mc.funcCode = append(mc.funcCode, codeRange{name: nf.Name, lo: addr, hi: hi})
 	return addr, nil
 }
-
-// RequestSwap asks the machine to run its OnSwap callback at the next
-// block boundary. Safe to call from any goroutine; the callback itself
-// always runs on the machine goroutine (or at the start of the next Run
-// if the machine is idle — see llee.Session). Requests coalesce: N
-// requests before the next boundary produce one callback.
-func (mc *Machine) RequestSwap() { mc.swapPend.Store(true) }
 
 // bind makes addr the current code address of name. Older addresses (the
 // stub, or superseded translations) keep their reverse mapping: code at

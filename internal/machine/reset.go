@@ -12,7 +12,7 @@ import (
 // segment covers the static data image and every installed code byte,
 // and arming memory's dirty-page tracking from here makes Reset cost
 // proportional to what each run actually touches. A machine that keeps
-// installing code after Seal (online JIT, tier-up hot-swap) must not be
+// installing code after Seal (online JIT, SMC) must not be
 // reset — the execution manager never seals those.
 func (mc *Machine) Seal() error {
 	base := mc.dataImage.Base
@@ -44,7 +44,6 @@ func (mc *Machine) Reset() int {
 	mc.privileged = true
 	mc.lastCrash = nil
 	mc.profNext = 0
-	mc.swapPend.Store(false)
 	mc.Stats = ExecStats{}
 	mc.teleFlushed = ExecStats{}
 	return n

@@ -28,8 +28,7 @@ type ExecStats struct {
 	BlockInvalidations uint64
 
 	// Replacements counts InstallCode calls that superseded an earlier
-	// installation of the same function (SMC replacement, tier-2
-	// hot-swap).
+	// installation of the same function (SMC replacement).
 	Replacements uint64
 }
 
