@@ -469,7 +469,7 @@ func BenchmarkParallelTranslate(b *testing.B) {
 			for _, workers := range []int{1, 2, 4, 8} {
 				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, err := pipeline.TranslateModule(tr, workers, nil); err != nil {
+						if _, err := pipeline.TranslateModule(m, target.VX86, tr.TranslateFunction, workers, nil); err != nil {
 							b.Fatal(err)
 						}
 					}

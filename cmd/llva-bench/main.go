@@ -271,7 +271,7 @@ func Measure(w *workloads.Workload, optimize bool, workers int, tier2 bool) (*Ro
 	if err != nil {
 		return nil, err
 	}
-	objS, err := pipeline.TranslateModule(trS, workers, nil)
+	objS, err := pipeline.TranslateModule(m, target.VSPARC, trS.TranslateFunction, workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +286,7 @@ func Measure(w *workloads.Workload, optimize bool, workers int, tier2 bool) (*Ro
 		return nil, err
 	}
 	start := time.Now()
-	objX, err := pipeline.TranslateModule(trX, workers, nil)
+	objX, err := pipeline.TranslateModule(m, target.VX86, trX.TranslateFunction, workers, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -120,7 +120,12 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 		hmOrig[bb] = heat[i]
 	}
 
-	t.inlineHot(clone, hm)
+	// A module that can replace its functions at run time (Section 3.4)
+	// keeps every call a call: an inlined copy of a callee would go on
+	// running after llva.smc.replace replaced the callee.
+	if t.m.Function("llva.smc.replace") == nil {
+		t.inlineHot(clone, hm)
+	}
 	perm, nSuper, nDup := formSuperblocks(clone, hm)
 
 	if core.VerifyFunction(clone) != nil {

@@ -31,6 +31,7 @@ import (
 
 	"llva/internal/codegen"
 	"llva/internal/core"
+	"llva/internal/target"
 	"llva/internal/telemetry"
 )
 
@@ -70,24 +71,25 @@ func Workers(n int) int {
 	return n
 }
 
-// TranslateModule compiles every defined function of tr's module across
-// a pool of workers. The returned object is byte-identical to the one
-// produced by tr.TranslateModule: functions appear in module order and
-// each translation is independent of the others. On error, the first
-// failing function in module order is reported. A nil registry records
-// into a private one.
-func TranslateModule(tr *codegen.Translator, workers int, reg *telemetry.Registry) (*codegen.NativeObject, error) {
+// TranslateModule runs translate over every defined function of m across
+// a pool of workers and returns what it produced for target d. With a
+// Translator's TranslateFunction the object is byte-identical to that
+// Translator's TranslateModule: functions appear in module order and each
+// translation is independent of the others. translate may return a nil
+// function to leave one out (a caller that already holds its code). On
+// error, the first failing function in module order is reported. A nil
+// registry records into a private one.
+func TranslateModule(m *core.Module, d *target.Desc, translate func(*core.Function) (*codegen.NativeFunc, error), workers int, reg *telemetry.Registry) (*codegen.NativeObject, error) {
 	if reg == nil {
 		reg = telemetry.New()
 	}
-	m := tr.Module()
 	var fns []*core.Function
 	for _, f := range m.Functions {
 		if !f.IsDeclaration() {
 			fns = append(fns, f)
 		}
 	}
-	obj := &codegen.NativeObject{TargetName: tr.Target().Name, Module: m.Name}
+	obj := &codegen.NativeObject{TargetName: d.Name, Module: m.Name}
 	workers = Workers(workers)
 	if workers > len(fns) {
 		workers = len(fns)
@@ -96,49 +98,43 @@ func TranslateModule(tr *codegen.Translator, workers int, reg *telemetry.Registr
 		return obj, nil
 	}
 	reg.Gauge(MetricWorkers).Set(int64(workers))
-	if workers <= 1 {
-		h := reg.Histogram(MetricTranslateNS, "worker", "0")
-		for _, f := range fns {
-			start := time.Now()
-			nf, err := tr.TranslateFunction(f)
-			h.Observe(time.Since(start).Nanoseconds())
-			if err != nil {
-				return nil, translateErr(f.Name(), err)
-			}
-			obj.Add(nf)
-		}
-		return obj, nil
-	}
 
 	// Work-stealing over an atomic index; results land in their module-
 	// order slot so the output ordering is deterministic regardless of
-	// which worker finishes first.
+	// which worker finishes first. One worker runs on the caller's
+	// goroutine.
 	results := make([]*codegen.NativeFunc, len(fns))
 	errs := make([]error, len(fns))
 	var next atomic.Int64
+	work := func(w int) {
+		h := reg.Histogram(MetricTranslateNS, "worker", strconv.Itoa(w))
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(fns) {
+				return
+			}
+			start := time.Now()
+			results[i], errs[i] = translate(fns[i])
+			h.Observe(time.Since(start).Nanoseconds())
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := reg.Histogram(MetricTranslateNS, "worker", strconv.Itoa(w))
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(fns) {
-					return
-				}
-				start := time.Now()
-				results[i], errs[i] = tr.TranslateFunction(fns[i])
-				h.Observe(time.Since(start).Nanoseconds())
-			}
+			work(w)
 		}(w)
 	}
+	work(0)
 	wg.Wait()
 	for i := range fns {
 		if errs[i] != nil {
 			return nil, translateErr(fns[i].Name(), errs[i])
 		}
-		obj.Add(results[i])
+		if results[i] != nil {
+			obj.Add(results[i])
+		}
 	}
 	return obj, nil
 }

@@ -71,7 +71,7 @@ func TestParallelTranslateDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 4, 8} {
-					par, err := TranslateModule(tr, workers, nil)
+					par, err := TranslateModule(m, d, tr.TranslateFunction, workers, nil)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -144,7 +144,7 @@ func TestConcurrentDemandSingleFlight(t *testing.T) {
 					performed[i].Add(1)
 				}
 				results[g] = append(results[g], nf)
-				s.EnqueueCallees(f, nil)
+				s.EnqueueCallees(f, nil, func(string) bool { return false })
 			}
 		}(g)
 	}

@@ -204,9 +204,15 @@ func (s *Speculator) Completed() map[string]*codegen.NativeFunc {
 }
 
 // EnqueueCallees queues f's static callees for ahead-of-time
-// translation, hottest-first when profile weights are available.
-func (s *Speculator) EnqueueCallees(f *core.Function, weights map[string]uint64) {
-	callees := Callees(f)
+// translation, hottest-first when profile weights are available, leaving
+// out those the caller reports it already holds code for.
+func (s *Speculator) EnqueueCallees(f *core.Function, weights map[string]uint64, held func(name string) bool) {
+	var callees []*core.Function
+	for _, c := range Callees(f) {
+		if !held(c.Name()) {
+			callees = append(callees, c)
+		}
+	}
 	if len(weights) > 0 {
 		sort.SliceStable(callees, func(i, j int) bool {
 			return weights[callees[i].Name()] > weights[callees[j].Name()]

@@ -429,3 +429,82 @@ func TestSpeculativeAndSequentialRunsAgree(t *testing.T) {
 		t.Errorf("warm sequential run translated %d functions, want 0", n)
 	}
 }
+
+// TestSpeculationSkipsCachedCode: on a start over a partial cache, the
+// callees of a demanded function whose code came from the cache and is
+// already installed are not speculated on. Translating them again would
+// only ever be waste: nothing demands an installed function.
+func TestSpeculationSkipsCachedCode(t *testing.T) {
+	m, err := minic.Compile("chain.c", chainProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewMemStorage()
+	seed := NewSystem(WithStorage(st))
+	if err := seed.Preload(m, target.VX86); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Drop main and top from the cached object: mid and leaf stay.
+	key := "native:" + m.Name + ":" + target.VX86.Name
+	data, stamp, ok, err := st.Read(key)
+	if err != nil || !ok {
+		t.Fatalf("native entry: ok=%v err=%v", ok, err)
+	}
+	co, err := decodeCachedObject(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lacked := map[string]bool{"main": true, "top": true}
+	held := co.Funcs[:0]
+	for _, nf := range co.Funcs {
+		if !lacked[nf.Name] {
+			held = append(held, nf)
+		}
+	}
+	if co.Funcs = held; len(held) != 2 {
+		t.Fatalf("%d functions left in the cached object, want mid and leaf", len(held))
+	}
+	if err := st.Write(key, stamp, encodeCachedObject(co)); err != nil {
+		t.Fatal(err)
+	}
+
+	if m, err = minic.Compile("chain.c", chainProg); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	sys := NewSystem(WithStorage(st), WithTelemetry(reg))
+	var out strings.Builder
+	sess, err := sys.NewSession(m, target.VX86, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(context.Background(), "main"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != "39\n" {
+		t.Errorf("output = %q, want %q", out.String(), "39\n")
+	}
+	for _, ev := range reg.Events().Find(telemetry.EvSpecEnqueued) {
+		if !lacked[ev.Name] {
+			t.Errorf("%s was queued for speculation: its code was in the cache", ev.Name)
+		}
+	}
+	for name := range sess.ms.spec.Completed() {
+		if !lacked[name] {
+			t.Errorf("%s was translated: its code was in the cache", name)
+		}
+	}
+	translated := reg.CounterValue(MetricTranslations) + reg.CounterValue(pipeline.MetricSpecTranslated)
+	if translated != uint64(len(lacked)) {
+		t.Errorf("%d translations, want %d (main and top)", translated, len(lacked))
+	}
+	if n := reg.CounterValue(pipeline.MetricSpecWaste); n != 0 {
+		t.Errorf("%s = %d, want 0", pipeline.MetricSpecWaste, n)
+	}
+}

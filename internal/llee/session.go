@@ -50,8 +50,8 @@ type Session struct {
 	// llva.storage.register (exposed to trap handlers/tools).
 	storageAPIAddr uint64
 	cacheHit       bool
-	// reusable is set when the session was created WithReuse on an
-	// offline module state and its machine was sealed: Reset can then
+	// reusable is set when the session was created WithReuse, installed
+	// the whole module up front and sealed its machine: Reset can then
 	// restore it to a state bit-identical to a fresh session's. An SMC
 	// redirect acquired at run time disqualifies it (Resettable).
 	reusable bool
@@ -127,39 +127,31 @@ func (sys *System) NewSession(m *core.Module, d *target.Desc, out io.Writer, opt
 	}
 	mc.OnJIT = s.onJIT
 	mc.OnIntrinsic = s.onIntrinsic
-	// Preload can flip the state offline concurrently with session
-	// creation: snapshot the mode and its object under the state lock so
-	// a session is wholly online or wholly offline, never a mix.
+	// Preload can publish more code concurrently with session creation:
+	// snapshot the object under the state lock. Whatever it holds is
+	// installed now; a function it lacks is reached through its stub and
+	// translated on its first call.
 	ms.mu.Lock()
-	online, nobj := ms.online, ms.nobj
+	nobj := ms.nobj
+	s.cacheHit = ms.cacheHit
 	ms.mu.Unlock()
-	if online {
-		// Online translation: every call goes through a stub so SMC
-		// invalidation can take effect between invocations.
-		mc.CallsViaStubs(true)
-		if err := mc.PrepareLazy(); err != nil {
+	if err := mc.LoadObject(nobj); err != nil {
+		return nil, err
+	}
+	if cfg.reuse && cfg.profiler == nil && len(nobj.Funcs) == ms.defined {
+		// All code is installed and nothing is left to translate: seal the
+		// pristine state so Reset restores exactly this machine.
+		if err := mc.Seal(); err != nil {
 			return nil, err
 		}
-	} else {
-		if err := mc.LoadObject(nobj); err != nil {
-			return nil, err
-		}
-		s.cacheHit = true
-		if cfg.reuse && cfg.profiler == nil {
-			// All code is installed and immutable from here: seal the
-			// pristine state so Reset restores exactly this machine.
-			if err := mc.Seal(); err != nil {
-				return nil, err
-			}
-			s.reusable = true
-		}
+		s.reusable = true
 	}
 	return s, nil
 }
 
 // ErrNotReusable reports a Reset on a session that cannot be reused: it
-// was not created WithReuse on an offline module state, or it acquired
-// an SMC redirect at run time.
+// was not created WithReuse with the whole module's code to install, or
+// it acquired an SMC redirect at run time.
 var ErrNotReusable = errors.New("llee: session is not reusable")
 
 // Resettable reports whether Reset would succeed: the session was
@@ -301,24 +293,26 @@ func (s *Session) CacheHit() bool { return s.cacheHit }
 // StorageAPIAddr reports the address registered via llva.storage.register.
 func (s *Session) StorageAPIAddr() uint64 { return s.storageAPIAddr }
 
-// TranslateOffline compiles the whole module into the offline cache
+// TranslateOffline completes the module's code in the offline cache
 // without executing anything (idle-time translation, Section 4.1).
 func (s *Session) TranslateOffline() error { return s.ms.translateOffline() }
 
-// IdleTimeOptimize compiles the whole module into the offline cache and,
-// when a guest profile is stored (StoreGuestProfile), its hot functions
-// at tier 2 beside it, so a later WithTier2 start translates nothing
-// (Section 4.2).
+// IdleTimeOptimize completes the module's code in the offline cache and,
+// when a guest profile is stored (StoreGuestProfile), translates its hot
+// functions at tier 2 beside it, so a later WithTier2 start translates
+// nothing (Section 4.2).
 func (s *Session) IdleTimeOptimize() (IdleStats, error) { return s.ms.idleTimeOptimize() }
 
 // onJIT translates one function on demand (honoring SMC redirects) and
-// installs its code in this session's machine. The unredirected path
-// goes through the system's shared single-flight cache: the demand
-// finds a ready translation, joins the in-flight one, or translates
-// inline — each function is translated once per system, at the tier
-// moduleState.translate picks for it, however many sessions demand it.
-// Installation always happens here, on the machine's goroutine, and
-// only llva.smc.replace ever makes a name demand code a second time.
+// installs its code in this session's machine: a function NewSession had
+// no code for, at its first call, or one llva.smc.replace invalidated,
+// at its next. The unredirected path goes through the system's shared
+// single-flight cache: the demand finds a ready translation, joins the
+// in-flight one, or translates inline — each function is translated once
+// per system, at the tier moduleState.translate picks for it, however
+// many sessions demand it. Installation always happens here, on the
+// machine's goroutine, and only llva.smc.replace ever makes a name
+// demand code a second time.
 func (s *Session) onJIT(name string) (uint64, error) {
 	body := name
 	if r, ok := s.redirect[name]; ok {
@@ -330,14 +324,6 @@ func (s *Session) onJIT(name string) (uint64, error) {
 	}
 	tele := s.sys.tele
 	tele.Events().Emit(telemetry.EvJITRequest, name, 0)
-	if body == name {
-		// Tier-2 code translated ahead of execution (decoded from the
-		// profile-stamped cache by a start that missed the tier-1 one) is
-		// served as it is: nothing is translated.
-		if nf2 := s.ms.tier2For(name); nf2 != nil {
-			return s.mc.InstallCode(nf2)
-		}
-	}
 	tele.Events().Emit(telemetry.EvTranslateStart, body, 0)
 	endTr := s.sys.tracer.Begin(int(s.id), 0, "llee", "translate:"+name, s.spanArgs())
 	start := time.Now()
@@ -379,7 +365,7 @@ func (s *Session) onJIT(name string) (uint64, error) {
 		return 0, err
 	}
 	if s.sys.speculate && body == name {
-		s.ms.spec.EnqueueCallees(f, s.ms.callWeights)
+		s.ms.spec.EnqueueCallees(f, s.ms.callWeights, s.ms.holds)
 	}
 	return addr, nil
 }

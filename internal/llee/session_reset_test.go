@@ -184,9 +184,9 @@ func TestResetTenantAccounting(t *testing.T) {
 	}
 }
 
-// TestOnlineSessionNotResettable: without Preload the module state is
-// online (lazy JIT, nondeterministic install order) — WithReuse must
-// not make such a session poolable.
+// TestOnlineSessionNotResettable: without Preload or a complete cache a
+// session has code left to translate on demand, after any seal —
+// WithReuse must not make such a session poolable.
 func TestOnlineSessionNotResettable(t *testing.T) {
 	m := compileTest(t)
 	sys := NewSystem()
@@ -246,16 +246,16 @@ entry:
 	if !sess.Resettable() {
 		t.Fatal("session not resettable before the SMC run")
 	}
-	// Preloaded states run with offline direct-call linkage (warm-cache
-	// semantics): the already-resolved call still lands in v1. The
-	// redirect map is recorded regardless — and that is what must evict
-	// the session from any pool.
+	// main's call was patched straight to v1's preloaded body; the replace
+	// makes that body unreachable, so the call lands in v2 as it does in
+	// the interpreter. The redirect map is what must evict the session
+	// from any pool.
 	res, err := sess.Run(context.Background(), "main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int32(res.Value) != 2 {
-		t.Fatalf("smc run = %d, want 2 (offline direct-call semantics)", int32(res.Value))
+	if int32(res.Value) != 3 {
+		t.Fatalf("smc run = %d, want 3 (the interpreter's result)", int32(res.Value))
 	}
 	if sess.Resettable() {
 		t.Fatal("session still resettable after acquiring an SMC redirect")
@@ -292,5 +292,84 @@ func TestResetGasRearm(t *testing.T) {
 	}
 	if out.String() != "328350\n" || res.Value != 0 {
 		t.Errorf("re-armed run: value=%d out=%q", res.Value, out.String())
+	}
+}
+
+// TestPreloadCompletesPartialCache: an online tier-2 run leaves a native
+// entry without the hot functions (they went to native2, which a plain
+// System may not use). Preload on a plain System over that store must
+// translate what is missing, so that its WithReuse sessions are sealed
+// with the whole module installed: nothing is translated after the seal,
+// and every reset run is bit-identical to a fresh session's.
+func TestPreloadCompletesPartialCache(t *testing.T) {
+	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+		t.Run(d.Name, func(t *testing.T) {
+			st := NewMemStorage()
+			ref, _ := seedCodeCold(t, st, d)
+			m, err := compileHot(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			online := NewSystem(WithStorage(st), WithTier2(true))
+			s, err := online.NewSession(m, d, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(context.Background(), "main"); err != nil {
+				t.Fatal(err)
+			}
+			if err := online.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			if m, err = compileHot(t); err != nil {
+				t.Fatal(err)
+			}
+			sys := NewSystem(WithStorage(st))
+			defer sys.Close()
+			if err := sys.Preload(m, d); err != nil {
+				t.Fatal(err)
+			}
+			var freshOut strings.Builder
+			fresh, err := sys.NewSession(m, d, &freshOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Run(context.Background(), "main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if freshOut.String() != ref {
+				t.Fatalf("fresh session printed %q, want %q", freshOut.String(), ref)
+			}
+
+			var out strings.Builder
+			sess, err := sys.NewSession(m, d, &out, WithReuse(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sess.Resettable() {
+				t.Fatal("WithReuse session of a preloaded module is not resettable")
+			}
+			for run := 0; run < 3; run++ {
+				if run > 0 {
+					out.Reset()
+					if err := sess.Reset(&out, 0, ""); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r, err := sess.Run(context.Background(), "main")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Value != want.Value || r.Instrs != want.Instrs || r.Cycles != want.Cycles || out.String() != ref {
+					t.Errorf("run %d: {v=%d i=%d c=%d} %q, fresh session {v=%d i=%d c=%d} %q", run,
+						r.Value, r.Instrs, r.Cycles, out.String(), want.Value, want.Instrs, want.Cycles, ref)
+				}
+				if n := sess.Machine().Stats.JITRequests; n != 0 {
+					t.Errorf("run %d: %d functions translated on demand after the seal", run, n)
+				}
+			}
+		})
 	}
 }

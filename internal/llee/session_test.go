@@ -419,3 +419,49 @@ func TestSessionRunUncancellableDeterministic(t *testing.T) {
 			res.Cycles, res.Instrs, mc.Stats.Cycles, mc.Stats.Instrs)
 	}
 }
+
+// TestPreloadRacesSessions: Preload may publish the module's code while
+// sessions of it are being created and are translating on demand. Every
+// session, whichever side of the publication it was created on, must
+// print the right answer, concurrent Preloads must agree, and a session
+// created afterwards installs the whole module. Run under -race by CI.
+func TestPreloadRacesSessions(t *testing.T) {
+	m, err := minic.Compile("chain.c", chainProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(WithStorage(NewMemStorage()))
+	defer sys.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if err := sys.Preload(m, target.VX86); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for run := 0; run < 4; run++ {
+				var out strings.Builder
+				s, err := sys.NewSession(m, target.VX86, &out)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := s.Run(context.Background(), "main"); err != nil || out.String() != "39\n" {
+					t.Errorf("output = %q, err = %v, want %q", out.String(), err, "39\n")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s, err := sys.NewSession(m, target.VX86, io.Discard, WithReuse(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Resettable() || !s.CacheHit() {
+		t.Errorf("session after Preload: Resettable = %v, CacheHit = %v", s.Resettable(), s.CacheHit())
+	}
+}

@@ -126,8 +126,8 @@ func WithSpeculation(on bool) SystemOption { return func(c *systemConfig) { c.sp
 // system-scoped; requires the storage API). When a stamp-valid guest
 // profile exists for a module, its hot functions are translated with
 // superblock formation and hot inlining instead of at tier 1: ahead of
-// execution on cache-warm offline starts, and at their first call (or by
-// speculation ahead of it) on online starts. Either way a function's
+// execution when the start found tier-1 code cached, and at their first
+// call (or by speculation ahead of it) otherwise. Either way a function's
 // translator is chosen before its first translation; installed code is
 // never exchanged for a better one mid-run. Tier-2 code is cached under
 // a profile-stamped key, so later starts skip straight to it.
@@ -147,13 +147,14 @@ func WithProfiler(p *prof.Profiler) SessionOption {
 	return func(c *sessionConfig) { c.profiler = p }
 }
 
-// WithReuse marks the session a candidate for pooled reuse: an offline
-// (fully pre-translated) session seals its machine after setup so
+// WithReuse marks the session a candidate for pooled reuse: a session
+// that installed code for every defined function of its module (after a
+// Preload, or from a complete cache) seals its machine after setup so
 // Session.Reset can later return it to a bit-identical pristine state
-// instead of the caller discarding it. Online sessions and sessions
-// with a profiler attached never become reusable — Resettable reports
-// the outcome. Default off: plain sessions skip the seal snapshot and
-// the per-store dirty-tracking branch.
+// instead of the caller discarding it. Sessions with anything left to
+// translate on demand and sessions with a profiler attached never become
+// reusable — Resettable reports the outcome. Default off: plain sessions
+// skip the seal snapshot and the per-store dirty-tracking branch.
 func WithReuse(on bool) SessionOption { return func(c *sessionConfig) { c.reuse = on } }
 
 // WithTenant labels a session with a tenant ID: carried on its trace
@@ -212,83 +213,79 @@ func (sys *System) Translate(m *core.Module, d *target.Desc) (*codegen.NativeObj
 	if err != nil {
 		return nil, err
 	}
-	return ms.translateModule()
+	return ms.translateModule(ms.tr.TranslateFunction)
 }
 
-// Preload makes module m's state on target d offline before any session
-// runs: the whole module is translated eagerly on the worker pool (and
-// persisted when the storage API is registered), so every subsequent
-// NewSession installs direct-call native code up front instead of
-// JITting online. This is what makes sessions poolable — only offline
-// sessions, whose installed code is immutable, can be sealed for reuse
-// (WithReuse). Without Preload, the first session of a fresh module
-// creates its state online and it stays online for the System's
-// lifetime. Idempotent and safe under concurrency; sessions created
-// before the flip stay online and remain correct.
+// Preload completes module m's code on target d before any session runs
+// (translateAhead): afterwards the state holds code for every defined
+// function, so every subsequent NewSession installs the whole module up
+// front and translates nothing on demand. This is what makes sessions
+// poolable: only a machine with nothing left to install can be sealed for
+// reuse (WithReuse). Idempotent and safe under concurrency; sessions
+// created before it keep demanding what they lack and remain correct.
 func (sys *System) Preload(m *core.Module, d *target.Desc) error {
 	ms, err := sys.state(m, d)
 	if err != nil {
 		return err
 	}
-	return ms.ensureOffline()
+	return ms.translateAhead()
 }
 
-// ensureOffline flips an online module state to offline by translating
-// the whole module now, and, when tier 2 is armed and no tier-2 code was
-// cached, its hot functions at tier 2 as a cache-warm start would. The
-// flip publishes nobj/loaded/loaded2 under ms.mu — NewSession snapshots
-// them under the same lock — and persists the translations so the next
-// process starts warm.
-func (ms *moduleState) ensureOffline() error {
+// translateAhead is translation ahead of execution (paper, Section 4.1:
+// offline, or in OS idle time, "flagging it for translation and not
+// actual execution"). It translates exactly the defined functions the
+// state holds no code for — all of them after a cold start, the rest of
+// them over a partial cache, none over a complete one — on the worker
+// pool, each once with the translator translate picks for it, writes them
+// to the cache with what the state already held when the storage API is
+// registered, and publishes them under ms.mu, where NewSession snapshots
+// what it installs.
+func (ms *moduleState) translateAhead() error {
 	ms.preMu.Lock()
 	defer ms.preMu.Unlock()
-	ms.mu.Lock()
-	online := ms.online
-	ms.mu.Unlock()
-	if !online {
+	// nobj and cacheHit change only before the state is published and
+	// below, under preMu: reading them here needs no more than that.
+	if len(ms.nobj.Funcs) == ms.defined && ms.cacheHit {
 		return nil
 	}
-	nobj, err := ms.translateModule()
+	nobj, err := ms.translateModule(func(f *core.Function) (*codegen.NativeFunc, error) {
+		if ms.holds(f.Name()) {
+			return nil, nil
+		}
+		return ms.translate(f)
+	})
 	if err != nil {
 		return err
 	}
-	// loaded2 is written only before the state is published and below,
-	// under preMu: reading it here needs no more than that.
-	loaded2 := ms.loaded2
-	if ms.tr2 != nil && len(loaded2) == 0 {
-		if loaded2, err = ms.translateHot(ms.tr2, ms.stamp2, ms.hot); err != nil {
-			return err
-		}
-	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if ms.sys.storage != nil {
-		if err := ms.writeObject(ms.key("native"), ms.stamp, nobj.Funcs); err != nil {
-			return err
-		}
+	funcs, funcs2, err := ms.store(funcsByName(nobj.Funcs))
+	if err != nil {
+		return err
 	}
-	ms.loaded2 = loaded2
-	ms.goOffline(nobj)
+	ms.loaded, ms.loaded2, ms.cacheHit = funcsByName(funcs), funcsByName(funcs2), true
+	ms.link()
 	return nil
 }
 
-// goOffline makes the state offline over the tier-1 code in nobj and
-// whatever tier-2 code is loaded. What an offline session installs up
-// front is, per module function in module order, its tier-2 code when
-// there is some, else its tier-1 code: a hot function an online tier-2
-// run cached only in native2 is installed like any other. The caller
-// holds ms.mu, or the system lock before the state is published.
-func (ms *moduleState) goOffline(nobj *codegen.NativeObject) {
-	ms.loaded = funcsByName(nobj.Funcs)
-	if len(ms.loaded2) > 0 {
-		merged := &codegen.NativeObject{TargetName: nobj.TargetName, Module: nobj.Module}
-		for _, nf := range mergeForWriteBack(ms.module, ms.loaded, ms.loaded2) {
-			merged.Add(nf)
-		}
-		nobj = merged
-	}
-	ms.nobj = nobj
-	ms.online = false
+// holds reports whether the state's table has code for name: sessions
+// install it up front, so it needs no translating, ahead of execution or
+// speculatively.
+func (ms *moduleState) holds(name string) bool {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	return ms.loaded[name] != nil || ms.loaded2[name] != nil
+}
+
+// link builds the object a session installs from the state's table: per
+// module function in module order, its tier-2 code when there is some,
+// else its tier-1 code. A hot function that a tier-2 run cached only in
+// native2 is installed like any other, and a function in neither map is
+// left to its stub. The caller holds ms.mu, or the system lock before the
+// state is published.
+func (ms *moduleState) link() {
+	ms.nobj = &codegen.NativeObject{TargetName: ms.desc.Name, Module: ms.module.Name,
+		Funcs: mergeForWriteBack(ms.module, ms.loaded, ms.loaded2)}
 }
 
 // Close flushes every module's pending write-back and stops background
@@ -320,9 +317,9 @@ func (sys *System) Close() error {
 
 // moduleState is the system-wide state of one module on one target,
 // keyed by content stamp: the translator, the shared single-flight
-// translation cache, the decoded offline-cache contents, and what the
-// persisted guest profile armed. It is created once, under the system
-// lock, before any session's machine exists.
+// translation cache, the table of code every session installs up front,
+// and what the persisted guest profile armed. It is created once, under
+// the system lock, before any session's machine exists.
 type moduleState struct {
 	sys    *System
 	module *core.Module // the canonical module copy every session executes
@@ -337,16 +334,21 @@ type moduleState struct {
 	// initializer encoding.
 	img *image.Data
 
-	// online reports no valid cached translation existed at creation:
-	// sessions JIT on demand and write translations back. online, nobj,
-	// loaded and loaded2 change at most once after creation, in
-	// ensureOffline under mu; NewSession, tier2For and writeBack read them
-	// under mu.
-	online bool
-	// nobj is the object an offline session installs (goOffline); loaded
-	// is the tier-1 cache contents it was built from, kept for write-back.
-	nobj   *codegen.NativeObject
-	loaded map[string]*codegen.NativeFunc
+	// The table of code held ahead of execution: loaded is tier-1 code by
+	// function name, decoded from the native cache entry or translated by
+	// translateAhead; loaded2 (below) the same for tier 2. nobj is the two
+	// linked into the object NewSession installs (link): nothing after a
+	// cold start, part of the module over a partial cache, all of it over a
+	// complete one or after a Preload. cacheHit reports a stamp-valid native
+	// entry was read at creation, or translateAhead has run. All four
+	// change after creation only in translateAhead, under mu; NewSession,
+	// holds and writeBack read them under mu.
+	loaded   map[string]*codegen.NativeFunc
+	nobj     *codegen.NativeObject
+	cacheHit bool
+	// defined counts the module's defined functions: a session whose
+	// object holds that many has nothing left to translate on demand.
+	defined int
 
 	// callWeights orders speculation hottest-first when a persisted
 	// guest profile (Section 4.2) was loaded: function name -> inclusive
@@ -364,11 +366,12 @@ type moduleState struct {
 	tr2    *codegen.Translator
 	hot    map[string]bool
 	// loaded2 holds tier-2 code decoded from the profile-stamped cache,
-	// or translated ahead of execution by a cache-warm start or a Preload.
+	// or translated ahead of execution by a cache-warm start or by
+	// translateAhead.
 	loaded2 map[string]*codegen.NativeFunc
 
-	// preMu serializes Preload's eager whole-module translation so
-	// concurrent Preloads of one module do the work once.
+	// preMu serializes translateAhead so concurrent Preloads of one module
+	// do the work once.
 	preMu sync.Mutex
 
 	mu      sync.Mutex
@@ -402,14 +405,19 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadModule, err)
 	}
 	tr.SetTelemetry(sys.tele)
-	ms := &moduleState{sys: sys, module: m, desc: d, stamp: stamp, tr: tr, online: true}
+	ms := &moduleState{sys: sys, module: m, desc: d, stamp: stamp, tr: tr}
+	for _, f := range m.Functions {
+		if !f.IsDeclaration() {
+			ms.defined++
+		}
+	}
 	if sys.storage != nil {
 		// The paper's translation strategy: look for a cached
 		// translation, validate its stamp, and fall back to online
 		// translation when any condition fails.
 		key := ms.key("native")
-		nobj, hit := ms.readObject(key, ms.stamp)
-		if !hit {
+		ms.loaded, ms.cacheHit = ms.readObject(key, ms.stamp)
+		if !ms.cacheHit {
 			sys.tele.Counter(MetricCacheMisses).Inc()
 			sys.tele.Events().Emit(telemetry.EvCacheMiss, key, 0)
 		}
@@ -423,15 +431,13 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 				ms.callWeights[fs.Name] = fs.Incl
 			}
 			if sys.tier2 {
-				if err := ms.initTier2(art, hit); err != nil {
+				if err := ms.initTier2(art); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if hit {
-			ms.goOffline(nobj)
-		}
 	}
+	ms.link()
 	img, err := image.Build(m, mem.NullGuard)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadModule, err)
@@ -443,10 +449,11 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 	return ms, nil
 }
 
-// translate is the online translation of f, demanded or speculative: at
-// tier 2 when the loaded profile marks f hot, else at tier 1. The
-// Speculator calls it once per function, so which code a name gets is
-// settled before its first translation and never revisited.
+// translate is the translation of a function the state holds no code
+// for, demanded, speculative or ahead of execution: at tier 2 when the
+// loaded profile marks f hot, else at tier 1. The Speculator and
+// translateAhead each call it once per function, so which code a name
+// gets is settled before its first translation and never revisited.
 func (ms *moduleState) translate(f *core.Function) (*codegen.NativeFunc, error) {
 	if ms.hot[f.Name()] {
 		return ms.tr2.TranslateFunction(f)
@@ -470,9 +477,9 @@ func (ms *moduleState) tier2Plan(art *prof.Artifact) (tr2 *codegen.Translator, s
 }
 
 // translateHot translates the hot functions with tr2 and stores them
-// under stamp2. This is tier 2 done ahead of execution: by a cache-warm
-// WithTier2 start, and by idle-time optimization so that such a start
-// finds the work done.
+// under stamp2. This is tier 2 done over tier-1 code that already exists:
+// by a WithTier2 start that found native cached, and by idle-time
+// optimization so that such a start finds the work done.
 func (ms *moduleState) translateHot(tr2 *codegen.Translator, stamp2 string, hot map[string]bool) (map[string]*codegen.NativeFunc, error) {
 	funcs := make(map[string]*codegen.NativeFunc, len(hot))
 	for _, f := range ms.module.Functions {
@@ -496,33 +503,21 @@ func (ms *moduleState) translateHot(tr2 *codegen.Translator, stamp2 string, hot 
 
 // initTier2 arms tier 2 under the persisted guest profile art: the
 // translator, the hot set, and the code. The code comes from the
-// profile-stamped native2 cache when valid, or, on a warm tier-1 start
-// (warm), where demand translation never runs, from translating the hot
+// profile-stamped native2 cache when valid, or, when the native entry was
+// a hit, whose functions are never demanded, from translating the hot
 // functions now, under the system lock, so every session of this module
-// state sees the same optimized code. On an online start there is no
+// state sees the same optimized code. After a native miss there is no
 // code yet: translate produces it as functions are demanded. Runs once
 // per module state.
-func (ms *moduleState) initTier2(art *prof.Artifact, warm bool) (err error) {
+func (ms *moduleState) initTier2(art *prof.Artifact) (err error) {
 	if ms.tr2, ms.stamp2, ms.hot, err = ms.tier2Plan(art); err != nil {
 		return err
 	}
-	if nobj2, ok := ms.readObject(ms.key("native2"), ms.stamp2); ok {
-		ms.loaded2 = funcsByName(nobj2.Funcs)
-		return nil
-	}
-	if warm {
+	var ok bool
+	if ms.loaded2, ok = ms.readObject(ms.key("native2"), ms.stamp2); !ok && ms.cacheHit {
 		ms.loaded2, err = ms.translateHot(ms.tr2, ms.stamp2, ms.hot)
 	}
 	return err
-}
-
-// tier2For returns name's tier-2 code translated ahead of execution, or
-// nil: what an online start that still found the native2 entry serves
-// its demands from, instead of translating it again.
-func (ms *moduleState) tier2For(name string) *codegen.NativeFunc {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.loaded2[name]
 }
 
 // key names one persisted artifact of this module on this target. The
@@ -579,29 +574,26 @@ func (ms *moduleState) readStamped(key, stamp string) ([]byte, bool) {
 	return data, true
 }
 
-// readObject loads the native code cached under key, for either tier. A
-// blob that passes its stamp but does not decode is a miss as well:
-// counted, evicted, and replaced by the next write-back.
-func (ms *moduleState) readObject(key, stamp string) (*codegen.NativeObject, bool) {
+// readObject loads the native code cached under key, for either tier, by
+// function name. A blob that passes its stamp but does not decode, or was
+// translated for another target, is a miss as well: counted, evicted, and
+// replaced by the next write-back.
+func (ms *moduleState) readObject(key, stamp string) (map[string]*codegen.NativeFunc, bool) {
 	data, ok := ms.readStamped(key, stamp)
 	if !ok {
 		return nil, false
 	}
 	tele := ms.sys.tele
 	co, err := decodeCachedObject(data)
-	if err != nil {
+	if err != nil || co.TargetName != ms.desc.Name {
 		tele.Counter(MetricCacheCorrupt).Inc()
 		tele.Events().Emit(telemetry.EvCacheCorrupt, key, 0)
 		ms.evictCache(key)
 		return nil, false
 	}
-	nobj := &codegen.NativeObject{TargetName: co.TargetName, Module: co.Module}
-	for _, f := range co.Funcs {
-		nobj.Add(f)
-	}
 	tele.Counter(MetricCacheHits).Inc()
 	tele.Events().Emit(telemetry.EvCacheHit, key, 0)
-	return nobj, true
+	return funcsByName(co.Funcs), true
 }
 
 func (ms *moduleState) writeObject(key, stamp string, funcs []*codegen.NativeFunc) error {
@@ -618,15 +610,12 @@ func funcsByName(funcs []*codegen.NativeFunc) map[string]*codegen.NativeFunc {
 }
 
 // writeBack persists the settled translations (demanded by any session,
-// and unconsumed speculative ones) merged with the cache contents decoded
-// at creation, so the next start of this module, and for tier 2 of this
-// profile, skips straight to them: the hot functions, which translate
-// gave to tr2, go to native2 under stamp2, the rest to native. native is
-// written even when every settled function was hot, so that the next
-// start finds both entries and installs all of it up front. It never
+// and unconsumed speculative ones) so the next start of this module, and
+// for tier 2 of this profile, skips straight to them (store). It never
 // re-reads storage, and when nothing settled since the last write-back
-// (every run of an offline session) it writes and allocates nothing.
-// Called after every run and at System.Close.
+// (every run of a session that installed the whole module up front) it
+// writes and allocates nothing. Called after every run and at
+// System.Close.
 func (ms *moduleState) writeBack() error {
 	if ms.sys.storage == nil {
 		return nil
@@ -638,27 +627,42 @@ func (ms *moduleState) writeBack() error {
 		return nil
 	}
 	settled := len(done)
-	var done2 map[string]*codegen.NativeFunc
-	for name := range ms.hot {
-		if nf := done[name]; nf != nil {
-			if done2 == nil {
-				done2 = make(map[string]*codegen.NativeFunc, len(ms.hot))
-			}
-			done2[name] = nf
-			delete(done, name)
-		}
-	}
-	err := ms.writeObject(ms.key("native"), ms.stamp, mergeForWriteBack(ms.module, ms.loaded, done))
-	if len(done2) > 0 {
-		err2 := ms.writeObject(ms.key("native2"), ms.stamp2, mergeForWriteBack(ms.module, ms.loaded2, done2))
-		if err == nil {
-			err = err2
-		}
-	}
+	_, _, err := ms.store(done)
 	if err == nil {
 		ms.flushed = settled
 	}
 	return err
+}
+
+// store merges fresh translations into the code the state already holds
+// and, when the storage API is registered, writes the result: the hot
+// functions, which translate gave to tr2, to native2 under stamp2, the
+// rest to native. native is written even when every fresh function was
+// hot, so that the next start finds both entries and installs all of it
+// up front. It returns the two merged sets. The caller holds ms.mu.
+func (ms *moduleState) store(fresh map[string]*codegen.NativeFunc) (funcs, funcs2 []*codegen.NativeFunc, err error) {
+	var fresh2 map[string]*codegen.NativeFunc
+	for name := range ms.hot {
+		if nf := fresh[name]; nf != nil {
+			if fresh2 == nil {
+				fresh2 = make(map[string]*codegen.NativeFunc, len(ms.hot))
+			}
+			fresh2[name] = nf
+			delete(fresh, name)
+		}
+	}
+	funcs = mergeForWriteBack(ms.module, ms.loaded, fresh)
+	funcs2 = mergeForWriteBack(ms.module, ms.loaded2, fresh2)
+	if ms.sys.storage == nil {
+		return funcs, funcs2, nil
+	}
+	err = ms.writeObject(ms.key("native"), ms.stamp, funcs)
+	if len(fresh2) > 0 {
+		if err2 := ms.writeObject(ms.key("native2"), ms.stamp2, funcs2); err == nil {
+			err = err2
+		}
+	}
+	return funcs, funcs2, err
 }
 
 // mergeForWriteBack merges previously cached translations with fresh
@@ -682,13 +686,13 @@ func mergeForWriteBack(m *core.Module, cached, fresh map[string]*codegen.NativeF
 	return funcs
 }
 
-// translateModule compiles the whole module on the worker pool and
-// records the batch in telemetry.
-func (ms *moduleState) translateModule() (*codegen.NativeObject, error) {
+// translateModule runs translate over the module's defined functions on
+// the worker pool and records the batch in telemetry.
+func (ms *moduleState) translateModule(translate func(*core.Function) (*codegen.NativeFunc, error)) (*codegen.NativeObject, error) {
 	tele := ms.sys.tele
 	tele.Events().Emit(telemetry.EvTranslateStart, ms.module.Name, int64(len(ms.module.Functions)))
 	start := time.Now()
-	nobj, err := pipeline.TranslateModule(ms.tr, ms.sys.workers, tele)
+	nobj, err := pipeline.TranslateModule(ms.module, ms.desc, translate, ms.sys.workers, tele)
 	if err != nil {
 		return nil, err
 	}
@@ -696,18 +700,11 @@ func (ms *moduleState) translateModule() (*codegen.NativeObject, error) {
 	return nobj, nil
 }
 
-// translateOffline compiles the whole module and stores it in the cache
-// without executing anything — the paper's "flagging it for translation
-// and not actual execution" during OS idle time.
+// translateOffline is translateAhead for callers whose point is the
+// cache: without the storage API there is nowhere to put the result.
 func (ms *moduleState) translateOffline() error {
 	if ms.sys.storage == nil {
 		return fmt.Errorf("llee: offline translation requires the storage API")
 	}
-	nobj, err := ms.translateModule()
-	if err != nil {
-		return err
-	}
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.writeObject(ms.key("native"), ms.stamp, nobj.Funcs)
+	return ms.translateAhead()
 }

@@ -264,3 +264,85 @@ entry:
 		t.Errorf("fetch outside code segment: err = %v", err)
 	}
 }
+
+// TestInvalidateRedirectsEveryCaller: after InvalidateFunction no road
+// leads into the old body. %main reaches %f three ways, all bound to the
+// body's address at load time: a direct call (LoadObject installed %f
+// first, so the call was patched straight to it), a pointer stored in the
+// data segment, and the chained block behind the call. Once %f is
+// invalidated and a new body installed under its name, all three run the
+// new one.
+func TestInvalidateRedirectsEveryCaller(t *testing.T) {
+	const v1 = `
+%table = global [1 x long (long)*] [ long (long)* %f ]
+long %f(long %x) {
+entry:
+    %r = add long %x, 1
+    ret long %r
+}
+long %main(long %x) {
+entry:
+    %a = call long %f(long %x)
+    %slot = getelementptr [1 x long (long)*]* %table, long 0, long 0
+    %fp = load long (long)** %slot
+    %b = call long %fp(long %x)
+    %r = add long %a, %b
+    ret long %r
+}
+`
+	v2 := strings.Replace(v1, "add long %x, 1", "add long %x, 1000", 1)
+	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+		mc, _ := loadProgram(t, v1, d)
+		for run := 0; run < 2; run++ { // the second run follows chained blocks
+			if got, err := mc.Run("main", 40); err != nil || got != 82 {
+				t.Fatalf("%s: v1 main(40) = %d, %v, want 82", d.Name, got, err)
+			}
+		}
+		if n := mc.Stats.ExternCalls; n != 0 {
+			t.Fatalf("%s: %d extern calls before the invalidation: %%f was not called directly", d.Name, n)
+		}
+		if err := mc.InvalidateFunction("f"); err != nil {
+			t.Fatalf("%s: invalidate: %v", d.Name, err)
+		}
+		if _, err := mc.InstallCode(nativeFor(t, v2, "f", d)); err != nil {
+			t.Fatalf("%s: reinstall: %v", d.Name, err)
+		}
+		if got, err := mc.Run("main", 40); err != nil || got != 2080 {
+			t.Errorf("%s: patched main(40) = %d, %v, want 2080 (a caller still reached the old body)", d.Name, got, err)
+		}
+	}
+}
+
+// TestInvalidationPatchFitsPrologue: the jump InvalidateFunction writes
+// over a body's first bytes must stay inside that body's prologue, on
+// both targets, for the smallest body the translator can emit. Function
+// bodies are 16-byte aligned, so 16 bytes is the hard bound: a longer
+// patch could reach the next function. Within it, the patch may only
+// cover straight-line frame set-up: an active invocation never executes
+// its prologue again, so it never sees the overwritten bytes, and no
+// branch lands there.
+func TestInvalidationPatchFitsPrologue(t *testing.T) {
+	const smallest = `
+void %f() {
+entry:
+    ret void
+}
+`
+	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+		patch, _ := d.Encode(&target.MInstr{Op: target.MJmp}, nil)
+		if len(patch) > 16 {
+			t.Fatalf("%s: the patch is %d bytes: past the 16-byte function alignment", d.Name, len(patch))
+		}
+		body := nativeFor(t, smallest, "f", d).Code
+		for off := 0; off < len(patch); {
+			in, n, err := d.DecodeFrom(body, off)
+			if err != nil {
+				t.Fatalf("%s: the smallest body (%d bytes) ends inside the %d-byte patch: %v", d.Name, len(body), len(patch), err)
+			}
+			if isTerminator(in.Op) {
+				t.Fatalf("%s: the %d-byte patch covers a %s at offset %d of the smallest body", d.Name, len(patch), in.Op, off)
+			}
+			off += n
+		}
+	}
+}

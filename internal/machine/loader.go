@@ -125,12 +125,11 @@ type Machine struct {
 	haltAddr uint64
 
 	// loader state
-	module        *core.Module
-	dataImage     *image.Data
-	globals       map[string]uint64
-	stubNames     []string
-	stubAddr      []uint64
-	callsViaStubs bool
+	module    *core.Module
+	dataImage *image.Data
+	globals   map[string]uint64
+	stubNames []string
+	stubAddr  []uint64
 }
 
 // codeRange is one installed function body's extent in code memory.
@@ -229,13 +228,6 @@ func (mc *Machine) NameAt(addr uint64) (string, bool) {
 	return n, ok
 }
 
-// CallsViaStubs forces direct-call relocations to resolve to the callee's
-// lazy stub instead of its code address, so every call re-checks the
-// current binding. The execution manager enables it in JIT mode: it is
-// what makes self-modifying-code invalidation (Section 3.4) take effect
-// on the very next invocation.
-func (mc *Machine) CallsViaStubs(on bool) { mc.callsViaStubs = on }
-
 // stubFor returns (creating if necessary) the lazy stub of a function.
 func (mc *Machine) stubFor(name string) (uint64, error) {
 	for id, n := range mc.stubNames {
@@ -243,8 +235,7 @@ func (mc *Machine) stubFor(name string) (uint64, error) {
 			return mc.stubAddr[id], nil
 		}
 	}
-	// makeStub binds funcAddr to the stub only when the name is unbound;
-	// preserve an existing binding.
+	// makeStub binds the name to the new stub; an existing binding stays.
 	old, hadOld := mc.funcAddr[name]
 	addr, err := mc.makeStub(name)
 	if err != nil {
@@ -256,11 +247,17 @@ func (mc *Machine) stubFor(name string) (uint64, error) {
 	return addr, nil
 }
 
-// InvalidateFunction discards the current translation binding of a
-// function: the next call through its stub re-enters the JIT, and every
-// predecoded block of the function's installed bodies is evicted so no
-// chained block can re-enter the stale code. This is the machine half of
-// llva.smc.replace.
+// InvalidateFunction makes every installed body of a function
+// unreachable: the name is rebound to its stub, and the first instruction
+// of each body is overwritten with a jump to that stub, so direct callers
+// patched to a body's address, function pointers holding it and chained
+// blocks all re-enter the JIT on the next invocation (Section 3.4), while
+// an active invocation finishes on the old code. It never re-executes its
+// prologue, and the prologue is where the jump lands: every translated
+// body opens with a frame set-up longer than one MJmp on either target
+// (TestInvalidationPatchFitsPrologue). The bodies' predecoded blocks are
+// evicted so the patched bytes are decoded afresh. This is the machine
+// half of llva.smc.replace.
 func (mc *Machine) InvalidateFunction(name string) error {
 	stub, err := mc.stubFor(name)
 	if err != nil {
@@ -268,9 +265,16 @@ func (mc *Machine) InvalidateFunction(name string) error {
 	}
 	mc.bind(name, stub)
 	for _, r := range mc.funcCode {
-		if r.name == name {
-			mc.invalidateBlocks(r.lo, r.hi)
+		if r.name != name {
+			continue
 		}
+		jmp := target.MInstr{Op: target.MJmp,
+			Target: int32((int64(stub) - int64(r.lo)) / int64(mc.desc.RelBranchScale))}
+		patch, _ := mc.desc.Encode(&jmp, nil)
+		if err := mc.mem.WriteBytes(r.lo, patch); err != nil {
+			return fmt.Errorf("machine: invalidate %s: %w", name, err)
+		}
+		mc.invalidateBlocks(r.lo, r.hi)
 	}
 	return nil
 }
@@ -350,11 +354,6 @@ func (mc *Machine) resolveSym(rl target.Reloc) (uint64, error) {
 	if rl.Kind == target.RelocExt {
 		return uint64(mc.externIndex(rl.Sym)), nil
 	}
-	if rl.Kind == target.RelocCall && mc.callsViaStubs {
-		if f := mc.module.Function(rl.Sym); f != nil && !f.IsDeclaration() {
-			return mc.stubFor(rl.Sym)
-		}
-	}
 	if a, ok := mc.funcAddr[rl.Sym]; ok {
 		return a, nil
 	}
@@ -375,15 +374,36 @@ func (mc *Machine) resolveSym(rl target.Reloc) (uint64, error) {
 // undisturbed.
 func (mc *Machine) makeStub(name string) (uint64, error) {
 	id := len(mc.stubNames)
+	if mc.desc.WordSize == 4 && id > 32767 {
+		// One MMovRI carries a sign-extended 16-bit chunk on vsparc.
+		return 0, fmt.Errorf("machine: too many lazy stubs for %s", mc.desc.Name)
+	}
+	addr, err := mc.emit(JITExtern,
+		target.MInstr{Op: target.MMovRI, Rd: mc.desc.Scratch[0], Imm: int64(id)},
+		target.MInstr{Op: target.MCallExt, Sym: JITExtern})
+	if err != nil {
+		return 0, err
+	}
 	mc.stubNames = append(mc.stubNames, name)
+	mc.stubAddr = append(mc.stubAddr, addr)
+	// The stub is the function's address until real code is installed;
+	// the JIT rebinds but existing callers keep jumping through the stub,
+	// so the stub learns the real address on first use (the machine's
+	// JIT extern handler re-reads funcAddr each time).
+	mc.bind(name, addr)
+	return addr, nil
+}
+
+// emit encodes instrs, whose external calls all name extern, and places
+// them at the next aligned address of the code segment.
+func (mc *Machine) emit(extern string, instrs ...target.MInstr) (uint64, error) {
 	var code []byte
-	instrs := synthStub(mc.desc, int64(id))
 	for i := range instrs {
 		start := uint32(len(code))
 		var rl []target.Reloc
 		code, rl = mc.desc.Encode(&instrs[i], code)
 		for _, r := range rl {
-			mc.desc.Patch(code, start+r.Offset, r.Kind, uint64(mc.externIndex(JITExtern)))
+			mc.desc.Patch(code, start+r.Offset, r.Kind, uint64(mc.externIndex(extern)))
 		}
 	}
 	addr := (mc.codeEnd + 15) &^ 15
@@ -394,51 +414,25 @@ func (mc *Machine) makeStub(name string) (uint64, error) {
 		return 0, err
 	}
 	mc.codeEnd = addr + uint64(len(code))
-	mc.stubAddr = append(mc.stubAddr, addr)
-	// The stub is the function's address until real code is installed;
-	// the JIT rebinds but existing callers keep jumping through the stub,
-	// so the stub learns the real address on first use (the machine's
-	// JIT extern handler re-reads funcAddr each time).
-	mc.funcAddr[name] = addr
-	mc.addrFunc[addr] = name
 	return addr, nil
 }
 
-// synthStub builds the stub's MIR.
-func synthStub(d *target.Desc, id int64) []target.MInstr {
-	out := []target.MInstr{}
-	out = append(out, synthImmIntoMachine(d.Scratch[0], id, d)...)
-	out = append(out, target.MInstr{Op: target.MCallExt, Sym: JITExtern})
-	return out
-}
-
-// synthImmIntoMachine mirrors codegen's immediate synthesis (stub ids are
-// small, one instruction on either target).
-func synthImmIntoMachine(reg target.Reg, v int64, d *target.Desc) []target.MInstr {
-	if d.WordSize == 4 && (v < -32768 || v > 32767) {
-		panic("machine: stub id out of range")
-	}
-	if d.WordSize == 4 {
-		return []target.MInstr{{Op: target.MMovRI, Rd: reg, Imm: v & 0xffff}}
-	}
-	return []target.MInstr{{Op: target.MMovRI, Rd: reg, Imm: v}}
-}
-
-// LoadObject installs every function of a native object (offline mode).
+// LoadObject installs the functions of a native object in order, then
+// resolves the data segment's function pointers. A call to a function
+// installed earlier is patched to its code; a call to one that comes
+// later in obj, or is not in obj at all, is patched to its lazy stub, and
+// functions whose address is taken in data get stubs likewise: an object
+// may hold any part of the module, none of it included.
 func (mc *Machine) LoadObject(obj *codegen.NativeObject) error {
 	if obj.TargetName != mc.desc.Name {
 		return fmt.Errorf("machine: object targets %s, machine is %s",
 			obj.TargetName, mc.desc.Name)
 	}
-	// Two passes so direct calls resolve without stubs: first bind
-	// addresses by laying out, then install with relocation.
 	for _, nf := range obj.Funcs {
 		if _, err := mc.InstallCode(nf); err != nil {
 			return err
 		}
 	}
-	// Re-install to fix forward references that became stubs: simpler and
-	// rare — instead, pre-binding avoids it; see installAll.
 	return mc.patchDataFuncAddrs()
 }
 
@@ -482,37 +476,16 @@ func (mc *Machine) makeExternThunk(name string) (uint64, error) {
 	if a, ok := mc.funcAddr[name]; ok {
 		return a, nil
 	}
-	f := mc.module.Function(name)
 	nargs := 0
-	if f != nil {
+	if f := mc.module.Function(name); f != nil {
 		nargs = len(f.Signature().Params())
 	}
-	instrs := []target.MInstr{
-		{Op: target.MCallExt, Sym: name, NArgs: uint8(nargs)},
-		{Op: target.MRet},
-	}
-	var code []byte
-	for i := range instrs {
-		start := uint32(len(code))
-		var rl []target.Reloc
-		code, rl = mc.desc.Encode(&instrs[i], code)
-		for _, r := range rl {
-			mc.desc.Patch(code, start+r.Offset, r.Kind, uint64(mc.externIndex(name)))
-		}
-	}
-	addr := (mc.codeEnd + 15) &^ 15
-	if addr+uint64(len(code)) > mc.codeLimit {
-		return 0, fmt.Errorf("machine: code segment exhausted")
-	}
-	if err := mc.mem.WriteBytes(addr, code); err != nil {
+	addr, err := mc.emit(name,
+		target.MInstr{Op: target.MCallExt, Sym: name, NArgs: uint8(nargs)},
+		target.MInstr{Op: target.MRet})
+	if err != nil {
 		return 0, err
 	}
-	mc.codeEnd = addr + uint64(len(code))
 	mc.bind(name, addr)
 	return addr, nil
 }
-
-// PrepareLazy resolves data-segment function pointers (to lazy stubs for
-// code not yet installed) so a program can start executing in JIT mode
-// before anything has been translated.
-func (mc *Machine) PrepareLazy() error { return mc.patchDataFuncAddrs() }

@@ -7,13 +7,14 @@ import (
 )
 
 // Seal snapshots the machine's post-setup state as the pristine image a
-// later Reset returns to. Call it after all code is installed (offline
-// mode: LoadObject + data fixups) and before the first run: the sealed
-// segment covers the static data image and every installed code byte,
-// and arming memory's dirty-page tracking from here makes Reset cost
-// proportional to what each run actually touches. A machine that keeps
-// installing code after Seal (online JIT, SMC) must not be
-// reset — the execution manager never seals those.
+// later Reset returns to. Call it after LoadObject and before the first
+// run: the sealed segment covers the static data image and every
+// installed code byte, and arming memory's dirty-page tracking from here
+// makes Reset cost proportional to what each run actually touches. A
+// machine that installs or patches code after Seal (a function the
+// object lacked is translated on demand, or llva.smc.replace invalidates
+// one) must not be reset: the execution manager seals only machines
+// loaded with the whole module, and drops one that self-modified.
 func (mc *Machine) Seal() error {
 	base := mc.dataImage.Base
 	view, err := mc.mem.Bytes(base, mc.codeEnd-base)

@@ -48,8 +48,8 @@ type Config struct {
 	// Workers; negative disables pooling). Target and MemSize are fixed
 	// per server, so (module state, target, memsize) keying collapses to
 	// the module's content stamp. Only sessions llee reports Resettable
-	// — offline-translated, no SMC redirect, no profiler — are pooled;
-	// anything else is discarded after its run, never reset.
+	// — whole module installed up front, no SMC redirect, no profiler —
+	// are pooled; anything else is discarded after its run, never reset.
 	PoolSessions int
 }
 
@@ -204,12 +204,12 @@ func (s *Server) Load(req LoadRequest) (LoadResponse, error) {
 		return LoadResponse{}, fmt.Errorf("%w: %v", llee.ErrBadModule, err)
 	}
 	ent := &moduleEntry{mod: m, stamp: llee.Stamp(enc)}
-	// Translate the whole module now, before it is runnable: the module
-	// state goes offline, so every session of it installs direct-call
-	// native code at setup — the precondition for pooled reuse. Paying
-	// translation once at load is the paper's offline economics; without
-	// this, the first request would create the state online and every
-	// session would stay unpoolable for the System's lifetime.
+	// Translate the whole module now, before it is runnable: every
+	// session of it then installs all of its native code at setup and
+	// translates nothing on demand — the precondition for pooled reuse.
+	// Paying translation once at load is the paper's offline economics;
+	// without this, sessions would have code left to install after any
+	// seal and none could be pooled.
 	if err := s.cfg.System.Preload(ent.mod, s.cfg.Target); err != nil {
 		return LoadResponse{}, err
 	}
@@ -346,8 +346,8 @@ func (s *Server) poolGet(stamp string) *llee.Session {
 }
 
 // poolPut returns a finished session to the pool if it is still
-// resettable (an SMC redirect or online mode disqualifies it — such
-// sessions are evicted, never reset) and the module's list has room.
+// resettable (an SMC redirect disqualifies it — such sessions are
+// evicted, never reset) and the module's list has room.
 func (s *Server) poolPut(stamp string, sess *llee.Session) {
 	if s.poolCap == 0 || !sess.Resettable() {
 		return

@@ -45,8 +45,9 @@ func runTool(t *testing.T, bin string, args ...string) (string, string) {
 // TestToolPipeline drives the full command-line pipeline exactly as the
 // README shows: minicc -> llva-dis -> llva-as -> llva-opt -> llva-llc ->
 // llva-run (cold, then warm through the storage-API cache; sampled, then
-// idle-time optimized, then tier 2 from the cache), checking each
-// artifact flows into the next.
+// idle-time optimized, then tier 2 from the cache; a self-modifying
+// program on the interpreter, cold and warm), checking each artifact
+// flows into the next.
 func TestToolPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -148,7 +149,70 @@ int main() { print_int(fib(20)); print_nl(); return 0; }
 	if n := strings.Count(string(log), `"CacheHit"`); n != 2 || !strings.Contains(string(log), "native2:") {
 		t.Errorf("-tier2 run after -idle-optimize: %d CacheHit events, want one per code tier:\n%s", n, log)
 	}
+
+	// 8. self-modifying code (Section 3.4) means the same thing on the
+	// interpreter, on a cold start and on code loaded from the cache
+	smcSrc := filepath.Join(work, "smc.llva")
+	if err := os.WriteFile(smcSrc, []byte(smcProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	smcBC := filepath.Join(work, "smc.bc")
+	runTool(t, bins["llva-as"], "-o", smcBC, smcSrc)
+	wantSMC := "0\n8\n16\n1003\n1004\n1005\n"
+	if out, _ := runTool(t, bins["llva-run"], "-interp", smcBC); out != wantSMC {
+		t.Errorf("smc on the interpreter = %q, want %q", out, wantSMC)
+	}
+	for _, tgt := range []string{"vx86", "vsparc"} {
+		smcCache := filepath.Join(work, "smc-cache-"+tgt)
+		for _, wantHit := range []string{"cacheHit=false", "cacheHit=true"} {
+			out, stats := runTool(t, bins["llva-run"], "-target", tgt, "-cache", smcCache, "-stats", smcBC)
+			if out != wantSMC || !strings.Contains(stats, wantHit) {
+				t.Errorf("smc on %s, %s run: out=%q stats=%s, want %q", tgt, wantHit, out, stats, wantSMC)
+			}
+		}
+	}
 }
+
+// smcProgram replaces %kernel after its third call; the two bodies print
+// different numbers, so a run on stale code shows in stdout.
+const smcProgram = `
+declare void %llva.smc.replace(sbyte* %target, sbyte* %source)
+declare void %print_int(long %v)
+declare void %print_nl()
+
+long %kernel(long %x) {
+entry:
+    %r = mul long %x, 8
+    ret long %r
+}
+long %kernel.tuned(long %x) {
+entry:
+    %r = add long %x, 1000
+    ret long %r
+}
+int %main() {
+entry:
+    br label %loop
+loop:
+    %i = phi long [ 0, %entry ], [ %i2, %cont ]
+    %v = call long %kernel(long %i)
+    call void %print_int(long %v)
+    call void %print_nl()
+    %switch = seteq long %i, 2
+    br bool %switch, label %replace, label %cont
+replace:
+    %t = cast long (long)* %kernel to sbyte*
+    %s = cast long (long)* %kernel.tuned to sbyte*
+    call void %llva.smc.replace(sbyte* %t, sbyte* %s)
+    br label %cont
+cont:
+    %i2 = add long %i, 1
+    %more = setlt long %i2, 6
+    br bool %more, label %loop, label %done
+done:
+    ret int 0
+}
+`
 
 // TestTraceSmoke drives the guest observability surface end to end: a
 // loop-heavy workload runs under -trace-out and the sampling profiler,
