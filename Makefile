@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short tier1 bench bench-compare bench-smoke serve-bench serve-bench-compare fmt-check loc
+.PHONY: all build vet test race race-short tier1 cross-build bench bench-compare bench-smoke serve-bench serve-bench-compare fmt-check loc
 
 all: tier1
 
@@ -31,6 +31,16 @@ race-short:
 # full test suite under the race detector.
 tier1: vet build race
 
+# cross-build keeps what a Linux-only runner never executes from rotting
+# unseen: internal/mem's make fallback (map_other.go; Windows has no
+# anonymous mapping through package syscall) and the `unix` build tag of
+# map_unix.go on a second unix. Standard library only, nothing is
+# downloaded. ./benchmark is left out: its harness reads getrusage and
+# statfs and is unix-only by design.
+cross-build:
+	GOOS=windows GOARCH=amd64 $(GO) build ./cmd/... ./internal/... ./examples/...
+	GOOS=darwin GOARCH=amd64 $(GO) vet ./internal/mem
+
 # Regenerate the paper's Table 2 with registry-sourced telemetry,
 # archived under bench/ with the run date. Measures the tier-2
 # (profile-warm) configuration; pass BENCH_FLAGS= to drop it.
@@ -49,18 +59,20 @@ bench-compare:
 	$(GO) run ./cmd/llva-bench $(BENCH_FLAGS) -compare $(BENCH_BASELINE)
 
 # bench-smoke compiles and runs the Table 2, pipeline, cache
-# (BenchmarkCacheCodec, BenchmarkCASRead) and translator
-# (BenchmarkLower per target and tier, BenchmarkAllocLinear; their doc
-# comments give the before/after command line) benchmarks once, as a
-# CI-cheap check that the benchmarks themselves stay green (in
-# particular the block-engine execution path under Table2RunTime), plus
+# (BenchmarkCacheCodec, BenchmarkCASRead), session-start
+# (BenchmarkNewSession/-Large, BenchmarkMemNew), guest-memory-access
+# (BenchmarkLoadStore) and translator (BenchmarkLower per target and
+# tier, BenchmarkAllocLinear; their doc comments give the before/after
+# command line) benchmarks once, as a CI-cheap check that the benchmarks
+# themselves stay green (in particular the block-engine execution path
+# under Table2RunTime), plus
 # the observability smoke: a workload under -trace-out and the
 # sampling profiler whose emitted trace must be valid Perfetto-loadable
 # JSON with a complete span, and a trapping program whose crash report
 # must render. The serve smoke drives a short loadgen burst against an
 # in-process server: non-zero completions, zero 5xx.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|SpeculativeColdStart|CacheCodec|CASRead|Lower|AllocLinear' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|SpeculativeColdStart|CacheCodec|CASRead|NewSession|MemNew|LoadStore|Lower|AllocLinear' -benchtime 1x ./...
 	$(GO) test -run TestTraceSmoke .
 	$(GO) test -count=1 -run TestLoadGenSmoke ./internal/serve/
 

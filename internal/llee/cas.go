@@ -28,9 +28,11 @@ import (
 //
 // The index carries an LRU sequence per key; when a byte cap is set
 // (SetMaxBytes, llva-run -cache-max-bytes) writes evict
-// least-recently-used keys until the unique-object total fits. Reads
-// verify the object's hash before trusting it — a flipped bit is a
-// recorded miss, never bad code.
+// least-recently-used keys until the unique-object total fits, and a
+// read hit rewrites the index to record its recency, so stores sharing
+// the directory evict on each other's reads. Without a cap nothing is
+// ever evicted and a hit writes nothing. Reads verify the object's hash
+// before trusting it — a flipped bit is a recorded miss, never bad code.
 //
 // Layout under the cache directory:
 //
@@ -292,13 +294,17 @@ func (s *CASStorage) Read(key string) ([]byte, string, bool, error) {
 		s.dropCorrupt(idx, key)
 		return nil, "", false, nil
 	}
-	s.seq++
-	e.seq = s.seq
-	idx[key] = e
-	// The recency bump is best effort: on a read-only or full cache
-	// directory (a pre-populated system cache) the index cannot be
-	// rewritten, and data that just passed its hash check is still a hit.
-	_ = s.storeIndex(idx)
+	if s.maxBytes > 0 {
+		// Recency is recorded only where something can be evicted on it:
+		// without a cap a hit writes nothing. The bump is best effort: on
+		// a read-only or full cache directory (a pre-populated system
+		// cache) the index cannot be rewritten, and data that just passed
+		// its hash check is still a hit.
+		s.seq++
+		e.seq = s.seq
+		idx[key] = e
+		_ = s.storeIndex(idx)
+	}
 	s.count(MetricCASHits)
 	return blob[i+1:], string(blob[:i]), true, nil
 }

@@ -137,6 +137,115 @@ func TestCASLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCASHitDoesNotWrite: with no byte cap nothing can ever be evicted,
+// so a hit has no recency to record and touches nothing on disk: the
+// index is the same file (identity, mtime, bytes), the directory lists
+// the same names, and no temp file exists at any point (the directory's
+// own mtime would move on a create + rename).
+func TestCASHitDoesNotWrite(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	st.SetTelemetry(reg)
+	if err := st.Write("k", "s", []byte("translated once")); err != nil {
+		t.Fatal(err)
+	}
+	type state struct {
+		index, dir os.FileInfo
+		blob       string
+		names      []string
+	}
+	snap := func() state {
+		t.Helper()
+		var s state
+		var err error
+		if s.index, err = os.Stat(filepath.Join(dir, casIndexName)); err != nil {
+			t.Fatal(err)
+		}
+		if s.dir, err = os.Stat(dir); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(filepath.Join(dir, casIndexName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.blob = string(blob)
+		for _, d := range []string{dir, filepath.Join(dir, "objects")} {
+			ents, err := os.ReadDir(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				s.names = append(s.names, e.Name())
+			}
+		}
+		return s
+	}
+	before := snap()
+	for i := 0; i < 2; i++ {
+		data, stamp, ok, err := st.Read("k")
+		if err != nil || !ok || stamp != "s" || string(data) != "translated once" {
+			t.Fatalf("read %d: data=%q stamp=%q ok=%v err=%v", i, data, stamp, ok, err)
+		}
+		after := snap()
+		if !os.SameFile(before.index, after.index) || !after.index.ModTime().Equal(before.index.ModTime()) || after.blob != before.blob {
+			t.Fatalf("read %d replaced the index: mtime %v -> %v, same file %v", i,
+				before.index.ModTime(), after.index.ModTime(), os.SameFile(before.index, after.index))
+		}
+		if !after.dir.ModTime().Equal(before.dir.ModTime()) {
+			t.Errorf("read %d created or renamed something in the cache directory: mtime %v -> %v", i, before.dir.ModTime(), after.dir.ModTime())
+		}
+		if strings.Join(after.names, " ") != strings.Join(before.names, " ") {
+			t.Errorf("read %d changed the listing: %v -> %v", i, before.names, after.names)
+		}
+	}
+	if n := reg.CounterValue(MetricCASHits); n != 2 {
+		t.Errorf("hit counter = %d, want 2", n)
+	}
+}
+
+// TestCASRecencyCrossesInstances: under a byte cap a hit is still written
+// through, so a second store on the same directory (another process)
+// evicts on it. This is what the uncapped fast path must not take away.
+func TestCASRecencyCrossesInstances(t *testing.T) {
+	dir := t.TempDir()
+	reader, err := NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 102 bytes an entry, as in TestCASLRUEviction: the cap fits two.
+	reader.SetMaxBytes(250)
+	writer.SetMaxBytes(250)
+	pay := func(c byte) []byte { return []byte(strings.Repeat(string(c), 100)) }
+	for _, k := range []string{"a", "b"} {
+		if err := writer.Write(k, "s", pay(k[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// a is the older write; reading it through the other instance makes
+	// b the victim of the next write.
+	if _, _, ok, _ := reader.Read("a"); !ok {
+		t.Fatal("a missing before the recency test")
+	}
+	if err := writer.Write("c", "s", pay('c')); err != nil {
+		t.Fatal(err)
+	}
+	keys, err := writer.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(keys, " "); got != "a c" {
+		t.Errorf("keys after the capped write = %q, want \"a c\": the other instance's hit did not decide the victim", got)
+	}
+}
+
 // TestCASCorruptObject: a bit-flipped object fails hash verification
 // and reads as a miss — never as data.
 func TestCASCorruptObject(t *testing.T) {

@@ -27,8 +27,9 @@ func benchModule(b *testing.B, src string) *core.Module {
 // reuses the cached native code and the prebuilt image prototype. The
 // allocs/op column is the zero-alloc-steady-state contract — after the
 // first session the remaining allocations are the Session/Machine
-// structs, the machine address space, and the cloned image bytes; no
-// re-translation, no re-encoding, no eager tracing state.
+// structs and the cloned image bytes (the machine address space is a
+// mapping, not an allocation: mem.New); no re-translation, no
+// re-encoding, no eager tracing state.
 func BenchmarkNewSession(b *testing.B) {
 	m := benchModule(b, testProg)
 	sys := NewSystem()

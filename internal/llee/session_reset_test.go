@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -131,7 +132,9 @@ func TestResetErasesSecret(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bytes.Contains(view, needle)
+		found := bytes.Contains(view, needle)
+		runtime.KeepAlive(gm) // the view is valid while its memory is reachable
+		return found
 	}
 	if !scan() {
 		t.Fatal("sanity: secret not found in memory after tenant A's run")

@@ -93,7 +93,10 @@ const tier2MinShare = 0.02
 // (paper, Section 4.1).
 func WithStorage(s Storage) SystemOption { return func(c *systemConfig) { c.storage = s } }
 
-// WithMemSize sets a session's simulated address-space size.
+// WithMemSize sets a session's simulated address-space size (0, the
+// default, is mem.DefaultSize). Where the space is mapped (mem.New) the
+// size bounds what a guest may touch and costs nothing until it does; on
+// the make fallback every session allocates and clears all of it.
 func WithMemSize(n uint64) SessionOption { return func(c *sessionConfig) { c.memSize = n } }
 
 // WithGas sets a session's per-run gas budget in simulated cycles (0:

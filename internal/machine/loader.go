@@ -83,12 +83,14 @@ type Machine struct {
 
 	// Guest-level observability (prof.go). prof/profNext drive the
 	// deterministic virtual-PC sampler; callStack is the shadow stack
-	// of return addresses maintained while trackCalls is on; the
+	// of return addresses maintained while trackCalls is on and
+	// sampleStack its rendering for the sample being taken; the
 	// flight recorder fields capture the trap-time snapshot.
 	prof        *prof.Profiler
 	profNext    uint64
 	trackCalls  bool
 	callStack   []uint64
+	sampleStack []string
 	recordCrash bool
 	crashEvents int
 	lastCrash   *prof.CrashReport

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -213,8 +214,8 @@ func runInterp(t *testing.T, m *core.Module) (int, string) {
 	return code, out.String()
 }
 
-// runMachine translates offline and executes on the simulated processor.
-func runMachine(t *testing.T, m *core.Module, d *target.Desc) (int, string) {
+// loadModule translates offline and loads the code into a fresh machine.
+func loadModule(t *testing.T, m *core.Module, d *target.Desc) (*Machine, *strings.Builder) {
 	t.Helper()
 	tr, err := codegen.New(d, m)
 	if err != nil {
@@ -233,6 +234,13 @@ func runMachine(t *testing.T, m *core.Module, d *target.Desc) (int, string) {
 	if err := mc.LoadObject(obj); err != nil {
 		t.Fatalf("load: %v", err)
 	}
+	return mc, &out
+}
+
+// runMachine translates offline and executes on the simulated processor.
+func runMachine(t *testing.T, m *core.Module, d *target.Desc) (int, string) {
+	t.Helper()
+	mc, out := loadModule(t, m, d)
 	v, err := mc.Run("main")
 	if err != nil {
 		if _, isExit := err.(*rt.ExitError); !isExit {
@@ -373,3 +381,48 @@ func mustParseAsm(t *testing.T, src string) *core.Module {
 }
 
 func parseAsm(src string) (*core.Module, error) { return asm.Parse("test", src) }
+
+// TestMallocOverflowFaultsEverywhere: malloc of a size no address space
+// holds is the LLVA memory exception on every engine, at the same point
+// of the program. mem.Alloc used to bound brk+n with wrapping arithmetic:
+// malloc(-4096) succeeded and moved the heap break back a page, into the
+// code segment, and malloc(-1) rounded to a zero-length block; interpreter
+// and machine share that allocator, so no differential saw it.
+func TestMallocOverflowFaultsEverywhere(t *testing.T) {
+	for _, n := range []int64{-1, -4096} {
+		src := `
+int main() {
+    print_int(1); print_nl();
+    char *p = malloc(` + strconv.FormatInt(n, 10) + `);
+    print_int(2); print_nl();
+    p[0] = 7;
+    return p[0];
+}
+`
+		for label, m := range compileVariants(t, "overflow", src) {
+			var out strings.Builder
+			ip, err := interp.New(m, &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ip.RunMain()
+			// The fault names the heap break, which is where each engine's
+			// image ends; everything before it must agree.
+			want := "memory fault: alloc of " + strconv.FormatInt(n, 10) + " byte(s) at "
+			ref, ok := err.(*interp.TrapError)
+			if !ok || ref.Num != interp.TrapMemoryFault || !strings.HasPrefix(ref.Detail, want) || out.String() != "1\n" {
+				t.Errorf("malloc(%d) %s interp: err = %v, out = %q; want %q... after \"1\\n\"", n, label, err, out.String(), want)
+				continue
+			}
+			for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+				mc, mout := loadModule(t, m, d)
+				_, err := mc.Run("main")
+				te, ok := err.(*TrapError)
+				if !ok || te.Num != TrapMemoryFault || !strings.HasPrefix(te.Detail, want) || mout.String() != out.String() {
+					t.Errorf("malloc(%d) %s %s: err = %v, out = %q; want the interpreter's %q after %q",
+						n, label, d.Name, err, mout.String(), ref.Detail, out.String())
+				}
+			}
+		}
+	}
+}

@@ -73,9 +73,11 @@ func (mc *Machine) funcAt(pc uint64) (name string, lo uint64, ok bool) {
 
 // virtualStack renders the shadow call stack as function names,
 // root-first, with leafPC's function appended as the leaf frame.
-// Unattributable frames become "?" so the stack shape survives.
+// Unattributable frames become "?" so the stack shape survives. The
+// slice is the machine's scratch, valid until the next call: a sample is
+// taken every few thousand instructions and must not be garbage.
 func (mc *Machine) virtualStack(leafPC uint64) ([]string, uint64) {
-	stack := make([]string, 0, len(mc.callStack)+1)
+	stack := mc.sampleStack[:0]
 	for _, ret := range mc.callStack {
 		if n, _, found := mc.funcAt(ret); found {
 			stack = append(stack, n)
@@ -88,6 +90,7 @@ func (mc *Machine) virtualStack(leafPC uint64) ([]string, uint64) {
 		leaf, lo = "?", leafPC
 	}
 	stack = append(stack, leaf)
+	mc.sampleStack = stack
 	return stack, leafPC - lo
 }
 

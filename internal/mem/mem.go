@@ -4,12 +4,22 @@
 // segment, a heap growing upward and a stack growing downward — matching
 // the paper's model in which memory is partitioned into stack, heap and
 // global memory and all memory is explicitly allocated.
+//
+// On unix the address space is an anonymous private mapping, so the kernel
+// supplies zero pages on first touch and a Memory costs what its program
+// touches, not what it could address; a finalizer on the *Memory unmaps
+// it. That adds one rule: a view into the space (Bytes, CBytes, the
+// machine's code slice, a Seal segment until Seal has copied it) is valid
+// only while its Memory is reachable. Hold the *Memory (rt.Env and
+// machine.Machine do) for as long as a view is read, or end the last read
+// with runtime.KeepAlive.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Fault describes a memory access violation (the LLVA memory exception).
@@ -29,7 +39,9 @@ const (
 	// access below this address faults, implementing null-pointer
 	// detection.
 	NullGuard = 0x1000
-	// DefaultSize is the default address-space size (64 MiB).
+	// DefaultSize is the default address-space size (64 MiB). Where the
+	// space is mapped (see New) that is address range, not memory: an
+	// untouched page is never resident.
 	DefaultSize = 64 << 20
 	// PageShift/PageSize set the dirty-tracking granularity (Seal/Reset):
 	// one bit per 4 KiB page.
@@ -76,15 +88,30 @@ type Memory struct {
 	sealFree      map[int][]uint64  // nil when all free lists were empty at Seal
 }
 
+// mapBytes is New's source of demand-zero address space; a variable so
+// the tests can drive the make fallback over the whole suite.
+var mapBytes = mapAnon
+
 // New creates a memory of the given size (0 means DefaultSize) with the
 // given byte order. The heap initially starts right after the null guard;
 // call SetHeapStart after loading static segments.
+//
+// The space is demand-zero where the platform maps it (unix): New costs
+// microseconds and a few hundred bytes at any size, and a page costs
+// memory from its first touch until the Memory is collected. Elsewhere,
+// or when the mapping is refused, the whole size is allocated and cleared
+// here.
 func New(size uint64, littleEndian bool) *Memory {
 	if size == 0 {
 		size = DefaultSize
 	}
+	data, err := mapBytes(size)
+	mapped := err == nil
+	if !mapped {
+		data = make([]byte, size)
+	}
 	m := &Memory{
-		data:      make([]byte, size),
+		data:      data,
 		little:    littleEndian,
 		heapStart: NullGuard,
 		brk:       NullGuard,
@@ -92,6 +119,9 @@ func New(size uint64, littleEndian bool) *Memory {
 		sp:        size,
 		free:      make(map[int][]uint64),
 		blockSize: make(map[uint64]uint64),
+	}
+	if mapped {
+		runtime.SetFinalizer(m, func(m *Memory) { unmap(m.data) })
 	}
 	return m
 }
@@ -313,6 +343,11 @@ func (m *Memory) Alloc(n uint64) (uint64, error) {
 	if n == 0 {
 		n = 1
 	}
+	// Nothing larger than the space fits, and refusing it here keeps the
+	// rounding below from wrapping (malloc(-1) would round to 0).
+	if n > uint64(len(m.data)) {
+		return 0, &Fault{Addr: m.brk, Size: int(n), Op: "alloc"}
+	}
 	if c := sizeClass(n); c >= 0 {
 		if lst := m.free[c]; len(lst) > 0 {
 			addr := lst[len(lst)-1]
@@ -329,8 +364,10 @@ func (m *Memory) Alloc(n uint64) (uint64, error) {
 	} else {
 		n = (n + 15) &^ 15
 	}
+	// The bound is on the room left, never on addr+n, which a guest's
+	// malloc(-4096) wraps to just below brk.
 	addr := m.brk
-	if addr+n > m.sp-NullGuard {
+	if m.sp < addr+NullGuard || n > m.sp-NullGuard-addr {
 		return 0, &Fault{Addr: addr, Size: int(n), Op: "alloc"}
 	}
 	m.brk = addr + n

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -42,6 +43,8 @@ func TestEndianness(t *testing.T) {
 	if bb[0] != 0x11 || bb[3] != 0x44 {
 		t.Errorf("big-endian bytes: % x", bb)
 	}
+	runtime.KeepAlive(le) // the views above are valid while their memories are reachable
+	runtime.KeepAlive(be)
 }
 
 func TestNullGuardFaults(t *testing.T) {
@@ -96,6 +99,37 @@ func TestAllocatorReuseAndZeroing(t *testing.T) {
 	// free(null) is a no-op
 	if err := m.Free(0); err != nil {
 		t.Error("free(0) must be a no-op")
+	}
+}
+
+// TestAllocOverflowFaults: a request no space can hold faults and leaves
+// the allocator where it was. At the parent Alloc(0xfffffffffffff000)
+// wrapped its bound, returned success and moved brk back one page (below
+// heapStart, into whatever is loaded there), and Alloc(^0) rounded to a
+// zero-length live block.
+func TestAllocOverflowFaults(t *testing.T) {
+	const size = 4 << 20 // blocks over 1 MiB are rounded to 16, not to a power of two
+	m := New(size, true)
+	m.SetHeapStart(0x4000)
+	for _, n := range []uint64{
+		0xfffffffffffff000, // brk+n wraps to brk-0x1000
+		^uint64(0),         // rounds up to 0
+		^uint64(0) - 15,
+		1 << 63,
+		size,              // the whole space: no room beside the guard pages and the heap start
+		size - 0x5000 + 1, // one byte more than fits
+	} {
+		addr, err := m.Alloc(n)
+		if err == nil {
+			t.Errorf("Alloc(%#x) = %#x, want a fault", n, addr)
+		}
+		if m.brk != 0x4000 || m.HeapUsed() != 0 || len(m.blockSize) != 0 {
+			t.Fatalf("Alloc(%#x) moved the allocator: brk=%#x used=%d live=%d", n, m.brk, m.HeapUsed(), len(m.blockSize))
+		}
+	}
+	// What does fit still does, to the byte: sp-NullGuard-brk, rounded to 16.
+	if _, err := m.Alloc(size - 0x5000); err != nil {
+		t.Errorf("largest block that fits: %v", err)
 	}
 }
 

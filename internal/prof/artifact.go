@@ -64,7 +64,7 @@ func (p *Profiler) Artifact(module, target string) *Artifact {
 	p.mu.Lock()
 	a.Total = p.total
 	for k, v := range p.folded {
-		a.Stacks = append(a.Stacks, StackCount{Stack: k, Count: v})
+		a.Stacks = append(a.Stacks, StackCount{Stack: k, Count: *v})
 	}
 	for fn, bm := range p.blocks {
 		for off, n := range bm {

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -60,9 +59,16 @@ type Profiler struct {
 	rate uint64
 
 	mu sync.Mutex
-	// folded maps "root;caller;leaf" stacks to sample counts.
-	folded map[string]uint64
-	funcs  map[string]*FuncStat
+	// folded maps "root;caller;leaf" stacks to sample counts; key is
+	// the scratch a sample's stack is joined in. Counts are behind a
+	// pointer so that a stack seen before is a lookup by string(key),
+	// which does not allocate, and not an assignment, which would.
+	folded map[string]*uint64
+	key    []byte
+	// seen is AddSample's scratch for counting a recursive function
+	// once per sample.
+	seen  map[string]bool
+	funcs map[string]*FuncStat
 	// blocks maps function -> block entry offset (from the function's
 	// code start) -> samples landing in that block.
 	blocks map[string]map[uint64]uint64
@@ -77,7 +83,8 @@ func NewProfiler(rate int) *Profiler {
 	}
 	return &Profiler{
 		rate:   uint64(rate),
-		folded: make(map[string]uint64),
+		folded: make(map[string]*uint64),
+		seen:   make(map[string]bool),
 		funcs:  make(map[string]*FuncStat),
 		blocks: make(map[string]map[uint64]uint64),
 	}
@@ -96,17 +103,28 @@ func (p *Profiler) AddSample(stack []string, off uint64) {
 		return
 	}
 	leaf := stack[len(stack)-1]
-	key := strings.Join(stack, ";")
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.total++
-	p.folded[key]++
-	seen := make(map[string]bool, len(stack))
+	p.key = p.key[:0]
+	for i, fn := range stack {
+		if i > 0 {
+			p.key = append(p.key, ';')
+		}
+		p.key = append(p.key, fn...)
+	}
+	n := p.folded[string(p.key)]
+	if n == nil {
+		n = new(uint64)
+		p.folded[string(p.key)] = n
+	}
+	*n++
+	clear(p.seen)
 	for _, fn := range stack {
-		if seen[fn] {
+		if p.seen[fn] {
 			continue
 		}
-		seen[fn] = true
+		p.seen[fn] = true
 		p.stat(fn).Incl++
 	}
 	p.stat(leaf).Excl++
@@ -164,7 +182,7 @@ func (p *Profiler) WriteFolded(w io.Writer) error {
 	}
 	counts := make(map[string]uint64, len(p.folded))
 	for k, v := range p.folded {
-		counts[k] = v
+		counts[k] = *v
 	}
 	p.mu.Unlock()
 	sort.Strings(keys)

@@ -45,6 +45,32 @@ func TestProfilerAggregation(t *testing.T) {
 	}
 }
 
+// TestAddSampleSteadyStateAllocatesNothing: a stack the profiler has
+// seen costs no garbage, however deep. The benchmark's profiling run of
+// the suite samples every 25 instructions; at two allocations a sample
+// that was 1.1 GB of garbage, and how often it was collected depended on
+// what else happened to sit in the heap.
+func TestAddSampleSteadyStateAllocatesNothing(t *testing.T) {
+	p := NewProfiler(100)
+	for _, stack := range [][]string{
+		{"main"},
+		{"main", "inner"},
+		{"main", "f", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o"},
+	} {
+		p.AddSample(stack, 0x10)
+		if n := testing.AllocsPerRun(100, func() { p.AddSample(stack, 0x10) }); n != 0 {
+			t.Errorf("AddSample of a seen stack of depth %d: %v allocs, want 0", len(stack), n)
+		}
+	}
+	var b bytes.Buffer
+	if err := p.WriteFolded(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "main 102\nmain;f;f;g;h;i;j;k;l;m;n;o 102\nmain;inner 102\n"; b.String() != want {
+		t.Errorf("folded output %q, want %q", b.String(), want)
+	}
+}
+
 func TestWriteFoldedDeterministic(t *testing.T) {
 	samples := [][]string{
 		{"main", "a"}, {"main", "b"}, {"main"}, {"main", "a"},

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 
@@ -250,7 +251,12 @@ func doMalloc(e *Env, a []uint64) (uint64, error) {
 
 func doCalloc(e *Env, a []uint64) (uint64, error) {
 	e.Stats.Allocs++
-	return e.Mem.Alloc(arg(a, 0) * arg(a, 1))
+	hi, n := bits.Mul64(arg(a, 0), arg(a, 1))
+	if hi != 0 {
+		// A wrapped product would hand back a block smaller than asked.
+		return 0, &mem.Fault{Addr: 0, Size: -1, Op: "alloc"}
+	}
+	return e.Mem.Alloc(n)
 }
 
 func doFree(e *Env, a []uint64) (uint64, error) {

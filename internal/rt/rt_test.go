@@ -1,7 +1,9 @@
 package rt
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -64,6 +66,31 @@ func TestMemcpyMemset(t *testing.T) {
 	b, _ = e.Mem.Bytes(dst, 10)
 	if string(b) != "xxxx456789" {
 		t.Errorf("memset result %q", b)
+	}
+	runtime.KeepAlive(e) // b is a view into e.Mem
+}
+
+// TestCallocOverflowFaults: calloc(n, size) whose product does not fit in
+// 64 bits is a fault, not a block of the wrapped size. At the parent
+// calloc(1<<32, 1<<32) multiplied to 0 and returned a live one-byte block.
+func TestCallocOverflowFaults(t *testing.T) {
+	e, _ := newEnv()
+	for _, c := range [][2]uint64{{1 << 32, 1 << 32}, {^uint64(0), 2}, {3, 1<<63 + 1}, {^uint64(0), ^uint64(0)}} {
+		p, err := e.Call("calloc", c[:])
+		var flt *mem.Fault
+		if !errors.As(err, &flt) || flt.Op != "alloc" {
+			t.Errorf("calloc(%#x, %#x) = %#x, %v; want an alloc fault", c[0], c[1], p, err)
+		}
+	}
+	if e.Mem.HeapUsed() != 0 {
+		t.Errorf("faulted callocs used %d heap bytes", e.Mem.HeapUsed())
+	}
+	// pool_alloc hands its size to the same allocator.
+	if p, err := e.Call("pool_alloc", []uint64{1, ^uint64(0) - 4095}); err == nil {
+		t.Errorf("pool_alloc(1, -4096) = %#x, want a fault", p)
+	}
+	if p, err := e.Call("calloc", []uint64{4, 8}); err != nil || p == 0 {
+		t.Errorf("calloc(4, 8) = %#x, %v", p, err)
 	}
 }
 
