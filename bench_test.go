@@ -12,6 +12,7 @@ package llva
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -479,38 +480,61 @@ func BenchmarkParallelTranslate(b *testing.B) {
 	}
 }
 
-// BenchmarkSpeculativeColdStart (P2): a cold LLEE run with background
-// speculative JIT of static callees vs the strictly-on-demand baseline.
-// demand-stall-ns is the translation time the program actually waited
-// for on the demand path (near zero when speculation ran ahead).
+// BenchmarkSpeculativeColdStart (P2): a cold LLEE run of every suite
+// program on vx86, with background speculative JIT of static callees and
+// strictly on demand. ns/op is the whole cold start (NewSystem to Close);
+// demand-stall-ns is the translation time the program actually waited for
+// on the demand path (near zero where speculation ran ahead), spec-hits
+// the demands that found a speculative translation ready and spec-waste
+// the speculative translations nothing demanded. Which goroutine translates
+// a function must not change what runs: the two modes retire the same
+// cycles, or the benchmark fails. EXPERIMENTS.md, "What speculation buys
+// on the suite", is this at -benchtime 11x.
 func BenchmarkSpeculativeColdStart(b *testing.B) {
-	m := compiled(b, "bc")
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"speculate", true}, {"on-demand", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var stall int64
-			for i := 0; i < b.N; i++ {
-				sys := llee.NewSystem(llee.WithSpeculation(mode.on), llee.WithTranslateWorkers(4))
-				sess, err := sys.NewSession(m, target.VX86, io.Discard)
-				if err != nil {
-					b.Fatal(err)
+	for _, w := range workloads.All() {
+		m := compiled(b, w.Name)
+		var cycles uint64 // of the first cold run; every other must match
+		for _, mode := range []struct {
+			name string
+			on   bool
+		}{{"speculate", true}, {"on-demand", false}} {
+			b.Run(w.Name+"/"+mode.name, func(b *testing.B) {
+				var stall int64
+				var translated, hits, waste uint64
+				for i := 0; i < b.N; i++ {
+					sys := llee.NewSystem(llee.WithSpeculation(mode.on))
+					sess, err := sys.NewSession(m, target.VX86, io.Discard)
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := sess.Run(context.Background(), "main")
+					if err != nil && !errors.Is(err, llee.ErrExit) {
+						b.Fatal(err)
+					}
+					if cycles == 0 {
+						cycles = res.Cycles
+					} else if res.Cycles != cycles {
+						b.Fatalf("%d cycles, another cold run of the same program retired %d", res.Cycles, cycles)
+					}
+					if err := sys.Close(); err != nil {
+						b.Fatal(err)
+					}
+					tele := sys.Telemetry()
+					stall += tele.Histogram(llee.MetricTranslateNS).Sum()
+					translated += tele.CounterValue(llee.MetricTranslations) + tele.CounterValue(pipeline.MetricSpecTranslated)
+					hits += tele.CounterValue(pipeline.MetricSpecHits)
+					waste += tele.CounterValue(pipeline.MetricSpecWaste)
 				}
-				if _, err := sess.Run(context.Background(), "main"); err != nil {
-					b.Fatal(err)
-				}
-				tele := sys.Telemetry()
-				if tele.CounterValue(llee.MetricTranslations) == 0 {
+				if translated == 0 {
 					b.Fatal("cold run did not translate")
 				}
-				stall = tele.Histogram(llee.MetricTranslateNS).Sum()
-				if err := sys.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(stall), "demand-stall-ns")
-		})
+				n := float64(b.N)
+				b.ReportMetric(float64(stall)/n, "demand-stall-ns")
+				b.ReportMetric(float64(translated)/n, "translations")
+				b.ReportMetric(float64(hits)/n, "spec-hits")
+				b.ReportMetric(float64(waste)/n, "spec-waste")
+			})
+		}
 	}
 }
 

@@ -183,7 +183,7 @@ func measureLLEE(row *Row, m *core.Module, workers int, tier2 bool) error {
 	if err := runOne(&cold, nil, coldOpts); err != nil {
 		return err
 	}
-	// Warm: the tier-1 cache decodes from storage; with tier2 the hot
+	// Warm: the cold run's code decodes from storage; with tier2 the hot
 	// functions are translated again, at tier 2, before the run.
 	if err := runOne(&warm, warmOpts, nil); err != nil {
 		return err

@@ -91,7 +91,7 @@ func main() {
 	useInterp := flag.Bool("interp", false, "run on the reference interpreter instead")
 	stats := flag.Bool("stats", false, "print execution statistics to stderr")
 	offline := flag.Bool("translate-only", false, "offline-translate into the cache, do not execute")
-	idleOpt := flag.Bool("idle-optimize", false, "idle-time PGO: translate the module into the cache, and its hot functions at tier 2 when a guest profile is stored (-prof-store), so a later -tier2 start translates nothing; does not execute (needs -cache)")
+	idleOpt := flag.Bool("idle-optimize", false, "idle-time PGO: complete the module's cache entry, with the hot functions of the stored guest profile (-prof-store), if there is one, translated at tier 2 and tagged with its stamp, so a later start translates nothing; does not execute (needs -cache)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics, /metrics/events, /debug/llva/trace, /debug/llva/prof, /debug/vars, /debug/pprof)")
 	traceLog := flag.String("trace-log", "", "write the structured event log as JSON lines to FILE at exit")
 	traceOut := flag.String("trace-out", "", "write the session span trace as Chrome trace_event JSON (Perfetto-loadable) to FILE at exit")
@@ -103,7 +103,7 @@ func main() {
 	flightEvents := flag.Int("flight-events", 16, "trap-time flight recorder depth in telemetry events (0: disable crash reports)")
 	workers := flag.Int("translate-workers", 0, "translation worker-pool size for offline and speculative JIT translation (0: one per CPU)")
 	speculate := flag.Bool("speculate", true, "speculatively JIT-translate static callees on background workers")
-	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 translation: when a stored guest profile exists, translate its hot functions with superblocks and inlining, before the run on a cache-warm start, at their first call otherwise (needs -cache; store a profile with -prof-store)")
+	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 translation: when a stored guest profile exists, translate its hot functions with superblocks and inlining, before the run where the cache holds code for them that this profile did not produce, at their first call where it holds none (needs -cache; store a profile with -prof-store)")
 	timeout := flag.Duration("timeout", 0, "abort execution after this long on the wall clock (0: no limit)")
 	gas := flag.Uint64("gas", 0, "per-run gas budget in simulated cycles; exhaustion stops the run at a block boundary (0: unmetered)")
 	flag.Parse()
@@ -258,7 +258,7 @@ func main() {
 			fatal(err)
 		}
 		if *stats {
-			fmt.Fprintf(os.Stderr, "idle-time: %d functions translated, %d of them again at tier 2 (%d superblocks)\n",
+			fmt.Fprintf(os.Stderr, "idle-time: %d functions translated, %d of them at tier 2 (%d superblocks)\n",
 				reg.CounterValue(llee.MetricTranslations), ts.Tier2Funcs, ts.Traces)
 		}
 		exit(0)

@@ -20,8 +20,9 @@ import (
 //
 // Entries are stored once per unique content: the object file name is
 // the SHA-256 of the entry's stamp and payload, and a small index maps
-// logical keys ("native:mod:target", "native2:...", "guestprof:...") to
-// content hashes. A fleet of machines translating the same module
+// logical keys ("native:mod:target", a module's code, one record per
+// function whatever tier produced it, and "guestprof:...") to content
+// hashes. A fleet of machines translating the same module
 // therefore shares one copy of the native code no matter how many
 // logical keys point at it, and an entry rewritten with identical
 // content costs one hash, not one file write.

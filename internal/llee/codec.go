@@ -12,12 +12,13 @@ import (
 )
 
 // The translation-cache codec: the one format of a cached native object,
-// for both code tiers. Cached objects are hot on every start (read on the
-// warm path, written on every cold run), so the format is a hand-rolled
-// length-prefixed binary one: no reflection, no per-blob type dictionary
-// (BenchmarkCacheCodec). It is versioned by a magic header; a blob
-// without the magic, or with a version this build does not write, is
-// corrupt, which the caller treats as a miss.
+// one record per function, each carrying the stamp of the guest profile
+// that guided its translation (empty, one byte, for tier-1 code). Cached
+// objects are hot on every start (read on the warm path, written on every
+// cold run), so the format is a hand-rolled length-prefixed binary one: no
+// reflection, no per-blob type dictionary (BenchmarkCacheCodec). It is
+// versioned by a magic header; a blob without the magic, or with a version
+// this build does not write, is corrupt, which the caller treats as a miss.
 //
 // Allocation discipline (DESIGN.md §13): encoding sizes the output
 // exactly (one allocation per blob, no append regrowth), and decoding
@@ -31,7 +32,17 @@ import (
 // format version.
 var codecMagic = []byte("LLVC")
 
-const codecVersion = 1
+const codecVersion = 2
+
+// relocWidth is how many bytes target.Desc.Patch writes for each relocation
+// kind; a kind beyond it is one Patch does not know.
+var relocWidth = [...]uint64{
+	target.RelocAbs:  8,
+	target.RelocCall: 4,
+	target.RelocExt:  4,
+	target.RelocHi16: 2,
+	target.RelocLo16: 2,
+}
 
 // errCorruptCache marks a cache blob that exists but cannot be decoded.
 // Callers treat it as a miss (fall back to the JIT, paper Section 4.1)
@@ -47,6 +58,7 @@ func encodedSize(co *cachedObject) int {
 	n += uvarintLen(uint64(len(co.Funcs)))
 	for _, f := range co.Funcs {
 		n += uvarintLen(uint64(len(f.Name))) + len(f.Name)
+		n += uvarintLen(uint64(len(f.profile))) + len(f.profile)
 		n += uvarintLen(uint64(len(f.Code))) + len(f.Code)
 		n += uvarintLen(uint64(len(f.Relocs)))
 		for _, r := range f.Relocs {
@@ -78,6 +90,7 @@ func encodeCachedObject(co *cachedObject) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(co.Funcs)))
 	for _, f := range co.Funcs {
 		buf = appendString(buf, f.Name)
+		buf = appendString(buf, f.profile)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Code)))
 		buf = append(buf, f.Code...)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Relocs)))
@@ -118,10 +131,11 @@ func decodeCachedObject(data []byte) (*cachedObject, error) {
 		// bounding it keeps the preallocation below from trusting garbage.
 		nf = max
 	}
-	co.Funcs = make([]*codegen.NativeFunc, 0, nf)
+	co.Funcs = make([]cachedFunc, 0, nf)
 	for i := uint64(0); i < nf && d.err == nil; i++ {
 		f := &codegen.NativeFunc{}
 		f.Name = d.string()
+		profile := d.string()
 		f.Code = d.bytes(d.uvarint())
 		nr := d.uvarint()
 		if max := uint64(len(d.buf)); nr > max {
@@ -131,15 +145,18 @@ func decodeCachedObject(data []byte) (*cachedObject, error) {
 			f.Relocs = make([]target.Reloc, 0, nr)
 		}
 		for j := uint64(0); j < nr && d.err == nil; j++ {
-			f.Relocs = append(f.Relocs, target.Reloc{
-				Offset: uint32(d.uvarint()),
-				Kind:   target.RelocKind(d.byte()),
-				Sym:    d.string(),
-			})
+			r := target.Reloc{Offset: uint32(d.uvarint()), Kind: target.RelocKind(d.byte()), Sym: d.string()}
+			// What target.Desc.Patch would write must lie inside the code:
+			// the loader patches without looking.
+			if int(r.Kind) >= len(relocWidth) || uint64(r.Offset)+relocWidth[r.Kind] > uint64(len(f.Code)) {
+				return nil, fmt.Errorf("%w: %%%s: relocation %d (kind %d at %d) outside %d bytes of code",
+					errCorruptCache, f.Name, j, r.Kind, r.Offset, len(f.Code))
+			}
+			f.Relocs = append(f.Relocs, r)
 		}
 		f.NumInstrs = int(d.uvarint())
 		f.NumLLVA = int(d.uvarint())
-		co.Funcs = append(co.Funcs, f)
+		co.Funcs = append(co.Funcs, cachedFunc{f, profile})
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: %v", errCorruptCache, d.err)

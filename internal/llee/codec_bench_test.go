@@ -9,7 +9,7 @@ import (
 )
 
 // benchCachedObject is a realistic payload: the full translation of a
-// multi-function workload, exactly what readObject/writeObject handle.
+// multi-function workload, exactly what readObject and store handle.
 func benchCachedObject(b *testing.B) *cachedObject {
 	b.Helper()
 	w := workloads.ByName("bc")
@@ -25,7 +25,7 @@ func benchCachedObject(b *testing.B) *cachedObject {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &cachedObject{TargetName: "vx86", Module: m.Name, Funcs: nobj.Funcs}
+	return &cachedObject{TargetName: "vx86", Module: m.Name, Funcs: tier1Records(nobj.Funcs)}
 }
 
 // BenchmarkCacheCodec prices the binary codec on the hot cache

@@ -98,26 +98,37 @@ func TestGasDeterministicTier2(t *testing.T) {
 		return sess, ge.Used
 	}
 
+	// Tier 1 first, while the cached code is still what the seed's tier-1 run
+	// wrote: the WithTier2 start below replaces the hot functions' records,
+	// and every later start, plain or not, installs those.
+	_, tier1 := exhaust(st, telemetry.New(), false)
+
 	var firstUsed uint64
 	for run := 0; run < 2; run++ {
 		reg := telemetry.New()
 		sess, used := exhaust(st, reg, true)
-		if len(sess.ms.loaded2) == 0 {
+		if heldTier2(sess) == 0 {
 			t.Fatalf("run %d: no tier-2 code installed: this checked tier 1", run)
 		}
 		if run == 0 {
 			// The first start translates the hot functions; the second
-			// decodes them from the profile-stamped cache.
+			// decodes them from the cache, tagged with the profile's stamp.
 			if reg.CounterValue(codegen.MetricTier2Funcs) == 0 {
 				t.Fatalf("%s = 0 on the first tier-2 start", codegen.MetricTier2Funcs)
 			}
 			firstUsed = used
 		} else if used != firstUsed {
 			t.Fatalf("tier-2 nondeterministic exhaustion: %d vs %d cycles", firstUsed, used)
+		} else if n := reg.CounterValue(codegen.MetricTier2Funcs); n != 0 {
+			t.Fatalf("the second tier-2 start translated %d functions at tier 2, want 0", n)
 		}
 	}
-	if _, tier1 := exhaust(st, telemetry.New(), false); tier1 == firstUsed {
+	if tier1 == firstUsed {
 		t.Errorf("tier-2 exhausts at cycle %d, exactly where tier 1 does: different code was not run", tier1)
+	}
+	// A plain start now runs the tier-2 bodies too: cached code is code.
+	if _, plain := exhaust(st, telemetry.New(), false); plain != firstUsed {
+		t.Errorf("plain start over the tier-2 store exhausts at cycle %d, the WithTier2 starts at %d", plain, firstUsed)
 	}
 
 	// Online: two fresh Systems, each over its own profile-warm, code-cold

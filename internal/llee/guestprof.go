@@ -31,7 +31,7 @@ func (ms *moduleState) storeGuestProfile(p *prof.Profiler) error {
 	}
 	art := p.Artifact(ms.module.Name, ms.desc.Name)
 	key := ms.key("guestprof")
-	if old, ok := ms.readStamped(key, ms.stamp); ok {
+	if old, ok := ms.readStamped(key); ok {
 		if prev, err := prof.DecodeArtifact(old); err == nil && prev.Merge(art) == nil {
 			art = prev
 		}
@@ -57,7 +57,7 @@ func (ms *moduleState) loadGuestProfile() (*prof.Artifact, bool, error) {
 		return nil, false, nil
 	}
 	key := ms.key("guestprof")
-	data, ok := ms.readStamped(key, ms.stamp)
+	data, ok := ms.readStamped(key)
 	if !ok {
 		return nil, false, nil
 	}

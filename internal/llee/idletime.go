@@ -9,36 +9,32 @@ import "llva/internal/codegen"
 // an end-user's system." The profile is the guest profile a sampled run
 // stored (guestprof.go); the optimizer is the tier-2 translator. Doing
 // its work between executions leaves a later WithTier2 start nothing to
-// translate: both code tiers are cache hits.
+// translate: the module's code entry is a hit, and every hot function's
+// record in it carries that profile's stamp.
 
-// IdleStats reports what one IdleTimeOptimize did beyond the tier-1
-// translation of the whole module.
+// IdleStats reports what one IdleTimeOptimize did at tier 2, as the code
+// generator's counters moved meanwhile.
 type IdleStats struct {
-	Tier2Funcs int // hot functions translated at tier 2 and stored
-	Traces     int // superblocks formed in them (codegen.superblocks, as it moved meanwhile)
+	Tier2Funcs int // hot functions translated at tier 2 and stored (codegen.tier2_funcs)
+	Traces     int // superblocks formed in them (codegen.superblocks)
 }
 
-// idleTimeOptimize translates the whole module at tier 1 into the
-// cache, then, when a stamp-valid guest profile is stored, its hot
-// functions at tier 2 into the profile-stamped entry beside it. Without
-// a profile it is translateOffline.
+// idleTimeOptimize is what a WithTier2 System's Preload does, over the
+// guest profile stored now rather than the one the state was created
+// under: it completes the module's code entry, translating the functions
+// it lacks and those the profile marks hot and did not produce. Without a
+// profile it is translateOffline.
 func (ms *moduleState) idleTimeOptimize() (IdleStats, error) {
-	var st IdleStats
-	if err := ms.translateOffline(); err != nil {
-		return st, err
+	var p tier2Plan
+	if art, ok := ms.guestProfile(); ok {
+		var err error
+		if p, err = ms.planTier2(art); err != nil {
+			return IdleStats{}, err
+		}
 	}
-	art, ok := ms.guestProfile()
-	if !ok {
-		return st, nil
-	}
-	tr2, stamp2, hot, err := ms.tier2Plan(art)
-	if err != nil {
-		return st, err
-	}
-	superblocks := ms.sys.tele.Counter(codegen.MetricSuperblocks)
-	before := superblocks.Value()
-	funcs, err := ms.translateHot(tr2, stamp2, hot)
-	st.Tier2Funcs = len(funcs)
-	st.Traces = int(superblocks.Value() - before)
-	return st, err
+	funcs := ms.sys.tele.Counter(codegen.MetricTier2Funcs)
+	traces := ms.sys.tele.Counter(codegen.MetricSuperblocks)
+	funcs0, traces0 := funcs.Value(), traces.Value()
+	err := ms.translateOffline(&p)
+	return IdleStats{int(funcs.Value() - funcs0), int(traces.Value() - traces0)}, err
 }

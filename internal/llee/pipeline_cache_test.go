@@ -45,12 +45,18 @@ int main() {
 
 // TestCorruptCacheFallsBackToJIT: whatever sits where a cached
 // translation or a guest profile should be and is not one (garbage
-// under a valid stamp, a gob encoding of the object, a flat
-// <key>.llvacache file beside the CAS, a profile of a format version
-// this build does not read) must be treated as a miss and replaced by
-// online translation at tier 1, never run and never an execution
-// failure. Blobs the store did return are counted as corrupt and
-// evicted; files the store does not own are left alone.
+// under a valid stamp, a gob encoding of the object, a blob of the codec
+// version before this one, a flat <key>.llvacache file beside the CAS, a
+// profile of a format version this build does not read) must be treated as
+// a miss and replaced by online translation at tier 1, never run and never
+// an execution failure. So must a blob that is one, stamp and framing valid,
+// and would take the loader down: a relocation that patches outside its
+// function's code or is of a kind the loader does not know rejects the
+// blob, and one that names a symbol the module lacks costs that function's
+// record alone. Blobs the store did return are counted as corrupt and
+// evicted; files the store does not own are left alone; and a record that
+// is merely redundant (a duplicate, a function the module does not have)
+// is not corruption at all.
 func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 	m := compileTest(t)
 	key, stamp := cacheKeyStamp(t, m, target.VX86)
@@ -76,15 +82,39 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 			return st
 		}
 	}
+	// tampered is the module's real translation with one edit, under the
+	// real key and stamp. call is main's call of work, the relocation the
+	// hostile edits go for.
+	tampered := func(edit func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc)) func(*testing.T) Storage {
+		nobj, err := NewSystem().Translate(m, target.VX86)
+		if err != nil {
+			t.Fatal(err)
+		}
+		co := &cachedObject{TargetName: target.VX86.Name, Module: m.Name, Funcs: tier1Records(nobj.Funcs)}
+		main := nobj.Func("main")
+		for i := range main.Relocs {
+			if main.Relocs[i].Sym == "work" {
+				edit(co, main, &main.Relocs[i])
+				return planted(key, encodeCachedObject(co))
+			}
+		}
+		t.Fatal("main has no relocation against work")
+		return nil
+	}
+	v1 := encodeCachedObject(sampleCachedObject())
+	v1[len(codecMagic)] = 1
 	cases := []struct {
 		name    string
 		storage func(t *testing.T) Storage
 		corrupt uint64
+		hit     bool // the entry is a hit all the same: no miss, no eviction
+		jit     bool // something is left to translate online
 	}{
-		{"garbage", planted(key, []byte("\x00not a cache blob")), 1},
-		{"gob blob", planted(key, gobBlob.Bytes()), 1},
-		{"guestprof garbage", planted(profKey, []byte("not a profile")), 1},
-		{"guestprof wrong version", planted(profKey, futureProf), 1},
+		{"garbage", planted(key, []byte("\x00not a cache blob")), 1, false, true},
+		{"gob blob", planted(key, gobBlob.Bytes()), 1, false, true},
+		{"codec version 1", planted(key, v1), 1, false, true},
+		{"guestprof garbage", planted(profKey, []byte("not a profile")), 1, false, true},
+		{"guestprof wrong version", planted(profKey, futureProf), 1, false, true},
 		{"stray flat file", func(t *testing.T) Storage {
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, stray), []byte(stamp+"\nlegacy code"), 0o644); err != nil {
@@ -101,7 +131,24 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 				}
 			})
 			return st
-		}, 0},
+		}, 0, false, true},
+		{"reloc past its code", tampered(func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc) {
+			call.Offset = uint32(len(main.Code)) - 2
+		}), 1, false, true},
+		{"reloc of unknown kind", tampered(func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc) {
+			call.Kind = target.RelocKind(len(relocWidth))
+		}), 1, false, true},
+		{"reloc names no symbol", tampered(func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc) {
+			call.Sym = "no_such_function"
+		}), 1, true, true},
+		{"duplicated record", tampered(func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc) {
+			co.Funcs = append(co.Funcs, co.Funcs[0])
+		}), 0, true, false},
+		{"record of no module function", tampered(func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc) {
+			ghost := *co.Funcs[0].NativeFunc
+			ghost.Name = "ghost"
+			co.Funcs = append(co.Funcs, cachedFunc{&ghost, ""})
+		}), 0, true, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -119,30 +166,36 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 			if out.String() != "328350\n" {
 				t.Errorf("output = %q", out.String())
 			}
-			if sess.CacheHit() {
-				t.Error("corrupt entry counted as a cache hit")
+			if sess.CacheHit() != c.hit {
+				t.Errorf("CacheHit = %v, want %v", sess.CacheHit(), c.hit)
 			}
-			if reg.CounterValue(MetricTranslations) == 0 {
-				t.Error("corrupt cache did not fall back to JIT")
+			if got := reg.CounterValue(MetricTranslations) > 0; got != c.jit {
+				t.Errorf("fell back to the JIT = %v, want %v", got, c.jit)
 			}
-			if got := reg.CounterValue(MetricCacheMisses); got != 1 {
-				t.Errorf("%s = %d, want 1", MetricCacheMisses, got)
+			var misses, evictions uint64
+			if !c.hit {
+				misses, evictions = 1, c.corrupt
+			}
+			if got := reg.CounterValue(MetricCacheMisses); got != misses {
+				t.Errorf("%s = %d, want %d", MetricCacheMisses, got, misses)
 			}
 			if got := reg.CounterValue(MetricCacheCorrupt); got != c.corrupt {
 				t.Errorf("%s = %d, want %d", MetricCacheCorrupt, got, c.corrupt)
 			}
-			if got := reg.CounterValue(MetricCacheEvictions); got != c.corrupt {
-				t.Errorf("%s = %d, want %d", MetricCacheEvictions, got, c.corrupt)
+			if got := reg.CounterValue(MetricCacheEvictions); got != evictions {
+				t.Errorf("%s = %d, want %d", MetricCacheEvictions, got, evictions)
 			}
 			// The run's write-back must have put a valid blob under the key:
-			// the next run is a clean warm hit, and the key is listed once.
+			// the next run is a clean warm hit with nothing left to
+			// translate, and the key is listed once.
 			if err := sys.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if keys, err := st.Keys(); err != nil || len(keys) != 1 || keys[0] != key {
 				t.Errorf("Keys() = %v, %v; want [%s]", keys, err, key)
 			}
-			sys2 := NewSystem(WithStorage(st))
+			reg2 := telemetry.New()
+			sys2 := NewSystem(WithStorage(st), WithTelemetry(reg2))
 			var out2 strings.Builder
 			sess2, err := sys2.NewSession(compileTest(t), target.VX86, &out2)
 			if err != nil {
@@ -153,6 +206,9 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 			}
 			if !sess2.CacheHit() {
 				t.Error("recovered cache entry missed")
+			}
+			if corrupt, tr := reg2.CounterValue(MetricCacheCorrupt), reg2.CounterValue(MetricTranslations); corrupt != 0 || tr != 0 {
+				t.Errorf("run after recovery: %s = %d, %s = %d, want a clean and complete entry", MetricCacheCorrupt, corrupt, MetricTranslations, tr)
 			}
 			if out2.String() != out.String() {
 				t.Errorf("outputs differ: %q vs %q", out2.String(), out.String())
@@ -166,22 +222,13 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 // different stamp is absent to the system, counted once, and deleted, not
 // just ignored.
 func TestStaleCacheEvicted(t *testing.T) {
-	for _, kind := range []string{"native", "native2", "guestprof"} {
+	for _, kind := range []string{"native", "guestprof"} {
 		t.Run(kind, func(t *testing.T) {
 			m, err := minic.Compile("hot.c", hotProg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st := NewMemStorage()
-			if kind == "native2" {
-				// The tier-2 entry is looked for only under a valid guest
-				// profile; without the tier-1 entry the start stays online
-				// and does not translate (and store) tier 2 eagerly.
-				seedGuestProfile(t, st, target.VX86)
-				if err := st.Delete("native:" + m.Name + ":" + target.VX86.Name); err != nil {
-					t.Fatal(err)
-				}
-			}
 			key := kind + ":" + m.Name + ":" + target.VX86.Name
 			if err := st.Write(key, "stale-stamp", []byte("written against other object code")); err != nil {
 				t.Fatal(err)
@@ -195,7 +242,7 @@ func TestStaleCacheEvicted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sess.CacheHit() || len(sess.ms.loaded2) > 0 || (kind == "guestprof" && sess.ms.callWeights != nil) {
+			if sess.CacheHit() || len(sess.ms.held) > 0 || sess.ms.callWeights != nil {
 				t.Error("stale entry was used")
 			}
 			if _, _, ok, _ := st.Read(key); ok {
@@ -260,21 +307,18 @@ func TestStorageReadFaultIsMiss(t *testing.T) {
 
 	full := NewMemStorage()
 	seedGuestProfile(t, full, target.VX86)             // native, guestprof
-	run(NewSystem(WithStorage(full), WithTier2(true))) // native2
+	run(NewSystem(WithStorage(full), WithTier2(true))) // the hot records, at tier 2
 	keys, err := full.Keys()
-	if err != nil || len(keys) != 3 {
-		t.Fatalf("seeded keys = %v, %v; want one of each of the three kinds", keys, err)
+	if err != nil || len(keys) != 2 {
+		t.Fatalf("seeded keys = %v, %v; want one of each of the two kinds", keys, err)
 	}
 
-	all := []string{"native", "native2", "guestprof"}
+	all := []string{"native", "guestprof"}
 	cases := []struct {
 		kinds  []string
 		faults uint64
 	}{
-		{all[0:1], 1}, {all[1:2], 1}, {all[2:3], 1},
-		// Without a guest profile tier 2 never arms, so its entry is not
-		// looked for: two reads, not three.
-		{all, 2},
+		{all[0:1], 1}, {all[1:2], 1}, {all, 2},
 	}
 	for _, c := range cases {
 		t.Run(strings.Join(c.kinds, "+"), func(t *testing.T) {
@@ -314,40 +358,35 @@ func TestStorageReadFaultIsMiss(t *testing.T) {
 // storage.
 func TestMergeForWriteBack(t *testing.T) {
 	m := compileTest(t) // defines work and main, in that order
-	nf := func(name string, fill byte) *codegen.NativeFunc {
-		return &codegen.NativeFunc{Name: name, Code: []byte{fill, fill}}
+	rec := func(name string, fill byte) cachedFunc {
+		return cachedFunc{&codegen.NativeFunc{Name: name, Code: []byte{fill, fill}}, ""}
 	}
-	cached := map[string]*codegen.NativeFunc{
-		"work": nf("work", 1), // only in the old cache: must survive
-		"main": nf("main", 2), // superseded by a fresh translation
+	cached := map[string]cachedFunc{
+		"work": rec("work", 1), // only in the old cache: must survive
+		"main": rec("main", 2), // superseded by a fresh translation
 	}
-	fresh := map[string]*codegen.NativeFunc{
-		"main":  nf("main", 3),
-		"ghost": nf("ghost", 4), // not a module function: dropped
+	fresh := map[string]cachedFunc{
+		"main":  rec("main", 3),
+		"ghost": rec("ghost", 4), // not a module function: dropped
 	}
-	funcs := mergeForWriteBack(m, cached, fresh)
-	got := map[string]byte{}
-	for _, f := range funcs {
-		got[f.Name] = f.Code[0]
+	st := NewMemStorage()
+	ms := &moduleState{sys: NewSystem(WithStorage(st)), module: m, desc: target.VX86, stamp: "s", held: cached}
+	if _, err := ms.store(fresh); err != nil {
+		t.Fatal(err)
 	}
-	if len(funcs) != 2 || got["work"] != 1 || got["main"] != 3 {
-		t.Errorf("merged cache = %v, want work:1 main:3", got)
+	data, _, ok, err := st.Read(ms.key("native"))
+	if err != nil || !ok {
+		t.Fatalf("the entry store wrote: ok=%v err=%v", ok, err)
 	}
-	// Deterministic layout: module order, whatever map iteration did.
-	var order []string
-	for _, f := range funcs {
-		order = append(order, f.Name)
+	co, err := decodeCachedObject(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var want []string
-	for _, f := range m.Functions {
-		if _, ok := got[f.Name()]; ok {
-			want = append(want, f.Name())
-		}
+	if f := co.Funcs; len(f) != 2 || f[0].Name != "work" || f[0].Code[0] != 1 || f[1].Name != "main" || f[1].Code[0] != 3 {
+		t.Errorf("written entry = %+v, want work:1 main:3, in module order", f)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("function order = %v, want %v (module order)", order, want)
-		}
+	if cached["main"].Code[0] != 2 || len(cached) != 2 {
+		t.Error("the merge changed the table it was given: published tables are read without a copy")
 	}
 }
 

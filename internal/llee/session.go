@@ -133,7 +133,7 @@ func (sys *System) NewSession(m *core.Module, d *target.Desc, out io.Writer, opt
 	// translated on its first call.
 	ms.mu.Lock()
 	nobj := ms.nobj
-	s.cacheHit = ms.cacheHit
+	s.cacheHit = ms.held != nil
 	ms.mu.Unlock()
 	if err := mc.LoadObject(nobj); err != nil {
 		return nil, err
@@ -295,12 +295,12 @@ func (s *Session) StorageAPIAddr() uint64 { return s.storageAPIAddr }
 
 // TranslateOffline completes the module's code in the offline cache
 // without executing anything (idle-time translation, Section 4.1).
-func (s *Session) TranslateOffline() error { return s.ms.translateOffline() }
+func (s *Session) TranslateOffline() error { return s.ms.translateOffline(&s.ms.plan) }
 
-// IdleTimeOptimize completes the module's code in the offline cache and,
-// when a guest profile is stored (StoreGuestProfile), translates its hot
-// functions at tier 2 beside it, so a later WithTier2 start translates
-// nothing (Section 4.2).
+// IdleTimeOptimize completes the module's code in the offline cache with,
+// when a guest profile is stored (StoreGuestProfile), its hot functions
+// translated at tier 2 under that profile, so a later WithTier2 start
+// translates nothing (Section 4.2).
 func (s *Session) IdleTimeOptimize() (IdleStats, error) { return s.ms.idleTimeOptimize() }
 
 // onJIT translates one function on demand (honoring SMC redirects) and

@@ -14,6 +14,7 @@ import (
 	"llva/internal/mem"
 	"llva/internal/minic"
 	"llva/internal/target"
+	"llva/internal/telemetry"
 	"llva/internal/workloads"
 )
 
@@ -298,22 +299,24 @@ func TestResetGasRearm(t *testing.T) {
 	}
 }
 
-// TestPreloadCompletesPartialCache: an online tier-2 run leaves a native
-// entry without the hot functions (they went to native2, which a plain
-// System may not use). Preload on a plain System over that store must
-// translate what is missing, so that its WithReuse sessions are sealed
-// with the whole module installed: nothing is translated after the seal,
-// and every reset run is bit-identical to a fresh session's.
+// TestPreloadCompletesPartialCache: a run writes back what it translated,
+// which leaves out every function it never called (spare, here, which
+// nothing calls, so speculation does not reach it either). Preload over that
+// store must translate what is missing, and only that, so that its
+// WithReuse sessions are sealed with the whole module installed: nothing is
+// translated after the seal, and every reset run is bit-identical to a fresh
+// session's.
 func TestPreloadCompletesPartialCache(t *testing.T) {
+	const src = hotProg + "int spare(int n) { return classify(n) + 1; }\n"
+	const ref = "5144\n"
 	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
 		t.Run(d.Name, func(t *testing.T) {
 			st := NewMemStorage()
-			ref, _ := seedCodeCold(t, st, d)
-			m, err := compileHot(t)
+			m, err := minic.Compile("hot.c", src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			online := NewSystem(WithStorage(st), WithTier2(true))
+			online := NewSystem(WithStorage(st))
 			s, err := online.NewSession(m, d, io.Discard)
 			if err != nil {
 				t.Fatal(err)
@@ -325,13 +328,24 @@ func TestPreloadCompletesPartialCache(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if m, err = compileHot(t); err != nil {
+			if m, err = minic.Compile("hot.c", src); err != nil {
 				t.Fatal(err)
 			}
-			sys := NewSystem(WithStorage(st))
+			reg := telemetry.New()
+			sys := NewSystem(WithStorage(st), WithTelemetry(reg))
 			defer sys.Close()
+			if s, err = sys.NewSession(m, d, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if !s.CacheHit() || s.ms.holds("spare") || len(s.ms.held) != s.ms.defined-1 {
+				t.Fatalf("the run's cache is not the module less spare: hit=%v, %d of %d functions held",
+					s.CacheHit(), len(s.ms.held), s.ms.defined)
+			}
 			if err := sys.Preload(m, d); err != nil {
 				t.Fatal(err)
+			}
+			if n := reg.CounterValue(MetricTranslations); n != 1 {
+				t.Errorf("Preload translated %d functions, want spare alone", n)
 			}
 			var freshOut strings.Builder
 			fresh, err := sys.NewSession(m, d, &freshOut)

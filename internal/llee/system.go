@@ -3,6 +3,7 @@ package llee
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,11 +130,13 @@ func WithSpeculation(on bool) SystemOption { return func(c *systemConfig) { c.sp
 // system-scoped; requires the storage API). When a stamp-valid guest
 // profile exists for a module, its hot functions are translated with
 // superblock formation and hot inlining instead of at tier 1: ahead of
-// execution when the start found tier-1 code cached, and at their first
-// call (or by speculation ahead of it) otherwise. Either way a function's
-// translator is chosen before its first translation; installed code is
-// never exchanged for a better one mid-run. Tier-2 code is cached under
-// a profile-stamped key, so later starts skip straight to it.
+// execution where the start found cached code for them that this profile
+// did not produce, at their first call (or by speculation ahead of it)
+// where it found none. Either way a function's translator is chosen before
+// its first translation; installed code is never exchanged for a better one
+// mid-run. The result is cached in the module's one code entry, each record
+// tagged with the stamp of the profile that guided it: later starts skip
+// straight to it, and a newer profile retranslates the hot functions only.
 func WithTier2(on bool) SystemOption { return func(c *systemConfig) { c.tier2 = on } }
 
 // WithTracer attaches a span tracer to the system: the session
@@ -231,42 +234,55 @@ func (sys *System) Preload(m *core.Module, d *target.Desc) error {
 	if err != nil {
 		return err
 	}
-	return ms.translateAhead()
+	return ms.translateAhead(&ms.plan, true)
 }
 
 // translateAhead is translation ahead of execution (paper, Section 4.1:
 // offline, or in OS idle time, "flagging it for translation and not
-// actual execution"). It translates exactly the defined functions the
-// state holds no code for — all of them after a cold start, the rest of
-// them over a partial cache, none over a complete one — on the worker
-// pool, each once with the translator translate picks for it, writes them
-// to the cache with what the state already held when the storage API is
-// registered, and publishes them under ms.mu, where NewSession snapshots
-// what it installs.
-func (ms *moduleState) translateAhead() error {
+// actual execution"), the one routine that fills the gaps of the state's
+// table. A gap is a record that is stale under p (p marks its function hot
+// and another profile, or none, produced it; any other record is just code,
+// whatever produced it) and, when missing is set, a defined function with
+// no record: all of them after a cold start, the rest over a partial
+// cache, none over a complete one. The gaps are translated on the worker
+// pool, each once with the translator p picks, written to the cache with
+// what the state already held when the storage API is registered, and
+// published under ms.mu, where NewSession snapshots what it installs.
+func (ms *moduleState) translateAhead(p *tier2Plan, missing bool) error {
 	ms.preMu.Lock()
 	defer ms.preMu.Unlock()
-	// nobj and cacheHit change only before the state is published and
-	// below, under preMu: reading them here needs no more than that.
-	if len(ms.nobj.Funcs) == ms.defined && ms.cacheHit {
+	// held changes only before the state is published and below, under
+	// preMu: reading it here needs no more than that.
+	held := ms.held
+	gap := func(f *core.Function) bool {
+		if cf, ok := held[f.Name()]; ok {
+			return p.hot[cf.Name] && cf.profile != p.profile
+		}
+		return missing && !f.IsDeclaration()
+	}
+	if !slices.ContainsFunc(ms.module.Functions, gap) {
 		return nil
 	}
 	nobj, err := ms.translateModule(func(f *core.Function) (*codegen.NativeFunc, error) {
-		if ms.holds(f.Name()) {
+		if !gap(f) {
 			return nil, nil
 		}
-		return ms.translate(f)
+		return ms.translate(p, f)
 	})
 	if err != nil {
 		return err
 	}
+	fresh := make(map[string]cachedFunc, len(nobj.Funcs))
+	for _, nf := range nobj.Funcs {
+		fresh[nf.Name] = p.record(nf)
+	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	funcs, funcs2, err := ms.store(funcsByName(nobj.Funcs))
+	table, err := ms.store(fresh)
 	if err != nil {
 		return err
 	}
-	ms.loaded, ms.loaded2, ms.cacheHit = funcsByName(funcs), funcsByName(funcs2), true
+	ms.held = table
 	ms.link()
 	return nil
 }
@@ -277,18 +293,22 @@ func (ms *moduleState) translateAhead() error {
 func (ms *moduleState) holds(name string) bool {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	return ms.loaded[name] != nil || ms.loaded2[name] != nil
+	_, ok := ms.held[name]
+	return ok
 }
 
-// link builds the object a session installs from the state's table: per
-// module function in module order, its tier-2 code when there is some,
-// else its tier-1 code. A hot function that a tier-2 run cached only in
-// native2 is installed like any other, and a function in neither map is
-// left to its stub. The caller holds ms.mu, or the system lock before the
-// state is published.
+// link builds the object a session installs from the state's table: the
+// code it holds, whichever translator produced it, in module order. A
+// function the table lacks is left to its stub. The caller holds ms.mu, or
+// the system lock before the state is published.
 func (ms *moduleState) link() {
 	ms.nobj = &codegen.NativeObject{TargetName: ms.desc.Name, Module: ms.module.Name,
-		Funcs: mergeForWriteBack(ms.module, ms.loaded, ms.loaded2)}
+		Funcs: make([]*codegen.NativeFunc, 0, len(ms.held))}
+	for _, f := range ms.module.Functions {
+		if cf, ok := ms.held[f.Name()]; ok {
+			ms.nobj.Funcs = append(ms.nobj.Funcs, cf.NativeFunc)
+		}
+	}
 }
 
 // Close flushes every module's pending write-back and stops background
@@ -337,18 +357,17 @@ type moduleState struct {
 	// initializer encoding.
 	img *image.Data
 
-	// The table of code held ahead of execution: loaded is tier-1 code by
-	// function name, decoded from the native cache entry or translated by
-	// translateAhead; loaded2 (below) the same for tier 2. nobj is the two
-	// linked into the object NewSession installs (link): nothing after a
-	// cold start, part of the module over a partial cache, all of it over a
-	// complete one or after a Preload. cacheHit reports a stamp-valid native
-	// entry was read at creation, or translateAhead has run. All four
-	// change after creation only in translateAhead, under mu; NewSession,
-	// holds and writeBack read them under mu.
-	loaded   map[string]*codegen.NativeFunc
-	nobj     *codegen.NativeObject
-	cacheHit bool
+	// The table of code held ahead of execution: held is each function's
+	// record by name, decoded from the module's code entry or translated by
+	// translateAhead (nil until either happened: Session.CacheHit), and nobj
+	// the table linked into the object NewSession installs (link): nothing
+	// after a cold start, part of the module over a partial cache, all of it
+	// over a complete one or after a Preload. Both change after creation
+	// only in translateAhead, under mu, and a published table is never
+	// mutated, only replaced; NewSession, holds and writeBack read them
+	// under mu.
+	held map[string]cachedFunc
+	nobj *codegen.NativeObject
 	// defined counts the module's defined functions: a session whose
 	// object holds that many has nothing left to translate on demand.
 	defined int
@@ -358,20 +377,10 @@ type moduleState struct {
 	// sample count.
 	callWeights map[string]uint64
 
-	// Tier-2 state, armed by initTier2 when WithTier2 is on and a
-	// stamp-valid guest profile exists. These three are written once under
-	// the system lock, before any session exists, then only read: stamp2
-	// is the tier-2 cache entry's stamp (module content + profile content:
-	// new object code or a different profile each invalidate it), tr2 the
-	// profile-guided translator and hot the HotFuncs(tier2MinShare) set,
-	// the functions translate gives to tr2.
-	stamp2 string
-	tr2    *codegen.Translator
-	hot    map[string]bool
-	// loaded2 holds tier-2 code decoded from the profile-stamped cache,
-	// or translated ahead of execution by a cache-warm start or by
-	// translateAhead.
-	loaded2 map[string]*codegen.NativeFunc
+	// plan governs this state's own translations: armed from the persisted
+	// guest profile when WithTier2 is on and one exists, else the zero plan.
+	// Written once under the system lock, before any session exists.
+	plan tier2Plan
 
 	// preMu serializes translateAhead so concurrent Preloads of one module
 	// do the work once.
@@ -379,6 +388,37 @@ type moduleState struct {
 
 	mu      sync.Mutex
 	flushed int // settled translations persisted by the last write-back
+}
+
+// tier2Plan is what a guest profile arms: the profile-guided translator,
+// the HotFuncs(tier2MinShare) set it is for, and the profile's content
+// stamp, which tags the records it produces so that a later profile can
+// tell them from its own. The zero plan marks nothing hot: tier 1, no tag.
+type tier2Plan struct {
+	profile string
+	tr2     *codegen.Translator
+	hot     map[string]bool
+}
+
+// planTier2 derives the plan of guest profile art.
+func (ms *moduleState) planTier2(art *prof.Artifact) (tier2Plan, error) {
+	enc, err := art.Encode()
+	if err != nil {
+		return tier2Plan{}, err
+	}
+	hot := make(map[string]bool)
+	for _, fs := range art.HotFuncs(tier2MinShare) {
+		hot[fs.Name] = true
+	}
+	return tier2Plan{profile: Stamp(enc), tr2: ms.tr.WithTier2(art), hot: hot}, nil
+}
+
+// record is the cache record of nf, a translation made under p.
+func (p *tier2Plan) record(nf *codegen.NativeFunc) cachedFunc {
+	if p.hot[nf.Name] {
+		return cachedFunc{nf, p.profile}
+	}
+	return cachedFunc{nf, ""}
 }
 
 // state returns (creating on first use) the shared per-module state for
@@ -418,11 +458,9 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 		// The paper's translation strategy: look for a cached
 		// translation, validate its stamp, and fall back to online
 		// translation when any condition fails.
-		key := ms.key("native")
-		ms.loaded, ms.cacheHit = ms.readObject(key, ms.stamp)
-		if !ms.cacheHit {
+		if ms.held = ms.readObject(); ms.held == nil {
 			sys.tele.Counter(MetricCacheMisses).Inc()
-			sys.tele.Events().Emit(telemetry.EvCacheMiss, key, 0)
+			sys.tele.Events().Emit(telemetry.EvCacheMiss, ms.key("native"), 0)
 		}
 		// A persisted guest profile (Section 4.2) orders speculative JIT
 		// hottest-first, and arms tier 2 when that is on: the first run of
@@ -434,7 +472,13 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 				ms.callWeights[fs.Name] = fs.Incl
 			}
 			if sys.tier2 {
-				if err := ms.initTier2(art); err != nil {
+				if ms.plan, err = ms.planTier2(art); err != nil {
+					return nil, err
+				}
+				// Cached records of hot functions that this profile did not
+				// produce are never demanded: replace them now, so that every
+				// session of this state installs the same optimized code.
+				if err := ms.translateAhead(&ms.plan, false); err != nil {
 					return nil, err
 				}
 			}
@@ -446,95 +490,46 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadModule, err)
 	}
 	ms.img = img
-	ms.spec = pipeline.NewSpeculator(ms.translate, sys.workers, sys.tele)
+	ms.spec = pipeline.NewSpeculator(func(f *core.Function) (*codegen.NativeFunc, error) {
+		return ms.translate(&ms.plan, f)
+	}, sys.workers, sys.tele)
 	ms.spec.SetTracer(sys.tracer)
 	sys.mods[key] = ms
 	return ms, nil
 }
 
-// translate is the translation of a function the state holds no code
-// for, demanded, speculative or ahead of execution: at tier 2 when the
-// loaded profile marks f hot, else at tier 1. The Speculator and
-// translateAhead each call it once per function, so which code a name
+// translate is the one place a translator is picked: tier 2 when p marks f
+// hot, else tier 1, for a demanded, speculative or ahead-of-execution
+// translation alike (and p.record tags the result to match). The Speculator
+// and translateAhead each call it once per function, so which code a name
 // gets is settled before its first translation and never revisited.
-func (ms *moduleState) translate(f *core.Function) (*codegen.NativeFunc, error) {
-	if ms.hot[f.Name()] {
-		return ms.tr2.TranslateFunction(f)
+func (ms *moduleState) translate(p *tier2Plan, f *core.Function) (*codegen.NativeFunc, error) {
+	if p.hot[f.Name()] {
+		return p.tr2.TranslateFunction(f)
 	}
 	return ms.tr.TranslateFunction(f)
 }
 
-// tier2Plan derives what tier 2 needs from a guest profile: the
-// profile-guided translator, the stamp of the tier-2 cache entry, and
-// the HotFuncs(tier2MinShare) candidate set.
-func (ms *moduleState) tier2Plan(art *prof.Artifact) (tr2 *codegen.Translator, stamp2 string, hot map[string]bool, err error) {
-	enc, err := art.Encode()
-	if err != nil {
-		return nil, "", nil, err
-	}
-	hot = make(map[string]bool)
-	for _, fs := range art.HotFuncs(tier2MinShare) {
-		hot[fs.Name] = true
-	}
-	return ms.tr.WithTier2(art), ms.stamp + "+" + Stamp(enc), hot, nil
-}
-
-// translateHot translates the hot functions with tr2 and stores them
-// under stamp2. This is tier 2 done over tier-1 code that already exists:
-// by a WithTier2 start that found native cached, and by idle-time
-// optimization so that such a start finds the work done.
-func (ms *moduleState) translateHot(tr2 *codegen.Translator, stamp2 string, hot map[string]bool) (map[string]*codegen.NativeFunc, error) {
-	funcs := make(map[string]*codegen.NativeFunc, len(hot))
-	for _, f := range ms.module.Functions {
-		if f.IsDeclaration() || !hot[f.Name()] {
-			continue
-		}
-		nf, err := tr2.TranslateFunction(f)
-		if err != nil {
-			// Tier-1 code is always a correct stand-in.
-			continue
-		}
-		funcs[f.Name()] = nf
-	}
-	if len(funcs) == 0 {
-		return funcs, nil
-	}
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return funcs, ms.writeObject(ms.key("native2"), stamp2, mergeForWriteBack(ms.module, funcs, nil))
-}
-
-// initTier2 arms tier 2 under the persisted guest profile art: the
-// translator, the hot set, and the code. The code comes from the
-// profile-stamped native2 cache when valid, or, when the native entry was
-// a hit, whose functions are never demanded, from translating the hot
-// functions now, under the system lock, so every session of this module
-// state sees the same optimized code. After a native miss there is no
-// code yet: translate produces it as functions are demanded. Runs once
-// per module state.
-func (ms *moduleState) initTier2(art *prof.Artifact) (err error) {
-	if ms.tr2, ms.stamp2, ms.hot, err = ms.tier2Plan(art); err != nil {
-		return err
-	}
-	var ok bool
-	if ms.loaded2, ok = ms.readObject(ms.key("native2"), ms.stamp2); !ok && ms.cacheHit {
-		ms.loaded2, err = ms.translateHot(ms.tr2, ms.stamp2, ms.hot)
-	}
-	return err
-}
-
-// key names one persisted artifact of this module on this target. The
-// three kinds are "native" (tier-1 code), "native2" (tier-2 code, stamped
-// stamp2) and "guestprof" (guestprof.go).
+// key names one persisted artifact of this module on this target. The two
+// kinds are "native" (the module's code, one record per function) and
+// "guestprof" (guestprof.go).
 func (ms *moduleState) key(kind string) string {
 	return kind + ":" + ms.module.Name + ":" + ms.desc.Name
+}
+
+// cachedFunc is one function's record in the code entry: its code, and the
+// content stamp of the guest profile that guided the translation (empty
+// for tier-1 code, which no profile guides).
+type cachedFunc struct {
+	*codegen.NativeFunc
+	profile string
 }
 
 // cachedObject is the serialized cache payload.
 type cachedObject struct {
 	TargetName string
 	Module     string
-	Funcs      []*codegen.NativeFunc
+	Funcs      []cachedFunc
 }
 
 // evictCache deletes a dead (stale or corrupt) cache blob so garbage
@@ -551,13 +546,13 @@ func (ms *moduleState) evictCache(key string) {
 }
 
 // readStamped is the one read of a persisted artifact: the bytes stored
-// under key, provided they were written against stamp. Anything else is
-// a miss, which every caller answers by doing the work online (paper,
-// Section 4.1: the system "will operate correctly in [the storage API's]
-// absence"). A storage fault is counted and costs exactly that; an entry
-// written against other object code or another profile (the paper's
-// timestamp check failing) is counted and evicted.
-func (ms *moduleState) readStamped(key, stamp string) ([]byte, bool) {
+// under key, provided they were written against this module's stamp.
+// Anything else is a miss, which every caller answers by doing the work
+// online (paper, Section 4.1: the system "will operate correctly in [the
+// storage API's] absence"). A storage fault is counted and costs exactly
+// that; an entry written against other object code (the paper's timestamp
+// check failing) is counted and evicted.
+func (ms *moduleState) readStamped(key string) ([]byte, bool) {
 	tele := ms.sys.tele
 	data, got, ok, err := ms.sys.storage.Read(key)
 	if err != nil {
@@ -568,7 +563,7 @@ func (ms *moduleState) readStamped(key, stamp string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	if got != stamp {
+	if got != ms.stamp {
 		tele.Counter(MetricStampMismatches).Inc()
 		tele.Events().Emit(telemetry.EvStampMismatch, key, 0)
 		ms.evictCache(key)
@@ -577,48 +572,52 @@ func (ms *moduleState) readStamped(key, stamp string) ([]byte, bool) {
 	return data, true
 }
 
-// readObject loads the native code cached under key, for either tier, by
-// function name. A blob that passes its stamp but does not decode, or was
-// translated for another target, is a miss as well: counted, evicted, and
-// replaced by the next write-back.
-func (ms *moduleState) readObject(key, stamp string) (map[string]*codegen.NativeFunc, bool) {
-	data, ok := ms.readStamped(key, stamp)
-	if !ok {
-		return nil, false
-	}
+// readObject loads the module's code entry as a table by function name. A
+// blob that passes its stamp but does not decode, or was translated for
+// another target, is a miss as well: counted, evicted, and replaced by the
+// next write-back. A record that decodes and could not be installed, because
+// a relocation names a symbol the module does not have, is a miss of that
+// function alone: counted, left out of the table, translated when called.
+// The table is nil on a miss and never on a hit.
+func (ms *moduleState) readObject() map[string]cachedFunc {
 	tele := ms.sys.tele
+	key := ms.key("native")
+	data, ok := ms.readStamped(key)
+	if !ok {
+		return nil
+	}
 	co, err := decodeCachedObject(data)
 	if err != nil || co.TargetName != ms.desc.Name {
 		tele.Counter(MetricCacheCorrupt).Inc()
 		tele.Events().Emit(telemetry.EvCacheCorrupt, key, 0)
 		ms.evictCache(key)
-		return nil, false
+		return nil
 	}
 	tele.Counter(MetricCacheHits).Inc()
 	tele.Events().Emit(telemetry.EvCacheHit, key, 0)
-	return funcsByName(co.Funcs), true
-}
-
-func (ms *moduleState) writeObject(key, stamp string, funcs []*codegen.NativeFunc) error {
-	co := cachedObject{TargetName: ms.desc.Name, Module: ms.module.Name, Funcs: funcs}
-	return ms.sys.storage.Write(key, stamp, encodeCachedObject(&co))
-}
-
-func funcsByName(funcs []*codegen.NativeFunc) map[string]*codegen.NativeFunc {
-	m := make(map[string]*codegen.NativeFunc, len(funcs))
-	for _, nf := range funcs {
-		m[nf.Name] = nf
+	held := make(map[string]cachedFunc, len(co.Funcs))
+records:
+	for _, cf := range co.Funcs {
+		// machine.resolveSym interns extern-table entries on sight; any
+		// other symbol must be a function or a global of the module.
+		for _, r := range cf.Relocs {
+			if r.Kind != target.RelocExt && ms.module.Function(r.Sym) == nil && ms.module.Global(r.Sym) == nil {
+				tele.Counter(MetricCacheCorrupt).Inc()
+				tele.Events().Emit(telemetry.EvCacheCorrupt, key+": "+cf.Name, 0)
+				continue records
+			}
+		}
+		held[cf.Name] = cf
 	}
-	return m
+	return held
 }
 
 // writeBack persists the settled translations (demanded by any session,
-// and unconsumed speculative ones) so the next start of this module, and
-// for tier 2 of this profile, skips straight to them (store). It never
-// re-reads storage, and when nothing settled since the last write-back
-// (every run of a session that installed the whole module up front) it
-// writes and allocates nothing. Called after every run and at
-// System.Close.
+// and unconsumed speculative ones) so the next start of this module skips
+// straight to them (store). It never re-reads storage, and when nothing
+// settled since the last write-back (every run of a session that installed
+// the whole module up front) it writes and allocates nothing. Called after
+// every run and at System.Close.
 func (ms *moduleState) writeBack() error {
 	if ms.sys.storage == nil {
 		return nil
@@ -629,64 +628,40 @@ func (ms *moduleState) writeBack() error {
 	if len(done) == ms.flushed {
 		return nil
 	}
-	settled := len(done)
-	_, _, err := ms.store(done)
+	fresh := make(map[string]cachedFunc, len(done))
+	for name, nf := range done {
+		fresh[name] = ms.plan.record(nf)
+	}
+	_, err := ms.store(fresh)
 	if err == nil {
-		ms.flushed = settled
+		ms.flushed = len(done)
 	}
 	return err
 }
 
-// store merges fresh translations into the code the state already holds
-// and, when the storage API is registered, writes the result: the hot
-// functions, which translate gave to tr2, to native2 under stamp2, the
-// rest to native. native is written even when every fresh function was
-// hot, so that the next start finds both entries and installs all of it
-// up front. It returns the two merged sets. The caller holds ms.mu.
-func (ms *moduleState) store(fresh map[string]*codegen.NativeFunc) (funcs, funcs2 []*codegen.NativeFunc, err error) {
-	var fresh2 map[string]*codegen.NativeFunc
-	for name := range ms.hot {
-		if nf := fresh[name]; nf != nil {
-			if fresh2 == nil {
-				fresh2 = make(map[string]*codegen.NativeFunc, len(ms.hot))
-			}
-			fresh2[name] = nf
-			delete(fresh, name)
-		}
+// store lays fresh translations over the table the state holds (into a new
+// table: fresh wins on collision) and, when the storage API is registered,
+// writes the result as the module's code entry, records in module function
+// order, the deterministic cache layout; a name that is not a module
+// function is left out. It returns the new table. The caller holds ms.mu.
+func (ms *moduleState) store(fresh map[string]cachedFunc) (map[string]cachedFunc, error) {
+	table := make(map[string]cachedFunc, len(ms.held)+len(fresh))
+	for n, cf := range ms.held {
+		table[n] = cf
 	}
-	funcs = mergeForWriteBack(ms.module, ms.loaded, fresh)
-	funcs2 = mergeForWriteBack(ms.module, ms.loaded2, fresh2)
+	for n, cf := range fresh {
+		table[n] = cf
+	}
 	if ms.sys.storage == nil {
-		return funcs, funcs2, nil
+		return table, nil
 	}
-	err = ms.writeObject(ms.key("native"), ms.stamp, funcs)
-	if len(fresh2) > 0 {
-		if err2 := ms.writeObject(ms.key("native2"), ms.stamp2, funcs2); err == nil {
-			err = err2
+	co := cachedObject{TargetName: ms.desc.Name, Module: ms.module.Name, Funcs: make([]cachedFunc, 0, len(table))}
+	for _, f := range ms.module.Functions {
+		if cf, ok := table[f.Name()]; ok {
+			co.Funcs = append(co.Funcs, cf)
 		}
 	}
-	return funcs, funcs2, err
-}
-
-// mergeForWriteBack merges previously cached translations with fresh
-// ones (fresh wins on collision) and returns them in module function
-// order — the deterministic cache layout. Names that are not module
-// functions are dropped.
-func mergeForWriteBack(m *core.Module, cached, fresh map[string]*codegen.NativeFunc) []*codegen.NativeFunc {
-	merged := make(map[string]*codegen.NativeFunc, len(cached)+len(fresh))
-	for n, f := range cached {
-		merged[n] = f
-	}
-	for n, f := range fresh {
-		merged[n] = f
-	}
-	funcs := make([]*codegen.NativeFunc, 0, len(merged))
-	for _, f := range m.Functions {
-		if nf, ok := merged[f.Name()]; ok {
-			funcs = append(funcs, nf)
-		}
-	}
-	return funcs
+	return table, ms.sys.storage.Write(ms.key("native"), ms.stamp, encodeCachedObject(&co))
 }
 
 // translateModule runs translate over the module's defined functions on
@@ -705,9 +680,9 @@ func (ms *moduleState) translateModule(translate func(*core.Function) (*codegen.
 
 // translateOffline is translateAhead for callers whose point is the
 // cache: without the storage API there is nowhere to put the result.
-func (ms *moduleState) translateOffline() error {
+func (ms *moduleState) translateOffline(p *tier2Plan) error {
 	if ms.sys.storage == nil {
 		return fmt.Errorf("llee: offline translation requires the storage API")
 	}
-	return ms.translateAhead()
+	return ms.translateAhead(p, true)
 }

@@ -2,6 +2,7 @@ package llee
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -91,6 +92,19 @@ func settledHot(s *Session, hot map[string]bool) (n int) {
 	return n
 }
 
+// heldTier2 counts the functions whose code in s's module state a guest
+// profile guided: the records tagged with a profile stamp.
+func heldTier2(s *Session) (n int) {
+	s.ms.mu.Lock()
+	defer s.ms.mu.Unlock()
+	for _, cf := range s.ms.held {
+		if cf.profile != "" {
+			n++
+		}
+	}
+	return n
+}
+
 // jitRequests returns the names of reg's JITRequest events, in order.
 func jitRequests(reg *telemetry.Registry) []string {
 	var names []string
@@ -100,77 +114,119 @@ func jitRequests(reg *telemetry.Registry) []string {
 	return names
 }
 
+// startHot is one process's life over st: a fresh System, WithTier2 or not,
+// runs hotProg in one session (which stores its samples first when opts
+// attach a profiler), checks the output against ref and closes.
+func startHot(t *testing.T, st Storage, ref string, tier2 bool, opts ...SessionOption) (*telemetry.Registry, *Session, uint64) {
+	t.Helper()
+	m, err := compileHot(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(tier2))
+	var out strings.Builder
+	s, err := sys.NewSession(m, target.VX86, &out, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run(context.Background(), "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != ref {
+		t.Errorf("tier2=%v: output = %q, want %q", tier2, out.String(), ref)
+	}
+	if s.Profiler() != nil {
+		if err := s.StoreGuestProfile(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return reg, s, r.Cycles
+}
+
 // TestTier2WarmStartUsesOptimizedCode: with both the tier-1 cache and a
 // guest profile persisted, a WithTier2 system eagerly re-translates the
 // hot functions at tier 2 and loads them with the cached object — same
-// output, fewer simulated cycles — and a third system skips straight to
-// the profile-stamped tier-2 cache without translating anything.
+// output, fewer simulated cycles — and a third system finds their records
+// tagged with the profile's stamp and translates nothing. The code entry is
+// stamped by the module alone and a profile only tags records, so once the
+// profile has moved on (the third start was sampled) the fourth start pays
+// for the hot functions, translated once more ahead of the run, and nothing
+// else: the entry is not evicted, and every other function is installed
+// from it untranslated.
 func TestTier2WarmStartUsesOptimizedCode(t *testing.T) {
 	st := NewMemStorage()
 	ref, baseCycles := seedGuestProfile(t, st, target.VX86)
+	start := func(what string, opts ...SessionOption) (*telemetry.Registry, *Session, uint64) {
+		t.Helper()
+		reg, s, cycles := startHot(t, st, ref, true, opts...)
+		// Whatever it translated, it did so ahead of the run, over one hit.
+		if !s.CacheHit() || reg.CounterValue(MetricCacheHits) != 1 || len(jitRequests(reg)) != 0 {
+			t.Errorf("%s: CacheHit = %v, %s = %d, demanded %v", what, s.CacheHit(),
+				MetricCacheHits, reg.CounterValue(MetricCacheHits), jitRequests(reg))
+		}
+		return reg, s, cycles
+	}
+	translated := func(reg *telemetry.Registry) (all, tier2 uint64) {
+		return reg.CounterValue(MetricTranslations), reg.CounterValue(codegen.MetricTier2Funcs)
+	}
 
-	m2, err := minic.Compile("hot.c", hotProg)
-	if err != nil {
-		t.Fatal(err)
+	p1 := hotFuncs(t, st, "hot.c", target.VX86)
+	reg, s, optCycles := start("second start")
+	if all, tier2 := translated(reg); all != uint64(len(p1)) || tier2 != all {
+		t.Errorf("second start translated %d functions, %d at tier 2, want the %d hot ones", all, tier2, len(p1))
 	}
-	reg2 := telemetry.New()
-	sys2 := NewSystem(WithStorage(st), WithTelemetry(reg2), WithTier2(true))
-	var out2 strings.Builder
-	s2, err := sys2.NewSession(m2, target.VX86, &out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.CacheHit() {
-		t.Fatal("tier-2 warm start missed the tier-1 cache")
-	}
-	if _, err := s2.Run(context.Background(), "main"); err != nil {
-		t.Fatal(err)
-	}
-	if out2.String() != ref {
-		t.Errorf("tier-2 output = %q, want %q", out2.String(), ref)
-	}
-	if got := reg2.CounterValue(codegen.MetricTier2Funcs); got == 0 {
-		t.Error("warm start translated no tier-2 functions")
-	}
-	if got := reg2.CounterValue(codegen.MetricSuperblocks); got == 0 {
+	if got := reg.CounterValue(codegen.MetricSuperblocks); got == 0 {
 		t.Error("tier-2 translation formed no superblocks")
 	}
-	optCycles := s2.Machine().Stats.Cycles
 	if optCycles >= baseCycles {
 		t.Errorf("tier-2 did not reduce cycles: %d -> %d", baseCycles, optCycles)
 	}
-	if err := sys2.Close(); err != nil {
-		t.Fatal(err)
+	tag1 := s.ms.plan.profile
+
+	// Third start: the hot functions' records carry this profile's stamp,
+	// so they decode from storage — no tier-2 translation at all — and
+	// execution is cycle-identical to the second start. It is sampled, so
+	// at its exit the stored profile is P1 plus its samples.
+	reg, _, cycles := start("third start", WithProfiler(prof.NewProfiler(64)))
+	if all, tier2 := translated(reg); all+tier2 != 0 || cycles != optCycles {
+		t.Errorf("third start translated %d functions (%d at tier 2) and retired %d cycles, want 0 and %d (byte-identical code)",
+			all, tier2, cycles, optCycles)
 	}
 
-	// Third start: the profile-stamped tier-2 cache is valid, so the hot
-	// functions decode from storage — no tier-2 translation at all — and
-	// execution is cycle-identical to the second start.
-	m3, err := minic.Compile("hot.c", hotProg)
-	if err != nil {
-		t.Fatal(err)
+	p2 := hotFuncs(t, st, "hot.c", target.VX86)
+	reg, s, cycles = start("fourth start")
+	if s.ms.plan.profile == tag1 {
+		t.Fatal("the sampled run did not change the stored profile")
 	}
-	reg3 := telemetry.New()
-	sys3 := NewSystem(WithStorage(st), WithTelemetry(reg3), WithTier2(true))
-	defer sys3.Close()
-	var out3 strings.Builder
-	s3, err := sys3.NewSession(m3, target.VX86, &out3)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{MetricStampMismatches, MetricCacheEvictions, MetricCacheMisses} {
+		if got := reg.CounterValue(name); got != 0 {
+			t.Errorf("fourth start: %s = %d, want 0: a profile does not invalidate the entry", name, got)
+		}
 	}
-	if _, err := s3.Run(context.Background(), "main"); err != nil {
-		t.Fatal(err)
+	if all, tier2 := translated(reg); all != uint64(len(p2)) || tier2 != all {
+		t.Errorf("fourth start translated %d functions, %d at tier 2, want the %d hot ones and nothing else", all, tier2, len(p2))
 	}
-	if out3.String() != ref {
-		t.Errorf("cached tier-2 output = %q, want %q", out3.String(), ref)
+	if cycles >= baseCycles {
+		t.Errorf("fourth start is not cheaper than tier 1: %d vs %d cycles", cycles, baseCycles)
 	}
-	if got := reg3.CounterValue(codegen.MetricTier2Funcs); got != 0 {
-		t.Errorf("cached tier-2 start translated %d functions, want 0", got)
+	for name, cf := range s.ms.held {
+		want := ""
+		switch {
+		case p2[name]:
+			want = s.ms.plan.profile
+		case p1[name]:
+			want = tag1 // no longer hot: its record is just code, left as it was
+		}
+		if cf.profile != want {
+			t.Errorf("%s is tagged %q, want %q", name, cf.profile, want)
+		}
 	}
-	if got := s3.Machine().Stats.Cycles; got != optCycles {
-		t.Errorf("cached tier-2 cycles = %d, want %d (byte-identical code)", got, optCycles)
-	}
-	t.Logf("cycles: tier-1 %d -> tier-2 %d", baseCycles, optCycles)
+	t.Logf("cycles: tier-1 %d -> tier-2 %d -> under the newer profile %d", baseCycles, optCycles, cycles)
 }
 
 // TestTier2OnlineFirstCall: on a profile-warm, code-cold start a hot
@@ -306,51 +362,27 @@ func TestTier2ConcurrentSessions(t *testing.T) {
 }
 
 // TestTier2OnlineWriteBack: what an online tier-2 run translated is
-// written back split by tier, hot functions to native2 and the rest to
-// native, so the next WithTier2 start hits both entries, translates
-// nothing and installs all of it before the run; and a plain start over
-// the same store, which may not use native2, demands exactly the hot
-// functions once and is fully warm on the start after.
+// written back as one entry, each hot function's record tagged with the
+// profile's stamp, so the next start over the store, WithTier2 or plain,
+// hits that entry once, translates nothing and installs all of it before
+// the run: cached code is code, whichever translator produced it.
 func TestTier2OnlineWriteBack(t *testing.T) {
 	st := NewMemStorage()
 	ref, tier1 := seedCodeCold(t, st, target.VX86)
-	m, err := compileHot(t)
-	if err != nil {
-		t.Fatal(err)
+	startHot(t, st, ref, true) // online: translates, writes the entry back
+	if keys, err := st.Keys(); err != nil || len(keys) != 2 {
+		t.Errorf("Keys() = %v, %v; want the code entry and the guest profile", keys, err)
 	}
-	hot := hotFuncs(t, st, m.Name, target.VX86)
-	start := func(tier2 bool) (*telemetry.Registry, *Session, uint64) {
-		t.Helper()
-		m, err := compileHot(t)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := telemetry.New()
-		sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(tier2))
-		var out strings.Builder
-		s, err := sys.NewSession(m, target.VX86, &out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.Run(context.Background(), "main")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.String() != ref {
-			t.Errorf("tier2=%v: output = %q, want %q", tier2, out.String(), ref)
-		}
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return reg, s, r.Cycles
-	}
-	warm := func(what string, reg *telemetry.Registry, s *Session, hits uint64) {
-		t.Helper()
+
+	var warm [2]uint64
+	for i, tier2 := range []bool{true, false} {
+		what := fmt.Sprintf("the tier2=%v start after the online run", tier2)
+		reg, s, cycles := startHot(t, st, ref, tier2)
 		if !s.CacheHit() {
-			t.Errorf("%s missed the tier-1 cache", what)
+			t.Errorf("%s missed the cache", what)
 		}
-		if got := reg.CounterValue(MetricCacheHits); got != hits {
-			t.Errorf("%s: %s = %d, want %d", what, MetricCacheHits, got, hits)
+		if got := reg.CounterValue(MetricCacheHits); got != 1 {
+			t.Errorf("%s: %s = %d, want 1", what, MetricCacheHits, got)
 		}
 		if got := reg.CounterValue(MetricTranslations) + reg.CounterValue(codegen.MetricTier2Funcs); got != 0 {
 			t.Errorf("%s translated %d functions, want 0", what, got)
@@ -358,35 +390,14 @@ func TestTier2OnlineWriteBack(t *testing.T) {
 		if names := jitRequests(reg); len(names) != 0 {
 			t.Errorf("%s demanded %v: not everything cached was installed before the run", what, names)
 		}
-	}
-
-	start(true) // online: translates, writes both entries back
-
-	reg, s, cycles := start(true)
-	warm("the WithTier2 start after the online run", reg, s, 2)
-	if cycles >= tier1 {
-		t.Errorf("warm tier-2 start is not cheaper than tier 1: %d vs %d cycles", cycles, tier1)
-	}
-
-	reg, s, _ = start(false)
-	if !s.CacheHit() {
-		t.Error("plain start missed the tier-1 cache")
-	}
-	names := jitRequests(reg)
-	if len(names) != len(hot) {
-		t.Errorf("plain start demanded %v, want the %d hot functions once each", names, len(hot))
-	}
-	for _, name := range names {
-		if !hot[name] {
-			t.Errorf("plain start demanded %s, which is not hot and should have been in native", name)
+		if cycles >= tier1 {
+			t.Errorf("%s is not cheaper than tier 1: %d vs %d cycles", what, cycles, tier1)
 		}
+		warm[i] = cycles
 	}
-	if got := reg.CounterValue(codegen.MetricTier2Funcs); got != 0 {
-		t.Errorf("plain start translated %d functions at tier 2", got)
+	if warm[0] != warm[1] {
+		t.Errorf("the same cached code retired %d cycles WithTier2 and %d without", warm[0], warm[1])
 	}
-
-	reg, s, _ = start(false)
-	warm("the plain start after that", reg, s, 1)
 }
 
 // TestPreloadArmsTier2: Preload on a profile-warm, code-cold module (the
@@ -430,8 +441,8 @@ func TestPreloadArmsTier2(t *testing.T) {
 	if got := reg.CounterValue(codegen.MetricTier2Funcs); got != uint64(hot) {
 		t.Errorf("%s = %d, want %d", codegen.MetricTier2Funcs, got, hot)
 	}
-	if len(s.ms.loaded2) != hot {
-		t.Errorf("%d tier-2 functions loaded, want %d", len(s.ms.loaded2), hot)
+	if n := heldTier2(s); n != hot {
+		t.Errorf("%d tier-2 functions held, want %d", n, hot)
 	}
 	if cycles >= plain {
 		t.Errorf("preloaded tier-2 session is not cheaper than a plain one: %d vs %d cycles", cycles, plain)

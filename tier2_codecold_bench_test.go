@@ -16,7 +16,7 @@ import (
 // BenchmarkTier2CodeCold measures the one start on which tier 2 is built
 // while the program runs: a guest profile is stored, the code cache is
 // gone. Per suite program on vx86 it seeds a store with one sampled run
-// (tier1-cycles), then on every pass deletes both code entries, starts a
+// (tier1-cycles), then on every pass deletes the code entry, starts a
 // fresh WithTier2 System and reports the first run's cycles (min and max
 // over the passes: equal, since nothing on this path reads the host
 // clock), the translation time that run stalled for on the demand path,
@@ -52,10 +52,8 @@ func BenchmarkTier2CodeCold(b *testing.B) {
 			var stall int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, kind := range []string{"native", "native2"} {
-					if err := st.Delete(kind + ":" + m.Name + ":" + target.VX86.Name); err != nil {
-						b.Fatal(err)
-					}
+				if err := st.Delete("native:" + m.Name + ":" + target.VX86.Name); err != nil {
+					b.Fatal(err)
 				}
 				reg := telemetry.New()
 				sys := llee.NewSystem(llee.WithStorage(st), llee.WithTelemetry(reg), llee.WithTier2(true))
