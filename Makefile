@@ -61,7 +61,9 @@ bench-compare:
 # bench-smoke compiles and runs the Table 2, pipeline, cache
 # (BenchmarkCacheCodec, BenchmarkCASRead), session-start
 # (BenchmarkNewSession/-Large, BenchmarkMemNew), guest-memory-access
-# (BenchmarkLoadStore) and translator (BenchmarkLower per target and
+# (BenchmarkLoadStore), block-engine dispatch (BenchmarkDispatch: one
+# hand-assembled loop per dispatch class, host-ns/guest-instr), codec
+# (BenchmarkEncodeDecode) and translator (BenchmarkLower per target and
 # tier, BenchmarkAllocLinear; their doc comments give the before/after
 # command line) benchmarks once, as a CI-cheap check that the benchmarks
 # themselves stay green (in particular the block-engine execution path
@@ -72,7 +74,7 @@ bench-compare:
 # must render. The serve smoke drives a short loadgen burst against an
 # in-process server: non-zero completions, zero 5xx.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|SpeculativeColdStart|CacheCodec|CASRead|NewSession|MemNew|LoadStore|Lower|AllocLinear' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|SpeculativeColdStart|CacheCodec|CASRead|NewSession|MemNew|LoadStore|Dispatch|EncodeDecode|Lower|AllocLinear' -benchtime 1x ./...
 	$(GO) test -run TestTraceSmoke .
 	$(GO) test -count=1 -run TestLoadGenSmoke ./internal/serve/
 

@@ -240,6 +240,145 @@ entry:
 			}
 		}
 	}
+
+	// The same exactness where the engine keeps the least state: a
+	// hand-assembled block that ends in a compare and branch (one fused op
+	// on vx86), with a load, a divide and a store before it, each of which
+	// traps in turn. The PC and the counters exist only as the trapping
+	// op's position in its block.
+	const rVal, rPtr, rDiv, rOut = 6, 7, 8, 9
+	body := func(noTrap bool) []target.MInstr {
+		movi, load, div, store := mi(target.MMovRI), mi(target.MLoad), mi(target.MALU), mi(target.MStore)
+		movi.Rd, movi.Imm = rVal, 40
+		load.Rd, load.Base, load.Size, load.NoTrap = rOut, rPtr, 8, noTrap
+		div.Alu, div.Rd, div.Rs1, div.Rs2, div.Size, div.Signed, div.NoTrap = target.ADiv, rOut, rVal, rDiv, 8, true, noTrap
+		store.Rs1, store.Base, store.Size, store.NoTrap = rVal, rPtr, 8, noTrap
+		cmp, jcc := mi(target.MCmp), mi(target.MJcc)
+		cmp.Rs1, cmp.Rs2, cmp.Signed = rVal, rDiv, true
+		jcc.Cnd, jcc.Rs1 = target.CondGT, rVal
+		return []target.MInstr{movi, load, div, store, cmp, jcc, mi(target.MRet)}
+	}
+	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+		prog := body(false)
+		prog[5].Target = int32(len(encodeOne(d, &prog[5])) / d.RelBranchScale) // to the ret, like the fall-through
+		for _, tc := range []struct {
+			name      string
+			ptr, div  uint64
+			at        int // index of the instruction that traps
+			trap      uint64
+			wantInstr target.MOp
+		}{
+			{"load", 0, 5, 1, TrapMemoryFault, target.MLoad},
+			{"div", oracleWin, 0, 2, TrapDivByZero, target.MALU},
+		} {
+			mc := oracleMachine(t, d, true)
+			entry, err := mc.emit(prog...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc.bind("f", entry)
+			mc.regs[rPtr], mc.regs[rDiv] = tc.ptr, tc.div
+			_, err = mc.Run("f")
+			te, ok := err.(*TrapError)
+			if !ok || te.Num != tc.trap {
+				t.Fatalf("fused/%s/%s: err = %v, want trap %d", tc.name, d.Name, err, tc.trap)
+			}
+			if ops := mc.blocks[entry].ops; d.HasFlags && (len(ops) != 5 || ops[4].op != uCmpJccS) {
+				t.Errorf("fused/%s/%s: the block is %d ops ending in op %d, want 5 ending in the fused compare-and-branch", tc.name, d.Name, len(ops), ops[len(ops)-1].op)
+			}
+			wantPC := entry
+			for i := 0; i < tc.at; i++ {
+				wantPC += uint64(len(encodeOne(d, &prog[i])))
+			}
+			wantInstrs, wantCycles, in := walkTo(t, mc, entry, wantPC)
+			if te.PC != wantPC || in.Op != tc.wantInstr || te.Mnemonic != in.String() {
+				t.Errorf("fused/%s/%s: trap at 0x%x [%s], want 0x%x [%s]", tc.name, d.Name, te.PC, te.Mnemonic, wantPC, in.String())
+			}
+			if mc.Stats.Instrs != wantInstrs || mc.Stats.Cycles != wantCycles {
+				t.Errorf("fused/%s/%s: retired %d instructions in %d cycles, want %d in %d", tc.name, d.Name, mc.Stats.Instrs, mc.Stats.Cycles, wantInstrs, wantCycles)
+			}
+		}
+
+		// A store cannot fault where the load before it did not, so the
+		// store's turn takes a block of its own shape: the pointer is
+		// replaced between the two.
+		{
+			mc := oracleMachine(t, d, true)
+			repoint := mi(target.MMovRI)
+			repoint.Rd = rPtr
+			p := append(append([]target.MInstr{}, prog[:3]...), repoint)
+			p = append(p, prog[3:]...)
+			entry, err := mc.emit(p...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc.bind("f", entry)
+			mc.regs[rPtr], mc.regs[rDiv] = oracleWin, 5
+			_, err = mc.Run("f")
+			wantPC := entry
+			for i := 0; i < 4; i++ {
+				wantPC += uint64(len(encodeOne(d, &p[i])))
+			}
+			wantInstrs, wantCycles, in := walkTo(t, mc, entry, wantPC)
+			te, ok := err.(*TrapError)
+			if !ok || te.Num != TrapMemoryFault || te.PC != wantPC || in.Op != target.MStore || te.Mnemonic != in.String() {
+				t.Errorf("fused/store/%s: err = %v, want a memory fault at 0x%x [%s]", d.Name, err, wantPC, in.String())
+			}
+			if mc.Stats.Instrs != wantInstrs || mc.Stats.Cycles != wantCycles {
+				t.Errorf("fused/store/%s: retired %d instructions in %d cycles, want %d in %d", d.Name, mc.Stats.Instrs, mc.Stats.Cycles, wantInstrs, wantCycles)
+			}
+		}
+
+		// The same accesses marked NoTrap must not trap: the load and the
+		// divide read as zero, the store writes nothing, and the run
+		// retires the whole block, the taken branch and the ret.
+		{
+			mc := oracleMachine(t, d, true)
+			quiet := body(true)
+			quiet[5].Target = prog[5].Target
+			entry, err := mc.emit(quiet...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc.bind("f", entry)
+			mc.regs[rPtr], mc.regs[rDiv], mc.regs[rOut] = 0, 0, 77
+			if _, err := mc.Run("f"); err != nil {
+				t.Fatalf("notrap/%s: %v", d.Name, err)
+			}
+			retPC := mc.codeEnd - uint64(len(encodeOne(d, &quiet[6])))
+			wantInstrs, wantCycles, _ := walkTo(t, mc, entry, retPC)
+			wantCycles++ // 40 > 0: the branch is taken
+			if mc.regs[rOut] != 0 || mc.Stats.Instrs != wantInstrs || mc.Stats.Cycles != wantCycles || mc.Stats.Traps != 0 {
+				t.Errorf("notrap/%s: r%d = %d after %d instructions, %d cycles, %d traps; want 0 after %d, %d, 0",
+					d.Name, rOut, mc.regs[rOut], mc.Stats.Instrs, mc.Stats.Cycles, mc.Stats.Traps, wantInstrs, wantCycles)
+			}
+		}
+
+		// clock() in the middle of a function reads the virtual clock as of
+		// its own call instruction, although the block's cycles have not
+		// been added to the counter yet.
+		{
+			mc := oracleMachine(t, d, true)
+			clock := mi(target.MCallExt)
+			clock.Sym = "clock"
+			p := append(body(true)[:4], clock, mi(target.MRet))
+			entry, err := mc.emit(p...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc.bind("f", entry)
+			mc.regs[rPtr], mc.regs[rDiv] = oracleWin, 5
+			got, err := mc.Run("f")
+			if err != nil {
+				t.Fatalf("clock/%s: %v", d.Name, err)
+			}
+			retLen := uint64(len(encodeOne(d, &p[5])))
+			clockPC := mc.codeEnd - retLen - uint64(len(encodeOne(d, &clock)))
+			if _, want, _ := walkTo(t, mc, entry, clockPC); got != want {
+				t.Errorf("clock/%s: clock() = %d, want %d: the cycles through the call", d.Name, got, want)
+			}
+		}
+	}
 }
 
 // TestDecodeBoundaryLazyError: a block cut short by the end of the code

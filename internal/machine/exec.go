@@ -13,8 +13,8 @@ import (
 
 // TrapError reports an unhandled machine exception. Mnemonic, when the
 // trap fired mid-block, is the rendered faulting instruction — what was
-// *at* the PC, not just its number (the block engine fills it in from
-// the predecoded instruction, so it costs nothing to produce).
+// *at* the PC, not just its number (the block engine decodes the PC again
+// to fill it in: blocks keep no instruction, and a trap is a cold path).
 type TrapError struct {
 	Num      uint64
 	PC       uint64
@@ -36,32 +36,13 @@ const (
 	TrapPrivilege   = 3
 )
 
-// unifiedRegs is the size of the machine's single register file: the
-// Reg encoding already carries bank+index (integer registers in
+// unifiedRegs is the size of the machine's architectural register file:
+// the Reg encoding already carries bank+index (integer registers in
 // [0, 64), FP registers in [FPBase, FPBase+64)), so both banks live in
 // one array and the hot loop indexes it directly — no IsFP re-test per
-// operand access. Every Reg ≥ unifiedRegs (only NoReg in decoded code)
-// is the absent operand.
+// operand access. Every Reg ≥ unifiedRegs is the absent operand; uop.go
+// gives it a slot.
 const unifiedRegs = 128
-
-// reg reads a register from the unified file.
-func (mc *Machine) reg(r target.Reg) uint64 {
-	if r < unifiedRegs {
-		return mc.regs[r]
-	}
-	return 0 // NoReg
-}
-
-func (mc *Machine) setReg(r target.Reg, v uint64) {
-	if r < unifiedRegs {
-		mc.regs[r] = v
-		// r0 is hardwired to zero on vsparc: r0mask is 0 there (and
-		// all-ones on vx86, where r0 is a live register), so the
-		// invariant regs[0] == 0 is restored branch-free after every
-		// write instead of re-testing the destination.
-		mc.regs[0] &= mc.r0mask
-	}
-}
 
 // canon extends a raw value to the canonical register image for a width
 // and signedness (identical to the reference interpreter's convention).
@@ -204,6 +185,9 @@ func (mc *Machine) loop() error {
 	if max == 0 {
 		max = 2_000_000_000
 	}
+	// The budget is the run's own, like gas: a machine that is run again
+	// without a Reset starts a fresh one.
+	stop := mc.Stats.Instrs + max
 	// Done() of an uncancellable context is nil: the poll degenerates to
 	// one nil compare per block and execution is bit-identical to a run
 	// without a context.
@@ -229,7 +213,7 @@ func (mc *Machine) loop() error {
 			default:
 			}
 		}
-		if mc.Stats.Instrs >= max {
+		if mc.Stats.Instrs >= stop {
 			return fmt.Errorf("machine: instruction limit exceeded (%d)", max)
 		}
 		// Gas is metered on the virtual clock at block boundaries: the
@@ -255,175 +239,96 @@ func (mc *Machine) loop() error {
 	}
 }
 
-// exec executes one instruction; it returns true if it set the PC.
-func (mc *Machine) exec(in *target.MInstr, size int) (bool, error) {
+// general executes the ops runBlock does not handle inline, and the loads
+// and stores it does whenever their inlined accessor declined (a fast load
+// is the general one with its size and signedness fixed); none of them
+// redirects the PC. mc.pc is the instruction's.
+func (mc *Machine) general(u *uop) error {
 	d := mc.desc
-	switch in.Op {
-	case target.MNop:
-	case target.MMovRR:
-		mc.setReg(in.Rd, mc.reg(in.Rs1))
-	case target.MMovRI:
-		if d.WordSize == 4 {
-			// vsparc set/or-shifted semantics
-			chunk := uint64(in.Imm) & 0xffff
-			sh := uint(in.Scale) * 16
-			if in.HasImm { // or form
-				mc.setReg(in.Rd, mc.reg(in.Rd)|chunk<<sh)
-			} else {
-				v := uint64(int64(int16(chunk))) << sh
-				mc.setReg(in.Rd, v)
-			}
-		} else {
-			mc.setReg(in.Rd, uint64(in.Imm))
-		}
-	case target.MLoad:
-		addr := mc.effAddr(in)
-		v, err := mc.mem.Load(addr, int(in.Size))
+	r := &mc.regs
+	switch u.op {
+	case uLdG, uLd8U, uLd8S, uLd16U, uLd16S, uLd32U, uLd32S, uLd64:
+		v, err := mc.mem.Load(u.ea(r), int(u.size()))
 		if err != nil {
-			if in.NoTrap {
-				mc.setReg(in.Rd, 0)
-				return false, nil
-			}
-			return false, &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: err.Error()}
+			return mc.accessFault(u, err)
 		}
-		if in.FP {
-			if in.Size == 4 {
+		if u.fp() {
+			if u.size() == 4 {
 				v = math.Float64bits(float64(math.Float32frombits(uint32(v))))
 			}
-			mc.setReg(in.Rd, v)
+			r[u.rd] = v
 		} else {
-			mc.setReg(in.Rd, canonInt(in.Size, in.Signed, v))
+			r[u.rd] = canonInt(u.size(), u.signed(), v)
 		}
-	case target.MStore:
-		addr := mc.effAddr(in)
-		v := mc.reg(in.Rs1)
-		if in.FP && in.Size == 4 {
+	case uStG, uSt8, uSt16, uSt32, uSt64:
+		v := r[u.ra]
+		if u.fp() && u.size() == 4 {
 			v = uint64(math.Float32bits(float32(math.Float64frombits(v))))
 		}
-		if err := mc.mem.Store(addr, int(in.Size), v); err != nil {
-			if in.NoTrap {
-				return false, nil
+		if err := mc.mem.Store(u.ea(r), int(u.size()), v); err != nil {
+			return mc.accessFault(u, err)
+		}
+	case uALU:
+		return mc.alu(u, r[u.ra], r[u.rb]+u.imm)
+	case uALUM:
+		v, err := mc.mem.Load(u.ea(r), int(u.size()))
+		if err != nil {
+			return &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: err.Error()}
+		}
+		b := canonInt(u.size(), u.signed(), v)
+		if u.fp() {
+			if u.size() == 4 {
+				b = math.Float64bits(float64(math.Float32frombits(uint32(v))))
+			} else {
+				b = v
 			}
-			return false, &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: err.Error()}
 		}
-	case target.MLea:
-		mc.setReg(in.Rd, mc.effAddr(in))
-	case target.MALU:
-		return false, mc.execALU(in)
-	case target.MCmp:
-		a := mc.reg(in.Rs1)
-		var b uint64
-		if in.HasImm {
-			b = uint64(in.Imm)
-		} else {
-			b = mc.reg(in.Rs2)
+		return mc.alu(u, r[u.ra], b)
+	case uCvt:
+		mc.cvt(u)
+	case uPush:
+		sp := r[d.SP] - 8
+		if err := mc.mem.Store(sp, 8, r[u.ra]); err != nil {
+			return &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: err.Error()}
 		}
-		mc.compare(a, b, in.Signed, in.FP)
-	case target.MSetCC:
-		if d.HasFlags {
-			mc.setReg(in.Rd, boolWord(mc.condHolds(in.Cnd)))
-		} else {
-			mc.compare(mc.reg(in.Rs1), mc.reg(in.Rs2), in.Signed, in.FP)
-			mc.setReg(in.Rd, boolWord(mc.condHolds(in.Cnd)))
-		}
-	case target.MJmp:
-		mc.pc = mc.relTarget(in, size)
-		return true, nil
-	case target.MJcc:
-		var take bool
-		if d.HasFlags {
-			take = mc.condHolds(in.Cnd)
-		} else {
-			mc.compare(mc.reg(in.Rs1), 0, true, false)
-			take = mc.condHolds(in.Cnd)
-		}
-		if take {
-			mc.pc = mc.relTarget(in, size)
-			return true, nil
-		}
-	case target.MCall:
-		mc.Stats.Calls++
-		ret := mc.pc + uint64(size)
-		tgt := uint64(in.Target) * uint64(d.CallTargetScale)
-		return true, mc.callTo(tgt, ret)
-	case target.MCallInd:
-		mc.Stats.Calls++
-		ret := mc.pc + uint64(size)
-		return true, mc.callTo(mc.reg(in.Rs1), ret)
-	case target.MCallExt:
-		return mc.execCallExt(in, size)
-	case target.MRet:
-		if d.StackArgs {
-			sp := mc.regs[d.SP]
-			v, err := mc.mem.Load(sp, 8)
-			if err != nil {
-				return false, &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: "ret: " + err.Error()}
-			}
-			mc.regs[d.SP] = sp + 8
-			mc.pc = v
-		} else {
-			mc.pc = mc.regs[3] // RA
-		}
-		if mc.trackCalls && len(mc.callStack) > 0 {
-			mc.callStack = mc.callStack[:len(mc.callStack)-1]
-		}
-		return true, nil
-	case target.MPush:
-		sp := mc.regs[d.SP] - 8
-		v := mc.reg(in.Rs1)
-		if err := mc.mem.Store(sp, 8, v); err != nil {
-			return false, &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: err.Error()}
-		}
-		mc.regs[d.SP] = sp
-	case target.MPop:
-		sp := mc.regs[d.SP]
+		r[d.SP] = sp
+	case uPop:
+		sp := r[d.SP]
 		v, err := mc.mem.Load(sp, 8)
 		if err != nil {
-			return false, &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: err.Error()}
+			return &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: err.Error()}
 		}
-		mc.setReg(in.Rd, v)
-		mc.regs[d.SP] = sp + 8
-	case target.MCvt:
-		mc.execCvt(in)
-	case target.MInvokePush:
+		r[u.rd] = v
+		r[d.SP] = sp + 8
+	case uInvokePush:
 		mc.invokeStack = append(mc.invokeStack, invokeFrame{
-			handler: mc.relTarget(in, size),
-			sp:      mc.regs[d.SP],
-			fp:      mc.regs[d.FP],
+			handler: u.imm,
+			sp:      r[d.SP],
+			fp:      r[d.FP],
 			depth:   len(mc.callStack),
 		})
-	case target.MInvokePop:
+	case uInvokePop:
 		if len(mc.invokeStack) == 0 {
-			return false, fmt.Errorf("machine: invoke-pop with empty handler stack")
+			return fmt.Errorf("machine: invoke-pop with empty handler stack")
 		}
 		mc.invokeStack = mc.invokeStack[:len(mc.invokeStack)-1]
-	case target.MUnwind:
-		if len(mc.invokeStack) == 0 {
-			return false, fmt.Errorf("machine: unwind reached the top of the stack")
-		}
-		fr := mc.invokeStack[len(mc.invokeStack)-1]
-		mc.invokeStack = mc.invokeStack[:len(mc.invokeStack)-1]
-		// Restore only the invoking frame's SP and FP; every other
-		// register keeps whatever the unwound callees left in it. Values
-		// the handler needs must live in the frame (the translator spills
-		// them around invoke).
-		mc.regs[d.SP] = fr.sp
-		mc.regs[d.FP] = fr.fp
-		mc.pc = fr.handler
-		// Unwinding pops every virtual frame above the invoking one in
-		// a single step; the shadow call stack follows suit.
-		if mc.trackCalls && fr.depth <= len(mc.callStack) {
-			mc.callStack = mc.callStack[:fr.depth]
-		}
-		return true, nil
-	case target.MTrap:
-		return false, &TrapError{Num: uint64(in.Imm), PC: mc.pc, Detail: "explicit trap"}
-	case target.MAdjSP:
-		mc.regs[d.SP] = mc.regs[d.SP] + uint64(in.Imm)
+	case uTrap:
+		return &TrapError{Num: u.imm, PC: mc.pc, Detail: "explicit trap"}
 	default:
-		return false, fmt.Errorf("machine: unimplemented op %s", in.Op)
+		return fmt.Errorf("machine: unimplemented micro-op %d", u.op)
 	}
-	return false, nil
+	return nil
+}
+
+// accessFault is the outcome of a load or store that faulted with err: a
+// NoTrap access (a speculative one) reads as zero or writes nothing and
+// execution goes on, any other traps.
+func (mc *Machine) accessFault(u *uop, err error) error {
+	if u.noTrap() {
+		mc.regs[u.rd] = 0 // a store's rd is the sink
+		return nil
+	}
+	return &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: err.Error()}
 }
 
 func (mc *Machine) callTo(tgt, ret uint64) error {
@@ -444,82 +349,89 @@ func (mc *Machine) callTo(tgt, ret uint64) error {
 	return nil
 }
 
-func (mc *Machine) relTarget(in *target.MInstr, size int) uint64 {
-	return uint64(int64(mc.pc) + int64(in.Target)*int64(mc.desc.RelBranchScale))
-}
-
-func (mc *Machine) effAddr(in *target.MInstr) uint64 {
-	a := mc.reg(in.Base)
-	if in.Index != target.NoReg {
-		a += mc.reg(in.Index) * uint64(in.Scale)
-	}
-	return a + uint64(int64(in.Disp))
-}
-
-func boolWord(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func (mc *Machine) compare(a, b uint64, signed, fp bool) {
-	switch {
-	case fp:
-		x, y := math.Float64frombits(a), math.Float64frombits(b)
-		mc.flagEQ, mc.flagLT = x == y, x < y
-	case signed:
-		mc.flagEQ, mc.flagLT = int64(a) == int64(b), int64(a) < int64(b)
-	default:
-		mc.flagEQ, mc.flagLT = a == b, a < b
-	}
-}
-
-func (mc *Machine) condHolds(c target.Cond) bool {
-	switch c {
-	case target.CondEQ:
-		return mc.flagEQ
-	case target.CondNE:
-		return !mc.flagEQ
-	case target.CondLT:
-		return mc.flagLT
-	case target.CondGE:
-		return !mc.flagLT
-	case target.CondGT:
-		return !mc.flagLT && !mc.flagEQ
-	default: // CondLE
-		return mc.flagLT || mc.flagEQ
-	}
-}
-
-func (mc *Machine) execALU(in *target.MInstr) error {
-	a := mc.reg(in.Rs1)
-	var b uint64
-	switch {
-	case in.HasImm:
-		b = uint64(in.Imm)
-	case in.HasMem:
-		addr := mc.effAddr(in)
-		v, err := mc.mem.Load(addr, int(in.Size))
+// ret returns from the current function.
+func (mc *Machine) ret() error {
+	d := mc.desc
+	if d.StackArgs {
+		sp := mc.regs[d.SP]
+		v, err := mc.mem.Load(sp, 8)
 		if err != nil {
-			return &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: err.Error()}
+			return &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: "ret: " + err.Error()}
 		}
-		b = canonInt(in.Size, in.Signed, v)
-		if in.FP {
-			if in.Size == 4 {
-				b = math.Float64bits(float64(math.Float32frombits(uint32(v))))
-			} else {
-				b = v
-			}
-		}
-	default:
-		b = mc.reg(in.Rs2)
+		mc.regs[d.SP] = sp + 8
+		mc.pc = v
+	} else {
+		mc.pc = mc.regs[3] // RA
 	}
+	if mc.trackCalls && len(mc.callStack) > 0 {
+		mc.callStack = mc.callStack[:len(mc.callStack)-1]
+	}
+	return nil
+}
 
-	if in.FP {
+// unwind transfers control to the innermost invoke's handler.
+func (mc *Machine) unwind() error {
+	d := mc.desc
+	if len(mc.invokeStack) == 0 {
+		return fmt.Errorf("machine: unwind reached the top of the stack")
+	}
+	fr := mc.invokeStack[len(mc.invokeStack)-1]
+	mc.invokeStack = mc.invokeStack[:len(mc.invokeStack)-1]
+	// Restore only the invoking frame's SP and FP; every other
+	// register keeps whatever the unwound callees left in it. Values
+	// the handler needs must live in the frame (the translator spills
+	// them around invoke).
+	mc.regs[d.SP] = fr.sp
+	mc.regs[d.FP] = fr.fp
+	mc.pc = fr.handler
+	// Unwinding pops every virtual frame above the invoking one in
+	// a single step; the shadow call stack follows suit.
+	if mc.trackCalls && fr.depth <= len(mc.callStack) {
+		mc.callStack = mc.callStack[:fr.depth]
+	}
+	return nil
+}
+
+// The three compares, as the flag bits they leave.
+func cmpSigned(a, b uint64) (flags uint8) {
+	if int64(a) < int64(b) {
+		flags = flagLT
+	}
+	if a == b {
+		flags |= flagEQ
+	}
+	return flags
+}
+
+func cmpUnsigned(a, b uint64) (flags uint8) {
+	if a < b {
+		flags = flagLT
+	}
+	if a == b {
+		flags |= flagEQ
+	}
+	return flags
+}
+
+func cmpFloat(a, b uint64) (flags uint8) {
+	x, y := math.Float64frombits(a), math.Float64frombits(b)
+	if x < y {
+		flags = flagLT
+	}
+	if x == y {
+		flags |= flagEQ
+	}
+	return flags
+}
+
+// alu executes the ALU forms without an op of their own.
+func (mc *Machine) alu(u *uop, a, b uint64) error {
+	op, size, signed := target.ALUOp(u.k), u.size(), u.signed()
+	rd := &mc.regs[u.rd]
+	if u.fp() {
 		x, y := math.Float64frombits(a), math.Float64frombits(b)
 		var r float64
-		switch in.Alu {
+		switch op {
 		case target.AAdd:
 			r = x + y
 		case target.ASub:
@@ -531,15 +443,14 @@ func (mc *Machine) execALU(in *target.MInstr) error {
 		case target.ARem:
 			r = math.Mod(x, y)
 		default:
-			return fmt.Errorf("machine: FP %s", in.Alu)
+			return fmt.Errorf("machine: FP %s", op)
 		}
-		mc.setReg(in.Rd, canonFloat(in.Size, math.Float64bits(r)))
+		*rd = canonFloat(size, math.Float64bits(r))
 		return nil
 	}
 
-	size, signed := in.Size, in.Signed
 	var r uint64
-	switch in.Alu {
+	switch op {
 	case target.AAdd:
 		r = a + b
 	case target.ASub:
@@ -548,29 +459,29 @@ func (mc *Machine) execALU(in *target.MInstr) error {
 		r = a * b
 	case target.ADiv, target.ARem:
 		if truncBits(size, b) == 0 {
-			if in.NoTrap {
-				mc.setReg(in.Rd, 0)
+			if u.noTrap() {
+				*rd = 0
 				return nil
 			}
-			return &TrapError{Num: TrapDivByZero, PC: mc.pc, Detail: in.Alu.String() + " by zero"}
+			return &TrapError{Num: TrapDivByZero, PC: mc.pc, Detail: op.String() + " by zero"}
 		}
 		if signed {
 			x, y := int64(a), int64(b)
 			if x == math.MinInt64 && y == -1 {
-				if in.NoTrap {
-					mc.setReg(in.Rd, 0)
+				if u.noTrap() {
+					*rd = 0
 					return nil
 				}
 				return &TrapError{Num: TrapDivByZero, PC: mc.pc, Detail: "division overflow"}
 			}
-			if in.Alu == target.ADiv {
+			if op == target.ADiv {
 				r = uint64(x / y)
 			} else {
 				r = uint64(x % y)
 			}
 		} else {
 			x, y := truncBits(size, a), truncBits(size, b)
-			if in.Alu == target.ADiv {
+			if op == target.ADiv {
 				r = x / y
 			} else {
 				r = x % y
@@ -586,14 +497,13 @@ func (mc *Machine) execALU(in *target.MInstr) error {
 		bits := uint64(size) * 8
 		s := b & 0xff
 		if s >= bits {
-			if in.Alu == target.AShr && signed && int64(a) < 0 {
-				mc.setReg(in.Rd, ^uint64(0))
-				return nil
+			*rd = 0
+			if op == target.AShr && signed && int64(a) < 0 {
+				*rd = ^uint64(0)
 			}
-			mc.setReg(in.Rd, 0)
 			return nil
 		}
-		if in.Alu == target.AShl {
+		if op == target.AShl {
 			r = a << s
 		} else if signed {
 			r = uint64(int64(a) >> s)
@@ -601,7 +511,7 @@ func (mc *Machine) execALU(in *target.MInstr) error {
 			r = truncBits(size, a) >> s
 		}
 	}
-	mc.setReg(in.Rd, canonInt(size, signed, r))
+	*rd = canonInt(size, signed, r)
 	return nil
 }
 
@@ -617,34 +527,37 @@ func truncBits(size uint8, v uint64) uint64 {
 	return v
 }
 
-func (mc *Machine) execCvt(in *target.MInstr) {
-	v := mc.reg(in.Rs1)
-	switch in.Cvt {
+// cvt executes the conversions without an op of their own.
+func (mc *Machine) cvt(u *uop) {
+	v := mc.regs[u.ra]
+	size, signed := u.size(), u.signed()
+	rd := &mc.regs[u.rd]
+	switch target.CvtOp(u.k) {
 	case target.CvtIntExt:
-		mc.setReg(in.Rd, canonInt(in.Size, in.Signed, v))
+		*rd = canonInt(size, signed, v)
 	case target.CvtIntToF:
 		var f float64
-		if in.Signed {
+		if signed {
 			f = float64(int64(v))
 		} else {
 			f = float64(v)
 		}
-		mc.setReg(in.Rd, canonFloat(in.Size, math.Float64bits(f)))
+		*rd = canonFloat(size, math.Float64bits(f))
 	case target.CvtFToInt:
 		f := math.Float64frombits(v)
 		var r uint64
 		if math.IsNaN(f) {
 			r = 0
-		} else if in.Signed || f < 0 {
+		} else if signed || f < 0 {
 			r = uint64(int64(clampF(f)))
 		} else {
 			r = clampFU(f)
 		}
-		mc.setReg(in.Rd, canonInt(in.Size, in.Signed, r))
+		*rd = canonInt(size, signed, r)
 	case target.CvtFToF:
-		mc.setReg(in.Rd, canonFloat(in.Size, v))
+		*rd = canonFloat(size, v)
 	case target.CvtBits:
-		mc.setReg(in.Rd, v)
+		*rd = v
 	}
 }
 
@@ -668,11 +581,12 @@ func clampFU(f float64) uint64 {
 	return uint64(f)
 }
 
-// execCallExt dispatches an external call: the reserved JIT extern, the
-// llva.* intrinsics, or the native runtime.
-func (mc *Machine) execCallExt(in *target.MInstr, size int) (bool, error) {
+// callExt dispatches an external call: the reserved JIT extern, the
+// llva.* intrinsics, or the native runtime. It reports whether it set the
+// PC, which only the JIT extern does.
+func (mc *Machine) callExt(u *uop) (bool, error) {
 	mc.Stats.ExternCalls++
-	idx := int(in.Target)
+	idx, nargs := int(int64(u.imm)), int(u.k)
 	if idx < 0 || idx >= len(mc.externs) {
 		return false, fmt.Errorf("machine: bad extern index %d", idx)
 	}
@@ -687,17 +601,17 @@ func (mc *Machine) execCallExt(in *target.MInstr, size int) (bool, error) {
 	// allocate per call. Fn implementations receive a view and do not
 	// retain it.
 	var args []uint64
-	if int(in.NArgs) <= len(mc.extArgs) {
-		args = mc.extArgs[:in.NArgs]
+	if nargs <= len(mc.extArgs) {
+		args = mc.extArgs[:nargs]
 	} else {
-		args = make([]uint64, in.NArgs)
+		args = make([]uint64, nargs)
 	}
 	if mc.desc.StackArgs {
 		sp := mc.regs[mc.desc.SP]
 		for i := range args {
 			v, err := mc.mem.Load(sp+uint64(8*i), 8)
 			if err != nil {
-				return false, err
+				return false, &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: err.Error()}
 			}
 			args[i] = v
 		}
@@ -778,7 +692,10 @@ func (mc *Machine) intrinsic(name string, args []uint64) (uint64, error) {
 	}
 	switch name {
 	case "llva.priv.get":
-		return boolWord(mc.privileged), nil
+		if mc.privileged {
+			return 1, nil
+		}
+		return 0, nil
 	case "llva.priv.set":
 		mc.privileged = len(args) > 0 && args[0]&1 != 0
 		return 0, nil

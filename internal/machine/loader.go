@@ -40,31 +40,30 @@ type Machine struct {
 	env  *rt.Env
 
 	// regs is the unified register file: integer bank at [0, 64), FP
-	// bank at [64, 128) — exactly the Reg numbering, so decoded
-	// operands index it directly (see exec.go).
-	regs   [unifiedRegs]uint64
-	r0mask uint64 // 0 on vsparc (r0 hardwired to zero), ^0 on vx86
-	pc     uint64
-
-	flagEQ, flagLT bool
+	// bank at [64, 128) — exactly the Reg numbering — and above it the
+	// slots micro-ops give absent operands (uop.go).
+	regs  [regSlots]uint64
+	pc    uint64
+	flags uint8 // flagLT | flagEQ, as the last compare left them
 
 	// blocks is the predecoded basic-block cache (block.go), the
 	// machine's I-cache/trace-cache analog. code is a direct view of
 	// the code segment [codeBase, codeLimit) used by the predecoder.
 	blocks map[uint64]*block
 	code   []byte
-	// Predecode storage (block.go): blocks and their instruction slices
-	// are carved from chunked arenas; decodeScratch is the reusable
-	// predecode buffer sealed into the arena at exact size.
-	blockChunk    []block
-	instrChunk    []decoded
-	decodeScratch []decoded
+	// Predecode storage (block.go): blocks and their op slices are carved
+	// from chunked arenas; opScratch is the reusable lowering buffer
+	// sealed into the arena at exact size.
+	blockChunk []block
+	opChunk    []uop
+	opScratch  []uop
 	// extArgs is the persistent marshalling buffer for external-call
 	// arguments: rt.Fn implementations receive a view of it and must not
 	// retain it past the call (none do — they consume raw words).
 	extArgs [16]uint64
 	// pendCycles is the executing block's not-yet-flushed cycle prefix,
-	// added to Stats.Cycles by the virtual clock (telemetry.go).
+	// added to Stats.Cycles by the virtual clock; non-zero only while an
+	// extern call is in progress.
 	pendCycles uint64
 
 	codeBase, codeEnd, codeLimit uint64
@@ -174,15 +173,11 @@ func NewWithImage(d *target.Desc, m *core.Module, env *rt.Env, data *image.Data)
 		mem:        env.Mem,
 		env:        env,
 		blocks:     make(map[uint64]*block),
-		r0mask:     ^uint64(0),
 		funcAddr:   make(map[string]uint64),
 		addrFunc:   make(map[uint64]string),
 		externIdx:  make(map[string]int),
 		privileged: true,
 		MaxInstrs:  2_000_000_000,
-	}
-	if d.WordSize == 4 {
-		mc.r0mask = 0 // vsparc: r0 reads as zero, writes are discarded
 	}
 	// The virtual clock is installed once; the per-run hot path never
 	// rebuilds the closure.
@@ -380,7 +375,7 @@ func (mc *Machine) makeStub(name string) (uint64, error) {
 		// One MMovRI carries a sign-extended 16-bit chunk on vsparc.
 		return 0, fmt.Errorf("machine: too many lazy stubs for %s", mc.desc.Name)
 	}
-	addr, err := mc.emit(JITExtern,
+	addr, err := mc.emit(
 		target.MInstr{Op: target.MMovRI, Rd: mc.desc.Scratch[0], Imm: int64(id)},
 		target.MInstr{Op: target.MCallExt, Sym: JITExtern})
 	if err != nil {
@@ -396,16 +391,16 @@ func (mc *Machine) makeStub(name string) (uint64, error) {
 	return addr, nil
 }
 
-// emit encodes instrs, whose external calls all name extern, and places
-// them at the next aligned address of the code segment.
-func (mc *Machine) emit(extern string, instrs ...target.MInstr) (uint64, error) {
+// emit encodes instrs, whose only symbols are the externs they call, and
+// places them at the next aligned address of the code segment.
+func (mc *Machine) emit(instrs ...target.MInstr) (uint64, error) {
 	var code []byte
 	for i := range instrs {
 		start := uint32(len(code))
 		var rl []target.Reloc
 		code, rl = mc.desc.Encode(&instrs[i], code)
 		for _, r := range rl {
-			mc.desc.Patch(code, start+r.Offset, r.Kind, uint64(mc.externIndex(extern)))
+			mc.desc.Patch(code, start+r.Offset, r.Kind, uint64(mc.externIndex(r.Sym)))
 		}
 	}
 	addr := (mc.codeEnd + 15) &^ 15
@@ -482,7 +477,7 @@ func (mc *Machine) makeExternThunk(name string) (uint64, error) {
 	if f := mc.module.Function(name); f != nil {
 		nargs = len(f.Signature().Params())
 	}
-	addr, err := mc.emit(name,
+	addr, err := mc.emit(
 		target.MInstr{Op: target.MCallExt, Sym: name, NArgs: uint8(nargs)},
 		target.MInstr{Op: target.MRet})
 	if err != nil {

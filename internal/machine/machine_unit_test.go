@@ -60,6 +60,41 @@ loop:
 	if mc.Stats.Instrs < 10_000 {
 		t.Errorf("stopped after only %d instructions", mc.Stats.Instrs)
 	}
+	// The limit is each run's own: a second run on the same machine,
+	// which starts with the first one's instructions on the counter,
+	// gets the whole budget again.
+	first := mc.Stats.Instrs
+	_, err = mc.Run("spin")
+	if err == nil || !strings.Contains(err.Error(), "instruction limit") {
+		t.Errorf("second run not stopped: %v", err)
+	}
+	if second := mc.Stats.Instrs - first; second < 10_000 {
+		t.Errorf("the second run was stopped after %d instructions, the first after %d", second, first)
+	}
+}
+
+// TestExternStackArgFaultIsTrap: a vx86 extern call whose arguments lie
+// off the end of memory is a memory-fault trap at the call, like any
+// other guest access that faults, not a bare *mem.Fault.
+func TestExternStackArgFaultIsTrap(t *testing.T) {
+	mc := oracleMachine(t, target.VX86, true)
+	adj, call := mi(target.MAdjSP), mi(target.MCallExt)
+	adj.Imm = 64 + 8 // Run leaves SP 64 bytes and a return address below the top
+	call.Sym, call.NArgs = "print_int", 1
+	entry, err := mc.emit(adj, call, mi(target.MRet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.bind("f", entry)
+	_, err = mc.Run("f")
+	te, ok := err.(*TrapError)
+	callPC := entry + uint64(len(encodeOne(target.VX86, &adj)))
+	if !ok || te.Num != TrapMemoryFault || te.PC != callPC || !strings.HasPrefix(te.Mnemonic, "callext") {
+		t.Fatalf("err = %#v, want a memory-fault trap at the callext (0x%x)", err, callPC)
+	}
+	if mc.Stats.Traps != 1 {
+		t.Errorf("Stats.Traps = %d, want 1", mc.Stats.Traps)
+	}
 }
 
 func TestICache(t *testing.T) {

@@ -36,9 +36,9 @@ func (mc *Machine) Seal() error {
 func (mc *Machine) Reset() int {
 	mc.flushTelemetry()
 	n := mc.mem.Reset()
-	mc.regs = [unifiedRegs]uint64{}
+	mc.regs = [regSlots]uint64{}
 	mc.pc = 0
-	mc.flagEQ, mc.flagLT = false, false
+	mc.flags = 0
 	mc.pendCycles = 0
 	mc.invokeStack = mc.invokeStack[:0]
 	mc.callStack = mc.callStack[:0]

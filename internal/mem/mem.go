@@ -166,8 +166,14 @@ func (m *Memory) PushStack(n uint64) (uint64, error) {
 	return sp, nil
 }
 
+// inRange is the bounds rule of every access: [addr, addr+size) lies above
+// the null guard, inside the space, and does not wrap.
+func (m *Memory) inRange(addr, size uint64) bool {
+	return addr >= NullGuard && addr+size <= uint64(len(m.data)) && addr+size >= addr
+}
+
 func (m *Memory) check(addr uint64, size int, op string) error {
-	if addr < NullGuard || addr+uint64(size) > uint64(len(m.data)) || addr+uint64(size) < addr {
+	if !m.inRange(addr, uint64(size)) {
 		return &Fault{Addr: addr, Size: size, Op: op}
 	}
 	return nil
@@ -235,6 +241,93 @@ func (m *Memory) Store(addr uint64, size int, v uint64) error {
 		return &Fault{Addr: addr, Size: size, Op: "store"}
 	}
 	return nil
+}
+
+// The width-specific accessors below are the common case of Load and Store
+// with everything but the address resolved by the caller: the simulated
+// processor picks one per instruction when it predecodes a block, having
+// read LittleEndian once, so each is small enough to inline into its
+// dispatch loop. They are for little-endian memories only. ok is false,
+// with nothing read, written or marked, when the access is not that common
+// case: it is out of range or, for a store under dirty tracking, it would
+// mark a page. The caller then repeats it through Load or Store, which
+// faults or marks as ever; the bounds rule (inRange) and the dirty map are
+// the same ones.
+
+// LoadLE8 reads the byte at addr.
+func (m *Memory) LoadLE8(addr uint64) (v uint64, ok bool) {
+	if !m.inRange(addr, 1) {
+		return 0, false
+	}
+	return uint64(m.data[addr]), true
+}
+
+// LoadLE16 reads the 2 bytes at addr.
+func (m *Memory) LoadLE16(addr uint64) (v uint64, ok bool) {
+	if !m.inRange(addr, 2) {
+		return 0, false
+	}
+	return uint64(binary.LittleEndian.Uint16(m.data[addr:])), true
+}
+
+// LoadLE32 reads the 4 bytes at addr.
+func (m *Memory) LoadLE32(addr uint64) (v uint64, ok bool) {
+	if !m.inRange(addr, 4) {
+		return 0, false
+	}
+	return uint64(binary.LittleEndian.Uint32(m.data[addr:])), true
+}
+
+// LoadLE64 reads the 8 bytes at addr.
+func (m *Memory) LoadLE64(addr uint64) (v uint64, ok bool) {
+	if !m.inRange(addr, 8) {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(m.data[addr:]), true
+}
+
+// marked reports whether a store to the in-range [addr, addr+n) leaves the
+// dirty map as it is: tracking is off, or the bytes lie in one page that
+// is already dirty.
+func (m *Memory) marked(addr, n uint64) bool {
+	p := addr >> PageShift
+	return !m.track || (addr+n-1)>>PageShift == p && m.dirty[p>>6]>>(p&63)&1 != 0
+}
+
+// StoreLE8 writes the low byte of v at addr.
+func (m *Memory) StoreLE8(addr, v uint64) (ok bool) {
+	if !m.inRange(addr, 1) || !m.marked(addr, 1) {
+		return false
+	}
+	m.data[addr] = byte(v)
+	return true
+}
+
+// StoreLE16 writes the low 2 bytes of v at addr.
+func (m *Memory) StoreLE16(addr, v uint64) (ok bool) {
+	if !m.inRange(addr, 2) || !m.marked(addr, 2) {
+		return false
+	}
+	binary.LittleEndian.PutUint16(m.data[addr:], uint16(v))
+	return true
+}
+
+// StoreLE32 writes the low 4 bytes of v at addr.
+func (m *Memory) StoreLE32(addr, v uint64) (ok bool) {
+	if !m.inRange(addr, 4) || !m.marked(addr, 4) {
+		return false
+	}
+	binary.LittleEndian.PutUint32(m.data[addr:], uint32(v))
+	return true
+}
+
+// StoreLE64 writes v at addr.
+func (m *Memory) StoreLE64(addr, v uint64) (ok bool) {
+	if !m.inRange(addr, 8) || !m.marked(addr, 8) {
+		return false
+	}
+	binary.LittleEndian.PutUint64(m.data[addr:], v)
+	return true
 }
 
 // LoadFloat reads a float (size 4) or double (size 8) at addr.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -176,5 +177,62 @@ func TestCString(t *testing.T) {
 	s, err := m.CString(addr)
 	if err != nil || s != "hello" {
 		t.Errorf("CString = %q, %v", s, err)
+	}
+}
+
+// TestWidthAccessorsMatchLoadStore: each LoadLE*/StoreLE* either does what
+// Load/Store does or declines and leaves everything as it was: on an
+// access that faults, and on a store that Store would have to mark a page
+// for.
+func TestWidthAccessorsMatchLoadStore(t *testing.T) {
+	type acc struct {
+		size  int
+		load  func(m *Memory, addr uint64) (uint64, bool)
+		store func(m *Memory, addr, v uint64) bool
+	}
+	accs := []acc{
+		{1, (*Memory).LoadLE8, (*Memory).StoreLE8},
+		{2, (*Memory).LoadLE16, (*Memory).StoreLE16},
+		{4, (*Memory).LoadLE32, (*Memory).StoreLE32},
+		{8, (*Memory).LoadLE64, (*Memory).StoreLE64},
+	}
+	const size = 8 * PageSize
+	addrs := []uint64{0, 1, NullGuard - 1, NullGuard, NullGuard + 3, 2*PageSize - 1, 2*PageSize - 3,
+		3 * PageSize, size - 8, size - 4, size - 2, size - 1, size, size + 1, ^uint64(0), ^uint64(0) - 3}
+	const v = 0x1122334455667788
+	for _, sealed := range []bool{false, true} {
+		for _, a := range accs {
+			for _, addr := range addrs {
+				m, want := New(size, true), New(size, true)
+				if sealed {
+					m.Seal()
+					want.Seal()
+					// One page is dirty already: a store inside it is the
+					// common case, one that leaves it is not.
+					for _, x := range []*Memory{m, want} {
+						if err := x.Store(2*PageSize-8, 1, 0xEE); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				err := want.Store(addr, a.size, v)
+				clean := sealed && err == nil && want.DirtyPages() != 1
+				if ok := a.store(m, addr, v); ok != (err == nil && !clean) {
+					t.Errorf("sealed=%v: StoreLE%d(0x%x) = %v; Store: %v, marks a page: %v", sealed, 8*a.size, addr, ok, err, clean)
+				} else if !ok {
+					if m.DirtyPages() != min(want.DirtyPages(), 1) {
+						t.Errorf("sealed=%v: a declined StoreLE%d(0x%x) marked a page", sealed, 8*a.size, addr)
+					}
+					m.Store(addr, a.size, v) // what the caller does next
+				}
+				if !bytes.Equal(m.data, want.data) || m.DirtyPages() != want.DirtyPages() {
+					t.Errorf("sealed=%v: StoreLE%d(0x%x) and Store leave different memories", sealed, 8*a.size, addr)
+				}
+				wantV, err := want.Load(addr, a.size)
+				if got, ok := a.load(m, addr); ok != (err == nil) || got != wantV {
+					t.Errorf("LoadLE%d(0x%x) = 0x%x, %v; Load: 0x%x, %v", 8*a.size, addr, got, ok, wantV, err)
+				}
+			}
+		}
 	}
 }
