@@ -83,6 +83,15 @@ func (o *NativeObject) NumInstrs() int {
 	return n
 }
 
+// Revision names what this translator emits: bump it with every change
+// that moves the code of some function (the changes that regenerate
+// TestNativeGolden's file, which refuses to without a new name). The
+// execution manager stamps cached translations and guest profiles with
+// it, so code another revision emitted, and samples taken in that
+// code's address space, are cache misses and not stale hits (paper,
+// Section 4.1: validate the cached translation, else translate online).
+const Revision = "1"
+
 // Metric names published to a shared registry via SetTelemetry.
 const (
 	MetricSpills        = "codegen.spills"
@@ -190,22 +199,22 @@ func (t *Translator) TranslateFunction(f *core.Function) (nf *NativeFunc, err er
 			return nf, nil
 		}
 	}
-	nf, _ = t.lower(f, false, nil, nil)
+	nf, _ = t.lower(f, nil, nil)
 	return nf, nil
 }
 
-// lower runs the common back half of translation: selection, register
-// allocation, frame lowering, fallthrough elision and final layout. With
-// tier2 set, the allocator A/Bs heat-weighted eviction (allocBest) and
-// post-allocation peepholes (branch-polarity inversion for trace
-// fallthrough, jump threading) run before elision. A non-nil perm places
-// blocks in trace order at the machine level — after register
+// lower is the one lowering every function takes on both targets and
+// both tiers: selection, copy coalescing, register allocation, frame
+// lowering, the branch peepholes (branch-polarity inversion, jump
+// threading), fallthrough elision and final layout. A non-nil perm
+// places blocks in trace order at the machine level — after register
 // allocation, so live intervals (and therefore spills) are measured in
 // the stable IR order the profile was gathered against. A non-nil hm
 // feeds per-block heat to the allocator for interval weights and spill
-// pricing. The returned selector still holds what the tier-2 gate reads
-// off a lowering: block byte offsets and per-block spill traffic.
-func (t *Translator) lower(f *core.Function, tier2 bool, perm []int, hm map[*core.BasicBlock]uint64) (*NativeFunc, *selector) {
+// pricing, and makes it A/B heat-weighted eviction (allocBest). The
+// returned selector still holds what the tier-2 gate reads off a
+// lowering: block byte offsets and per-block spill traffic.
+func (t *Translator) lower(f *core.Function, perm []int, hm map[*core.BasicBlock]uint64) (*NativeFunc, *selector) {
 	sel := newSelector(t, f)
 	if hm != nil {
 		sel.blockHeat = make([]uint64, len(f.Blocks))
@@ -217,16 +226,20 @@ func (t *Translator) lower(f *core.Function, tier2 bool, perm []int, hm map[*cor
 
 	// Register allocation: the global linear scan handles both targets
 	// and invoke-containing functions (values live into an unwind handler
-	// are force-spilled; see linearScan). The naive allocator runs only
-	// as the differential-testing oracle.
+	// are force-spilled; see linearScan), on coalesced code. The naive
+	// allocator runs only as the differential-testing oracle, and on the
+	// code as selected: it checks the coalescer too.
 	start := time.Now()
-	switch {
-	case t.spillOnly:
+	if t.spillOnly {
 		allocSpill(sel)
-	case tier2 && sel.blockHeat != nil:
-		allocBest(sel)
-	default:
-		allocLinear(sel)
+	} else {
+		sel.rows = solveLiveness(sel)
+		coalesce(sel, sel.rows)
+		if sel.blockHeat != nil {
+			allocBest(sel)
+		} else {
+			allocLinear(sel)
+		}
 	}
 	if t.regallocNS != nil {
 		t.regallocNS.Observe(time.Since(start).Nanoseconds())
@@ -235,10 +248,8 @@ func (t *Translator) lower(f *core.Function, tier2 bool, perm []int, hm map[*cor
 	}
 
 	addFrame(sel, perm)
-	if tier2 {
-		invertBranches(sel)
-		threadJumps(sel)
-	}
+	invertBranches(sel)
+	threadJumps(sel)
 	elideFallthroughs(sel)
 	code, relocs := layout(sel)
 	return &NativeFunc{
@@ -251,28 +262,42 @@ func (t *Translator) lower(f *core.Function, tier2 bool, perm []int, hm map[*cor
 }
 
 // elideFallthroughs removes an unconditional jump whose target is the
-// block that immediately follows it in layout order. Taken branches cost
-// an extra cycle on the simulated processor, so block placement — and in
-// particular trace-driven relayout (Section 4.2) — directly affects the
-// measured cycle counts. blockStart need not be monotonic here: addFrame
-// places trace-ordered code with the original indices.
+// block that immediately follows it in layout order — or follows it once
+// the jumps in between, themselves elided, are gone (a jump over a block
+// that is nothing but a jump, which threadJumps has left without
+// entries). Taken branches cost an extra cycle on the simulated
+// processor, so block placement — and in particular trace-driven
+// relayout (Section 4.2) — directly affects the measured cycle counts.
+// blockStart need not be monotonic here: addFrame places trace-ordered
+// code with the original indices.
 func elideFallthroughs(s *selector) {
-	newPos := make([]int, len(s.code)+1)
-	n := 0
-	for i := range s.code {
-		newPos[i] = n
-		if in := &s.code[i]; in.Op == target.MJmp && s.blockStart[in.Target] == i+1 {
-			continue
+	n := len(s.code)
+	// next[i] is the first surviving instruction at or after i; walking
+	// backwards, a jump sees which of the instructions after it are gone.
+	next := make([]int, n+1)
+	next[n] = n
+	for i := n - 1; i >= 0; i-- {
+		next[i] = i
+		if in := &s.code[i]; in.Op == target.MJmp {
+			if t := s.blockStart[in.Target]; t > i && next[t] == next[i+1] {
+				next[i] = next[i+1]
+			}
 		}
-		if n != i {
-			s.code[n] = s.code[i]
-		}
-		n++
 	}
-	newPos[len(s.code)] = n
-	s.code = s.code[:n]
+	// Compact, turning next[i] into i's position in the surviving code.
+	out := 0
+	for i := 0; i < n; i++ {
+		survives := next[i] == i
+		next[i] = out
+		if survives {
+			s.code[out] = s.code[i]
+			out++
+		}
+	}
+	next[n] = out
+	s.code = s.code[:out]
 	for bi, p := range s.blockStart {
-		s.blockStart[bi] = newPos[p]
+		s.blockStart[bi] = next[p]
 	}
 }
 

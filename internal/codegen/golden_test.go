@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"maps"
 	"os"
 	"testing"
 
@@ -30,13 +31,36 @@ const nativeGoldenPath = "testdata/native_golden.json"
 // nativeGolden pins the translator's output on the workload suite: one
 // SHA-256 over code bytes and relocations per function, keyed
 // "tier/target/workload/function", and per tier the registry counters
-// the translations added up to. A change that means to leave the emitted
-// code alone — a faster allocator, say — is held to this file; a change
-// that means to move it regenerates the file with -update-golden and
-// says so.
+// the translations added up to plus, per target, the instructions and
+// the register moves emitted in total, so that a change to the code shows
+// as a number and not only as changed hashes. A change that means to
+// leave the emitted code alone — a faster allocator, say — is held to
+// this file; a change that means to move it bumps codegen.Revision (the
+// file records the one it was written at, and is not rewritten with
+// other code under the same one), regenerates the file with
+// -update-golden and says so.
 type nativeGolden struct {
+	Revision string                       `json:"revision"`
 	Counters map[string]map[string]uint64 `json:"counters"`
 	Funcs    map[string]string            `json:"funcs"`
+}
+
+// countCode adds obj's instructions and register moves to c under d's name.
+func countCode(t *testing.T, c map[string]uint64, d *target.Desc, obj *codegen.NativeObject) {
+	t.Helper()
+	for _, nf := range obj.Funcs {
+		c[d.Name+".instrs"] += uint64(nf.NumInstrs)
+		for pos := 0; pos < len(nf.Code); {
+			in, n, err := d.DecodeFrom(nf.Code, pos)
+			if err != nil {
+				t.Fatalf("%s %s+%d: %v", d.Name, nf.Name, pos, err)
+			}
+			if in.Op == target.MMovRR {
+				c[d.Name+".movs"]++
+			}
+			pos += n
+		}
+	}
 }
 
 func hashNative(nf *codegen.NativeFunc) string {
@@ -57,12 +81,10 @@ func hashNative(nf *codegen.NativeFunc) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func counterValues(reg *telemetry.Registry, names ...string) map[string]uint64 {
-	out := make(map[string]uint64, len(names))
+func counterValues(out map[string]uint64, reg *telemetry.Registry, names ...string) {
 	for _, n := range names {
 		out[n] = reg.CounterValue(n)
 	}
-	return out
 }
 
 // suiteProfile runs a suite module's tier-1 code for d under the
@@ -89,11 +111,13 @@ func suiteProfile(t testing.TB, d *target.Desc, m *core.Module, obj *codegen.Nat
 // 1 and, unless -short, for vx86 at tier 2 from a sampled profile, and
 // compares every function and the spill counters with the recorded file.
 func TestNativeGolden(t *testing.T) {
-	got := nativeGolden{Counters: map[string]map[string]uint64{}, Funcs: map[string]string{}}
+	got := nativeGolden{Revision: codegen.Revision, Funcs: map[string]string{},
+		Counters: map[string]map[string]uint64{"tier1": {}, "tier2": {}}}
 	record := func(tier string, d *target.Desc, w *workloads.Workload, obj *codegen.NativeObject) {
 		for _, nf := range obj.Funcs {
 			got.Funcs[tier+"/"+d.Name+"/"+w.Name+"/"+nf.Name] = hashNative(nf)
 		}
+		countCode(t, got.Counters[tier], d, obj)
 	}
 	reg1, reg2 := telemetry.New(), telemetry.New()
 	for _, w := range workloads.All() {
@@ -127,15 +151,25 @@ func TestNativeGolden(t *testing.T) {
 			record("tier2", d, w, obj2)
 		}
 	}
-	got.Counters["tier1"] = counterValues(reg1, codegen.MetricSpills, codegen.MetricReloads)
-	if !testing.Short() {
-		got.Counters["tier2"] = counterValues(reg2, codegen.MetricSpills, codegen.MetricReloads,
+	counterValues(got.Counters["tier1"], reg1, codegen.MetricSpills, codegen.MetricReloads)
+	if testing.Short() {
+		delete(got.Counters, "tier2")
+	} else {
+		counterValues(got.Counters["tier2"], reg2, codegen.MetricSpills, codegen.MetricReloads,
 			codegen.MetricTier2Funcs, codegen.MetricSuperblocks, codegen.MetricTailDupInstrs)
 	}
 
+	var want nativeGolden
+	b, err := os.ReadFile(nativeGoldenPath)
+	if err == nil {
+		err = json.Unmarshal(b, &want)
+	}
 	if *updateGolden {
 		if testing.Short() {
 			t.Fatal("-update-golden needs the tier-2 half: run without -short")
+		}
+		if err == nil && want.Revision == got.Revision && !maps.Equal(want.Funcs, got.Funcs) {
+			t.Fatalf("the emitted code moved and codegen.Revision is still %q: bump it, or caches written before this change are hits", got.Revision)
 		}
 		b, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
@@ -146,13 +180,11 @@ func TestNativeGolden(t *testing.T) {
 		}
 		return
 	}
-	b, err := os.ReadFile(nativeGoldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want nativeGolden
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
+	if want.Revision != got.Revision {
+		t.Errorf("codegen.Revision is %q, the golden file was written at %q", got.Revision, want.Revision)
 	}
 	for tier, counters := range got.Counters {
 		for name, v := range counters {

@@ -117,6 +117,7 @@ func (s *selector) commit(a *allocation, r *rewritten) {
 	s.code, s.blockStart = r.code, r.blockStart
 	s.spillAt, s.nSpillLoads, s.nSpillStores = r.spillAt, r.loads, r.stores
 	s.spillBytes, s.savedRegs = a.nSlots*8, a.saved
+	s.rows = nil // they described the code just replaced
 }
 
 // spillCost prices per-block spill accesses at each block's profile heat
@@ -468,43 +469,51 @@ type liveness struct {
 }
 
 func setBit(row []uint64, v int)      { row[v>>6] |= 1 << (v & 63) }
+func clearBit(row []uint64, v int)    { row[v>>6] &^= 1 << (v & 63) }
 func hasBit(row []uint64, v int) bool { return row[v>>6]&(1<<(v&63)) != 0 }
 
-// computeLiveness solves block-level liveness over one slab of bitset
-// rows (use, def, live-in and live-out per block, word-wise to the
-// fixpoint — the least one, whatever order it is reached in) and builds
-// the intervals from it.
-func computeLiveness(s *selector) *liveness {
-	nb := len(s.blockStart) - 1 // last entry is the (empty) epilogue label
-	nv := len(s.vFP)
-	words := (nv + 63) / 64
-	const (
-		useRow = iota
-		defRow
-		inRow
-		outRow
-		rowKinds
-	)
-	// Rows exist for the epilogue label too: branches target it.
-	slab := make([]uint64, (rowKinds*(nb+1)+1)*words)
-	row := func(kind, b int) []uint64 {
-		o := (kind*(nb+1) + b) * words
-		return slab[o : o+words]
-	}
-	lv := &liveness{
-		ivals:      make([]interval, nv),
-		forceSpill: slab[len(slab)-words:],
-	}
+// Row kinds of a liveRows slab.
+const (
+	useRow = iota
+	defRow
+	inRow
+	outRow
+	rowKinds
+)
 
-	// Per-block use/def, successor lists (branch targets, in code order),
-	// call sites and invoke handlers, in one walk.
+// liveRows is block-level liveness over virtual registers: per block a
+// use, def, live-in and live-out bitset row, all in one slab. The
+// coalescer decides merges on the live-in/live-out rows and renames them
+// with the code, so the solution is found once per lowering.
+type liveRows struct {
+	slab  []uint64
+	words int // per row
+	nb    int // blocks; rows also exist for the epilogue label, which branches target
+	// handlers lists the unwind-handler block of every invoke.
+	handlers []int32
+}
+
+func (lr *liveRows) row(kind, b int) []uint64 {
+	o := (kind*(lr.nb+1) + b) * lr.words
+	return lr.slab[o : o+lr.words]
+}
+
+// solveLiveness computes per-block use/def and solves live-in/live-out
+// word-wise to the fixpoint — the least one, whatever order it is
+// reached in.
+func solveLiveness(s *selector) *liveRows {
+	nb := len(s.blockStart) - 1 // last entry is the (empty) epilogue label
+	words := (len(s.vFP) + 63) / 64
+	// The slab's last row is the force-spill set intervals fills.
+	lr := &liveRows{slab: make([]uint64, (rowKinds*(nb+1)+1)*words), words: words, nb: nb}
+
+	// Per-block use/def, successor lists (branch targets, in code order)
+	// and invoke handlers, in one walk.
 	succOff := make([]int32, nb+1)
 	succ := make([]int32, 0, 2*nb)
-	var callPos []int
-	var handlers []int32
 	var ubArr [8]target.Reg
 	for b := 0; b < nb; b++ {
-		use, def := row(useRow, b), row(defRow, b)
+		use, def := lr.row(useRow, b), lr.row(defRow, b)
 		succOff[b] = int32(len(succ))
 		for i := s.blockStart[b]; i < s.blockStart[b+1]; i++ {
 			m := &s.code[i]
@@ -513,9 +522,7 @@ func computeLiveness(s *selector) *liveness {
 				succ = append(succ, m.Target)
 			case target.MInvokePush:
 				succ = append(succ, m.Target)
-				handlers = append(handlers, m.Target)
-			case target.MCall, target.MCallInd, target.MCallExt:
-				callPos = append(callPos, i)
+				lr.handlers = append(lr.handlers, m.Target)
 			}
 			for _, r := range instrUses(m, ubArr[:0]) {
 				if v := int(r) - int(target.VRegBase); r.IsVirtual() && !hasBit(def, v) {
@@ -532,13 +539,13 @@ func computeLiveness(s *selector) *liveness {
 	for changed := true; changed; {
 		changed = false
 		for b := nb - 1; b >= 0; b-- {
-			in, out := row(inRow, b), row(outRow, b)
-			use, def := row(useRow, b), row(defRow, b)
+			in, out := lr.row(inRow, b), lr.row(outRow, b)
+			use, def := lr.row(useRow, b), lr.row(defRow, b)
 			for _, sc := range succ[succOff[b]:succOff[b+1]] {
 				if int(sc) > nb {
 					continue
 				}
-				for w, x := range row(inRow, int(sc)) {
+				for w, x := range lr.row(inRow, int(sc)) {
 					if x&^out[w] != 0 {
 						out[w] |= x
 						changed = true
@@ -552,6 +559,29 @@ func computeLiveness(s *selector) *liveness {
 				}
 			}
 		}
+	}
+	return lr
+}
+
+// computeLiveness is everything the linear scan needs to know about
+// s.code as it stands: the block-level solution — the coalescer's, when
+// it ran — and the intervals built from it.
+func computeLiveness(s *selector) *liveness {
+	lr := s.rows
+	if lr == nil {
+		lr = solveLiveness(s)
+	}
+	return lr.intervals(s)
+}
+
+// intervals builds the linear scan's input from the block-level
+// solution: one conservative interval per register, the scan order, the
+// call crossings and the force-spill set.
+func (lr *liveRows) intervals(s *selector) *liveness {
+	nb, nv := lr.nb, len(s.vFP)
+	lv := &liveness{
+		ivals:      make([]interval, nv),
+		forceSpill: lr.slab[len(lr.slab)-lr.words:],
 	}
 
 	// Intervals: conservative [min, max] positions.
@@ -587,19 +617,26 @@ func computeLiveness(s *selector) *liveness {
 			lv.ivals[v].weight += heat + 1
 		}
 	}
+	var callPos []int
+	var ubArr [8]target.Reg
 	for b := 0; b < nb; b++ {
 		first, end := s.blockStart[b], s.blockStart[b+1]
-		touchRow(row(inRow, b), first)
-		touchRow(row(outRow, b), end-1)
+		touchRow(lr.row(inRow, b), first)
+		touchRow(lr.row(outRow, b), end-1)
 		heat = 0
 		if b < len(s.blockHeat) {
 			heat = s.blockHeat[b]
 		}
 		for i := first; i < end; i++ {
-			for _, r := range instrUses(&s.code[i], ubArr[:0]) {
+			m := &s.code[i]
+			switch m.Op {
+			case target.MCall, target.MCallInd, target.MCallExt:
+				callPos = append(callPos, i)
+			}
+			for _, r := range instrUses(m, ubArr[:0]) {
 				touchWeigh(r, i)
 			}
-			touchWeigh(instrDef(&s.code[i]), i)
+			touchWeigh(instrDef(m), i)
 		}
 	}
 
@@ -619,9 +656,9 @@ func computeLiveness(s *selector) *liveness {
 		lv.order = append(lv.order, uint64(iv.start)<<32|uint64(v))
 	}
 	slices.Sort(lv.order)
-	for _, h := range handlers {
+	for _, h := range lr.handlers {
 		if int(h) <= nb {
-			for w, x := range row(inRow, int(h)) {
+			for w, x := range lr.row(inRow, int(h)) {
 				lv.forceSpill[w] |= x
 			}
 		}

@@ -46,9 +46,15 @@ ok:
 // register allocator: straight-line chains whose values stay live to the
 // end (exhausting both register pools), diamonds and bounded loops with
 // phis, calls, and invokes whose handlers use values live across the
-// unwind edge. Deterministic per seed.
+// unwind edge. Between segments it drops in the copy coalescer's two
+// loop hazards — a pair of phis that swap each iteration, and a phi read
+// after the loop whose back-edge copy sits before the exit branch — whose
+// results stay live to the end. Those draw from a generator of their own,
+// so the segments of a seed are the ones it always had. Deterministic per
+// seed.
 func genAllocSrc(seed int64) (string, []uint64) {
 	rng := rand.New(rand.NewSource(seed))
+	hrng := rand.New(rand.NewSource(seed ^ 0x636f616c)) // "coal"
 	var b strings.Builder
 	b.WriteString(allocFuzzHelpers)
 	b.WriteString("long %f(long %p0, long %p1) {\nentry:\n")
@@ -57,8 +63,51 @@ func genAllocSrc(seed int64) (string, []uint64) {
 	ops := []string{"add", "sub", "mul", "and", "or", "xor"}
 	cur := "entry"
 	n := 0
+	// hazard emits one coalescer hazard loop over two earlier values and
+	// folds its result into the running checksum %hz.
+	hz := ""
+	hazard := func() {
+		n++
+		lp, af := fmt.Sprintf("hl%d", n), fmt.Sprintf("ha%d", n)
+		va, vb := vals[hrng.Intn(len(vals))], vals[hrng.Intn(len(vals))]
+		trips := 1 + hrng.Intn(5)
+		res := fmt.Sprintf("%%hr%d", n)
+		fmt.Fprintf(&b, "    br label %%%s\n%s:\n", lp, lp)
+		if hrng.Intn(2) == 0 { // swap: %hx and %hy exchange every iteration
+			fmt.Fprintf(&b, "    %%hx%d = phi long [ %s, %%%s ], [ %%hy%d, %%%s ]\n", n, va, cur, n, lp)
+			fmt.Fprintf(&b, "    %%hy%d = phi long [ %s, %%%s ], [ %%hx%d, %%%s ]\n", n, vb, cur, n, lp)
+			fmt.Fprintf(&b, "    %%hi%d = phi long [ 0, %%%s ], [ %%hj%d, %%%s ]\n", n, cur, n, lp)
+			fmt.Fprintf(&b, "    %%ha%d = phi long [ 0, %%%s ], [ %%hb%d, %%%s ]\n", n, cur, n, lp)
+			fmt.Fprintf(&b, "    %%hd%d = sub long %%hx%d, %%hy%d\n", n, n, n)
+			fmt.Fprintf(&b, "    %%ht%d = mul long %%ha%d, 3\n", n, n)
+			fmt.Fprintf(&b, "    %%hb%d = add long %%ht%d, %%hd%d\n", n, n, n)
+			fmt.Fprintf(&b, "    %%hj%d = add long %%hi%d, 1\n", n, n)
+			fmt.Fprintf(&b, "    %%hc%d = setlt long %%hj%d, %d\n", n, n, trips)
+			fmt.Fprintf(&b, "    br bool %%hc%d, label %%%s, label %%%s\n%s:\n", n, lp, af, af)
+			fmt.Fprintf(&b, "    %s = add long %%hb%d, %%hx%d\n", res, n, n)
+		} else { // exit-live: the loop's result is the phi, not its successor
+			fmt.Fprintf(&b, "    %%hs%d = phi long [ %s, %%%s ], [ %%hn%d, %%%s ]\n", n, va, cur, n, lp)
+			fmt.Fprintf(&b, "    %%hi%d = phi long [ 0, %%%s ], [ %%hj%d, %%%s ]\n", n, cur, n, lp)
+			fmt.Fprintf(&b, "    %%hn%d = add long %%hs%d, %s\n", n, n, vb)
+			fmt.Fprintf(&b, "    %%hj%d = add long %%hi%d, 1\n", n, n)
+			fmt.Fprintf(&b, "    %%hc%d = setlt long %%hj%d, %d\n", n, n, trips)
+			fmt.Fprintf(&b, "    br bool %%hc%d, label %%%s, label %%%s\n%s:\n", n, lp, af, af)
+			fmt.Fprintf(&b, "    %s = xor long %%hs%d, %%hi%d\n", res, n, n)
+		}
+		cur = af
+		if hz == "" {
+			hz = res
+			return
+		}
+		sum := fmt.Sprintf("%%hz%d", n)
+		fmt.Fprintf(&b, "    %s = add long %s, %s\n", sum, hz, res)
+		hz = sum
+	}
 	segs := 8 + rng.Intn(20)
 	for i := 0; i < segs; i++ {
+		if hrng.Intn(5) == 0 {
+			hazard()
+		}
 		n++
 		switch k := rng.Intn(10); {
 		case k < 5: // straight-line arithmetic
@@ -131,7 +180,10 @@ func genAllocSrc(seed int64) (string, []uint64) {
 		fmt.Fprintf(&b, "    %s = add long %s, %s\n", v, sum, pick())
 		sum = v
 	}
-	fmt.Fprintf(&b, "    ret long %s\n}\n", sum)
+	if hz == "" {
+		hazard()
+	}
+	fmt.Fprintf(&b, "    %%ret = add long %s, %s\n    ret long %%ret\n}\n", sum, hz)
 	args := []uint64{uint64(rng.Int63n(1000)), uint64(rng.Int63n(1000))}
 	return b.String(), args
 }

@@ -52,6 +52,11 @@ type selector struct {
 	// eviction rules and keeps the cheaper allocation).
 	blockHeat []uint64
 
+	// rows is s.code's block liveness when a pass before register
+	// allocation has already solved it (coalesce), else nil:
+	// computeLiveness starts from it instead of solving again.
+	rows *liveRows
+
 	// blockOff is each block's byte offset in the final code (epilogue
 	// last), recorded by layout: the address space profile samples of
 	// this code are taken in.
@@ -177,6 +182,10 @@ func (s *selector) run() {
 		}
 	}
 
+	// Selection emits about two machine instructions per LLVA instruction
+	// on either target; sized for that, the list seldom regrows.
+	n := f.NumInstructions()
+	s.code = make([]target.MInstr, 0, 2*n+n/4+8)
 	s.blockStart = make([]int, len(f.Blocks)+1)
 	for bi, bb := range f.Blocks {
 		s.blockStart[bi] = len(s.code)
@@ -421,6 +430,21 @@ func aluOpFor(op core.Opcode) target.ALUOp {
 	panic("codegen: not an ALU op: " + op.String())
 }
 
+// immOperand reports whether v is an integer constant the target encodes
+// as an ALU or compare immediate, and its register image: the one val
+// would materialize (unsigned constants zero-extended).
+func (s *selector) immOperand(v core.Value) (int64, bool) {
+	c, ok := v.(*core.Constant)
+	if !ok || c.CK != core.ConstInt || s.desc.MaxImm == 0 {
+		return 0, false
+	}
+	imm := canonConst(c)
+	if !c.Type().IsSigned() {
+		imm = int64(c.I)
+	}
+	return imm, imm >= -s.desc.MaxImm-1 && imm <= s.desc.MaxImm
+}
+
 func (s *selector) selBinary(in *core.Instruction) {
 	t := in.Type()
 	fp := isFPType(t)
@@ -432,20 +456,14 @@ func (s *selector) selBinary(in *core.Instruction) {
 		size = 1
 	}
 	noTrap := (in.Op() == core.OpDiv || in.Op() == core.OpRem) && !in.ExceptionsEnabled
-	// Constant right operands embed as immediates where the target's
-	// encoding allows (vx86 imm32), avoiding a materialization.
-	if c, ok := in.Operand(1).(*core.Constant); ok && !fp && s.desc.MaxImm > 0 &&
-		c.CK == core.ConstInt && in.Op() != core.OpShl && in.Op() != core.OpShr {
-		imm := canonConst(c)
-		if !c.Type().IsSigned() {
-			imm = int64(c.I)
-		}
-		if imm >= -s.desc.MaxImm-1 && imm <= s.desc.MaxImm {
-			s.emit(target.MInstr{Op: target.MALU, Alu: alu, Rd: rd, Rs1: x,
-				HasImm: true, Imm: imm, Size: size, Signed: t.IsSigned(),
-				FP: false, NoTrap: noTrap})
-			return
-		}
+	// Constant right operands — shift counts included — embed as
+	// immediates where the target's encoding allows (vx86 imm32), avoiding
+	// a materialization.
+	if imm, ok := s.immOperand(in.Operand(1)); ok {
+		s.emit(target.MInstr{Op: target.MALU, Alu: alu, Rd: rd, Rs1: x,
+			HasImm: true, Imm: imm, Size: size, Signed: t.IsSigned(),
+			FP: false, NoTrap: noTrap})
+		return
 	}
 	y := s.val(in.Operand(1))
 	s.emit(target.MInstr{Op: target.MALU, Alu: alu, Rd: rd, Rs1: x, Rs2: y,
@@ -469,19 +487,32 @@ func condFor(op core.Opcode) target.Cond {
 	}
 }
 
+// emitCmp emits the flags-setting compare of cmp's operands (vx86), with
+// a constant right operand as an immediate where it fits.
+func (s *selector) emitCmp(cmp *core.Instruction) {
+	ot := cmp.Operand(0).Type()
+	m := target.MInstr{Op: target.MCmp, Rs1: s.val(cmp.Operand(0)),
+		Signed: ot.IsSigned(), FP: isFPType(ot)}
+	if imm, ok := s.immOperand(cmp.Operand(1)); ok {
+		m.Rs2, m.HasImm, m.Imm = target.NoReg, true, imm
+	} else {
+		m.Rs2 = s.val(cmp.Operand(1))
+	}
+	s.emit(m)
+}
+
 func (s *selector) selCompare(in *core.Instruction) {
-	ot := in.Operand(0).Type()
-	fp := isFPType(ot)
-	x := s.val(in.Operand(0))
-	y := s.val(in.Operand(1))
 	rd := s.vreg[in]
 	if s.desc.HasFlags {
-		s.emit(target.MInstr{Op: target.MCmp, Rs1: x, Rs2: y, Signed: ot.IsSigned(), FP: fp})
+		s.emitCmp(in)
 		s.emit(target.MInstr{Op: target.MSetCC, Cnd: condFor(in.Op()), Rd: rd})
 		return
 	}
+	ot := in.Operand(0).Type()
+	x := s.val(in.Operand(0))
+	y := s.val(in.Operand(1))
 	s.emit(target.MInstr{Op: target.MSetCC, Cnd: condFor(in.Op()), Rd: rd,
-		Rs1: x, Rs2: y, Signed: ot.IsSigned(), FP: fp})
+		Rs1: x, Rs2: y, Signed: ot.IsSigned(), FP: isFPType(ot)})
 }
 
 func (s *selector) selRet(in *core.Instruction) {
@@ -517,11 +548,7 @@ func (s *selector) selBr(bb *core.BasicBlock, in *core.Instruction) {
 
 	if ci, ok := cond.(*core.Instruction); ok && s.fusedCmp[ci] {
 		// compare-and-branch fusion (vx86)
-		ot := ci.Operand(0).Type()
-		x := s.val(ci.Operand(0))
-		y := s.val(ci.Operand(1))
-		s.emit(target.MInstr{Op: target.MCmp, Rs1: x, Rs2: y,
-			Signed: ot.IsSigned(), FP: isFPType(ot)})
+		s.emitCmp(ci)
 		s.emit(target.MInstr{Op: target.MJcc, Cnd: condFor(ci.Op()), Target: tTrue})
 		s.emit(target.MInstr{Op: target.MJmp, Target: tFalse})
 		return

@@ -225,7 +225,10 @@ func (s *selector) selCast(in *core.Instruction) {
 	src := s.val(in.Operand(0))
 	rd := s.vreg[in]
 	switch {
-	case from == to:
+	case from == to, !from.IsFloat() && !to.IsFloat() && s.sizeOf(to) == 8:
+		// Identity casts — to the same type, or any integer, bool or
+		// pointer to a 64-bit one, whose register image is already
+		// canonical — are copies, for the coalescer to remove.
 		s.emit(target.MInstr{Op: target.MMovRR, Rd: rd, Rs1: src, FP: isFPType(to)})
 	case to.Kind() == core.BoolKind:
 		// int/float/pointer -> bool is a != 0 test.

@@ -80,7 +80,7 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	// The code the profile was sampled on. Its block offsets map the
 	// sampled native offsets back to MIR blocks: a sample belongs to the
 	// block with the greatest start offset ≤ it.
-	nf1, sel1 := t.lower(f, false, nil, nil)
+	nf1, sel1 := t.lower(f, nil, nil)
 	offs := sel1.blockOff
 	heat := make([]uint64, len(f.Blocks))
 	for off, n := range counts {
@@ -132,7 +132,7 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 		// A transform produced invalid IR; tier-1 output is always safe.
 		return nf1, true
 	}
-	nf2, sel2 := t.lower(clone, true, perm, hm)
+	nf2, sel2 := t.lower(clone, perm, hm)
 	nf2.NumLLVA = f.NumInstructions()
 
 	// Final gate: estimate each candidate's dynamic cost — heat-priced

@@ -123,6 +123,9 @@ func TestGasDeterministicTier2(t *testing.T) {
 			t.Fatalf("the second tier-2 start translated %d functions at tier 2, want 0", n)
 		}
 	}
+	// Different code: main laid out along its hot trace with classify
+	// inlined (hotProg's comment). The branch peepholes are tier 1's too
+	// and would not tell the two apart.
 	if tier1 == firstUsed {
 		t.Errorf("tier-2 exhausts at cycle %d, exactly where tier 1 does: different code was not run", tier1)
 	}

@@ -14,6 +14,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"llva/internal/codegen"
 )
 
 // Storage is the V-ABI storage API (paper, Section 4.1): create, delete
@@ -32,12 +34,23 @@ type Storage interface {
 	Keys() ([]string, error)
 }
 
-// Stamp computes the validation stamp of a blob (used to tie cached
-// translations to the exact virtual object code they were derived from).
+// Stamp computes the validation stamp of a blob under this build's
+// translator: the blob's hash, then codegen.Revision. It ties cached
+// translations — and the guest profiles sampled on them — to the exact
+// virtual object code they were derived from and to the translator that
+// derived them, so an entry either of the two has moved away from reads
+// as a stamp mismatch.
 func Stamp(data []byte) string {
 	h := sha256.Sum256(data)
-	return hex.EncodeToString(h[:8])
+	var b [16 + len(stampRevision)]byte
+	hex.Encode(b[:16], h[:8])
+	copy(b[16:], stampRevision)
+	return string(b[:])
 }
+
+// stampRevision is every stamp's suffix (a constant, so Stamp formats
+// into a fixed array).
+const stampRevision = "-t" + codegen.Revision
 
 // MemStorage is an in-memory Storage, the default for tests and for
 // systems whose OS has not registered a persistent implementation.

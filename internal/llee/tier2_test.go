@@ -2,14 +2,18 @@ package llee
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"llva/internal/codegen"
+	"llva/internal/interp"
 	"llva/internal/llee/pipeline"
 	"llva/internal/minic"
+	"llva/internal/obj"
 	"llva/internal/prof"
 	"llva/internal/target"
 	"llva/internal/telemetry"
@@ -180,6 +184,10 @@ func TestTier2WarmStartUsesOptimizedCode(t *testing.T) {
 	if all, tier2 := translated(reg); all != uint64(len(p1)) || tier2 != all {
 		t.Errorf("second start translated %d functions, %d at tier 2, want the %d hot ones", all, tier2, len(p1))
 	}
+	// hotProg's win needs the profile (its comment): a superblock is main's
+	// loop laid out with the diamond's hot side as the fall-through, and the
+	// fewer cycles are that layout plus classify inlined at the hot call.
+	// Tier 1 already inverts branches and threads jumps.
 	if got := reg.CounterValue(codegen.MetricSuperblocks); got == 0 {
 		t.Error("tier-2 translation formed no superblocks")
 	}
@@ -231,7 +239,9 @@ func TestTier2WarmStartUsesOptimizedCode(t *testing.T) {
 
 // TestTier2OnlineFirstCall: on a profile-warm, code-cold start a hot
 // function is translated at tier 2 the first time it is called. The
-// first run is already cheaper than tier 1, no installed code is ever
+// first run is already cheaper than tier 1 (main is demanded first, so
+// its trace layout and its inlined copy of classify run from the first
+// instruction on), no installed code is ever
 // replaced, and, since nothing on the way reads the host clock, two
 // fresh Systems over two identically seeded stores retire the same
 // cycles.
@@ -403,7 +413,9 @@ func TestTier2OnlineWriteBack(t *testing.T) {
 // TestPreloadArmsTier2: Preload on a profile-warm, code-cold module (the
 // LRU evicted the code, not the profile) translates the hot functions at
 // tier 2 along with the whole module at tier 1, as a cache-warm start
-// would have, and its sessions run that code.
+// would have, and its sessions run that code: cheaper than the plain
+// preload's by main's trace layout and hot inlining, which only the armed
+// profile can give (hotProg's comment).
 func TestPreloadArmsTier2(t *testing.T) {
 	preloaded := func(tier2 bool) (*telemetry.Registry, *Session, uint64, int) {
 		t.Helper()
@@ -487,5 +499,103 @@ func TestStoreGuestProfileMerges(t *testing.T) {
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestOlderTranslatorsCacheIsAMiss: a store written by a build whose
+// translator emitted other code (its stamps lack this build's
+// codegen.Revision: the parent commit's were the module hash alone) holds
+// nothing this build may use. The code entry would run the older bodies,
+// and the guest profile's samples were taken in that code's address
+// space, so mapped onto this build's block offsets they would be wrong
+// heat, silently. Both read as stamp mismatches: evicted, everything
+// translated online at tier 1, nothing at tier 2, the interpreter's output,
+// and a store that is this build's afterwards.
+func TestOlderTranslatorsCacheIsAMiss(t *testing.T) {
+	st := NewMemStorage()
+	seedGuestProfile(t, st, target.VX86)
+	m, err := compileHot(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	ip, err := interp.New(m, &want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ip.RunMain(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The stamp the parent commit wrote and validated both keys under.
+	enc, err := obj.Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(enc)
+	parentStamp := hex.EncodeToString(h[:8])
+	if parentStamp == Stamp(enc) {
+		t.Fatal("Stamp does not carry the translator's revision")
+	}
+	codeKey, profKey := "native:hot.c:vx86", "guestprof:hot.c:vx86"
+	// The older build's code entry: well-formed, and of a program that
+	// prints something else, so running it would show.
+	other, err := minic.Compile("hot.c", strings.Replace(hotProg, "3000", "30", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nobj, err := NewSystem().Translate(other, target.VX86)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := encodeCachedObject(&cachedObject{TargetName: "vx86", Module: "hot.c", Funcs: tier1Records(nobj.Funcs)})
+	if err := st.Write(codeKey, parentStamp, stale); err != nil {
+		t.Fatal(err)
+	}
+	// Its guest profile: the one just sampled, which marks functions hot.
+	profile, _, ok, err := st.Read(profKey)
+	if err != nil || !ok {
+		t.Fatalf("seeded profile: ok=%v err=%v", ok, err)
+	}
+	if err := st.Write(profKey, parentStamp, profile); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.New()
+	sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithTier2(true))
+	var out strings.Builder
+	s, err := sys.NewSession(m, target.VX86, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background(), "main"); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want.String() {
+		t.Errorf("output %q, interpreter %q: the older translator's code ran", out.String(), want.String())
+	}
+	if s.CacheHit() {
+		t.Error("the older translator's code entry was a hit")
+	}
+	for name, n := range map[string]uint64{MetricStampMismatches: 2, MetricCacheEvictions: 2, MetricCacheHits: 0} {
+		if got := reg.CounterValue(name); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
+		}
+	}
+	if len(jitRequests(reg)) == 0 {
+		t.Error("nothing was translated online")
+	}
+	if n := reg.CounterValue(codegen.MetricTier2Funcs); n != 0 || heldTier2(s) != 0 || s.ms.plan.profile != "" {
+		t.Errorf("the stale profile armed tier 2: %d functions translated, %d held, plan %q",
+			n, heldTier2(s), s.ms.plan.profile)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, stamp, ok, _ := st.Read(codeKey); !ok || stamp != Stamp(enc) {
+		t.Errorf("after the run the code entry is stamped %q (present: %v), want this build's %q", stamp, ok, Stamp(enc))
+	}
+	if _, _, ok, _ := st.Read(profKey); ok {
+		t.Error("the older build's guest profile is still in the store")
 	}
 }

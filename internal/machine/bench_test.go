@@ -32,7 +32,9 @@ func link(d *target.Desc, prog []target.MInstr, to map[int]int) {
 //
 // The variants price what can be armed around the same loop: dirty-page
 // tracking (store-sealed), the profiler's shadow call stack (call-ret-
-// shadow), a gas budget, a cancellable context, and a block exit that is
+// shadow), a gas budget, a cancellable context, a call out to the native
+// runtime (callext: four calls of clock() an iteration, each ending its
+// block), and a block exit that is
 // resolved through the block map instead of a chained pointer (map-exit
 // leaves each iteration by a ret to a pushed address; chain-exit does the
 // same stack traffic and leaves by a jmp).
@@ -76,6 +78,8 @@ func BenchmarkDispatch(b *testing.B) {
 	store.Rs1, store.Base, store.Size = rA, rP, 8
 	push, pop, jmp := mi(target.MPush), mi(target.MPop), mi(target.MJmp)
 	push.Rs1, pop.Rd = rL, rA
+	callext := mi(target.MCallExt)
+	callext.Sym = "clock" // no arguments, no effect: the dispatch is what is priced
 
 	type variant struct {
 		name   string
@@ -103,6 +107,7 @@ func BenchmarkDispatch(b *testing.B) {
 		}},
 		{name: "call-ret", body: calls, callee: true},
 		{name: "call-ret-shadow", body: calls, callee: true, arm: func(mc *Machine) { mc.SetProfiler(prof.NewProfiler(1 << 40)) }},
+		{name: "callext", body: repeat(callext, 4)},
 		{name: "chain-exit", body: chainExit},
 		{name: "map-exit", body: mapExit},
 		{name: "alu-rr-gas", body: repeat(addRR, 8), arm: func(mc *Machine) { mc.SetGas(1 << 60) }},

@@ -581,6 +581,46 @@ func clampFU(f float64) uint64 {
 	return uint64(f)
 }
 
+// binding is how callExt dispatches one entry of the extern table,
+// resolved the first time the entry is called so that a call costs no
+// string compare and no map lookup.
+type binding struct {
+	kind bindKind
+	fn   rt.Fn // of a bindNative
+}
+
+type bindKind uint8
+
+const (
+	// unbound is an entry not resolved yet, or one the runtime does not
+	// know: env.Call reports that, by name, on every call.
+	unbound bindKind = iota
+	bindJIT
+	bindIntrinsic
+	bindNative
+)
+
+// bindExtern resolves extern idx. A Register on the environment since the
+// table's resolutions were made unbinds them all first: a name may mean
+// another function now.
+func (mc *Machine) bindExtern(idx int) {
+	if n := mc.env.Registrations(); n != mc.boundAt {
+		clear(mc.bound)
+		mc.boundAt = n
+	}
+	b, name := &mc.bound[idx], mc.externs[idx]
+	switch {
+	case name == JITExtern:
+		b.kind = bindJIT
+	case isIntrinsicName(name):
+		b.kind = bindIntrinsic
+	default:
+		if b.fn = mc.env.Lookup(name); b.fn != nil {
+			b.kind = bindNative
+		}
+	}
+}
+
 // callExt dispatches an external call: the reserved JIT extern, the
 // llva.* intrinsics, or the native runtime. It reports whether it set the
 // PC, which only the JIT extern does.
@@ -590,9 +630,11 @@ func (mc *Machine) callExt(u *uop) (bool, error) {
 	if idx < 0 || idx >= len(mc.externs) {
 		return false, fmt.Errorf("machine: bad extern index %d", idx)
 	}
-	name := mc.externs[idx]
-
-	if name == JITExtern {
+	if mc.bound[idx].kind == unbound || mc.boundAt != mc.env.Registrations() {
+		mc.bindExtern(idx)
+	}
+	b := mc.bound[idx]
+	if b.kind == bindJIT {
 		return true, mc.handleJIT()
 	}
 
@@ -625,10 +667,13 @@ func (mc *Machine) callExt(u *uop) (bool, error) {
 
 	var res uint64
 	var err error
-	if isIntrinsicName(name) {
-		res, err = mc.intrinsic(name, args)
-	} else {
-		res, err = mc.env.Call(name, args)
+	switch b.kind {
+	case bindNative:
+		res, err = mc.env.CallFn(b.fn, args)
+	case bindIntrinsic:
+		res, err = mc.intrinsic(mc.externs[idx], args)
+	default:
+		res, err = mc.env.Call(mc.externs[idx], args)
 	}
 	if err != nil {
 		if _, isExit := err.(*rt.ExitError); isExit {

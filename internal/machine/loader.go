@@ -75,8 +75,13 @@ type Machine struct {
 	funcAddr map[string]uint64
 	addrFunc map[uint64]string
 
+	// externs is the extern table MCallExt indexes, by name; bound holds,
+	// index for index, what callExt resolved each name to the first time
+	// it was called, and boundAt env.Registrations() as of then.
 	externs   []string
 	externIdx map[string]int
+	bound     []binding
+	boundAt   int
 
 	invokeStack []invokeFrame
 
@@ -176,6 +181,8 @@ func NewWithImage(d *target.Desc, m *core.Module, env *rt.Env, data *image.Data)
 		funcAddr:   make(map[string]uint64),
 		addrFunc:   make(map[uint64]string),
 		externIdx:  make(map[string]int),
+		externs:    make([]string, 0, 8), // a program's handful, plus the JIT extern
+		bound:      make([]binding, 0, 8),
 		privileged: true,
 		MaxInstrs:  2_000_000_000,
 	}
@@ -283,6 +290,7 @@ func (mc *Machine) externIndex(sym string) int {
 	}
 	i := len(mc.externs)
 	mc.externs = append(mc.externs, sym)
+	mc.bound = append(mc.bound, binding{})
 	mc.externIdx[sym] = i
 	return i
 }

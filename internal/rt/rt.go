@@ -51,7 +51,9 @@ type Env struct {
 	// fns is the per-env override table, allocated lazily by Register;
 	// lookups fall back to the shared immutable defaultFns, so plain
 	// environments (every session) never copy the whole extern table.
-	fns map[string]Fn
+	// registrations counts Register calls (Registrations).
+	fns           map[string]Fn
+	registrations int
 	// fmtBuf is the reusable number-formatting scratch of the print_*
 	// externs; memBuf the bounce buffer of memcpy. Both grow to the
 	// program's high-water mark and stay: the steady state of a
@@ -132,26 +134,37 @@ func (e *Env) Register(name string, fn Fn) {
 		e.fns = make(map[string]Fn)
 	}
 	e.fns[name] = fn
+	e.registrations++
+}
+
+// Registrations counts the Register calls so far. An execution engine
+// that keeps what Lookup returned resolves again when it has moved: a
+// name may mean another function now.
+func (e *Env) Registrations() int { return e.registrations }
+
+// Lookup returns the native function registered under name, or nil.
+func (e *Env) Lookup(name string) Fn {
+	if fn, ok := e.fns[name]; ok {
+		return fn
+	}
+	return defaultFns[name]
 }
 
 // Known reports whether name is a registered native function.
-func (e *Env) Known(name string) bool {
-	if _, ok := e.fns[name]; ok {
-		return true
-	}
-	_, ok := defaultFns[name]
-	return ok
-}
+func (e *Env) Known(name string) bool { return e.Lookup(name) != nil }
 
 // Call invokes the named native function.
 func (e *Env) Call(name string, args []uint64) (uint64, error) {
-	fn, ok := e.fns[name]
-	if !ok {
-		fn, ok = defaultFns[name]
-	}
-	if !ok {
+	fn := e.Lookup(name)
+	if fn == nil {
 		return 0, fmt.Errorf("rt: call to unknown external function %%%s", name)
 	}
+	return e.CallFn(fn, args)
+}
+
+// CallFn is Call for a function Lookup has already resolved: engines
+// bind an external call site once and come here on every call.
+func (e *Env) CallFn(fn Fn, args []uint64) (uint64, error) {
 	e.Stats.Calls++
 	return fn(e, args)
 }
