@@ -54,7 +54,7 @@ bench:
 # past 10% + 16 over the baseline (the zero-alloc steady state is a
 # guarded property, not a one-time win). The baseline is profile-warm
 # tier 2, so the compare run measures with -tier2 as well.
-BENCH_BASELINE ?= bench/BENCH_2026-10-02_onewayin.json
+BENCH_BASELINE ?= bench/BENCH_2026-10-03_coalesce.json
 bench-compare:
 	$(GO) run ./cmd/llva-bench $(BENCH_FLAGS) -compare $(BENCH_BASELINE)
 
