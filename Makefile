@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short tier1 cross-build bench bench-compare bench-smoke serve-bench serve-bench-compare fmt-check loc
+.PHONY: all build vet test race race-short tier1 cross-build bench bench-smoke serve-bench fmt-check loc
 
 all: tier1
 
@@ -41,22 +41,11 @@ cross-build:
 	GOOS=windows GOARCH=amd64 $(GO) build ./cmd/... ./internal/... ./examples/...
 	GOOS=darwin GOARCH=amd64 $(GO) vet ./internal/mem
 
-# Regenerate the paper's Table 2 with registry-sourced telemetry,
-# archived under bench/ with the run date. Measures the tier-2
-# (profile-warm) configuration; pass BENCH_FLAGS= to drop it.
-BENCH_FLAGS ?= -tier2
+# bench prints the paper's Table 2 in the profile-warm tier-2
+# configuration (go run ./cmd/llva-bench for tier 1). Its exact columns
+# are TestNativeGolden's; timing claims belong to ./benchmark.
 bench:
-	$(GO) run ./cmd/llva-bench $(BENCH_FLAGS) -json | tee bench/BENCH_$$(date +%Y-%m-%d).json
-
-# bench-compare re-measures the deterministic Table 2 columns and diffs
-# them against the committed baseline; exits non-zero on any code-size,
-# instruction-count or cycle regression, and on allocs_per_op growing
-# past 10% + 16 over the baseline (the zero-alloc steady state is a
-# guarded property, not a one-time win). The baseline is profile-warm
-# tier 2, so the compare run measures with -tier2 as well.
-BENCH_BASELINE ?= bench/BENCH_2026-10-03_coalesce.json
-bench-compare:
-	$(GO) run ./cmd/llva-bench $(BENCH_FLAGS) -compare $(BENCH_BASELINE)
+	$(GO) run ./cmd/llva-bench -tier2
 
 # bench-smoke compiles and runs the Table 2, pipeline, cache
 # (BenchmarkCacheCodec, BenchmarkCASRead), session-start
@@ -80,16 +69,9 @@ bench-smoke:
 
 # serve-bench runs the full loadgen burst (the PR 9 configuration:
 # 10k concurrent sessions, 50k runs, 10M gas) against a freshly started
-# llva-serve and archives the report; serve-bench-compare re-runs it and
-# fails loudly (exit 2) when sessions/sec drops below
-# SERVE_RATIO x the committed baseline.
-SERVE_BASELINE ?= bench/BENCH_2026-08-07_servepool.json
-SERVE_RATIO ?= 0.75
+# llva-serve and prints the report.
 serve-bench:
-	JSON_OUT=bench/BENCH_$$(date +%Y-%m-%d)_servepool.json scripts/serve_bench.sh
-
-serve-bench-compare:
-	COMPARE=$(SERVE_BASELINE) RATIO=$(SERVE_RATIO) scripts/serve_bench.sh
+	scripts/serve_bench.sh
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

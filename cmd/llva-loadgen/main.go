@@ -57,8 +57,6 @@ func main() {
 	gas := flag.Uint64("gas", 0, "per-run gas budget forwarded to the server (0: server default)")
 	tenant := flag.String("tenant", "", "tenant label on every request")
 	jsonOut := flag.String("json", "", "append the report as a JSON document to FILE")
-	compare := flag.String("compare", "", "baseline bench JSON: fail when sessions/sec regresses below -compare-ratio of it")
-	ratio := flag.Float64("compare-ratio", 0.75, "minimum sessions/sec as a fraction of the -compare baseline")
 	flag.Parse()
 	if *total == 0 && *duration == 0 {
 		*total = 10 * *sessions
@@ -142,38 +140,4 @@ func main() {
 	if rep.Errors5xx > 0 {
 		os.Exit(1)
 	}
-	if *compare != "" {
-		if err := compareBaseline(*compare, *ratio, rep.SessionsPerSec); err != nil {
-			fmt.Fprintln(os.Stderr, "llva-loadgen: FAIL:", err)
-			os.Exit(2)
-		}
-	}
-}
-
-// compareBaseline is the serve throughput gate: it reads an archived
-// loadgen JSON document and fails loudly when this run's sessions/sec
-// fell below ratio × the baseline's.
-func compareBaseline(path string, ratio, got float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc struct {
-		Report serve.LoadGenReport `json:"report"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	base := doc.Report.SessionsPerSec
-	if base <= 0 {
-		return fmt.Errorf("%s: baseline has no sessions_per_sec", path)
-	}
-	floor := base * ratio
-	if got < floor {
-		return fmt.Errorf("sessions/sec regression: %.0f < %.0f (%.0f%% of baseline %.0f from %s)",
-			got, floor, ratio*100, base, path)
-	}
-	fmt.Printf("compare             OK: %.0f sessions/sec >= %.0f (%.0f%% of %.0f, %s)\n",
-		got, floor, ratio*100, base, path)
-	return nil
 }

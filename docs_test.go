@@ -10,10 +10,18 @@ import (
 )
 
 // TestDocsCiteLiveTests: DESIGN.md and README.md name the test or benchmark
-// that holds each property they state. Every such citation, a code span that
-// is one Test… or Benchmark… identifier (a trailing * makes it a prefix),
-// must name a function some _test.go file of the tree defines, so that a
-// rename or a deletion cannot leave the docs pointing at nothing.
+// that holds each property they state, the make target that runs a check
+// and the file or package that implements it. Every such citation must
+// name something the tree has, so that a rename or a deletion cannot leave
+// the docs pointing at nothing:
+//   - a code span that is one Test… or Benchmark… identifier (a trailing *
+//     makes it a prefix) must name a function some _test.go file defines;
+//   - a code span that starts with "make X" must name a Makefile target;
+//   - a code span whose first word starts with cmd/, internal/, scripts/,
+//     examples/ or bench/ must name a path that exists (a * in it is a
+//     glob that must match something; a trailing .Name is a Go identifier
+//     in the package the path names).
+//
 // EXPERIMENTS.md is exempt: it cites deleted history on purpose.
 func TestDocsCiteLiveTests(t *testing.T) {
 	defined := map[string]bool{}
@@ -43,7 +51,23 @@ func TestDocsCiteLiveTests(t *testing.T) {
 		}
 		return false
 	}
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([\w-]+):`).FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	exists := func(path string) bool {
+		matches, err := filepath.Glob(path)
+		return err == nil && len(matches) > 0
+	}
+
 	citeRE := regexp.MustCompile("`((?:Test|Benchmark)[A-Z]\\w*\\*?)`")
+	makeRE := regexp.MustCompile("`make ([\\w-]+)")
+	pathRE := regexp.MustCompile("`((?:cmd|internal|scripts|examples|bench)/[^`\\s]*)")
+	identRE := regexp.MustCompile(`\.[A-Z]\w*$`) // internal/serve.Client names a package
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -56,6 +80,16 @@ func TestDocsCiteLiveTests(t *testing.T) {
 		for _, m := range cites {
 			if !live(string(m[1])) {
 				t.Errorf("%s cites `%s`, which no _test.go file defines", doc, m[1])
+			}
+		}
+		for _, m := range makeRE.FindAllSubmatch(text, -1) {
+			if !targets[string(m[1])] {
+				t.Errorf("%s cites `make %s`, which the Makefile does not define", doc, m[1])
+			}
+		}
+		for _, m := range pathRE.FindAllSubmatch(text, -1) {
+			if !exists(identRE.ReplaceAllString(string(m[1]), "")) {
+				t.Errorf("%s cites `%s`, which is not in the tree", doc, m[1])
 			}
 		}
 	}

@@ -41,8 +41,9 @@ func BenchmarkLower(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			art, _ := suiteProfile(b, d, m, obj)
 			tier1[i] = tr
-			tier2[i] = tr.WithTier2(suiteProfile(b, d, m, obj))
+			tier2[i] = tr.WithTier2(art)
 		}
 		for _, c := range []struct {
 			tier string

@@ -14,8 +14,10 @@ import (
 
 	"llva/internal/codegen"
 	"llva/internal/core"
+	"llva/internal/image"
 	"llva/internal/machine"
 	"llva/internal/mem"
+	"llva/internal/obj"
 	"llva/internal/prof"
 	"llva/internal/rt"
 	"llva/internal/target"
@@ -33,16 +35,20 @@ const nativeGoldenPath = "testdata/native_golden.json"
 // "tier/target/workload/function", and per tier the registry counters
 // the translations added up to plus, per target, the instructions and
 // the register moves emitted in total, so that a change to the code shows
-// as a number and not only as changed hashes. A change that means to
-// leave the emitted code alone — a faster allocator, say — is held to
-// this file; a change that means to move it bumps codegen.Revision (the
-// file records the one it was written at, and is not rewritten with
-// other code under the same one), regenerates the file with
-// -update-golden and says so.
+// as a number and not only as changed hashes. Per workload it holds the
+// rest of the paper's Table 2 that is exact: the module's LLVA
+// instructions, object-code and static-data bytes, and the instructions
+// and cycles one vx86 run retires at tier 1 and at tier 2. A change that
+// means to leave the emitted code alone — a faster allocator, say — is
+// held to this file; a change that means to move it bumps
+// codegen.Revision (the file records the one it was written at, and is
+// not rewritten with other code under the same one), regenerates the file
+// with -update-golden and says so.
 type nativeGolden struct {
-	Revision string                       `json:"revision"`
-	Counters map[string]map[string]uint64 `json:"counters"`
-	Funcs    map[string]string            `json:"funcs"`
+	Revision  string                       `json:"revision"`
+	Counters  map[string]map[string]uint64 `json:"counters"`
+	Funcs     map[string]string            `json:"funcs"`
+	Workloads map[string]map[string]uint64 `json:"workloads"`
 }
 
 // countCode adds obj's instructions and register moves to c under d's name.
@@ -87,16 +93,15 @@ func counterValues(out map[string]uint64, reg *telemetry.Registry, names ...stri
 	}
 }
 
-// suiteProfile runs a suite module's tier-1 code for d under the
-// sampling profiler and returns the artifact tier 2 is guided by.
-func suiteProfile(t testing.TB, d *target.Desc, m *core.Module, obj *codegen.NativeObject) *prof.Artifact {
+// runSuite runs a suite module's code for d on a fresh machine, under
+// the profiler p (nil: none), and returns what the machine counted.
+func runSuite(t testing.TB, d *target.Desc, m *core.Module, obj *codegen.NativeObject, p *prof.Profiler) machine.ExecStats {
 	t.Helper()
 	var out bytes.Buffer
 	mc, err := machine.New(d, m, rt.NewEnv(mem.New(0, true), &out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := prof.NewProfiler(0)
 	mc.SetProfiler(p)
 	if err := mc.LoadObject(obj); err != nil {
 		t.Fatal(err)
@@ -104,15 +109,58 @@ func suiteProfile(t testing.TB, d *target.Desc, m *core.Module, obj *codegen.Nat
 	if _, err := mc.Run("main"); err != nil && !errors.Is(err, rt.ErrExit) {
 		t.Fatal(err)
 	}
-	return p.Artifact(m.Name, d.Name)
+	return mc.Stats
+}
+
+// suiteProfile runs a suite module's tier-1 code for d under the
+// sampling profiler and returns the artifact tier 2 is guided by and
+// what the run retired (the profiler does not perturb it).
+func suiteProfile(t testing.TB, d *target.Desc, m *core.Module, obj *codegen.NativeObject) (*prof.Artifact, machine.ExecStats) {
+	t.Helper()
+	p := prof.NewProfiler(0)
+	st := runSuite(t, d, m, obj, p)
+	return p.Artifact(m.Name, d.Name), st
+}
+
+// moduleSizes returns a module's Table 2 columns that no translation
+// moves: its LLVA instructions, object-code bytes and static-data bytes.
+func moduleSizes(t *testing.T, m *core.Module) map[string]uint64 {
+	t.Helper()
+	enc, err := obj.Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := image.Build(m, mem.NullGuard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, f := range m.Functions {
+		n += f.NumInstructions()
+	}
+	return map[string]uint64{"llva.instrs": uint64(n), "llva.bytes": uint64(len(enc)), "data.bytes": uint64(len(img.Bytes))}
+}
+
+// diffCounts reports every count in got that differs from want's.
+func diffCounts(t *testing.T, got, want map[string]map[string]uint64) {
+	t.Helper()
+	for group, counts := range got {
+		for name, v := range counts {
+			if w := want[group][name]; v != w {
+				t.Errorf("%s %s = %d, golden %d", group, name, v, w)
+			}
+		}
+	}
 }
 
 // TestNativeGolden translates the 17 workloads for both targets at tier
-// 1 and, unless -short, for vx86 at tier 2 from a sampled profile, and
-// compares every function and the spill counters with the recorded file.
+// 1 and, unless -short, for vx86 at tier 2 from a sampled profile, runs
+// both vx86 translations, and compares every function, the spill
+// counters and each workload's Table 2 counts with the recorded file.
 func TestNativeGolden(t *testing.T) {
 	got := nativeGolden{Revision: codegen.Revision, Funcs: map[string]string{},
-		Counters: map[string]map[string]uint64{"tier1": {}, "tier2": {}}}
+		Counters:  map[string]map[string]uint64{"tier1": {}, "tier2": {}},
+		Workloads: map[string]map[string]uint64{}}
 	record := func(tier string, d *target.Desc, w *workloads.Workload, obj *codegen.NativeObject) {
 		for _, nf := range obj.Funcs {
 			got.Funcs[tier+"/"+d.Name+"/"+w.Name+"/"+nf.Name] = hashNative(nf)
@@ -125,6 +173,8 @@ func TestNativeGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		table2 := moduleSizes(t, m)
+		got.Workloads[w.Name] = table2
 		for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
 			tr, err := codegen.New(d, m)
 			if err != nil {
@@ -144,11 +194,15 @@ func TestNativeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr2.SetTelemetry(reg2)
-			obj2, err := tr2.WithTier2(suiteProfile(t, d, m, obj)).TranslateModule()
+			art, st1 := suiteProfile(t, d, m, obj)
+			obj2, err := tr2.WithTier2(art).TranslateModule()
 			if err != nil {
 				t.Fatal(err)
 			}
 			record("tier2", d, w, obj2)
+			st2 := runSuite(t, d, m, obj2, nil)
+			table2["vx86.t1.instrs"], table2["vx86.t1.cycles"] = st1.Instrs, st1.Cycles
+			table2["vx86.t2.instrs"], table2["vx86.t2.cycles"] = st2.Instrs, st2.Cycles
 		}
 	}
 	counterValues(got.Counters["tier1"], reg1, codegen.MetricSpills, codegen.MetricReloads)
@@ -186,13 +240,8 @@ func TestNativeGolden(t *testing.T) {
 	if want.Revision != got.Revision {
 		t.Errorf("codegen.Revision is %q, the golden file was written at %q", got.Revision, want.Revision)
 	}
-	for tier, counters := range got.Counters {
-		for name, v := range counters {
-			if w := want.Counters[tier][name]; v != w {
-				t.Errorf("%s %s = %d, golden %d", tier, name, v, w)
-			}
-		}
-	}
+	diffCounts(t, got.Counters, want.Counters)
+	diffCounts(t, got.Workloads, want.Workloads)
 	bad := 0
 	for key, h := range got.Funcs {
 		if want.Funcs[key] != h {

@@ -87,6 +87,49 @@ func TestResetDifferentialWorkloads(t *testing.T) {
 	}
 }
 
+// TestSteadyStateRunAllocs holds a pooled session's Reset+Run, the serve
+// and execute steady state, to the host heap allocations it makes: two
+// per op on every suite program, however long the guest runs. The block
+// engine itself must allocate nothing, so any growth here is a regression.
+func TestSteadyStateRunAllocs(t *testing.T) {
+	const maxAllocs = 2
+	suite := workloads.All()
+	if testing.Short() {
+		suite = []*workloads.Workload{workloads.ByName("vortex"), workloads.ByName("gap")}
+	}
+	for _, w := range suite {
+		t.Run(w.Name, func(t *testing.T) {
+			m, err := w.CompileOptimized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := NewSystem()
+			if err := sys.Preload(m, target.VX86); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			sess, err := sys.NewSession(m, target.VX86, &out, WithReuse(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Ten runs average out the first few's one-time growth of the
+			// guest heap's host-side tables.
+			n := testing.AllocsPerRun(10, func() {
+				out.Reset()
+				if err := sess.Reset(&out, 0, ""); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sess.Run(context.Background(), "main"); err != nil && !errors.Is(err, ErrExit) {
+					t.Fatal(err)
+				}
+			})
+			if n > maxAllocs {
+				t.Errorf("Reset+Run allocates %v times, want at most %d", n, maxAllocs)
+			}
+		})
+	}
+}
+
 // secretProg plants a recognizable pattern across a heap block and the
 // stack, exactly what a malicious prior tenant would leave behind for
 // the next tenant of a pooled session to harvest.

@@ -109,8 +109,8 @@ func WithMemSize(n uint64) SessionOption { return func(c *sessionConfig) { c.mem
 func WithGas(budget uint64) SessionOption { return func(c *sessionConfig) { c.gas = budget } }
 
 // WithTelemetry aggregates the system's metrics and events into an
-// existing registry (for multi-run tools such as llva-bench). Without
-// it every system gets a private registry.
+// existing registry (for multi-system harnesses such as ./benchmark).
+// Without it every system gets a private registry.
 func WithTelemetry(reg *telemetry.Registry) SystemOption {
 	return func(c *systemConfig) { c.tele = reg }
 }

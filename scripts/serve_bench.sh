@@ -12,8 +12,6 @@
 #              full burst admits without shedding and the measurement is
 #              throughput, not admission control)
 #   JSON_OUT   archive the report here         (default: none)
-#   COMPARE    baseline JSON: exit 2 when sessions/sec < RATIO x baseline
-#   RATIO      compare floor fraction          (default 0.75)
 #   SERVE_ARGS extra llva-serve flags
 set -eu
 
@@ -23,7 +21,6 @@ TOTAL="${TOTAL:-50000}"
 GAS="${GAS:-10000000}"
 POOL="${POOL:-0}"
 QUEUE="${QUEUE:-$((SESSIONS * 2))}"
-RATIO="${RATIO:-0.75}"
 
 cd "$(dirname "$0")/.."
 bin="$(mktemp -d)"
@@ -48,5 +45,4 @@ done
 
 set -- -addr "http://127.0.0.1:$PORT" -sessions "$SESSIONS" -total "$TOTAL" -gas "$GAS"
 [ -n "${JSON_OUT:-}" ] && set -- "$@" -json "$JSON_OUT"
-[ -n "${COMPARE:-}" ] && set -- "$@" -compare "$COMPARE" -compare-ratio "$RATIO"
 "$bin/llva-loadgen" "$@"

@@ -47,12 +47,12 @@ func runTool(t *testing.T, bin string, args ...string) (string, string) {
 // llva-run (cold, then warm through the storage-API cache; sampled, then
 // idle-time optimized, then tier 2 from the cache; a self-modifying
 // program on the interpreter, cold and warm), checking each artifact
-// flows into the next.
+// flows into the next, and ends with one row of llva-bench's Table 2.
 func TestToolPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	bins := buildTools(t, "minicc", "llva-as", "llva-dis", "llva-opt", "llva-llc", "llva-run")
+	bins := buildTools(t, "minicc", "llva-as", "llva-dis", "llva-opt", "llva-llc", "llva-run", "llva-bench")
 	work := t.TempDir()
 
 	src := filepath.Join(work, "fib.c")
@@ -171,6 +171,15 @@ int main() { print_int(fib(20)); print_nl(); return 0; }
 				t.Errorf("smc on %s, %s run: out=%q stats=%s, want %q", tgt, wantHit, out, stats, wantSMC)
 			}
 		}
+	}
+
+	// 9. one row of the paper's Table 2, tier 2 included
+	table, err := exec.Command(bins["llva-bench"], "-workload", "ft", "-tier2").Output()
+	if err != nil {
+		t.Fatalf("llva-bench -workload ft -tier2: %v", err)
+	}
+	if !strings.Contains(string(table), "\nptrdist-ft ") || !strings.Contains(string(table), "\nmean expansion: vx86 ") {
+		t.Errorf("llva-bench printed no ft row or no mean-expansion line:\n%s", table)
 	}
 }
 
