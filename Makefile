@@ -52,7 +52,8 @@ bench:
 # (BenchmarkNewSession/-Large, BenchmarkMemNew), guest-memory-access
 # (BenchmarkLoadStore), block-engine dispatch (BenchmarkDispatch: one
 # hand-assembled loop per dispatch class, host-ns/guest-instr), codec
-# (BenchmarkEncodeDecode) and translator (BenchmarkLower per target and
+# (BenchmarkEncodeDecode), optimizer (BenchmarkOptimize, per-pass
+# ns/op over the suite) and translator (BenchmarkLower per target and
 # tier, BenchmarkAllocLinear; their doc comments give the before/after
 # command line) benchmarks once, as a CI-cheap check that the benchmarks
 # themselves stay green (in particular the block-engine execution path
@@ -63,7 +64,7 @@ bench:
 # must render. The serve smoke drives a short loadgen burst against an
 # in-process server: non-zero completions, zero 5xx.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|SpeculativeColdStart|CacheCodec|CASRead|NewSession|MemNew|LoadStore|Dispatch|EncodeDecode|Lower|AllocLinear' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|SpeculativeColdStart|CacheCodec|CASRead|NewSession|MemNew|LoadStore|Dispatch|EncodeDecode|Optimize|Lower|AllocLinear' -benchtime 1x ./...
 	$(GO) test -run TestTraceSmoke .
 	$(GO) test -count=1 -run TestLoadGenSmoke ./internal/serve/
 

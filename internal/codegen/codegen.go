@@ -90,7 +90,7 @@ func (o *NativeObject) NumInstrs() int {
 // it, so code another revision emitted, and samples taken in that
 // code's address space, are cache misses and not stale hits (paper,
 // Section 4.1: validate the cached translation, else translate online).
-const Revision = "1"
+const Revision = "2"
 
 // Metric names published to a shared registry via SetTelemetry.
 const (

@@ -257,3 +257,40 @@ func TestNativeGolden(t *testing.T) {
 		t.Errorf("translated %d functions, golden holds %d", len(got.Funcs), len(want.Funcs))
 	}
 }
+
+// TestBlockOrderSpills pins what the optimizer's block order is worth to
+// tier-1 register allocation. Live intervals are measured in block order,
+// so a loop InlineCall appended at the end of its caller spans every
+// block laid out before it, and the linear scan spills what is live
+// across the whole stretch: crafty's search reloaded popcount's operands
+// on every iteration (10 spills, 18 reloads) and ks's klPass spilled 17
+// and reloaded 38. TestNativeGolden holds the suite's totals exactly; this
+// test names the two functions that moved most.
+func TestBlockOrderSpills(t *testing.T) {
+	for _, c := range []struct {
+		workload, fn          string
+		maxSpills, maxReloads uint64
+	}{
+		{"crafty", "search", 2, 4},
+		{"ks", "klPass", 10, 12},
+	} {
+		m, err := workloads.ByName(c.workload).CompileOptimized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := codegen.New(target.VX86, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.New()
+		tr.SetTelemetry(reg)
+		if _, err := tr.TranslateFunction(m.Function(c.fn)); err != nil {
+			t.Fatal(err)
+		}
+		spills, reloads := reg.CounterValue(codegen.MetricSpills), reg.CounterValue(codegen.MetricReloads)
+		if spills > c.maxSpills || reloads > c.maxReloads {
+			t.Errorf("%s %%%s: tier-1 vx86 spills %d, reloads %d; at most %d/%d when passes.BlockOrder lays blocks out in reverse postorder",
+				c.workload, c.fn, spills, reloads, c.maxSpills, c.maxReloads)
+		}
+	}
+}

@@ -1,7 +1,5 @@
 package llee
 
-import "llva/internal/codegen"
-
 // Idle-time profile-guided optimization (paper, Section 4.2): "the rich
 // information in LLVA also enables 'idle-time' profile-guided
 // optimization using the translator's optimization and code generation
@@ -12,8 +10,9 @@ import "llva/internal/codegen"
 // translate: the module's code entry is a hit, and every hot function's
 // record in it carries that profile's stamp.
 
-// IdleStats reports what one IdleTimeOptimize did at tier 2, as the code
-// generator's counters moved meanwhile.
+// IdleStats reports what one IdleTimeOptimize did at tier 2: what its own
+// translations added to the code generator's counters, whatever else
+// translates on the System meanwhile.
 type IdleStats struct {
 	Tier2Funcs int // hot functions translated at tier 2 and stored (codegen.tier2_funcs)
 	Traces     int // superblocks formed in them (codegen.superblocks)
@@ -32,9 +31,8 @@ func (ms *moduleState) idleTimeOptimize() (IdleStats, error) {
 			return IdleStats{}, err
 		}
 	}
-	funcs := ms.sys.tele.Counter(codegen.MetricTier2Funcs)
-	traces := ms.sys.tele.Counter(codegen.MetricSuperblocks)
-	funcs0, traces0 := funcs.Value(), traces.Value()
+	var stats IdleStats
+	p.tally = &stats
 	err := ms.translateOffline(&p)
-	return IdleStats{int(funcs.Value() - funcs0), int(traces.Value() - traces0)}, err
+	return stats, err
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"llva/internal/codegen"
@@ -249,5 +250,94 @@ func TestIdleTimeWithoutProfile(t *testing.T) {
 	}
 	if !sess2.CacheHit() {
 		t.Error("offline translation did not populate the cache")
+	}
+}
+
+// TestIdleTimeStatsAreThisCalls idle-optimizes two modules at once on one
+// System. Each call reports what it reports alone, not what the other's
+// tier-2 translations added to the shared counters meanwhile, and the
+// System's counters hold the sum.
+func TestIdleTimeStatsAreThisCalls(t *testing.T) {
+	var mods [2]*core.Module
+	var err error
+	for i, name := range []string{"gzip", "crafty"} {
+		if mods[i], err = workloads.ByName(name).CompileOptimized(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seed := func(st Storage, m *core.Module) {
+		t.Helper()
+		sys := NewSystem(WithStorage(st))
+		sess, err := sys.NewSession(m, target.VX86, io.Discard, WithProfiler(prof.NewProfiler(97)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(context.Background(), "main"); err != nil && !errors.Is(err, ErrExit) {
+			t.Fatal(err)
+		}
+		if err := sess.StoreGuestProfile(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var alone [2]IdleStats
+	for i, m := range mods {
+		st := NewMemStorage()
+		seed(st, m)
+		sess, err := NewSystem(WithStorage(st)).NewSession(m, target.VX86, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone[i], err = sess.IdleTimeOptimize(); err != nil {
+			t.Fatal(err)
+		}
+		if alone[i].Tier2Funcs == 0 || alone[i].Traces == 0 {
+			t.Fatalf("%s alone: %+v, the test needs tier-2 work on both modules", m.Name, alone[i])
+		}
+	}
+
+	st := NewMemStorage()
+	for _, m := range mods {
+		seed(st, m)
+	}
+	reg := telemetry.New()
+	sys := NewSystem(WithStorage(st), WithTelemetry(reg))
+	// Both sessions first, then both calls released at once, so that each
+	// call's translations run while the other's do.
+	var sessions [2]*Session
+	for i, m := range mods {
+		if sessions[i], err = sys.NewSession(m, target.VX86, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [2]IdleStats
+	var errs [2]error
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i, sess := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = sess.IdleTimeOptimize()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, m := range mods {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != alone[i] {
+			t.Errorf("%s: idle time beside another module reports %+v, alone %+v", m.Name, got[i], alone[i])
+		}
+	}
+	if n := reg.CounterValue(codegen.MetricTier2Funcs); n != uint64(alone[0].Tier2Funcs+alone[1].Tier2Funcs) {
+		t.Errorf("%s = %d, the calls report %d and %d", codegen.MetricTier2Funcs, n, alone[0].Tier2Funcs, alone[1].Tier2Funcs)
+	}
+	if n := reg.CounterValue(codegen.MetricSuperblocks); n != uint64(alone[0].Traces+alone[1].Traces) {
+		t.Errorf("%s = %d, the calls report %d and %d", codegen.MetricSuperblocks, n, alone[0].Traces, alone[1].Traces)
 	}
 }

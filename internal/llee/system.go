@@ -398,7 +398,17 @@ type tier2Plan struct {
 	profile string
 	tr2     *codegen.Translator
 	hot     map[string]bool
+	// tally, when set, adds up what this plan's tier-2 translations did
+	// (guarded by tier2Mu). Idle time's plan is its own, so its tally is
+	// what that one call translated.
+	tally *IdleStats
 }
+
+// tier2Mu runs tier-2 translations one at a time, so that what one added
+// to the codegen counters is its own even when another System shares the
+// registry (WithTelemetry). It costs no parallelism: the code generator
+// already serializes tier-2 translation process-wide.
+var tier2Mu sync.Mutex
 
 // planTier2 derives the plan of guest profile art.
 func (ms *moduleState) planTier2(art *prof.Artifact) (tier2Plan, error) {
@@ -504,10 +514,21 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 // and translateAhead each call it once per function, so which code a name
 // gets is settled before its first translation and never revisited.
 func (ms *moduleState) translate(p *tier2Plan, f *core.Function) (*codegen.NativeFunc, error) {
-	if p.hot[f.Name()] {
+	if !p.hot[f.Name()] {
+		return ms.tr.TranslateFunction(f)
+	}
+	tier2Mu.Lock()
+	defer tier2Mu.Unlock()
+	if p.tally == nil {
 		return p.tr2.TranslateFunction(f)
 	}
-	return ms.tr.TranslateFunction(f)
+	funcs := ms.sys.tele.Counter(codegen.MetricTier2Funcs)
+	traces := ms.sys.tele.Counter(codegen.MetricSuperblocks)
+	funcs0, traces0 := funcs.Value(), traces.Value()
+	nf, err := p.tr2.TranslateFunction(f)
+	p.tally.Tier2Funcs += int(funcs.Value() - funcs0)
+	p.tally.Traces += int(traces.Value() - traces0)
+	return nf, err
 }
 
 // key names one persisted artifact of this module on this target. The two

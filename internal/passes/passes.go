@@ -87,7 +87,8 @@ func O1() *Pipeline {
 }
 
 // O2 returns the full link-time pipeline described in Section 5.1,
-// iterated to a (bounded) fixpoint.
+// iterated to a (bounded) fixpoint. Its last pass, BlockOrder, leaves
+// every function's blocks in reverse postorder.
 func O2() *Pipeline {
 	round := []Pass{
 		{"mem2reg", Mem2Reg},
@@ -106,6 +107,7 @@ func O2() *Pipeline {
 	all = append(all, Pass{"inline", Inline})
 	all = append(all, round...)
 	all = append(all, Pass{"deadglobals", DeadGlobals})
+	all = append(all, Pass{"blockorder", BlockOrder})
 	return &Pipeline{Passes: all}
 }
 
