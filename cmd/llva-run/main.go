@@ -95,7 +95,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics, /metrics/events, /debug/llva/trace, /debug/llva/prof, /debug/vars, /debug/pprof)")
 	traceLog := flag.String("trace-log", "", "write the structured event log as JSON lines to FILE at exit")
 	traceOut := flag.String("trace-out", "", "write the session span trace as Chrome trace_event JSON (Perfetto-loadable) to FILE at exit")
-	profOn := flag.Bool("prof", false, "sample the guest's virtual PC and call stack every -prof-rate retired instructions")
+	profOn := flag.Bool("prof", false, "profile the guest: count every block entry, and sample the virtual call stack every -prof-rate retired instructions")
 	profRate := flag.Int("prof-rate", prof.DefaultRate, "guest sampling period in retired virtual instructions")
 	profOut := flag.String("prof-out", "", "write the guest profile as folded stacks to FILE at exit (implies -prof)")
 	profStore := flag.Bool("prof-store", false, "persist the guest profile through the storage API after the run (implies -prof, needs -cache)")

@@ -87,10 +87,10 @@ func (o *NativeObject) NumInstrs() int {
 // that moves the code of some function (the changes that regenerate
 // TestNativeGolden's file, which refuses to without a new name). The
 // execution manager stamps cached translations and guest profiles with
-// it, so code another revision emitted, and samples taken in that
+// it, so code another revision emitted, and profiles counted in that
 // code's address space, are cache misses and not stale hits (paper,
 // Section 4.1: validate the cached translation, else translate online).
-const Revision = "2"
+const Revision = "3"
 
 // Metric names published to a shared registry via SetTelemetry.
 const (
@@ -186,8 +186,8 @@ func (t *Translator) TranslateModule() (*NativeObject, error) {
 // reads the module and builds per-call state, so independent functions
 // may be translated concurrently on one Translator (internal/llee/pipeline
 // relies on this). On a tier-2 translator (WithTier2), functions with
-// profile coverage go through the superblock pipeline; functions the
-// profile never sampled fall back to tier-1 lowering.
+// profile coverage go through the superblock pipeline; functions that
+// never ran under the profiler fall back to tier-1 lowering.
 func (t *Translator) TranslateFunction(f *core.Function) (nf *NativeFunc, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -265,23 +265,39 @@ func (t *Translator) lower(f *core.Function, perm []int, hm map[*core.BasicBlock
 // block that immediately follows it in layout order — or follows it once
 // the jumps in between, themselves elided, are gone (a jump over a block
 // that is nothing but a jump, which threadJumps has left without
-// entries). Taken branches cost an extra cycle on the simulated
-// processor, so block placement — and in particular trace-driven
-// relayout (Section 4.2) — directly affects the measured cycle counts.
-// blockStart need not be monotonic here: addFrame places trace-ordered
-// code with the original indices.
+// entries). It also removes a jump nothing can reach: one no branch
+// targets that follows an unconditional transfer, such as a preheader
+// that stopped falling through into its loop when BlockOrder rotated the
+// loop and whose entries threadJumps then sent to the loop's test.
+// Taken branches cost an extra cycle on the simulated processor, so
+// block placement — and in particular trace-driven relayout (Section
+// 4.2) — directly affects the measured cycle counts. blockStart need not
+// be monotonic here: addFrame places trace-ordered code with the original
+// indices.
 func elideFallthroughs(s *selector) {
 	n := len(s.code)
 	// next[i] is the first surviving instruction at or after i; walking
 	// backwards, a jump sees which of the instructions after it are gone.
+	// Until the walk reaches it, next[i] < 0 marks an instruction some
+	// branch targets.
 	next := make([]int, n+1)
+	for i := range s.code {
+		switch in := &s.code[i]; in.Op {
+		case target.MJmp, target.MJcc, target.MInvokePush:
+			next[s.blockStart[in.Target]] = -1
+		}
+	}
 	next[n] = n
 	for i := n - 1; i >= 0; i-- {
+		targeted := next[i] < 0
 		next[i] = i
-		if in := &s.code[i]; in.Op == target.MJmp {
-			if t := s.blockStart[in.Target]; t > i && next[t] == next[i+1] {
-				next[i] = next[i+1]
-			}
+		in := &s.code[i]
+		if in.Op != target.MJmp {
+			continue
+		}
+		if t := s.blockStart[in.Target]; t > i && next[t] == next[i+1] ||
+			!targeted && i > 0 && endsFlow(s.code[i-1].Op) {
+			next[i] = next[i+1]
 		}
 	}
 	// Compact, turning next[i] into i's position in the surviving code.
@@ -299,6 +315,12 @@ func elideFallthroughs(s *selector) {
 	for bi, p := range s.blockStart {
 		s.blockStart[bi] = next[p]
 	}
+}
+
+// endsFlow reports whether op never falls through to the next
+// instruction.
+func endsFlow(op target.MOp) bool {
+	return op == target.MJmp || op == target.MRet || op == target.MUnwind
 }
 
 // layout assigns byte offsets, resolves PC-relative branch targets and

@@ -121,7 +121,7 @@ func (s *selector) commit(a *allocation, r *rewritten) {
 }
 
 // spillCost prices per-block spill accesses at each block's profile heat
-// (+1 so unsampled blocks still count). allocBest compares allocations
+// (+1 so never-entered blocks still count). allocBest compares allocations
 // by this total and the tier-2 gate its two candidates.
 func spillCost(spillAt []uint32, heat []uint64) uint64 {
 	var cost uint64

@@ -58,8 +58,8 @@ type selector struct {
 	rows *liveRows
 
 	// blockOff is each block's byte offset in the final code (epilogue
-	// last), recorded by layout: the address space profile samples of
-	// this code are taken in.
+	// last), recorded by layout: the address space a profile of this
+	// code counts block entries in.
 	blockOff []int
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // Tier-2 profile-guided translation (paper, Section 4.2): the persisted
-// guest profile's per-block sample counts drive superblock formation —
+// guest profile's exact block entry counts drive superblock formation —
 // extended traces along hot taken-branch paths, with side-entry blocks
 // tail-duplicated so the trace stays private — plus translate-time
 // inlining of small hot callees and post-layout branch peepholes. The
@@ -45,6 +45,10 @@ const (
 // tier 2, while tier-2 translations run one function at a time.
 var tier2Mu sync.Mutex
 
+// layoutPreds is layoutCost's scratch: how many of the blocks being laid
+// out branch to each block. Every layoutCost runs under tier2Mu.
+var layoutPreds = make(map[*core.BasicBlock]int)
+
 // WithTier2 derives a tier-2 translator guided by art, sharing the
 // module, target and telemetry handles of t. The receiver is unchanged:
 // the execution manager translates a module's hot functions on the
@@ -60,9 +64,9 @@ func (t *Translator) WithTier2(art *prof.Artifact) *Translator {
 // tryTier2 translates f through the superblock pipeline: one tier-1
 // lowering of the untouched function, then one lowering of the
 // transformed clone. The tier-1 lowering is both the code the profile
-// was sampled on — its block offsets map samples back to blocks — and
-// the baseline the candidate must beat. It reports ok=false — translate
-// at tier 1 — when the profile has no samples for f. When a transformed
+// was counted on — its block offsets map the counted blocks back to IR
+// blocks — and the baseline the candidate must beat. It reports
+// ok=false — translate at tier 1 — when f never ran. When a transformed
 // body fails verification, or the candidate's estimated dynamic cost
 // does not beat the tier-1 lowering, the tier-1 code is returned
 // (ok=true); tier2_funcs counts every translation that reached the gate,
@@ -77,34 +81,20 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	tier2Mu.Lock()
 	defer tier2Mu.Unlock()
 
-	// The code the profile was sampled on. Its block offsets map the
-	// sampled native offsets back to MIR blocks: a sample belongs to the
-	// block with the greatest start offset ≤ it.
+	// The code the profile was counted on. A block's heat is how often it
+	// was entered, which is how often its first instruction ran: once per
+	// entry of every counted machine block that spans the block's start.
+	// A block the lowering left empty (a jump threaded past or elided)
+	// has no instruction of its own, and its start is the next block's:
+	// it gets no heat.
 	nf1, sel1 := t.lower(f, nil, nil)
 	offs := sel1.blockOff
 	heat := make([]uint64, len(f.Blocks))
-	for off, n := range counts {
-		bi := sort.Search(len(offs), func(i int) bool { return uint64(offs[i]) > off }) - 1
-		if bi < 0 {
-			bi = 0 // in the prologue: attribute to the entry block
-		}
-		if bi >= len(heat) {
-			bi = len(heat) - 1 // in the epilogue: attribute to the last block
-		}
-		heat[bi] += n
-	}
-	// Samples are time-proportional, but every consumer downstream —
-	// branch frequencies in layoutCost, spill-access pricing, interval
-	// weights — wants entry frequency: a branch or a spill executes once
-	// per block entry, however long the block is. Normalizing by block
-	// length converts one to the other and stops long blocks from
-	// looking hotter than they run. The ×8 fixed-point scale keeps
-	// sparse profiles (one sample in a long block) from truncating to
-	// zero; it cancels in every comparison, which only ever weighs
-	// heats against each other.
-	for i, bb := range f.Blocks {
-		if n := bb.Len(); n > 0 {
-			heat[i] = heat[i] * 8 / uint64(n)
+	for _, c := range counts {
+		for i := sort.SearchInts(offs, int(c.Off)); i < len(heat) && uint64(offs[i]) < c.End; i++ {
+			if offs[i] < offs[i+1] {
+				heat[i] += c.Count
+			}
 		}
 	}
 
@@ -140,9 +130,9 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	// and ship tier-2 only if it beats the tier-1 lowering of the
 	// untouched function. Inlining and tail duplication can raise
 	// register pressure faster than they retire branches (the per-pass
-	// gates see only their own axis), and block-granular samples are
-	// noisy; a candidate that cannot beat the code the profile was
-	// measured on is not an optimization.
+	// gates see only their own axis), and the estimates are estimates; a
+	// candidate that cannot beat the code the profile was counted on is
+	// not an optimization.
 	order2 := clone.Blocks
 	if perm != nil {
 		order2 = make([]*core.BasicBlock, len(perm))
@@ -281,11 +271,7 @@ func callSiteCost(callee *core.Function, h uint64, nargs, depth int) uint64 {
 	if depth == 0 {
 		return cost
 	}
-	bh := make(map[*core.BasicBlock]uint64, len(callee.Blocks))
-	for _, bb := range callee.Blocks {
-		bh[bb] = h
-	}
-	cost += layoutCost(callee.Blocks, bh)
+	cost += layoutCostOf(callee.Blocks, func(*core.BasicBlock) uint64 { return h })
 	for _, bb := range callee.Blocks {
 		for _, in := range bb.Instructions() {
 			if in.Op() != core.OpCall && in.Op() != core.OpInvoke {
@@ -302,42 +288,73 @@ func callSiteCost(callee *core.Function, h uint64, nargs, depth int) uint64 {
 }
 
 // layoutCost estimates the dynamic branch cost of laying blocks out in
-// the given order, mirroring the simulated processors' cycle model: a
-// fallthrough unconditional branch is elided (free), a taken branch
-// pays its instruction cycle plus the taken penalty, and a conditional
-// pair costs 1/2 cycles when one side falls through (branch-polarity
-// inversion handles either side) and 2/3 when neither does. Per-block
-// heat approximates execution frequency; two-way edges split
-// proportionally to successor heat (+1 so unsampled blocks keep
-// plausible, order-preserving weights). Only plain branches are
-// modeled — calls, switches and invokes cost the same in any order.
+// the given order, mirroring the simulated processors' cycle model and
+// the lowering: a fallthrough unconditional branch is elided (free), a
+// taken branch pays its instruction cycle plus the taken penalty, a
+// conditional pair costs 1/2 cycles when one side falls through
+// (branch-polarity inversion handles either side) and 2/3 when neither
+// does, and a ret is a jump to the epilogue, which follows the last
+// block. Per-block heat is entry frequency, so an edge into a block with
+// no other predecessor carries that block's heat; other two-way edges
+// split proportionally to successor heat (+1 so never-entered blocks
+// keep plausible, order-preserving weights). Calls, switches and invokes
+// cost the same in any order. Callers hold tier2Mu.
 func layoutCost(order []*core.BasicBlock, heat map[*core.BasicBlock]uint64) uint64 {
-	pos := make(map[*core.BasicBlock]int, len(order))
-	for i, b := range order {
-		pos[b] = i
+	return layoutCostOf(order, func(b *core.BasicBlock) uint64 { return heat[b] })
+}
+
+// layoutCostOf is layoutCost with each block's heat given by heat.
+func layoutCostOf(order []*core.BasicBlock, heat func(*core.BasicBlock) uint64) uint64 {
+	npred := layoutPreds
+	clear(npred)
+	for _, b := range order {
+		for _, sc := range b.Successors() {
+			npred[sc]++
+		}
 	}
 	var cost uint64
 	for i, b := range order {
 		term := b.Terminator()
-		if term == nil || term.Op() != core.OpBr {
+		if term == nil {
 			continue
 		}
+		if term.Op() == core.OpRet {
+			if i+1 < len(order) {
+				cost += 2 * (heat(b) + 1)
+			}
+			continue
+		}
+		if term.Op() != core.OpBr {
+			continue
+		}
+		var next *core.BasicBlock // laid out right after b
+		if i+1 < len(order) {
+			next = order[i+1]
+		}
 		succs := b.Successors()
-		h := heat[b] + 1
+		h := heat(b) + 1
 		switch len(succs) {
 		case 1:
-			if pos[succs[0]] != i+1 {
+			if succs[0] != next {
 				cost += 2 * h
 			}
 		case 2:
 			t0, f0 := succs[0], succs[1]
-			ht, hf := heat[t0]+1, heat[f0]+1
-			ft := h * ht / (ht + hf)
+			ht, hf := heat(t0)+1, heat(f0)+1
+			var ft uint64
+			switch {
+			case npred[t0] == 1:
+				ft = min(ht, h)
+			case npred[f0] == 1:
+				ft = h - min(hf, h)
+			default:
+				ft = h * ht / (ht + hf)
+			}
 			ff := h - ft
 			switch {
-			case pos[f0] == i+1:
+			case f0 == next:
 				cost += 2*ft + ff
-			case pos[t0] == i+1:
+			case t0 == next:
 				cost += ft + 2*ff
 			default:
 				cost += 2*ft + 3*ff
@@ -361,10 +378,9 @@ func layoutCost(order []*core.BasicBlock, heat map[*core.BasicBlock]uint64) uint
 // intervals in block order, and reordering its input tears hot loops'
 // intervals across cold code, buying fallthroughs with spills. A nil
 // permutation means the candidate order lost to the original: the
-// branch-cost model must score it strictly better, since
-// block-granular sampling is noisy evidence and a relayout that breaks
+// branch-cost model must score it strictly better: a relayout that breaks
 // more fallthroughs than it makes must lose to the layout the profile
-// was actually measured on.
+// was counted on.
 func formSuperblocks(f *core.Function, heat map[*core.BasicBlock]uint64) (perm []int, nSuper, nDupInstrs int) {
 	orig := append([]*core.BasicBlock(nil), f.Blocks...)
 	idx := make(map[*core.BasicBlock]int, len(orig))
@@ -373,7 +389,7 @@ func formSuperblocks(f *core.Function, heat map[*core.BasicBlock]uint64) (perm [
 	}
 	seeds := make([]*core.BasicBlock, 0, len(orig))
 	for i, bb := range orig {
-		if i == 0 || heat[bb] > 0 {
+		if i == 0 || heat[bb] > 0 && rotatedLatch(orig, idx, bb) == nil {
 			seeds = append(seeds, bb)
 		}
 	}
@@ -422,7 +438,7 @@ func buildTraceOrder(f *core.Function, orig, seeds []*core.BasicBlock,
 		if visited[sb] {
 			continue
 		}
-		trace := growTrace(f, sb, heat, idx, visited, nDupInstrs)
+		trace := growTrace(f, sb, heat, orig, idx, visited, nDupInstrs)
 		if len(trace) >= 2 && nSuper != nil {
 			*nSuper++
 		}
@@ -438,7 +454,7 @@ func buildTraceOrder(f *core.Function, orig, seeds []*core.BasicBlock,
 }
 
 func growTrace(f *core.Function, start *core.BasicBlock, heat map[*core.BasicBlock]uint64,
-	idx map[*core.BasicBlock]int, visited map[*core.BasicBlock]bool, nDupInstrs *int) []*core.BasicBlock {
+	orig []*core.BasicBlock, idx map[*core.BasicBlock]int, visited map[*core.BasicBlock]bool, nDupInstrs *int) []*core.BasicBlock {
 	trace := []*core.BasicBlock{start}
 	visited[start] = true
 	cur := start
@@ -464,12 +480,17 @@ func growTrace(f *core.Function, start *core.BasicBlock, heat map[*core.BasicBlo
 			case next == nil || heat[s] > nextHeat:
 				nextHeat, next = heat[s], s
 			case heat[s] == nextHeat:
-				// Tie: the samples cannot tell the sides apart, so keep
+				// Tie: the counts cannot tell the sides apart, so keep
 				// the successor that already fell through at tier 1.
 				if ci, ok := idx[cur]; ok && idx[s] == ci+1 {
 					next = s
 				}
 			}
+		}
+		if latch := rotatedLatch(orig, idx, next); latch != nil && latch != cur {
+			// A loop test BlockOrder placed below its body is left to its
+			// latch's trace, which falls into it.
+			next = nil
 		}
 		if next == nil {
 			// The hot continuation is already placed elsewhere. Duplicate
@@ -504,7 +525,12 @@ func growTrace(f *core.Function, start *core.BasicBlock, heat map[*core.BasicBlo
 				}
 			}
 			dupped = true
-			heat[dup] = heat[taken]
+			// The copy takes over the entries cur sends to taken: all of
+			// cur's own when cur only jumps there, at most that when
+			// cur branches.
+			moved := min(heat[cur], heat[taken])
+			heat[dup] = moved
+			heat[taken] -= moved
 			*nDupInstrs += dup.Len()
 			visited[dup] = true
 			trace = append(trace, dup)
@@ -515,6 +541,27 @@ func growTrace(f *core.Function, start *core.BasicBlock, heat map[*core.BasicBlo
 		trace = append(trace, next)
 		cur = next
 	}
+}
+
+// rotatedLatch returns the latch of the loop whose test is b when the
+// tier-1 order lays b out right after it (BlockOrder rotated the loop):
+// the block before b only jumps to b, and b branches back above it. It
+// returns nil for any other b, nil included.
+func rotatedLatch(orig []*core.BasicBlock, idx map[*core.BasicBlock]int, b *core.BasicBlock) *core.BasicBlock {
+	i, ok := idx[b]
+	if !ok || i == 0 {
+		return nil
+	}
+	latch := orig[i-1]
+	if s := latch.Successors(); len(s) != 1 || s[0] != b {
+		return nil
+	}
+	for _, s := range b.Successors() {
+		if j, ok := idx[s]; ok && j < i {
+			return latch
+		}
+	}
+	return nil
 }
 
 // invertCond returns the exact complement of c. Complements are exact on

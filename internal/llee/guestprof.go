@@ -7,8 +7,8 @@ import (
 	"llva/internal/telemetry"
 )
 
-// Guest-profile persistence: the sampling profiler's aggregate (virtual
-// PCs, virtual call stacks, per-block hotness) survives the process
+// Guest-profile persistence: the guest profiler's aggregate (sampled
+// virtual call stacks, exact block entries) survives the process
 // through the same storage API that backs the offline translation
 // cache. The artifact is stamped with the module's content hash, so a
 // profile gathered against different virtual object code is evicted

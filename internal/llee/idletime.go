@@ -4,7 +4,7 @@ package llee
 // information in LLVA also enables 'idle-time' profile-guided
 // optimization using the translator's optimization and code generation
 // capabilities ... using profile information gathered from executions on
-// an end-user's system." The profile is the guest profile a sampled run
+// an end-user's system." The profile is the guest profile a profiled run
 // stored (guestprof.go); the optimizer is the tier-2 translator. Doing
 // its work between executions leaves a later WithTier2 start nothing to
 // translate: the module's code entry is a hit, and every hot function's

@@ -152,11 +152,8 @@ func TestIdleTimePGO(t *testing.T) {
 
 			// The strict < below is trace layout and hot inlining in main
 			// (hotProg's comment): tier 1 has the branch peepholes already.
-			// The sampler is periodic and hotProg is one short loop: at
-			// rates 64 and 251 the samples alias onto classify's blocks on
-			// one target or the other, main never clears the hotness bar
-			// and keeps its tier-1 code. 97 is a prime that does not.
-			tier1, tier2, reg, out := idleFlow(t, m, d, 97)
+			// The sampling rate is the benchmark's.
+			tier1, tier2, reg, out := idleFlow(t, m, d, 25)
 			idleDidAllTheWork(t, tier2, reg)
 			if out != want.String() {
 				t.Errorf("optimized output differs: %q vs %q", out, want.String())
@@ -256,19 +253,22 @@ func TestIdleTimeWithoutProfile(t *testing.T) {
 // TestIdleTimeStatsAreThisCalls idle-optimizes two modules at once on one
 // System. Each call reports what it reports alone, not what the other's
 // tier-2 translations added to the shared counters meanwhile, and the
-// System's counters hold the sum.
+// System's counters hold the sum. gzip translates functions at tier 2 and
+// ships no traces: its tier-1 loops are rotated already. hotProg's main
+// ships one.
 func TestIdleTimeStatsAreThisCalls(t *testing.T) {
 	var mods [2]*core.Module
 	var err error
-	for i, name := range []string{"gzip", "crafty"} {
-		if mods[i], err = workloads.ByName(name).CompileOptimized(); err != nil {
-			t.Fatal(err)
-		}
+	if mods[0], err = workloads.ByName("gzip").CompileOptimized(); err != nil {
+		t.Fatal(err)
+	}
+	if mods[1], err = minic.Compile("hot.c", hotProg); err != nil {
+		t.Fatal(err)
 	}
 	seed := func(st Storage, m *core.Module) {
 		t.Helper()
 		sys := NewSystem(WithStorage(st))
-		sess, err := sys.NewSession(m, target.VX86, io.Discard, WithProfiler(prof.NewProfiler(97)))
+		sess, err := sys.NewSession(m, target.VX86, io.Discard, WithProfiler(prof.NewProfiler(25)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,9 +293,12 @@ func TestIdleTimeStatsAreThisCalls(t *testing.T) {
 		if alone[i], err = sess.IdleTimeOptimize(); err != nil {
 			t.Fatal(err)
 		}
-		if alone[i].Tier2Funcs == 0 || alone[i].Traces == 0 {
+		if alone[i].Tier2Funcs == 0 {
 			t.Fatalf("%s alone: %+v, the test needs tier-2 work on both modules", m.Name, alone[i])
 		}
+	}
+	if alone[1].Traces == 0 {
+		t.Fatalf("%s alone: %+v, the test needs a trace", mods[1].Name, alone[1])
 	}
 
 	st := NewMemStorage()

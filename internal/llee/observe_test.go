@@ -156,6 +156,9 @@ func TestGuestProfilePersistence(t *testing.T) {
 	if len(hot) != 1 || hot[0].Name != "spin" {
 		t.Errorf("HotFuncs = %+v, want [spin]", hot)
 	}
+	if len(a.BlockCounts("spin")) == 0 {
+		t.Error("the stored profile counts no block of spin")
+	}
 
 	key := "guestprof:" + s.Module().Name + ":vx86"
 	good, stamp, ok, err := st.Read(key)
@@ -175,7 +178,7 @@ func TestGuestProfilePersistence(t *testing.T) {
 	}
 
 	// A future format version under a valid stamp must fail loudly.
-	bad := bytes.Replace(good, []byte(" v1\n"), []byte(" v99\n"), 1)
+	bad := bytes.Replace(good, []byte(fmt.Sprintf(" v%d\n", prof.ArtifactVersion)), []byte(" v99\n"), 1)
 	if err := st.Write(key, stamp, bad); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,8 @@ int main() {
 // translation or a guest profile should be and is not one (garbage
 // under a valid stamp, a gob encoding of the object, a blob of the codec
 // version before this one, a flat <key>.llvacache file beside the CAS, a
-// profile of a format version this build does not read) must be treated as
+// profile of a format version this build does not read, the last one
+// included) must be treated as
 // a miss and replaced by online translation at tier 1, never run and never
 // an execution failure. So must a blob that is one, stamp and framing valid,
 // and would take the loader down: a relocation that patches outside its
@@ -66,11 +67,15 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 	}
 	stray := encodeKey(key) + ".llvacache"
 	profKey := "guestprof:" + m.Name + ":" + target.VX86.Name
-	futureProf, err := (&prof.Artifact{Version: prof.ArtifactVersion, Module: m.Name, Target: target.VX86.Name}).Encode()
-	if err != nil {
-		t.Fatal(err)
+	// A profile of another format version: version 1 held sampled block
+	// counts where this build's profiles hold exact entries.
+	profOf := func(version int) []byte {
+		blob, err := (&prof.Artifact{Version: version, Module: m.Name, Target: target.VX86.Name}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
 	}
-	futureProf = bytes.Replace(futureProf, []byte(" v1\n"), []byte(" v99\n"), 1)
 	planted := func(key string, blob []byte) func(*testing.T) Storage {
 		return func(t *testing.T) Storage {
 			// The real key with the real stamp, so only the decode step
@@ -114,7 +119,8 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 		{"gob blob", planted(key, gobBlob.Bytes()), 1, false, true},
 		{"codec version 1", planted(key, v1), 1, false, true},
 		{"guestprof garbage", planted(profKey, []byte("not a profile")), 1, false, true},
-		{"guestprof wrong version", planted(profKey, futureProf), 1, false, true},
+		{"guestprof version 1", planted(profKey, profOf(1)), 1, false, true},
+		{"guestprof wrong version", planted(profKey, profOf(prof.ArtifactVersion+1)), 1, false, true},
 		{"stray flat file", func(t *testing.T) Storage {
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, stray), []byte(stamp+"\nlegacy code"), 0o644); err != nil {

@@ -37,7 +37,8 @@ func link(d *target.Desc, prog []target.MInstr, to map[int]int) {
 // block), and a block exit that is
 // resolved through the block map instead of a chained pointer (map-exit
 // leaves each iteration by a ret to a pushed address; chain-exit does the
-// same stack traffic and leaves by a jmp).
+// same stack traffic and leaves by a jmp; chain-exit-profiled is chain-exit
+// counting its block entries for an attached profiler).
 func BenchmarkDispatch(b *testing.B) {
 	const dispatchIters = 20_000
 	const rN, rA, rB, rP, rL = 6, 7, 8, 9, 10
@@ -109,6 +110,9 @@ func BenchmarkDispatch(b *testing.B) {
 		{name: "call-ret-shadow", body: calls, callee: true, arm: func(mc *Machine) { mc.SetProfiler(prof.NewProfiler(1 << 40)) }},
 		{name: "callext", body: repeat(callext, 4)},
 		{name: "chain-exit", body: chainExit},
+		// The profiler attached, its sampler never due: what counting every
+		// block entry adds to the chained transition.
+		{name: "chain-exit-profiled", body: chainExit, arm: func(mc *Machine) { mc.SetProfiler(prof.NewProfiler(1 << 40)) }},
 		{name: "map-exit", body: mapExit},
 		{name: "alu-rr-gas", body: repeat(addRR, 8), arm: func(mc *Machine) { mc.SetGas(1 << 60) }},
 		{name: "alu-rr-cancel", body: repeat(addRR, 8), ctx: func() (context.Context, context.CancelFunc) {

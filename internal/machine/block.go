@@ -28,6 +28,7 @@ type block struct {
 	valid bool   // cleared by invalidation; chains check it before use
 	taken *block // chained successor of the terminator's taken edge
 	fall  *block // chained successor of the fallthrough edge
+	hits  uint64 // entries not yet handed to the profiler (prof.go)
 }
 
 // maxBlockInstrs caps predecode lookahead so the instruction-limit check
@@ -439,6 +440,7 @@ func (mc *Machine) chain(slot **block) *block {
 func (mc *Machine) invalidateBlocks(lo, hi uint64) {
 	for entry, b := range mc.blocks {
 		if b.entry < hi && b.end > lo {
+			mc.flushHits(b)
 			b.valid = false
 			b.taken, b.fall = nil, nil
 			delete(mc.blocks, entry)

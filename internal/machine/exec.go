@@ -225,16 +225,20 @@ func (mc *Machine) loop() error {
 		if mc.Stats.Cycles >= mc.gasStop {
 			return &GasError{PC: mc.pc, Budget: mc.gasBudget, Used: mc.Stats.Cycles - mc.gasStart}
 		}
+		// Profiling: count the block's entry, and take a deterministic
+		// virtual-PC sample at this block boundary when one is due. The
+		// trigger is the retired-instruction count, never the wall clock,
+		// so runs are bit-identical with the profiler on or off — only
+		// the host-side profile differs. Disabled, this is one nil
+		// compare per block.
+		if mc.prof != nil {
+			b.hits++
+			if mc.Stats.Instrs >= mc.profNext {
+				mc.takeSample()
+			}
+		}
 		if b, err = mc.runBlock(b); err != nil {
 			return err
-		}
-		// Deterministic virtual-PC sampling at block boundaries: the
-		// trigger is the retired-instruction count, never the wall
-		// clock, so runs are bit-identical with the profiler on or off
-		// — only the host-side sample log differs. Disabled, this is
-		// one nil compare per block.
-		if mc.prof != nil && mc.Stats.Instrs >= mc.profNext {
-			mc.takeSample()
 		}
 	}
 }

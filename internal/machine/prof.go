@@ -14,7 +14,10 @@ import (
 // instruction counter is already being flushed — so enabling the
 // profiler never changes simulated instruction or cycle counts, and
 // disabling it leaves exactly one nil compare per block in the hot
-// loop. The wall clock is never consulted.
+// loop. The wall clock is never consulted. Under the same compare, each
+// block counts its entries exactly; the counts reach the profiler when a
+// run ends and when invalidation drops a block, so the profile's block
+// entries are exact, not sampled.
 //
 // The virtual backtrace comes from a shadow call stack of return
 // addresses, maintained only while call tracking is on: pushed by
@@ -51,17 +54,11 @@ func (mc *Machine) EnableFlightRecorder(events int) {
 // is off).
 func (mc *Machine) LastCrash() *prof.CrashReport { return mc.lastCrash }
 
-// funcAt resolves the function whose installed code contains pc.
-// funcCode is naturally sorted by lo (code addresses only grow), so a
-// binary search finds the candidate range.
+// funcAt resolves the function whose installed code contains pc, or the
+// stub bound at pc.
 func (mc *Machine) funcAt(pc uint64) (name string, lo uint64, ok bool) {
-	i := sort.Search(len(mc.funcCode), func(i int) bool {
-		return mc.funcCode[i].lo > pc
-	})
-	if i > 0 {
-		if r := mc.funcCode[i-1]; pc >= r.lo && pc < r.hi {
-			return r.name, r.lo, true
-		}
+	if r, found := mc.bodyAt(pc); found {
+		return r.name, r.lo, true
 	}
 	// Stubs and extern thunks are not in funcCode; they are bound in
 	// the reverse map at their entry address.
@@ -71,12 +68,40 @@ func (mc *Machine) funcAt(pc uint64) (name string, lo uint64, ok bool) {
 	return "", 0, false
 }
 
+// bodyAt finds the installed function body containing pc. funcCode is
+// naturally sorted by lo (code addresses only grow), so a binary search
+// finds the candidate range.
+func (mc *Machine) bodyAt(pc uint64) (codeRange, bool) {
+	i := sort.Search(len(mc.funcCode), func(i int) bool {
+		return mc.funcCode[i].lo > pc
+	})
+	if i > 0 {
+		if r := mc.funcCode[i-1]; pc >= r.lo && pc < r.hi {
+			return r, true
+		}
+	}
+	return codeRange{}, false
+}
+
+// flushHits hands b's entries since the last flush to the profiler,
+// keyed by b's extent within its function. Blocks of a lazy stub belong
+// to no body and are dropped: the callee's own blocks count its entries.
+func (mc *Machine) flushHits(b *block) {
+	if b.hits == 0 {
+		return
+	}
+	if r, found := mc.bodyAt(b.entry); found && mc.prof != nil {
+		mc.prof.AddBlockHits(r.name, b.entry-r.lo, b.end-r.lo, b.hits)
+	}
+	b.hits = 0
+}
+
 // virtualStack renders the shadow call stack as function names,
 // root-first, with leafPC's function appended as the leaf frame.
 // Unattributable frames become "?" so the stack shape survives. The
 // slice is the machine's scratch, valid until the next call: a sample is
 // taken every few thousand instructions and must not be garbage.
-func (mc *Machine) virtualStack(leafPC uint64) ([]string, uint64) {
+func (mc *Machine) virtualStack(leafPC uint64) []string {
 	stack := mc.sampleStack[:0]
 	for _, ret := range mc.callStack {
 		if n, _, found := mc.funcAt(ret); found {
@@ -85,13 +110,13 @@ func (mc *Machine) virtualStack(leafPC uint64) ([]string, uint64) {
 			stack = append(stack, "?")
 		}
 	}
-	leaf, lo, found := mc.funcAt(leafPC)
+	leaf, _, found := mc.funcAt(leafPC)
 	if !found {
-		leaf, lo = "?", leafPC
+		leaf = "?"
 	}
 	stack = append(stack, leaf)
 	mc.sampleStack = stack
-	return stack, leafPC - lo
+	return stack
 }
 
 // takeSample records one virtual-PC sample at a block boundary. The
@@ -102,11 +127,11 @@ func (mc *Machine) takeSample() {
 	if mc.pc == mc.haltAddr {
 		return
 	}
-	stack, off := mc.virtualStack(mc.pc)
+	stack := mc.virtualStack(mc.pc)
 	if len(stack) == 1 && stack[0] == "?" {
 		return
 	}
-	mc.prof.AddSample(stack, off)
+	mc.prof.AddSample(stack)
 }
 
 // buildCrashReport snapshots the machine for the flight recorder after

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,6 +94,87 @@ func TestProfilerHotAttribution(t *testing.T) {
 		}
 		if !strings.Contains(folded.String(), "main;hot ") {
 			t.Errorf("%s: folded stacks missing main;hot:\n%s", d.Name, folded.String())
+		}
+	}
+}
+
+// TestBlockEntriesExact: with a profiler attached the machine counts
+// every block entry and hands the counts over when the run ends, so the
+// profile holds them exactly, whatever the sampling rate: hot's entry
+// block is entered once per call, its loop body once per iteration, and
+// the lazy stub main calls it through is no block of hot's. A block
+// invalidation drops hands over what its blocks counted first.
+func TestBlockEntriesExact(t *testing.T) {
+	m, err := minic.Compile("hot.c", hotLoopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+		tr, err := codegen.New(d, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := tr.TranslateModule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// main installed first calls hot through hot's lazy stub.
+		callerFirst := &codegen.NativeObject{TargetName: obj.TargetName, Module: obj.Module}
+		callerFirst.Add(obj.Func("main"))
+		callerFirst.Add(obj.Func("hot"))
+		run := func(p *prof.Profiler) (*Machine, *prof.Artifact) {
+			mc, err := New(d, m, rt.NewEnv(mem.New(0, true), io.Discard))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mc.LoadObject(callerFirst); err != nil {
+				t.Fatal(err)
+			}
+			mc.SetProfiler(p)
+			if _, err := mc.Run("main"); err != nil {
+				t.Fatal(err)
+			}
+			return mc, p.Artifact(m.Name, d.Name)
+		}
+		var arts []*prof.Artifact
+		for _, rate := range []int{128, 1 << 40} {
+			_, a := run(prof.NewProfiler(rate))
+			arts = append(arts, a)
+			hot := a.BlockCounts("hot")
+			if len(hot) < 2 || hot[0].Off != 0 || hot[0].Count != 40 || hot[1].Off == 0 {
+				t.Fatalf("%s rate %d: hot's blocks %v, want one entry block, entered 40 times", d.Name, rate, hot)
+			}
+			body := false
+			for _, c := range hot {
+				body = body || c.Count == 40*1500
+			}
+			if !body {
+				t.Errorf("%s rate %d: no block of hot entered %d times: %v", d.Name, rate, 40*1500, hot)
+			}
+			if main := a.BlockCounts("main"); len(main) == 0 || main[0].Off != 0 || main[0].Count != 1 {
+				t.Errorf("%s rate %d: main's blocks %v, want the entry block entered once", d.Name, rate, main)
+			}
+		}
+		if !slices.Equal(arts[0].Blocks, arts[1].Blocks) {
+			t.Errorf("%s: block entries depend on the sampling rate", d.Name)
+		}
+
+		p := prof.NewProfiler(0)
+		mc, _ := run(p)
+		for _, b := range mc.blocks {
+			b.hits = 1
+		}
+		if err := mc.InvalidateFunction("hot"); err != nil {
+			t.Fatal(err)
+		}
+		a := p.Artifact(m.Name, d.Name)
+		for i, c := range a.BlockCounts("hot") {
+			if want := arts[0].BlockCounts("hot")[i].Count + 1; c.Count != want {
+				t.Errorf("%s: after invalidation hot's block %v, want %d entries", d.Name, c, want)
+			}
+		}
+		if !slices.Equal(a.BlockCounts("main"), arts[0].BlockCounts("main")) {
+			t.Errorf("%s: invalidating hot handed over main's entries", d.Name)
 		}
 	}
 }

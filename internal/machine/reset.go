@@ -28,8 +28,10 @@ func (mc *Machine) Seal() error {
 // Reset returns a sealed machine to its pristine pre-first-run state so
 // the next Run is bit-identical to a fresh machine's: memory restored
 // via dirty-page tracking, the register file, flags, shadow stacks and
-// privilege level cleared, and the execution counters zeroed (flushed
-// to telemetry first, so no deltas are lost). Everything immutable and
+// privilege level cleared, and the execution counters and block entry
+// counts zeroed (the counters flushed to telemetry first, so no deltas
+// are lost; a run hands its entry counts to the profiler when it ends,
+// so only a run cut short leaves any). Everything immutable and
 // expensive stays: installed code, the predecoded block cache and its
 // arenas, symbol bindings, stubs and the extern table. It returns the
 // number of dirty pages restored. Must not be called mid-run.
@@ -45,6 +47,11 @@ func (mc *Machine) Reset() int {
 	mc.privileged = true
 	mc.lastCrash = nil
 	mc.profNext = 0
+	if mc.prof != nil {
+		for _, b := range mc.blocks {
+			b.hits = 0
+		}
+	}
 	mc.Stats = ExecStats{}
 	mc.teleFlushed = ExecStats{}
 	return n

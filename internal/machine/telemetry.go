@@ -41,8 +41,13 @@ func (mc *Machine) SetTelemetry(reg *telemetry.Registry) { mc.tele = reg }
 func (mc *Machine) Telemetry() *telemetry.Registry { return mc.tele }
 
 // recordRunEnd accounts a finished Run: trap classification plus the
-// counter flush.
+// counter flush, and the block entry counts handed to the profiler.
 func (mc *Machine) recordRunEnd(err error) {
+	if mc.prof != nil {
+		for _, b := range mc.blocks {
+			mc.flushHits(b)
+		}
+	}
 	var te *TrapError
 	if errors.As(err, &te) {
 		mc.Stats.Traps++

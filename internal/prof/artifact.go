@@ -2,8 +2,10 @@ package prof
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -20,7 +22,9 @@ const artifactMagic = "llva-guest-profile"
 
 // ArtifactVersion is the current artifact format version. Bump it when
 // the JSON body changes incompatibly; decoders reject other versions.
-const ArtifactVersion = 1
+// Version 2's Blocks are exact block entry counts; version 1's were
+// sample counts.
+const ArtifactVersion = 2
 
 // StackCount is one folded virtual stack and its sample count.
 type StackCount struct {
@@ -28,13 +32,28 @@ type StackCount struct {
 	Count uint64 `json:"count"`
 }
 
-// BlockCount is one sampled basic block, identified by its entry
-// offset from the owning function's code start — stable across runs of
-// the same translation, unlike absolute code addresses.
+// BlockCount is one executed block of the machine's and how many times
+// it was entered. The block spans [Off, End), byte offsets from the
+// owning function's code start — stable across runs of the same
+// translation, unlike absolute code addresses — and every entry executes
+// each of its instructions once.
 type BlockCount struct {
 	Func  string `json:"func"`
 	Off   uint64 `json:"off"`
+	End   uint64 `json:"end"`
 	Count uint64 `json:"count"`
+}
+
+// compareBlocks orders BlockCounts by function, then extent: the order
+// of Artifact.Blocks.
+func compareBlocks(a, b BlockCount) int {
+	if c := strings.Compare(a.Func, b.Func); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Off, b.Off); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.End, b.End)
 }
 
 // Artifact is the serializable form of a guest profile.
@@ -47,12 +66,12 @@ type Artifact struct {
 
 	Funcs  []FuncStat   `json:"funcs"`
 	Stacks []StackCount `json:"stacks"`
+	// Blocks are the exact block entry counts, sorted by compareBlocks.
 	Blocks []BlockCount `json:"blocks"`
 }
 
 // Artifact snapshots the profiler into the versioned exchange form.
-// Every slice is sorted, so identical sample populations serialize
-// byte-identically.
+// Every slice is sorted, so identical profiles serialize byte-identically.
 func (p *Profiler) Artifact(module, target string) *Artifact {
 	a := &Artifact{
 		Version: ArtifactVersion,
@@ -66,19 +85,12 @@ func (p *Profiler) Artifact(module, target string) *Artifact {
 	for k, v := range p.folded {
 		a.Stacks = append(a.Stacks, StackCount{Stack: k, Count: *v})
 	}
-	for fn, bm := range p.blocks {
-		for off, n := range bm {
-			a.Blocks = append(a.Blocks, BlockCount{Func: fn, Off: off, Count: n})
-		}
+	for k, n := range p.blocks {
+		a.Blocks = append(a.Blocks, BlockCount{Func: k.fn, Off: k.off, End: k.end, Count: n})
 	}
 	p.mu.Unlock()
 	sort.Slice(a.Stacks, func(i, j int) bool { return a.Stacks[i].Stack < a.Stacks[j].Stack })
-	sort.Slice(a.Blocks, func(i, j int) bool {
-		if a.Blocks[i].Func != a.Blocks[j].Func {
-			return a.Blocks[i].Func < a.Blocks[j].Func
-		}
-		return a.Blocks[i].Off < a.Blocks[j].Off
-	})
+	slices.SortFunc(a.Blocks, compareBlocks)
 	return a
 }
 
@@ -116,10 +128,13 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("prof: artifact header/body version mismatch (%d vs %d)",
 			version, a.Version)
 	}
+	if !slices.IsSortedFunc(a.Blocks, compareBlocks) {
+		return nil, fmt.Errorf("prof: corrupt profile artifact: blocks out of order")
+	}
 	return &a, nil
 }
 
-// Merge folds b's samples into a: totals and per-function, per-stack
+// Merge folds b's counts into a: totals and per-function, per-stack
 // and per-block counts are summed, so profiles from repeated runs
 // accumulate instead of the last run winning. Both artifacts must be
 // the same version and describe the same module, target and sampling
@@ -174,16 +189,12 @@ func (a *Artifact) Merge(b *Artifact) error {
 	}
 	sort.Slice(a.Stacks, func(i, j int) bool { return a.Stacks[i].Stack < a.Stacks[j].Stack })
 
-	type blockKey struct {
-		fn  string
-		off uint64
-	}
 	blocks := make(map[blockKey]int, len(a.Blocks))
 	for i, bl := range a.Blocks {
-		blocks[blockKey{bl.Func, bl.Off}] = i
+		blocks[blockKey{bl.Func, bl.Off, bl.End}] = i
 	}
 	for _, bl := range b.Blocks {
-		k := blockKey{bl.Func, bl.Off}
+		k := blockKey{bl.Func, bl.Off, bl.End}
 		if i, ok := blocks[k]; ok {
 			a.Blocks[i].Count += bl.Count
 		} else {
@@ -191,12 +202,7 @@ func (a *Artifact) Merge(b *Artifact) error {
 			a.Blocks = append(a.Blocks, bl)
 		}
 	}
-	sort.Slice(a.Blocks, func(i, j int) bool {
-		if a.Blocks[i].Func != a.Blocks[j].Func {
-			return a.Blocks[i].Func < a.Blocks[j].Func
-		}
-		return a.Blocks[i].Off < a.Blocks[j].Off
-	})
+	slices.SortFunc(a.Blocks, compareBlocks)
 	return nil
 }
 
@@ -216,19 +222,17 @@ func (a *Artifact) HotFuncs(minShare float64) []FuncStat {
 	return out
 }
 
-// BlockCounts returns fn's sampled block offsets and counts (nil when
-// the function was never sampled).
-func (a *Artifact) BlockCounts(fn string) map[uint64]uint64 {
-	var out map[uint64]uint64
-	for _, b := range a.Blocks {
-		if b.Func == fn {
-			if out == nil {
-				out = make(map[uint64]uint64)
-			}
-			out[b.Off] = b.Count
-		}
+// BlockCounts returns fn's executed blocks, ascending by extent: a
+// sub-slice of a.Blocks, empty when fn never ran.
+func (a *Artifact) BlockCounts(fn string) []BlockCount {
+	lo, _ := slices.BinarySearchFunc(a.Blocks, fn, func(b BlockCount, fn string) int {
+		return strings.Compare(b.Func, fn)
+	})
+	hi := lo
+	for hi < len(a.Blocks) && a.Blocks[hi].Func == fn {
+		hi++
 	}
-	return out
+	return a.Blocks[lo:hi:hi]
 }
 
 // String summarizes the artifact for logs.

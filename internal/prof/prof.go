@@ -6,14 +6,16 @@
 //
 // Three pillars:
 //
-//   - Profiler: a virtual-PC sampling profiler. The machine samples at
+//   - Profiler: a guest profiler with two inputs. The machine samples at
 //     basic-block boundaries every Rate retired virtual instructions —
 //     a deterministic trigger derived from the instruction stream, not
-//     the wall clock — capturing the virtual PC and the virtual call
-//     stack. Aggregation yields per-function inclusive/exclusive
-//     hotness and per-block counts, exported as folded-stack text
-//     (flamegraph-ready) and as a versioned artifact the tier-2
-//     translator can consume (ROADMAP: superblocks + trace layout).
+//     the wall clock — capturing the virtual call stack; aggregation
+//     yields per-function inclusive/exclusive hotness, exported as
+//     folded-stack text (flamegraph-ready). And while it is attached the
+//     machine counts every block entry exactly, handing the counts over
+//     at the end of each run. Both go into a versioned artifact the
+//     tier-2 translator consumes: the samples pick its functions, the
+//     block entries weigh their blocks.
 //
 //   - Tracer: begin/end span tracing of the Session lifecycle and the
 //     translation pipeline, exported as Chrome trace_event JSON that
@@ -69,10 +71,16 @@ type Profiler struct {
 	// once per sample.
 	seen  map[string]bool
 	funcs map[string]*FuncStat
-	// blocks maps function -> block entry offset (from the function's
-	// code start) -> samples landing in that block.
-	blocks map[string]map[uint64]uint64
+	// blocks counts the entries of each executed block (AddBlockHits).
+	blocks map[blockKey]uint64
 	total  uint64
+}
+
+// blockKey names one executed block: its function, and its extent as
+// byte offsets from the function's code start.
+type blockKey struct {
+	fn       string
+	off, end uint64
 }
 
 // NewProfiler creates a profiler sampling every rate retired virtual
@@ -86,7 +94,7 @@ func NewProfiler(rate int) *Profiler {
 		folded: make(map[string]*uint64),
 		seen:   make(map[string]bool),
 		funcs:  make(map[string]*FuncStat),
-		blocks: make(map[string]map[uint64]uint64),
+		blocks: make(map[blockKey]uint64),
 	}
 }
 
@@ -94,11 +102,9 @@ func NewProfiler(rate int) *Profiler {
 func (p *Profiler) Rate() uint64 { return p.rate }
 
 // AddSample records one sample: stack is the virtual call stack
-// root-first with the interrupted function last, and off is the
-// sampled block's entry offset from the leaf function's code start.
-// Empty stacks (a sample before any function was attributable) are
-// dropped.
-func (p *Profiler) AddSample(stack []string, off uint64) {
+// root-first with the interrupted function last. Empty stacks (a sample
+// before any function was attributable) are dropped.
+func (p *Profiler) AddSample(stack []string) {
 	if len(stack) == 0 {
 		return
 	}
@@ -128,12 +134,16 @@ func (p *Profiler) AddSample(stack []string, off uint64) {
 		p.stat(fn).Incl++
 	}
 	p.stat(leaf).Excl++
-	bm := p.blocks[leaf]
-	if bm == nil {
-		bm = make(map[uint64]uint64)
-		p.blocks[leaf] = bm
-	}
-	bm[off]++
+}
+
+// AddBlockHits records that the block of fn spanning byte offsets
+// [off, end) from fn's code start was entered n more times. Every entry
+// runs the block's instructions once each: the machine's blocks end at
+// every branch, call and return.
+func (p *Profiler) AddBlockHits(fn string, off, end, n uint64) {
+	p.mu.Lock()
+	p.blocks[blockKey{fn, off, end}] += n
+	p.mu.Unlock()
 }
 
 // stat returns the record for fn; callers hold p.mu.

@@ -16,11 +16,11 @@ func TestProfilerAggregation(t *testing.T) {
 		t.Fatalf("Rate() = %d, want 100", p.Rate())
 	}
 	// main->inner twice, main alone once, recursive main->f->f once.
-	p.AddSample([]string{"main", "inner"}, 0x10)
-	p.AddSample([]string{"main", "inner"}, 0x10)
-	p.AddSample([]string{"main"}, 0)
-	p.AddSample([]string{"main", "f", "f"}, 0x20)
-	p.AddSample(nil, 0) // dropped
+	p.AddSample([]string{"main", "inner"})
+	p.AddSample([]string{"main", "inner"})
+	p.AddSample([]string{"main"})
+	p.AddSample([]string{"main", "f", "f"})
+	p.AddSample(nil) // dropped
 	if p.Total() != 4 {
 		t.Fatalf("Total() = %d, want 4", p.Total())
 	}
@@ -57,8 +57,8 @@ func TestAddSampleSteadyStateAllocatesNothing(t *testing.T) {
 		{"main", "inner"},
 		{"main", "f", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o"},
 	} {
-		p.AddSample(stack, 0x10)
-		if n := testing.AllocsPerRun(100, func() { p.AddSample(stack, 0x10) }); n != 0 {
+		p.AddSample(stack)
+		if n := testing.AllocsPerRun(100, func() { p.AddSample(stack) }); n != 0 {
 			t.Errorf("AddSample of a seen stack of depth %d: %v allocs, want 0", len(stack), n)
 		}
 	}
@@ -78,7 +78,7 @@ func TestWriteFoldedDeterministic(t *testing.T) {
 	render := func(order []int) string {
 		p := NewProfiler(1)
 		for _, i := range order {
-			p.AddSample(samples[i], 0)
+			p.AddSample(samples[i])
 		}
 		var b strings.Builder
 		if err := p.WriteFolded(&b); err != nil {
@@ -98,15 +98,19 @@ func TestWriteFoldedDeterministic(t *testing.T) {
 
 func TestArtifactRoundTrip(t *testing.T) {
 	p := NewProfiler(64)
-	p.AddSample([]string{"main", "hot"}, 0x40)
-	p.AddSample([]string{"main", "hot"}, 0x40)
-	p.AddSample([]string{"main"}, 0x8)
+	p.AddSample([]string{"main", "hot"})
+	p.AddSample([]string{"main", "hot"})
+	p.AddSample([]string{"main"})
+	p.AddBlockHits("hot", 0x40, 0x48, 2)
+	p.AddBlockHits("main", 0x8, 0x10, 1)
+	p.AddBlockHits("hot", 0, 0x40, 1)
+	p.AddBlockHits("hot", 0x40, 0x48, 5)
 	a := p.Artifact("prog", "vx86")
 	data, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte("llva-guest-profile v1\n")) {
+	if !bytes.HasPrefix(data, []byte("llva-guest-profile v2\n")) {
 		t.Fatalf("artifact header missing: %q", data[:32])
 	}
 	back, err := DecodeArtifact(data)
@@ -127,8 +131,12 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if hot := back.HotFuncs(0.5); len(hot) != 1 || hot[0].Name != "hot" {
 		t.Errorf("HotFuncs(0.5) = %+v, want [hot]", hot)
 	}
-	if bc := back.BlockCounts("hot"); bc[0x40] != 2 {
-		t.Errorf("BlockCounts(hot) = %v, want {0x40:2}", bc)
+	want := []BlockCount{{"hot", 0, 0x40, 1}, {"hot", 0x40, 0x48, 7}}
+	if bc := back.BlockCounts("hot"); !reflect.DeepEqual(bc, want) {
+		t.Errorf("BlockCounts(hot) = %v, want %v", bc, want)
+	}
+	if bc := back.BlockCounts("cold"); len(bc) != 0 {
+		t.Errorf("BlockCounts(cold) = %v, want none", bc)
 	}
 }
 
@@ -140,8 +148,12 @@ func TestDecodeArtifactRejects(t *testing.T) {
 	cases := map[string][]byte{
 		"no header":     []byte("no newline here"),
 		"wrong magic":   []byte("some-other-format v1\n{}"),
-		"wrong version": bytes.Replace(good, []byte(" v1\n"), []byte(" v9\n"), 1),
-		"corrupt body":  []byte("llva-guest-profile v1\n{not json"),
+		"wrong version": bytes.Replace(good, []byte(" v2\n"), []byte(" v9\n"), 1),
+		// Version 1 held sample counts where version 2 holds entries.
+		"version 1":    []byte("llva-guest-profile v1\n{\"version\": 1}"),
+		"corrupt body": []byte("llva-guest-profile v2\n{not json"),
+		"blocks out of order": []byte(`llva-guest-profile v2
+{"version": 2, "blocks": [{"func": "f", "off": 8, "end": 16, "count": 1}, {"func": "f", "off": 0, "end": 8, "count": 1}]}`),
 	}
 	for name, data := range cases {
 		if _, err := DecodeArtifact(data); err == nil {
@@ -249,11 +261,15 @@ func TestCrashReportRender(t *testing.T) {
 
 func TestArtifactMerge(t *testing.T) {
 	p1 := NewProfiler(64)
-	p1.AddSample([]string{"main", "hot"}, 0x40)
-	p1.AddSample([]string{"main"}, 0x8)
+	p1.AddSample([]string{"main", "hot"})
+	p1.AddSample([]string{"main"})
+	p1.AddBlockHits("hot", 0x40, 0x48, 3)
+	p1.AddBlockHits("main", 0, 0x8, 1)
 	p2 := NewProfiler(64)
-	p2.AddSample([]string{"main", "hot"}, 0x40)
-	p2.AddSample([]string{"main", "cold"}, 0x10)
+	p2.AddSample([]string{"main", "hot"})
+	p2.AddSample([]string{"main", "cold"})
+	p2.AddBlockHits("hot", 0x40, 0x48, 4)
+	p2.AddBlockHits("cold", 0x10, 0x20, 1)
 	a := p1.Artifact("prog", "vx86")
 	b := p2.Artifact("prog", "vx86")
 	if err := a.Merge(b); err != nil {
@@ -272,16 +288,19 @@ func TestArtifactMerge(t *testing.T) {
 	if s := stats["main"]; s.Incl != 4 || s.Excl != 1 {
 		t.Errorf("main: incl=%d excl=%d, want 4/1", s.Incl, s.Excl)
 	}
-	if bc := a.BlockCounts("hot"); bc[0x40] != 2 {
-		t.Errorf("merged BlockCounts(hot) = %v, want {0x40:2}", bc)
+	if bc := a.BlockCounts("hot"); !reflect.DeepEqual(bc, []BlockCount{{"hot", 0x40, 0x48, 7}}) {
+		t.Errorf("merged BlockCounts(hot) = %v, want 7 entries of [0x40, 0x48)", bc)
 	}
 	// The merged artifact equals the one a single profiler over both
-	// sample populations would produce: byte-identical encoding.
+	// profiles would produce: byte-identical encoding.
 	p3 := NewProfiler(64)
-	p3.AddSample([]string{"main", "hot"}, 0x40)
-	p3.AddSample([]string{"main"}, 0x8)
-	p3.AddSample([]string{"main", "hot"}, 0x40)
-	p3.AddSample([]string{"main", "cold"}, 0x10)
+	p3.AddSample([]string{"main", "hot"})
+	p3.AddSample([]string{"main"})
+	p3.AddSample([]string{"main", "hot"})
+	p3.AddSample([]string{"main", "cold"})
+	p3.AddBlockHits("cold", 0x10, 0x20, 1)
+	p3.AddBlockHits("hot", 0x40, 0x48, 7)
+	p3.AddBlockHits("main", 0, 0x8, 1)
 	want, err := p3.Artifact("prog", "vx86").Encode()
 	if err != nil {
 		t.Fatal(err)
