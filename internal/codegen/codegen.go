@@ -90,7 +90,7 @@ func (o *NativeObject) NumInstrs() int {
 // it, so code another revision emitted, and profiles counted in that
 // code's address space, are cache misses and not stale hits (paper,
 // Section 4.1: validate the cached translation, else translate online).
-const Revision = "3"
+const Revision = "4"
 
 // Metric names published to a shared registry via SetTelemetry.
 const (

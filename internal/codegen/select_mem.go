@@ -5,74 +5,151 @@ import (
 	"llva/internal/target"
 )
 
-// memOperand is a target addressing-mode expression.
+// memOperand is a target addressing-mode expression: base + index*scale
+// + disp, where a global variable's symbol may stand in for the base
+// (vx86: the loader adds the global's address to disp, an absolute
+// displacement).
 type memOperand struct {
 	base  target.Reg
 	index target.Reg
 	scale uint8
 	disp  int32
+	sym   string
 }
 
 // gepFoldable reports whether a GEP can fold entirely into the addressing
 // modes of its (memory-instruction) users instead of computing an address
-// value — the translator's pattern fusion (paper, Section 3.1).
+// value — the translator's pattern fusion (paper, Section 3.1). A GEP has
+// to have one such user, unless it addresses a global through an absolute
+// displacement: that fold costs every user nothing, and keeps no address
+// live in a register between them.
 func (s *selector) gepFoldable(in *core.Instruction) bool {
-	if in.NumUses() != 1 {
+	if in.NumUses() == 0 {
 		return false
 	}
-	u := in.Uses()[0]
-	switch u.User.Op() {
-	case core.OpLoad:
-		return true
-	case core.OpStore:
-		return u.Index == 1 // only as the address operand
+	if in.NumUses() > 1 {
+		if m, _, ok := s.gepMode(in); !ok || m.sym == "" {
+			return false
+		}
 	}
-	return false
+	for _, u := range in.Uses() {
+		switch u.User.Op() {
+		case core.OpLoad:
+		case core.OpStore:
+			if u.Index != 1 { // only as the address operand
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }
 
-// constGEPOffset computes the byte offset of a GEP whose indices are all
-// constants, or ok=false.
-func (s *selector) constGEPOffset(in *core.Instruction) (int64, bool) {
-	var consts []*core.Constant
-	for _, idx := range in.Operands()[1:] {
-		c, ok := idx.(*core.Constant)
-		if !ok || c.CK != core.ConstInt {
-			return 0, false
+// gepAffine splits a GEP's address into its base pointer plus a constant
+// byte offset plus at most one dynamic index times its scale, or
+// ok=false when two or more indices are dynamic.
+func (s *selector) gepAffine(in *core.Instruction) (off int64, idx core.Value, scale int64, ok bool) {
+	cur := in.Operand(0).Type().Elem()
+	for i, op := range in.Operands()[1:] {
+		size := s.lay.Size(cur)
+		if i > 0 {
+			switch cur.Kind() {
+			case core.StructKind:
+				fi := int(op.(*core.Constant).Int64())
+				off += s.lay.FieldOffset(cur, fi)
+				cur = cur.Fields()[fi]
+				continue
+			case core.ArrayKind:
+				cur = cur.Elem()
+				size = s.lay.Size(cur)
+			}
 		}
-		consts = append(consts, c)
+		if c, isConst := op.(*core.Constant); isConst && c.CK == core.ConstInt {
+			off += c.Int64() * size
+			continue
+		}
+		if idx != nil {
+			return 0, nil, 0, false
+		}
+		idx, scale = op, size
 	}
-	off, _ := s.lay.GEPOffset(in.Operand(0).Type().Elem(), consts)
-	return off, true
+	return off, idx, scale, true
+}
+
+// gepMode returns the one vx86 addressing mode a GEP's address is,
+// [base + idx*scale + off] with a global's symbol standing in for the
+// base when the GEP is off one, but with its base and index still LLVA
+// values; or ok=false: vsparc has no such mode, or the GEP has two
+// dynamic indices, a scale other than 1, 2, 4 or 8, or an offset beyond
+// an int32.
+func (s *selector) gepMode(in *core.Instruction) (m memOperand, idx core.Value, ok bool) {
+	if !s.desc.MemOperands {
+		return m, nil, false
+	}
+	off, idx, scale, ok := s.gepAffine(in)
+	if !ok || idx != nil && scale != 1 && scale != 2 && scale != 4 && scale != 8 ||
+		off < -(1<<31) || off >= 1<<31 {
+		return m, nil, false
+	}
+	return memOperand{base: target.NoReg, index: target.NoReg, scale: uint8(scale),
+		disp: int32(off), sym: s.globalSym(in.Operand(0))}, idx, true
+}
+
+// gepOperand selects the registers of gepMode's operand.
+func (s *selector) gepOperand(in *core.Instruction, m memOperand, idx core.Value) memOperand {
+	if m.sym == "" {
+		m.base = s.val(in.Operand(0))
+	}
+	if idx != nil {
+		m.index = s.val(idx)
+	}
+	return m
+}
+
+// globalSym returns the name of the global variable whose address v is,
+// when the target addresses memory through an absolute displacement
+// (vx86), and "" otherwise.
+func (s *selector) globalSym(v core.Value) string {
+	if !s.desc.MemOperands {
+		return ""
+	}
+	switch x := v.(type) {
+	case *core.GlobalVariable:
+		return x.Name()
+	case *core.Constant:
+		if g, ok := x.Ref.(*core.GlobalVariable); ok && x.CK == core.ConstGlobal {
+			return g.Name()
+		}
+	}
+	return ""
 }
 
 // addr lowers a pointer operand into a memory operand, folding a
-// single-use GEP into base+index*scale+disp where the target allows.
+// foldable GEP into base+index*scale+disp where the target allows, and a
+// global's address into the displacement (vx86).
 func (s *selector) addr(ptr core.Value) memOperand {
-	in, ok := ptr.(*core.Instruction)
-	if ok && in.Op() == core.OpGetElementPtr && s.gepFoldable(in) {
-		// All-constant indices: base + disp.
-		if off, isConst := s.constGEPOffset(in); isConst {
-			base := s.val(in.Operand(0))
-			if s.fitsDisp(off) {
-				return memOperand{base: base, index: target.NoReg, disp: int32(off)}
-			}
-			return memOperand{base: s.addImm(base, off), index: target.NoReg}
-		}
-		// Single dynamic index over the pointee: base + idx*scale (vx86).
-		if in.NumOperands() == 2 && s.desc.MemOperands {
-			elem := in.Type().Elem()
-			size := s.lay.Size(elem)
-			if size == 1 || size == 2 || size == 4 || size == 8 {
-				base := s.val(in.Operand(0))
-				idx := s.val(in.Operand(1))
-				return memOperand{base: base, index: idx, scale: uint8(size)}
-			}
-		}
-		// General: compute the address, use it directly.
-		s.computeGEP(in)
-		return memOperand{base: s.vreg[in], index: target.NoReg}
+	if sym := s.globalSym(ptr); sym != "" {
+		return memOperand{base: target.NoReg, index: target.NoReg, sym: sym}
 	}
-	return memOperand{base: s.val(ptr), index: target.NoReg}
+	in, ok := ptr.(*core.Instruction)
+	if !ok || in.Op() != core.OpGetElementPtr || !s.gepFoldable(in) {
+		return memOperand{base: s.val(ptr), index: target.NoReg}
+	}
+	if m, idx, ok := s.gepMode(in); ok {
+		return s.gepOperand(in, m, idx)
+	}
+	// All-constant indices (vsparc, or beyond vx86's int32): base + disp.
+	if off, idx, _, ok := s.gepAffine(in); ok && idx == nil {
+		base := s.val(in.Operand(0))
+		if s.fitsDisp(off) {
+			return memOperand{base: base, index: target.NoReg, disp: int32(off)}
+		}
+		return memOperand{base: s.addImm(base, off), index: target.NoReg}
+	}
+	// General: compute the address, use it directly.
+	s.computeGEP(in)
+	return memOperand{base: s.vreg[in], index: target.NoReg}
 }
 
 func (s *selector) fitsDisp(off int64) bool {
@@ -102,6 +179,13 @@ func (s *selector) addImm(base target.Reg, off int64) target.Reg {
 
 // computeGEP materializes a GEP's address into its virtual register.
 func (s *selector) computeGEP(in *core.Instruction) {
+	// One addressing mode: one lea rd, [base + idx*scale + off] (vx86).
+	if m, idx, ok := s.gepMode(in); ok && (m.sym != "" || idx != nil || m.disp != 0) {
+		m = s.gepOperand(in, m, idx)
+		s.emit(target.MInstr{Op: target.MLea, Rd: s.vreg[in], Base: m.base,
+			Index: m.index, Scale: m.scale, Disp: m.disp, Sym: m.sym, HasMem: true})
+		return
+	}
 	cur := s.val(in.Operand(0))
 	curType := in.Operand(0).Type().Elem()
 	rd := s.vreg[in]
@@ -169,7 +253,7 @@ func (s *selector) selLoad(in *core.Instruction) {
 	t := in.Type()
 	m := s.addr(in.Operand(0))
 	s.emit(target.MInstr{Op: target.MLoad, Rd: s.vreg[in], Base: m.base,
-		Index: m.index, Scale: m.scale, Disp: m.disp, Size: s.sizeOf(t),
+		Index: m.index, Scale: m.scale, Disp: m.disp, Sym: m.sym, Size: s.sizeOf(t),
 		Signed: t.IsSigned(), FP: isFPType(t), NoTrap: !in.ExceptionsEnabled})
 }
 
@@ -178,7 +262,7 @@ func (s *selector) selStore(in *core.Instruction) {
 	v := s.val(in.Operand(0))
 	m := s.addr(in.Operand(1))
 	s.emit(target.MInstr{Op: target.MStore, Rs1: v, Base: m.base,
-		Index: m.index, Scale: m.scale, Disp: m.disp, Size: s.sizeOf(t),
+		Index: m.index, Scale: m.scale, Disp: m.disp, Sym: m.sym, Size: s.sizeOf(t),
 		FP: isFPType(t), NoTrap: !in.ExceptionsEnabled})
 }
 

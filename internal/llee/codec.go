@@ -37,11 +37,12 @@ const codecVersion = 2
 // relocWidth is how many bytes target.Desc.Patch writes for each relocation
 // kind; a kind beyond it is one Patch does not know.
 var relocWidth = [...]uint64{
-	target.RelocAbs:  8,
-	target.RelocCall: 4,
-	target.RelocExt:  4,
-	target.RelocHi16: 2,
-	target.RelocLo16: 2,
+	target.RelocAbs:    8,
+	target.RelocCall:   4,
+	target.RelocExt:    4,
+	target.RelocHi16:   2,
+	target.RelocLo16:   2,
+	target.RelocDisp32: 4,
 }
 
 // errCorruptCache marks a cache blob that exists but cannot be decoded.

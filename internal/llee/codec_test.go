@@ -81,6 +81,7 @@ func TestCacheCodecCorrupt(t *testing.T) {
 		"reloc straddles":    reloc(target.Reloc{Offset: 10, Kind: target.RelocExt, Sym: "print_int"}),
 		"reloc wraps uint32": reloc(target.Reloc{Offset: 1<<32 - 2, Kind: target.RelocAbs, Sym: "g"}),
 		"reloc kind unknown": reloc(target.Reloc{Offset: 0, Kind: target.RelocKind(len(relocWidth)), Sym: "g"}),
+		"disp32 past code":   reloc(target.Reloc{Offset: 10, Kind: target.RelocDisp32, Sym: "g"}),
 	}
 	for name, data := range cases {
 		if _, err := decodeCachedObject(data); !errors.Is(err, errCorruptCache) {

@@ -322,7 +322,9 @@ func (mc *Machine) InstallCode(nf *codegen.NativeFunc) (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("machine: %s: %w", nf.Name, err)
 		}
-		mc.desc.Patch(installed, rl.Offset, rl.Kind, val)
+		if err := mc.desc.Patch(installed, rl.Offset, rl.Kind, val); err != nil {
+			return 0, fmt.Errorf("machine: %s: %%%s: %w", nf.Name, rl.Sym, err)
+		}
 	}
 	// Drop any predecoded blocks overlapping the installed range — new
 	// bytes must never execute through a stale predecode (§3.5's
@@ -408,7 +410,8 @@ func (mc *Machine) emit(instrs ...target.MInstr) (uint64, error) {
 		var rl []target.Reloc
 		code, rl = mc.desc.Encode(&instrs[i], code)
 		for _, r := range rl {
-			mc.desc.Patch(code, start+r.Offset, r.Kind, uint64(mc.externIndex(r.Sym)))
+			// An extern index always fits its slot.
+			_ = mc.desc.Patch(code, start+r.Offset, r.Kind, uint64(mc.externIndex(r.Sym)))
 		}
 	}
 	addr := (mc.codeEnd + 15) &^ 15

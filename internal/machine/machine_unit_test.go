@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -197,5 +198,61 @@ entry:
 	te, ok := err.(*TrapError)
 	if !ok || te.Num != TrapPrivilege {
 		t.Errorf("err = %v, want privilege trap", err)
+	}
+}
+
+// TestInstallDisp32 installs a vx86 load of a global through an absolute
+// displacement: the loader adds the global's address to the encoded
+// addend, and refuses, with a *target.RelocRangeError, an addend that
+// takes the sum past the int32 range instead of truncating it.
+func TestInstallDisp32(t *testing.T) {
+	m, err := asm.Parse("t", `
+%g = global [4 x int] zeroinitializer
+int %f() {
+entry:
+    ret int 0
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := target.VX86
+	mc, err := New(d, m, rt.NewEnv(mem.New(0, true), &strings.Builder{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	native := func(disp int32) *codegen.NativeFunc {
+		nf := &codegen.NativeFunc{Name: "f"}
+		for _, in := range []target.MInstr{
+			{Op: target.MLoad, Rd: d.RetReg, Rs1: target.NoReg, Rs2: target.NoReg, Base: target.NoReg,
+				Index: target.NoReg, Size: 4, Disp: disp, Sym: "g"},
+			{Op: target.MRet, Rd: target.NoReg, Rs1: target.NoReg, Rs2: target.NoReg,
+				Base: target.NoReg, Index: target.NoReg},
+		} {
+			start := uint32(len(nf.Code))
+			var rl []target.Reloc
+			nf.Code, rl = d.Encode(&in, nf.Code)
+			for _, r := range rl {
+				r.Offset += start
+				nf.Relocs = append(nf.Relocs, r)
+			}
+		}
+		return nf
+	}
+	addr, err := mc.InstallCode(native(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := d.DecodeFrom(mc.code, int(addr-mc.codeBase))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(mc.globals["g"]) + 8; int64(in.Disp) != want {
+		t.Errorf("installed displacement %#x, want @g+8 = %#x", in.Disp, want)
+	}
+	_, err = mc.InstallCode(native(math.MaxInt32))
+	var re *target.RelocRangeError
+	if !errors.As(err, &re) || re.Kind != target.RelocDisp32 {
+		t.Errorf("install of @g+MaxInt32: err = %v, want a *target.RelocRangeError", err)
 	}
 }

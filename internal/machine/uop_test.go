@@ -135,6 +135,28 @@ func oracleForms(d *target.Desc, rng *rand.Rand) []form {
 		withMem(&in, indexed)
 		add("lea"+flagsOf(&in), in)
 	}
+	// Absolute memory operands, as a global's address patched into the
+	// displacement leaves them (vx86): no base, at every width.
+	for _, op := range []target.MOp{target.MLoad, target.MStore, target.MLea} {
+		for _, size := range []uint8{1, 2, 4, 8} {
+			for _, indexed := range bools {
+				in := mi(op)
+				switch op {
+				case target.MLoad:
+					in.Rd, in.Size, in.Signed = reg(), size, size < 8
+				case target.MStore:
+					in.Rs1, in.Size = reg(), size
+				default:
+					in.Rd = reg()
+				}
+				in.Disp = int32(oracleWin + 128 + rng.Intn(oraclePage-256))
+				if indexed {
+					in.Index, in.Scale = ireg(), size
+				}
+				add(op.String()+".abs"+flagsOf(&in), in)
+			}
+		}
+	}
 	for alu := target.AAdd; alu <= target.AShr; alu++ {
 		for _, size := range sizes {
 			for _, signed := range bools {
@@ -343,6 +365,9 @@ func randomState(rng *rand.Rand, d *target.Desc, prog []target.MInstr) *oracleSt
 			if in.Index < unifiedRegs && in.Index != in.Base {
 				st.regs[in.Index] = uint64(rng.Intn(13)) - 4
 			}
+		} else if in.Base == target.NoReg && in.Index < unifiedRegs && rng.Intn(4) != 0 {
+			// an absolute operand's displacement is in the window
+			st.regs[in.Index] = uint64(rng.Intn(13)) - 4
 		}
 	}
 	if rng.Intn(4) != 0 {

@@ -24,7 +24,24 @@ const (
 	// RelocLo16 patches a 2-byte slot with bits 0..15 of the address
 	// (vsparc or half).
 	RelocLo16
+	// RelocDisp32 adds the address to the 4-byte displacement of a vx86
+	// MLoad, MStore or MLea that carries a symbol: the encoded
+	// displacement is the addend, and the sum must fit an int32.
+	RelocDisp32
 )
+
+// RelocRangeError is a relocation whose patched value does not fit its
+// slot: an absolute displacement (RelocDisp32) outside the int32 range.
+// Patch refuses it rather than truncate, and the loader fails the
+// install.
+type RelocRangeError struct {
+	Kind  RelocKind
+	Value int64 // what the slot would have to hold
+}
+
+func (e *RelocRangeError) Error() string {
+	return fmt.Sprintf("target: relocation kind %d: value %#x does not fit its slot", e.Kind, e.Value)
+}
 
 // Reloc is one fixup the loader must apply after placing code. Offset is
 // relative to the start of the instruction that produced it; layout adds
@@ -134,25 +151,21 @@ func (d *Desc) Encode(in *MInstr, code []byte) ([]byte, []Reloc) {
 			}
 			put64(uint64(in.Imm))
 		}
-	case MLoad:
-		putReg(in.Rd)
+	case MLoad, MStore, MLea:
+		if in.Op == MStore {
+			putReg(in.Rs1)
+		} else {
+			putReg(in.Rd)
+		}
 		putReg(in.Base)
 		putReg(in.Index)
 		put8(in.Scale)
-		put8(in.Size)
-		put32(uint32(in.Disp))
-	case MStore:
-		putReg(in.Rs1)
-		putReg(in.Base)
-		putReg(in.Index)
-		put8(in.Scale)
-		put8(in.Size)
-		put32(uint32(in.Disp))
-	case MLea:
-		putReg(in.Rd)
-		putReg(in.Base)
-		putReg(in.Index)
-		put8(in.Scale)
+		if in.Op != MLea {
+			put8(in.Size)
+		}
+		if in.Sym != "" {
+			rel(RelocDisp32)
+		}
 		put32(uint32(in.Disp))
 	case MALU:
 		put8(byte(in.Alu))
@@ -412,8 +425,10 @@ func (d *Desc) DecodeFrom(b []byte, pos int) (MInstr, int, error) {
 	return in, r.pos - pos, nil
 }
 
-// Patch applies one relocation value to encoded code at offset.
-func (d *Desc) Patch(code []byte, offset uint32, kind RelocKind, val uint64) {
+// Patch applies one relocation value to encoded code at offset. It
+// returns a *RelocRangeError, and leaves the code as it was, when the
+// value does not fit the slot.
+func (d *Desc) Patch(code []byte, offset uint32, kind RelocKind, val uint64) error {
 	switch kind {
 	case RelocAbs:
 		binary.LittleEndian.PutUint64(code[offset:], val)
@@ -425,7 +440,14 @@ func (d *Desc) Patch(code []byte, offset uint32, kind RelocKind, val uint64) {
 		binary.LittleEndian.PutUint16(code[offset:], uint16(val>>16))
 	case RelocLo16:
 		binary.LittleEndian.PutUint16(code[offset:], uint16(val))
+	case RelocDisp32:
+		sum := int64(int32(binary.LittleEndian.Uint32(code[offset:]))) + int64(val)
+		if val >= 1<<63 || sum != int64(int32(sum)) {
+			return &RelocRangeError{Kind: kind, Value: sum}
+		}
+		binary.LittleEndian.PutUint32(code[offset:], uint32(sum))
 	default:
 		panic(fmt.Sprintf("target: unknown reloc kind %d", kind))
 	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package target
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -159,6 +160,75 @@ func TestRelocationsPatchWhatDecodeReads(t *testing.T) {
 			if c.read(got) != c.val {
 				t.Errorf("%s: %s patched with %d decodes to target %d", d.Name, &c.in, c.val, got.Target)
 			}
+		}
+	}
+}
+
+// TestDisp32RelocAddsAddend: a vx86 memory operand that names a symbol
+// reports one RelocDisp32 at its displacement, which Patch adds to the
+// symbol's address, so the displacement the selector encoded is an
+// addend (a field offset, a constant index, or a negative offset before
+// the global). A sum outside the int32 range is a *RelocRangeError and
+// leaves the code as it was.
+func TestDisp32RelocAddsAddend(t *testing.T) {
+	r := Reg(7)
+	for _, in := range []MInstr{
+		none(MInstr{Op: MLoad, Rd: r, Index: Reg(9), Scale: 4, Size: 4, Disp: 40, Sym: "arcs"}),
+		none(MInstr{Op: MStore, Rs1: r, Size: 8, Disp: -8, Sym: "g"}),
+		none(MInstr{Op: MLea, Rd: r, Index: Reg(9), Scale: 8, Disp: math.MaxInt32 - 0x1000, Sym: "g"}),
+	} {
+		code, relocs := VX86.Encode(&in, nil)
+		if len(relocs) != 1 || relocs[0].Kind != RelocDisp32 || relocs[0].Sym != in.Sym {
+			t.Fatalf("%s: relocations %+v, want one RelocDisp32 for @%s", &in, relocs, in.Sym)
+		}
+		const addr = 0x1000
+		if err := VX86.Patch(code, relocs[0].Offset, RelocDisp32, addr); err != nil {
+			t.Fatalf("%s: patch with %#x: %v", &in, addr, err)
+		}
+		got, _, err := VX86.Decode(code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := in
+		want.Sym, want.Disp = "", in.Disp+addr
+		if got != want {
+			t.Errorf("%s patched with %#x decodes to %s, want %s", &in, addr, &got, &want)
+		}
+		for _, val := range []uint64{math.MaxInt32, 1 << 32, 1 << 63, math.MaxUint64} {
+			code, _ := VX86.Encode(&in, nil)
+			before := string(code)
+			err := VX86.Patch(code, relocs[0].Offset, RelocDisp32, val)
+			if sum := int64(in.Disp) + int64(val); val < 1<<63 && sum == int64(int32(sum)) {
+				if err != nil {
+					t.Errorf("%s patched with %#x: %v", &in, val, err)
+				}
+				continue
+			}
+			var re *RelocRangeError
+			if !errors.As(err, &re) || re.Kind != RelocDisp32 {
+				t.Errorf("%s patched with %#x: err = %v, want a *RelocRangeError", &in, val, err)
+			}
+			if string(code) != before {
+				t.Errorf("%s: a refused patch with %#x wrote the code", &in, val)
+			}
+		}
+	}
+}
+
+// TestMemOperandSymString: a symbol on a memory operand prints as its
+// base, as the disassembly of a global's element reads.
+func TestMemOperandSymString(t *testing.T) {
+	for _, c := range []struct {
+		in   MInstr
+		want string
+	}{
+		{none(MInstr{Op: MLoad, Rd: 12, Index: 7, Scale: 4, Size: 4, Sym: "arcs"}), "load.4 r12 [@arcs+r7*4+0]"},
+		{none(MInstr{Op: MStore, Rs1: 3, Size: 8, Disp: 16, Sym: "g"}), "store.8 r3 [@g+-*0+16]"},
+		{none(MInstr{Op: MLea, Rd: 6, Base: 5, Disp: -8}), "lea r6 [r5+-*0-8]"},
+		{none(MInstr{Op: MMovRI, Rd: 6, Sym: "g"}), "movi r6 @g"},
+	} {
+		if got := c.in.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
 		}
 	}
 }

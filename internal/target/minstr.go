@@ -207,13 +207,22 @@ func (in *MInstr) String() string {
 			fmt.Fprintf(&b, " %s", r)
 		}
 	}
-	if in.Base != NoReg || in.Index != NoReg {
-		fmt.Fprintf(&b, " [%s+%s*%d%+d]", in.Base, in.Index, in.Scale, in.Disp)
+	mem := in.Base != NoReg || in.Index != NoReg
+	if in.Op == MLoad || in.Op == MStore || in.Op == MLea {
+		// A symbol on a memory operand is its absolute base.
+		mem = mem || in.Sym != ""
+	}
+	if mem {
+		base := in.Base.String()
+		if in.Sym != "" {
+			base = "@" + in.Sym
+		}
+		fmt.Fprintf(&b, " [%s+%s*%d%+d]", base, in.Index, in.Scale, in.Disp)
 	}
 	if in.HasImm {
 		fmt.Fprintf(&b, " $%d", in.Imm)
 	}
-	if in.Sym != "" {
+	if in.Sym != "" && !mem {
 		fmt.Fprintf(&b, " @%s", in.Sym)
 	}
 	switch in.Op {
