@@ -22,27 +22,19 @@ type CFG struct {
 	Reachable []bool
 }
 
-// NewCFG builds the CFG of f.
+// NewCFG builds the CFG of f. Succs and Preds share one array.
 func NewCFG(f *core.Function) *CFG {
 	n := len(f.Blocks)
 	c := &CFG{
 		F:         f,
 		Blocks:    f.Blocks,
 		Index:     make(map[*core.BasicBlock]int, n),
-		Succs:     make([][]int, n),
-		Preds:     make([][]int, n),
 		Reachable: make([]bool, n),
 	}
 	for i, bb := range f.Blocks {
 		c.Index[bb] = i
 	}
-	for i, bb := range f.Blocks {
-		for _, s := range bb.Successors() {
-			si := c.Index[s]
-			c.Succs[i] = append(c.Succs[i], si)
-			c.Preds[si] = append(c.Preds[si], i)
-		}
-	}
+	c.Succs, c.Preds = core.CFGEdges(f.Blocks, c.Index)
 	// DFS reachability from entry.
 	var stack []int
 	if n > 0 {
@@ -83,17 +75,16 @@ func (c *CFG) PostOrder() []int {
 	return order
 }
 
-// DomTree is the dominator tree of a function, built with the
-// Cooper-Harvey-Kennedy iterative algorithm.
+// DomTree is the dominator tree of a function: core.ComputeDominance
+// over the CFG, plus each block's children.
 type DomTree struct {
 	CFG *CFG
 	// IDom[i] is the immediate dominator block index of block i
 	// (IDom[0] == 0; unreachable blocks have IDom -1).
 	IDom []int
-	// Children[i] lists the blocks immediately dominated by i.
+	// Children[i] lists the blocks immediately dominated by i, ascending.
 	Children [][]int
-	// pre/post numbering for O(1) dominance queries
-	pre, post []int
+	dom      *core.Dominance
 }
 
 // NewDomTree computes the dominator tree of f.
@@ -103,94 +94,21 @@ func NewDomTree(f *core.Function) *DomTree {
 
 // NewDomTreeCFG computes the dominator tree over an existing CFG.
 func NewDomTreeCFG(c *CFG) *DomTree {
+	d := core.ComputeDominance(c.Succs, c.Preds)
+	dt := &DomTree{CFG: c, IDom: d.IDom, dom: d}
 	n := len(c.Blocks)
-	dt := &DomTree{CFG: c, IDom: make([]int, n)}
-	for i := range dt.IDom {
-		dt.IDom[i] = -1
-	}
-	if n == 0 {
-		return dt
-	}
-
-	post := c.PostOrder()
-	// rpoNum[b] = position of b in reverse post-order
-	rpoNum := make([]int, n)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	for i, b := range post {
-		rpoNum[b] = len(post) - 1 - i
-	}
-
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpoNum[a] > rpoNum[b] {
-				a = dt.IDom[a]
-			}
-			for rpoNum[b] > rpoNum[a] {
-				b = dt.IDom[b]
-			}
-		}
-		return a
-	}
-
-	dt.IDom[0] = 0
-	changed := true
-	for changed {
-		changed = false
-		// reverse post-order, skipping entry
-		for i := len(post) - 2; i >= 0; i-- {
-			b := post[i]
-			newIdom := -1
-			for _, p := range c.Preds[b] {
-				if !c.Reachable[p] || dt.IDom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != -1 && dt.IDom[b] != newIdom {
-				dt.IDom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-
 	dt.Children = make([][]int, n)
 	for b := 1; b < n; b++ {
-		if dt.IDom[b] >= 0 {
-			dt.Children[dt.IDom[b]] = append(dt.Children[dt.IDom[b]], b)
+		if p := dt.IDom[b]; p >= 0 {
+			dt.Children[p] = append(dt.Children[p], b)
 		}
 	}
-
-	// pre/post numbering for dominance queries
-	dt.pre = make([]int, n)
-	dt.post = make([]int, n)
-	clock := 0
-	var dfs func(int)
-	dfs = func(b int) {
-		clock++
-		dt.pre[b] = clock
-		for _, ch := range dt.Children[b] {
-			dfs(ch)
-		}
-		clock++
-		dt.post[b] = clock
-	}
-	dfs(0)
 	return dt
 }
 
 // Dominates reports whether block a dominates block b (by index).
-func (dt *DomTree) Dominates(a, b int) bool {
-	if dt.IDom[b] == -1 && b != 0 {
-		return true // unreachable blocks are vacuously dominated
-	}
-	return dt.pre[a] <= dt.pre[b] && dt.post[b] <= dt.post[a]
-}
+// Unreachable blocks are vacuously dominated.
+func (dt *DomTree) Dominates(a, b int) bool { return dt.dom.Dominates(a, b) }
 
 // DominatesBlock is Dominates on *BasicBlock values.
 func (dt *DomTree) DominatesBlock(a, b *core.BasicBlock) bool {
@@ -203,10 +121,9 @@ func (dt *DomTree) Frontiers() [][]int {
 	c := dt.CFG
 	n := len(c.Blocks)
 	df := make([][]int, n)
-	inDF := make([]map[int]bool, n)
-	for i := range inDF {
-		inDF[i] = make(map[int]bool)
-	}
+	// inDF[r] == b+1 once b joined r's frontier: b is the outer loop, so
+	// one stamp per block answers "already there?" for the current b.
+	inDF := make([]int, n)
 	for b := 0; b < n; b++ {
 		if !c.Reachable[b] || len(c.Preds[b]) < 2 {
 			continue
@@ -217,8 +134,8 @@ func (dt *DomTree) Frontiers() [][]int {
 			}
 			runner := p
 			for runner != dt.IDom[b] {
-				if !inDF[runner][b] {
-					inDF[runner][b] = true
+				if inDF[runner] != b+1 {
+					inDF[runner] = b + 1
 					df[runner] = append(df[runner], b)
 				}
 				next := dt.IDom[runner]

@@ -172,7 +172,7 @@ func TestCoalesceMIRHandlerLive(t *testing.T) {
 func TestCoalesceKeepsLiveness(t *testing.T) {
 	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
 		merged := 0
-		for _, s := range suiteSelectors(t, d, false) {
+		for _, s := range suiteSelectors(t, d) {
 			before := len(s.code)
 			lr := solveLiveness(s)
 			coalesce(s, lr)

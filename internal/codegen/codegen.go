@@ -21,6 +21,7 @@
 package codegen
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -41,6 +42,42 @@ type NativeFunc struct {
 	NumInstrs int
 	// NumLLVA is the source LLVA instruction count.
 	NumLLVA int
+	// Blocks locates the function's LLVA blocks in Code, for a profile
+	// to count block entries by: set on tier-1 code, nil on tier 2's,
+	// whose blocks are the transformed clone's and whose entries no
+	// profile counts.
+	Blocks BlockTable
+}
+
+// BlockTable maps a function's LLVA blocks into its tier-1 code: entry i
+// is the byte offset of block i's first instruction, and one more entry
+// the epilogue's. Entries are little-endian uint32s, so that a cache
+// record can hold the table as a view of its blob. A block the lowering
+// left empty (a jump threaded past or elided) starts where the next one
+// does.
+type BlockTable []byte
+
+// Len returns the number of entries: the function's blocks, plus one.
+func (t BlockTable) Len() int { return len(t) / 4 }
+
+// Off returns entry i.
+func (t BlockTable) Off(i int) uint64 { return uint64(binary.LittleEndian.Uint32(t[4*i:])) }
+
+// Valid reports whether t is a table of code codeLen bytes long: whole
+// entries, ascending, none past the end.
+func (t BlockTable) Valid(codeLen int) bool {
+	if len(t)%4 != 0 {
+		return false
+	}
+	var prev uint64
+	for i := 0; i < t.Len(); i++ {
+		off := t.Off(i)
+		if off < prev || off > uint64(codeLen) {
+			return false
+		}
+		prev = off
+	}
+	return true
 }
 
 // NativeObject is the translation of a module for one target.
@@ -100,6 +137,11 @@ const (
 	MetricTier2Funcs    = "codegen.tier2_funcs"
 	MetricSuperblocks   = "codegen.superblocks"
 	MetricTailDupInstrs = "codegen.tail_dup_instrs"
+	// Per hot function, the wall time of tier 2's three costly stages:
+	// cloning the body, verifying the transformed clone, and lowering it.
+	MetricTier2CloneNS  = "codegen.tier2_clone_ns"
+	MetricTier2VerifyNS = "codegen.tier2_verify_ns"
+	MetricTier2LowerNS  = "codegen.tier2_lower_ns"
 )
 
 // Translator compiles a module's functions for one target.
@@ -123,6 +165,9 @@ type Translator struct {
 	tier2Funcs      *telemetry.Counter
 	superblocks     *telemetry.Counter
 	tailDupInstrs   *telemetry.Counter
+	tier2CloneNS    *telemetry.Histogram
+	tier2VerifyNS   *telemetry.Histogram
+	tier2LowerNS    *telemetry.Histogram
 }
 
 // New creates a translator for module m targeting desc. The simulated
@@ -146,9 +191,10 @@ func (t *Translator) Target() *target.Desc { return t.desc }
 
 // SetTelemetry publishes the translator's counters into reg: spill
 // stores and reloads emitted by register allocation (codegen.spills /
-// codegen.reloads) and per-function allocation time
-// (codegen.regalloc_ns). Call it before translation begins; the handles
-// are atomic, so concurrent TranslateFunction calls remain safe.
+// codegen.reloads), per-function allocation time (codegen.regalloc_ns),
+// and what tier 2 shipped and spent (codegen.tier2_*). Call it before
+// translation begins; the handles are atomic, so concurrent
+// TranslateFunction calls remain safe.
 func (t *Translator) SetTelemetry(reg *telemetry.Registry) {
 	t.spills = reg.Counter(MetricSpills)
 	t.reloads = reg.Counter(MetricReloads)
@@ -156,6 +202,16 @@ func (t *Translator) SetTelemetry(reg *telemetry.Registry) {
 	t.tier2Funcs = reg.Counter(MetricTier2Funcs)
 	t.superblocks = reg.Counter(MetricSuperblocks)
 	t.tailDupInstrs = reg.Counter(MetricTailDupInstrs)
+	t.tier2CloneNS = reg.Histogram(MetricTier2CloneNS)
+	t.tier2VerifyNS = reg.Histogram(MetricTier2VerifyNS)
+	t.tier2LowerNS = reg.Histogram(MetricTier2LowerNS)
+}
+
+// observeSince records the time since start in h, when telemetry is on.
+func observeSince(h *telemetry.Histogram, start time.Time) {
+	if h != nil {
+		h.Observe(time.Since(start).Nanoseconds())
+	}
 }
 
 // UseSpillAllocator forces the paper's naive spill-everything allocator
@@ -199,8 +255,7 @@ func (t *Translator) TranslateFunction(f *core.Function) (nf *NativeFunc, err er
 			return nf, nil
 		}
 	}
-	nf, _ = t.lower(f, nil, nil)
-	return nf, nil
+	return t.lower(f, nil, nil), nil
 }
 
 // lower is the one lowering every function takes on both targets and
@@ -210,11 +265,10 @@ func (t *Translator) TranslateFunction(f *core.Function) (nf *NativeFunc, err er
 // places blocks in trace order at the machine level — after register
 // allocation, so live intervals (and therefore spills) are measured in
 // the stable IR order the profile was gathered against. A non-nil hm
-// feeds per-block heat to the allocator for interval weights and spill
-// pricing, and makes it A/B heat-weighted eviction (allocBest). The
-// returned selector still holds what the tier-2 gate reads off a
-// lowering: block byte offsets and per-block spill traffic.
-func (t *Translator) lower(f *core.Function, perm []int, hm map[*core.BasicBlock]uint64) (*NativeFunc, *selector) {
+// feeds per-block heat to the allocator for interval weights, which
+// makes it evict by heat; without one, the code is tier 1's and carries
+// its block table.
+func (t *Translator) lower(f *core.Function, perm []int, hm map[*core.BasicBlock]uint64) *NativeFunc {
 	sel := newSelector(t, f)
 	if hm != nil {
 		sel.blockHeat = make([]uint64, len(f.Blocks))
@@ -235,11 +289,7 @@ func (t *Translator) lower(f *core.Function, perm []int, hm map[*core.BasicBlock
 	} else {
 		sel.rows = solveLiveness(sel)
 		coalesce(sel, sel.rows)
-		if sel.blockHeat != nil {
-			allocBest(sel)
-		} else {
-			allocLinear(sel)
-		}
+		allocLinear(sel)
 	}
 	if t.regallocNS != nil {
 		t.regallocNS.Observe(time.Since(start).Nanoseconds())
@@ -252,13 +302,17 @@ func (t *Translator) lower(f *core.Function, perm []int, hm map[*core.BasicBlock
 	threadJumps(sel)
 	elideFallthroughs(sel)
 	code, relocs := layout(sel)
-	return &NativeFunc{
+	nf := &NativeFunc{
 		Name:      f.Name(),
 		Code:      code,
 		Relocs:    relocs,
 		NumInstrs: len(sel.code),
 		NumLLVA:   f.NumInstructions(),
-	}, sel
+	}
+	if hm == nil {
+		nf.Blocks = sel.blockOff
+	}
+	return nf
 }
 
 // elideFallthroughs removes an unconditional jump whose target is the
@@ -339,9 +393,9 @@ func layout(s *selector) ([]byte, []target.Reloc) {
 		nRelocs += len(rl)
 	}
 	// Block index -> byte offset of its first instruction.
-	s.blockOff = make([]int, len(s.blockStart))
+	s.blockOff = make(BlockTable, 4*len(s.blockStart))
 	for b, idx := range s.blockStart {
-		s.blockOff[b] = offs[idx]
+		binary.LittleEndian.PutUint32(s.blockOff[4*b:], uint32(offs[idx]))
 	}
 	// Pass 2: rewrite branch targets PC-relative and encode.
 	code := make([]byte, 0, offs[len(s.code)])
@@ -350,7 +404,7 @@ func layout(s *selector) ([]byte, []target.Reloc) {
 		in := s.code[i]
 		switch in.Op {
 		case target.MJmp, target.MJcc, target.MInvokePush:
-			delta := s.blockOff[in.Target] - offs[i]
+			delta := offs[s.blockStart[in.Target]] - offs[i]
 			in.Target = int32(delta / d.RelBranchScale)
 		}
 		start := len(code)

@@ -74,9 +74,6 @@ type allocation struct {
 	slotOf   []int32      // frame slot, or -1
 	nSlots   int32
 	saved    []target.Reg // callee-saved registers handed out, ascending
-	// ranDry records that some interval found its pools empty, the only
-	// point where the eviction policy is consulted.
-	ranDry bool
 }
 
 func newAllocation(nv int) *allocation {
@@ -103,32 +100,19 @@ func (a *allocation) slot(r target.Reg) (int32, bool) {
 }
 
 // rewritten is the code an allocation rewrites to, with the spill
-// traffic that took: the accesses emitted per block (spillCost prices
-// them against a profile) and their totals (telemetry).
+// traffic that took (telemetry).
 type rewritten struct {
 	code          []target.MInstr
 	blockStart    []int
-	spillAt       []uint32
 	loads, stores int
 }
 
 // commit makes a and the code it rewrote to the selector's state.
 func (s *selector) commit(a *allocation, r *rewritten) {
 	s.code, s.blockStart = r.code, r.blockStart
-	s.spillAt, s.nSpillLoads, s.nSpillStores = r.spillAt, r.loads, r.stores
+	s.nSpillLoads, s.nSpillStores = r.loads, r.stores
 	s.spillBytes, s.savedRegs = a.nSlots*8, a.saved
 	s.rows = nil // they described the code just replaced
-}
-
-// spillCost prices per-block spill accesses at each block's profile heat
-// (+1 so never-entered blocks still count). allocBest compares allocations
-// by this total and the tier-2 gate its two candidates.
-func spillCost(spillAt []uint32, heat []uint64) uint64 {
-	var cost uint64
-	for b, n := range spillAt {
-		cost += uint64(n) * (heat[b] + 1)
-	}
-	return cost
 }
 
 // allocSpill is the naive spill-everything allocator: every virtual
@@ -160,8 +144,8 @@ type rewriter struct {
 	s   *selector
 	a   *allocation
 	out rewritten
-	// block and pos index the block and instruction being rewritten.
-	block, pos int
+	// pos indexes the instruction being rewritten.
+	pos int
 
 	// busy is the set of physical registers the current instruction
 	// already names; they must not be chosen as its scratch registers.
@@ -230,7 +214,6 @@ func (rw *rewriter) emitFrame(op target.MOp, reg target.Reg, disp int32, fp bool
 	} else {
 		rw.out.stores++
 	}
-	rw.out.spillAt[rw.block]++
 	rw.out.code = frameInstrs(rw.out.code, rw.s.desc, op, reg, disp, fp)
 }
 
@@ -245,7 +228,6 @@ func rewriteWithSlots(s *selector, a *allocation) *rewritten {
 	rw.out = rewritten{
 		code:       make([]target.MInstr, 0, len(s.code)+len(s.code)/4+8),
 		blockStart: make([]int, len(s.blockStart)),
-		spillAt:    make([]uint32, len(s.blockStart)-1),
 	}
 	bi := 0
 	var usesArr, loaded [8]target.Reg
@@ -265,9 +247,6 @@ func rewriteWithSlots(s *selector, a *allocation) *rewritten {
 		}
 		if atBoundary {
 			lastV, lastR = target.NoReg, target.NoReg
-			// The epilogue label starts past the last instruction, so bi-1
-			// is a real block here.
-			rw.block = bi - 1
 		}
 		in := s.code[i] // copy
 		rw.pos = i
@@ -303,7 +282,6 @@ func rewriteWithSlots(s *selector, a *allocation) *rewritten {
 				in.Disp = s.slotDisp(sl)
 				in.Rs2 = target.NoReg
 				rw.out.loads++
-				rw.out.spillAt[rw.block]++
 			}
 		}
 
@@ -455,9 +433,8 @@ type interval struct {
 }
 
 // liveness is what the linear scan needs to know about a function, and
-// all of it is independent of the eviction policy: allocBest computes it
-// once for both. Everything is indexed by virtual register number less
-// VRegBase.
+// all of it is independent of the eviction policy. Everything is indexed
+// by virtual register number less VRegBase.
 type liveness struct {
 	ivals []interval
 	// order lists the registers that appear as start<<32 | index, sorted:
@@ -821,7 +798,6 @@ func linearScan(s *selector, lv *liveness, byWeight bool) *allocation {
 		// (The ends-later filter is a measured heuristic, not a soundness
 		// condition: evicting an interval shorter than the current one
 		// trades a long register occupancy for little gain.)
-		a.ranDry = true
 		victim := -1
 		for ai, e := range active {
 			if e.reg.IsFP() != iv.fp {
@@ -887,31 +863,10 @@ func linearScan(s *selector, lv *liveness, byWeight bool) *allocation {
 	return a
 }
 
-// allocLinear allocates with the classic furthest-end eviction rule.
+// allocLinear allocates with the classic furthest-end eviction rule, or,
+// when the selector carries profile heat (tier 2), by heat: the victim is
+// the cheapest value to spill.
 func allocLinear(s *selector) {
-	a := linearScan(s, computeLiveness(s), false)
+	a := linearScan(s, computeLiveness(s), s.blockHeat != nil)
 	s.commit(a, rewriteWithSlots(s, a))
-}
-
-// allocBest allocates a profiled function under both eviction rules —
-// heat-weighted and classic furthest-end — and keeps whichever emits the
-// cheaper heat-weighted spill traffic. Weighted eviction wins big on
-// functions dominated by one hot loop, but on flat profiles its weight
-// ties resolve arbitrarily and can cost more than the classic rule
-// saves; measuring both settles it per function. The two scans share
-// one liveness solution, and when the weighted scan never ran a pool dry
-// the classic one is skipped: the rules differ only in the choice of a
-// victim, so without one the allocations are the same.
-func allocBest(s *selector) {
-	lv := computeLiveness(s)
-	a := linearScan(s, lv, true)
-	r := rewriteWithSlots(s, a)
-	if a.ranDry {
-		ac := linearScan(s, lv, false)
-		rc := rewriteWithSlots(s, ac)
-		if spillCost(r.spillAt, s.blockHeat) >= spillCost(rc.spillAt, s.blockHeat) {
-			a, r = ac, rc
-		}
-	}
-	s.commit(a, r)
 }

@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"reflect"
 	"slices"
 	"testing"
 
@@ -150,9 +149,9 @@ func TestLivenessWordBoundaries(t *testing.T) {
 			}
 		}
 		pool := len(d.Allocatable) + len(d.CallerSaved)
-		if want := min(nv, pool); inRegs != want || int(a.nSlots) != nv-want || a.ranDry != (nv > pool) {
-			t.Errorf("nv=%d: %d in registers, %d slots, ranDry=%v; want %d, %d, %v",
-				nv, inRegs, a.nSlots, a.ranDry, want, nv-want, nv > pool)
+		if want := min(nv, pool); inRegs != want || int(a.nSlots) != nv-want {
+			t.Errorf("nv=%d: %d in registers, %d slots; want %d, %d",
+				nv, inRegs, a.nSlots, want, nv-want)
 		}
 		r := rewriteWithSlots(s, a)
 		if r.stores != int(a.nSlots) || r.loads != int(a.nSlots) {
@@ -162,9 +161,8 @@ func TestLivenessWordBoundaries(t *testing.T) {
 }
 
 // suiteSelectors runs instruction selection over every function of the
-// workload suite for d. With heat set, each selector carries a synthetic
-// per-block profile (any heat is a valid input to the allocator).
-func suiteSelectors(tb testing.TB, d *target.Desc, heat bool) []*selector {
+// workload suite for d.
+func suiteSelectors(tb testing.TB, d *target.Desc) []*selector {
 	tb.Helper()
 	var sels []*selector
 	for _, w := range workloads.All() {
@@ -181,54 +179,11 @@ func suiteSelectors(tb testing.TB, d *target.Desc, heat bool) []*selector {
 				continue
 			}
 			s := newSelector(tr, f)
-			if heat {
-				s.blockHeat = make([]uint64, len(f.Blocks))
-				for b := range s.blockHeat {
-					s.blockHeat[b] = uint64(b*2654435761) % 97
-				}
-			}
 			s.run()
 			sels = append(sels, s)
 		}
 	}
 	return sels
-}
-
-// allocBest skips the classic scan when the weighted one never ran a
-// pool dry. Hold that shortcut to what it replaces: both scans, both
-// rewrites, the cheaper one kept.
-func TestAllocBestShortcut(t *testing.T) {
-	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
-		dry, full := 0, 0
-		for _, s := range suiteSelectors(t, d, true) {
-			lv := computeLiveness(s)
-			w, c := linearScan(s, lv, true), linearScan(s, lv, false)
-			if w.ranDry != c.ranDry {
-				t.Errorf("%s %s: weighted scan ranDry=%v, classic %v", d.Name, s.f.Name(), w.ranDry, c.ranDry)
-			}
-			if w.ranDry {
-				dry++
-			} else {
-				full++
-				if !reflect.DeepEqual(w, c) {
-					t.Errorf("%s %s: no pool ran dry, yet the two scans allocate differently", d.Name, s.f.Name())
-				}
-			}
-			rw, rc := rewriteWithSlots(s, w), rewriteWithSlots(s, c)
-			want, wantAlloc := rc, c
-			if spillCost(rw.spillAt, s.blockHeat) < spillCost(rc.spillAt, s.blockHeat) {
-				want, wantAlloc = rw, w
-			}
-			allocBest(s)
-			if !reflect.DeepEqual(s.code, want.code) || !slices.Equal(s.blockStart, want.blockStart) ||
-				!slices.Equal(s.savedRegs, wantAlloc.saved) || s.spillBytes != 8*wantAlloc.nSlots {
-				t.Errorf("%s %s: allocBest differs from running both scans", d.Name, s.f.Name())
-			}
-		}
-		if dry == 0 || full == 0 {
-			t.Errorf("%s: %d functions ran a pool dry and %d did not; the test needs both", d.Name, dry, full)
-		}
-	}
 }
 
 var benchSink int
@@ -238,7 +193,7 @@ var benchSink int
 func BenchmarkAllocLinear(b *testing.B) {
 	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
 		b.Run(d.Name, func(b *testing.B) {
-			sels := suiteSelectors(b, d, false)
+			sels := suiteSelectors(b, d)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

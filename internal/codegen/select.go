@@ -39,17 +39,13 @@ type selector struct {
 	hasInvoke    bool
 	maxStackArgs int
 
-	// spill traffic emitted by the allocator's rewrite: totals (telemetry)
-	// and accesses per block, which spillCost prices against a profile
+	// spill traffic emitted by the allocator's rewrite (telemetry)
 	nSpillLoads  int
 	nSpillStores int
-	spillAt      []uint32
 
 	// blockHeat is per-block profile heat (indexed like blockStart), set
 	// only on the tier-2 path. It weighs the allocator's live intervals
-	// so that heat-weighted eviction keeps hot-loop values in registers,
-	// and prices each allocation's spill traffic (allocBest tries both
-	// eviction rules and keeps the cheaper allocation).
+	// so that heat-weighted eviction keeps hot-loop values in registers.
 	blockHeat []uint64
 
 	// rows is s.code's block liveness when a pass before register
@@ -58,9 +54,9 @@ type selector struct {
 	rows *liveRows
 
 	// blockOff is each block's byte offset in the final code (epilogue
-	// last), recorded by layout: the address space a profile of this
-	// code counts block entries in.
-	blockOff []int
+	// last), recorded by layout: on tier-1 code, the table a profile of
+	// it counts block entries by.
+	blockOff BlockTable
 }
 
 func newSelector(t *Translator, f *core.Function) *selector {

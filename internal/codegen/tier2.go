@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"llva/internal/core"
 	"llva/internal/passes"
@@ -61,17 +62,13 @@ func (t *Translator) WithTier2(art *prof.Artifact) *Translator {
 	return &nt
 }
 
-// tryTier2 translates f through the superblock pipeline: one tier-1
-// lowering of the untouched function, then one lowering of the
-// transformed clone. The tier-1 lowering is both the code the profile
-// was counted on — its block offsets map the counted blocks back to IR
-// blocks — and the baseline the candidate must beat. It reports
-// ok=false — translate at tier 1 — when f never ran. When a transformed
-// body fails verification, or the candidate's estimated dynamic cost
-// does not beat the tier-1 lowering, the tier-1 code is returned
-// (ok=true); tier2_funcs counts every translation that reached the gate,
-// but only shipped transformations count superblocks and duplicated
-// instructions.
+// tryTier2 translates f through the superblock pipeline: clone the body,
+// weigh its blocks with the profile's entry counts, inline hot callees,
+// form superblocks, verify, and lower the clone — the one lowering a hot
+// function takes. It reports ok=false — translate at tier 1 — when f
+// never ran. When a transformed body fails verification, f is lowered at
+// tier 1 instead (ok=true). tier2_funcs, superblocks and tail_dup_instrs
+// count what shipped.
 func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	counts := t.art.BlockCounts(f.Name())
 	if len(counts) == 0 {
@@ -81,33 +78,19 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	tier2Mu.Lock()
 	defer tier2Mu.Unlock()
 
-	// The code the profile was counted on. A block's heat is how often it
-	// was entered, which is how often its first instruction ran: once per
-	// entry of every counted machine block that spans the block's start.
-	// A block the lowering left empty (a jump threaded past or elided)
-	// has no instruction of its own, and its start is the next block's:
-	// it gets no heat.
-	nf1, sel1 := t.lower(f, nil, nil)
-	offs := sel1.blockOff
-	heat := make([]uint64, len(f.Blocks))
-	for _, c := range counts {
-		for i := sort.SearchInts(offs, int(c.Off)); i < len(heat) && uint64(offs[i]) < c.End; i++ {
-			if offs[i] < offs[i+1] {
-				heat[i] += c.Count
-			}
-		}
-	}
-
+	start := time.Now()
 	clone := core.CloneFunctionBody(f)
 	defer core.DiscardFunctionBody(clone)
-	hm := make(map[*core.BasicBlock]uint64, len(clone.Blocks))
-	for i, bb := range clone.Blocks {
-		hm[bb] = heat[i]
-	}
+	observeSince(t.tier2CloneNS, start)
 
-	hmOrig := make(map[*core.BasicBlock]uint64, len(f.Blocks))
-	for i, bb := range f.Blocks {
-		hmOrig[bb] = heat[i]
+	// A block's heat is how often it was entered: the machine counted the
+	// entries of f's tier-1 code by LLVA block, and the clone keeps f's
+	// block order.
+	hm := make(map[*core.BasicBlock]uint64, len(clone.Blocks))
+	for _, c := range counts {
+		if c.Block >= 0 && c.Block < len(clone.Blocks) {
+			hm[clone.Blocks[c.Block]] += c.Count
+		}
 	}
 
 	// A module that can replace its functions at run time (Section 3.4)
@@ -118,41 +101,23 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	}
 	perm, nSuper, nDup := formSuperblocks(clone, hm)
 
-	if core.VerifyFunction(clone) != nil {
+	start = time.Now()
+	err := core.VerifyFunction(clone)
+	observeSince(t.tier2VerifyNS, start)
+	if err != nil {
 		// A transform produced invalid IR; tier-1 output is always safe.
-		return nf1, true
+		return t.lower(f, nil, nil), true
 	}
-	nf2, sel2 := t.lower(clone, perm, hm)
-	nf2.NumLLVA = f.NumInstructions()
-
-	// Final gate: estimate each candidate's dynamic cost — heat-priced
-	// spill traffic (~2 cycles per access) plus the layout's branch cost —
-	// and ship tier-2 only if it beats the tier-1 lowering of the
-	// untouched function. Inlining and tail duplication can raise
-	// register pressure faster than they retire branches (the per-pass
-	// gates see only their own axis), and the estimates are estimates; a
-	// candidate that cannot beat the code the profile was counted on is
-	// not an optimization.
-	order2 := clone.Blocks
-	if perm != nil {
-		order2 = make([]*core.BasicBlock, len(perm))
-		for i, bi := range perm {
-			order2[i] = clone.Blocks[bi]
-		}
-	}
-	est2 := 2*spillCost(sel2.spillAt, sel2.blockHeat) + layoutCost(order2, hm) + callCost(order2, hm)
-	est1 := 2*spillCost(sel1.spillAt, heat) + layoutCost(f.Blocks, hmOrig) + callCost(f.Blocks, hmOrig)
+	start = time.Now()
+	nf := t.lower(clone, perm, hm)
+	observeSince(t.tier2LowerNS, start)
+	nf.NumLLVA = f.NumInstructions()
 	if t.tier2Funcs != nil {
 		t.tier2Funcs.Inc()
-	}
-	if est2 >= est1 {
-		return nf1, true
-	}
-	if t.tier2Funcs != nil {
 		t.superblocks.Add(uint64(nSuper))
 		t.tailDupInstrs.Add(uint64(nDup))
 	}
-	return nf2, true
+	return nf, true
 }
 
 // inlineHot repeatedly inlines the hottest eligible call site in clone:
@@ -206,7 +171,7 @@ func (t *Translator) inlineHot(clone *core.Function, heat map[*core.BasicBlock]u
 // site's heat, which is exact for loop-free bodies (each block runs at
 // most once per call) but understates a loop body arbitrarily — and
 // everything downstream of the lie (spill weights, the eviction policy,
-// the final cost gate) would optimize the wrong blocks.
+// superblock formation) would optimize the wrong blocks.
 func hasCycle(f *core.Function) bool {
 	const (
 		gray  = 1
@@ -233,60 +198,6 @@ func hasCycle(f *core.Function) bool {
 	return len(f.Blocks) > 0 && visit(f.Blocks[0])
 }
 
-// callCost prices the fixed per-call overhead of direct calls to
-// defined functions — call and ret (2 cycles each) plus argument and
-// frame traffic, ~2 cycles per argument — weighted by block heat. The
-// cost gate adds it to both candidates so calls present in both cancel;
-// what remains is the overhead hot inlining actually removed.
-func callCost(order []*core.BasicBlock, heat map[*core.BasicBlock]uint64) uint64 {
-	var cost uint64
-	for _, b := range order {
-		for _, in := range b.Instructions() {
-			if in.Op() != core.OpCall && in.Op() != core.OpInvoke {
-				continue
-			}
-			callee := in.CalledFunction()
-			if callee == nil || callee.IsDeclaration() {
-				continue
-			}
-			cost += callSiteCost(callee, heat[b], len(in.CallArgs()), 3)
-		}
-	}
-	return cost
-}
-
-// callSiteCost prices one call site: the call/return and argument-move
-// overhead, plus an estimate of the callee body's own branch cost per
-// invocation, with every callee block priced at the site's heat — the
-// same inheritance rule inlineHot applies to inlined blocks. Pricing
-// the body on both sides of the tier-2 gate lets the terms cancel,
-// whether the call stays out of line or its body now sits in the
-// caller, so inlining competes on its real savings: the retired call
-// overhead and whatever layout improvement superblock formation finds
-// in the inlined copy. Nested defined calls are chased to a fixed
-// depth — mirroring inlineHot's reach — which also bounds mutually
-// recursive call graphs.
-func callSiteCost(callee *core.Function, h uint64, nargs, depth int) uint64 {
-	cost := (h + 1) * uint64(4+2*nargs)
-	if depth == 0 {
-		return cost
-	}
-	cost += layoutCostOf(callee.Blocks, func(*core.BasicBlock) uint64 { return h })
-	for _, bb := range callee.Blocks {
-		for _, in := range bb.Instructions() {
-			if in.Op() != core.OpCall && in.Op() != core.OpInvoke {
-				continue
-			}
-			inner := in.CalledFunction()
-			if inner == nil || inner.IsDeclaration() || inner == callee {
-				continue
-			}
-			cost += callSiteCost(inner, h, len(in.CallArgs()), depth-1)
-		}
-	}
-	return cost
-}
-
 // layoutCost estimates the dynamic branch cost of laying blocks out in
 // the given order, mirroring the simulated processors' cycle model and
 // the lowering: a fallthrough unconditional branch is elided (free), a
@@ -300,11 +211,6 @@ func callSiteCost(callee *core.Function, h uint64, nargs, depth int) uint64 {
 // keep plausible, order-preserving weights). Calls, switches and invokes
 // cost the same in any order. Callers hold tier2Mu.
 func layoutCost(order []*core.BasicBlock, heat map[*core.BasicBlock]uint64) uint64 {
-	return layoutCostOf(order, func(b *core.BasicBlock) uint64 { return heat[b] })
-}
-
-// layoutCostOf is layoutCost with each block's heat given by heat.
-func layoutCostOf(order []*core.BasicBlock, heat func(*core.BasicBlock) uint64) uint64 {
 	npred := layoutPreds
 	clear(npred)
 	for _, b := range order {
@@ -320,7 +226,7 @@ func layoutCostOf(order []*core.BasicBlock, heat func(*core.BasicBlock) uint64) 
 		}
 		if term.Op() == core.OpRet {
 			if i+1 < len(order) {
-				cost += 2 * (heat(b) + 1)
+				cost += 2 * (heat[b] + 1)
 			}
 			continue
 		}
@@ -332,7 +238,7 @@ func layoutCostOf(order []*core.BasicBlock, heat func(*core.BasicBlock) uint64) 
 			next = order[i+1]
 		}
 		succs := b.Successors()
-		h := heat(b) + 1
+		h := heat[b] + 1
 		switch len(succs) {
 		case 1:
 			if succs[0] != next {
@@ -340,7 +246,7 @@ func layoutCostOf(order []*core.BasicBlock, heat func(*core.BasicBlock) uint64) 
 			}
 		case 2:
 			t0, f0 := succs[0], succs[1]
-			ht, hf := heat(t0)+1, heat(f0)+1
+			ht, hf := heat[t0]+1, heat[f0]+1
 			var ft uint64
 			switch {
 			case npred[t0] == 1:

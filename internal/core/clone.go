@@ -20,6 +20,10 @@ import "fmt"
 // constants, globals, functions (including recursive references to f
 // itself) — are shared, not copied. Discard the clone with
 // DiscardFunctionBody when done.
+//
+// The body is numbered once, and the copy's arguments, blocks,
+// instructions and their operand, block and use lists are carved from
+// one slab each, sized from the original.
 func CloneFunctionBody(f *Function) *Function {
 	nf := &Function{
 		name:     f.name,
@@ -29,44 +33,82 @@ func CloneFunctionBody(f *Function) *Function {
 		Internal: f.Internal,
 		nextID:   f.nextID,
 	}
-	vmap := make(map[Value]Value)
-	for _, p := range f.Params {
-		np := &Argument{name: p.name, ty: p.ty, parent: nf, index: p.index}
-		nf.Params = append(nf.Params, np)
-		vmap[p] = np
+	args := make([]Argument, len(f.Params))
+	nf.Params = make([]*Argument, len(f.Params))
+	for i, p := range f.Params {
+		args[i] = Argument{name: p.name, ty: p.ty, parent: nf, index: p.index}
+		args[i].uses = make([]Use, 0, len(p.uses))
+		nf.Params[i] = &args[i]
 	}
-	bmap := make(map[*BasicBlock]*BasicBlock, len(f.Blocks))
-	for _, bb := range f.Blocks {
-		nb := &BasicBlock{name: bb.name, parent: nf}
-		nf.Blocks = append(nf.Blocks, nb)
-		bmap[bb] = nb
+	// Number the body: blocks by index, instructions in layout order.
+	nIns, nOps, nRefs, nUses := 0, 0, 0, 0
+	blockNum := make(map[*BasicBlock]int, len(f.Blocks))
+	for i, bb := range f.Blocks {
+		blockNum[bb] = i
+		nIns += len(bb.instrs)
 	}
-	// Two passes: create all clones first so forward references (phis,
-	// back edges) resolve, then wire operands and block references.
-	var clones, origs []*Instruction
+	insNum := make(map[*Instruction]int, nIns)
 	for _, bb := range f.Blocks {
 		for _, in := range bb.instrs {
-			cl := NewInstruction(in.op, in.ty)
-			cl.ExceptionsEnabled = in.ExceptionsEnabled
-			cl.Allocated = in.Allocated
-			cl.Cases = append([]int64(nil), in.Cases...)
-			cl.name = in.name
-			bmap[bb].Append(cl)
-			vmap[in] = cl
-			clones = append(clones, cl)
-			origs = append(origs, in)
+			insNum[in] = len(insNum)
+			nOps += len(in.ops)
+			nRefs += len(in.blocks)
+			nUses += len(in.uses)
 		}
 	}
-	for k, cl := range clones {
-		for _, op := range origs[k].ops {
-			if nv, ok := vmap[op]; ok {
-				cl.AddOperand(nv)
-			} else {
-				cl.AddOperand(op)
+	blocks := make([]BasicBlock, len(f.Blocks))
+	nf.Blocks = make([]*BasicBlock, len(f.Blocks))
+	ins := make([]Instruction, nIns)
+	insPtrs := make([]*Instruction, nIns)
+	ops := make([]Value, nOps)
+	refs := make([]*BasicBlock, nRefs)
+	uses := make([]Use, nUses)
+	k := 0
+	for bi, bb := range f.Blocks {
+		nb := &blocks[bi]
+		nb.name, nb.parent = bb.name, nf
+		nb.instrs = insPtrs[k : k+len(bb.instrs) : k+len(bb.instrs)]
+		nf.Blocks[bi] = nb
+		for j, in := range bb.instrs {
+			cl := &ins[k]
+			*cl = Instruction{op: in.op, ty: in.ty, name: in.name, parent: nb,
+				Allocated: in.Allocated, ExceptionsEnabled: in.ExceptionsEnabled}
+			if len(in.Cases) > 0 {
+				cl.Cases = append([]int64(nil), in.Cases...)
 			}
+			cl.uses, uses = uses[:0:len(in.uses)], uses[len(in.uses):]
+			cl.ops, ops = ops[:len(in.ops):len(in.ops)], ops[len(in.ops):]
+			cl.blocks, refs = refs[:len(in.blocks):len(in.blocks)], refs[len(in.blocks):]
+			nb.instrs[j] = cl
+			k++
 		}
-		for _, ob := range origs[k].blocks {
-			cl.AddBlock(bmap[ob])
+	}
+	// Wire operands and block references, now that every clone exists
+	// for forward references (phis, back edges) to resolve to.
+	k = 0
+	for _, bb := range f.Blocks {
+		for _, in := range bb.instrs {
+			cl := &ins[k]
+			k++
+			for i, op := range in.ops {
+				switch v := op.(type) {
+				case *Instruction:
+					if n, ok := insNum[v]; ok {
+						op = &ins[n]
+					}
+				case *Argument:
+					if v.parent == f {
+						op = &args[v.index]
+					}
+				}
+				cl.ops[i] = op
+				trackUse(op, Use{User: cl, Index: i})
+			}
+			for i, ob := range in.blocks {
+				if n, ok := blockNum[ob]; ok {
+					cl.blocks[i] = &blocks[n]
+				}
+			}
 		}
 	}
 	return nf

@@ -14,6 +14,14 @@ func TestTypeInterning(t *testing.T) {
 	if c.Pointer(c.Int()) != c.Pointer(c.Int()) {
 		t.Error("pointer types not interned")
 	}
+	// A pointer type asked for again is a lookup: no key, no allocation.
+	elem := c.Struct(c.Int(), c.Array(4, c.Double()))
+	if p := c.Pointer(elem); p != c.Pointer(elem) || p.Elem() != elem {
+		t.Error("pointer to a struct not interned")
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Pointer(elem) }); n != 0 {
+		t.Errorf("Pointer of an existing type allocates %.0f times", n)
+	}
 	if c.Array(4, c.Double()) != c.Array(4, c.Double()) {
 		t.Error("array types not interned")
 	}

@@ -279,6 +279,9 @@ type TypeContext struct {
 	prim    [DoubleKind + 2]*Type // primitives indexed by kind (incl. label)
 	derived map[string]*Type
 	named   map[string]*Type
+	// ptr caches Pointer by pointee, so that asking again for a pointer
+	// type neither builds its key nor allocates.
+	ptr map[*Type]*Type
 }
 
 // NewTypeContext creates an empty type context with all primitive types.
@@ -286,6 +289,7 @@ func NewTypeContext() *TypeContext {
 	c := &TypeContext{
 		derived: make(map[string]*Type),
 		named:   make(map[string]*Type),
+		ptr:     make(map[*Type]*Type),
 	}
 	for k := VoidKind; k <= LabelKind; k++ {
 		c.prim[k] = &Type{kind: k}
@@ -327,10 +331,15 @@ func (c *TypeContext) intern(t *Type) *Type {
 
 // Pointer returns the pointer type to elem.
 func (c *TypeContext) Pointer(elem *Type) *Type {
+	if p, ok := c.ptr[elem]; ok {
+		return p
+	}
 	if elem.kind == VoidKind || elem.kind == LabelKind {
 		panic("core: pointer to " + elem.kind.String())
 	}
-	return c.intern(&Type{kind: PointerKind, elem: elem})
+	p := c.intern(&Type{kind: PointerKind, elem: elem})
+	c.ptr[elem] = p
+	return p
 }
 
 // Array returns the array type [n x elem].

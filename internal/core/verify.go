@@ -80,62 +80,79 @@ func (v *verifier) checkFunction(f *Function) {
 		blockIndex[bb] = i
 	}
 
-	for _, bb := range f.Blocks {
-		v.checkBlock(f, bb, blockIndex)
+	succs, preds := CFGEdges(f.Blocks, blockIndex)
+	for bi, bb := range f.Blocks {
+		v.checkBlock(f, bb, blockIndex, preds[bi])
 	}
-	v.checkDominance(f, blockIndex)
+	v.checkDominance(f, blockIndex, ComputeDominance(succs, preds))
 }
 
-func (v *verifier) checkBlock(f *Function, bb *BasicBlock, blockIndex map[*BasicBlock]int) {
-	where := fmt.Sprintf("%%%s/%%%s", f.Name(), bb.Name())
+// where names bb for a problem report.
+func where(f *Function, bb *BasicBlock) string {
+	return "%" + f.Name() + "/%" + bb.Name()
+}
+
+// checkBlock checks bb's shape and instructions; preds are its
+// predecessors' indices, one per edge.
+func (v *verifier) checkBlock(f *Function, bb *BasicBlock, blockIndex map[*BasicBlock]int, preds []int) {
 	if len(bb.instrs) == 0 {
-		v.errf("%s: empty basic block", where)
+		v.errf("%s: empty basic block", where(f, bb))
 		return
 	}
+	firstNonPhi := bb.FirstNonPhi()
 	for i, in := range bb.instrs {
 		last := i == len(bb.instrs)-1
 		if in.IsTerminator() != last {
 			if in.IsTerminator() {
-				v.errf("%s: terminator %s in the middle of the block", where, in.Op())
+				v.errf("%s: terminator %s in the middle of the block", where(f, bb), in.Op())
 			} else {
-				v.errf("%s: block does not end in a terminator", where)
+				v.errf("%s: block does not end in a terminator", where(f, bb))
 			}
 		}
-		if in.op == OpPhi && i >= bb.FirstNonPhi() {
-			v.errf("%s: phi %%%s after non-phi instruction", where, in.Name())
+		if in.op == OpPhi && i >= firstNonPhi {
+			v.errf("%s: phi %%%s after non-phi instruction", where(f, bb), in.Name())
 		}
 		for _, s := range in.Blocks() {
 			if s == nil {
-				v.errf("%s: %s references nil block", where, in.Op())
+				v.errf("%s: %s references nil block", where(f, bb), in.Op())
 			} else if _, ok := blockIndex[s]; !ok {
 				v.errf("%s: %s references block %%%s from another function",
-					where, in.Op(), s.Name())
+					where(f, bb), in.Op(), s.Name())
 			}
 		}
-		v.checkInstr(f, bb, in, where)
+		v.checkInstr(f, bb, in)
 	}
-	// Phi incoming blocks must be exactly the predecessors.
-	preds := bb.Predecessors()
-	for _, phi := range bb.Phis() {
-		if len(phi.Blocks()) != len(preds) {
+	// Phi incoming blocks must be exactly the predecessors. A predecessor
+	// that branches here twice is one predecessor: its edges are adjacent.
+	nPreds := 0
+	for k, p := range preds {
+		if k == 0 || p != preds[k-1] {
+			nPreds++
+		}
+	}
+	for _, phi := range bb.instrs[:firstNonPhi] {
+		if len(phi.Blocks()) != nPreds {
 			v.errf("%s: phi %%%s has %d incoming values but block has %d predecessors",
-				where, phi.Name(), len(phi.Blocks()), len(preds))
+				where(f, bb), phi.Name(), len(phi.Blocks()), nPreds)
 			continue
 		}
-		for _, p := range preds {
-			if phi.PhiIncomingFor(p) == nil {
+		for k, p := range preds {
+			if k > 0 && p == preds[k-1] {
+				continue
+			}
+			if pb := f.Blocks[p]; phi.PhiIncomingFor(pb) == nil {
 				v.errf("%s: phi %%%s missing incoming for predecessor %%%s",
-					where, phi.Name(), p.Name())
+					where(f, bb), phi.Name(), pb.Name())
 			}
 		}
 	}
 }
 
-func (v *verifier) checkInstr(f *Function, bb *BasicBlock, in *Instruction, where string) {
+func (v *verifier) checkInstr(f *Function, bb *BasicBlock, in *Instruction) {
 	ctx := f.Parent().Types()
 	op := in.op
 	bad := func(format string, args ...any) {
-		v.errf("%s: %s: %s", where, in.Op(), fmt.Sprintf(format, args...))
+		v.errf("%s: %s: %s", where(f, bb), in.Op(), fmt.Sprintf(format, args...))
 	}
 	switch {
 	case op == OpShl || op == OpShr:
@@ -306,31 +323,24 @@ func (v *verifier) checkInstr(f *Function, bb *BasicBlock, in *Instruction, wher
 			}
 		}
 	}
-	_ = bb
 }
 
 // checkDominance verifies the SSA property: every instruction operand that
 // is itself an instruction must be defined at a program point dominating
-// the use. Phi uses are checked at the end of the incoming block.
-func (v *verifier) checkDominance(f *Function, blockIndex map[*BasicBlock]int) {
-	dom := computeDominators(f, blockIndex)
-	n := len(f.Blocks)
-
+// the use. Phi uses are checked at the end of the incoming block. It is
+// linear in the body, bar the dominator tree's near-linear build.
+func (v *verifier) checkDominance(f *Function, blockIndex map[*BasicBlock]int, dom *Dominance) {
 	// position of each instruction within its block for intra-block checks
-	pos := make(map[*Instruction]int)
+	pos := make(map[*Instruction]int, f.NumInstructions())
 	for _, bb := range f.Blocks {
 		for i, in := range bb.instrs {
 			pos[in] = i
 		}
 	}
-	dominates := func(a, b *BasicBlock) bool {
-		ai, bi := blockIndex[a], blockIndex[b]
-		return dom[bi][ai]
-	}
 
-	for _, bb := range f.Blocks {
+	for bi, bb := range f.Blocks {
 		for _, in := range bb.instrs {
-			for oi, op := range in.Operands() {
+			for oi, op := range in.ops {
 				def, ok := op.(*Instruction)
 				if !ok {
 					continue
@@ -339,112 +349,33 @@ func (v *verifier) checkDominance(f *Function, blockIndex map[*BasicBlock]int) {
 					v.errf("%%%s/%%%s: %s uses detached instruction", f.Name(), bb.Name(), in.Op())
 					continue
 				}
-				var useBlock *BasicBlock
-				var usePos int
-				if in.op == OpPhi {
-					useBlock = in.Block(oi)
-					usePos = len(useBlock.instrs) // end of incoming block
-				} else {
-					useBlock = bb
-					usePos = pos[in]
+				defBlock, ok := blockIndex[def.parent]
+				if !ok {
+					v.errf("%%%s/%%%s: %s uses %%%s of another function", f.Name(), bb.Name(), in.Op(), def.Name())
+					continue
 				}
-				if def.parent == useBlock {
+				useBlock, usePos := bi, pos[in]
+				if in.op == OpPhi {
+					// The end of the incoming block. A missing, nil or
+					// foreign one is reported by checkInstr or checkBlock.
+					if oi >= len(in.blocks) {
+						continue
+					}
+					if useBlock, ok = blockIndex[in.blocks[oi]]; !ok {
+						continue
+					}
+					usePos = len(f.Blocks[useBlock].instrs)
+				}
+				if defBlock == useBlock {
 					if pos[def] >= usePos {
 						v.errf("%%%s/%%%s: %%%s used before its definition",
 							f.Name(), bb.Name(), def.Name())
 					}
-				} else if !dominates(def.parent, useBlock) {
+				} else if !dom.Dominates(defBlock, useBlock) {
 					v.errf("%%%s/%%%s: use of %%%s (defined in %%%s) is not dominated by its definition",
-						f.Name(), useBlock.Name(), def.Name(), def.parent.Name())
+						f.Name(), f.Blocks[useBlock].Name(), def.Name(), def.parent.Name())
 				}
 			}
 		}
 	}
-	_ = n
-}
-
-// computeDominators returns, for each block index b, the set of block
-// indices that dominate b, as a bitset-per-block. Uses the classic
-// iterative dataflow formulation, which is fine at verifier scale.
-func computeDominators(f *Function, blockIndex map[*BasicBlock]int) [][]bool {
-	n := len(f.Blocks)
-	dom := make([][]bool, n)
-	full := make([]bool, n)
-	for i := range full {
-		full[i] = true
-	}
-	for i := range dom {
-		dom[i] = make([]bool, n)
-		if i == 0 {
-			dom[0][0] = true
-		} else {
-			copy(dom[i], full)
-		}
-	}
-	preds := make([][]int, n)
-	reachable := make([]bool, n)
-	reachable[0] = true
-	// propagate reachability
-	changedR := true
-	for changedR {
-		changedR = false
-		for i, bb := range f.Blocks {
-			if !reachable[i] {
-				continue
-			}
-			for _, s := range bb.Successors() {
-				si := blockIndex[s]
-				if !reachable[si] {
-					reachable[si] = true
-					changedR = true
-				}
-			}
-		}
-	}
-	for i, bb := range f.Blocks {
-		for _, s := range bb.Successors() {
-			si := blockIndex[s]
-			preds[si] = append(preds[si], i)
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i := 1; i < n; i++ {
-			if !reachable[i] {
-				continue
-			}
-			newDom := make([]bool, n)
-			first := true
-			for _, p := range preds[i] {
-				if !reachable[p] {
-					continue
-				}
-				if first {
-					copy(newDom, dom[p])
-					first = false
-				} else {
-					for j := range newDom {
-						newDom[j] = newDom[j] && dom[p][j]
-					}
-				}
-			}
-			newDom[i] = true
-			for j := range newDom {
-				if newDom[j] != dom[i][j] {
-					dom[i] = newDom
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	// Unreachable blocks: treat as dominated by everything (uses inside
-	// them are vacuously fine).
-	for i := 0; i < n; i++ {
-		if !reachable[i] {
-			copy(dom[i], full)
-		}
-	}
-	return dom
 }

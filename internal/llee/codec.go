@@ -13,26 +13,29 @@ import (
 
 // The translation-cache codec: the one format of a cached native object,
 // one record per function, each carrying the stamp of the guest profile
-// that guided its translation (empty, one byte, for tier-1 code). Cached
-// objects are hot on every start (read on the warm path, written on every
-// cold run), so the format is a hand-rolled length-prefixed binary one: no
-// reflection, no per-blob type dictionary (BenchmarkCacheCodec). It is
-// versioned by a magic header; a blob without the magic, or with a version
-// this build does not write, is corrupt, which the caller treats as a miss.
+// that guided its translation (empty, one byte, for tier-1 code) and the
+// code's block table (empty for tier-2 code). Cached objects are hot on
+// every start (read on the warm path, written on every cold run), so the
+// format is a hand-rolled length-prefixed binary one: no reflection, no
+// per-blob type dictionary (BenchmarkCacheCodec). It is versioned by a
+// magic header; a blob without the magic, or with a version this build
+// does not write, is corrupt, which the caller treats as a miss.
 //
 // Allocation discipline (DESIGN.md §13): encoding sizes the output
 // exactly (one allocation per blob, no append regrowth), and decoding
-// aliases the input — function code and symbol names are views into the
-// storage blob, never copied out. The caller owns the blob it passes to
-// decodeCachedObject and must not mutate it afterwards; InstallCode
-// honors that by patching relocations in machine memory, not in
-// NativeFunc.Code.
+// aliases the input — function code, block tables and symbol names are
+// views into the storage blob, never copied out. The caller owns the blob
+// it passes to decodeCachedObject and must not mutate it afterwards;
+// InstallCode honors that by patching relocations in machine memory, not
+// in NativeFunc.Code.
 
 // codecMagic tags binary-codec cache blobs; the byte after it is the
 // format version.
 var codecMagic = []byte("LLVC")
 
-const codecVersion = 2
+// Version 3 added the block table; version 2 records are corrupt to this
+// build, like version 1's.
+const codecVersion = 3
 
 // relocWidth is how many bytes target.Desc.Patch writes for each relocation
 // kind; a kind beyond it is one Patch does not know.
@@ -68,6 +71,7 @@ func encodedSize(co *cachedObject) int {
 		}
 		n += uvarintLen(uint64(f.NumInstrs))
 		n += uvarintLen(uint64(f.NumLLVA))
+		n += uvarintLen(uint64(len(f.Blocks))) + len(f.Blocks)
 	}
 	return n
 }
@@ -102,6 +106,8 @@ func encodeCachedObject(co *cachedObject) []byte {
 		}
 		buf = binary.AppendUvarint(buf, uint64(f.NumInstrs))
 		buf = binary.AppendUvarint(buf, uint64(f.NumLLVA))
+		buf = binary.AppendUvarint(buf, uint64(len(f.Blocks)))
+		buf = append(buf, f.Blocks...)
 	}
 	return buf
 }
@@ -157,6 +163,11 @@ func decodeCachedObject(data []byte) (*cachedObject, error) {
 		}
 		f.NumInstrs = int(d.uvarint())
 		f.NumLLVA = int(d.uvarint())
+		f.Blocks = d.bytes(d.uvarint())
+		if !f.Blocks.Valid(len(f.Code)) {
+			return nil, fmt.Errorf("%w: %%%s: block table of %d bytes does not fit %d bytes of code",
+				errCorruptCache, f.Name, len(f.Blocks), len(f.Code))
+		}
 		co.Funcs = append(co.Funcs, cachedFunc{f, profile})
 	}
 	if d.err != nil {

@@ -24,6 +24,8 @@ func sampleCachedObject() *cachedObject {
 				},
 				NumInstrs: 7,
 				NumLLVA:   3,
+				// Two blocks at 0 and 4, the epilogue at 13.
+				Blocks: codegen.BlockTable{0, 0, 0, 0, 4, 0, 0, 0, 13, 0, 0, 0},
 			}, ""},
 			{&codegen.NativeFunc{Name: "empty"}, ""}, // no code, no relocs
 			// A tier-2 record: tagged with the stamp of the profile that guided it.
@@ -59,9 +61,12 @@ func TestCacheCodecRoundTrip(t *testing.T) {
 func TestCacheCodecCorrupt(t *testing.T) {
 	co := sampleCachedObject()
 	blob := encodeCachedObject(co)
-	// The format before per-function profile tags: no shim reads it.
+	// The formats before per-function profile tags (version 1) and before
+	// block tables (version 2): no shim reads them.
 	v1 := append([]byte{}, blob...)
 	v1[len(codecMagic)] = 1
+	v2 := append([]byte{}, blob...)
+	v2[len(codecMagic)] = 2
 	// A stamp-valid, well-framed blob whose relocations would make the
 	// loader write outside the function's code, or which names a kind the
 	// loader does not know: target.Desc.Patch checks neither.
@@ -70,11 +75,21 @@ func TestCacheCodecCorrupt(t *testing.T) {
 		co.Funcs[0].Relocs[1] = r
 		return encodeCachedObject(co)
 	}
+	// A block table that would send the profile's entries astray.
+	blocks := func(t codegen.BlockTable) []byte {
+		co := sampleCachedObject()
+		co.Funcs[0].Blocks = t
+		return encodeCachedObject(co)
+	}
 	cases := map[string][]byte{
+		"blocks ragged":      blocks(codegen.BlockTable{0, 0, 0, 0, 4, 0}),
+		"blocks descending":  blocks(codegen.BlockTable{4, 0, 0, 0, 0, 0, 0, 0}),
+		"blocks past code":   blocks(codegen.BlockTable{0, 0, 0, 0, 14, 0, 0, 0}),
 		"empty":              {},
 		"garbage":            []byte("not a cache blob at all"),
 		"bad version":        append(append([]byte{}, codecMagic...), 99),
 		"version 1":          v1,
+		"version 2":          v2,
 		"truncated":          blob[:len(blob)/2],
 		"trailing":           append(append([]byte{}, blob...), 0xFF),
 		"reloc past code":    reloc(target.Reloc{Offset: 1 << 20, Kind: target.RelocExt, Sym: "print_int"}),

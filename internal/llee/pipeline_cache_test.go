@@ -68,7 +68,9 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 	stray := encodeKey(key) + ".llvacache"
 	profKey := "guestprof:" + m.Name + ":" + target.VX86.Name
 	// A profile of another format version: version 1 held sampled block
-	// counts where this build's profiles hold exact entries.
+	// counts where this build's profiles hold exact entries, and version 2
+	// counted them by native-code extent where this build's count them by
+	// LLVA block.
 	profOf := func(version int) []byte {
 		blob, err := (&prof.Artifact{Version: version, Module: m.Name, Target: target.VX86.Name}).Encode()
 		if err != nil {
@@ -106,8 +108,12 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 		t.Fatal("main has no relocation against work")
 		return nil
 	}
+	// Records of older codec versions: version 1 had no profile tags and
+	// version 2 no block tables.
 	v1 := encodeCachedObject(sampleCachedObject())
 	v1[len(codecMagic)] = 1
+	v2 := encodeCachedObject(sampleCachedObject())
+	v2[len(codecMagic)] = 2
 	cases := []struct {
 		name    string
 		storage func(t *testing.T) Storage
@@ -118,8 +124,10 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 		{"garbage", planted(key, []byte("\x00not a cache blob")), 1, false, true},
 		{"gob blob", planted(key, gobBlob.Bytes()), 1, false, true},
 		{"codec version 1", planted(key, v1), 1, false, true},
+		{"codec version 2", planted(key, v2), 1, false, true},
 		{"guestprof garbage", planted(profKey, []byte("not a profile")), 1, false, true},
 		{"guestprof version 1", planted(profKey, profOf(1)), 1, false, true},
+		{"guestprof version 2", planted(profKey, profOf(2)), 1, false, true},
 		{"guestprof wrong version", planted(profKey, profOf(prof.ArtifactVersion+1)), 1, false, true},
 		{"stray flat file", func(t *testing.T) Storage {
 			dir := t.TempDir()

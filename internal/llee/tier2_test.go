@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -597,5 +598,48 @@ func TestOlderTranslatorsCacheIsAMiss(t *testing.T) {
 	}
 	if _, _, ok, _ := st.Read(profKey); ok {
 		t.Error("the older build's guest profile is still in the store")
+	}
+}
+
+// TestTier2CodeAddsNoBlockCounts: a profiled session that runs tier-2 code
+// stores its samples, but the stored block entries of the functions it ran
+// at tier 2 stay what tier 1 counted. Tier-2 bodies carry no block table:
+// their blocks are a transformed clone's, and counting them against the
+// module's blocks would be wrong heat for the next tier 2.
+func TestTier2CodeAddsNoBlockCounts(t *testing.T) {
+	st := NewMemStorage()
+	ref, _ := seedGuestProfile(t, st, target.VX86)
+	stored := func() *prof.Artifact {
+		t.Helper()
+		data, _, ok, err := st.Read("guestprof:hot.c:" + target.VX86.Name)
+		if err != nil || !ok {
+			t.Fatalf("guest profile read: ok=%v err=%v", ok, err)
+		}
+		a, err := prof.DecodeArtifact(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	before := stored()
+	_, s, _ := startHot(t, st, ref, true, WithProfiler(prof.NewProfiler(64)))
+	after := stored()
+	if after.Total <= before.Total {
+		t.Fatalf("the tier-2 session stored no samples: total %d, then %d", before.Total, after.Total)
+	}
+	ranAtTier2 := 0
+	for name, cf := range s.ms.held {
+		if cf.profile == "" {
+			continue
+		}
+		if len(before.BlockCounts(name)) > 0 {
+			ranAtTier2++
+		}
+		if got, want := after.BlockCounts(name), before.BlockCounts(name); !slices.Equal(got, want) {
+			t.Errorf("%%%s ran at tier 2, and its stored block entries moved:\n got %v\nwant %v", name, got, want)
+		}
+	}
+	if ranAtTier2 == 0 {
+		t.Fatal("no function with block entries ran at tier 2")
 	}
 }

@@ -138,10 +138,12 @@ type Machine struct {
 	stubAddr  []uint64
 }
 
-// codeRange is one installed function body's extent in code memory.
+// codeRange is one installed function body's extent in code memory, and
+// where its LLVA blocks start (nil for code without a table: tier 2's).
 type codeRange struct {
 	name   string
 	lo, hi uint64
+	blocks codegen.BlockTable
 }
 
 // invokeFrame is one entry of the unwind-handler stack. It records only
@@ -341,7 +343,7 @@ func (mc *Machine) InstallCode(nf *codegen.NativeFunc) (uint64, error) {
 			break
 		}
 	}
-	mc.funcCode = append(mc.funcCode, codeRange{name: nf.Name, lo: addr, hi: hi})
+	mc.funcCode = append(mc.funcCode, codeRange{name: nf.Name, lo: addr, hi: hi, blocks: nf.Blocks})
 	return addr, nil
 }
 

@@ -83,15 +83,27 @@ func (mc *Machine) bodyAt(pc uint64) (codeRange, bool) {
 	return codeRange{}, false
 }
 
-// flushHits hands b's entries since the last flush to the profiler,
-// keyed by b's extent within its function. Blocks of a lazy stub belong
-// to no body and are dropped: the callee's own blocks count its entries.
+// flushHits hands b's entries since the last flush to the profiler, as
+// entries of the LLVA blocks b spans the start of: an LLVA block is
+// entered as often as its first instruction runs, once per entry of every
+// machine block that holds it. A block the lowering left empty has no
+// instruction of its own, and its start is the next block's: it gets no
+// entries. Neither do the blocks of a body without a block table (tier-2
+// code), nor those of a lazy stub, which belongs to no body: the callee's
+// own blocks count its entries.
 func (mc *Machine) flushHits(b *block) {
 	if b.hits == 0 {
 		return
 	}
 	if r, found := mc.bodyAt(b.entry); found && mc.prof != nil {
-		mc.prof.AddBlockHits(r.name, b.entry-r.lo, b.end-r.lo, b.hits)
+		t := r.blocks
+		off, end := b.entry-r.lo, b.end-r.lo
+		n := t.Len() - 1 // the last entry is the epilogue's
+		for i := sort.Search(n, func(i int) bool { return t.Off(i) >= off }); i < n && t.Off(i) < end; i++ {
+			if t.Off(i) < t.Off(i+1) {
+				mc.prof.AddBlockHits(r.name, i, b.hits)
+			}
+		}
 	}
 	b.hits = 0
 }

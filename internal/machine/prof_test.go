@@ -102,8 +102,9 @@ func TestProfilerHotAttribution(t *testing.T) {
 // every block entry and hands the counts over when the run ends, so the
 // profile holds them exactly, whatever the sampling rate: hot's entry
 // block is entered once per call, its loop body once per iteration, and
-// the lazy stub main calls it through is no block of hot's. A block
-// invalidation drops hands over what its blocks counted first.
+// the lazy stub main calls it through is no block of hot's. The counts
+// are by LLVA block, and a block invalidation drops hands over what its
+// blocks counted first.
 func TestBlockEntriesExact(t *testing.T) {
 	m, err := minic.Compile("hot.c", hotLoopSrc)
 	if err != nil {
@@ -141,7 +142,7 @@ func TestBlockEntriesExact(t *testing.T) {
 			_, a := run(prof.NewProfiler(rate))
 			arts = append(arts, a)
 			hot := a.BlockCounts("hot")
-			if len(hot) < 2 || hot[0].Off != 0 || hot[0].Count != 40 || hot[1].Off == 0 {
+			if len(hot) < 2 || hot[0].Block != 0 || hot[0].Count != 40 {
 				t.Fatalf("%s rate %d: hot's blocks %v, want one entry block, entered 40 times", d.Name, rate, hot)
 			}
 			body := false
@@ -151,7 +152,7 @@ func TestBlockEntriesExact(t *testing.T) {
 			if !body {
 				t.Errorf("%s rate %d: no block of hot entered %d times: %v", d.Name, rate, 40*1500, hot)
 			}
-			if main := a.BlockCounts("main"); len(main) == 0 || main[0].Off != 0 || main[0].Count != 1 {
+			if main := a.BlockCounts("main"); len(main) == 0 || main[0].Block != 0 || main[0].Count != 1 {
 				t.Errorf("%s rate %d: main's blocks %v, want the entry block entered once", d.Name, rate, main)
 			}
 		}
@@ -159,17 +160,27 @@ func TestBlockEntriesExact(t *testing.T) {
 			t.Errorf("%s: block entries depend on the sampling rate", d.Name)
 		}
 
+		// One more entry of the machine block at hot's entry point: one
+		// more for each LLVA block that starts in it.
 		p := prof.NewProfiler(0)
 		mc, _ := run(p)
-		for _, b := range mc.blocks {
-			b.hits = 1
+		var end uint64
+		for _, r := range mc.funcCode {
+			if r.name == "hot" {
+				b := mc.blocks[r.lo]
+				b.hits, end = 1, b.end-r.lo
+			}
 		}
 		if err := mc.InvalidateFunction("hot"); err != nil {
 			t.Fatal(err)
 		}
 		a := p.Artifact(m.Name, d.Name)
 		for i, c := range a.BlockCounts("hot") {
-			if want := arts[0].BlockCounts("hot")[i].Count + 1; c.Count != want {
+			want := arts[0].BlockCounts("hot")[i].Count
+			if obj.Func("hot").Blocks.Off(c.Block) < end {
+				want++
+			}
+			if c.Count != want {
 				t.Errorf("%s: after invalidation hot's block %v, want %d entries", d.Name, c, want)
 			}
 		}

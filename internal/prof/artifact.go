@@ -22,9 +22,10 @@ const artifactMagic = "llva-guest-profile"
 
 // ArtifactVersion is the current artifact format version. Bump it when
 // the JSON body changes incompatibly; decoders reject other versions.
-// Version 2's Blocks are exact block entry counts; version 1's were
-// sample counts.
-const ArtifactVersion = 2
+// Version 3's Blocks count entries per LLVA block; version 2's counted
+// them per machine block, by extent in the native code, and version 1's
+// were sample counts.
+const ArtifactVersion = 3
 
 // StackCount is one folded virtual stack and its sample count.
 type StackCount struct {
@@ -32,28 +33,23 @@ type StackCount struct {
 	Count uint64 `json:"count"`
 }
 
-// BlockCount is one executed block of the machine's and how many times
-// it was entered. The block spans [Off, End), byte offsets from the
-// owning function's code start — stable across runs of the same
-// translation, unlike absolute code addresses — and every entry executes
-// each of its instructions once.
+// BlockCount is one executed LLVA block and how many times it was
+// entered. Block indexes the owning function's blocks in the virtual
+// object code, which the profile is stamped with, so the count means the
+// same whatever native code ran it.
 type BlockCount struct {
 	Func  string `json:"func"`
-	Off   uint64 `json:"off"`
-	End   uint64 `json:"end"`
+	Block int    `json:"block"`
 	Count uint64 `json:"count"`
 }
 
-// compareBlocks orders BlockCounts by function, then extent: the order
-// of Artifact.Blocks.
+// compareBlocks orders BlockCounts by function, then block: the order of
+// Artifact.Blocks.
 func compareBlocks(a, b BlockCount) int {
 	if c := strings.Compare(a.Func, b.Func); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Off, b.Off); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.End, b.End)
+	return cmp.Compare(a.Block, b.Block)
 }
 
 // Artifact is the serializable form of a guest profile.
@@ -86,7 +82,7 @@ func (p *Profiler) Artifact(module, target string) *Artifact {
 		a.Stacks = append(a.Stacks, StackCount{Stack: k, Count: *v})
 	}
 	for k, n := range p.blocks {
-		a.Blocks = append(a.Blocks, BlockCount{Func: k.fn, Off: k.off, End: k.end, Count: n})
+		a.Blocks = append(a.Blocks, BlockCount{Func: k.fn, Block: k.block, Count: n})
 	}
 	p.mu.Unlock()
 	sort.Slice(a.Stacks, func(i, j int) bool { return a.Stacks[i].Stack < a.Stacks[j].Stack })
@@ -191,10 +187,10 @@ func (a *Artifact) Merge(b *Artifact) error {
 
 	blocks := make(map[blockKey]int, len(a.Blocks))
 	for i, bl := range a.Blocks {
-		blocks[blockKey{bl.Func, bl.Off, bl.End}] = i
+		blocks[blockKey{bl.Func, bl.Block}] = i
 	}
 	for _, bl := range b.Blocks {
-		k := blockKey{bl.Func, bl.Off, bl.End}
+		k := blockKey{bl.Func, bl.Block}
 		if i, ok := blocks[k]; ok {
 			a.Blocks[i].Count += bl.Count
 		} else {
@@ -222,7 +218,7 @@ func (a *Artifact) HotFuncs(minShare float64) []FuncStat {
 	return out
 }
 
-// BlockCounts returns fn's executed blocks, ascending by extent: a
+// BlockCounts returns fn's executed blocks, ascending by index: a
 // sub-slice of a.Blocks, empty when fn never ran.
 func (a *Artifact) BlockCounts(fn string) []BlockCount {
 	lo, _ := slices.BinarySearchFunc(a.Blocks, fn, func(b BlockCount, fn string) int {

@@ -76,11 +76,11 @@ type Profiler struct {
 	total  uint64
 }
 
-// blockKey names one executed block: its function, and its extent as
-// byte offsets from the function's code start.
+// blockKey names one executed LLVA block: its function, and its index
+// there.
 type blockKey struct {
-	fn       string
-	off, end uint64
+	fn    string
+	block int
 }
 
 // NewProfiler creates a profiler sampling every rate retired virtual
@@ -136,13 +136,11 @@ func (p *Profiler) AddSample(stack []string) {
 	p.stat(leaf).Excl++
 }
 
-// AddBlockHits records that the block of fn spanning byte offsets
-// [off, end) from fn's code start was entered n more times. Every entry
-// runs the block's instructions once each: the machine's blocks end at
-// every branch, call and return.
-func (p *Profiler) AddBlockHits(fn string, off, end, n uint64) {
+// AddBlockHits records that LLVA block number block of fn was entered n
+// more times.
+func (p *Profiler) AddBlockHits(fn string, block int, n uint64) {
 	p.mu.Lock()
-	p.blocks[blockKey{fn, off, end}] += n
+	p.blocks[blockKey{fn, block}] += n
 	p.mu.Unlock()
 }
 

@@ -101,16 +101,16 @@ func TestArtifactRoundTrip(t *testing.T) {
 	p.AddSample([]string{"main", "hot"})
 	p.AddSample([]string{"main", "hot"})
 	p.AddSample([]string{"main"})
-	p.AddBlockHits("hot", 0x40, 0x48, 2)
-	p.AddBlockHits("main", 0x8, 0x10, 1)
-	p.AddBlockHits("hot", 0, 0x40, 1)
-	p.AddBlockHits("hot", 0x40, 0x48, 5)
+	p.AddBlockHits("hot", 2, 2)
+	p.AddBlockHits("main", 1, 1)
+	p.AddBlockHits("hot", 0, 1)
+	p.AddBlockHits("hot", 2, 5)
 	a := p.Artifact("prog", "vx86")
 	data, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte("llva-guest-profile v2\n")) {
+	if !bytes.HasPrefix(data, []byte("llva-guest-profile v3\n")) {
 		t.Fatalf("artifact header missing: %q", data[:32])
 	}
 	back, err := DecodeArtifact(data)
@@ -131,7 +131,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if hot := back.HotFuncs(0.5); len(hot) != 1 || hot[0].Name != "hot" {
 		t.Errorf("HotFuncs(0.5) = %+v, want [hot]", hot)
 	}
-	want := []BlockCount{{"hot", 0, 0x40, 1}, {"hot", 0x40, 0x48, 7}}
+	want := []BlockCount{{"hot", 0, 1}, {"hot", 2, 7}}
 	if bc := back.BlockCounts("hot"); !reflect.DeepEqual(bc, want) {
 		t.Errorf("BlockCounts(hot) = %v, want %v", bc, want)
 	}
@@ -148,12 +148,15 @@ func TestDecodeArtifactRejects(t *testing.T) {
 	cases := map[string][]byte{
 		"no header":     []byte("no newline here"),
 		"wrong magic":   []byte("some-other-format v1\n{}"),
-		"wrong version": bytes.Replace(good, []byte(" v2\n"), []byte(" v9\n"), 1),
-		// Version 1 held sample counts where version 2 holds entries.
-		"version 1":    []byte("llva-guest-profile v1\n{\"version\": 1}"),
-		"corrupt body": []byte("llva-guest-profile v2\n{not json"),
-		"blocks out of order": []byte(`llva-guest-profile v2
-{"version": 2, "blocks": [{"func": "f", "off": 8, "end": 16, "count": 1}, {"func": "f", "off": 0, "end": 8, "count": 1}]}`),
+		"wrong version": bytes.Replace(good, []byte(" v3\n"), []byte(" v9\n"), 1),
+		// Version 1 held sample counts where version 3 holds entries, and
+		// version 2 counted them by native-code extent, not LLVA block.
+		"version 1": []byte("llva-guest-profile v1\n{\"version\": 1}"),
+		"version 2": []byte(`llva-guest-profile v2
+{"version": 2, "blocks": [{"func": "f", "off": 0, "end": 8, "count": 1}]}`),
+		"corrupt body": []byte("llva-guest-profile v3\n{not json"),
+		"blocks out of order": []byte(`llva-guest-profile v3
+{"version": 3, "blocks": [{"func": "f", "block": 1, "count": 1}, {"func": "f", "block": 0, "count": 1}]}`),
 	}
 	for name, data := range cases {
 		if _, err := DecodeArtifact(data); err == nil {
@@ -263,13 +266,13 @@ func TestArtifactMerge(t *testing.T) {
 	p1 := NewProfiler(64)
 	p1.AddSample([]string{"main", "hot"})
 	p1.AddSample([]string{"main"})
-	p1.AddBlockHits("hot", 0x40, 0x48, 3)
-	p1.AddBlockHits("main", 0, 0x8, 1)
+	p1.AddBlockHits("hot", 2, 3)
+	p1.AddBlockHits("main", 0, 1)
 	p2 := NewProfiler(64)
 	p2.AddSample([]string{"main", "hot"})
 	p2.AddSample([]string{"main", "cold"})
-	p2.AddBlockHits("hot", 0x40, 0x48, 4)
-	p2.AddBlockHits("cold", 0x10, 0x20, 1)
+	p2.AddBlockHits("hot", 2, 4)
+	p2.AddBlockHits("cold", 1, 1)
 	a := p1.Artifact("prog", "vx86")
 	b := p2.Artifact("prog", "vx86")
 	if err := a.Merge(b); err != nil {
@@ -288,8 +291,8 @@ func TestArtifactMerge(t *testing.T) {
 	if s := stats["main"]; s.Incl != 4 || s.Excl != 1 {
 		t.Errorf("main: incl=%d excl=%d, want 4/1", s.Incl, s.Excl)
 	}
-	if bc := a.BlockCounts("hot"); !reflect.DeepEqual(bc, []BlockCount{{"hot", 0x40, 0x48, 7}}) {
-		t.Errorf("merged BlockCounts(hot) = %v, want 7 entries of [0x40, 0x48)", bc)
+	if bc := a.BlockCounts("hot"); !reflect.DeepEqual(bc, []BlockCount{{"hot", 2, 7}}) {
+		t.Errorf("merged BlockCounts(hot) = %v, want 7 entries of block 2", bc)
 	}
 	// The merged artifact equals the one a single profiler over both
 	// profiles would produce: byte-identical encoding.
@@ -298,9 +301,9 @@ func TestArtifactMerge(t *testing.T) {
 	p3.AddSample([]string{"main"})
 	p3.AddSample([]string{"main", "hot"})
 	p3.AddSample([]string{"main", "cold"})
-	p3.AddBlockHits("cold", 0x10, 0x20, 1)
-	p3.AddBlockHits("hot", 0x40, 0x48, 7)
-	p3.AddBlockHits("main", 0, 0x8, 1)
+	p3.AddBlockHits("cold", 1, 1)
+	p3.AddBlockHits("hot", 2, 7)
+	p3.AddBlockHits("main", 0, 1)
 	want, err := p3.Artifact("prog", "vx86").Encode()
 	if err != nil {
 		t.Fatal(err)
