@@ -42,13 +42,6 @@ import (
 	"llva/internal/workloads"
 )
 
-// profRate is the sampling profiler's period (one sample per N simulated
-// branch events) for every profile-gathering run in the bench. Finer than
-// llva-run's default: block-granular heat drives tier-2 superblock layout
-// and spill-weight eviction, and at coarser rates small hot loops in the
-// mid-size workloads fall below the noise floor.
-const profRate = 25
-
 // Row is one Table 2 line.
 type Row struct {
 	PaperName string
@@ -76,7 +69,7 @@ type Row struct {
 // measureRun runs the workload the way llva-run would, through two
 // llee.Systems sharing one in-memory storage API: a cold process
 // (speculative JIT, cache write-back at Close) followed by a warm one
-// (stamp-validated cache hit). With tier2, the cold process also samples
+// (stamp-validated cache hit). With tier2, the cold process also profiles
 // the guest and persists its profile, and the warm one, built WithTier2,
 // finds the cached code and the profile and translates the hot functions
 // at tier 2 before it runs. The row's run columns are the warm process's
@@ -107,11 +100,11 @@ func measureRun(row *Row, m *core.Module, tier2 bool) error {
 	var coldOpts []llee.SessionOption
 	var warmOpts []llee.SystemOption
 	if tier2 {
-		// Cold: tier-1 JIT under the sampling profiler; the profile is
-		// persisted, the translations are written back. Sampling is
-		// deterministic, so the profile, and with it the tier-2 code, is
-		// reproducible.
-		coldOpts = []llee.SessionOption{llee.WithProfiler(prof.NewProfiler(profRate))}
+		// Cold: tier-1 JIT under the profiler; the profile is persisted,
+		// the translations are written back. The profile is the exact
+		// block entries, whatever the sampling rate, so it, and with it
+		// the tier-2 code, is reproducible.
+		coldOpts = []llee.SessionOption{llee.WithProfiler(prof.NewProfiler(0))}
 		warmOpts = []llee.SystemOption{llee.WithTier2(true)}
 	}
 	if err := runOne(&cold, nil, coldOpts); err != nil {

@@ -91,19 +91,19 @@ func main() {
 	useInterp := flag.Bool("interp", false, "run on the reference interpreter instead")
 	stats := flag.Bool("stats", false, "print execution statistics to stderr")
 	offline := flag.Bool("translate-only", false, "offline-translate into the cache, do not execute")
-	idleOpt := flag.Bool("idle-optimize", false, "idle-time PGO: complete the module's cache entry, with the hot functions of the stored guest profile (-prof-store), if there is one, translated at tier 2 and tagged with its stamp, so a later start translates nothing; does not execute (needs -cache)")
+	idleOpt := flag.Bool("idle-optimize", false, "idle-time PGO: complete the module's cache entry, with every function the stored guest profile (-prof-store) counted entries of, if there is one, translated at tier 2 and tagged with its stamp, so a later start translates nothing; does not execute (needs -cache)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics, /metrics/events, /debug/llva/trace, /debug/llva/prof, /debug/vars, /debug/pprof)")
 	traceLog := flag.String("trace-log", "", "write the structured event log as JSON lines to FILE at exit")
 	traceOut := flag.String("trace-out", "", "write the session span trace as Chrome trace_event JSON (Perfetto-loadable) to FILE at exit")
 	profOn := flag.Bool("prof", false, "profile the guest: count every block entry, and sample the virtual call stack every -prof-rate retired instructions")
-	profRate := flag.Int("prof-rate", prof.DefaultRate, "guest sampling period in retired virtual instructions")
-	profOut := flag.String("prof-out", "", "write the guest profile as folded stacks to FILE at exit (implies -prof)")
-	profStore := flag.Bool("prof-store", false, "persist the guest profile through the storage API after the run (implies -prof, needs -cache)")
+	profRate := flag.Int("prof-rate", prof.DefaultRate, "guest sampling period in retired virtual instructions: shapes -prof-out and /debug/llva/prof only, since the stored profile is the exact block entries")
+	profOut := flag.String("prof-out", "", "write the sampled guest call stacks as folded stacks to FILE at exit (implies -prof)")
+	profStore := flag.Bool("prof-store", false, "persist the guest profile's block entries through the storage API after the run, merged into the stored ones (implies -prof, needs -cache)")
 	tenant := flag.String("tenant", "", "tenant label carried on this session's trace spans")
 	flightEvents := flag.Int("flight-events", 16, "trap-time flight recorder depth in telemetry events (0: disable crash reports)")
 	workers := flag.Int("translate-workers", 0, "translation worker-pool size for offline and speculative JIT translation (0: one per CPU)")
 	speculate := flag.Bool("speculate", true, "speculatively JIT-translate static callees on background workers")
-	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 translation: when a stored guest profile exists, translate its hot functions with superblocks and inlining, before the run where the cache holds code for them that this profile did not produce, at their first call where it holds none (needs -cache; store a profile with -prof-store)")
+	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 translation: when a stored guest profile exists, translate every function it counted entries of with superblocks and inlining, before the run where the cache holds code for them that this profile did not produce, at their first call where it holds none (needs -cache; store a profile with -prof-store)")
 	timeout := flag.Duration("timeout", 0, "abort execution after this long on the wall clock (0: no limit)")
 	gas := flag.Uint64("gas", 0, "per-run gas budget in simulated cycles; exhaustion stops the run at a block boundary (0: unmetered)")
 	flag.Parse()

@@ -62,18 +62,25 @@ func (t *Translator) WithTier2(art *prof.Artifact) *Translator {
 	return &nt
 }
 
+// Tier2Takes reports whether t translates the function named name at
+// tier 2: exactly when t is a tier-2 translator and its profile counted
+// entries of name. Every other function t translates at tier 1.
+func (t *Translator) Tier2Takes(name string) bool {
+	return t.tier >= 2 && len(t.art.BlockCounts(name)) > 0
+}
+
 // tryTier2 translates f through the superblock pipeline: clone the body,
 // weigh its blocks with the profile's entry counts, inline hot callees,
 // form superblocks, verify, and lower the clone — the one lowering a hot
-// function takes. It reports ok=false — translate at tier 1 — when f
-// never ran. When a transformed body fails verification, f is lowered at
-// tier 1 instead (ok=true). tier2_funcs, superblocks and tail_dup_instrs
-// count what shipped.
+// function takes. It reports ok=false — translate at tier 1 — when
+// Tier2Takes does not take f. When a transformed body fails verification,
+// f is lowered at tier 1 instead (ok=true). tier2_funcs, superblocks and
+// tail_dup_instrs count what shipped.
 func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
-	counts := t.art.BlockCounts(f.Name())
-	if len(counts) == 0 {
+	if !t.Tier2Takes(f.Name()) {
 		return nil, false
 	}
+	counts := t.art.BlockCounts(f.Name())
 
 	tier2Mu.Lock()
 	defer tier2Mu.Unlock()

@@ -7,21 +7,20 @@ import (
 	"llva/internal/telemetry"
 )
 
-// Guest-profile persistence: the guest profiler's aggregate (sampled
-// virtual call stacks, exact block entries) survives the process
-// through the same storage API that backs the offline translation
-// cache. The artifact is stamped with the module's content hash, so a
-// profile gathered against different virtual object code is evicted
-// rather than misattributed, and the artifact carries its own format
-// version so a future encoding change is rejected instead of decoding
-// garbage.
+// Guest-profile persistence: the guest profiler's exact block entries
+// survive the process through the same storage API that backs the
+// offline translation cache. The artifact is stamped with the module's
+// content hash, so a profile gathered against different virtual object
+// code is evicted rather than misattributed, and the artifact carries its
+// own format version so a future encoding change is rejected instead of
+// decoding garbage.
 
-// storeGuestProfile persists the sampler's current aggregate, merged
-// into any stamp-valid profile already stored (prof.Artifact.Merge sums
-// the counts), so repeated runs accumulate hotness instead of the last
-// run winning. A stale stored profile is counted and evicted by the
-// stamped read like any other artifact; a corrupt or incompatible
-// (version/rate) one is simply overwritten.
+// storeGuestProfile persists the profiler's block entries, merged into
+// any stamp-valid profile already stored (prof.Artifact.Merge sums the
+// counts), so repeated runs accumulate, at whatever sampling rate each
+// ran, instead of the last run winning. A stale stored profile is counted
+// and evicted by the stamped read like any other artifact; a corrupt or
+// other-version one is simply overwritten.
 func (ms *moduleState) storeGuestProfile(p *prof.Profiler) error {
 	if ms.sys.storage == nil {
 		return fmt.Errorf("llee: guest-profile persistence requires the storage API")
@@ -48,7 +47,7 @@ func (ms *moduleState) storeGuestProfile(p *prof.Profiler) error {
 	return nil
 }
 
-// loadGuestProfile reads back a persisted sampling profile, validating
+// loadGuestProfile reads back a persisted guest profile, validating
 // both the module stamp and the artifact's format version. A missing,
 // unreadable or stale profile is not an error (ok=false); a corrupt or
 // wrong-version one is.
@@ -66,7 +65,7 @@ func (ms *moduleState) loadGuestProfile() (*prof.Artifact, bool, error) {
 		return nil, false, fmt.Errorf("llee: guest profile: %w", err)
 	}
 	ms.sys.tele.Counter(MetricProfileLoads).Inc()
-	ms.sys.tele.Events().Emit(telemetry.EvProfileLoaded, key, int64(a.Total))
+	ms.sys.tele.Events().Emit(telemetry.EvProfileLoaded, key, int64(len(a.Blocks)))
 	return a, true, nil
 }
 
@@ -101,14 +100,14 @@ func (s *Session) Profiler() *prof.Profiler { return s.profiler }
 // unhandled trap, or nil when none fired or the recorder is off.
 func (s *Session) LastCrash() *prof.CrashReport { return s.mc.LastCrash() }
 
-// StoreGuestProfile persists the session's sampling-profiler aggregate
-// through the storage API, stamped against the current virtual object
-// code.
+// StoreGuestProfile persists the block entries the session's profiler
+// counted through the storage API, stamped against the current virtual
+// object code.
 func (s *Session) StoreGuestProfile() error {
 	return s.ms.storeGuestProfile(s.profiler)
 }
 
-// LoadGuestProfile reads back the persisted sampling profile for this
+// LoadGuestProfile reads back the persisted guest profile for this
 // session's module and target. ok is false when none is stored or the
 // stored one was built against different object code.
 func (s *Session) LoadGuestProfile() (*prof.Artifact, bool, error) {

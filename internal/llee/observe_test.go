@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -149,15 +150,12 @@ func TestGuestProfilePersistence(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("load: ok=%v err=%v", ok, err)
 	}
-	if a.Total != p.Total() || a.Target != "vx86" || a.Version != prof.ArtifactVersion {
-		t.Errorf("artifact = %s, profiler total %d", a, p.Total())
+	if want := p.Artifact(s.Module().Name, "vx86"); a.Target != "vx86" || a.Version != prof.ArtifactVersion ||
+		!reflect.DeepEqual(a.Blocks, want.Blocks) {
+		t.Errorf("artifact = %s, want the profiler's %d counted blocks", a, len(want.Blocks))
 	}
-	hot := a.HotFuncs(0.5)
-	if len(hot) != 1 || hot[0].Name != "spin" {
-		t.Errorf("HotFuncs = %+v, want [spin]", hot)
-	}
-	if len(a.BlockCounts("spin")) == 0 {
-		t.Error("the stored profile counts no block of spin")
+	if bc := a.BlockCounts("spin"); len(bc) < 2 || bc[0] != (prof.BlockCount{Func: "spin", Block: 0, Count: 1}) {
+		t.Errorf("BlockCounts(spin) = %v, want its entry block entered once and its loop", bc)
 	}
 
 	key := "guestprof:" + s.Module().Name + ":vx86"

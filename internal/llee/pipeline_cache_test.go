@@ -68,9 +68,10 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 	stray := encodeKey(key) + ".llvacache"
 	profKey := "guestprof:" + m.Name + ":" + target.VX86.Name
 	// A profile of another format version: version 1 held sampled block
-	// counts where this build's profiles hold exact entries, and version 2
+	// counts where this build's profiles hold exact entries, version 2
 	// counted them by native-code extent where this build's count them by
-	// LLVA block.
+	// LLVA block, and version 3 carried the sampler's aggregate, which
+	// this build's profiles do not store.
 	profOf := func(version int) []byte {
 		blob, err := (&prof.Artifact{Version: version, Module: m.Name, Target: target.VX86.Name}).Encode()
 		if err != nil {
@@ -128,6 +129,7 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 		{"guestprof garbage", planted(profKey, []byte("not a profile")), 1, false, true},
 		{"guestprof version 1", planted(profKey, profOf(1)), 1, false, true},
 		{"guestprof version 2", planted(profKey, profOf(2)), 1, false, true},
+		{"guestprof version 3", planted(profKey, profOf(3)), 1, false, true},
 		{"guestprof wrong version", planted(profKey, profOf(prof.ArtifactVersion+1)), 1, false, true},
 		{"stray flat file", func(t *testing.T) Storage {
 			dir := t.TempDir()

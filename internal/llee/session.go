@@ -34,7 +34,7 @@ type Session struct {
 
 	// id is the session's process-unique ID — the "pid" lane of the
 	// span trace; tenant is the owning tenant's label, carried on
-	// every span; profiler is the attached guest sampler (nil: off).
+	// every span; profiler is the attached guest profiler (nil: off).
 	id       uint64
 	tenant   string
 	profiler *prof.Profiler

@@ -36,7 +36,7 @@ type Storage interface {
 
 // Stamp computes the validation stamp of a blob under this build's
 // translator: the blob's hash, then codegen.Revision. It ties cached
-// translations — and the guest profiles sampled on them — to the exact
+// translations — and the guest profiles counted on them — to the exact
 // virtual object code they were derived from and to the translator that
 // derived them, so an entry either of the two has moved away from reads
 // as a stamp mismatch.

@@ -85,10 +85,6 @@ type sessionConfig struct {
 	reuse          bool
 }
 
-// tier2MinShare is the exclusive-sample share above which a function is
-// considered hot enough for tier-2 translation.
-const tier2MinShare = 0.02
-
 // WithStorage registers the OS storage API implementation. Without it
 // the system always translates online, exactly like DAISY and Crusoe
 // (paper, Section 4.1).
@@ -128,15 +124,16 @@ func WithSpeculation(on bool) SystemOption { return func(c *systemConfig) { c.sp
 
 // WithTier2 toggles profile-guided tier-2 translation (default off,
 // system-scoped; requires the storage API). When a stamp-valid guest
-// profile exists for a module, its hot functions are translated with
-// superblock formation and hot inlining instead of at tier 1: ahead of
-// execution where the start found cached code for them that this profile
-// did not produce, at their first call (or by speculation ahead of it)
-// where it found none. Either way a function's translator is chosen before
-// its first translation; installed code is never exchanged for a better one
-// mid-run. The result is cached in the module's one code entry, each record
-// tagged with the stamp of the profile that guided it: later starts skip
-// straight to it, and a newer profile retranslates the hot functions only.
+// profile exists for a module, the functions it counted entries of (its
+// hot functions) are translated with superblock formation and hot
+// inlining instead of at tier 1: ahead of execution where the start found
+// cached code for them that this profile did not produce, at their first
+// call (or by speculation ahead of it) where it found none. Either way a
+// function's translator is chosen before its first translation; installed
+// code is never exchanged for a better one mid-run. The result is cached
+// in the module's one code entry, each record tagged with the stamp of the
+// profile that guided it: later starts skip straight to it, and a newer
+// profile retranslates the hot functions only.
 func WithTier2(on bool) SystemOption { return func(c *systemConfig) { c.tier2 = on } }
 
 // WithTracer attaches a span tracer to the system: the session
@@ -145,10 +142,12 @@ func WithTier2(on bool) SystemOption { return func(c *systemConfig) { c.tier2 = 
 // tenant IDs, exportable as Chrome trace_event JSON (Perfetto).
 func WithTracer(t *prof.Tracer) SystemOption { return func(c *systemConfig) { c.tracer = t } }
 
-// WithProfiler attaches a guest-level sampling profiler to a session's
-// machine (one profiler may be shared by many sessions — it aggregates
-// under its own lock). Sampling is deterministic: simulated instruction
-// and cycle counts are bit-identical with the profiler on or off.
+// WithProfiler attaches a guest profiler to a session's machine, which
+// counts block entries (the profile StoreGuestProfile persists) and
+// samples call stacks (for WriteFolded and WriteReport). One profiler may
+// be shared by many sessions — it aggregates under its own lock. Both are
+// deterministic: simulated instruction and cycle counts are bit-identical
+// with the profiler on or off.
 func WithProfiler(p *prof.Profiler) SessionOption {
 	return func(c *sessionConfig) { c.profiler = p }
 }
@@ -256,7 +255,7 @@ func (ms *moduleState) translateAhead(p *tier2Plan, missing bool) error {
 	held := ms.held
 	gap := func(f *core.Function) bool {
 		if cf, ok := held[f.Name()]; ok {
-			return p.hot[cf.Name] && cf.profile != p.profile
+			return p.hot(cf.Name) && cf.profile != p.profile
 		}
 		return missing && !f.IsDeclaration()
 	}
@@ -373,8 +372,8 @@ type moduleState struct {
 	defined int
 
 	// callWeights orders speculation hottest-first when a persisted
-	// guest profile (Section 4.2) was loaded: function name -> inclusive
-	// sample count.
+	// guest profile (Section 4.2) was loaded: function name -> entries of
+	// its entry block, the calls the profile counted.
 	callWeights map[string]uint64
 
 	// plan governs this state's own translations: armed from the persisted
@@ -390,14 +389,13 @@ type moduleState struct {
 	flushed int // settled translations persisted by the last write-back
 }
 
-// tier2Plan is what a guest profile arms: the profile-guided translator,
-// the HotFuncs(tier2MinShare) set it is for, and the profile's content
-// stamp, which tags the records it produces so that a later profile can
-// tell them from its own. The zero plan marks nothing hot: tier 1, no tag.
+// tier2Plan is what a guest profile arms: the profile, the translator it
+// guides, and its content stamp, which tags the records that translator
+// produces so that a later profile can tell them from its own. The zero
+// plan has no profile and marks nothing hot: tier 1, no tag.
 type tier2Plan struct {
 	profile string
 	tr2     *codegen.Translator
-	hot     map[string]bool
 	// tally, when set, adds up what this plan's tier-2 translations did
 	// (guarded by tier2Mu). Idle time's plan is its own, so its tally is
 	// what that one call translated.
@@ -416,16 +414,17 @@ func (ms *moduleState) planTier2(art *prof.Artifact) (tier2Plan, error) {
 	if err != nil {
 		return tier2Plan{}, err
 	}
-	hot := make(map[string]bool)
-	for _, fs := range art.HotFuncs(tier2MinShare) {
-		hot[fs.Name] = true
-	}
-	return tier2Plan{profile: Stamp(enc), tr2: ms.tr.WithTier2(art), hot: hot}, nil
+	return tier2Plan{profile: Stamp(enc), tr2: ms.tr.WithTier2(art)}, nil
+}
+
+// hot reports whether p translates name at tier 2, by p.tr2's own rule.
+func (p *tier2Plan) hot(name string) bool {
+	return p.tr2 != nil && p.tr2.Tier2Takes(name)
 }
 
 // record is the cache record of nf, a translation made under p.
 func (p *tier2Plan) record(nf *codegen.NativeFunc) cachedFunc {
-	if p.hot[nf.Name] {
+	if p.hot(nf.Name) {
 		return cachedFunc{nf, p.profile}
 	}
 	return cachedFunc{nf, ""}
@@ -477,9 +476,11 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 		// a fresh module is always plain tier 1, and the profile a session
 		// stores pays off from the next System on.
 		if art, ok := ms.guestProfile(); ok {
-			ms.callWeights = make(map[string]uint64, len(art.Funcs))
-			for _, fs := range art.Funcs {
-				ms.callWeights[fs.Name] = fs.Incl
+			ms.callWeights = make(map[string]uint64)
+			for _, b := range art.Blocks {
+				if b.Block == 0 {
+					ms.callWeights[b.Func] = b.Count
+				}
 			}
 			if sys.tier2 {
 				if ms.plan, err = ms.planTier2(art); err != nil {
@@ -514,7 +515,7 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 // and translateAhead each call it once per function, so which code a name
 // gets is settled before its first translation and never revisited.
 func (ms *moduleState) translate(p *tier2Plan, f *core.Function) (*codegen.NativeFunc, error) {
-	if !p.hot[f.Name()] {
+	if !p.hot(f.Name()) {
 		return ms.tr.TranslateFunction(f)
 	}
 	tier2Mu.Lock()

@@ -42,7 +42,7 @@ func specOrder(reg *telemetry.Registry) string {
 // end: a guest profile sampled in one session and persisted through the
 // storage API is reloaded by a fresh System (one ProfileLoaded event)
 // without re-profiling, and orders speculative translation on the
-// online path by sample share.
+// online path by call count: each function's entry-block entries.
 func TestProfilePersistenceRoundTrip(t *testing.T) {
 	st := NewMemStorage()
 
@@ -81,7 +81,7 @@ func TestProfilePersistenceRoundTrip(t *testing.T) {
 
 	// Session 2: fresh manager, same storage. The run misses the native
 	// cache but reloads the persisted profile, so the JIT speculates on
-	// the sampled function first.
+	// the more often called function first.
 	m2, err := minic.Compile("spec.c", specProg)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -50,7 +51,7 @@ func seedGuestProfile(t *testing.T, st Storage, d *target.Desc) (string, uint64)
 }
 
 // hotFuncs decodes the persisted guest profile and reports which
-// functions clear the tier-2 hotness bar: the ones a WithTier2 System
+// functions it counted entries of: the ones a WithTier2 System
 // translates at tier 2, once each.
 func hotFuncs(t *testing.T, st Storage, module string, d *target.Desc) map[string]bool {
 	t.Helper()
@@ -63,8 +64,8 @@ func hotFuncs(t *testing.T, st Storage, module string, d *target.Desc) map[strin
 		t.Fatal(err)
 	}
 	hot := make(map[string]bool)
-	for _, fs := range art.HotFuncs(tier2MinShare) {
-		hot[fs.Name] = true
+	for _, b := range art.Blocks {
+		hot[b.Func] = true
 	}
 	if len(hot) == 0 {
 		t.Fatal("no hot functions in the seeded profile")
@@ -159,10 +160,10 @@ func startHot(t *testing.T, st Storage, ref string, tier2 bool, opts ...SessionO
 // output, fewer simulated cycles — and a third system finds their records
 // tagged with the profile's stamp and translates nothing. The code entry is
 // stamped by the module alone and a profile only tags records, so once the
-// profile has moved on (the third start was sampled) the fourth start pays
-// for the hot functions, translated once more ahead of the run, and nothing
-// else: the entry is not evicted, and every other function is installed
-// from it untranslated.
+// profile has moved on (another tier-1 run's entries were merged in) the
+// fourth start pays for the hot functions, translated once more ahead of
+// the run, and nothing else: the entry is not evicted, and every other
+// function is installed from it untranslated.
 func TestTier2WarmStartUsesOptimizedCode(t *testing.T) {
 	st := NewMemStorage()
 	ref, baseCycles := seedGuestProfile(t, st, target.VX86)
@@ -199,37 +200,78 @@ func TestTier2WarmStartUsesOptimizedCode(t *testing.T) {
 
 	// Third start: the hot functions' records carry this profile's stamp,
 	// so they decode from storage — no tier-2 translation at all — and
-	// execution is cycle-identical to the second start. It is sampled, so
-	// at its exit the stored profile is P1 plus its samples.
+	// execution is cycle-identical to the second start. It is profiled, and
+	// it stores what it counted; but every function it entered runs tier-2
+	// code, which counts no block entries, so the stored profile — and with
+	// it the tag a plan takes from it — stays exactly as it was.
+	profKey := "guestprof:hot.c:" + target.VX86.Name
+	storedProfile := func() ([]byte, string) {
+		t.Helper()
+		data, stamp, ok, err := st.Read(profKey)
+		if err != nil || !ok {
+			t.Fatalf("guest profile read: ok=%v err=%v", ok, err)
+		}
+		return data, stamp
+	}
+	before, _ := storedProfile()
 	reg, _, cycles := start("third start", WithProfiler(prof.NewProfiler(64)))
 	if all, tier2 := translated(reg); all+tier2 != 0 || cycles != optCycles {
 		t.Errorf("third start translated %d functions (%d at tier 2) and retired %d cycles, want 0 and %d (byte-identical code)",
 			all, tier2, cycles, optCycles)
 	}
+	if n := reg.CounterValue(MetricProfileStores); n != 1 {
+		t.Errorf("third start stored %d profiles, want 1", n)
+	}
+	data, stamp := storedProfile()
+	if !slices.Equal(data, before) || Stamp(data) != tag1 {
+		t.Errorf("a profiled run of tier-2 code changed the stored profile (tag %s, was %s)", Stamp(data), tag1)
+	}
 
-	p2 := hotFuncs(t, st, "hot.c", target.VX86)
+	// The profile moves on only through tier-1 code: a profiled tier-1 run
+	// elsewhere entered every block as often again, and its store merged
+	// that in.
+	p1art, err := prof.DecodeArtifact(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := prof.DecodeArtifact(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p1art.Merge(again); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = p1art.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Write(profKey, stamp, data); err != nil {
+		t.Fatal(err)
+	}
+
+	// Merged entries only add up, so the newer profile counted the same
+	// functions: the same hot set, under a new tag.
+	if p2 := hotFuncs(t, st, "hot.c", target.VX86); !maps.Equal(p2, p1) {
+		t.Fatalf("the merged profile's hot set is %v, want the first profile's %v", p2, p1)
+	}
 	reg, s, cycles = start("fourth start")
 	if s.ms.plan.profile == tag1 {
-		t.Fatal("the sampled run did not change the stored profile")
+		t.Fatal("the merged profile armed the plan of the one before it")
 	}
 	for _, name := range []string{MetricStampMismatches, MetricCacheEvictions, MetricCacheMisses} {
 		if got := reg.CounterValue(name); got != 0 {
 			t.Errorf("fourth start: %s = %d, want 0: a profile does not invalidate the entry", name, got)
 		}
 	}
-	if all, tier2 := translated(reg); all != uint64(len(p2)) || tier2 != all {
-		t.Errorf("fourth start translated %d functions, %d at tier 2, want the %d hot ones and nothing else", all, tier2, len(p2))
+	if all, tier2 := translated(reg); all != uint64(len(p1)) || tier2 != all {
+		t.Errorf("fourth start translated %d functions, %d at tier 2, want the %d hot ones and nothing else", all, tier2, len(p1))
 	}
 	if cycles >= baseCycles {
 		t.Errorf("fourth start is not cheaper than tier 1: %d vs %d cycles", cycles, baseCycles)
 	}
 	for name, cf := range s.ms.held {
 		want := ""
-		switch {
-		case p2[name]:
+		if p1[name] {
 			want = s.ms.plan.profile
-		case p1[name]:
-			want = tag1 // no longer hot: its record is just code, left as it was
 		}
 		if cf.profile != want {
 			t.Errorf("%s is tagged %q, want %q", name, cf.profile, want)
@@ -464,17 +506,17 @@ func TestPreloadArmsTier2(t *testing.T) {
 
 // TestStoreGuestProfileMerges: two processes profiling the same module
 // accumulate — the second StoreGuestProfile merges with the persisted
-// artifact instead of overwriting it.
+// artifact instead of overwriting it, whatever rate each sampled at.
 func TestStoreGuestProfileMerges(t *testing.T) {
 	st := NewMemStorage()
-	var want uint64
-	for i := 0; i < 2; i++ {
+	var first []prof.BlockCount
+	for i, rate := range []int{64, 251} {
 		m, err := minic.Compile("hot.c", hotProg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sys := NewSystem(WithStorage(st))
-		p := prof.NewProfiler(64)
+		p := prof.NewProfiler(rate)
 		s, err := sys.NewSession(m, target.VX86, &strings.Builder{}, WithProfiler(p))
 		if err != nil {
 			t.Fatal(err)
@@ -485,17 +527,25 @@ func TestStoreGuestProfileMerges(t *testing.T) {
 		if err := s.StoreGuestProfile(); err != nil {
 			t.Fatal(err)
 		}
-		if p.Total() == 0 {
-			t.Fatalf("process %d recorded no samples", i)
-		}
-		// The persisted artifact accumulates every process's samples.
-		want += p.Total()
 		a, ok, err := s.LoadGuestProfile()
 		if err != nil || !ok {
 			t.Fatalf("load after store %d: ok=%v err=%v", i, ok, err)
 		}
-		if a.Total != want {
-			t.Errorf("store %d: persisted total = %d, want %d (sum of both processes)", i, a.Total, want)
+		if i == 0 {
+			if first = a.Blocks; len(first) == 0 {
+				t.Fatal("the first process counted no block entries")
+			}
+		}
+		// Both processes run hotProg's tier-1 code, so each enters every
+		// block as often as the other: after process i the persisted entries
+		// are i+1 times the first process's.
+		want := slices.Clone(first)
+		for j := range want {
+			want[j].Count *= uint64(i + 1)
+		}
+		if !slices.Equal(a.Blocks, want) {
+			t.Errorf("store %d (rate %d): persisted entries\n%v\nwant %d times the first process's\n%v",
+				i, rate, a.Blocks, i+1, first)
 		}
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
@@ -602,7 +652,7 @@ func TestOlderTranslatorsCacheIsAMiss(t *testing.T) {
 }
 
 // TestTier2CodeAddsNoBlockCounts: a profiled session that runs tier-2 code
-// stores its samples, but the stored block entries of the functions it ran
+// stores its profile, but the stored block entries of the functions it ran
 // at tier 2 stay what tier 1 counted. Tier-2 bodies carry no block table:
 // their blocks are a transformed clone's, and counting them against the
 // module's blocks would be wrong heat for the next tier 2.
@@ -622,10 +672,10 @@ func TestTier2CodeAddsNoBlockCounts(t *testing.T) {
 		return a
 	}
 	before := stored()
-	_, s, _ := startHot(t, st, ref, true, WithProfiler(prof.NewProfiler(64)))
+	reg, s, _ := startHot(t, st, ref, true, WithProfiler(prof.NewProfiler(64)))
 	after := stored()
-	if after.Total <= before.Total {
-		t.Fatalf("the tier-2 session stored no samples: total %d, then %d", before.Total, after.Total)
+	if n := reg.CounterValue(MetricProfileStores); n != 1 {
+		t.Fatalf("the tier-2 session stored %d profiles, want 1", n)
 	}
 	ranAtTier2 := 0
 	for name, cf := range s.ms.held {

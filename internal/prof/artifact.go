@@ -6,15 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
-// The persisted profile artifact: a guest hotness profile in a stable,
-// versioned format the tier-2 optimizing translator can consume without
-// talking to a live Profiler. The on-disk layout is a magic+version
-// header line followed by indented JSON, so a cache entry is both
-// machine-checkable and readable with a pager.
+// The persisted profile artifact: a guest profile's exact block entries
+// in a stable, versioned format the tier-2 optimizing translator can
+// consume without talking to a live Profiler. The on-disk layout is a
+// magic+version header line followed by indented JSON, so a cache entry
+// is both machine-checkable and readable with a pager.
 
 // artifactMagic prefixes every serialized artifact; the version is part
 // of the header line so a decoder rejects future formats before parsing.
@@ -22,16 +21,10 @@ const artifactMagic = "llva-guest-profile"
 
 // ArtifactVersion is the current artifact format version. Bump it when
 // the JSON body changes incompatibly; decoders reject other versions.
-// Version 3's Blocks count entries per LLVA block; version 2's counted
-// them per machine block, by extent in the native code, and version 1's
-// were sample counts.
-const ArtifactVersion = 3
-
-// StackCount is one folded virtual stack and its sample count.
-type StackCount struct {
-	Stack string `json:"stack"` // "root;caller;leaf"
-	Count uint64 `json:"count"`
-}
+// Version 4 holds the exact block entries alone; version 3 also carried
+// the sampler's aggregate, version 2 counted entries per machine block,
+// by extent in the native code, and version 1's were sample counts.
+const ArtifactVersion = 4
 
 // BlockCount is one executed LLVA block and how many times it was
 // entered. Block indexes the owning function's blocks in the virtual
@@ -52,40 +45,28 @@ func compareBlocks(a, b BlockCount) int {
 	return cmp.Compare(a.Block, b.Block)
 }
 
-// Artifact is the serializable form of a guest profile.
+// Artifact is the serializable form of a guest profile: the exact
+// block entries of the functions that ran. The sampler's aggregate is
+// for observability (WriteFolded, WriteReport) and is not stored, so a
+// profile means the same whatever the sampling rate.
 type Artifact struct {
 	Version int    `json:"version"`
 	Module  string `json:"module"`
 	Target  string `json:"target"`
-	Rate    uint64 `json:"rate"` // retired virtual instructions per sample
-	Total   uint64 `json:"total_samples"`
-
-	Funcs  []FuncStat   `json:"funcs"`
-	Stacks []StackCount `json:"stacks"`
 	// Blocks are the exact block entry counts, sorted by compareBlocks.
 	Blocks []BlockCount `json:"blocks"`
 }
 
-// Artifact snapshots the profiler into the versioned exchange form.
-// Every slice is sorted, so identical profiles serialize byte-identically.
+// Artifact snapshots the profiler's block entries into the versioned
+// exchange form. Blocks is sorted, so identical profiles serialize
+// byte-identically.
 func (p *Profiler) Artifact(module, target string) *Artifact {
-	a := &Artifact{
-		Version: ArtifactVersion,
-		Module:  module,
-		Target:  target,
-		Rate:    p.rate,
-		Funcs:   p.Funcs(),
-	}
+	a := &Artifact{Version: ArtifactVersion, Module: module, Target: target}
 	p.mu.Lock()
-	a.Total = p.total
-	for k, v := range p.folded {
-		a.Stacks = append(a.Stacks, StackCount{Stack: k, Count: *v})
-	}
 	for k, n := range p.blocks {
 		a.Blocks = append(a.Blocks, BlockCount{Func: k.fn, Block: k.block, Count: n})
 	}
 	p.mu.Unlock()
-	sort.Slice(a.Stacks, func(i, j int) bool { return a.Stacks[i].Stack < a.Stacks[j].Stack })
 	slices.SortFunc(a.Blocks, compareBlocks)
 	return a
 }
@@ -130,13 +111,12 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	return &a, nil
 }
 
-// Merge folds b's counts into a: totals and per-function, per-stack
-// and per-block counts are summed, so profiles from repeated runs
-// accumulate instead of the last run winning. Both artifacts must be
-// the same version and describe the same module, target and sampling
-// rate — merging across those boundaries would mix incomparable
-// numbers, so it is rejected. All slices are re-sorted, preserving the
-// byte-identical-serialization property.
+// Merge folds b's block entries into a, summing the counts of a block
+// both saw, so profiles from repeated runs accumulate instead of the last
+// run winning. Both artifacts must be the same version and describe the
+// same module and target: merging across those boundaries would mix
+// incomparable numbers, so it is rejected. Blocks is re-sorted,
+// preserving the byte-identical-serialization property.
 func (a *Artifact) Merge(b *Artifact) error {
 	if b.Version != a.Version {
 		return fmt.Errorf("prof: cannot merge artifact version %d into %d", b.Version, a.Version)
@@ -145,46 +125,6 @@ func (a *Artifact) Merge(b *Artifact) error {
 		return fmt.Errorf("prof: cannot merge profile of %s/%s into %s/%s",
 			b.Module, b.Target, a.Module, a.Target)
 	}
-	if b.Rate != a.Rate {
-		return fmt.Errorf("prof: cannot merge profiles with different sampling rates (%d vs %d)",
-			b.Rate, a.Rate)
-	}
-	a.Total += b.Total
-
-	funcs := make(map[string]int, len(a.Funcs))
-	for i, s := range a.Funcs {
-		funcs[s.Name] = i
-	}
-	for _, s := range b.Funcs {
-		if i, ok := funcs[s.Name]; ok {
-			a.Funcs[i].Incl += s.Incl
-			a.Funcs[i].Excl += s.Excl
-		} else {
-			funcs[s.Name] = len(a.Funcs)
-			a.Funcs = append(a.Funcs, s)
-		}
-	}
-	sort.Slice(a.Funcs, func(i, j int) bool {
-		if a.Funcs[i].Excl != a.Funcs[j].Excl {
-			return a.Funcs[i].Excl > a.Funcs[j].Excl
-		}
-		return a.Funcs[i].Name < a.Funcs[j].Name
-	})
-
-	stacks := make(map[string]int, len(a.Stacks))
-	for i, s := range a.Stacks {
-		stacks[s.Stack] = i
-	}
-	for _, s := range b.Stacks {
-		if i, ok := stacks[s.Stack]; ok {
-			a.Stacks[i].Count += s.Count
-		} else {
-			stacks[s.Stack] = len(a.Stacks)
-			a.Stacks = append(a.Stacks, s)
-		}
-	}
-	sort.Slice(a.Stacks, func(i, j int) bool { return a.Stacks[i].Stack < a.Stacks[j].Stack })
-
 	blocks := make(map[blockKey]int, len(a.Blocks))
 	for i, bl := range a.Blocks {
 		blocks[blockKey{bl.Func, bl.Block}] = i
@@ -202,22 +142,6 @@ func (a *Artifact) Merge(b *Artifact) error {
 	return nil
 }
 
-// HotFuncs returns the functions carrying at least minShare of the
-// exclusive samples, hottest first — the tier-2 translator's candidate
-// list for superblock formation.
-func (a *Artifact) HotFuncs(minShare float64) []FuncStat {
-	var out []FuncStat
-	if a.Total == 0 {
-		return out
-	}
-	for _, s := range a.Funcs {
-		if float64(s.Excl)/float64(a.Total) >= minShare {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // BlockCounts returns fn's executed blocks, ascending by index: a
 // sub-slice of a.Blocks, empty when fn never ran.
 func (a *Artifact) BlockCounts(fn string) []BlockCount {
@@ -233,8 +157,6 @@ func (a *Artifact) BlockCounts(fn string) []BlockCount {
 
 // String summarizes the artifact for logs.
 func (a *Artifact) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "guest profile v%d: %s on %s, %d samples @1/%d instrs, %d funcs",
-		a.Version, a.Module, a.Target, a.Total, a.Rate, len(a.Funcs))
-	return b.String()
+	return fmt.Sprintf("guest profile v%d: %s on %s, %d blocks counted",
+		a.Version, a.Module, a.Target, len(a.Blocks))
 }

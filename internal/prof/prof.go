@@ -11,11 +11,12 @@
 //     a deterministic trigger derived from the instruction stream, not
 //     the wall clock — capturing the virtual call stack; aggregation
 //     yields per-function inclusive/exclusive hotness, exported as
-//     folded-stack text (flamegraph-ready). And while it is attached the
-//     machine counts every block entry exactly, handing the counts over
-//     at the end of each run. Both go into a versioned artifact the
-//     tier-2 translator consumes: the samples pick its functions, the
-//     block entries weigh their blocks.
+//     folded-stack text (flamegraph-ready) and a hot-function report,
+//     for people to read. And while it is attached the machine counts
+//     every block entry exactly, handing the counts over at the end of
+//     each run. Only those go into the versioned artifact the tier-2
+//     translator consumes: a function with entries is translated at
+//     tier 2, and the entries weigh its blocks.
 //
 //   - Tracer: begin/end span tracing of the Session lifecycle and the
 //     translation pipeline, exported as Chrome trace_event JSON that
@@ -46,12 +47,12 @@ const DefaultRate = 4096
 
 // FuncStat is one function's aggregated hotness.
 type FuncStat struct {
-	Name string `json:"name"`
+	Name string
 	// Incl counts samples with the function anywhere on the virtual
 	// stack (de-duplicated, so recursion does not double-count).
-	Incl uint64 `json:"incl"`
+	Incl uint64
 	// Excl counts samples whose leaf frame was in the function.
-	Excl uint64 `json:"excl"`
+	Excl uint64
 }
 
 // Profiler aggregates virtual-PC samples. It is safe for concurrent

@@ -99,7 +99,6 @@ func TestWriteFoldedDeterministic(t *testing.T) {
 func TestArtifactRoundTrip(t *testing.T) {
 	p := NewProfiler(64)
 	p.AddSample([]string{"main", "hot"})
-	p.AddSample([]string{"main", "hot"})
 	p.AddSample([]string{"main"})
 	p.AddBlockHits("hot", 2, 2)
 	p.AddBlockHits("main", 1, 1)
@@ -110,7 +109,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte("llva-guest-profile v3\n")) {
+	if !bytes.HasPrefix(data, []byte("llva-guest-profile v4\n")) {
 		t.Fatalf("artifact header missing: %q", data[:32])
 	}
 	back, err := DecodeArtifact(data)
@@ -120,16 +119,19 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(a, back) {
 		t.Fatalf("round trip mismatch:\nin:  %+v\nout: %+v", a, back)
 	}
-	// Encoding is byte-deterministic for the same sample population.
-	data2, err := p.Artifact("prog", "vx86").Encode()
+	// Encoding is byte-deterministic for the same block entries, and the
+	// samples are not part of it: a profiler at another rate that took
+	// none stores the same bytes.
+	q := NewProfiler(1 << 40)
+	q.AddBlockHits("hot", 2, 7)
+	q.AddBlockHits("main", 1, 1)
+	q.AddBlockHits("hot", 0, 1)
+	data2, err := q.Artifact("prog", "vx86").Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, data2) {
-		t.Fatal("artifact encoding is not deterministic")
-	}
-	if hot := back.HotFuncs(0.5); len(hot) != 1 || hot[0].Name != "hot" {
-		t.Errorf("HotFuncs(0.5) = %+v, want [hot]", hot)
+		t.Fatalf("artifact encoding depends on the samples or the insertion order:\n%s\nvs\n%s", data, data2)
 	}
 	want := []BlockCount{{"hot", 0, 1}, {"hot", 2, 7}}
 	if bc := back.BlockCounts("hot"); !reflect.DeepEqual(bc, want) {
@@ -148,15 +150,18 @@ func TestDecodeArtifactRejects(t *testing.T) {
 	cases := map[string][]byte{
 		"no header":     []byte("no newline here"),
 		"wrong magic":   []byte("some-other-format v1\n{}"),
-		"wrong version": bytes.Replace(good, []byte(" v3\n"), []byte(" v9\n"), 1),
-		// Version 1 held sample counts where version 3 holds entries, and
-		// version 2 counted them by native-code extent, not LLVA block.
+		"wrong version": bytes.Replace(good, []byte(" v4\n"), []byte(" v9\n"), 1),
+		// Version 1 held sample counts where version 4 holds entries,
+		// version 2 counted them by native-code extent, not LLVA block,
+		// and version 3 carried the sampler's aggregate too.
 		"version 1": []byte("llva-guest-profile v1\n{\"version\": 1}"),
 		"version 2": []byte(`llva-guest-profile v2
 {"version": 2, "blocks": [{"func": "f", "off": 0, "end": 8, "count": 1}]}`),
-		"corrupt body": []byte("llva-guest-profile v3\n{not json"),
-		"blocks out of order": []byte(`llva-guest-profile v3
-{"version": 3, "blocks": [{"func": "f", "block": 1, "count": 1}, {"func": "f", "block": 0, "count": 1}]}`),
+		"version 3": []byte(`llva-guest-profile v3
+{"version": 3, "rate": 25, "total_samples": 1, "blocks": [{"func": "f", "block": 0, "count": 1}]}`),
+		"corrupt body": []byte("llva-guest-profile v4\n{not json"),
+		"blocks out of order": []byte(`llva-guest-profile v4
+{"version": 4, "blocks": [{"func": "f", "block": 1, "count": 1}, {"func": "f", "block": 0, "count": 1}]}`),
 	}
 	for name, data := range cases {
 		if _, err := DecodeArtifact(data); err == nil {
@@ -263,13 +268,13 @@ func TestCrashReportRender(t *testing.T) {
 }
 
 func TestArtifactMerge(t *testing.T) {
+	// The two runs sampled at different rates: block entries are exact, so
+	// their profiles add up all the same.
 	p1 := NewProfiler(64)
 	p1.AddSample([]string{"main", "hot"})
-	p1.AddSample([]string{"main"})
 	p1.AddBlockHits("hot", 2, 3)
 	p1.AddBlockHits("main", 0, 1)
-	p2 := NewProfiler(64)
-	p2.AddSample([]string{"main", "hot"})
+	p2 := NewProfiler(128)
 	p2.AddSample([]string{"main", "cold"})
 	p2.AddBlockHits("hot", 2, 4)
 	p2.AddBlockHits("cold", 1, 1)
@@ -278,29 +283,12 @@ func TestArtifactMerge(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	if a.Total != 4 {
-		t.Errorf("merged Total = %d, want 4", a.Total)
-	}
-	stats := map[string]FuncStat{}
-	for _, s := range a.Funcs {
-		stats[s.Name] = s
-	}
-	if s := stats["hot"]; s.Incl != 2 || s.Excl != 2 {
-		t.Errorf("hot: incl=%d excl=%d, want 2/2", s.Incl, s.Excl)
-	}
-	if s := stats["main"]; s.Incl != 4 || s.Excl != 1 {
-		t.Errorf("main: incl=%d excl=%d, want 4/1", s.Incl, s.Excl)
-	}
 	if bc := a.BlockCounts("hot"); !reflect.DeepEqual(bc, []BlockCount{{"hot", 2, 7}}) {
 		t.Errorf("merged BlockCounts(hot) = %v, want 7 entries of block 2", bc)
 	}
 	// The merged artifact equals the one a single profiler over both
 	// profiles would produce: byte-identical encoding.
 	p3 := NewProfiler(64)
-	p3.AddSample([]string{"main", "hot"})
-	p3.AddSample([]string{"main"})
-	p3.AddSample([]string{"main", "hot"})
-	p3.AddSample([]string{"main", "cold"})
 	p3.AddBlockHits("cold", 1, 1)
 	p3.AddBlockHits("hot", 2, 7)
 	p3.AddBlockHits("main", 0, 1)
@@ -317,10 +305,9 @@ func TestArtifactMerge(t *testing.T) {
 	}
 	// Incompatible artifacts are rejected, left half untouched.
 	for name, bad := range map[string]*Artifact{
-		"module":  {Version: ArtifactVersion, Module: "other", Target: "vx86", Rate: 64},
-		"target":  {Version: ArtifactVersion, Module: "prog", Target: "vsparc", Rate: 64},
-		"rate":    {Version: ArtifactVersion, Module: "prog", Target: "vx86", Rate: 128},
-		"version": {Version: ArtifactVersion + 1, Module: "prog", Target: "vx86", Rate: 64},
+		"module":  {Version: ArtifactVersion, Module: "other", Target: "vx86"},
+		"target":  {Version: ArtifactVersion, Module: "prog", Target: "vsparc"},
+		"version": {Version: ArtifactVersion + 1, Module: "prog", Target: "vx86"},
 	} {
 		if err := a.Merge(bad); err == nil {
 			t.Errorf("%s mismatch: Merge succeeded, want error", name)

@@ -128,10 +128,10 @@ int main() { print_int(fib(20)); print_nl(); return 0; }
 		t.Errorf("offline-translated run: out=%q stats=%s", out3, err3)
 	}
 
-	// 7. idle-time PGO (Section 4.2): a sampled run stores the guest
-	// profile, idle time retranslates its hot functions at tier 2, and a
-	// -tier2 start finds all of it in the one code entry and translates
-	// nothing
+	// 7. idle-time PGO (Section 4.2): a profiled run stores the guest
+	// profile, idle time retranslates every function it counted at tier 2,
+	// and a -tier2 start finds all of it in the one code entry and
+	// translates nothing
 	cache3 := filepath.Join(work, "cache3")
 	events := filepath.Join(work, "tier2.jsonl")
 	runTool(t, bins["llva-run"], "-target", "vx86", "-cache", cache3, "-prof-store", bc2)
