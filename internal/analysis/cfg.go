@@ -15,11 +15,12 @@ import (
 type CFG struct {
 	F      *core.Function
 	Blocks []*core.BasicBlock
-	Index  map[*core.BasicBlock]int
 	Succs  [][]int
 	Preds  [][]int
 	// Reachable[i] reports whether block i is reachable from entry.
 	Reachable []bool
+
+	index core.BlockIndex
 }
 
 // NewCFG builds the CFG of f. Succs and Preds share one array.
@@ -28,13 +29,10 @@ func NewCFG(f *core.Function) *CFG {
 	c := &CFG{
 		F:         f,
 		Blocks:    f.Blocks,
-		Index:     make(map[*core.BasicBlock]int, n),
 		Reachable: make([]bool, n),
+		index:     core.NewBlockIndex(f),
 	}
-	for i, bb := range f.Blocks {
-		c.Index[bb] = i
-	}
-	c.Succs, c.Preds = core.CFGEdges(f.Blocks, c.Index)
+	c.Succs, c.Preds = core.CFGEdges(&c.index)
 	// DFS reachability from entry.
 	var stack []int
 	if n > 0 {
@@ -53,6 +51,10 @@ func NewCFG(f *core.Function) *CFG {
 	}
 	return c
 }
+
+// Index returns bb's index in Blocks, or -1 when bb is not one of them
+// (it was added to the function after the CFG was built).
+func (c *CFG) Index(bb *core.BasicBlock) int { return c.index.Of(bb) }
 
 // PostOrder returns the blocks of the CFG in post-order (reachable blocks
 // only).
@@ -97,7 +99,21 @@ func NewDomTreeCFG(c *CFG) *DomTree {
 	d := core.ComputeDominance(c.Succs, c.Preds)
 	dt := &DomTree{CFG: c, IDom: d.IDom, dom: d}
 	n := len(c.Blocks)
+	// Every block but the entry and the unreachable ones is one child:
+	// count them, then carve the lists from one array.
 	dt.Children = make([][]int, n)
+	nKids := make([]int, n)
+	total := 0
+	for b := 1; b < n; b++ {
+		if p := dt.IDom[b]; p >= 0 {
+			nKids[p]++
+			total++
+		}
+	}
+	slab := make([]int, total)
+	for p, k := range nKids {
+		dt.Children[p], slab = slab[:0:k], slab[k:]
+	}
 	for b := 1; b < n; b++ {
 		if p := dt.IDom[b]; p >= 0 {
 			dt.Children[p] = append(dt.Children[p], b)
@@ -112,7 +128,7 @@ func (dt *DomTree) Dominates(a, b int) bool { return dt.dom.Dominates(a, b) }
 
 // DominatesBlock is Dominates on *BasicBlock values.
 func (dt *DomTree) DominatesBlock(a, b *core.BasicBlock) bool {
-	return dt.Dominates(dt.CFG.Index[a], dt.CFG.Index[b])
+	return dt.Dominates(dt.CFG.Index(a), dt.CFG.Index(b))
 }
 
 // Frontiers computes the dominance frontier of every block (Cytron et

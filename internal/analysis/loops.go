@@ -44,7 +44,7 @@ func NewLoopInfo(dt *DomTree) *LoopInfo {
 	li := &LoopInfo{CFG: c, LoopOf: make([]*Loop, n)}
 
 	// Find back edges: s -> h where h dominates s.
-	headerLoops := make(map[int]*Loop)
+	headerLoop := make([]*Loop, n)
 	for s := 0; s < n; s++ {
 		if !c.Reachable[s] {
 			continue
@@ -53,10 +53,10 @@ func NewLoopInfo(dt *DomTree) *LoopInfo {
 			if !dt.Dominates(h, s) {
 				continue
 			}
-			l := headerLoops[h]
+			l := headerLoop[h]
 			if l == nil {
 				l = &Loop{Header: h}
-				headerLoops[h] = l
+				headerLoop[h] = l
 				li.Loops = append(li.Loops, l)
 			}
 			l.Latches = append(l.Latches, s)
@@ -64,14 +64,18 @@ func NewLoopInfo(dt *DomTree) *LoopInfo {
 	}
 
 	// Collect loop bodies: backwards reachability from each latch,
-	// stopping at the header.
+	// stopping at the header. One membership array and one stack serve
+	// every loop.
+	in := make([]bool, n)
+	var stack []int
 	for _, l := range li.Loops {
-		in := make([]bool, n)
+		clear(in)
 		in[l.Header] = true
-		var stack []int
+		size := 1
 		for _, latch := range l.Latches {
 			if !in[latch] {
 				in[latch] = true
+				size++
 				stack = append(stack, latch)
 			}
 		}
@@ -81,10 +85,12 @@ func NewLoopInfo(dt *DomTree) *LoopInfo {
 			for _, p := range c.Preds[b] {
 				if c.Reachable[p] && !in[p] {
 					in[p] = true
+					size++
 					stack = append(stack, p)
 				}
 			}
 		}
+		l.Blocks = make([]int, 0, size)
 		for b, member := range in {
 			if member {
 				l.Blocks = append(l.Blocks, b)
@@ -155,7 +161,7 @@ func NewCallGraph(m *core.Module) *CallGraph {
 	// Address-taken: any use of a function that is not the callee operand
 	// of a call/invoke, plus global initializers.
 	for _, f := range m.Functions {
-		for _, u := range f.Uses() {
+		for _, u := range f.UseList() {
 			if (u.User.Op() == core.OpCall || u.User.Op() == core.OpInvoke) && u.Index == 0 {
 				continue
 			}

@@ -268,12 +268,12 @@ func (t *Translator) TranslateFunction(f *core.Function) (nf *NativeFunc, err er
 // feeds per-block heat to the allocator for interval weights, which
 // makes it evict by heat; without one, the code is tier 1's and carries
 // its block table.
-func (t *Translator) lower(f *core.Function, perm []int, hm map[*core.BasicBlock]uint64) *NativeFunc {
+func (t *Translator) lower(f *core.Function, perm []int, hm heat) *NativeFunc {
 	sel := newSelector(t, f)
 	if hm != nil {
 		sel.blockHeat = make([]uint64, len(f.Blocks))
 		for i, bb := range f.Blocks {
-			sel.blockHeat[i] = hm[bb]
+			sel.blockHeat[i] = hm.of(bb)
 		}
 	}
 	sel.run()
@@ -386,9 +386,9 @@ func layout(s *selector) ([]byte, []target.Reloc) {
 	offs := make([]int, len(s.code)+1)
 	nRelocs := 0
 	var probe []byte
+	var rl []target.Reloc
 	for i := range s.code {
-		var rl []target.Reloc
-		probe, rl = d.Encode(&s.code[i], probe[:0])
+		probe, rl = d.AppendEncoding(probe[:0], rl[:0], &s.code[i])
 		offs[i+1] = offs[i] + len(probe)
 		nRelocs += len(rl)
 	}
@@ -408,12 +408,7 @@ func layout(s *selector) ([]byte, []target.Reloc) {
 			in.Target = int32(delta / d.RelBranchScale)
 		}
 		start := len(code)
-		var rl []target.Reloc
-		code, rl = d.Encode(&in, code)
-		for _, r := range rl {
-			r.Offset += uint32(start)
-			relocs = append(relocs, r)
-		}
+		code, relocs = d.AppendEncoding(code, relocs, &in)
 		if len(code)-start != offs[i+1]-offs[i] {
 			panic(fmt.Sprintf("layout: instruction %d changed size during encoding", i))
 		}

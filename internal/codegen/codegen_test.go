@@ -2,7 +2,9 @@ package codegen_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"llva/internal/asm"
@@ -14,6 +16,7 @@ import (
 	"llva/internal/minic"
 	"llva/internal/rt"
 	"llva/internal/target"
+	"llva/internal/workloads"
 )
 
 func compileC(t *testing.T, src string) *core.Module {
@@ -341,4 +344,54 @@ other:
 		t.Fatal(err)
 	}
 	assertAgree(t, runBoth(t, m, "all", 41, 17))
+}
+
+// TestConcurrentTier1Translation translates one sealed module at tier 1
+// for both targets from four goroutines at once, as llee's concurrent
+// tier 1 and llva-serve's loads do, and holds every result to a lone
+// translation's bytes. Translation reads the module's block and
+// instruction numbers and writes none, so under -race (make race-short)
+// this also shows it shares nothing it writes.
+func TestConcurrentTier1Translation(t *testing.T) {
+	i := slices.IndexFunc(workloads.All(), func(w *workloads.Workload) bool { return w.Name == "bc" })
+	w := workloads.All()[i]
+	m, err := w.CompileOptimized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(d *target.Desc) string {
+		tr, err := codegen.New(d, m)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		o, err := tr.TranslateModule()
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		var b strings.Builder
+		for _, f := range o.Funcs {
+			fmt.Fprintf(&b, "%s %x %v %x\n", f.Name, f.Code, f.Relocs, []byte(f.Blocks))
+		}
+		return b.String()
+	}
+	descs := []*target.Desc{target.VX86, target.VSPARC}
+	want := make([]string, len(descs))
+	for i, d := range descs {
+		want[i] = encode(d)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		for i, d := range descs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := encode(d); got != want[i] {
+					t.Errorf("%s on %s: a concurrent translation differs from a lone one", w.Name, d.Name)
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"llva/internal/core"
 	"llva/internal/target"
@@ -19,19 +20,16 @@ type selector struct {
 
 	code       []target.MInstr
 	blocks     []*core.BasicBlock
-	blockIdx   map[*core.BasicBlock]int
-	blockStart []int // block index -> first instruction index (epilogue last)
+	blockIdx   []int32 // block number -> block index
+	blockStart []int   // block index -> first instruction index (epilogue last)
 
-	vreg  map[core.Value]target.Reg
-	vFP   []bool // virtual register class, indexed by vreg - VRegBase
-	nextV target.Reg
-
-	phiCarrier map[*core.Instruction]target.Reg
-	fusedCmp   map[*core.Instruction]bool
+	vals    []valInfo    // by instruction number
+	argRegs []target.Reg // by parameter index
+	vFP     []bool       // virtual register class, indexed by vreg - VRegBase
+	nextV   target.Reg
 
 	// frame state
-	allocaOff    map[*core.Instruction]int32 // positive offset below FP
-	saveArea     int32                       // reserved register-save area below FP
+	saveArea     int32 // reserved register-save area below FP
 	allocaBytes  int32
 	spillBytes   int32 // set by the register allocator
 	savedRegs    []target.Reg
@@ -59,18 +57,24 @@ type selector struct {
 	blockOff BlockTable
 }
 
+// valInfo is what selection knows of one instruction of the function.
+type valInfo struct {
+	reg     target.Reg // the result's virtual register, or 0
+	carrier target.Reg // a phi's carrier register, written by predecessors
+	// allocaOff is a fixed-size alloca's positive offset below FP, or 0:
+	// the frame's register-save area is never empty, so no alloca
+	// starts at FP.
+	allocaOff int32
+	fused     bool // a comparison folded into its block's branch (vx86)
+}
+
 func newSelector(t *Translator, f *core.Function) *selector {
 	s := &selector{
-		t:          t,
-		desc:       t.desc,
-		f:          f,
-		lay:        t.lay,
-		blockIdx:   make(map[*core.BasicBlock]int),
-		vreg:       make(map[core.Value]target.Reg),
-		nextV:      target.VRegBase,
-		phiCarrier: make(map[*core.Instruction]target.Reg),
-		fusedCmp:   make(map[*core.Instruction]bool),
-		allocaOff:  make(map[*core.Instruction]int32),
+		t:     t,
+		desc:  t.desc,
+		f:     f,
+		lay:   t.lay,
+		nextV: target.VRegBase,
 	}
 	if !t.desc.StackArgs {
 		// vsparc: fixed register-save area at the top of the frame:
@@ -123,24 +127,37 @@ func (s *selector) sizeOf(t *core.Type) uint8 {
 	return uint8(s.lay.Size(t))
 }
 
+// block returns the index of bb, a block of the function.
+func (s *selector) block(bb *core.BasicBlock) int32 { return s.blockIdx[bb.Num()] }
+
+// reg returns the virtual register of an instruction's result.
+func (s *selector) reg(in *core.Instruction) target.Reg { return s.vals[in.Num()].reg }
+
 func (s *selector) run() {
 	f := s.f
 	s.blocks = f.Blocks
+	s.blockIdx = make([]int32, f.BlockSlots())
 	for i, bb := range f.Blocks {
-		s.blockIdx[bb] = i
+		s.blockIdx[bb.Num()] = int32(i)
 	}
+	s.vals = make([]valInfo, f.InstrSlots())
+	// About two virtual registers per instruction: results, phi
+	// carriers and materialized constants.
+	s.vFP = make([]bool, 0, 2*f.InstrSlots()+len(f.Params))
 	// Pre-assign virtual registers to every parameter and result-bearing
 	// instruction, so cross-block uses resolve regardless of layout order.
-	for _, p := range f.Params {
-		s.vreg[p] = s.newVReg(isFPType(p.Type()))
+	s.argRegs = make([]target.Reg, len(f.Params))
+	for i, p := range f.Params {
+		s.argRegs[i] = s.newVReg(isFPType(p.Type()))
 	}
 	for _, bb := range f.Blocks {
 		for _, in := range bb.Instructions() {
+			v := &s.vals[in.Num()]
 			if in.HasResult() {
-				s.vreg[in] = s.newVReg(isFPType(in.Type()))
+				v.reg = s.newVReg(isFPType(in.Type()))
 			}
 			if in.Op() == core.OpPhi {
-				s.phiCarrier[in] = s.newVReg(isFPType(in.Type()))
+				v.carrier = s.newVReg(isFPType(in.Type()))
 			}
 			if in.Op() == core.OpCall || in.Op() == core.OpInvoke {
 				s.hasCalls = true
@@ -160,7 +177,7 @@ func (s *selector) run() {
 				if s.allocaBytes%8 != 0 {
 					s.allocaBytes = (s.allocaBytes + 7) &^ 7
 				}
-				s.allocaOff[in] = s.saveArea + s.allocaBytes
+				s.vals[in.Num()].allocaOff = s.saveArea + s.allocaBytes
 			}
 		}
 	}
@@ -173,7 +190,7 @@ func (s *selector) run() {
 			}
 			cmp, ok := term.Operand(0).(*core.Instruction)
 			if ok && cmp.Op().IsComparison() && cmp.Parent() == bb && cmp.NumUses() == 1 {
-				s.fusedCmp[cmp] = true
+				s.vals[cmp.Num()].fused = true
 			}
 		}
 	}
@@ -190,8 +207,9 @@ func (s *selector) run() {
 		}
 		// Phi headers: copy carriers into phi registers.
 		for _, phi := range bb.Phis() {
-			s.emit(target.MInstr{Op: target.MMovRR, Rd: s.vreg[phi],
-				Rs1: s.phiCarrier[phi], FP: isFPType(phi.Type())})
+			v := s.vals[phi.Num()]
+			s.emit(target.MInstr{Op: target.MMovRR, Rd: v.reg,
+				Rs1: v.carrier, FP: isFPType(phi.Type())})
 		}
 		for _, in := range bb.Instructions() {
 			s.selectInstr(bb, in)
@@ -206,31 +224,31 @@ func (s *selector) emitParamMoves() {
 	if d.StackArgs {
 		// vx86: args at [FP + 16 + 8i] (saved FP and return address below).
 		for i, p := range s.f.Params {
-			s.emit(target.MInstr{Op: target.MLoad, Rd: s.vreg[p], Base: d.FP,
+			s.emit(target.MInstr{Op: target.MLoad, Rd: s.argRegs[i], Base: d.FP,
 				Index: target.NoReg, Disp: int32(16 + 8*i), Size: 8,
 				FP: isFPType(p.Type())})
 		}
 		return
 	}
 	intIdx, fpIdx, stackIdx := 0, 0, 0
-	for _, p := range s.f.Params {
+	for i, p := range s.f.Params {
 		if isFPType(p.Type()) {
 			if fpIdx < len(d.FPArgRegs) {
-				s.emit(target.MInstr{Op: target.MMovRR, Rd: s.vreg[p],
+				s.emit(target.MInstr{Op: target.MMovRR, Rd: s.argRegs[i],
 					Rs1: d.FPArgRegs[fpIdx], FP: true})
 				fpIdx++
 				continue
 			}
 		} else {
 			if intIdx < len(d.ArgRegs) {
-				s.emit(target.MInstr{Op: target.MMovRR, Rd: s.vreg[p],
+				s.emit(target.MInstr{Op: target.MMovRR, Rd: s.argRegs[i],
 					Rs1: d.ArgRegs[intIdx]})
 				intIdx++
 				continue
 			}
 		}
 		// overflow argument on the stack at [FP + 8k]
-		s.emitFrameAccess(target.MLoad, s.vreg[p], d.FP, int32(8*stackIdx),
+		s.emitFrameAccess(target.MLoad, s.argRegs[i], d.FP, int32(8*stackIdx),
 			8, false, isFPType(p.Type()))
 		stackIdx++
 	}
@@ -302,12 +320,16 @@ func canonConst(c *core.Constant) int64 {
 // constants and symbol addresses as needed.
 func (s *selector) val(v core.Value) target.Reg {
 	switch x := v.(type) {
-	case *core.Argument, *core.Instruction:
-		r, ok := s.vreg[v]
-		if !ok {
+	case *core.Argument:
+		if x.Parent() != s.f {
 			panic(fmt.Sprintf("codegen: no register for %s", v.Ident()))
 		}
-		return r
+		return s.argRegs[x.Index()]
+	case *core.Instruction:
+		if p := x.Parent(); p == nil || p.Parent() != s.f || s.reg(x) == 0 {
+			panic(fmt.Sprintf("codegen: no register for %s", v.Ident()))
+		}
+		return s.reg(x)
 	case *core.Constant:
 		if x.CK == core.ConstGlobal {
 			r := s.newVReg(false)
@@ -350,7 +372,7 @@ func (s *selector) selectInstr(bb *core.BasicBlock, in *core.Instruction) {
 	case op == core.OpShl || op == core.OpShr:
 		s.selBinary(in)
 	case op.IsComparison():
-		if s.fusedCmp[in] {
+		if s.vals[in.Num()].fused {
 			return // folded into the branch
 		}
 		s.selCompare(in)
@@ -395,7 +417,7 @@ func (s *selector) emitPhiMoves(bb, succ *core.BasicBlock) {
 	for _, phi := range succ.Phis() {
 		v := phi.PhiIncomingFor(bb)
 		src := s.val(v)
-		s.emit(target.MInstr{Op: target.MMovRR, Rd: s.phiCarrier[phi],
+		s.emit(target.MInstr{Op: target.MMovRR, Rd: s.vals[phi.Num()].carrier,
 			Rs1: src, FP: isFPType(phi.Type())})
 	}
 }
@@ -444,7 +466,7 @@ func (s *selector) immOperand(v core.Value) (int64, bool) {
 func (s *selector) selBinary(in *core.Instruction) {
 	t := in.Type()
 	fp := isFPType(t)
-	rd := s.vreg[in]
+	rd := s.reg(in)
 	x := s.val(in.Operand(0))
 	alu := aluOpFor(in.Op())
 	size := s.sizeOf(t)
@@ -498,7 +520,7 @@ func (s *selector) emitCmp(cmp *core.Instruction) {
 }
 
 func (s *selector) selCompare(in *core.Instruction) {
-	rd := s.vreg[in]
+	rd := s.reg(in)
 	if s.desc.HasFlags {
 		s.emitCmp(in)
 		s.emit(target.MInstr{Op: target.MSetCC, Cnd: condFor(in.Op()), Rd: rd})
@@ -526,7 +548,7 @@ func (s *selector) selRet(in *core.Instruction) {
 func (s *selector) selBr(bb *core.BasicBlock, in *core.Instruction) {
 	if in.NumBlocks() == 1 {
 		s.emitPhiMoves(bb, in.Block(0))
-		s.emit(target.MInstr{Op: target.MJmp, Target: int32(s.blockIdx[in.Block(0)])})
+		s.emit(target.MInstr{Op: target.MJmp, Target: s.block(in.Block(0))})
 		return
 	}
 	// Phi moves for both targets happen before the branch; carriers are
@@ -538,11 +560,11 @@ func (s *selector) selBr(bb *core.BasicBlock, in *core.Instruction) {
 	if in.Block(1) != in.Block(0) {
 		s.emitPhiMoves(bb, in.Block(1))
 	}
-	tTrue := int32(s.blockIdx[in.Block(0)])
-	tFalse := int32(s.blockIdx[in.Block(1)])
+	tTrue := s.block(in.Block(0))
+	tFalse := s.block(in.Block(1))
 	cond := in.Operand(0)
 
-	if ci, ok := cond.(*core.Instruction); ok && s.fusedCmp[ci] {
+	if ci, ok := cond.(*core.Instruction); ok && s.vals[ci.Num()].fused {
 		// compare-and-branch fusion (vx86)
 		s.emitCmp(ci)
 		s.emit(target.MInstr{Op: target.MJcc, Cnd: condFor(ci.Op()), Target: tTrue})
@@ -561,16 +583,15 @@ func (s *selector) selBr(bb *core.BasicBlock, in *core.Instruction) {
 
 func (s *selector) selMbr(bb *core.BasicBlock, in *core.Instruction) {
 	// Phi moves for every distinct successor.
-	seen := map[*core.BasicBlock]bool{}
-	for _, succ := range in.Blocks() {
-		if !seen[succ] {
-			seen[succ] = true
+	succs := in.Blocks()
+	for i, succ := range succs {
+		if !slices.Contains(succs[:i], succ) {
 			s.emitPhiMoves(bb, succ)
 		}
 	}
 	v := s.val(in.Operand(0))
 	for i, cv := range in.Cases {
-		tgt := int32(s.blockIdx[in.Block(i+1)])
+		tgt := s.block(in.Block(i + 1))
 		if s.desc.HasFlags {
 			s.emit(target.MInstr{Op: target.MCmp, Rs1: v, Rs2: target.NoReg,
 				HasImm: true, Imm: cv, Signed: true})
@@ -584,5 +605,5 @@ func (s *selector) selMbr(bb *core.BasicBlock, in *core.Instruction) {
 			s.emit(target.MInstr{Op: target.MJcc, Cnd: target.CondNE, Rs1: tr, Target: tgt})
 		}
 	}
-	s.emit(target.MInstr{Op: target.MJmp, Target: int32(s.blockIdx[in.Block(0)])})
+	s.emit(target.MInstr{Op: target.MJmp, Target: s.block(in.Block(0))})
 }

@@ -151,10 +151,10 @@ func (s *selector) moveResult(in *core.Instruction) {
 		return
 	}
 	if isFPType(in.Type()) {
-		s.emit(target.MInstr{Op: target.MMovRR, Rd: s.vreg[in],
+		s.emit(target.MInstr{Op: target.MMovRR, Rd: s.reg(in),
 			Rs1: s.desc.FPRetReg, FP: true})
 	} else {
-		s.emit(target.MInstr{Op: target.MMovRR, Rd: s.vreg[in], Rs1: s.desc.RetReg})
+		s.emit(target.MInstr{Op: target.MMovRR, Rd: s.reg(in), Rs1: s.desc.RetReg})
 	}
 }
 
@@ -167,9 +167,9 @@ func (s *selector) selInvoke(bb *core.BasicBlock, in *core.Instruction) {
 	// possibly run, i.e. before the call; their values cannot depend on
 	// the invoke's own result (SSA dominance forbids it on that path).
 	s.emitPhiMoves(bb, unwind)
-	pre := []target.MInstr{{Op: target.MInvokePush, Target: int32(s.blockIdx[unwind])}}
+	pre := []target.MInstr{{Op: target.MInvokePush, Target: s.block(unwind)}}
 	post := []target.MInstr{{Op: target.MInvokePop}}
 	s.selCall(bb, in, pre, post)
 	s.emitPhiMoves(bb, normal)
-	s.emit(target.MInstr{Op: target.MJmp, Target: int32(s.blockIdx[normal])})
+	s.emit(target.MInstr{Op: target.MJmp, Target: s.block(normal)})
 }

@@ -32,7 +32,7 @@ func (s *selector) gepFoldable(in *core.Instruction) bool {
 			return false
 		}
 	}
-	for _, u := range in.Uses() {
+	for _, u := range in.UseList() {
 		switch u.User.Op() {
 		case core.OpLoad:
 		case core.OpStore:
@@ -149,7 +149,7 @@ func (s *selector) addr(ptr core.Value) memOperand {
 	}
 	// General: compute the address, use it directly.
 	s.computeGEP(in)
-	return memOperand{base: s.vreg[in], index: target.NoReg}
+	return memOperand{base: s.reg(in), index: target.NoReg}
 }
 
 func (s *selector) fitsDisp(off int64) bool {
@@ -182,13 +182,13 @@ func (s *selector) computeGEP(in *core.Instruction) {
 	// One addressing mode: one lea rd, [base + idx*scale + off] (vx86).
 	if m, idx, ok := s.gepMode(in); ok && (m.sym != "" || idx != nil || m.disp != 0) {
 		m = s.gepOperand(in, m, idx)
-		s.emit(target.MInstr{Op: target.MLea, Rd: s.vreg[in], Base: m.base,
+		s.emit(target.MInstr{Op: target.MLea, Rd: s.reg(in), Base: m.base,
 			Index: m.index, Scale: m.scale, Disp: m.disp, Sym: m.sym, HasMem: true})
 		return
 	}
 	cur := s.val(in.Operand(0))
 	curType := in.Operand(0).Type().Elem()
-	rd := s.vreg[in]
+	rd := s.reg(in)
 
 	for i, idxOp := range in.Operands()[1:] {
 		var elem *core.Type
@@ -252,7 +252,7 @@ func (s *selector) computeGEP(in *core.Instruction) {
 func (s *selector) selLoad(in *core.Instruction) {
 	t := in.Type()
 	m := s.addr(in.Operand(0))
-	s.emit(target.MInstr{Op: target.MLoad, Rd: s.vreg[in], Base: m.base,
+	s.emit(target.MInstr{Op: target.MLoad, Rd: s.reg(in), Base: m.base,
 		Index: m.index, Scale: m.scale, Disp: m.disp, Sym: m.sym, Size: s.sizeOf(t),
 		Signed: t.IsSigned(), FP: isFPType(t), NoTrap: !in.ExceptionsEnabled})
 }
@@ -269,8 +269,8 @@ func (s *selector) selStore(in *core.Instruction) {
 // selAlloca produces the address of a frame-preallocated alloca, or
 // adjusts SP for dynamically-sized ones.
 func (s *selector) selAlloca(in *core.Instruction) {
-	rd := s.vreg[in]
-	if off, fixed := s.allocaOff[in]; fixed {
+	rd := s.reg(in)
+	if off := s.vals[in.Num()].allocaOff; off != 0 {
 		// address = FP - off
 		if s.desc.MemOperands {
 			s.emit(target.MInstr{Op: target.MLea, Rd: rd, Base: s.desc.FP,
@@ -307,7 +307,7 @@ func (s *selector) selCast(in *core.Instruction) {
 	from := in.Operand(0).Type()
 	to := in.Type()
 	src := s.val(in.Operand(0))
-	rd := s.vreg[in]
+	rd := s.reg(in)
 	switch {
 	case from == to, !from.IsFloat() && !to.IsFloat() && s.sizeOf(to) == 8:
 		// Identity casts — to the same type, or any integer, bool or

@@ -46,10 +46,6 @@ const (
 // tier 2, while tier-2 translations run one function at a time.
 var tier2Mu sync.Mutex
 
-// layoutPreds is layoutCost's scratch: how many of the blocks being laid
-// out branch to each block. Every layoutCost runs under tier2Mu.
-var layoutPreds = make(map[*core.BasicBlock]int)
-
 // WithTier2 derives a tier-2 translator guided by art, sharing the
 // module, target and telemetry handles of t. The receiver is unchanged:
 // the execution manager translates a module's hot functions on the
@@ -92,11 +88,12 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 
 	// A block's heat is how often it was entered: the machine counted the
 	// entries of f's tier-1 code by LLVA block, and the clone keeps f's
-	// block order.
-	hm := make(map[*core.BasicBlock]uint64, len(clone.Blocks))
+	// block order. Heat is indexed by block number, and the clone's
+	// numbers are its block indices.
+	hm := make(heat, len(clone.Blocks))
 	for _, c := range counts {
 		if c.Block >= 0 && c.Block < len(clone.Blocks) {
-			hm[clone.Blocks[c.Block]] += c.Count
+			hm[c.Block] += c.Count
 		}
 	}
 
@@ -104,9 +101,9 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	// keeps every call a call: an inlined copy of a callee would go on
 	// running after llva.smc.replace replaced the callee.
 	if t.m.Function("llva.smc.replace") == nil {
-		t.inlineHot(clone, hm)
+		hm = t.inlineHot(clone, hm)
 	}
-	perm, nSuper, nDup := formSuperblocks(clone, hm)
+	perm, nSuper, nDup := formSuperblocks(clone, &hm)
 
 	start = time.Now()
 	err := core.VerifyFunction(clone)
@@ -127,18 +124,40 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	return nf, true
 }
 
+// heat is the entry count of each block of a function being transformed,
+// by block number. Blocks the transforms add are numbered past its end
+// until they are given heat.
+type heat []uint64
+
+// of returns bb's heat.
+func (h heat) of(bb *core.BasicBlock) uint64 {
+	if n := bb.Num(); n < len(h) {
+		return h[n]
+	}
+	return 0
+}
+
+// set gives bb heat v, growing h as far as bb's number.
+func (h *heat) set(bb *core.BasicBlock, v uint64) {
+	if n := bb.Num(); n >= len(*h) {
+		*h = append(*h, make(heat, n+1-len(*h))...)
+	}
+	(*h)[bb.Num()] = v
+}
+
 // inlineHot repeatedly inlines the hottest eligible call site in clone:
 // direct calls in profiled-hot blocks whose callee is small, defined,
 // non-recursive and exception-free. Blocks created by each inline (the
 // split continuation plus the cloned callee body) inherit the call
-// site's heat, so superblock formation extends traces through them.
-func (t *Translator) inlineHot(clone *core.Function, heat map[*core.BasicBlock]uint64) {
+// site's heat, so superblock formation extends traces through them. It
+// returns the heat grown to the new blocks.
+func (t *Translator) inlineHot(clone *core.Function, hm heat) heat {
 	budget := tier2GrowthBudget
 	for {
 		var call *core.Instruction
 		var hottest uint64
 		for _, bb := range clone.Blocks {
-			h := heat[bb]
+			h := hm.of(bb)
 			if h == 0 || h < hottest {
 				continue
 			}
@@ -161,14 +180,14 @@ func (t *Translator) inlineHot(clone *core.Function, heat map[*core.BasicBlock]u
 			}
 		}
 		if call == nil {
-			return
+			return hm
 		}
 		site := call.Parent()
 		n0 := len(clone.Blocks)
 		budget -= call.CalledFunction().NumInstructions()
 		passes.InlineCall(clone, call)
 		for _, nb := range clone.Blocks[n0:] {
-			heat[nb] = heat[site]
+			hm.set(nb, hm.of(site))
 		}
 	}
 }
@@ -184,12 +203,12 @@ func hasCycle(f *core.Function) bool {
 		gray  = 1
 		black = 2
 	)
-	color := make(map[*core.BasicBlock]int, len(f.Blocks))
+	color := make([]uint8, f.BlockSlots())
 	var visit func(bb *core.BasicBlock) bool
 	visit = func(bb *core.BasicBlock) bool {
-		color[bb] = gray
+		color[bb.Num()] = gray
 		for _, s := range bb.Successors() {
-			switch color[s] {
+			switch color[s.Num()] {
 			case gray:
 				return true
 			case black:
@@ -199,7 +218,7 @@ func hasCycle(f *core.Function) bool {
 				}
 			}
 		}
-		color[bb] = black
+		color[bb.Num()] = black
 		return false
 	}
 	return len(f.Blocks) > 0 && visit(f.Blocks[0])
@@ -216,13 +235,13 @@ func hasCycle(f *core.Function) bool {
 // no other predecessor carries that block's heat; other two-way edges
 // split proportionally to successor heat (+1 so never-entered blocks
 // keep plausible, order-preserving weights). Calls, switches and invokes
-// cost the same in any order. Callers hold tier2Mu.
-func layoutCost(order []*core.BasicBlock, heat map[*core.BasicBlock]uint64) uint64 {
-	npred := layoutPreds
+// cost the same in any order. npred is scratch, one entry per block
+// number of order's function.
+func layoutCost(order []*core.BasicBlock, heat heat, npred []int32) uint64 {
 	clear(npred)
 	for _, b := range order {
 		for _, sc := range b.Successors() {
-			npred[sc]++
+			npred[sc.Num()]++
 		}
 	}
 	var cost uint64
@@ -233,7 +252,7 @@ func layoutCost(order []*core.BasicBlock, heat map[*core.BasicBlock]uint64) uint
 		}
 		if term.Op() == core.OpRet {
 			if i+1 < len(order) {
-				cost += 2 * (heat[b] + 1)
+				cost += 2 * (heat.of(b) + 1)
 			}
 			continue
 		}
@@ -245,7 +264,7 @@ func layoutCost(order []*core.BasicBlock, heat map[*core.BasicBlock]uint64) uint
 			next = order[i+1]
 		}
 		succs := b.Successors()
-		h := heat[b] + 1
+		h := heat.of(b) + 1
 		switch len(succs) {
 		case 1:
 			if succs[0] != next {
@@ -253,12 +272,12 @@ func layoutCost(order []*core.BasicBlock, heat map[*core.BasicBlock]uint64) uint
 			}
 		case 2:
 			t0, f0 := succs[0], succs[1]
-			ht, hf := heat[t0]+1, heat[f0]+1
+			ht, hf := heat.of(t0)+1, heat.of(f0)+1
 			var ft uint64
 			switch {
-			case npred[t0] == 1:
+			case npred[t0.Num()] == 1:
 				ft = min(ht, h)
-			case npred[f0] == 1:
+			case npred[f0.Num()] == 1:
 				ft = h - min(hf, h)
 			default:
 				ft = h * ht / (ht + hf)
@@ -294,48 +313,80 @@ func layoutCost(order []*core.BasicBlock, heat map[*core.BasicBlock]uint64) uint
 // branch-cost model must score it strictly better: a relayout that breaks
 // more fallthroughs than it makes must lose to the layout the profile
 // was counted on.
-func formSuperblocks(f *core.Function, heat map[*core.BasicBlock]uint64) (perm []int, nSuper, nDupInstrs int) {
+func formSuperblocks(f *core.Function, hm *heat) (perm []int, nSuper, nDupInstrs int) {
 	orig := append([]*core.BasicBlock(nil), f.Blocks...)
-	idx := make(map[*core.BasicBlock]int, len(orig))
+	idx := origIndex(make([]int32, f.BlockSlots()))
+	for i := range idx {
+		idx[i] = -1
+	}
 	for i, bb := range orig {
-		idx[bb] = i
+		idx[bb.Num()] = int32(i)
 	}
 	seeds := make([]*core.BasicBlock, 0, len(orig))
 	for i, bb := range orig {
-		if i == 0 || heat[bb] > 0 && rotatedLatch(orig, idx, bb) == nil {
+		if i == 0 || hm.of(bb) > 0 && rotatedLatch(orig, idx, bb) == nil {
 			seeds = append(seeds, bb)
 		}
 	}
 	sort.SliceStable(seeds, func(a, b int) bool {
-		if idx[seeds[a]] == 0 || idx[seeds[b]] == 0 {
-			return idx[seeds[a]] == 0
+		ia, ib := idx.of(seeds[a]), idx.of(seeds[b])
+		if ia == 0 || ib == 0 {
+			return ia == 0
 		}
-		if heat[seeds[a]] != heat[seeds[b]] {
-			return heat[seeds[a]] > heat[seeds[b]]
+		if ha, hb := hm.of(seeds[a]), hm.of(seeds[b]); ha != hb {
+			return ha > hb
 		}
-		return idx[seeds[a]] < idx[seeds[b]]
+		return ia < ib
 	})
 
 	// Plan pass: grow the traces without touching f (no tail duplication)
 	// and score the candidate. Tail duplication only ever removes taken
 	// branches on top of this, so a plan that does not beat the original
 	// order will not be rescued by it.
-	plan := buildTraceOrder(nil, orig, seeds, heat, idx, nil, nil)
-	if layoutCost(plan, heat) >= layoutCost(orig, heat) {
+	plan := buildTraceOrder(nil, orig, seeds, hm, idx, nil, nil)
+	npred := make([]int32, f.BlockSlots())
+	if layoutCost(plan, *hm, npred) >= layoutCost(orig, *hm, npred) {
 		return nil, 0, 0
 	}
-	order := buildTraceOrder(f, orig, seeds, heat, idx, &nSuper, &nDupInstrs)
+	order := buildTraceOrder(f, orig, seeds, hm, idx, &nSuper, &nDupInstrs)
 	// Tail duplication appended its copies to f.Blocks; order holds the
 	// same set of blocks in trace order. Express it as a permutation.
-	pos := make(map[*core.BasicBlock]int, len(f.Blocks))
+	pos := make([]int, f.BlockSlots())
 	for i, bb := range f.Blocks {
-		pos[bb] = i
+		pos[bb.Num()] = i
 	}
 	perm = make([]int, len(order))
 	for i, bb := range order {
-		perm[i] = pos[bb]
+		perm[i] = pos[bb.Num()]
 	}
 	return perm, nSuper, nDupInstrs
+}
+
+// origIndex is each block's index in the order formSuperblocks started
+// from, by block number, and -1 for a block tail duplication added.
+type origIndex []int32
+
+// of returns bb's original index, or -1.
+func (x origIndex) of(bb *core.BasicBlock) int {
+	if n := bb.Num(); n < len(x) {
+		return int(x[n])
+	}
+	return -1
+}
+
+// blockSet is a set of one function's blocks, by block number.
+type blockSet []bool
+
+func (s blockSet) has(bb *core.BasicBlock) bool {
+	n := bb.Num()
+	return n < len(s) && s[n]
+}
+
+func (s *blockSet) add(bb *core.BasicBlock) {
+	if n := bb.Num(); n >= len(*s) {
+		*s = append(*s, make(blockSet, n+1-len(*s))...)
+	}
+	(*s)[bb.Num()] = true
 }
 
 // buildTraceOrder grows a trace from each seed and appends the never-hot
@@ -343,33 +394,32 @@ func formSuperblocks(f *core.Function, heat map[*core.BasicBlock]uint64) (perm [
 // with f set, traces may tail-duplicate their continuation into f and
 // nSuper/nDupInstrs are recorded.
 func buildTraceOrder(f *core.Function, orig, seeds []*core.BasicBlock,
-	heat map[*core.BasicBlock]uint64, idx map[*core.BasicBlock]int,
-	nSuper, nDupInstrs *int) []*core.BasicBlock {
-	visited := make(map[*core.BasicBlock]bool, len(orig))
+	hm *heat, idx origIndex, nSuper, nDupInstrs *int) []*core.BasicBlock {
+	visited := make(blockSet, len(idx))
 	var order []*core.BasicBlock
 	for _, sb := range seeds {
-		if visited[sb] {
+		if visited.has(sb) {
 			continue
 		}
-		trace := growTrace(f, sb, heat, orig, idx, visited, nDupInstrs)
+		trace := growTrace(f, sb, hm, orig, idx, &visited, nDupInstrs)
 		if len(trace) >= 2 && nSuper != nil {
 			*nSuper++
 		}
 		order = append(order, trace...)
 	}
 	for _, bb := range orig {
-		if !visited[bb] {
-			visited[bb] = true
+		if !visited.has(bb) {
+			visited.add(bb)
 			order = append(order, bb)
 		}
 	}
 	return order
 }
 
-func growTrace(f *core.Function, start *core.BasicBlock, heat map[*core.BasicBlock]uint64,
-	orig []*core.BasicBlock, idx map[*core.BasicBlock]int, visited map[*core.BasicBlock]bool, nDupInstrs *int) []*core.BasicBlock {
+func growTrace(f *core.Function, start *core.BasicBlock, hm *heat,
+	orig []*core.BasicBlock, idx origIndex, visited *blockSet, nDupInstrs *int) []*core.BasicBlock {
 	trace := []*core.BasicBlock{start}
-	visited[start] = true
+	visited.add(start)
 	cur := start
 	dupped := false
 	for {
@@ -380,22 +430,23 @@ func growTrace(f *core.Function, start *core.BasicBlock, heat map[*core.BasicBlo
 		var next, taken *core.BasicBlock
 		var nextHeat, takenHeat uint64
 		for _, s := range cur.Successors() {
-			if visited[s] {
-				if heat[s] > takenHeat {
-					takenHeat, taken = heat[s], s
+			h := hm.of(s)
+			if visited.has(s) {
+				if h > takenHeat {
+					takenHeat, taken = h, s
 				}
 				continue
 			}
-			if heat[s] == 0 {
+			if h == 0 {
 				continue
 			}
 			switch {
-			case next == nil || heat[s] > nextHeat:
-				nextHeat, next = heat[s], s
-			case heat[s] == nextHeat:
+			case next == nil || h > nextHeat:
+				nextHeat, next = h, s
+			case h == nextHeat:
 				// Tie: the counts cannot tell the sides apart, so keep
 				// the successor that already fell through at tier 1.
-				if ci, ok := idx[cur]; ok && idx[s] == ci+1 {
+				if ci := idx.of(cur); ci >= 0 && idx.of(s) == ci+1 {
 					next = s
 				}
 			}
@@ -441,16 +492,16 @@ func growTrace(f *core.Function, start *core.BasicBlock, heat map[*core.BasicBlo
 			// The copy takes over the entries cur sends to taken: all of
 			// cur's own when cur only jumps there, at most that when
 			// cur branches.
-			moved := min(heat[cur], heat[taken])
-			heat[dup] = moved
-			heat[taken] -= moved
+			moved := min(hm.of(cur), hm.of(taken))
+			hm.set(dup, moved)
+			hm.set(taken, hm.of(taken)-moved)
 			*nDupInstrs += dup.Len()
-			visited[dup] = true
+			visited.add(dup)
 			trace = append(trace, dup)
 			cur = dup
 			continue
 		}
-		visited[next] = true
+		visited.add(next)
 		trace = append(trace, next)
 		cur = next
 	}
@@ -460,9 +511,12 @@ func growTrace(f *core.Function, start *core.BasicBlock, heat map[*core.BasicBlo
 // tier-1 order lays b out right after it (BlockOrder rotated the loop):
 // the block before b only jumps to b, and b branches back above it. It
 // returns nil for any other b, nil included.
-func rotatedLatch(orig []*core.BasicBlock, idx map[*core.BasicBlock]int, b *core.BasicBlock) *core.BasicBlock {
-	i, ok := idx[b]
-	if !ok || i == 0 {
+func rotatedLatch(orig []*core.BasicBlock, idx origIndex, b *core.BasicBlock) *core.BasicBlock {
+	if b == nil {
+		return nil
+	}
+	i := idx.of(b)
+	if i <= 0 {
 		return nil
 	}
 	latch := orig[i-1]
@@ -470,7 +524,7 @@ func rotatedLatch(orig []*core.BasicBlock, idx map[*core.BasicBlock]int, b *core
 		return nil
 	}
 	for _, s := range b.Successors() {
-		if j, ok := idx[s]; ok && j < i {
+		if j := idx.of(s); j >= 0 && j < i {
 			return latch
 		}
 	}

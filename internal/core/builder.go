@@ -107,8 +107,7 @@ func (b *Builder) CondBr(cond Value, t, f *BasicBlock) *Instruction {
 		panic("core: br condition must be bool")
 	}
 	in := NewInstruction(OpBr, b.ctx.Void(), cond)
-	in.AddBlock(t)
-	in.AddBlock(f)
+	in.blocks = []*BasicBlock{t, f}
 	return b.emit(in, "")
 }
 
@@ -122,11 +121,8 @@ func (b *Builder) Mbr(v Value, def *BasicBlock, cases []int64, targets []*BasicB
 		panic("core: mbr cases/targets length mismatch")
 	}
 	in := NewInstruction(OpMbr, b.ctx.Void(), v)
-	in.AddBlock(def)
+	in.blocks = append(append(make([]*BasicBlock, 0, 1+len(targets)), def), targets...)
 	in.Cases = append(in.Cases, cases...)
-	for _, t := range targets {
-		in.AddBlock(t)
-	}
 	return b.emit(in, "")
 }
 
@@ -161,8 +157,7 @@ func (b *Builder) Invoke(callee Value, args []Value, normal, unwind *BasicBlock,
 	rt := checkCall(callee, args)
 	ops := append([]Value{callee}, args...)
 	in := NewInstruction(OpInvoke, rt, ops...)
-	in.AddBlock(normal)
-	in.AddBlock(unwind)
+	in.blocks = []*BasicBlock{normal, unwind}
 	return b.emit(in, name)
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Function cloning and restricted tail duplication for the tier-2
 // optimizing translator. The clone is detached — it carries the original
@@ -21,7 +24,7 @@ import "fmt"
 // itself) — are shared, not copied. Discard the clone with
 // DiscardFunctionBody when done.
 //
-// The body is numbered once, and the copy's arguments, blocks,
+// The copy is numbered densely in body order, and its arguments, blocks,
 // instructions and their operand, block and use lists are carved from
 // one slab each, sized from the original.
 func CloneFunctionBody(f *Function) *Function {
@@ -40,22 +43,22 @@ func CloneFunctionBody(f *Function) *Function {
 		args[i].uses = make([]Use, 0, len(p.uses))
 		nf.Params[i] = &args[i]
 	}
-	// Number the body: blocks by index, instructions in layout order.
+	// The copy's numbers: blocks by index, instructions in layout order.
+	// insAt and blockAt map an original's number to its copy's.
 	nIns, nOps, nRefs, nUses := 0, 0, 0, 0
-	blockNum := make(map[*BasicBlock]int, len(f.Blocks))
-	for i, bb := range f.Blocks {
-		blockNum[bb] = i
-		nIns += len(bb.instrs)
-	}
-	insNum := make(map[*Instruction]int, nIns)
-	for _, bb := range f.Blocks {
+	at := make([]int32, f.InstrSlots()+f.BlockSlots())
+	insAt, blockAt := at[:f.InstrSlots()], at[f.InstrSlots():]
+	for bi, bb := range f.Blocks {
+		blockAt[bb.num] = int32(bi)
 		for _, in := range bb.instrs {
-			insNum[in] = len(insNum)
+			insAt[in.num] = int32(nIns)
+			nIns++
 			nOps += len(in.ops)
 			nRefs += len(in.blocks)
 			nUses += len(in.uses)
 		}
 	}
+	nf.blockSlots, nf.instrSlots = int32(len(f.Blocks)), int32(nIns)
 	blocks := make([]BasicBlock, len(f.Blocks))
 	nf.Blocks = make([]*BasicBlock, len(f.Blocks))
 	ins := make([]Instruction, nIns)
@@ -66,12 +69,12 @@ func CloneFunctionBody(f *Function) *Function {
 	k := 0
 	for bi, bb := range f.Blocks {
 		nb := &blocks[bi]
-		nb.name, nb.parent = bb.name, nf
+		nb.name, nb.parent, nb.num = bb.name, nf, int32(bi)
 		nb.instrs = insPtrs[k : k+len(bb.instrs) : k+len(bb.instrs)]
 		nf.Blocks[bi] = nb
 		for j, in := range bb.instrs {
 			cl := &ins[k]
-			*cl = Instruction{op: in.op, ty: in.ty, name: in.name, parent: nb,
+			*cl = Instruction{op: in.op, num: int32(k), ty: in.ty, name: in.name, parent: nb,
 				Allocated: in.Allocated, ExceptionsEnabled: in.ExceptionsEnabled}
 			if len(in.Cases) > 0 {
 				cl.Cases = append([]int64(nil), in.Cases...)
@@ -93,8 +96,8 @@ func CloneFunctionBody(f *Function) *Function {
 			for i, op := range in.ops {
 				switch v := op.(type) {
 				case *Instruction:
-					if n, ok := insNum[v]; ok {
-						op = &ins[n]
+					if p := v.parent; p != nil && p.parent == f {
+						op = &ins[insAt[v.num]]
 					}
 				case *Argument:
 					if v.parent == f {
@@ -105,8 +108,8 @@ func CloneFunctionBody(f *Function) *Function {
 				trackUse(op, Use{User: cl, Index: i})
 			}
 			for i, ob := range in.blocks {
-				if n, ok := blockNum[ob]; ok {
-					cl.blocks[i] = &blocks[n]
+				if ob != nil && ob.parent == f {
+					cl.blocks[i] = &blocks[blockAt[ob.num]]
 				}
 			}
 		}
@@ -150,19 +153,15 @@ func canTailDuplicate(bb *BasicBlock) bool {
 	default:
 		return false // invoke/unwind: frame bookkeeping is not worth duplicating
 	}
-	succs := make(map[*BasicBlock]bool, len(term.blocks))
-	for _, s := range term.blocks {
-		succs[s] = true
-	}
 	for _, in := range bb.instrs {
 		if !in.HasResult() {
 			continue
 		}
-		for _, u := range in.Uses() {
+		for _, u := range in.uses {
 			if u.User.parent == bb {
 				continue
 			}
-			if u.User.op == OpPhi && succs[u.User.parent] &&
+			if u.User.op == OpPhi && slices.Contains(term.blocks, u.User.parent) &&
 				u.Index < len(u.User.blocks) && u.User.blocks[u.Index] == bb {
 				continue
 			}
@@ -198,34 +197,38 @@ func TailDuplicate(f *Function, pred, bb *BasicBlock) (*BasicBlock, bool) {
 	}
 
 	dup := f.NewBlock(fmt.Sprintf("%s.dup%d", bb.name, len(f.Blocks)))
-	vmap := make(map[Value]Value)
-	// Phis collapse: the copy has exactly one predecessor, so each phi
-	// becomes the value flowing in from pred.
-	for _, phi := range bb.Phis() {
-		vmap[phi] = phi.PhiIncomingFor(pred)
-	}
+	// The copy holds bb's instructions past its phis. Phis collapse: the
+	// copy has exactly one predecessor, so each phi becomes the value
+	// flowing in from pred. bb is small, so a value is mapped by its
+	// position in bb.
+	phis := bb.FirstNonPhi()
+	origs := bb.instrs[phis:]
+	clones := make([]*Instruction, len(origs))
 	mapv := func(v Value) Value {
-		if nv, ok := vmap[v]; ok {
-			return nv
+		in, ok := v.(*Instruction)
+		if !ok || in.parent != bb {
+			return v
 		}
-		return v
+		switch i := slices.Index(bb.instrs, in); {
+		case i < 0:
+			return v
+		case i < phis:
+			return in.PhiIncomingFor(pred)
+		default:
+			return clones[i-phis]
+		}
 	}
-	var clones, origs []*Instruction
-	for _, in := range bb.instrs {
-		if in.op == OpPhi {
-			continue
-		}
+	for k, in := range origs {
 		cl := NewInstruction(in.op, in.ty)
 		cl.ExceptionsEnabled = in.ExceptionsEnabled
 		cl.Allocated = in.Allocated
 		cl.Cases = append([]int64(nil), in.Cases...)
 		cl.name = in.name
 		dup.Append(cl)
-		vmap[in] = cl
-		clones = append(clones, cl)
-		origs = append(origs, in)
+		clones[k] = cl
 	}
 	for k, cl := range clones {
+		cl.ops = make([]Value, 0, len(origs[k].ops))
 		for _, op := range origs[k].ops {
 			cl.AddOperand(mapv(op))
 		}
@@ -236,12 +239,11 @@ func TailDuplicate(f *Function, pred, bb *BasicBlock) (*BasicBlock, bool) {
 
 	// Successor phis: the copy is a new predecessor carrying the same
 	// values bb would have delivered (mapped through the clone).
-	seen := make(map[*BasicBlock]bool)
-	for _, s := range bb.Terminator().blocks {
-		if seen[s] {
+	succs := bb.Terminator().blocks
+	for i, s := range succs {
+		if slices.Contains(succs[:i], s) {
 			continue
 		}
-		seen[s] = true
 		for _, phi := range s.Phis() {
 			if v := phi.PhiIncomingFor(bb); v != nil {
 				phi.AddPhiIncoming(mapv(v), dup)

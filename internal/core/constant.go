@@ -101,6 +101,43 @@ func (c *Constant) Ident() string {
 	return "<bad-constant>"
 }
 
+// ConstKey is a constant's identity by content, the key of a table of
+// constants: constants are not interned, and two have equal keys exactly
+// when they print alike (same type and Ident). A scalar is keyed by its
+// type, kind and bit pattern (every NaN alike, as every NaN prints
+// alike), an address by its global, an aggregate by its printed form.
+type ConstKey struct {
+	ty   *Type
+	ck   ConstKind
+	bits uint64
+	ref  Value
+	text string
+}
+
+// Key returns c's ConstKey.
+func (c *Constant) Key() ConstKey {
+	k := ConstKey{ty: c.ty, ck: c.CK}
+	switch c.CK {
+	case ConstInt:
+		k.bits = uint64(c.Int64())
+	case ConstBool:
+		if c.I != 0 {
+			k.bits = 1
+		}
+	case ConstFloat:
+		k.bits = math.Float64bits(c.F)
+		if c.F != c.F {
+			k.bits = math.Float64bits(math.NaN())
+		}
+	case ConstGlobal:
+		k.ref = c.Ref
+	case ConstNull, ConstUndef, ConstZero:
+	default:
+		k.text = c.Ident()
+	}
+	return k
+}
+
 // NewGlobalRef returns a constant holding the address of a global variable
 // or function, for use in global initializers (e.g. function-pointer
 // tables).

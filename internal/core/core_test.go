@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func ctx() *TypeContext { return NewTypeContext() }
@@ -445,5 +446,90 @@ func TestInstructionMoveAndInsert(t *testing.T) {
 	b2.InsertBefore(r, v)
 	if b2.Instructions()[0] != v {
 		t.Error("InsertBefore did not place v first")
+	}
+}
+
+// TestNumbering holds the numbering per-value tables rely on: attaching
+// a block or an instruction to a function numbers it below the
+// function's slot counts, uniquely; a clone and Renumber number densely
+// in body order; and Verify rejects a number that is out of range or
+// taken.
+func TestNumbering(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Instruction{}) != 152 {
+		t.Errorf("Instruction is %d bytes, want 152: num belongs in op's padding", unsafe.Sizeof(Instruction{}))
+	}
+	m := NewModule("t")
+	c := m.Types()
+	f := m.NewFunction("f", c.Function(c.Int(), []*Type{c.Int()}, false))
+	entry, exit := f.NewBlock("entry"), f.NewBlock("exit")
+	b := NewBuilder(f)
+	b.SetBlock(entry)
+	x := b.Add(f.Params[0], f.Params[0], "x")
+	b.Br(exit)
+	b.SetBlock(exit)
+	y := b.Mul(x, x, "y")
+	b.Ret(y)
+	dense := func(f *Function) bool {
+		n := 0
+		for i, bb := range f.Blocks {
+			if bb.Num() != i {
+				return false
+			}
+			for _, in := range bb.Instructions() {
+				if in.Num() != n {
+					return false
+				}
+				n++
+			}
+		}
+		return f.BlockSlots() == len(f.Blocks) && f.InstrSlots() == n
+	}
+	if !dense(f) {
+		t.Error("a body built in order is not numbered densely")
+	}
+	if err := VerifyFunction(f); err != nil {
+		t.Fatal(err)
+	}
+
+	// Moving within the function keeps the number, and a new
+	// instruction takes the next one.
+	num := x.Num()
+	ret := exit.Terminator()
+	x.MoveTo(exit)
+	exit.instrs = []*Instruction{x, y, ret} // x ahead of its use again
+	if x.Num() != num {
+		t.Errorf("MoveTo renumbered x from %d to %d", num, x.Num())
+	}
+	z := NewInstruction(OpSub, c.Int(), y, y)
+	exit.InsertAt(2, z)
+	if z.Num() != 4 || f.InstrSlots() != 5 {
+		t.Errorf("inserted instruction numbered %d of %d slots, want 4 of 5", z.Num(), f.InstrSlots())
+	}
+	if err := VerifyFunction(f); err != nil {
+		t.Fatal(err)
+	}
+	clone := CloneFunctionBody(f)
+	if !dense(clone) {
+		t.Error("clone is not numbered densely")
+	}
+	DiscardFunctionBody(clone)
+	f.Renumber()
+	if !dense(f) {
+		t.Error("Renumber left the body sparse")
+	}
+
+	// A taken or out-of-range number is a verify error.
+	y.num = z.num
+	if err := VerifyFunction(f); err == nil || !strings.Contains(err.Error(), "not unique") {
+		t.Errorf("duplicate instruction number: %v", err)
+	}
+	y.num = int32(f.InstrSlots())
+	if err := VerifyFunction(f); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("out-of-range instruction number: %v", err)
+	}
+	f.Renumber()
+	exit.num = entry.num
+	if err := VerifyFunction(f); err == nil || !strings.Contains(err.Error(), "block number") {
+		t.Errorf("duplicate block number: %v", err)
 	}
 }

@@ -13,10 +13,44 @@ type Dominance struct {
 	pre, post []int32
 }
 
-// CFGEdges returns the successor and predecessor lists of blocks by
-// index, both carved from one array. An edge to a block index does not
-// hold (nil, or another function's) is left out: the verifier reports it.
-func CFGEdges(blocks []*BasicBlock, index map[*BasicBlock]int) (succs, preds [][]int) {
+// BlockIndex locates blocks in a function's block list by their numbers.
+type BlockIndex struct {
+	blocks []*BasicBlock
+	pos    []int32 // block number -> position in blocks, or -1
+}
+
+// NewBlockIndex indexes f.Blocks as they are now.
+func NewBlockIndex(f *Function) BlockIndex {
+	x := BlockIndex{blocks: f.Blocks, pos: make([]int32, f.BlockSlots())}
+	for i := range x.pos {
+		x.pos[i] = -1
+	}
+	for i, bb := range f.Blocks {
+		if int(bb.num) < len(x.pos) {
+			x.pos[bb.num] = int32(i)
+		}
+	}
+	return x
+}
+
+// Of returns bb's position in the indexed blocks, or -1 when bb is not
+// one of them (nil, another function's, or added since).
+func (x *BlockIndex) Of(bb *BasicBlock) int {
+	if bb == nil || int(bb.num) >= len(x.pos) {
+		return -1
+	}
+	if i := x.pos[bb.num]; i >= 0 && x.blocks[i] == bb {
+		return int(i)
+	}
+	return -1
+}
+
+// CFGEdges returns the successor and predecessor lists of the indexed
+// blocks by position, both carved from one array. An edge to a block the
+// index does not hold (nil, or another function's) is left out: the
+// verifier reports it.
+func CFGEdges(index *BlockIndex) (succs, preds [][]int) {
+	blocks := index.blocks
 	n := len(blocks)
 	lists := make([][]int, 2*n)
 	succs, preds = lists[:n:n], lists[n:]
@@ -24,7 +58,7 @@ func CFGEdges(blocks []*BasicBlock, index map[*BasicBlock]int) (succs, preds [][
 	edges := 0
 	for _, bb := range blocks {
 		for _, s := range bb.Successors() {
-			if si, ok := index[s]; ok {
+			if si := index.Of(s); si >= 0 {
 				nIn[si]++
 				edges++
 			}
@@ -34,7 +68,7 @@ func CFGEdges(blocks []*BasicBlock, index map[*BasicBlock]int) (succs, preds [][
 	for i, bb := range blocks {
 		start := len(slab)
 		for _, s := range bb.Successors() {
-			if si, ok := index[s]; ok {
+			if si := index.Of(s); si >= 0 {
 				slab = append(slab, si)
 			}
 		}
@@ -74,7 +108,7 @@ func ComputeDominance(succs, preds [][]int) *Dominance {
 	// Postorder of the blocks the entry reaches, by an explicit-stack
 	// depth-first search; rpo doubles as the visited mark until numbered.
 	type frame struct{ b, next int }
-	stack := []frame{{0, 0}}
+	stack := make([]frame, 1, n)
 	rpo[0] = 0
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]

@@ -95,8 +95,8 @@ func TestCFGEdges(t *testing.T) {
 	loop.AddBlock(b)
 	a.Append(loop)
 	b.Append(NewInstruction(OpRet, ctx.Void()))
-	index := map[*BasicBlock]int{entry: 0, a: 1, b: 2}
-	succs, preds := CFGEdges(f.Blocks, index)
+	index := NewBlockIndex(f)
+	succs, preds := CFGEdges(&index)
 	want := [][]int{{1, 1}, {1, 2}, nil}
 	wantPreds := [][]int{nil, {0, 0, 1}, {1}}
 	for i := range want {

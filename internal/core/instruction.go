@@ -139,6 +139,7 @@ func (o Opcode) CanTrap() bool {
 type Instruction struct {
 	useList
 	op     Opcode
+	num    int32 // function-local number (Num), in op's padding
 	ty     *Type
 	name   string
 	ops    []Value
@@ -159,11 +160,20 @@ type Instruction struct {
 // Builder instead, which validates operand types and appends to a block.
 func NewInstruction(op Opcode, ty *Type, operands ...Value) *Instruction {
 	in := &Instruction{op: op, ty: ty, ExceptionsEnabled: op.DefaultExceptionsEnabled()}
+	if len(operands) > 0 {
+		in.ops = make([]Value, 0, len(operands))
+	}
 	for _, v := range operands {
 		in.AddOperand(v)
 	}
 	return in
 }
+
+// Num returns the instruction's number: unique among the instructions
+// of its function and below the function's InstrSlots. It is assigned
+// when the instruction is attached to a block of the function, so a
+// detached instruction's number means nothing.
+func (in *Instruction) Num() int { return int(in.num) }
 
 // Op returns the instruction's opcode.
 func (in *Instruction) Op() Opcode { return in.op }
@@ -326,8 +336,15 @@ func (in *Instruction) removeFromBlock() {
 }
 
 // MoveTo unlinks the instruction from its current block and appends it to
-// bb, preserving operands and uses.
+// bb, preserving operands and uses. Within one function it keeps its
+// number; moved to another function, it takes a new one there.
 func (in *Instruction) MoveTo(bb *BasicBlock) {
+	if in.parent != nil && in.parent.parent == bb.parent {
+		in.removeFromBlock()
+		in.parent = bb
+		bb.instrs = append(bb.instrs, in)
+		return
+	}
 	in.removeFromBlock()
 	bb.Append(in)
 }

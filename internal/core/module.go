@@ -178,6 +178,9 @@ type Function struct {
 	Internal bool
 
 	nextID int // unnamed value numbering
+
+	// The next block and instruction numbers: the bounds Num stays below.
+	blockSlots, instrSlots int32
 }
 
 // Type returns the pointer-to-function type.
@@ -208,9 +211,33 @@ func (f *Function) Entry() *BasicBlock { return f.Blocks[0] }
 
 // NewBlock appends a new basic block with the given label name.
 func (f *Function) NewBlock(name string) *BasicBlock {
-	bb := &BasicBlock{name: name, parent: f}
+	bb := &BasicBlock{name: name, parent: f, num: f.blockSlots}
+	f.blockSlots++
 	f.Blocks = append(f.Blocks, bb)
 	return bb
+}
+
+// BlockSlots bounds the numbers of f's blocks: every BasicBlock.Num is
+// below it, so a slice that long is a table indexed by block.
+func (f *Function) BlockSlots() int { return int(f.blockSlots) }
+
+// InstrSlots bounds the numbers of f's instructions, as BlockSlots
+// bounds its blocks'.
+func (f *Function) InstrSlots() int { return int(f.instrSlots) }
+
+// Renumber gives f's blocks and instructions the numbers 0, 1, ... in
+// body order, so that the slot counts equal the real counts. Like any
+// other mutation it must not run while another goroutine reads f.
+func (f *Function) Renumber() {
+	var n int32
+	for i, bb := range f.Blocks {
+		bb.num = int32(i)
+		for _, in := range bb.instrs {
+			in.num = n
+			n++
+		}
+	}
+	f.blockSlots, f.instrSlots = int32(len(f.Blocks)), n
 }
 
 // RemoveBlock unlinks a basic block from the function. Instructions inside
@@ -303,6 +330,7 @@ type BasicBlock struct {
 	name   string
 	parent *Function
 	instrs []*Instruction
+	num    int32
 }
 
 // Type returns the label type.
@@ -320,6 +348,10 @@ func (bb *BasicBlock) Ident() string { return "label %" + bb.name }
 // Parent returns the containing function.
 func (bb *BasicBlock) Parent() *Function { return bb.parent }
 
+// Num returns the block's number: unique among the blocks of its
+// function and below the function's BlockSlots. NewBlock assigns it.
+func (bb *BasicBlock) Num() int { return int(bb.num) }
+
 // Instructions returns the instruction list; callers must not append.
 func (bb *BasicBlock) Instructions() []*Instruction { return bb.instrs }
 
@@ -328,19 +360,25 @@ func (bb *BasicBlock) Len() int { return len(bb.instrs) }
 
 // Append adds an instruction at the end of the block.
 func (bb *BasicBlock) Append(in *Instruction) {
+	bb.attach(in)
+	bb.instrs = append(bb.instrs, in)
+}
+
+// attach makes bb the parent of in, numbering it in bb's function.
+func (bb *BasicBlock) attach(in *Instruction) {
 	if in.parent != nil {
 		panic("core: instruction already attached")
 	}
 	in.parent = bb
-	bb.instrs = append(bb.instrs, in)
+	if f := bb.parent; f != nil {
+		in.num = f.instrSlots
+		f.instrSlots++
+	}
 }
 
 // InsertAt places an instruction at index i.
 func (bb *BasicBlock) InsertAt(i int, in *Instruction) {
-	if in.parent != nil {
-		panic("core: instruction already attached")
-	}
-	in.parent = bb
+	bb.attach(in)
 	bb.instrs = append(bb.instrs, nil)
 	copy(bb.instrs[i+1:], bb.instrs[i:])
 	bb.instrs[i] = in
@@ -379,31 +417,12 @@ func (bb *BasicBlock) Successors() []*BasicBlock {
 	return t.Successors()
 }
 
-// Predecessors computes the blocks that branch to bb. This walks the
-// function; analyses that need repeated queries should build a CFG once.
-func (bb *BasicBlock) Predecessors() []*BasicBlock {
-	var preds []*BasicBlock
-	for _, other := range bb.parent.Blocks {
-		for _, s := range other.Successors() {
-			if s == bb {
-				preds = append(preds, other)
-				break
-			}
-		}
-	}
-	return preds
-}
-
-// Phis returns the phi instructions at the head of the block.
+// Phis returns the phi instructions at the head of the block, as a view
+// of the instruction list: callers must not add or remove instructions
+// of the block while they walk it.
 func (bb *BasicBlock) Phis() []*Instruction {
-	var out []*Instruction
-	for _, in := range bb.instrs {
-		if in.op != OpPhi {
-			break
-		}
-		out = append(out, in)
-	}
-	return out
+	n := bb.FirstNonPhi()
+	return bb.instrs[:n:n]
 }
 
 // FirstNonPhi returns the index of the first non-phi instruction.

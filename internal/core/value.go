@@ -47,12 +47,18 @@ func (u *useList) removeUse(use Use) {
 	}
 }
 
-// Uses returns a snapshot of all uses of the value.
+// Uses returns a snapshot of all uses of the value, for a caller that
+// changes them while it walks them.
 func (u *useList) Uses() []Use {
 	out := make([]Use, len(u.uses))
 	copy(out, u.uses)
 	return out
 }
+
+// UseList returns the uses of the value without copying them. Callers
+// must not modify the list, nor add or drop uses of the value while they
+// walk it.
+func (u *useList) UseList() []Use { return u.uses }
 
 // NumUses reports the current number of uses.
 func (u *useList) NumUses() int { return len(u.uses) }
@@ -72,17 +78,24 @@ func untrackUse(v Value, use Use) {
 // replaceable is implemented by values supporting ReplaceAllUsesWith.
 type replaceable interface {
 	Value
-	Uses() []Use
+	list() *useList
 }
 
+func (u *useList) list() *useList { return u }
+
 // ReplaceAllUsesWith rewrites every use of old to refer to new instead.
+// new gains the uses in old's order, and old's list is emptied in one
+// step rather than one use at a time.
 func ReplaceAllUsesWith(old replaceable, new Value) {
 	if old == new {
 		return
 	}
-	for _, u := range old.Uses() {
-		u.User.SetOperand(u.Index, new)
+	l := old.list()
+	for _, u := range l.uses {
+		u.User.ops[u.Index] = new
+		trackUse(new, u)
 	}
+	l.uses = l.uses[:0]
 }
 
 // Placeholder is a temporary stand-in value used by parsers and builders

@@ -75,16 +75,51 @@ func (v *verifier) checkFunction(f *Function) {
 		return
 	}
 
-	blockIndex := make(map[*BasicBlock]int, len(f.Blocks))
-	for i, bb := range f.Blocks {
-		blockIndex[bb] = i
+	pos, ok := v.checkNumbers(f)
+	if !ok {
+		return
 	}
-
-	succs, preds := CFGEdges(f.Blocks, blockIndex)
+	index := NewBlockIndex(f)
+	succs, preds := CFGEdges(&index)
 	for bi, bb := range f.Blocks {
-		v.checkBlock(f, bb, blockIndex, preds[bi])
+		v.checkBlock(f, bb, &index, preds[bi])
 	}
-	v.checkDominance(f, blockIndex, ComputeDominance(succs, preds))
+	v.checkDominance(f, &index, pos, ComputeDominance(succs, preds))
+}
+
+// checkNumbers checks the numbering every per-block and per-instruction
+// table relies on: each block of f, and each instruction in them, holds
+// a number below f's BlockSlots or InstrSlots that no other block or
+// instruction of f holds. It returns each instruction's position in its
+// block, by number.
+func (v *verifier) checkNumbers(f *Function) (pos []int32, ok bool) {
+	ok = true
+	taken := make([]bool, f.BlockSlots())
+	pos = make([]int32, f.InstrSlots())
+	for i := range pos {
+		pos[i] = -1
+	}
+	for _, bb := range f.Blocks {
+		if n := bb.num; n < 0 || int(n) >= len(taken) || taken[n] {
+			v.errf("%s: block number %d is out of range or not unique", where(f, bb), n)
+			ok = false
+		} else {
+			taken[n] = true
+		}
+		for i, in := range bb.instrs {
+			switch n := in.num; {
+			case in.parent != bb:
+				v.errf("%s: %s is listed in a block that is not its parent", where(f, bb), in.Op())
+				ok = false
+			case n < 0 || int(n) >= len(pos) || pos[n] >= 0:
+				v.errf("%s: %s has number %d, out of range or not unique", where(f, bb), in.Op(), n)
+				ok = false
+			default:
+				pos[n] = int32(i)
+			}
+		}
+	}
+	return pos, ok
 }
 
 // where names bb for a problem report.
@@ -94,7 +129,7 @@ func where(f *Function, bb *BasicBlock) string {
 
 // checkBlock checks bb's shape and instructions; preds are its
 // predecessors' indices, one per edge.
-func (v *verifier) checkBlock(f *Function, bb *BasicBlock, blockIndex map[*BasicBlock]int, preds []int) {
+func (v *verifier) checkBlock(f *Function, bb *BasicBlock, index *BlockIndex, preds []int) {
 	if len(bb.instrs) == 0 {
 		v.errf("%s: empty basic block", where(f, bb))
 		return
@@ -115,7 +150,7 @@ func (v *verifier) checkBlock(f *Function, bb *BasicBlock, blockIndex map[*Basic
 		for _, s := range in.Blocks() {
 			if s == nil {
 				v.errf("%s: %s references nil block", where(f, bb), in.Op())
-			} else if _, ok := blockIndex[s]; !ok {
+			} else if index.Of(s) < 0 {
 				v.errf("%s: %s references block %%%s from another function",
 					where(f, bb), in.Op(), s.Name())
 			}
@@ -329,15 +364,7 @@ func (v *verifier) checkInstr(f *Function, bb *BasicBlock, in *Instruction) {
 // is itself an instruction must be defined at a program point dominating
 // the use. Phi uses are checked at the end of the incoming block. It is
 // linear in the body, bar the dominator tree's near-linear build.
-func (v *verifier) checkDominance(f *Function, blockIndex map[*BasicBlock]int, dom *Dominance) {
-	// position of each instruction within its block for intra-block checks
-	pos := make(map[*Instruction]int, f.NumInstructions())
-	for _, bb := range f.Blocks {
-		for i, in := range bb.instrs {
-			pos[in] = i
-		}
-	}
-
+func (v *verifier) checkDominance(f *Function, index *BlockIndex, pos []int32, dom *Dominance) {
 	for bi, bb := range f.Blocks {
 		for _, in := range bb.instrs {
 			for oi, op := range in.ops {
@@ -349,25 +376,29 @@ func (v *verifier) checkDominance(f *Function, blockIndex map[*BasicBlock]int, d
 					v.errf("%%%s/%%%s: %s uses detached instruction", f.Name(), bb.Name(), in.Op())
 					continue
 				}
-				defBlock, ok := blockIndex[def.parent]
-				if !ok {
+				defBlock := index.Of(def.parent)
+				if defBlock < 0 {
 					v.errf("%%%s/%%%s: %s uses %%%s of another function", f.Name(), bb.Name(), in.Op(), def.Name())
 					continue
 				}
-				useBlock, usePos := bi, pos[in]
+				if !holds(f.Blocks[defBlock], def, pos) {
+					v.errf("%%%s/%%%s: %s uses %%%s, which its block does not hold", f.Name(), bb.Name(), in.Op(), def.Name())
+					continue
+				}
+				useBlock, usePos := bi, int(pos[in.num])
 				if in.op == OpPhi {
 					// The end of the incoming block. A missing, nil or
 					// foreign one is reported by checkInstr or checkBlock.
 					if oi >= len(in.blocks) {
 						continue
 					}
-					if useBlock, ok = blockIndex[in.blocks[oi]]; !ok {
+					if useBlock = index.Of(in.blocks[oi]); useBlock < 0 {
 						continue
 					}
 					usePos = len(f.Blocks[useBlock].instrs)
 				}
 				if defBlock == useBlock {
-					if pos[def] >= usePos {
+					if int(pos[def.num]) >= usePos {
 						v.errf("%%%s/%%%s: %%%s used before its definition",
 							f.Name(), bb.Name(), def.Name())
 					}
@@ -378,4 +409,14 @@ func (v *verifier) checkDominance(f *Function, blockIndex map[*BasicBlock]int, d
 			}
 		}
 	}
+}
+
+// holds reports whether def is in bb's instruction list at the position
+// pos records for its number.
+func holds(bb *BasicBlock, def *Instruction, pos []int32) bool {
+	if def.num < 0 || int(def.num) >= len(pos) {
+		return false
+	}
+	i := pos[def.num]
+	return i >= 0 && int(i) < len(bb.instrs) && bb.instrs[i] == def
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"llva/internal/core"
@@ -22,7 +23,9 @@ type reader struct {
 // Decode deserializes virtual object code into a module. Malformed or
 // corrupted input yields an error, never a panic: the decoder validates
 // structurally and converts any residual constructor panic (reachable
-// only through adversarial bit patterns) into an error.
+// only through adversarial bit patterns) into an error. No count it
+// reads sizes an allocation or a loop beyond the object's length (see
+// count), so what a decode allocates is bounded by the input too.
 func Decode(data []byte) (m *core.Module, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -39,7 +42,7 @@ func Decode(data []byte) (m *core.Module, err error) {
 
 func (r *reader) run() (*core.Module, error) {
 	var magic [4]byte
-	if _, err := r.r.Read(magic[:]); err != nil || magic != Magic {
+	if _, err := io.ReadFull(r.r, magic[:]); err != nil || magic != Magic {
 		return nil, fmt.Errorf("bad magic")
 	}
 	ver, err := r.byte()
@@ -81,8 +84,22 @@ func (r *reader) uvarint() (uint64, error) { return binary.ReadUvarint(r.r) }
 
 func (r *reader) svarint() (int64, error) { return binary.ReadVarint(r.r) }
 
-func (r *reader) str() (string, error) {
+// count reads the number of entries that follow. Every entry takes at
+// least one byte, so a count beyond the bytes left is an error before it
+// sizes anything.
+func (r *reader) count() (int, error) {
 	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(r.r.Len()) {
+		return 0, fmt.Errorf("count %d exceeds the %d bytes left", n, r.r.Len())
+	}
+	return int(n), nil
+}
+
+func (r *reader) str() (string, error) {
+	n, err := r.count()
 	if err != nil {
 		return "", err
 	}
@@ -90,7 +107,7 @@ func (r *reader) str() (string, error) {
 		return "", fmt.Errorf("string too long")
 	}
 	b := make([]byte, n)
-	if _, err := r.r.Read(b); err != nil {
+	if _, err := io.ReadFull(r.r, b); err != nil {
 		return "", err
 	}
 	return string(b), nil
@@ -98,7 +115,7 @@ func (r *reader) str() (string, error) {
 
 func (r *reader) u64() (uint64, error) {
 	var b [8]byte
-	if _, err := r.r.Read(b[:]); err != nil {
+	if _, err := io.ReadFull(r.r, b[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
@@ -123,7 +140,7 @@ func (r *reader) readTypeID() (*core.Type, error) {
 // themselves; they are created first (opaque) and given bodies after all
 // types are read, so field IDs may be forward references.
 func (r *reader) readTypes() error {
-	n, err := r.uvarint()
+	n, err := r.count()
 	if err != nil {
 		return err
 	}
@@ -150,7 +167,7 @@ func (r *reader) readTypes() error {
 	var namedPending []pendingStruct
 	var others []pendingOther
 
-	for i := 0; i < int(n); i++ {
+	for i := 0; i < n; i++ {
 		kb, err := r.byte()
 		if err != nil {
 			return err
@@ -178,7 +195,7 @@ func (r *reader) readTypes() error {
 			if err != nil {
 				return err
 			}
-			nf, err := r.uvarint()
+			nf, err := r.count()
 			if err != nil {
 				return err
 			}
@@ -208,7 +225,7 @@ func (r *reader) readTypes() error {
 			if err != nil {
 				return err
 			}
-			np, err := r.uvarint()
+			np, err := r.count()
 			if err != nil {
 				return err
 			}
@@ -351,17 +368,17 @@ func (r *reader) readConst() (*core.Constant, error) {
 	case core.ConstZero:
 		return core.NewZero(t), nil
 	case core.ConstArray, core.ConstStruct:
-		n, err := r.uvarint()
+		n, err := r.count()
 		if err != nil {
 			return nil, err
 		}
 		if n > 1<<20 {
 			return nil, fmt.Errorf("aggregate constant too large")
 		}
-		if ck == core.ConstArray && (t.Kind() != core.ArrayKind || int(n) != t.Len()) {
+		if ck == core.ConstArray && (t.Kind() != core.ArrayKind || n != t.Len()) {
 			return nil, fmt.Errorf("array constant shape mismatch for %s", t)
 		}
-		if ck == core.ConstStruct && (t.Kind() != core.StructKind || int(n) != len(t.Fields())) {
+		if ck == core.ConstStruct && (t.Kind() != core.StructKind || n != len(t.Fields())) {
 			return nil, fmt.Errorf("struct constant shape mismatch for %s", t)
 		}
 		elems := make([]*core.Constant, n)
@@ -401,7 +418,7 @@ func (r *reader) readConst() (*core.Constant, error) {
 // shells), then the global initializers. Shell-first layout means
 // initializer ConstGlobal references always resolve.
 func (r *reader) readGlobals() error {
-	ng, err := r.uvarint()
+	ng, err := r.count()
 	if err != nil {
 		return err
 	}
@@ -410,7 +427,7 @@ func (r *reader) readGlobals() error {
 		hasInit bool
 	}
 	shells := make([]gshell, 0, ng)
-	for i := 0; i < int(ng); i++ {
+	for i := 0; i < ng; i++ {
 		name, err := r.str()
 		if err != nil {
 			return err
@@ -427,11 +444,11 @@ func (r *reader) readGlobals() error {
 		shells = append(shells, gshell{g: g, hasInit: flags&2 != 0})
 	}
 
-	nf, err := r.uvarint()
+	nf, err := r.count()
 	if err != nil {
 		return err
 	}
-	for i := 0; i < int(nf); i++ {
+	for i := 0; i < nf; i++ {
 		name, err := r.str()
 		if err != nil {
 			return err

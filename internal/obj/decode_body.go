@@ -37,11 +37,11 @@ func (r *reader) readBody(f *core.Function) error {
 	}
 
 	// Constant pool.
-	np, err := r.uvarint()
+	np, err := r.count()
 	if err != nil {
 		return err
 	}
-	for i := 0; i < int(np); i++ {
+	for i := 0; i < np; i++ {
 		c, err := r.readConst()
 		if err != nil {
 			return err
@@ -49,7 +49,7 @@ func (r *reader) readBody(f *core.Function) error {
 		values = append(values, c)
 	}
 
-	nb, err := r.uvarint()
+	nb, err := r.count()
 	if err != nil {
 		return err
 	}
@@ -64,13 +64,13 @@ func (r *reader) readBody(f *core.Function) error {
 	// Pass 1: decode all instruction records and create result slots.
 	var raws []rawInstr
 	var blockLens []int
-	for bi := 0; bi < int(nb); bi++ {
-		ni, err := r.uvarint()
+	for bi := 0; bi < nb; bi++ {
+		ni, err := r.count()
 		if err != nil {
 			return err
 		}
-		blockLens = append(blockLens, int(ni))
-		for k := 0; k < int(ni); k++ {
+		blockLens = append(blockLens, ni)
+		for k := 0; k < ni; k++ {
 			raw, err := r.readInstr()
 			if err != nil {
 				return err
@@ -163,28 +163,28 @@ func (r *reader) readInstr() (rawInstr, error) {
 	if err != nil {
 		return raw, err
 	}
-	nops, err := r.uvarint()
+	nops, err := r.count()
 	if err != nil {
 		return raw, err
 	}
 	if nops > 1<<16 {
 		return raw, fmt.Errorf("too many operands")
 	}
-	for i := 0; i < int(nops); i++ {
+	for i := 0; i < nops; i++ {
 		id, err := r.uvarint()
 		if err != nil {
 			return raw, err
 		}
 		raw.ops = append(raw.ops, id)
 	}
-	nblocks, err := r.uvarint()
+	nblocks, err := r.count()
 	if err != nil {
 		return raw, err
 	}
 	if nblocks > 1<<16 {
 		return raw, fmt.Errorf("too many blocks")
 	}
-	for i := 0; i < int(nblocks); i++ {
+	for i := 0; i < nblocks; i++ {
 		id, err := r.uvarint()
 		if err != nil {
 			return raw, err
@@ -193,11 +193,11 @@ func (r *reader) readInstr() (rawInstr, error) {
 	}
 	switch raw.op {
 	case core.OpMbr:
-		nc, err := r.uvarint()
+		nc, err := r.count()
 		if err != nil {
 			return raw, err
 		}
-		for i := 0; i < int(nc); i++ {
+		for i := 0; i < nc; i++ {
 			c, err := r.svarint()
 			if err != nil {
 				return raw, err

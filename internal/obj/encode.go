@@ -34,7 +34,9 @@ type writer struct {
 	types   map[*core.Type]int
 	typeLst []*core.Type
 
-	globalID map[core.Value]int // globals then functions
+	// globalID numbers the module's globals then functions. They carry
+	// no function-local number, and the table is built once per module.
+	globalID map[core.Value]int
 }
 
 // Encode serializes a module to virtual object code.
@@ -303,22 +305,13 @@ func (w *writer) writeConst(c *core.Constant) error {
 //	                  without results still consume an ID slot, keeping
 //	                  writer and reader numbering in lockstep)
 func (w *writer) writeFunction(f *core.Function) error {
-	// Build the local value numbering.
-	base := len(w.m.Globals) + len(w.m.Functions)
-	valueID := make(map[core.Value]int)
-	for v, id := range w.globalID {
-		valueID[v] = id
-	}
-	next := base
-	for _, p := range f.Params {
-		valueID[p] = next
-		next++
-	}
-
-	// Collect the constant pool (unique scalar constants used as
-	// operands), in first-use order.
+	// The local value numbering: parameters, the constant pool (unique
+	// scalar constants used as operands, in first-use order), then the
+	// instructions, by instruction number.
+	params := len(w.m.Globals) + len(w.m.Functions)
+	constBase := params + len(f.Params)
 	var pool []*core.Constant
-	seen := make(map[string]int)
+	poolIdx := make(map[core.ConstKey]int) // 1 + the constant's index in pool
 	for _, bb := range f.Blocks {
 		for _, in := range bb.Instructions() {
 			for _, op := range in.Operands() {
@@ -326,31 +319,22 @@ func (w *writer) writeFunction(f *core.Function) error {
 				if !ok {
 					continue
 				}
-				key := c.Type().String() + "\x00" + c.Ident()
-				if _, dup := seen[key]; dup {
-					continue
+				if k := c.Key(); poolIdx[k] == 0 {
+					pool = append(pool, c)
+					poolIdx[k] = len(pool)
 				}
-				seen[key] = len(pool)
-				pool = append(pool, c)
 			}
 		}
 	}
-	poolID := make(map[string]int)
-	for i, c := range pool {
-		poolID[c.Type().String()+"\x00"+c.Ident()] = next + i
-	}
-	next += len(pool)
-
-	blockID := make(map[*core.BasicBlock]int)
-	for i, bb := range f.Blocks {
-		blockID[bb] = i
-	}
+	instrID := make([]int32, f.InstrSlots())
+	next := constBase + len(pool)
 	for _, bb := range f.Blocks {
 		for _, in := range bb.Instructions() {
-			valueID[in] = next
+			instrID[in.Num()] = int32(next)
 			next++
 		}
 	}
+	blocks := core.NewBlockIndex(f)
 
 	// Emit pool.
 	w.uvarint(uint64(len(pool)))
@@ -363,14 +347,29 @@ func (w *writer) writeFunction(f *core.Function) error {
 	// Emit body.
 	w.uvarint(uint64(len(f.Blocks)))
 	opID := func(v core.Value) (int, error) {
-		if c, ok := v.(*core.Constant); ok {
-			return poolID[c.Type().String()+"\x00"+c.Ident()], nil
+		switch x := v.(type) {
+		case *core.Constant:
+			return constBase + poolIdx[x.Key()] - 1, nil
+		case *core.Argument:
+			if x.Parent() == f {
+				return params + x.Index(), nil
+			}
+		case *core.Instruction:
+			if p := x.Parent(); p != nil && p.Parent() == f {
+				return int(instrID[x.Num()]), nil
+			}
+		default:
+			if id, ok := w.globalID[v]; ok {
+				return id, nil
+			}
 		}
-		id, ok := valueID[v]
-		if !ok {
-			return 0, fmt.Errorf("obj: operand %s has no ID in %%%s", v.Ident(), f.Name())
+		return 0, fmt.Errorf("obj: operand %s has no ID in %%%s", v.Ident(), f.Name())
+	}
+	blockID := func(bb *core.BasicBlock) (int, error) {
+		if i := blocks.Of(bb); i >= 0 {
+			return i, nil
 		}
-		return id, nil
+		return 0, fmt.Errorf("obj: a branch in %%%s targets a block of another function", f.Name())
 	}
 	for _, bb := range f.Blocks {
 		w.uvarint(uint64(len(bb.Instructions())))
@@ -386,7 +385,7 @@ func (w *writer) writeFunction(f *core.Function) error {
 // writeInstr emits one instruction: 32-bit compact form when possible,
 // extended form otherwise.
 func (w *writer) writeInstr(in *core.Instruction,
-	opID func(core.Value) (int, error), blockID map[*core.BasicBlock]int) error {
+	opID func(core.Value) (int, error), blockID func(*core.BasicBlock) (int, error)) error {
 
 	eeBit := byte(0)
 	if in.ExceptionsEnabled != in.Op().DefaultExceptionsEnabled() {
@@ -435,7 +434,11 @@ func (w *writer) writeInstr(in *core.Instruction,
 	}
 	w.uvarint(uint64(in.NumBlocks()))
 	for _, bb := range in.Blocks() {
-		w.uvarint(uint64(blockID[bb]))
+		id, err := blockID(bb)
+		if err != nil {
+			return err
+		}
+		w.uvarint(uint64(id))
 	}
 	switch in.Op() {
 	case core.OpMbr:

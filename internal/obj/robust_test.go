@@ -1,7 +1,9 @@
 package obj
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"llva/internal/core"
@@ -95,5 +97,71 @@ func TestDecodeGarbage(t *testing.T) {
 				t.Errorf("input %d: garbage accepted", i)
 			}
 		}()
+	}
+}
+
+// TestDecodeClaimedCounts feeds Decode objects whose counts claim far
+// more entries than their bytes hold: each must end in an error, having
+// allocated no more than a small object's worth, whatever the count.
+func TestDecodeClaimedCounts(t *testing.T) {
+	uv := func(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+	// header is an object up to its type table: no name, little-endian,
+	// 64-bit pointers.
+	header := []byte{'L', 'L', 'V', 'A', Version, 3, 0}
+	// fn is a module of one defined function, void f(), whose body
+	// follows: types void and void(), no globals, one function.
+	fn := append(append([]byte(nil), header...),
+		2, byte(core.VoidKind), byte(core.FunctionKind), 0, 0, 0,
+		0, 1, 1, 'f', 1, 2)
+	huge := []uint64{1 << 20, 1 << 27, 1 << 32, 1 << 62}
+	cases := map[string]func(n uint64) []byte{
+		"types": func(n uint64) []byte { return uv(append([]byte(nil), header...), n) },
+		"struct fields": func(n uint64) []byte {
+			// an unnamed struct with a body
+			return append(uv(append(append([]byte(nil), header...), 1, byte(core.StructKind), 0), n), 1)
+		},
+		"function params": func(n uint64) []byte {
+			return uv(append(append([]byte(nil), header...), 2, byte(core.VoidKind), byte(core.FunctionKind), 0), n)
+		},
+		"globals": func(n uint64) []byte {
+			return uv(append(append([]byte(nil), header...), 1, byte(core.VoidKind)), n)
+		},
+		"functions": func(n uint64) []byte {
+			return uv(append(append([]byte(nil), header...), 1, byte(core.VoidKind), 0), n)
+		},
+		"constant pool": func(n uint64) []byte { return uv(append([]byte(nil), fn...), n) },
+		"blocks":        func(n uint64) []byte { return uv(append(append([]byte(nil), fn...), 0), n) },
+		"instructions":  func(n uint64) []byte { return uv(append(append([]byte(nil), fn...), 0, 1), n) },
+		"operands": func(n uint64) []byte {
+			// ret, extended form, of type void
+			return uv(append(append([]byte(nil), fn...), 0, 1, 1, byte(core.OpRet)<<2, 0), n)
+		},
+		"cases": func(n uint64) []byte {
+			// mbr, extended form, no operands and no blocks
+			return uv(append(append([]byte(nil), fn...), 0, 1, 1, byte(core.OpMbr)<<2, 0, 0, 0), n)
+		},
+		"aggregate": func(n uint64) []byte {
+			// a global of type [4 x void] initialized by an array
+			b := append(append([]byte(nil), header...),
+				2, byte(core.VoidKind), byte(core.ArrayKind), 4, 0,
+				1, 1, 'g', 1, 2, 0,
+				byte(core.ConstArray), 1)
+			return uv(b, n)
+		},
+	}
+	var before, after runtime.MemStats
+	for name, blob := range cases {
+		for _, n := range huge {
+			data := blob(n)
+			runtime.ReadMemStats(&before)
+			_, err := Decode(data)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s = %d: a %d-byte object decoded", name, n, len(data))
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("%s = %d: decoding a %d-byte object allocated %d bytes", name, n, len(data), grew)
+			}
+		}
 	}
 }

@@ -22,13 +22,18 @@ import (
 //
 // This is the optimizer's postcondition: every edge that goes backward
 // in layout closes a loop and targets that loop's first block in layout,
-// and a rotated loop's latch falls through to its test. The translator
+// and a rotated loop's latch falls through to its test. BlockOrder then
+// renumbers every function's blocks and instructions in body order
+// (core.Function.Renumber), so an optimized module's per-block and
+// per-instruction tables are exactly as long as it has blocks and
+// instructions. The translator
 // measures live intervals in block order, so a body InlineCall appended
 // at the end of its caller would otherwise stretch every value live
 // across it.
 func BlockOrder(m *core.Module, s *Stats) bool {
 	return forEachDefined(m, func(f *core.Function) bool {
 		changed, rotated := orderBlocks(f)
+		f.Renumber()
 		if !changed {
 			return false
 		}
@@ -38,13 +43,14 @@ func BlockOrder(m *core.Module, s *Stats) bool {
 	})
 }
 
-// place is what orderBlocks knows of a block: its position in reverse
-// postorder, the least and greatest positions of its reachable
-// predecessors, how many of those are at or after it (the loop edges
-// into it) and whether it is a header rotateLoops moves.
+// place is what orderBlocks knows of a block: whether the walk reached
+// it, its position in reverse postorder, the least and greatest
+// positions of its reachable predecessors, how many of those are at or
+// after it (the loop edges into it) and whether it is a header
+// rotateLoops moves. orderBlocks keeps them by block number.
 type place struct {
 	pos, lo, hi, back int32
-	rotate            bool
+	seen, rotate      bool
 }
 
 // orderBlocks puts f's blocks in reverse postorder, rotates its loops and
@@ -55,10 +61,10 @@ func orderBlocks(f *core.Function) (changed bool, rotated int) {
 		next int // successors not yet taken: Successors()[:next]
 	}
 	n := len(f.Blocks)
-	at := make(map[*core.BasicBlock]place, n)
+	at := make([]place, f.BlockSlots())
 	order := make([]*core.BasicBlock, 0, n)
 	entry := f.Entry()
-	at[entry] = place{}
+	at[entry.Num()].seen = true
 	stack := []frame{{entry, len(entry.Successors())}}
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
@@ -69,15 +75,15 @@ func orderBlocks(f *core.Function) (changed bool, rotated int) {
 		}
 		top.next--
 		sc := top.bb.Successors()[top.next]
-		if _, seen := at[sc]; !seen {
-			at[sc] = place{}
+		if !at[sc.Num()].seen {
+			at[sc.Num()].seen = true
 			stack = append(stack, frame{sc, len(sc.Successors())})
 		}
 	}
 	slices.Reverse(order)
 	rotated = rotateLoops(order, at)
 	for _, bb := range f.Blocks {
-		if _, seen := at[bb]; !seen {
+		if !at[bb.Num()].seen {
 			order = append(order, bb)
 		}
 	}
@@ -99,30 +105,27 @@ func orderBlocks(f *core.Function) (changed bool, rotated int) {
 // rotated ranges nest or are disjoint, so moving each header in the same
 // descending order leaves every outer header and latch where its decision
 // saw them.
-func rotateLoops(order []*core.BasicBlock, at map[*core.BasicBlock]place) (rotated int) {
+func rotateLoops(order []*core.BasicBlock, at []place) (rotated int) {
 	end := int32(len(order))
 	for i, bb := range order {
-		at[bb] = place{pos: int32(i), lo: end, hi: -1}
+		at[bb.Num()] = place{pos: int32(i), lo: end, hi: -1, seen: true}
 	}
 	for i, u := range order {
 		for _, v := range u.Successors() {
-			p := at[v]
+			p := &at[v.Num()]
 			p.lo, p.hi = min(p.lo, int32(i)), max(p.hi, int32(i))
 			if int32(i) >= p.pos {
 				p.back++
 			}
-			at[v] = p
 		}
 	}
 	for h := len(order) - 2; h > 0; h-- {
 		if rotatable(order, at, h) {
-			p := at[order[h]]
-			p.rotate = true
-			at[order[h]] = p
+			at[order[h].Num()].rotate = true
 		}
 	}
 	for h := len(order) - 2; h > 0; h-- {
-		if p := at[order[h]]; p.rotate {
+		if p := at[order[h].Num()]; p.rotate {
 			hdr := order[h]
 			copy(order[h:p.hi], order[h+1:p.hi+1])
 			order[p.hi] = hdr
@@ -141,7 +144,7 @@ func rotateLoops(order []*core.BasicBlock, at map[*core.BasicBlock]place) (rotat
 // the body is the br's false side the exit must follow the latch, so that
 // the test branches back with its conditional jump once its polarity is
 // inverted, and does not jump to the body unconditionally.
-func rotatable(order []*core.BasicBlock, at map[*core.BasicBlock]place, h int) bool {
+func rotatable(order []*core.BasicBlock, at []place, h int) bool {
 	hdr := order[h]
 	term := hdr.Terminator()
 	if term == nil || term.Op() != core.OpBr {
@@ -158,20 +161,20 @@ func rotatable(order []*core.BasicBlock, at map[*core.BasicBlock]place, h int) b
 			return false
 		}
 	}
-	p := at[hdr]
+	p := at[hdr.Num()]
 	l := int(p.hi)
-	if p.back != 1 || l <= h || at[body].rotate {
+	if p.back != 1 || l <= h || at[body.Num()].rotate {
 		return false
 	}
 	latch := order[l].Terminator()
 	if latch == nil || latch.Op() != core.OpBr || latch.NumBlocks() != 1 {
 		return false
 	}
-	if e := int(at[exit].pos); e >= h && e <= l || body == succs[1] && e != l+1 {
+	if e := int(at[exit.Num()].pos); e >= h && e <= l || body == succs[1] && e != l+1 {
 		return false
 	}
 	for _, bb := range order[h+1 : l+1] {
-		if q := at[bb]; int(q.lo) < h || int(q.hi) > l {
+		if q := at[bb.Num()]; int(q.lo) < h || int(q.hi) > l {
 			return false
 		}
 	}

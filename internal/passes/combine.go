@@ -9,12 +9,14 @@ import (
 // (multiply/divide by powers of two into shifts), cast-of-cast collapse,
 // and comparison canonicalizations.
 func InstCombine(m *core.Module, s *Stats) bool {
+	var buf []*core.Instruction
 	return forEachDefined(m, func(f *core.Function) bool {
 		changed := false
 		for {
 			c := false
 			for _, bb := range f.Blocks {
-				for _, in := range append([]*core.Instruction(nil), bb.Instructions()...) {
+				buf = append(buf[:0], bb.Instructions()...)
+				for _, in := range buf {
 					if v := combine(m, in, s); v != nil {
 						core.ReplaceAllUsesWith(in, v)
 						in.EraseFromParent()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"llva/internal/obj"
+	"llva/internal/passes"
 	"llva/internal/workloads"
 )
 
@@ -64,6 +65,32 @@ func TestOptimizeConcurrent(t *testing.T) {
 		}(i, w)
 	}
 	wg.Wait()
+}
+
+// TestO2KeepsNumbering runs the verifier, which checks that every block
+// and instruction holds a number unique in its function and below its
+// slot count, after every O2 pass on every suite program: the passes
+// index their tables by those numbers. After the last pass, BlockOrder,
+// the numbers are dense: a table is exactly as long as the function.
+func TestO2KeepsNumbering(t *testing.T) {
+	for _, w := range workloads.All() {
+		m, err := w.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe := passes.O2()
+		pipe.Verify = true
+		if _, err := pipe.Run(m, passes.NewStats()); err != nil {
+			t.Errorf("%s: %v", w.Name, err)
+			continue
+		}
+		for _, f := range m.Functions {
+			if f.BlockSlots() != len(f.Blocks) || f.InstrSlots() != f.NumInstructions() {
+				t.Errorf("%s: %%%s has %d and %d slots for %d blocks and %d instructions",
+					w.Name, f.Name(), f.BlockSlots(), f.InstrSlots(), len(f.Blocks), f.NumInstructions())
+			}
+		}
+	}
 }
 
 // TestNoPackageLevelState keeps the optimizer free of package-level

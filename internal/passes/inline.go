@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"slices"
+
 	"llva/internal/core"
 )
 
@@ -94,17 +96,9 @@ func inlineCall(caller *core.Function, call *core.Instruction, s *Stats) {
 
 	// 1. Split bb at the call: instructions after the call move to cont.
 	cont := caller.NewBlock(bb.Name() + ".cont")
-	instrs := bb.Instructions()
-	callIdx := -1
-	for i, in := range instrs {
-		if in == call {
-			callIdx = i
-			break
-		}
-	}
-	tail := append([]*core.Instruction(nil), instrs[callIdx+1:]...)
-	for _, in := range tail {
-		in.MoveTo(cont)
+	callIdx := slices.Index(bb.Instructions(), call)
+	for bb.Len() > callIdx+1 {
+		bb.Instructions()[callIdx+1].MoveTo(cont)
 	}
 	// Successor phis referring to bb now refer to cont (the terminator
 	// moved there).
@@ -118,19 +112,14 @@ func inlineCall(caller *core.Function, call *core.Instruction, s *Stats) {
 		}
 	}
 
-	// 2. Clone the callee body.
-	vmap := make(map[core.Value]core.Value)
-	for i, p := range callee.Params {
-		vmap[p] = call.CallArgs()[i]
-	}
-	bmap := make(map[*core.BasicBlock]*core.BasicBlock, len(callee.Blocks))
+	// 2. Clone the callee body: create the copies, then wire their
+	// operands. A callee block's or instruction's copy is found by its
+	// number, a parameter's argument by its index.
+	blockCopy := make([]*core.BasicBlock, callee.BlockSlots())
 	for _, cb := range callee.Blocks {
-		nb := caller.NewBlock(callee.Name() + "." + cb.Name())
-		bmap[cb] = nb
+		blockCopy[cb.Num()] = caller.NewBlock(callee.Name() + "." + cb.Name())
 	}
-	// Two passes: create clones, then wire operands.
-	var clones []*core.Instruction
-	var origs []*core.Instruction
+	copyOf := make([]*core.Instruction, callee.InstrSlots())
 	for _, cb := range callee.Blocks {
 		for _, in := range cb.Instructions() {
 			cl := core.NewInstruction(in.Op(), in.Type())
@@ -138,35 +127,42 @@ func inlineCall(caller *core.Function, call *core.Instruction, s *Stats) {
 			cl.Allocated = in.Allocated
 			cl.Cases = append([]int64(nil), in.Cases...)
 			cl.SetName(in.Name())
-			bmap[cb].Append(cl)
-			vmap[in] = cl
-			clones = append(clones, cl)
-			origs = append(origs, in)
+			blockCopy[cb.Num()].Append(cl)
+			copyOf[in.Num()] = cl
 		}
 	}
 	mapv := func(v core.Value) core.Value {
-		if nv, ok := vmap[v]; ok {
-			return nv
+		switch x := v.(type) {
+		case *core.Argument:
+			if x.Parent() == callee {
+				return call.CallArgs()[x.Index()]
+			}
+		case *core.Instruction:
+			if p := x.Parent(); p != nil && p.Parent() == callee {
+				return copyOf[x.Num()]
+			}
 		}
 		return v
 	}
 	var rets []*core.Instruction
-	for k, cl := range clones {
-		orig := origs[k]
-		for _, op := range orig.Operands() {
-			cl.AddOperand(mapv(op))
-		}
-		for _, ob := range orig.Blocks() {
-			cl.AddBlock(bmap[ob])
-		}
-		if cl.Op() == core.OpRet {
-			rets = append(rets, cl)
+	for _, cb := range callee.Blocks {
+		for _, orig := range cb.Instructions() {
+			cl := copyOf[orig.Num()]
+			for _, op := range orig.Operands() {
+				cl.AddOperand(mapv(op))
+			}
+			for _, ob := range orig.Blocks() {
+				cl.AddBlock(blockCopy[ob.Num()])
+			}
+			if cl.Op() == core.OpRet {
+				rets = append(rets, cl)
+			}
 		}
 	}
 
 	// 3. bb branches to the cloned entry.
 	br := core.NewInstruction(core.OpBr, caller.Parent().Types().Void())
-	br.AddBlock(bmap[callee.Entry()])
+	br.AddBlock(blockCopy[callee.Entry().Num()])
 	bb.Append(br)
 
 	// 4. Rets become branches to cont; return values merge via phi.

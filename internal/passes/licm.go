@@ -11,6 +11,7 @@ import (
 // defined outside the loop"), and the exception model (an instruction
 // with ExceptionsEnabled=false may be hoisted even if it could trap).
 func LICM(m *core.Module, s *Stats) bool {
+	var buf []*core.Instruction
 	return forEachDefined(m, func(f *core.Function) bool {
 		cfg := analysis.NewCFG(f)
 		dt := analysis.NewDomTreeCFG(cfg)
@@ -19,7 +20,7 @@ func LICM(m *core.Module, s *Stats) bool {
 		// Process outer loops after inner ones so code hoists as far as
 		// it can in multiple rounds.
 		for _, l := range li.Loops {
-			if hoistLoop(f, cfg, l, s) {
+			if hoistLoop(cfg, l, &buf, s) {
 				changed = true
 			}
 		}
@@ -27,23 +28,28 @@ func LICM(m *core.Module, s *Stats) bool {
 	})
 }
 
-// preheader finds or creates the unique block that branches to the loop
-// header from outside the loop.
-func preheader(f *core.Function, cfg *analysis.CFG, l *analysis.Loop) *core.BasicBlock {
-	header := cfg.Blocks[l.Header]
-	var outside []*core.BasicBlock
-	for _, p := range header.Predecessors() {
-		if !l.Contains(cfg.Index[p]) {
-			outside = append(outside, p)
+// preheader finds the unique block that branches to the loop header from
+// outside the loop, or returns nil. The CFG holds one edge per branch, so
+// a predecessor's edges are adjacent in its list.
+func preheader(cfg *analysis.CFG, l *analysis.Loop) *core.BasicBlock {
+	preds := cfg.Preds[l.Header]
+	outside := -1
+	for k, p := range preds {
+		if k > 0 && p == preds[k-1] || l.Contains(p) {
+			continue
 		}
+		if outside >= 0 {
+			// Creating a fresh preheader and rewiring multiple entry
+			// edges is possible but rarely needed for front-end-generated
+			// loops (the for/while lowerings produce a unique entry edge).
+			return nil
+		}
+		outside = p
 	}
-	if len(outside) != 1 {
-		// Creating a fresh preheader and rewiring multiple entry edges is
-		// possible but rarely needed for front-end-generated loops (the
-		// for/while lowerings produce a unique entry edge).
+	if outside < 0 {
 		return nil
 	}
-	pred := outside[0]
+	pred := cfg.Blocks[outside]
 	t := pred.Terminator()
 	if t == nil || t.Op() != core.OpBr {
 		return nil
@@ -51,8 +57,8 @@ func preheader(f *core.Function, cfg *analysis.CFG, l *analysis.Loop) *core.Basi
 	return pred
 }
 
-func hoistLoop(f *core.Function, cfg *analysis.CFG, l *analysis.Loop, s *Stats) bool {
-	pre := preheader(f, cfg, l)
+func hoistLoop(cfg *analysis.CFG, l *analysis.Loop, buf *[]*core.Instruction, s *Stats) bool {
+	pre := preheader(cfg, l)
 	if pre == nil {
 		return false
 	}
@@ -64,8 +70,8 @@ func hoistLoop(f *core.Function, cfg *analysis.CFG, l *analysis.Loop, s *Stats) 
 		if in.Parent() == nil {
 			return false
 		}
-		bi, ok := cfg.Index[in.Parent()]
-		return ok && l.Contains(bi)
+		bi := cfg.Index(in.Parent())
+		return bi >= 0 && l.Contains(bi)
 	}
 
 	changed := false
@@ -73,8 +79,8 @@ func hoistLoop(f *core.Function, cfg *analysis.CFG, l *analysis.Loop, s *Stats) 
 	for {
 		hoisted := false
 		for _, bi := range l.Blocks {
-			bb := cfg.Blocks[bi]
-			for _, in := range append([]*core.Instruction(nil), bb.Instructions()...) {
+			*buf = append((*buf)[:0], cfg.Blocks[bi].Instructions()...)
+			for _, in := range *buf {
 				if !isPure(in) || !in.HasResult() || in.Op() == core.OpPhi {
 					continue
 				}

@@ -23,7 +23,7 @@ func promotable(in *core.Instruction) bool {
 	if !in.Allocated.IsFirstClass() {
 		return false
 	}
-	for _, u := range in.Uses() {
+	for _, u := range in.UseList() {
 		switch u.User.Op() {
 		case core.OpLoad:
 			// ok
@@ -55,90 +55,116 @@ func mem2regFunc(f *core.Function, s *Stats) bool {
 	dt := analysis.NewDomTreeCFG(cfg)
 	df := dt.Frontiers()
 
-	allocaID := make(map[*core.Instruction]int, len(allocas))
+	// id[n] is 1 + the index in allocas of the promoted alloca numbered
+	// n, or of the one a phi numbered n was placed for; 0 for any other
+	// instruction. The phis are numbered after the table is made, so it
+	// grows with them.
+	id := make([]int32, f.InstrSlots())
 	for i, a := range allocas {
-		allocaID[a] = i
+		id[a.Num()] = int32(i + 1)
+	}
+	allocaOf := func(v core.Value) (int, bool) {
+		a, ok := v.(*core.Instruction)
+		if !ok || a.Op() != core.OpAlloca || a.Num() >= len(id) || id[a.Num()] == 0 {
+			return 0, false
+		}
+		return int(id[a.Num()]) - 1, true
 	}
 
 	// Phi placement at iterated dominance frontiers of each alloca's
-	// defining (storing) blocks.
-	phiFor := make(map[*core.Instruction]int) // phi -> alloca id
+	// defining (storing) blocks. inWork and hasPhi hold 1 + the index of
+	// the alloca a block was last queued or given a phi for.
+	var placed []*core.Instruction
+	var work []int
+	inWork := make([]int32, len(cfg.Blocks))
+	hasPhi := make([]int32, len(cfg.Blocks))
 	for ai, a := range allocas {
-		work := []int{}
-		inWork := make(map[int]bool)
-		for _, u := range a.Uses() {
+		stamp := int32(ai + 1)
+		for _, u := range a.UseList() {
 			if u.User.Op() == core.OpStore {
-				bi := cfg.Index[u.User.Parent()]
-				if !inWork[bi] {
-					inWork[bi] = true
+				bi := cfg.Index(u.User.Parent())
+				if inWork[bi] != stamp {
+					inWork[bi] = stamp
 					work = append(work, bi)
 				}
 			}
 		}
-		hasPhi := make(map[int]bool)
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, fr := range df[b] {
-				if hasPhi[fr] {
+				if hasPhi[fr] == stamp {
 					continue
 				}
-				hasPhi[fr] = true
+				hasPhi[fr] = stamp
 				phi := core.NewInstruction(core.OpPhi, a.Allocated)
 				phi.SetName(a.Name() + ".phi")
 				cfg.Blocks[fr].InsertAt(0, phi)
-				phiFor[phi] = ai
-				if !inWork[fr] {
-					inWork[fr] = true
+				id = append(id, make([]int32, phi.Num()+1-len(id))...)
+				id[phi.Num()] = stamp
+				placed = append(placed, phi)
+				if inWork[fr] != stamp {
+					inWork[fr] = stamp
 					work = append(work, fr)
 				}
 			}
 		}
 	}
+	phiOf := func(phi *core.Instruction) (int, bool) {
+		if phi.Num() >= len(id) || id[phi.Num()] == 0 {
+			return 0, false
+		}
+		return int(id[phi.Num()]) - 1, true
+	}
 
-	// Renaming walk over the dominator tree.
-	stacks := make([][]core.Value, len(allocas))
+	// Renaming walk over the dominator tree. cur[ai] is the value alloca
+	// ai holds where the walk is, nil before any store; saved logs what
+	// each store or phi overwrote there, for the block that made it to
+	// restore on the way back up. A block's walk is done with buf before
+	// its children's begin, so they share it.
+	cur := make([]core.Value, len(allocas))
+	type save struct {
+		ai int
+		v  core.Value
+	}
+	var saved []save
+	set := func(ai int, v core.Value) {
+		saved = append(saved, save{ai, cur[ai]})
+		cur[ai] = v
+	}
+	value := func(ai int) core.Value {
+		if v := cur[ai]; v != nil {
+			return v
+		}
+		return core.NewUndef(allocas[ai].Allocated)
+	}
+	var buf []*core.Instruction
 	var rename func(b int)
 	rename = func(b int) {
 		bb := cfg.Blocks[b]
-		pushed := make([]int, 0, 4)
+		mark := len(saved)
 
-		for _, in := range append([]*core.Instruction(nil), bb.Instructions()...) {
+		buf = append(buf[:0], bb.Instructions()...)
+		for _, in := range buf {
 			switch in.Op() {
 			case core.OpPhi:
-				if ai, ok := phiFor[in]; ok {
-					stacks[ai] = append(stacks[ai], in)
-					pushed = append(pushed, ai)
+				if ai, ok := phiOf(in); ok {
+					set(ai, in)
 				}
 			case core.OpLoad:
-				a, ok := in.Operand(0).(*core.Instruction)
-				if !ok {
-					continue
-				}
-				ai, isProm := allocaID[a]
+				ai, isProm := allocaOf(in.Operand(0))
 				if !isProm {
 					continue
 				}
-				var v core.Value
-				if n := len(stacks[ai]); n > 0 {
-					v = stacks[ai][n-1]
-				} else {
-					v = core.NewUndef(a.Allocated)
-				}
-				core.ReplaceAllUsesWith(in, v)
+				core.ReplaceAllUsesWith(in, value(ai))
 				in.EraseFromParent()
 				s.Add("mem2reg.loads", 1)
 			case core.OpStore:
-				a, ok := in.Operand(1).(*core.Instruction)
-				if !ok {
-					continue
-				}
-				ai, isProm := allocaID[a]
+				ai, isProm := allocaOf(in.Operand(1))
 				if !isProm {
 					continue
 				}
-				stacks[ai] = append(stacks[ai], in.Operand(0))
-				pushed = append(pushed, ai)
+				set(ai, in.Operand(0))
 				in.EraseFromParent()
 				s.Add("mem2reg.stores", 1)
 			}
@@ -146,39 +172,36 @@ func mem2regFunc(f *core.Function, s *Stats) bool {
 
 		// Fill phi incomings in successors.
 		for _, si := range cfg.Succs[b] {
-			sb := cfg.Blocks[si]
-			for _, phi := range sb.Phis() {
-				ai, ok := phiFor[phi]
-				if !ok {
-					continue
+			for _, phi := range cfg.Blocks[si].Phis() {
+				if ai, ok := phiOf(phi); ok {
+					phi.AddPhiIncoming(value(ai), bb)
 				}
-				var v core.Value
-				if n := len(stacks[ai]); n > 0 {
-					v = stacks[ai][n-1]
-				} else {
-					v = core.NewUndef(allocas[ai].Allocated)
-				}
-				phi.AddPhiIncoming(v, bb)
 			}
 		}
 
 		for _, ch := range dt.Children[b] {
 			rename(ch)
 		}
-		for i := len(pushed) - 1; i >= 0; i-- {
-			ai := pushed[i]
-			stacks[ai] = stacks[ai][:len(stacks[ai])-1]
+		for i := len(saved) - 1; i >= mark; i-- {
+			cur[saved[i].ai] = saved[i].v
 		}
+		saved = saved[:mark]
 	}
 	rename(0)
 
 	// Unreachable predecessors are never visited by the renaming walk;
 	// give their phi edges undef so the phi/predecessor invariant holds.
-	for phi, ai := range phiFor {
-		bb := phi.Parent()
-		for _, p := range bb.Predecessors() {
-			if phi.PhiIncomingFor(p) == nil {
-				phi.AddPhiIncoming(core.NewUndef(allocas[ai].Allocated), p)
+	// The CFG lists a block's predecessors once per edge, a
+	// predecessor's edges next to each other.
+	for _, phi := range placed {
+		ai, _ := phiOf(phi)
+		preds := cfg.Preds[cfg.Index(phi.Parent())]
+		for k, p := range preds {
+			if k > 0 && p == preds[k-1] {
+				continue
+			}
+			if pb := cfg.Blocks[p]; phi.PhiIncomingFor(pb) == nil {
+				phi.AddPhiIncoming(core.NewUndef(allocas[ai].Allocated), pb)
 			}
 		}
 	}

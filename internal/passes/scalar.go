@@ -2,7 +2,7 @@ package passes
 
 import (
 	"encoding/binary"
-	"math"
+	"slices"
 
 	"llva/internal/analysis"
 	"llva/internal/core"
@@ -13,12 +13,14 @@ import (
 // until no more folds fire. (Branch folding on the resulting constants is
 // done by SimplifyCFG.)
 func ConstProp(m *core.Module, s *Stats) bool {
+	var buf []*core.Instruction
 	return forEachDefined(m, func(f *core.Function) bool {
 		changed := false
 		for {
 			c := false
 			for _, bb := range f.Blocks {
-				for _, in := range append([]*core.Instruction(nil), bb.Instructions()...) {
+				buf = append(buf[:0], bb.Instructions()...)
+				for _, in := range buf {
 					if folded := tryFold(m, in); folded != nil {
 						core.ReplaceAllUsesWith(in, folded)
 						in.EraseFromParent()
@@ -85,12 +87,14 @@ func tryFold(m *core.Module, in *core.Instruction) *core.Constant {
 // DCE removes trivially dead instructions (unused, pure) until fixpoint,
 // including dead phi cycles (phis only used by other dead phis).
 func DCE(m *core.Module, s *Stats) bool {
+	var buf []*core.Instruction
 	return forEachDefined(m, func(f *core.Function) bool {
 		changed := false
 		for {
 			c := false
 			for _, bb := range f.Blocks {
-				for _, in := range append([]*core.Instruction(nil), bb.Instructions()...) {
+				buf = append(buf[:0], bb.Instructions()...)
+				for _, in := range buf {
 					if eraseDeadInstr(in) {
 						s.Add("dce.removed", 1)
 						c = true
@@ -120,13 +124,13 @@ func removeDeadPhiCycles(f *core.Function, s *Stats) bool {
 	if len(phis) == 0 {
 		return false
 	}
-	live := make(map[*core.Instruction]bool)
+	live := make([]bool, f.InstrSlots())
 	var mark func(*core.Instruction)
 	mark = func(p *core.Instruction) {
-		if live[p] {
+		if live[p.Num()] {
 			return
 		}
-		live[p] = true
+		live[p.Num()] = true
 		for _, op := range p.Operands() {
 			if q, ok := op.(*core.Instruction); ok && q.Op() == core.OpPhi {
 				mark(q)
@@ -134,7 +138,7 @@ func removeDeadPhiCycles(f *core.Function, s *Stats) bool {
 		}
 	}
 	for _, p := range phis {
-		for _, u := range p.Uses() {
+		for _, u := range p.UseList() {
 			if u.User.Op() != core.OpPhi {
 				mark(p)
 				break
@@ -143,7 +147,7 @@ func removeDeadPhiCycles(f *core.Function, s *Stats) bool {
 	}
 	changed := false
 	for _, p := range phis {
-		if live[p] {
+		if live[p.Num()] {
 			continue
 		}
 		// Break the cycle: drop operands first, then erase.
@@ -159,13 +163,14 @@ func removeDeadPhiCycles(f *core.Function, s *Stats) bool {
 // (roots are stores, calls, terminators and other side-effecting
 // operations) and deletes everything unmarked.
 func ADCE(m *core.Module, s *Stats) bool {
+	var buf []*core.Instruction
 	return forEachDefined(m, func(f *core.Function) bool {
-		live := make(map[*core.Instruction]bool)
+		live := make([]bool, f.InstrSlots())
 		var work []*core.Instruction
 		for _, bb := range f.Blocks {
 			for _, in := range bb.Instructions() {
 				if !isPure(in) {
-					live[in] = true
+					live[in.Num()] = true
 					work = append(work, in)
 				}
 			}
@@ -174,16 +179,17 @@ func ADCE(m *core.Module, s *Stats) bool {
 			in := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, op := range in.Operands() {
-				if d, ok := op.(*core.Instruction); ok && !live[d] {
-					live[d] = true
+				if d, ok := op.(*core.Instruction); ok && !live[d.Num()] {
+					live[d.Num()] = true
 					work = append(work, d)
 				}
 			}
 		}
 		changed := false
 		for _, bb := range f.Blocks {
-			for _, in := range append([]*core.Instruction(nil), bb.Instructions()...) {
-				if live[in] {
+			buf = append(buf[:0], bb.Instructions()...)
+			for _, in := range buf {
+				if live[in.Num()] {
 					continue
 				}
 				if in.NumUses() > 0 {
@@ -205,41 +211,47 @@ func ADCE(m *core.Module, s *Stats) bool {
 // with one function's walk, so concurrent CSE of different modules
 // shares nothing and no value outlives its compile.
 func CSE(m *core.Module, s *Stats) bool {
+	var buf []*core.Instruction
 	return forEachDefined(m, func(f *core.Function) bool {
 		cfg := analysis.NewCFG(f)
 		dt := analysis.NewDomTreeCFG(cfg)
 		changed := false
 
-		operands := make(map[operandKey]uint32)
-		type scope map[cseKey]*core.Instruction
-		var walk func(b int, table []scope)
-		walk = func(b int, table []scope) {
-			local := make(scope)
-			table = append(table, local)
-			bb := cfg.Blocks[b]
-			for _, in := range append([]*core.Instruction(nil), bb.Instructions()...) {
+		// The table holds the instructions of the blocks on the walk's
+		// path from the entry, which dominate the block walked. A key is
+		// added only when no entry has it, so leaving a block deletes
+		// exactly the keys it added: scope holds them, block by block.
+		nums := operandNumbers{instrs: uint32(f.InstrSlots()), params: uint32(len(f.Params))}
+		table := make(map[cseKey]*core.Instruction)
+		var scope []cseKey
+		var walk func(b int)
+		walk = func(b int) {
+			mark := len(scope)
+			buf = append(buf[:0], cfg.Blocks[b].Instructions()...)
+			for _, in := range buf {
 				if !cseable(in) {
 					continue
 				}
-				key := makeCSEKey(in, operands)
-				var found *core.Instruction
-				for i := len(table) - 1; i >= 0 && found == nil; i-- {
-					found = table[i][key]
-				}
-				if found != nil {
+				key := makeCSEKey(in, &nums)
+				if found := table[key]; found != nil {
 					core.ReplaceAllUsesWith(in, found)
 					in.EraseFromParent()
 					s.Add("cse.removed", 1)
 					changed = true
 					continue
 				}
-				local[key] = in
+				table[key] = in
+				scope = append(scope, key)
 			}
 			for _, ch := range dt.Children[b] {
-				walk(ch, table)
+				walk(ch)
 			}
+			for _, key := range scope[mark:] {
+				delete(table, key)
+			}
+			scope = scope[:mark]
 		}
-		walk(0, nil)
+		walk(0)
 		return changed
 	})
 }
@@ -264,55 +276,51 @@ type cseKey struct {
 	rest string
 }
 
-// operandKey identifies one operand. Non-constant values are keyed by
-// identity. Constants are not interned, so they are keyed by content:
-// type and kind, plus the bit pattern of a scalar, the referenced global
-// of an address constant, or the rendered text of an aggregate.
+// operandNumbers numbers one function's operands for cseKey: an
+// instruction by its Num, a parameter by its index past those, and a
+// constant, global or function in order of first sight past both.
+// Constants are not interned, so they are numbered by content.
+type operandNumbers struct {
+	instrs, params uint32
+	others         map[operandKey]uint32
+}
+
+// operandKey identifies a constant by content, or a global or function
+// by identity.
 type operandKey struct {
-	v    core.Value
-	ty   *core.Type
-	ck   core.ConstKind
-	bits uint64
-	text string
+	v core.Value
+	c core.ConstKey
 }
 
-func makeOperandKey(v core.Value) operandKey {
-	c, ok := v.(*core.Constant)
-	if !ok {
-		return operandKey{v: v}
+func (n *operandNumbers) of(v core.Value) uint32 {
+	switch x := v.(type) {
+	case *core.Instruction:
+		return 1 + uint32(x.Num())
+	case *core.Argument:
+		return 1 + n.instrs + uint32(x.Index())
 	}
-	k := operandKey{ty: c.Type(), ck: c.CK}
-	switch c.CK {
-	case core.ConstInt:
-		k.bits = uint64(c.Int64())
-	case core.ConstBool:
-		if c.I != 0 {
-			k.bits = 1
-		}
-	case core.ConstFloat:
-		k.bits = math.Float64bits(c.F)
-		if c.F != c.F { // every NaN renders, and so numbers, alike
-			k.bits = math.Float64bits(math.NaN())
-		}
-	case core.ConstGlobal:
-		k.v = c.Ref
-	case core.ConstNull, core.ConstUndef, core.ConstZero:
-	default:
-		k.text = c.Ident()
+	var k operandKey
+	if c, ok := v.(*core.Constant); ok {
+		k.c = c.Key()
+	} else {
+		k.v = v
 	}
-	return k
+	id, seen := n.others[k]
+	if !seen {
+		if n.others == nil {
+			n.others = make(map[operandKey]uint32)
+		}
+		id = 1 + n.instrs + n.params + uint32(len(n.others))
+		n.others[k] = id
+	}
+	return id
 }
 
-func makeCSEKey(in *core.Instruction, operands map[operandKey]uint32) cseKey {
+func makeCSEKey(in *core.Instruction, nums *operandNumbers) cseKey {
 	key := cseKey{op: in.Op(), ty: in.Type()}
 	var rest []byte
 	for i, op := range in.Operands() {
-		ok := makeOperandKey(op)
-		id, seen := operands[ok]
-		if !seen {
-			id = uint32(len(operands) + 1)
-			operands[ok] = id
-		}
+		id := nums.of(op)
 		if i < len(key.ops) {
 			key.ops[i] = id
 		} else {
@@ -328,43 +336,68 @@ func makeCSEKey(in *core.Instruction, operands map[operandKey]uint32) cseKey {
 // intervening instruction may write the location — redundant-load
 // elimination enabled by the typed representation.
 func LoadElim(m *core.Module, s *Stats) bool {
+	var buf []*core.Instruction
+	var avail available
 	return forEachDefined(m, func(f *core.Function) bool {
 		changed := false
 		for _, bb := range f.Blocks {
-			// available: address value -> last value stored/loaded
-			avail := make(map[core.Value]core.Value)
-			for _, in := range append([]*core.Instruction(nil), bb.Instructions()...) {
+			avail = avail[:0]
+			buf = append(buf[:0], bb.Instructions()...)
+			for _, in := range buf {
 				switch in.Op() {
 				case core.OpStore:
 					// invalidate may-aliasing entries
-					for addr := range avail {
-						if analysis.Alias(addr, in.Operand(1)) != analysis.NoAlias {
-							delete(avail, addr)
-						}
-					}
-					avail[in.Operand(1)] = in.Operand(0)
+					ptr := in.Operand(1)
+					avail = slices.DeleteFunc(avail, func(e availEntry) bool {
+						return analysis.Alias(e.addr, ptr) != analysis.NoAlias
+					})
+					avail.set(ptr, in.Operand(0))
 				case core.OpLoad:
 					addr := in.Operand(0)
-					if v, ok := avail[addr]; ok && v.Type() == in.Type() {
+					if v := avail.get(addr); v != nil && v.Type() == in.Type() {
 						core.ReplaceAllUsesWith(in, v)
 						in.EraseFromParent()
 						s.Add("loadelim.forwarded", 1)
 						changed = true
 						continue
 					}
-					avail[addr] = in
+					avail.set(addr, in)
 				case core.OpCall, core.OpInvoke:
 					// calls may write anything except provably local,
 					// non-escaping allocas
-					for addr := range avail {
-						base, isLocal := analysis.Base(addr)
-						if !isLocal || analysis.Escapes(base) {
-							delete(avail, addr)
-						}
-					}
+					avail = slices.DeleteFunc(avail, func(e availEntry) bool {
+						base, isLocal := analysis.Base(e.addr)
+						return !isLocal || analysis.Escapes(base)
+					})
 				}
 			}
 		}
 		return changed
 	})
+}
+
+// available is what LoadElim knows of memory within one block: the
+// value last stored to or loaded from each address, one entry per
+// address. A block's addresses are few, so a list serves.
+type available []availEntry
+
+type availEntry struct{ addr, val core.Value }
+
+func (a available) get(addr core.Value) core.Value {
+	for _, e := range a {
+		if e.addr == addr {
+			return e.val
+		}
+	}
+	return nil
+}
+
+func (a *available) set(addr, val core.Value) {
+	for i := range *a {
+		if (*a)[i].addr == addr {
+			(*a)[i].val = val
+			return
+		}
+	}
+	*a = append(*a, availEntry{addr, val})
 }

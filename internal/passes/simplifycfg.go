@@ -55,7 +55,7 @@ func simplifyBlocks(f *core.Function, s *Stats) bool {
 // so the headers are found once, and only for a function that has a
 // candidate.
 func threadBoolPhis(f *core.Function, s *Stats) bool {
-	var marks map[*core.BasicBlock]uint8
+	var marks []uint8
 	changed := false
 	for _, bb := range f.Blocks {
 		phi, t, e := boolPhiBranch(bb)
@@ -65,7 +65,7 @@ func threadBoolPhis(f *core.Function, s *Stats) bool {
 		if marks == nil {
 			marks = loopHeaders(f)
 		}
-		if marks[bb]&markHeader != 0 {
+		if marks[bb.Num()]&markHeader != 0 {
 			continue
 		}
 		for i := 0; i < phi.NumBlocks(); {
@@ -156,31 +156,32 @@ const (
 )
 
 // loopHeaders walks f depth-first from its entry and marks the blocks a
-// retreating edge enters: in a reducible CFG, its loop headers.
-func loopHeaders(f *core.Function) map[*core.BasicBlock]uint8 {
+// retreating edge enters: in a reducible CFG, its loop headers. The marks
+// are indexed by block number.
+func loopHeaders(f *core.Function) []uint8 {
 	type frame struct {
 		bb   *core.BasicBlock
 		next int // successors not yet taken: Successors()[next:]
 	}
-	marks := make(map[*core.BasicBlock]uint8, len(f.Blocks))
+	marks := make([]uint8, f.BlockSlots())
 	stack := make([]frame, 1, len(f.Blocks))
 	stack[0] = frame{bb: f.Entry()}
-	marks[f.Entry()] = markOnStack
+	marks[f.Entry().Num()] = markOnStack
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
 		succs := top.bb.Successors()
 		if top.next == len(succs) {
-			marks[top.bb] = marks[top.bb]&^markOnStack | markWalked
+			marks[top.bb.Num()] = marks[top.bb.Num()]&^markOnStack | markWalked
 			stack = stack[:len(stack)-1]
 			continue
 		}
 		sc := succs[top.next]
 		top.next++
-		switch m := marks[sc]; {
+		switch m := marks[sc.Num()]; {
 		case m&markOnStack != 0:
-			marks[sc] = m | markHeader
+			marks[sc.Num()] = m | markHeader
 		case m == 0:
-			marks[sc] = markOnStack
+			marks[sc.Num()] = markOnStack
 			stack = append(stack, frame{bb: sc})
 		}
 	}
@@ -264,10 +265,9 @@ func foldBranches(f *core.Function, s *Stats) bool {
 				}
 			}
 			// Remove phi edges from every non-taken unique target.
-			seen := map[*core.BasicBlock]bool{taken: true}
-			for _, tgt := range t.Blocks() {
-				if !seen[tgt] {
-					seen[tgt] = true
+			tgts := t.Blocks()
+			for i, tgt := range tgts {
+				if tgt != taken && !slices.Contains(tgts[:i], tgt) {
 					removePhiEdge(tgt, bb)
 				}
 			}
@@ -299,23 +299,23 @@ func replaceTerminatorWithBr(bb *core.BasicBlock, t *core.Instruction, target *c
 
 // removeUnreachable deletes blocks not reachable from the entry.
 func removeUnreachable(f *core.Function, s *Stats) bool {
-	reachable := make(map[*core.BasicBlock]bool)
-	var stack []*core.BasicBlock
-	stack = append(stack, f.Entry())
-	reachable[f.Entry()] = true
+	reachable := make([]bool, f.BlockSlots())
+	stack := make([]*core.BasicBlock, 1, len(f.Blocks))
+	stack[0] = f.Entry()
+	reachable[f.Entry().Num()] = true
 	for len(stack) > 0 {
 		bb := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, sc := range bb.Successors() {
-			if !reachable[sc] {
-				reachable[sc] = true
+			if !reachable[sc.Num()] {
+				reachable[sc.Num()] = true
 				stack = append(stack, sc)
 			}
 		}
 	}
-	var dead []*core.BasicBlock
+	dead := stack[:0]
 	for _, bb := range f.Blocks {
-		if !reachable[bb] {
+		if !reachable[bb.Num()] {
 			dead = append(dead, bb)
 		}
 	}
@@ -326,7 +326,7 @@ func removeUnreachable(f *core.Function, s *Stats) bool {
 	// uses inside dead blocks before removal.
 	for _, bb := range dead {
 		for _, sc := range bb.Successors() {
-			if reachable[sc] {
+			if reachable[sc.Num()] {
 				removePhiEdge(sc, bb)
 			}
 		}
@@ -349,10 +349,14 @@ func removeUnreachable(f *core.Function, s *Stats) bool {
 // and removes empty forwarding blocks.
 func mergeBlocks(f *core.Function, s *Stats) bool {
 	changed := false
+	preds := onlyPreds{stale: true}
 	// Merging removes the block at i, which moves the next one there.
 	for i := 1; i < len(f.Blocks); i++ {
 		bb := f.Blocks[i]
-		pred := onlyPred(f, bb)
+		if preds.stale {
+			preds.find(f)
+		}
+		pred := preds.of(bb)
 		if pred == nil || pred == bb {
 			continue
 		}
@@ -366,7 +370,9 @@ func mergeBlocks(f *core.Function, s *Stats) bool {
 			core.ReplaceAllUsesWith(phi, phi.Operand(0))
 			phi.EraseFromParent()
 		}
-		// Move instructions from bb into pred.
+		// Move instructions from bb into pred: the edges change, so the
+		// predecessors are found again for the next block.
+		preds.stale = true
 		pt.EraseFromParent()
 		for bb.Len() > 0 {
 			bb.Instructions()[0].MoveTo(pred)
@@ -396,20 +402,39 @@ func mergeBlocks(f *core.Function, s *Stats) bool {
 	return changed
 }
 
-// onlyPred returns the one block that branches to bb, or nil if none or
-// several do.
-func onlyPred(f *core.Function, bb *core.BasicBlock) *core.BasicBlock {
-	var pred *core.BasicBlock
+// onlyPreds is how many distinct blocks branch to each block of a
+// function, and the first of them in layout, by block number; stale once
+// an edge changes.
+type onlyPreds struct {
+	count []int32
+	first []*core.BasicBlock
+	stale bool
+}
+
+// find counts f's predecessors, reusing the tables.
+func (p *onlyPreds) find(f *core.Function) {
+	p.stale = false
+	n := f.BlockSlots()
+	p.count = append(p.count[:0], make([]int32, n)...)
+	p.first = append(p.first[:0], make([]*core.BasicBlock, n)...)
 	for _, other := range f.Blocks {
-		for _, sc := range other.Successors() {
-			if sc == bb {
-				if pred != nil {
-					return nil
-				}
-				pred = other
-				break
+		succs := other.Successors()
+		for i, sc := range succs {
+			if slices.Contains(succs[:i], sc) {
+				continue
+			}
+			if p.count[sc.Num()]++; p.count[sc.Num()] == 1 {
+				p.first[sc.Num()] = other
 			}
 		}
 	}
-	return pred
+}
+
+// of returns the one block that branches to bb, or nil if none or
+// several do.
+func (p *onlyPreds) of(bb *core.BasicBlock) *core.BasicBlock {
+	if p.count[bb.Num()] != 1 {
+		return nil
+	}
+	return p.first[bb.Num()]
 }

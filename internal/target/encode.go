@@ -115,14 +115,25 @@ func encFlags(in *MInstr) byte {
 // 16-byte fetch window.
 func (d *Desc) Encode(in *MInstr, code []byte) ([]byte, []Reloc) {
 	start := len(code)
-	var relocs []Reloc
+	code, relocs := d.AppendEncoding(code, nil, in)
+	for i := range relocs {
+		relocs[i].Offset -= uint32(start)
+	}
+	return code, relocs
+}
+
+// AppendEncoding is Encode for a caller that keeps the relocations of
+// many instructions: it appends in's encoding to code and its
+// relocations to relocs, their offsets relative to code's first byte.
+func (d *Desc) AppendEncoding(code []byte, relocs []Reloc, in *MInstr) ([]byte, []Reloc) {
+	start := len(code)
 	put8 := func(b byte) { code = append(code, b) }
 	putReg := func(r Reg) { put8(encReg(r)) }
 	put16 := func(v uint16) { code = binary.LittleEndian.AppendUint16(code, v) }
 	put32 := func(v uint32) { code = binary.LittleEndian.AppendUint32(code, v) }
 	put64 := func(v uint64) { code = binary.LittleEndian.AppendUint64(code, v) }
 	rel := func(kind RelocKind) {
-		relocs = append(relocs, Reloc{Offset: uint32(len(code) - start), Kind: kind, Sym: in.Sym})
+		relocs = append(relocs, Reloc{Offset: uint32(len(code)), Kind: kind, Sym: in.Sym})
 	}
 
 	put8(byte(in.Op))
