@@ -64,7 +64,7 @@ bench:
 # must render. The serve smoke drives a short loadgen burst against an
 # in-process server: non-zero completions, zero 5xx.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|SpeculativeColdStart|CacheCodec|CASRead|NewSession|MemNew|LoadStore|Dispatch|EncodeDecode|Optimize|Lower|AllocLinear' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|CacheCodec|CASRead|NewSession|MemNew|LoadStore|Dispatch|EncodeDecode|Optimize|Lower|AllocLinear' -benchtime 1x ./...
 	$(GO) test -run TestTraceSmoke .
 	$(GO) test -count=1 -run TestLoadGenSmoke ./internal/serve/
 

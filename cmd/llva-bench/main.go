@@ -67,12 +67,12 @@ type Row struct {
 }
 
 // measureRun runs the workload the way llva-run would, through two
-// llee.Systems sharing one in-memory storage API: a cold process
-// (speculative JIT, cache write-back at Close) followed by a warm one
-// (stamp-validated cache hit). With tier2, the cold process also profiles
-// the guest and persists its profile, and the warm one, built WithTier2,
-// finds the cached code and the profile and translates the hot functions
-// at tier 2 before it runs. The row's run columns are the warm process's
+// llee.Systems sharing one in-memory storage API: a cold process (each
+// function translated at its first call, written back after the run)
+// followed by a warm one (stamp-validated cache hit). With tier2, the cold
+// process also profiles the guest and persists its profile, and the warm
+// one, built WithTier2, finds the cached code and the profile and
+// translates the hot functions at tier 2 before it runs. The row's run columns are the warm process's
 // run, whose output must match the cold run's byte for byte.
 func measureRun(row *Row, m *core.Module, tier2 bool) error {
 	st := llee.NewMemStorage()

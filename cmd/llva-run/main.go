@@ -3,9 +3,10 @@
 // JIT-translates on demand otherwise, executes %main on the simulated
 // processor, and writes new translations back to the cache.
 //
-// Usage: llva-run [-target vx86|vsparc] [-cache DIR] [-interp] [-stats]
+// Usage: llva-run [-target vx86|vsparc] [-cache DIR] [-cache-max-bytes N]
 //
-//	[-translate-workers N] [-speculate=false] [-timeout D]
+//	[-interp] [-stats] [-translate-only] [-idle-optimize]
+//	[-translate-workers N] [-timeout D] [-gas N]
 //	[-metrics-addr HOST:PORT] [-trace-log FILE] [-trace-out FILE]
 //	[-prof] [-prof-rate N] [-prof-out FILE] [-prof-store] [-tier2]
 //	[-tenant ID] [-flight-events N] prog.bc
@@ -101,8 +102,7 @@ func main() {
 	profStore := flag.Bool("prof-store", false, "persist the guest profile's block entries through the storage API after the run, merged into the stored ones (implies -prof, needs -cache)")
 	tenant := flag.String("tenant", "", "tenant label carried on this session's trace spans")
 	flightEvents := flag.Int("flight-events", 16, "trap-time flight recorder depth in telemetry events (0: disable crash reports)")
-	workers := flag.Int("translate-workers", 0, "translation worker-pool size for offline and speculative JIT translation (0: one per CPU)")
-	speculate := flag.Bool("speculate", true, "speculatively JIT-translate static callees on background workers")
+	workers := flag.Int("translate-workers", 0, "worker-pool size for translation ahead of execution: -translate-only, -idle-optimize and a -tier2 start (0: one per CPU); a function first called at run time is translated on the run's goroutine")
 	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 translation: when a stored guest profile exists, translate every function it counted entries of with superblocks and inlining, before the run where the cache holds code for them that this profile did not produce, at their first call where it holds none (needs -cache; store a profile with -prof-store)")
 	timeout := flag.Duration("timeout", 0, "abort execution after this long on the wall clock (0: no limit)")
 	gas := flag.Uint64("gas", 0, "per-run gas budget in simulated cycles; exhaustion stops the run at a block boundary (0: unmetered)")
@@ -206,7 +206,6 @@ func main() {
 	sysOpts := []llee.SystemOption{
 		llee.WithTelemetry(reg),
 		llee.WithTranslateWorkers(*workers),
-		llee.WithSpeculation(*speculate),
 		llee.WithTracer(tracer),
 		llee.WithTier2(*tier2),
 	}
@@ -230,8 +229,7 @@ func main() {
 		fatal(fmt.Errorf("-cache-max-bytes requires -cache"))
 	}
 	sys := llee.NewSystem(sysOpts...)
-	// Close flushes pending cache write-back (including speculative
-	// translations) on every exit path.
+	// Close flushes pending cache write-back on every exit path.
 	exitHooks = append(exitHooks, func() {
 		if err := sys.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "llva-run: close:", err)

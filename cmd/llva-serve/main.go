@@ -38,6 +38,16 @@ import (
 	"llva/internal/telemetry"
 )
 
+// A client gets readHeaderTimeout to send a request's headers, and a
+// keep-alive connection is closed after idleTimeout without one. There is
+// no ReadTimeout or WriteTimeout: net/http runs both while the handler
+// does, and a run may queue and execute for longer than any fixed bound.
+// Bodies are bounded by size instead, in package serve.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "llva-serve:", err)
 	os.Exit(1)
@@ -59,7 +69,6 @@ func main() {
 	tenantGas := flag.Uint64("tenant-gas", 0, "aggregate simulated-cycle budget per tenant (0: unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a graceful drain waits for in-flight runs")
 	translateWorkers := flag.Int("translate-workers", 0, "translation worker-pool size (0: one per CPU)")
-	speculate := flag.Bool("speculate", true, "speculatively JIT-translate static callees on background workers")
 	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 translation when stored guest profiles exist (needs -cache)")
 	flag.Parse()
 
@@ -79,7 +88,6 @@ func main() {
 	sysOpts := []llee.SystemOption{
 		llee.WithTelemetry(reg),
 		llee.WithTranslateWorkers(*translateWorkers),
-		llee.WithSpeculation(*speculate),
 		llee.WithTracer(tracer),
 		llee.WithTier2(*tier2),
 	}
@@ -131,7 +139,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: mux}
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "llva-serve: %s target on http://%s/api/v1 (metrics at /metrics)\n",

@@ -5,9 +5,32 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// testFuncs returns the name of every Test… and Benchmark… function some
+// _test.go file in the tree defines.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	defined := map[string]bool{}
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range funcRE.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return defined
+}
 
 // TestDocsCiteLiveTests: DESIGN.md and README.md name the test or benchmark
 // that holds each property they state, the make target that runs a check
@@ -24,21 +47,7 @@ import (
 //
 // EXPERIMENTS.md is exempt: it cites deleted history on purpose.
 func TestDocsCiteLiveTests(t *testing.T) {
-	defined := map[string]bool{}
-	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w*)\(`)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		src, err := os.ReadFile(path)
-		for _, m := range funcRE.FindAllSubmatch(src, -1) {
-			defined[string(m[1])] = true
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defined := testFuncs(t)
 	live := func(cited string) bool {
 		prefix, wild := strings.CutSuffix(cited, "*")
 		if !wild {
@@ -91,6 +100,38 @@ func TestDocsCiteLiveTests(t *testing.T) {
 			if !exists(identRE.ReplaceAllString(string(m[1]), "")) {
 				t.Errorf("%s cites `%s`, which is not in the tree", doc, m[1])
 			}
+		}
+	}
+}
+
+// TestBenchSmokeNamesLiveBenchmarks: every alternative of the -bench
+// pattern `make bench-smoke` runs must match at least one Benchmark…
+// function in the tree. go test runs an alternative that matches nothing
+// without a word, so a deleted or renamed benchmark would otherwise drop
+// out of the smoke run unnoticed.
+func TestBenchSmokeNamesLiveBenchmarks(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe := regexp.MustCompile(`(?m)^bench-smoke:\n\t.*-bench '([^']+)'`).FindSubmatch(makefile)
+	if recipe == nil {
+		t.Fatal("Makefile: no bench-smoke recipe with a quoted -bench pattern")
+	}
+	var benchmarks []string
+	for name := range testFuncs(t) {
+		if strings.HasPrefix(name, "Benchmark") {
+			benchmarks = append(benchmarks, name)
+		}
+	}
+	for _, alt := range strings.Split(string(recipe[1]), "|") {
+		re, err := regexp.Compile(alt)
+		if err != nil {
+			t.Errorf("bench-smoke alternative %q: %v", alt, err)
+			continue
+		}
+		if !slices.ContainsFunc(benchmarks, re.MatchString) {
+			t.Errorf("bench-smoke alternative %q names no Benchmark function", alt)
 		}
 	}
 }

@@ -376,11 +376,11 @@ func TestCASDedupAcrossSystems(t *testing.T) {
 	regB := telemetry.New()
 	stB.SetTelemetry(regB)
 
-	// Speculation off keeps each system's write-back content exactly the
-	// demanded translations — deterministic, so the two systems produce
+	// A write-back holds exactly the demanded translations, and
+	// translation is deterministic, so the two systems produce
 	// byte-identical cache payloads.
-	sysA := NewSystem(WithStorage(stA), WithSpeculation(false))
-	sysB := NewSystem(WithStorage(stB), WithSpeculation(false))
+	sysA := NewSystem(WithStorage(stA))
+	sysB := NewSystem(WithStorage(stB))
 	defer sysA.Close()
 	defer sysB.Close()
 

@@ -34,8 +34,8 @@ var (
 	// errors.As with *machine.GasError to read the exact cycles consumed
 	// and the budget the run started with.
 	ErrOutOfGas = machine.ErrOutOfGas
-	// ErrTranslate is pipeline.ErrTranslate: a demand, speculative, or
-	// offline translation failed.
+	// ErrTranslate is pipeline.ErrTranslate: a translation at a
+	// function's first call or ahead of execution failed.
 	ErrTranslate = pipeline.ErrTranslate
 	// ErrExit is rt.ErrExit: the program called exit(). Use errors.As
 	// with *rt.ExitError to read the exit code.

@@ -61,7 +61,7 @@ func TestColdThenWarmCache(t *testing.T) {
 	m := compileTest(t)
 	st := NewMemStorage()
 
-	// Cold run: JIT, write-back (Close flushes speculative leftovers).
+	// Cold run: JIT, write-back.
 	sys1 := NewSystem(WithStorage(st))
 	var out1 strings.Builder
 	sess1, err := sys1.NewSession(m, target.VSPARC, &out1)

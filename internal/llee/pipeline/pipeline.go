@@ -2,22 +2,10 @@
 // The paper's performance argument (Section 5.2, Table 2) depends on
 // translation being cheap relative to execution, and Section 4.1 frames
 // offline/idle-time translation as the mechanism that hides translator
-// cost — the same translate-ahead trick DAISY and Transmeta's Crusoe
-// use. This package supplies the two halves of that trick for a
-// multi-core host:
-//
-//   - TranslateModule compiles independent functions across a worker
-//     pool with output ordering identical to the sequential
-//     Translator.TranslateModule (function translation is deterministic
-//     and side-effect free, so the parallel result is byte-identical);
-//   - Speculator translates a demanded function's static callees ahead
-//     of time on background workers with single-flight deduplication,
-//     so the demand (JIT) path either finds a ready translation or
-//     joins the in-flight one instead of stalling the program.
-//
-// Translated code is only ever *installed* on the demand path — the
-// simulated processor is single-threaded — so speculation changes when
-// translation work happens, never what code runs.
+// cost. TranslateModule compiles independent functions across a worker
+// pool with output ordering identical to the sequential
+// Translator.TranslateModule (function translation is deterministic and
+// side-effect free, so the parallel result is byte-identical).
 package pipeline
 
 import (
@@ -35,8 +23,8 @@ import (
 	"llva/internal/telemetry"
 )
 
-// ErrTranslate marks every translation failure surfaced by this package
-// (and by the llee demand path), so callers can classify them with
+// ErrTranslate marks every translation failure, ahead of execution (this
+// package) or on demand (llee), so callers can classify them with
 // errors.Is across layers without knowing the translator's error types.
 var ErrTranslate = errors.New("pipeline: translation failed")
 
@@ -51,15 +39,11 @@ const (
 	MetricWorkers     = "pipeline.workers"
 	MetricTranslateNS = "pipeline.translate_ns" // per-worker histogram, label worker=N
 
-	MetricSpecQueueDepth = "pipeline.spec.queue_depth"
-	MetricSpecQueuePeak  = "pipeline.spec.queue_peak"
-	MetricSpecEnqueued   = "pipeline.spec.enqueued"
-	MetricSpecDropped    = "pipeline.spec.dropped"
-	MetricSpecTranslated = "pipeline.spec.translated"
-	MetricSpecHits       = "pipeline.spec.hits"
-	MetricSpecJoins      = "pipeline.spec.joins"
-	MetricSpecWaste      = "pipeline.spec.waste"
-	MetricDemandInline   = "pipeline.demand_inline"
+	// Nothing records these two any more: translation is never
+	// speculative. The names stay while benchmark/startup.go reads them
+	// (always zero) into its pipeline.spec_hits/spec_waste ledger rows.
+	MetricSpecHits  = "pipeline.spec.hits"
+	MetricSpecWaste = "pipeline.spec.waste"
 )
 
 // Workers resolves a worker-count setting: n <= 0 means one worker per
@@ -137,25 +121,4 @@ func TranslateModule(m *core.Module, d *target.Desc, translate func(*core.Functi
 		}
 	}
 	return obj, nil
-}
-
-// Callees returns f's statically-known, defined, non-intrinsic callees
-// in first-use order (the call-graph edge set the Speculator walks).
-func Callees(f *core.Function) []*core.Function {
-	var out []*core.Function
-	seen := map[*core.Function]bool{}
-	for _, bb := range f.Blocks {
-		for _, in := range bb.Instructions() {
-			if op := in.Op(); op != core.OpCall && op != core.OpInvoke {
-				continue
-			}
-			cf := in.CalledFunction()
-			if cf == nil || cf == f || cf.IsDeclaration() || cf.IsIntrinsic() || seen[cf] {
-				continue
-			}
-			seen[cf] = true
-			out = append(out, cf)
-		}
-	}
-	return out
 }

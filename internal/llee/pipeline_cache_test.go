@@ -13,7 +13,6 @@ import (
 
 	"llva/internal/codegen"
 	"llva/internal/core"
-	"llva/internal/llee/pipeline"
 	"llva/internal/minic"
 	"llva/internal/obj"
 	"llva/internal/prof"
@@ -119,18 +118,18 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 		name    string
 		storage func(t *testing.T) Storage
 		corrupt uint64
-		hit     bool // the entry is a hit all the same: no miss, no eviction
-		jit     bool // something is left to translate online
+		hit     bool   // the entry is a hit all the same: no miss, no eviction
+		jit     uint64 // functions translated online: those the run calls that the table lacks
 	}{
-		{"garbage", planted(key, []byte("\x00not a cache blob")), 1, false, true},
-		{"gob blob", planted(key, gobBlob.Bytes()), 1, false, true},
-		{"codec version 1", planted(key, v1), 1, false, true},
-		{"codec version 2", planted(key, v2), 1, false, true},
-		{"guestprof garbage", planted(profKey, []byte("not a profile")), 1, false, true},
-		{"guestprof version 1", planted(profKey, profOf(1)), 1, false, true},
-		{"guestprof version 2", planted(profKey, profOf(2)), 1, false, true},
-		{"guestprof version 3", planted(profKey, profOf(3)), 1, false, true},
-		{"guestprof wrong version", planted(profKey, profOf(prof.ArtifactVersion+1)), 1, false, true},
+		{"garbage", planted(key, []byte("\x00not a cache blob")), 1, false, 2},
+		{"gob blob", planted(key, gobBlob.Bytes()), 1, false, 2},
+		{"codec version 1", planted(key, v1), 1, false, 2},
+		{"codec version 2", planted(key, v2), 1, false, 2},
+		{"guestprof garbage", planted(profKey, []byte("not a profile")), 1, false, 2},
+		{"guestprof version 1", planted(profKey, profOf(1)), 1, false, 2},
+		{"guestprof version 2", planted(profKey, profOf(2)), 1, false, 2},
+		{"guestprof version 3", planted(profKey, profOf(3)), 1, false, 2},
+		{"guestprof wrong version", planted(profKey, profOf(prof.ArtifactVersion+1)), 1, false, 2},
 		{"stray flat file", func(t *testing.T) Storage {
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, stray), []byte(stamp+"\nlegacy code"), 0o644); err != nil {
@@ -147,24 +146,24 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 				}
 			})
 			return st
-		}, 0, false, true},
+		}, 0, false, 2},
 		{"reloc past its code", tampered(func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc) {
 			call.Offset = uint32(len(main.Code)) - 2
-		}), 1, false, true},
+		}), 1, false, 2},
 		{"reloc of unknown kind", tampered(func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc) {
 			call.Kind = target.RelocKind(len(relocWidth))
-		}), 1, false, true},
+		}), 1, false, 2},
 		{"reloc names no symbol", tampered(func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc) {
 			call.Sym = "no_such_function"
-		}), 1, true, true},
+		}), 1, true, 1},
 		{"duplicated record", tampered(func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc) {
 			co.Funcs = append(co.Funcs, co.Funcs[0])
-		}), 0, true, false},
+		}), 0, true, 0},
 		{"record of no module function", tampered(func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc) {
 			ghost := *co.Funcs[0].NativeFunc
 			ghost.Name = "ghost"
 			co.Funcs = append(co.Funcs, cachedFunc{&ghost, ""})
-		}), 0, true, false},
+		}), 0, true, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -185,8 +184,8 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 			if sess.CacheHit() != c.hit {
 				t.Errorf("CacheHit = %v, want %v", sess.CacheHit(), c.hit)
 			}
-			if got := reg.CounterValue(MetricTranslations) > 0; got != c.jit {
-				t.Errorf("fell back to the JIT = %v, want %v", got, c.jit)
+			if got := reg.CounterValue(MetricTranslations); got != c.jit {
+				t.Errorf("%s = %d, want %d", MetricTranslations, got, c.jit)
 			}
 			var misses, evictions uint64
 			if !c.hit {
@@ -258,7 +257,7 @@ func TestStaleCacheEvicted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sess.CacheHit() || len(sess.ms.held) > 0 || sess.ms.callWeights != nil {
+			if sess.CacheHit() || len(sess.ms.held) > 0 || sess.ms.plan.tr2 != nil {
 				t.Error("stale entry was used")
 			}
 			if _, _, ok, _ := st.Read(key); ok {
@@ -403,163 +402,5 @@ func TestMergeForWriteBack(t *testing.T) {
 	}
 	if cached["main"].Code[0] != 2 || len(cached) != 2 {
 		t.Error("the merge changed the table it was given: published tables are read without a copy")
-	}
-}
-
-// TestConcurrentSpeculativeRun exercises the full online path with
-// speculation across a call chain: background workers race the machine's
-// demand translations while the program runs. Run under -race by CI.
-func TestConcurrentSpeculativeRun(t *testing.T) {
-	m, err := minic.Compile("chain.c", chainProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
-		reg := telemetry.New()
-		sys := NewSystem(WithTelemetry(reg), WithTranslateWorkers(4), WithSpeculation(true))
-		var out strings.Builder
-		sess, err := sys.NewSession(m, d, &out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Run(context.Background(), "main"); err != nil {
-			t.Fatalf("%s: %v\n%s", d.Name, err, out.String())
-		}
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if out.String() != "39\n" { // leaf(10)=31, mid=41, top=39
-			t.Errorf("%s: output = %q, want %q", d.Name, out.String(), "39\n")
-		}
-		// main's callees were queued; translation happened exactly once
-		// per executed function no matter how demand and speculation raced.
-		if reg.CounterValue(pipeline.MetricSpecEnqueued) == 0 {
-			t.Errorf("%s: speculation enqueued nothing", d.Name)
-		}
-		spec := reg.CounterValue(pipeline.MetricSpecTranslated)
-		inline := reg.CounterValue(pipeline.MetricDemandInline)
-		if spec+inline != 4 { // main, top, mid, leaf
-			t.Errorf("%s: spec=%d inline=%d, want total 4", d.Name, spec, inline)
-		}
-	}
-}
-
-// TestSpeculativeAndSequentialRunsAgree: the same program with
-// speculation on and off must behave identically, and the write-back of
-// a speculative run must be a valid warm cache for a sequential one.
-func TestSpeculativeAndSequentialRunsAgree(t *testing.T) {
-	m, err := minic.Compile("chain.c", chainProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewMemStorage()
-	sysS := NewSystem(WithStorage(st), WithTranslateWorkers(4), WithSpeculation(true))
-	var outSpec strings.Builder
-	sessS, err := sysS.NewSession(m, target.VX86, &outSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sessS.Run(context.Background(), "main"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sysS.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sysQ := NewSystem(WithStorage(st), WithSpeculation(false))
-	var outSeq strings.Builder
-	sessQ, err := sysQ.NewSession(m, target.VX86, &outSeq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sessQ.Run(context.Background(), "main"); err != nil {
-		t.Fatal(err)
-	}
-	if outSpec.String() != outSeq.String() {
-		t.Errorf("outputs differ: %q vs %q", outSpec.String(), outSeq.String())
-	}
-	if !sessQ.CacheHit() {
-		t.Error("speculative run's write-back was not a usable warm cache")
-	}
-	if n := sysQ.Telemetry().CounterValue(MetricTranslations); n != 0 {
-		t.Errorf("warm sequential run translated %d functions, want 0", n)
-	}
-}
-
-// TestSpeculationSkipsCachedCode: on a start over a partial cache, the
-// callees of a demanded function whose code came from the cache and is
-// already installed are not speculated on. Translating them again would
-// only ever be waste: nothing demands an installed function.
-func TestSpeculationSkipsCachedCode(t *testing.T) {
-	m, err := minic.Compile("chain.c", chainProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewMemStorage()
-	seed := NewSystem(WithStorage(st))
-	if err := seed.Preload(m, target.VX86); err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Drop main and top from the cached object: mid and leaf stay.
-	key := "native:" + m.Name + ":" + target.VX86.Name
-	data, stamp, ok, err := st.Read(key)
-	if err != nil || !ok {
-		t.Fatalf("native entry: ok=%v err=%v", ok, err)
-	}
-	co, err := decodeCachedObject(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lacked := map[string]bool{"main": true, "top": true}
-	held := co.Funcs[:0]
-	for _, nf := range co.Funcs {
-		if !lacked[nf.Name] {
-			held = append(held, nf)
-		}
-	}
-	if co.Funcs = held; len(held) != 2 {
-		t.Fatalf("%d functions left in the cached object, want mid and leaf", len(held))
-	}
-	if err := st.Write(key, stamp, encodeCachedObject(co)); err != nil {
-		t.Fatal(err)
-	}
-
-	if m, err = minic.Compile("chain.c", chainProg); err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	sys := NewSystem(WithStorage(st), WithTelemetry(reg))
-	var out strings.Builder
-	sess, err := sys.NewSession(m, target.VX86, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Run(context.Background(), "main"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != "39\n" {
-		t.Errorf("output = %q, want %q", out.String(), "39\n")
-	}
-	for _, ev := range reg.Events().Find(telemetry.EvSpecEnqueued) {
-		if !lacked[ev.Name] {
-			t.Errorf("%s was queued for speculation: its code was in the cache", ev.Name)
-		}
-	}
-	for name := range sess.ms.spec.Completed() {
-		if !lacked[name] {
-			t.Errorf("%s was translated: its code was in the cache", name)
-		}
-	}
-	translated := reg.CounterValue(MetricTranslations) + reg.CounterValue(pipeline.MetricSpecTranslated)
-	if translated != uint64(len(lacked)) {
-		t.Errorf("%d translations, want %d (main and top)", translated, len(lacked))
-	}
-	if n := reg.CounterValue(pipeline.MetricSpecWaste); n != 0 {
-		t.Errorf("%s = %d, want 0", pipeline.MetricSpecWaste, n)
 	}
 }

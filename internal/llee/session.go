@@ -306,13 +306,13 @@ func (s *Session) IdleTimeOptimize() (IdleStats, error) { return s.ms.idleTimeOp
 // onJIT translates one function on demand (honoring SMC redirects) and
 // installs its code in this session's machine: a function NewSession had
 // no code for, at its first call, or one llva.smc.replace invalidated,
-// at its next. The unredirected path goes through the system's shared
-// single-flight cache: the demand finds a ready translation, joins the
-// in-flight one, or translates inline — each function is translated once
-// per system, at the tier moduleState.translate picks for it, however
-// many sessions demand it. Installation always happens here, on the
-// machine's goroutine, and only llva.smc.replace ever makes a name
-// demand code a second time.
+// at its next. The unredirected path goes through the module's
+// single-flight demand table: the demand finds a ready translation, waits
+// for the one in flight, or translates on this goroutine — each function
+// is translated once per system, at the tier moduleState.translate picks
+// for it, however many sessions demand it. Installation always happens
+// here, on the machine's goroutine, and only llva.smc.replace ever makes
+// a name demand code a second time.
 func (s *Session) onJIT(name string) (uint64, error) {
 	body := name
 	if r, ok := s.redirect[name]; ok {
@@ -331,9 +331,9 @@ func (s *Session) onJIT(name string) (uint64, error) {
 	var err error
 	performed := true
 	if body == name {
-		nf, performed, err = s.ms.spec.Demand(name, f)
+		nf, performed, err = s.ms.demand(name, f)
 	} else {
-		// SMC-redirected bodies bypass the shared cache: their
+		// SMC-redirected bodies bypass the demand table: their
 		// translation is keyed by the callee's name but built from
 		// another body, and must stay private to this session.
 		nf, err = s.ms.tr.TranslateFunction(f)
@@ -343,7 +343,8 @@ func (s *Session) onJIT(name string) (uint64, error) {
 		return 0, err
 	}
 	// The demand-path histogram records the stall the program actually
-	// saw: near zero on a shared-cache hit, full translate time inline.
+	// saw: near zero when another session had translated the function,
+	// the whole translation (or the wait for it) otherwise.
 	// The translation counter moves only for the demand that performed
 	// the work, so N sessions of one module count each function once.
 	ns := time.Since(start).Nanoseconds()
@@ -361,13 +362,7 @@ func (s *Session) onJIT(name string) (uint64, error) {
 	endIn := s.sys.tracer.Begin(int(s.id), 0, "llee", "install:"+name, s.spanArgs())
 	addr, err := s.mc.InstallCode(nf)
 	endIn()
-	if err != nil {
-		return 0, err
-	}
-	if s.sys.speculate && body == name {
-		s.ms.spec.EnqueueCallees(f, s.ms.callWeights, s.ms.holds)
-	}
-	return addr, nil
+	return addr, err
 }
 
 // onIntrinsic handles the intrinsics the machine delegates to the

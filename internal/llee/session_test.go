@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"llva/internal/llee/pipeline"
 	"llva/internal/machine"
 	"llva/internal/minic"
 	"llva/internal/rt"
@@ -20,127 +19,82 @@ import (
 
 // TestConcurrentSessionsTranslateOnce: 8 sessions of one module sharing
 // one System and one storage must run correctly in parallel, and the
-// shared single-flight cache must translate each demanded function
-// exactly once system-wide. Run under -race by CI.
+// module's demand table must translate each demanded function exactly
+// once system-wide, on either target. Run under -race by CI.
 func TestConcurrentSessionsTranslateOnce(t *testing.T) {
-	m, err := minic.Compile("chain.c", chainProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewMemStorage()
-	reg := telemetry.New()
-	// Speculation off isolates the assertion: every translation is a
-	// demand through the shared cache, none from background workers.
-	sys := NewSystem(WithStorage(st), WithTelemetry(reg), WithSpeculation(false))
-	const sessions = 8
-	outs := make([]strings.Builder, sessions)
-	sess := make([]*Session, sessions)
-	for i := range sess {
-		s, err := sys.NewSession(m, target.VX86, &outs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess[i] = s
-	}
-	var wg sync.WaitGroup
-	for i := range sess {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := sess[i].Run(context.Background(), "main")
+	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+		t.Run(d.Name, func(t *testing.T) {
+			m, err := minic.Compile("chain.c", chainProg)
 			if err != nil {
-				t.Errorf("session %d: %v", i, err)
-				return
+				t.Fatal(err)
 			}
-			if res.Value != 0 || res.Instrs == 0 || res.Cycles == 0 {
-				t.Errorf("session %d: result = %+v", i, res)
+			st := NewMemStorage()
+			reg := telemetry.New()
+			sys := NewSystem(WithStorage(st), WithTelemetry(reg))
+			const sessions = 8
+			outs := make([]strings.Builder, sessions)
+			sess := make([]*Session, sessions)
+			for i := range sess {
+				s, err := sys.NewSession(m, d, &outs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess[i] = s
 			}
-		}(i)
-	}
-	wg.Wait()
-	for i := range outs {
-		if outs[i].String() != "39\n" {
-			t.Errorf("session %d: output = %q, want %q", i, outs[i].String(), "39\n")
-		}
-	}
-	// The program executes main, top, mid, leaf: 4 unique functions, so
-	// exactly 4 translations across 32 demands — the rest were hits on or
-	// joins of the shared flight.
-	if got := reg.CounterValue(MetricTranslations); got != 4 {
-		t.Errorf("%s = %d, want 4 (one per unique function)", MetricTranslations, got)
-	}
-	if got := reg.CounterValue(pipeline.MetricDemandInline); got != 4 {
-		t.Errorf("%s = %d, want 4", pipeline.MetricDemandInline, got)
-	}
-	hits := reg.CounterValue(pipeline.MetricSpecHits)
-	joins := reg.CounterValue(pipeline.MetricSpecJoins)
-	if hits+joins != (sessions-1)*4 {
-		t.Errorf("hits=%d joins=%d, want %d shared demands", hits, joins, (sessions-1)*4)
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The flushed cache warms a fresh system: zero further translations.
-	sys2 := NewSystem(WithStorage(st), WithTelemetry(telemetry.New()))
-	var out2 strings.Builder
-	s2, err := sys2.NewSession(m, target.VX86, &out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.CacheHit() {
-		t.Error("write-back of the shared cache missed on the next system")
-	}
-	if _, err := s2.Run(context.Background(), "main"); err != nil {
-		t.Fatal(err)
-	}
-	if out2.String() != "39\n" {
-		t.Errorf("warm output = %q", out2.String())
-	}
-	if got := sys2.Telemetry().CounterValue(MetricTranslations); got != 0 {
-		t.Errorf("warm system translated %d functions, want 0", got)
-	}
-}
-
-// TestConcurrentSessionsWithSpeculation: same sharing property with
-// background speculation racing the 8 demand paths; translations still
-// happen once per function system-wide (spec workers + inline demands
-// together cover the 4 functions exactly once).
-func TestConcurrentSessionsWithSpeculation(t *testing.T) {
-	m, err := minic.Compile("chain.c", chainProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	sys := NewSystem(WithTelemetry(reg), WithTranslateWorkers(4))
-	const sessions = 8
-	outs := make([]strings.Builder, sessions)
-	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
-		s, err := sys.NewSession(m, target.VSPARC, &outs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int, s *Session) {
-			defer wg.Done()
-			if _, err := s.Run(context.Background(), "main"); err != nil {
-				t.Errorf("session %d: %v", i, err)
+			var wg sync.WaitGroup
+			for i := range sess {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					res, err := sess[i].Run(context.Background(), "main")
+					if err != nil {
+						t.Errorf("session %d: %v", i, err)
+						return
+					}
+					if res.Value != 0 || res.Instrs == 0 || res.Cycles == 0 {
+						t.Errorf("session %d: result = %+v", i, res)
+					}
+				}(i)
 			}
-		}(i, s)
-	}
-	wg.Wait()
-	for i := range outs {
-		if outs[i].String() != "39\n" {
-			t.Errorf("session %d: output = %q", i, outs[i].String())
-		}
-	}
-	spec := reg.CounterValue(pipeline.MetricSpecTranslated)
-	inline := reg.CounterValue(pipeline.MetricDemandInline)
-	if spec+inline != 4 {
-		t.Errorf("spec=%d inline=%d, want total 4 (once per function)", spec, inline)
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
+			wg.Wait()
+			for i := range outs {
+				if outs[i].String() != "39\n" {
+					t.Errorf("session %d: output = %q, want %q", i, outs[i].String(), "39\n")
+				}
+			}
+			// The program executes main, top, mid, leaf: 4 unique functions,
+			// so exactly 4 translations across 32 demands — the rest found
+			// or waited for another session's.
+			if got := reg.CounterValue(MetricTranslations); got != 4 {
+				t.Errorf("%s = %d, want 4 (one per unique function)", MetricTranslations, got)
+			}
+			if got := len(reg.Events().Find(telemetry.EvJITRequest)); got != sessions*4 {
+				t.Errorf("%d demands, want %d", got, sessions*4)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The flushed cache warms a fresh system: zero further
+			// translations.
+			sys2 := NewSystem(WithStorage(st), WithTelemetry(telemetry.New()))
+			var out2 strings.Builder
+			s2, err := sys2.NewSession(m, d, &out2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s2.CacheHit() {
+				t.Error("write-back of the demand table missed on the next system")
+			}
+			if _, err := s2.Run(context.Background(), "main"); err != nil {
+				t.Fatal(err)
+			}
+			if out2.String() != "39\n" {
+				t.Errorf("warm output = %q", out2.String())
+			}
+			if got := sys2.Telemetry().CounterValue(MetricTranslations); got != 0 {
+				t.Errorf("warm system translated %d functions, want 0", got)
+			}
+		})
 	}
 }
 

@@ -27,12 +27,11 @@ import (
 // (machine, memory, runtime environment) lives in Session objects
 // created with NewSession. A System is safe for concurrent use.
 type System struct {
-	storage   Storage // nil: no OS storage API registered
-	tele      *telemetry.Registry
-	tracer    *prof.Tracer // nil: span tracing off (all hooks no-op)
-	workers   int
-	speculate bool
-	tier2     bool
+	storage Storage // nil: no OS storage API registered
+	tele    *telemetry.Registry
+	tracer  *prof.Tracer // nil: span tracing off (all hooks no-op)
+	workers int
+	tier2   bool
 
 	// sessionSeq hands out session IDs — the "pid" lane of the span
 	// trace, and the correlation key across run/translate spans.
@@ -54,8 +53,7 @@ type System struct {
 // old shared-config design silently accepting and ignoring it:
 //
 //	SystemOption   process-wide policy, fixed at NewSystem — storage,
-//	               telemetry registry, tracer, worker pool, speculation,
-//	               tier-2
+//	               telemetry registry, tracer, worker pool, tier-2
 //	SessionOption  per-run state, fixed at System.NewSession — memory
 //	               size, gas budget, tenant label, profiler, flight
 //	               recorder
@@ -72,7 +70,6 @@ type systemConfig struct {
 	tele             *telemetry.Registry
 	tracer           *prof.Tracer
 	translateWorkers int
-	speculate        bool
 	tier2            bool
 }
 
@@ -111,16 +108,13 @@ func WithTelemetry(reg *telemetry.Registry) SystemOption {
 	return func(c *systemConfig) { c.tele = reg }
 }
 
-// WithTranslateWorkers sets the translation worker-pool size used by
-// offline translation and speculative JIT (0 or unset: GOMAXPROCS).
+// WithTranslateWorkers sets the size of the worker pool that translates
+// a module ahead of execution: Translate, Preload, TranslateOffline, idle
+// time and a tier-2 start (0 or unset: GOMAXPROCS). A demand translates
+// on the calling session's goroutine.
 func WithTranslateWorkers(n int) SystemOption {
 	return func(c *systemConfig) { c.translateWorkers = n }
 }
-
-// WithSpeculation toggles speculative background JIT: when a function
-// is translated on demand, its static callees are queued for
-// ahead-of-time translation on background workers (default on).
-func WithSpeculation(on bool) SystemOption { return func(c *systemConfig) { c.speculate = on } }
 
 // WithTier2 toggles profile-guided tier-2 translation (default off,
 // system-scoped; requires the storage API). When a stamp-valid guest
@@ -128,18 +122,18 @@ func WithSpeculation(on bool) SystemOption { return func(c *systemConfig) { c.sp
 // hot functions) are translated with superblock formation and hot
 // inlining instead of at tier 1: ahead of execution where the start found
 // cached code for them that this profile did not produce, at their first
-// call (or by speculation ahead of it) where it found none. Either way a
-// function's translator is chosen before its first translation; installed
-// code is never exchanged for a better one mid-run. The result is cached
-// in the module's one code entry, each record tagged with the stamp of the
-// profile that guided it: later starts skip straight to it, and a newer
-// profile retranslates the hot functions only.
+// call where it found none. Either way a function's translator is chosen
+// before its first translation; installed code is never exchanged for a
+// better one mid-run. The result is cached in the module's one code
+// entry, each record tagged with the stamp of the profile that guided it:
+// later starts skip straight to it, and a newer profile retranslates the
+// hot functions only.
 func WithTier2(on bool) SystemOption { return func(c *systemConfig) { c.tier2 = on } }
 
 // WithTracer attaches a span tracer to the system: the session
-// lifecycle (load, translate, install, run, cancel, write-back) and
-// the pipeline workers record begin/end spans carrying session and
-// tenant IDs, exportable as Chrome trace_event JSON (Perfetto).
+// lifecycle (load, translate, install, run, cancel, write-back) records
+// begin/end spans carrying session and tenant IDs, exportable as Chrome
+// trace_event JSON (Perfetto).
 func WithTracer(t *prof.Tracer) SystemOption { return func(c *systemConfig) { c.tracer = t } }
 
 // WithProfiler attaches a guest profiler to a session's machine, which
@@ -178,18 +172,17 @@ func WithFlightRecorder(events int) SessionOption {
 
 // NewSystem creates a process-wide execution-manager instance.
 func NewSystem(opts ...SystemOption) *System {
-	cfg := systemConfig{speculate: true}
+	var cfg systemConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	sys := &System{
-		storage:   cfg.storage,
-		tele:      cfg.tele,
-		tracer:    cfg.tracer,
-		workers:   cfg.translateWorkers,
-		speculate: cfg.speculate,
-		tier2:     cfg.tier2,
-		mods:      make(map[string]*moduleState),
+		storage: cfg.storage,
+		tele:    cfg.tele,
+		tracer:  cfg.tracer,
+		workers: cfg.translateWorkers,
+		tier2:   cfg.tier2,
+		mods:    make(map[string]*moduleState),
 	}
 	if sys.tele == nil {
 		sys.tele = telemetry.New()
@@ -286,16 +279,6 @@ func (ms *moduleState) translateAhead(p *tier2Plan, missing bool) error {
 	return nil
 }
 
-// holds reports whether the state's table has code for name: sessions
-// install it up front, so it needs no translating, ahead of execution or
-// speculatively.
-func (ms *moduleState) holds(name string) bool {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	_, ok := ms.held[name]
-	return ok
-}
-
 // link builds the object a session installs from the state's table: the
 // code it holds, whichever translator produced it, in module order. A
 // function the table lacks is left to its stub. The caller holds ms.mu, or
@@ -310,11 +293,9 @@ func (ms *moduleState) link() {
 	}
 }
 
-// Close flushes every module's pending write-back and stops background
-// speculation (counting unconsumed speculative translations as waste —
-// they are still persisted, turning them into a warmer next start).
-// Existing sessions stay usable afterwards: demands translate inline.
-// Close is idempotent; the first storage error is returned.
+// Close flushes every module's pending write-back. Existing sessions stay
+// usable afterwards: their demands still translate, and their runs still
+// write back. Close is idempotent; the first storage error is returned.
 func (sys *System) Close() error {
 	sys.mu.Lock()
 	if sys.closed {
@@ -329,7 +310,6 @@ func (sys *System) Close() error {
 	sys.mu.Unlock()
 	var first error
 	for _, ms := range mods {
-		ms.spec.Close()
 		if err := ms.writeBack(); err != nil && first == nil {
 			first = err
 		}
@@ -338,8 +318,8 @@ func (sys *System) Close() error {
 }
 
 // moduleState is the system-wide state of one module on one target,
-// keyed by content stamp: the translator, the shared single-flight
-// translation cache, the table of code every session installs up front,
+// keyed by content stamp: the translator, the single-flight demand table
+// (demand.go), the table of code every session installs up front,
 // and what the persisted guest profile armed. It is created once, under
 // the system lock, before any session's machine exists.
 type moduleState struct {
@@ -348,8 +328,7 @@ type moduleState struct {
 	desc   *target.Desc
 	stamp  string
 
-	tr   *codegen.Translator
-	spec *pipeline.Speculator
+	tr *codegen.Translator
 
 	// img is the prototype data image, built once per module state and
 	// cloned per session: repeated NewSession skips global layout and
@@ -363,18 +342,12 @@ type moduleState struct {
 	// after a cold start, part of the module over a partial cache, all of it
 	// over a complete one or after a Preload. Both change after creation
 	// only in translateAhead, under mu, and a published table is never
-	// mutated, only replaced; NewSession, holds and writeBack read them
-	// under mu.
+	// mutated, only replaced; NewSession and writeBack read them under mu.
 	held map[string]cachedFunc
 	nobj *codegen.NativeObject
 	// defined counts the module's defined functions: a session whose
 	// object holds that many has nothing left to translate on demand.
 	defined int
-
-	// callWeights orders speculation hottest-first when a persisted
-	// guest profile (Section 4.2) was loaded: function name -> entries of
-	// its entry block, the calls the profile counted.
-	callWeights map[string]uint64
 
 	// plan governs this state's own translations: armed from the persisted
 	// guest profile when WithTier2 is on and one exists, else the zero plan.
@@ -387,6 +360,11 @@ type moduleState struct {
 
 	mu      sync.Mutex
 	flushed int // settled translations persisted by the last write-back
+
+	// flightMu guards flights, the demand table: one flight per name a
+	// session demanded (demand.go).
+	flightMu sync.Mutex
+	flights  map[string]*flight
 }
 
 // tier2Plan is what a guest profile arms: the profile, the translator it
@@ -471,27 +449,19 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 			sys.tele.Counter(MetricCacheMisses).Inc()
 			sys.tele.Events().Emit(telemetry.EvCacheMiss, ms.key("native"), 0)
 		}
-		// A persisted guest profile (Section 4.2) orders speculative JIT
-		// hottest-first, and arms tier 2 when that is on: the first run of
-		// a fresh module is always plain tier 1, and the profile a session
-		// stores pays off from the next System on.
-		if art, ok := ms.guestProfile(); ok {
-			ms.callWeights = make(map[string]uint64)
-			for _, b := range art.Blocks {
-				if b.Block == 0 {
-					ms.callWeights[b.Func] = b.Count
-				}
+		// A persisted guest profile (Section 4.2) is read, and a stale or
+		// corrupt one evicted, on every start; it arms tier 2 when that is
+		// on: the first run of a fresh module is always plain tier 1, and
+		// the profile a session stores pays off from the next System on.
+		if art, ok := ms.guestProfile(); ok && sys.tier2 {
+			if ms.plan, err = ms.planTier2(art); err != nil {
+				return nil, err
 			}
-			if sys.tier2 {
-				if ms.plan, err = ms.planTier2(art); err != nil {
-					return nil, err
-				}
-				// Cached records of hot functions that this profile did not
-				// produce are never demanded: replace them now, so that every
-				// session of this state installs the same optimized code.
-				if err := ms.translateAhead(&ms.plan, false); err != nil {
-					return nil, err
-				}
+			// Cached records of hot functions that this profile did not
+			// produce are never demanded: replace them now, so that every
+			// session of this state installs the same optimized code.
+			if err := ms.translateAhead(&ms.plan, false); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -501,19 +471,15 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadModule, err)
 	}
 	ms.img = img
-	ms.spec = pipeline.NewSpeculator(func(f *core.Function) (*codegen.NativeFunc, error) {
-		return ms.translate(&ms.plan, f)
-	}, sys.workers, sys.tele)
-	ms.spec.SetTracer(sys.tracer)
 	sys.mods[key] = ms
 	return ms, nil
 }
 
 // translate is the one place a translator is picked: tier 2 when p marks f
-// hot, else tier 1, for a demanded, speculative or ahead-of-execution
-// translation alike (and p.record tags the result to match). The Speculator
-// and translateAhead each call it once per function, so which code a name
-// gets is settled before its first translation and never revisited.
+// hot, else tier 1, for a demanded or an ahead-of-execution translation
+// alike (and p.record tags the result to match). demand and translateAhead
+// each call it once per function, so which code a name gets is settled
+// before its first translation and never revisited.
 func (ms *moduleState) translate(p *tier2Plan, f *core.Function) (*codegen.NativeFunc, error) {
 	if !p.hot(f.Name()) {
 		return ms.tr.TranslateFunction(f)
@@ -634,9 +600,8 @@ records:
 	return held
 }
 
-// writeBack persists the settled translations (demanded by any session,
-// and unconsumed speculative ones) so the next start of this module skips
-// straight to them (store). It never re-reads storage, and when nothing
+// writeBack persists the settled demand translations of every session so
+// the next start of this module skips straight to them (store). It never re-reads storage, and when nothing
 // settled since the last write-back (every run of a session that installed
 // the whole module up front) it writes and allocates nothing. Called after
 // every run and at System.Close.
@@ -644,7 +609,7 @@ func (ms *moduleState) writeBack() error {
 	if ms.sys.storage == nil {
 		return nil
 	}
-	done := ms.spec.Completed()
+	done := ms.settled()
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if len(done) == ms.flushed {

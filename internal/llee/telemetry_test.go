@@ -11,9 +11,8 @@ import (
 	"llva/internal/telemetry"
 )
 
-// specProg calls cold before hot, so unguided speculation enqueues them
-// in that order; only hot collects samples.
-const specProg = `
+// profProg calls cold once and hot 2,000 times.
+const profProg = `
 static int cold(int n) { return n + 1; }
 static int hot(int n) {
 	int k, s = 0;
@@ -28,27 +27,17 @@ int main() {
 }
 `
 
-// specOrder lists the functions a registry saw enqueued for speculative
-// translation, in order.
-func specOrder(reg *telemetry.Registry) string {
-	var names []string
-	for _, ev := range reg.Events().Find(telemetry.EvSpecEnqueued) {
-		names = append(names, ev.Name)
-	}
-	return strings.Join(names, ",")
-}
-
 // TestProfilePersistenceRoundTrip checks the Section 4.2 loop end to
 // end: a guest profile sampled in one session and persisted through the
 // storage API is reloaded by a fresh System (one ProfileLoaded event)
-// without re-profiling, and orders speculative translation on the
-// online path by call count: each function's entry-block entries.
+// without re-profiling, while the online path translates each called
+// function once.
 func TestProfilePersistenceRoundTrip(t *testing.T) {
 	st := NewMemStorage()
 
 	// Session 1: sample a run and persist the profile. Its native cache
 	// entry is dropped, so the next session exercises the JIT path.
-	m1, err := minic.Compile("spec.c", specProg)
+	m1, err := minic.Compile("spec.c", profProg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +58,6 @@ func TestProfilePersistenceRoundTrip(t *testing.T) {
 	if evs := sys1.Telemetry().Events().Find(telemetry.EvProfileStored); len(evs) != 1 {
 		t.Errorf("ProfileStored events = %d, want 1", len(evs))
 	}
-	if got := specOrder(sys1.Telemetry()); got != "cold,hot" {
-		t.Errorf("speculation order without a profile = %q, want call order cold,hot", got)
-	}
 	if err := sys1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +66,8 @@ func TestProfilePersistenceRoundTrip(t *testing.T) {
 	}
 
 	// Session 2: fresh manager, same storage. The run misses the native
-	// cache but reloads the persisted profile, so the JIT speculates on
-	// the more often called function first.
-	m2, err := minic.Compile("spec.c", specProg)
+	// cache but reloads the persisted profile.
+	m2, err := minic.Compile("spec.c", profProg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +87,6 @@ func TestProfilePersistenceRoundTrip(t *testing.T) {
 	if evs := reg.Events().Find(telemetry.EvProfileLoaded); len(evs) != 1 {
 		t.Errorf("ProfileLoaded events = %d, want 1", len(evs))
 	}
-	if got := specOrder(reg); got != "hot,cold" {
-		t.Errorf("speculation order under the profile = %q, want hottest first: hot,cold", got)
-	}
 	// No re-profiling happened: exactly the one stored profile exists and
 	// the manager never wrote another.
 	if got := reg.CounterValue(MetricProfileStores); got != 0 {
@@ -113,8 +95,8 @@ func TestProfilePersistenceRoundTrip(t *testing.T) {
 	if got := reg.CounterValue(MetricCacheMisses); got != 1 {
 		t.Errorf("cache misses = %d, want 1", got)
 	}
-	if reg.CounterValue(MetricTranslations) == 0 {
-		t.Error("JIT path did not translate (expected online translation)")
+	if got := reg.CounterValue(MetricTranslations); got != 3 {
+		t.Errorf("%s = %d, want 3: main, cold and hot, each at its first call", MetricTranslations, got)
 	}
 	if len(reg.Events().Find(telemetry.EvTranslateEnd)) == 0 {
 		t.Error("no TranslateEnd events recorded")
@@ -139,7 +121,7 @@ func TestProfilePersistenceRoundTrip(t *testing.T) {
 
 	// Session 3: warm start — cache hit, the profile loads again, output
 	// identical.
-	m3, err := minic.Compile("spec.c", specProg)
+	m3, err := minic.Compile("spec.c", profProg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"llva/internal/codegen"
 	"llva/internal/interp"
-	"llva/internal/llee/pipeline"
 	"llva/internal/minic"
 	"llva/internal/obj"
 	"llva/internal/prof"
@@ -88,9 +87,9 @@ func seedCodeCold(t *testing.T, st *MemStorage, d *target.Desc) (ref string, tie
 // settledHot reports how many of the translations s's System settled
 // are of hot functions. Not every hot function need be among them:
 // tier 2 may have inlined one into its only caller, which then never
-// demands it, and speculation may or may not have got to it.
+// demands it.
 func settledHot(s *Session, hot map[string]bool) (n int) {
-	for name := range s.ms.spec.Completed() {
+	for name := range s.ms.settled() {
 		if hot[name] {
 			n++
 		}
@@ -396,18 +395,24 @@ func TestTier2ConcurrentSessions(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Speculation is on, so a function may have been translated by a
-	// worker rather than by one of the 8 demands for it; either way once,
-	// and the hot ones by tr2.
-	settled := sess[0].ms.spec.Completed()
-	for _, name := range jitRequests(reg) {
+	// Each function was demanded by all 8 sessions and translated once,
+	// by whichever demand came first; the hot ones by tr2.
+	demanded := map[string]bool{}
+	requests := jitRequests(reg)
+	for _, name := range requests {
+		demanded[name] = true
+	}
+	if len(requests) != sessions*len(demanded) {
+		t.Errorf("%d demands of %d distinct functions by %d sessions", len(requests), len(demanded), sessions)
+	}
+	settled := sess[0].ms.settled()
+	for name := range demanded {
 		if settled[name] == nil {
 			t.Errorf("%s was demanded and has no settled translation", name)
 		}
 	}
-	translated := reg.CounterValue(MetricTranslations) + reg.CounterValue(pipeline.MetricSpecTranslated)
-	if translated != uint64(len(settled)) {
-		t.Errorf("%d translations for %d distinct functions", translated, len(settled))
+	if translated := reg.CounterValue(MetricTranslations); translated != uint64(len(demanded)) || len(settled) != len(demanded) {
+		t.Errorf("%d translations, %d settled, for %d distinct demanded functions", translated, len(settled), len(demanded))
 	}
 	if got, want := reg.CounterValue(codegen.MetricTier2Funcs), settledHot(sess[0], hot); want == 0 || got != uint64(want) {
 		t.Errorf("%s = %d, want %d (> 0)", codegen.MetricTier2Funcs, got, want)

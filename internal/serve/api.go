@@ -24,6 +24,7 @@ import (
 // Code is one of these; Client maps them back to typed errors.
 const (
 	CodeBadRequest  = "bad_request"  // 400: malformed request
+	CodeTooLarge    = "too_large"    // 413: request body over maxBodyBytes
 	CodeBadModule   = "bad_module"   // 400: module failed to compile/verify
 	CodeNotFound    = "not_found"    // 404: unknown module or job
 	CodeOutOfGas    = "out_of_gas"   // 402: the run exhausted its gas budget

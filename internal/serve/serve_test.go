@@ -109,6 +109,27 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestOversizeBodyRefused: a load whose body exceeds maxBodyBytes is
+// refused with 413 too_large before anything compiles it, and the server
+// goes on serving: a normal load and run on it then succeed.
+func TestOversizeBodyRefused(t *testing.T) {
+	_, c, _ := newTestServer(t, Config{Workers: 1})
+	huge := "int main() { return 0; }\n" + strings.Repeat("/", maxBodyBytes)
+	_, err := c.Load(context.Background(), LoadRequest{Name: "huge", Source: huge})
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != CodeTooLarge || re.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize load: want 413 too_large, got %v", err)
+	}
+	mustLoad(t, c, "quick", quickProg)
+	res, err := c.Run(context.Background(), RunRequest{Module: "quick"})
+	if err != nil {
+		t.Fatalf("run after the refused load: %v", err)
+	}
+	if want := "328350\n"; res.Output != want {
+		t.Fatalf("output %q, want %q", res.Output, want)
+	}
+}
+
 // TestOutOfGasOverHTTP: a gas-limited run comes back as 402 out_of_gas;
 // the client error satisfies errors.Is(llee.ErrOutOfGas) across the
 // wire and carries a CyclesUsed that is identical on every repeat.

@@ -531,10 +531,31 @@ func writeError(w http.ResponseWriter, status int, eb *errorBody) {
 	}{eb})
 }
 
+// maxBodyBytes bounds the body of a load, run or submit request. The
+// largest suite program's source is under 4 KiB; a module past this bound
+// is refused before it reaches the compiler.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v. On
+// failure it writes the error response, 413 too_large past the bound and
+// 400 bad_request otherwise, and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, &errorBody{Code: CodeTooLarge, Message: err.Error()})
+	} else {
+		writeError(w, http.StatusBadRequest, &errorBody{Code: CodeBadRequest, Message: err.Error()})
+	}
+	return false
+}
+
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req LoadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, &errorBody{Code: CodeBadRequest, Message: err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if s.draining.Load() {
@@ -555,8 +576,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 // — a client hanging up cancels its run at the next block boundary.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, &errorBody{Code: CodeBadRequest, Message: err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	j, status, eb := s.admit(r.Context(), req)
@@ -579,8 +599,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // The job runs under its own context, canceled only via /cancel.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, &errorBody{Code: CodeBadRequest, Message: err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	j, status, eb := s.admit(context.Background(), req)

@@ -20,14 +20,13 @@ const (
 	EvProfileLoaded
 	EvProfileStored
 	EvJITRequest
-	EvSpecEnqueued
-	EvSpecHit
-	EvSpecWaste
 	EvCacheEvicted
 	EvCacheCorrupt
+
+	numEventKinds // not a kind: the number of kinds above
 )
 
-var eventNames = [...]string{
+var eventNames = [numEventKinds]string{
 	EvTranslateStart: "TranslateStart",
 	EvTranslateEnd:   "TranslateEnd",
 	EvCacheHit:       "CacheHit",
@@ -38,9 +37,6 @@ var eventNames = [...]string{
 	EvProfileLoaded:  "ProfileLoaded",
 	EvProfileStored:  "ProfileStored",
 	EvJITRequest:     "JITRequest",
-	EvSpecEnqueued:   "SpecEnqueued",
-	EvSpecHit:        "SpecHit",
-	EvSpecWaste:      "SpecWaste",
 	EvCacheEvicted:   "CacheEvicted",
 	EvCacheCorrupt:   "CacheCorrupt",
 }

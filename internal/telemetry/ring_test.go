@@ -87,7 +87,7 @@ func TestRingConcurrentEmitSnapshot(t *testing.T) {
 		go func(w int) {
 			defer emitters.Done()
 			for i := 0; i < perWriter; i++ {
-				r.Emit(EvSpecEnqueued, "f", int64(w))
+				r.Emit(EvJITRequest, "f", int64(w))
 			}
 		}(w)
 	}
