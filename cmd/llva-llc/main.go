@@ -1,9 +1,9 @@
 // llva-llc is the offline static translator: it compiles virtual object
 // code to native code for a simulated I-ISA — across a worker pool, one
-// worker per CPU by default — and reports the paper's Table 2
+// worker per CPU — and reports the paper's Table 2
 // per-function metrics.
 //
-// Usage: llva-llc [-target vx86|vsparc] [-workers N] [-stats] input.bc
+// Usage: llva-llc [-target vx86|vsparc] [-stats] input.bc
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 func main() {
 	tgt := flag.String("target", "vsparc", "target I-ISA: vx86 or vsparc")
 	stats := flag.Bool("stats", true, "print per-function translation metrics")
-	workers := flag.Int("workers", 0, "translation worker-pool size (0: one per CPU)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: llva-llc [-target vx86|vsparc] input.bc")
@@ -42,7 +41,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sys := llee.NewSystem(llee.WithTranslateWorkers(*workers))
+	sys := llee.NewSystem()
 	nobj, err := sys.Translate(m, d)
 	if err != nil {
 		fatal(err)

@@ -6,7 +6,7 @@
 // Usage: llva-run [-target vx86|vsparc] [-cache DIR] [-cache-max-bytes N]
 //
 //	[-interp] [-stats] [-translate-only] [-idle-optimize]
-//	[-translate-workers N] [-timeout D] [-gas N]
+//	[-timeout D] [-gas N]
 //	[-metrics-addr HOST:PORT] [-trace-log FILE] [-trace-out FILE]
 //	[-prof] [-prof-rate N] [-prof-out FILE] [-prof-store] [-tier2]
 //	[-tenant ID] [-flight-events N] prog.bc
@@ -102,7 +102,6 @@ func main() {
 	profStore := flag.Bool("prof-store", false, "persist the guest profile's block entries through the storage API after the run, merged into the stored ones (implies -prof, needs -cache)")
 	tenant := flag.String("tenant", "", "tenant label carried on this session's trace spans")
 	flightEvents := flag.Int("flight-events", 16, "trap-time flight recorder depth in telemetry events (0: disable crash reports)")
-	workers := flag.Int("translate-workers", 0, "worker-pool size for translation ahead of execution: -translate-only, -idle-optimize and a -tier2 start (0: one per CPU); a function first called at run time is translated on the run's goroutine")
 	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 translation: when a stored guest profile exists, translate every function it counted entries of with superblocks and inlining, before the run where the cache holds code for them that this profile did not produce, at their first call where it holds none (needs -cache; store a profile with -prof-store)")
 	timeout := flag.Duration("timeout", 0, "abort execution after this long on the wall clock (0: no limit)")
 	gas := flag.Uint64("gas", 0, "per-run gas budget in simulated cycles; exhaustion stops the run at a block boundary (0: unmetered)")
@@ -205,7 +204,6 @@ func main() {
 
 	sysOpts := []llee.SystemOption{
 		llee.WithTelemetry(reg),
-		llee.WithTranslateWorkers(*workers),
 		llee.WithTracer(tracer),
 		llee.WithTier2(*tier2),
 	}

@@ -5,17 +5,17 @@
 //
 // Usage:
 //
-//	llva-serve [-addr HOST:PORT] [-target T] [-cache DIR] [-workers N]
-//	           [-queue N] [-pool N] [-mem BYTES] [-gas-default N] [-gas-max N]
-//	           [-tenant-rate R] [-tenant-burst N] [-tenant-gas N]
+//	llva-serve [-addr HOST:PORT] [-target T] [-cache DIR] [-cache-max-bytes N]
+//	           [-tier2] [-workers N] [-queue N] [-mem BYTES] [-gas-default N]
+//	           [-gas-max N] [-tenant-rate R] [-tenant-burst N] [-tenant-gas N]
 //	           [-drain-timeout D]
 //
-// The service API lives under /api/v1 (load, run, submit, status,
-// cancel); the same mux carries the llva-run observability surface:
-// /metrics, /metrics/events, /debug/llva/trace, /debug/vars and
-// /debug/pprof. SIGINT/SIGTERM drains gracefully: admission returns
-// 503 draining, in-flight runs finish (up to -drain-timeout), then the
-// cache is flushed and the process exits.
+// The service API lives under /api/v1 (load, run); the same mux
+// carries the llva-run observability surface: /metrics,
+// /metrics/events, /debug/llva/trace, /debug/vars and /debug/pprof.
+// SIGINT/SIGTERM drains gracefully: admission returns 503 draining,
+// admitted runs finish (up to -drain-timeout, then they are canceled),
+// then the cache is flushed and the process exits.
 package main
 
 import (
@@ -60,7 +60,6 @@ func main() {
 	cacheMax := flag.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this many unique bytes (0: unlimited; needs -cache)")
 	workers := flag.Int("workers", 0, "concurrent executing sessions (0: one per CPU)")
 	queue := flag.Int("queue", 0, "admitted-but-not-started capacity before shedding (0: 4x workers)")
-	pool := flag.Int("pool", 0, "pooled reusable sessions kept per module (0: one per worker, negative: disable pooling)")
 	memSize := flag.Uint64("mem", 8<<20, "per-session simulated address space in bytes")
 	gasDefault := flag.Uint64("gas-default", 0, "gas budget for requests that omit one (0: unmetered)")
 	gasMax := flag.Uint64("gas-max", 0, "hard cap on per-run gas budgets (0: uncapped)")
@@ -68,7 +67,6 @@ func main() {
 	tenantBurst := flag.Int("tenant-burst", 8, "per-tenant token-bucket burst")
 	tenantGas := flag.Uint64("tenant-gas", 0, "aggregate simulated-cycle budget per tenant (0: unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a graceful drain waits for in-flight runs")
-	translateWorkers := flag.Int("translate-workers", 0, "translation worker-pool size (0: one per CPU)")
 	tier2 := flag.Bool("tier2", false, "profile-guided tier-2 translation when stored guest profiles exist (needs -cache)")
 	flag.Parse()
 
@@ -87,7 +85,6 @@ func main() {
 	tracer := prof.NewTracer()
 	sysOpts := []llee.SystemOption{
 		llee.WithTelemetry(reg),
-		llee.WithTranslateWorkers(*translateWorkers),
 		llee.WithTracer(tracer),
 		llee.WithTier2(*tier2),
 	}
@@ -105,17 +102,16 @@ func main() {
 	sys := llee.NewSystem(sysOpts...)
 
 	srv, err := serve.New(serve.Config{
-		System:       sys,
-		Target:       d,
-		Workers:      *workers,
-		Queue:        *queue,
-		PoolSessions: *pool,
-		MemSize:      *memSize,
-		DefaultGas:   *gasDefault,
-		MaxGas:       *gasMax,
-		TenantRate:   *tenantRate,
-		TenantBurst:  *tenantBurst,
-		TenantGas:    *tenantGas,
+		System:      sys,
+		Target:      d,
+		Workers:     *workers,
+		Queue:       *queue,
+		MemSize:     *memSize,
+		DefaultGas:  *gasDefault,
+		MaxGas:      *gasMax,
+		TenantRate:  *tenantRate,
+		TenantBurst: *tenantBurst,
+		TenantGas:   *tenantGas,
 	})
 	if err != nil {
 		fatal(err)

@@ -135,3 +135,76 @@ func TestBenchSmokeNamesLiveBenchmarks(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsNameLiveFlagsAndRoutes: the docs name only flags and routes the
+// tree has, so that deleting one cannot leave it documented:
+//   - every -flag in the first column of README's `llva-run`, `llva-serve`
+//     and `llva-loadgen` flag tables, and every -flag in a DESIGN.md or
+//     README.md code span that starts with a command name (`llva-run
+//     -prof-store`), must be defined by that command's main.go;
+//   - every /api/v1/… path README.md lists must be one Server.Register
+//     mounts.
+func TestDocsNameLiveFlagsAndRoutes(t *testing.T) {
+	read := func(path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	defRE := regexp.MustCompile(`flag\.\w+\("([\w-]+)"`)
+	flags := map[string]map[string]bool{} // command -> flags its main.go defines
+	defined := func(cmd string) map[string]bool {
+		if flags[cmd] == nil {
+			flags[cmd] = map[string]bool{}
+			for _, m := range defRE.FindAllSubmatch(read(filepath.Join("cmd", cmd, "main.go")), -1) {
+				flags[cmd][string(m[1])] = true
+			}
+		}
+		return flags[cmd]
+	}
+	flagRE := regexp.MustCompile("(?:^|[\\s`])-([a-z][\\w-]*)")
+	check := func(doc, cmd, text string) {
+		for _, m := range flagRE.FindAllStringSubmatch(text, -1) {
+			if !defined(cmd)[m[1]] {
+				t.Errorf("%s names %s -%s, which cmd/%s/main.go does not define", doc, cmd, m[1], cmd)
+			}
+		}
+	}
+
+	readme := read("README.md")
+	for _, cmd := range []string{"llva-run", "llva-serve", "llva-loadgen"} {
+		tableRE := regexp.MustCompile("(?m)^\\| `" + cmd + "` flag \\|.*\\n((?:\\|.*\\n)*)")
+		tables := tableRE.FindAllSubmatch(readme, -1)
+		if len(tables) == 0 {
+			t.Errorf("README.md has no `%s` flag table", cmd)
+		}
+		for _, table := range tables {
+			for _, row := range strings.Split(string(table[1]), "\n") {
+				if cells := strings.Split(row, "|"); len(cells) > 2 {
+					check("README.md's flag table", cmd, cells[1])
+				}
+			}
+		}
+	}
+	spanRE := regexp.MustCompile("`(llva-[a-z]+|minicc) (-[^`]*)`")
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		for _, m := range spanRE.FindAllSubmatch(read(doc), -1) {
+			check(doc, string(m[1]), string(m[2]))
+		}
+	}
+
+	mounted := map[string]bool{}
+	for _, m := range regexp.MustCompile(`HandleFunc\("(/api/v1/\w+)"`).FindAllSubmatch(read("internal/serve/server.go"), -1) {
+		mounted[string(m[1])] = true
+	}
+	if len(mounted) == 0 {
+		t.Fatal("internal/serve/server.go mounts no /api/v1 route: the pattern has rotted")
+	}
+	for _, m := range regexp.MustCompile(`/api/v1/\w+`).FindAll(readme, -1) {
+		if !mounted[string(m)] {
+			t.Errorf("README.md lists %s, which Server.Register does not mount", m)
+		}
+	}
+}

@@ -20,8 +20,7 @@ import (
 )
 
 // System is the process-wide half of the LLEE: it owns the storage API
-// binding, the telemetry registry, the translation worker-pool size,
-// and — per module and target — a shared native-code cache with
+// binding, the telemetry registry, and — per module and target — a shared native-code cache with
 // single-flight deduplication, so N concurrent sessions of the same
 // module JIT each demanded function exactly once. Per-run state
 // (machine, memory, runtime environment) lives in Session objects
@@ -30,7 +29,6 @@ type System struct {
 	storage Storage // nil: no OS storage API registered
 	tele    *telemetry.Registry
 	tracer  *prof.Tracer // nil: span tracing off (all hooks no-op)
-	workers int
 	tier2   bool
 
 	// sessionSeq hands out session IDs — the "pid" lane of the span
@@ -53,7 +51,7 @@ type System struct {
 // old shared-config design silently accepting and ignoring it:
 //
 //	SystemOption   process-wide policy, fixed at NewSystem — storage,
-//	               telemetry registry, tracer, worker pool, tier-2
+//	               telemetry registry, tracer, tier-2
 //	SessionOption  per-run state, fixed at System.NewSession — memory
 //	               size, gas budget, tenant label, profiler, flight
 //	               recorder
@@ -66,11 +64,10 @@ type SystemOption func(*systemConfig)
 type SessionOption func(*sessionConfig)
 
 type systemConfig struct {
-	storage          Storage
-	tele             *telemetry.Registry
-	tracer           *prof.Tracer
-	translateWorkers int
-	tier2            bool
+	storage Storage
+	tele    *telemetry.Registry
+	tracer  *prof.Tracer
+	tier2   bool
 }
 
 type sessionConfig struct {
@@ -106,14 +103,6 @@ func WithGas(budget uint64) SessionOption { return func(c *sessionConfig) { c.ga
 // Without it every system gets a private registry.
 func WithTelemetry(reg *telemetry.Registry) SystemOption {
 	return func(c *systemConfig) { c.tele = reg }
-}
-
-// WithTranslateWorkers sets the size of the worker pool that translates
-// a module ahead of execution: Translate, Preload, TranslateOffline, idle
-// time and a tier-2 start (0 or unset: GOMAXPROCS). A demand translates
-// on the calling session's goroutine.
-func WithTranslateWorkers(n int) SystemOption {
-	return func(c *systemConfig) { c.translateWorkers = n }
 }
 
 // WithTier2 toggles profile-guided tier-2 translation (default off,
@@ -180,7 +169,6 @@ func NewSystem(opts ...SystemOption) *System {
 		storage: cfg.storage,
 		tele:    cfg.tele,
 		tracer:  cfg.tracer,
-		workers: cfg.translateWorkers,
 		tier2:   cfg.tier2,
 		mods:    make(map[string]*moduleState),
 	}
@@ -652,12 +640,12 @@ func (ms *moduleState) store(fresh map[string]cachedFunc) (map[string]cachedFunc
 }
 
 // translateModule runs translate over the module's defined functions on
-// the worker pool and records the batch in telemetry.
+// the worker pool, one worker per CPU, and records the batch in telemetry.
 func (ms *moduleState) translateModule(translate func(*core.Function) (*codegen.NativeFunc, error)) (*codegen.NativeObject, error) {
 	tele := ms.sys.tele
 	tele.Events().Emit(telemetry.EvTranslateStart, ms.module.Name, int64(len(ms.module.Functions)))
 	start := time.Now()
-	nobj, err := pipeline.TranslateModule(ms.module, ms.desc, translate, ms.sys.workers, tele)
+	nobj, err := pipeline.TranslateModule(ms.module, ms.desc, translate, 0, tele)
 	if err != nil {
 		return nil, err
 	}

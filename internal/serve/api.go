@@ -15,7 +15,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"llva/internal/llee"
 )
@@ -26,7 +25,7 @@ const (
 	CodeBadRequest  = "bad_request"  // 400: malformed request
 	CodeTooLarge    = "too_large"    // 413: request body over maxBodyBytes
 	CodeBadModule   = "bad_module"   // 400: module failed to compile/verify
-	CodeNotFound    = "not_found"    // 404: unknown module or job
+	CodeNotFound    = "not_found"    // 404: unknown module
 	CodeOutOfGas    = "out_of_gas"   // 402: the run exhausted its gas budget
 	CodeTrap        = "trap"         // 422: the program died on an unhandled trap
 	CodeCanceled    = "canceled"     // 408: the run was canceled
@@ -62,7 +61,7 @@ type LoadResponse struct {
 
 // RunRequest executes an entry of a loaded module. Gas is the per-run
 // virtual-cycle budget (0: the server's default; capped at the server's
-// maximum). The same request shape serves sync run and async submit.
+// maximum).
 type RunRequest struct {
 	Module string   `json:"module"`
 	Entry  string   `json:"entry,omitempty"` // default "main"
@@ -85,20 +84,6 @@ type RunResponse struct {
 	ExecNS   int64  `json:"exec_ns"`
 	CacheHit bool   `json:"cache_hit"`
 	Reused   bool   `json:"reused,omitempty"`
-}
-
-// SubmitResponse acknowledges an async submission.
-type SubmitResponse struct {
-	Job string `json:"job"`
-}
-
-// StatusResponse reports an async job. Result is set once State is
-// "done"; Error once it failed.
-type StatusResponse struct {
-	Job    string       `json:"job"`
-	State  string       `json:"state"` // queued | running | done | failed
-	Result *RunResponse `json:"result,omitempty"`
-	Error  *errorBody   `json:"error,omitempty"`
 }
 
 // errorBody is the wire form of every failure.
@@ -192,9 +177,6 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	if resp.StatusCode/100 != 2 {
 		return decodeError(resp, data)
 	}
-	if out == nil {
-		return nil
-	}
 	return json.Unmarshal(data, out)
 }
 
@@ -233,57 +215,4 @@ func (c *Client) Run(ctx context.Context, req RunRequest) (RunResponse, error) {
 	var out RunResponse
 	err := c.post(ctx, "/api/v1/run", req, &out)
 	return out, err
-}
-
-// Submit enqueues an async run and returns its job ID.
-func (c *Client) Submit(ctx context.Context, req RunRequest) (string, error) {
-	var out SubmitResponse
-	err := c.post(ctx, "/api/v1/submit", req, &out)
-	return out.Job, err
-}
-
-// Status reports an async job's state.
-func (c *Client) Status(ctx context.Context, job string) (StatusResponse, error) {
-	var out StatusResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.Base+"/api/v1/status?job="+job, nil)
-	if err != nil {
-		return out, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return out, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return out, decodeError(resp, data)
-	}
-	return out, json.Unmarshal(data, &out)
-}
-
-// Cancel cancels a queued or running async job.
-func (c *Client) Cancel(ctx context.Context, job string) error {
-	return c.post(ctx, "/api/v1/cancel?job="+job, struct{}{}, nil)
-}
-
-// Wait polls Status until the job leaves the queue/run states.
-func (c *Client) Wait(ctx context.Context, job string, poll time.Duration) (StatusResponse, error) {
-	for {
-		st, err := c.Status(ctx, job)
-		if err != nil {
-			return st, err
-		}
-		if st.State == "done" || st.State == "failed" {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(poll):
-		}
-	}
 }

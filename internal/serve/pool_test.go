@@ -95,28 +95,6 @@ func TestPoolCrossTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestPoolDisabled: PoolSessions < 0 turns pooling off — every run is
-// cold and nothing reports Reused.
-func TestPoolDisabled(t *testing.T) {
-	srv, c, _ := newTestServer(t, Config{Workers: 1, PoolSessions: -1})
-	mustLoad(t, c, "quick", quickProg)
-	for i := 0; i < 2; i++ {
-		resp, err := c.Run(context.Background(), RunRequest{Module: "quick"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Reused {
-			t.Errorf("run %d reused with pooling disabled", i)
-		}
-	}
-	if n := srv.tele.CounterValue(MetricSessionReuse); n != 0 {
-		t.Errorf("session_reuse = %d with pooling disabled", n)
-	}
-	if n := srv.tele.CounterValue(MetricSessionCold); n != 2 {
-		t.Errorf("session_cold = %d, want 2", n)
-	}
-}
-
 // TestPoolModuleReplaceEvicts: re-registering a module under the same
 // name with different source must orphan the old stamp's pooled
 // sessions — the next run executes the new code, cold.

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,20 +193,53 @@ func TestSaturationSheds(t *testing.T) {
 	srv, c, sys := newTestServer(t, Config{Workers: 1, Queue: 1})
 	mustLoad(t, c, "slow", slowProg)
 	mustLoad(t, c, "quick", quickProg)
+	tele := sys.Telemetry()
+	started0 := tele.CounterValue(MetricStarted)
+	canceled0 := tele.CounterValue(MetricCanceled)
 
-	// Occupy the worker and the queue slot with unbounded slow runs.
+	// A front end over the same server that numbers the run requests as
+	// they arrive and reports when the second one's handler returns.
+	var runs atomic.Int32
+	queuedGone := make(chan struct{})
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var n int32
+		if r.URL.Path == "/api/v1/run" {
+			n = runs.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+		if n == 2 {
+			close(queuedGone)
+		}
+	}))
+	defer front.Close()
+	c = NewClient(front.URL)
+
+	// Occupy the worker and then the queue slot with unbounded slow runs.
+	// One cancel hangs up both. The server would see the two hang-ups in
+	// no fixed order, and a worker freed by the running blocker's could
+	// take the queued run before its hang-up arrived; so the running
+	// blocker's hang-up waits until the queued one's handler has returned.
+	blockCtx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	runningCtx, cancelRunning := context.WithCancel(context.Background())
+	defer cancelRunning()
+	context.AfterFunc(blockCtx, func() { <-queuedGone; cancelRunning() })
+	var blockers sync.WaitGroup
+	block := func(ctx context.Context) {
+		blockers.Add(1)
+		go func() {
+			defer blockers.Done()
+			_, _ = c.Run(ctx, RunRequest{Module: "slow"})
+		}()
+	}
+	block(runningCtx)
+	waitFor(t, "the first blocker to start", func() bool { return tele.CounterValue(MetricStarted) == started0+1 })
+	block(blockCtx)
+	waitFor(t, "the second blocker to queue", func() bool { return tele.Gauge(MetricQueueDepth).Value() == 1 })
+
 	ctx := context.Background()
-	j1, err := c.Submit(ctx, RunRequest{Module: "slow"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, c, j1, stateRunning)
-	j2, err := c.Submit(ctx, RunRequest{Module: "slow"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	startedBefore := sys.Telemetry().CounterValue(MetricStarted)
 	const burst = 8
 	var wg sync.WaitGroup
 	var shed int64
@@ -235,52 +269,77 @@ func TestSaturationSheds(t *testing.T) {
 	if shed != burst {
 		t.Fatalf("shed %d of %d burst requests, want all", shed, burst)
 	}
-	// Execution never started for any shed request: only j1 is running.
-	if got := sys.Telemetry().CounterValue(MetricStarted); got != startedBefore {
-		t.Fatalf("serve.started moved %d -> %d during shedding", startedBefore, got)
+	// Execution never started for any shed request: only the first
+	// blocker is running.
+	if got := tele.CounterValue(MetricStarted); got != started0+1 {
+		t.Fatalf("serve.started moved %d -> %d during shedding", started0+1, got)
 	}
-	if got := sys.Telemetry().CounterValue(MetricShed); got != burst {
+	if got := tele.CounterValue(MetricShed); got != burst {
 		t.Fatalf("serve.shed = %d, want %d", got, burst)
 	}
 
-	// Cancel the blockers; both report canceled, j2 without ever starting.
-	if err := c.Cancel(ctx, j2); err != nil {
-		t.Fatal(err)
+	// Hang up both blockers: both runs are canceled, the queued one
+	// without ever starting.
+	hangUp()
+	blockers.Wait()
+	waitFor(t, "both blockers canceled", func() bool {
+		return tele.CounterValue(MetricCanceled) == canceled0+2
+	})
+	if got := tele.CounterValue(MetricStarted); got != started0+1 {
+		t.Fatalf("serve.started = %d after the hang-up, want %d: the queued run started", got, started0+1)
 	}
-	if err := c.Cancel(ctx, j1); err != nil {
-		t.Fatal(err)
-	}
-	st1, err := c.Wait(ctx, j1, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.State != stateFailed || st1.Error == nil || st1.Error.Code != CodeCanceled {
-		t.Fatalf("j1 after cancel: %+v", st1)
-	}
-	st2, err := c.Wait(ctx, j2, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.State != stateFailed || st2.Error == nil || st2.Error.Code != CodeCanceled {
-		t.Fatalf("j2 after cancel: %+v", st2)
-	}
-	_ = srv
 }
 
-func waitState(t *testing.T, c *Client, job, want string) {
+// TestDrainTimeoutCancelsRuns: a Drain whose context expires while an
+// unmetered run executes cancels every admitted run and returns
+// ctx.Err(). The running one's client gets 408 canceled; the one queued
+// behind it gets the same without ever starting.
+func TestDrainTimeoutCancelsRuns(t *testing.T) {
+	srv, c, sys := newTestServer(t, Config{Workers: 1})
+	mustLoad(t, c, "slow", slowProg)
+	tele := sys.Telemetry()
+
+	errs := make(chan error, 2)
+	run := func() {
+		_, err := c.Run(context.Background(), RunRequest{Module: "slow"})
+		errs <- err
+	}
+	go run()
+	waitFor(t, "the first run to start", func() bool { return tele.CounterValue(MetricStarted) == 1 })
+	go run()
+	waitFor(t, "the second run to queue", func() bool { return tele.Gauge(MetricQueueDepth).Value() == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := srv.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain = %v, want %v", err, context.DeadlineExceeded)
+	}
+	for i := 0; i < 2; i++ {
+		err := <-errs
+		var re *RemoteError
+		if !errors.Is(err, llee.ErrCanceled) || !errors.As(err, &re) ||
+			re.Status != http.StatusRequestTimeout || re.Code != CodeCanceled {
+			t.Errorf("run after the drain timeout: want 408 canceled, got %v", err)
+		}
+	}
+	if got := tele.CounterValue(MetricStarted); got != 1 {
+		t.Errorf("serve.started = %d, want 1: the queued run started", got)
+	}
+	if got := tele.CounterValue(MetricCanceled); got != 2 {
+		t.Errorf("serve.canceled = %d, want 2", got)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		st, err := c.Status(context.Background(), job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == want {
-			return
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("job %s never reached state %s", job, want)
 }
 
 // TestTenantRateLimit: the per-tenant token bucket refuses the burst
@@ -327,32 +386,6 @@ func TestTenantGasBudget(t *testing.T) {
 	// The anonymous tenant is never budget-limited.
 	if _, err := c.Run(ctx, RunRequest{Module: "quick"}); err != nil {
 		t.Fatalf("anonymous run refused: %v", err)
-	}
-}
-
-// TestSubmitStatusWait: the async path reports queued/running/done and
-// returns the same result a sync run would.
-func TestSubmitStatusWait(t *testing.T) {
-	_, c, _ := newTestServer(t, Config{Workers: 1})
-	mustLoad(t, c, "quick", quickProg)
-
-	ctx := context.Background()
-	job, err := c.Submit(ctx, RunRequest{Module: "quick"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Wait(ctx, job, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != stateDone || st.Result == nil {
-		t.Fatalf("job did not complete: %+v", st)
-	}
-	if want := "328350\n"; st.Result.Output != want {
-		t.Fatalf("output %q, want %q", st.Result.Output, want)
-	}
-	if _, err := c.Status(ctx, "jnope"); err == nil {
-		t.Fatal("want not-found for unknown job")
 	}
 }
 

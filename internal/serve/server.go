@@ -43,14 +43,6 @@ type Config struct {
 	TenantGas   uint64  // aggregate cycle budget per tenant (0: unlimited)
 
 	MaxOutput int // per-run captured output bytes (default 64 KiB)
-
-	// PoolSessions caps the reusable sessions kept per module (default:
-	// Workers; negative disables pooling). Target and MemSize are fixed
-	// per server, so (module state, target, memsize) keying collapses to
-	// the module's content stamp. Only sessions llee reports Resettable
-	// — whole module installed up front, no SMC redirect, no profiler —
-	// are pooled; anything else is discarded after its run, never reset.
-	PoolSessions int
 }
 
 // Server executes runs of registered modules on a bounded worker pool
@@ -66,22 +58,25 @@ type Server struct {
 	modMu sync.RWMutex
 	mods  map[string]*moduleEntry
 
-	jobMu  sync.Mutex
-	jobs   map[string]*job
-	jobSeq atomic.Uint64
-
 	queue    chan *job
 	qMu      sync.RWMutex
 	qClosed  bool
 	draining atomic.Bool
 	wg       sync.WaitGroup
 
+	// halt is closed when a Drain's context expires. Every admitted run
+	// is then canceled: a queued one by the worker that takes it, before
+	// it starts; a running one by the handler waiting on it.
+	halt     chan struct{}
+	haltOnce sync.Once
+
 	// pool holds finished reusable sessions keyed by module stamp, each
-	// list capped at poolCap. Workers pop, Reset, run, and push back;
-	// a replaced module's orphaned stamp is dropped wholesale.
-	poolMu  sync.Mutex
-	pool    map[string][]*llee.Session
-	poolCap int
+	// list capped at Workers. Target and MemSize are fixed per server, so
+	// the stamp alone identifies compatible sessions. Workers pop, Reset,
+	// run, and push back; a replaced module's orphaned stamp is dropped
+	// wholesale.
+	poolMu sync.Mutex
+	pool   map[string][]*llee.Session
 }
 
 type moduleEntry struct {
@@ -89,16 +84,11 @@ type moduleEntry struct {
 	stamp string
 }
 
-// job states.
-const (
-	stateQueued  = "queued"
-	stateRunning = "running"
-	stateDone    = "done"
-	stateFailed  = "failed"
-)
-
+// job is one admitted run. The worker that takes it writes the outcome
+// (result, or status and errB) and then closes done; handleRun reads
+// the outcome only after done is closed, so the close orders the writes
+// before the read.
 type job struct {
-	id       string
 	req      RunRequest
 	mod      *moduleEntry
 	gas      uint64
@@ -106,31 +96,16 @@ type job struct {
 	cancel   context.CancelFunc
 	admitted time.Time
 
-	mu     sync.Mutex
-	state  string
-	result *RunResponse
+	result RunResponse
 	errB   *errorBody
 	status int
 	done   chan struct{}
 }
 
-func (j *job) setState(s string) {
-	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
-}
-
-func (j *job) finish(status int, res *RunResponse, eb *errorBody) {
-	j.mu.Lock()
-	if eb != nil {
-		j.state = stateFailed
-	} else {
-		j.state = stateDone
-	}
-	j.status = status
-	j.result = res
-	j.errB = eb
-	j.mu.Unlock()
+// finish records the outcome's status and error body (nil on success,
+// after the worker has set result) and hands the job back to its handler.
+func (j *job) finish(status int, eb *errorBody) {
+	j.status, j.errB = status, eb
 	j.cancel()
 	close(j.done)
 }
@@ -149,22 +124,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxOutput <= 0 {
 		cfg.MaxOutput = 64 << 10
 	}
-	poolCap := cfg.PoolSessions
-	switch {
-	case poolCap < 0:
-		poolCap = 0
-	case poolCap == 0:
-		poolCap = cfg.Workers
-	}
 	s := &Server{
 		cfg:     cfg,
 		tele:    cfg.System.Telemetry(),
 		limiter: newTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
 		mods:    make(map[string]*moduleEntry),
-		jobs:    make(map[string]*job),
 		queue:   make(chan *job, cfg.Queue),
 		pool:    make(map[string][]*llee.Session),
-		poolCap: poolCap,
+		halt:    make(chan struct{}),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -236,7 +203,7 @@ func (s *Server) Load(req LoadRequest) (LoadResponse, error) {
 
 // admit runs the full admission pipeline. On refusal it returns a
 // status+errorBody and the job is never created; on admission the job
-// is queued and owned by the worker pool.
+// is queued and owned by the worker pool until it closes job.done.
 func (s *Server) admit(ctx context.Context, req RunRequest) (*job, int, *errorBody) {
 	s.tele.Counter(MetricRequests).Inc()
 	if s.draining.Load() {
@@ -275,11 +242,9 @@ func (s *Server) admit(ctx context.Context, req RunRequest) (*job, int, *errorBo
 		req.Entry = "main"
 	}
 	j := &job{
-		id:       "j" + strconv.FormatUint(s.jobSeq.Add(1), 36),
 		req:      req,
 		mod:      mod,
 		gas:      gas,
-		state:    stateQueued,
 		admitted: time.Now(),
 		done:     make(chan struct{}),
 	}
@@ -290,6 +255,7 @@ func (s *Server) admit(ctx context.Context, req RunRequest) (*job, int, *errorBo
 	s.qMu.RLock()
 	if s.qClosed {
 		s.qMu.RUnlock()
+		j.cancel()
 		return nil, http.StatusServiceUnavailable,
 			&errorBody{Code: CodeDraining, Message: "server is draining", RetryAfter: 10}
 	}
@@ -298,15 +264,13 @@ func (s *Server) admit(ctx context.Context, req RunRequest) (*job, int, *errorBo
 		s.qMu.RUnlock()
 	default:
 		s.qMu.RUnlock()
+		j.cancel()
 		s.tele.Counter(MetricShed).Inc()
 		return nil, http.StatusTooManyRequests,
 			&errorBody{Code: CodeShed, Message: "worker pool saturated", RetryAfter: 1}
 	}
 	s.tele.Counter(MetricAccepted).Inc()
 	s.tele.Gauge(MetricQueueDepth).Add(1)
-	s.jobMu.Lock()
-	s.jobs[j.id] = j
-	s.jobMu.Unlock()
 	return j, 0, nil
 }
 
@@ -330,9 +294,6 @@ func (s *Server) worker() {
 
 // poolGet pops a reusable session for the module stamp, or nil.
 func (s *Server) poolGet(stamp string) *llee.Session {
-	if s.poolCap == 0 {
-		return nil
-	}
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 	lst := s.pool[stamp]
@@ -349,12 +310,12 @@ func (s *Server) poolGet(stamp string) *llee.Session {
 // resettable (an SMC redirect disqualifies it — such sessions are
 // evicted, never reset) and the module's list has room.
 func (s *Server) poolPut(stamp string, sess *llee.Session) {
-	if s.poolCap == 0 || !sess.Resettable() {
+	if !sess.Resettable() {
 		return
 	}
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
-	if lst := s.pool[stamp]; len(lst) < s.poolCap {
+	if lst := s.pool[stamp]; len(lst) < s.cfg.Workers {
 		s.pool[stamp] = append(lst, sess)
 	}
 }
@@ -373,7 +334,7 @@ func (s *Server) sessionFor(w *workerState, j *job) (*llee.Session, bool, error)
 	}
 	s.tele.Counter(MetricSessionCold).Inc()
 	w.opts = append(w.opts[:0],
-		llee.WithGas(j.gas), llee.WithTenant(j.req.Tenant), llee.WithReuse(s.poolCap > 0))
+		llee.WithGas(j.gas), llee.WithTenant(j.req.Tenant), llee.WithReuse(true))
 	if s.cfg.MemSize != 0 {
 		w.opts = append(w.opts, llee.WithMemSize(s.cfg.MemSize))
 	}
@@ -384,17 +345,16 @@ func (s *Server) sessionFor(w *workerState, j *job) (*llee.Session, bool, error)
 // runJob executes one admitted job on this worker's goroutine.
 func (s *Server) runJob(w *workerState, j *job) {
 	s.tele.Gauge(MetricQueueDepth).Add(-1)
-	if j.ctx.Err() != nil {
+	if s.halted() || j.ctx.Err() != nil {
 		// Canceled while queued: it never starts.
 		s.tele.Counter(MetricCanceled).Inc()
-		j.finish(http.StatusRequestTimeout, nil,
+		j.finish(http.StatusRequestTimeout,
 			&errorBody{Code: CodeCanceled, Message: "canceled before execution started"})
 		return
 	}
 	s.tele.Counter(MetricStarted).Inc()
 	s.tele.Gauge(MetricActive).Add(1)
 	defer s.tele.Gauge(MetricActive).Add(-1)
-	j.setState(stateRunning)
 	started := time.Now()
 	queueNS := started.Sub(j.admitted).Nanoseconds()
 	s.tele.Histogram(MetricQueueNS).Observe(queueNS)
@@ -405,8 +365,7 @@ func (s *Server) runJob(w *workerState, j *job) {
 	if err != nil {
 		s.tele.Histogram(MetricExecNS).Observe(time.Since(started).Nanoseconds())
 		s.tele.Counter(MetricErrors).Inc()
-		status, eb := classifyError(err, nil)
-		j.finish(status, nil, eb)
+		j.finish(classifyError(err, nil))
 		return
 	}
 	res, err := sess.Run(j.ctx, j.req.Entry, j.req.Args...)
@@ -419,15 +378,14 @@ func (s *Server) runJob(w *workerState, j *job) {
 		err = nil
 	}
 	if err != nil {
-		status, eb := classifyError(err, s.tele)
-		j.finish(status, nil, eb)
+		j.finish(classifyError(err, s.tele))
 		// Errored runs left the machine consistent (traps, gas and
 		// cancels unwind at block boundaries): the session pools fine.
 		s.poolPut(j.mod.stamp, sess)
 		return
 	}
 	s.tele.Counter(MetricCompleted).Inc()
-	j.finish(http.StatusOK, &RunResponse{
+	j.result = RunResponse{
 		Value:    res.Value,
 		Output:   w.out.String(),
 		Instrs:   res.Instrs,
@@ -437,7 +395,8 @@ func (s *Server) runJob(w *workerState, j *job) {
 		ExecNS:   execNS,
 		CacheHit: sess.CacheHit(),
 		Reused:   reused,
-	}, nil)
+	}
+	j.finish(http.StatusOK, nil)
 	s.poolPut(j.mod.stamp, sess)
 }
 
@@ -481,8 +440,9 @@ func classifyError(err error, tele *telemetry.Registry) (int, *errorBody) {
 
 // Drain stops admission (new requests get 503 draining), lets queued
 // and running jobs finish, and stops the workers. If ctx expires first,
-// the remaining runs are canceled at their next block boundary and
-// Drain returns ctx.Err after the workers exit.
+// every admitted run is canceled: a running one at its next block
+// boundary, a queued one when a worker takes it, without starting it.
+// Drain then returns ctx.Err after the workers exit.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.qMu.Lock()
@@ -497,13 +457,19 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		s.jobMu.Lock()
-		for _, j := range s.jobs {
-			j.cancel()
-		}
-		s.jobMu.Unlock()
+		s.haltOnce.Do(func() { close(s.halt) })
 		<-done
 		return ctx.Err()
+	}
+}
+
+// halted reports whether a Drain timed out.
+func (s *Server) halted() bool {
+	select {
+	case <-s.halt:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -511,9 +477,6 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/api/v1/load", s.handleLoad)
 	mux.HandleFunc("/api/v1/run", s.handleRun)
-	mux.HandleFunc("/api/v1/submit", s.handleSubmit)
-	mux.HandleFunc("/api/v1/status", s.handleStatus)
-	mux.HandleFunc("/api/v1/cancel", s.handleCancel)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -531,7 +494,7 @@ func writeError(w http.ResponseWriter, status int, eb *errorBody) {
 	}{eb})
 }
 
-// maxBodyBytes bounds the body of a load, run or submit request. The
+// maxBodyBytes bounds the body of a load or run request. The
 // largest suite program's source is under 4 KiB; a module past this bound
 // is refused before it reaches the compiler.
 const maxBodyBytes = 1 << 20
@@ -571,9 +534,10 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleRun is the synchronous path: admit, wait for the worker to
-// finish the job, relay the outcome. The job's context is the request's
-// — a client hanging up cancels its run at the next block boundary.
+// handleRun admits the run, waits for the worker to finish the job, and
+// relays the outcome. A client that hangs up gets no answer: its handler
+// returns at once, and its run is canceled at the next block boundary,
+// or never starts if it is still queued.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if !decodeBody(w, r, &req) {
@@ -584,66 +548,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, eb)
 		return
 	}
-	<-j.done
-	s.dropJob(j.id)
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	select {
+	case <-j.done:
+	case <-r.Context().Done():
+		// The request's cancellation reaches j.ctx too, but canceling
+		// here makes the job read as canceled before the handler returns.
+		j.cancel()
+		return
+	case <-s.halt:
+		j.cancel()
+		<-j.done
+	}
 	if j.errB != nil {
 		writeError(w, j.status, j.errB)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.result)
-}
-
-// handleSubmit is the asynchronous path: admit and return the job ID.
-// The job runs under its own context, canceled only via /cancel.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	j, status, eb := s.admit(context.Background(), req)
-	if eb != nil {
-		writeError(w, status, eb)
-		return
-	}
-	writeJSON(w, http.StatusOK, SubmitResponse{Job: j.id})
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("job")
-	s.jobMu.Lock()
-	j := s.jobs[id]
-	s.jobMu.Unlock()
-	if j == nil {
-		writeError(w, http.StatusNotFound, &errorBody{Code: CodeNotFound, Message: "unknown job " + id})
-		return
-	}
-	j.mu.Lock()
-	resp := StatusResponse{Job: j.id, State: j.state, Result: j.result, Error: j.errB}
-	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("job")
-	s.jobMu.Lock()
-	j := s.jobs[id]
-	s.jobMu.Unlock()
-	if j == nil {
-		writeError(w, http.StatusNotFound, &errorBody{Code: CodeNotFound, Message: "unknown job " + id})
-		return
-	}
-	j.cancel()
-	writeJSON(w, http.StatusOK, struct{}{})
-}
-
-// dropJob removes a finished sync job from the table (async jobs stay
-// queryable until the server exits).
-func (s *Server) dropJob(id string) {
-	s.jobMu.Lock()
-	delete(s.jobs, id)
-	s.jobMu.Unlock()
+	writeJSON(w, http.StatusOK, &j.result)
 }
 
 // limitWriter caps captured program output so a guest cannot balloon

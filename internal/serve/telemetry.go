@@ -3,7 +3,7 @@ package serve
 // Metric families recorded by the serving layer, all under serve.* in
 // the shared telemetry registry (exported at /metrics by llva-serve).
 const (
-	MetricRequests    = "serve.requests"     // every run/submit that reached admission
+	MetricRequests    = "serve.requests"     // every run that reached admission
 	MetricAccepted    = "serve.accepted"     // admitted into the queue
 	MetricStarted     = "serve.started"      // picked up by a worker (execution began)
 	MetricCompleted   = "serve.completed"    // finished successfully

@@ -7,7 +7,6 @@
 #   SESSIONS   concurrent client sessions      (default 10000)
 #   TOTAL      total runs                      (default 50000)
 #   GAS        per-run gas budget              (default 10000000)
-#   POOL       llva-serve -pool value          (default 0: one per worker)
 #   QUEUE      llva-serve -queue value         (default 2 x SESSIONS, so a
 #              full burst admits without shedding and the measurement is
 #              throughput, not admission control)
@@ -19,7 +18,6 @@ PORT="${PORT:-18080}"
 SESSIONS="${SESSIONS:-10000}"
 TOTAL="${TOTAL:-50000}"
 GAS="${GAS:-10000000}"
-POOL="${POOL:-0}"
 QUEUE="${QUEUE:-$((SESSIONS * 2))}"
 
 cd "$(dirname "$0")/.."
@@ -29,7 +27,7 @@ trap 'kill "$serve_pid" 2>/dev/null || true; wait "$serve_pid" 2>/dev/null || tr
 go build -o "$bin/llva-serve" ./cmd/llva-serve
 go build -o "$bin/llva-loadgen" ./cmd/llva-loadgen
 
-"$bin/llva-serve" -addr "127.0.0.1:$PORT" -pool "$POOL" -queue "$QUEUE" ${SERVE_ARGS:-} &
+"$bin/llva-serve" -addr "127.0.0.1:$PORT" -queue "$QUEUE" ${SERVE_ARGS:-} &
 serve_pid=$!
 
 # Wait for the server to accept requests.
