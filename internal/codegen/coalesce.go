@@ -41,8 +41,9 @@ func (s *selector) isCopy(m *target.MInstr) bool {
 func coalesce(s *selector, lr *liveRows) {
 	// Copy-related registers, numbered densely in order of appearance:
 	// dense[v] is the number of virtual register v, or -1.
-	nv := len(s.vFP)
-	dense := make([]int32, nv)
+	ws, nv := s.ws, len(s.vFP)
+	dense := zeroed(ws.dense, nv)
+	ws.dense = dense
 	for v := range dense {
 		dense[v] = -1
 	}
@@ -61,7 +62,8 @@ func coalesce(s *selector, lr *liveRows) {
 		return
 	}
 	// class[k] is k's union-find parent; regOf[k] the register numbered k.
-	ints := make([]int32, 2*n)
+	ints := zeroed(ws.ints, 2*n)
+	ws.ints = ints
 	class, regOf := ints[:n], ints[n:]
 	for v, k := range dense {
 		if k >= 0 {
@@ -78,7 +80,8 @@ func coalesce(s *selector, lr *liveRows) {
 	// adj is the interference matrix, one row of n bits per register;
 	// the slab's last row is the walk's live set.
 	words := (n + 63) / 64
-	slab := make([]uint64, (n+1)*words)
+	slab := zeroed(ws.adj, (n+1)*words)
+	ws.adj = slab
 	adj := func(k int) []uint64 { return slab[k*words : (k+1)*words] }
 	live := slab[n*words:]
 

@@ -177,7 +177,12 @@ func TestCoalesceKeepsLiveness(t *testing.T) {
 			lr := solveLiveness(s)
 			coalesce(s, lr)
 			merged += before - len(s.code)
-			got, want := lr.intervals(s), computeLiveness(s)
+			// Solving again writes a workspace of its own: the one the
+			// renamed rows and got live in is left alone.
+			got := lr.intervals(s)
+			fresh := *s
+			fresh.ws = new(workspace)
+			want := computeLiveness(&fresh)
 			for v := range want.ivals {
 				g, w := got.ivals[v], want.ivals[v]
 				if g != w {

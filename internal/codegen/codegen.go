@@ -224,7 +224,14 @@ func (t *Translator) Module() *core.Module { return t.m }
 
 // TranslateModule compiles every defined function (offline mode).
 func (t *Translator) TranslateModule() (*NativeObject, error) {
-	obj := &NativeObject{TargetName: t.desc.Name, Module: t.m.Name}
+	n := 0
+	for _, f := range t.m.Functions {
+		if !f.IsDeclaration() {
+			n++
+		}
+	}
+	obj := &NativeObject{TargetName: t.desc.Name, Module: t.m.Name,
+		Funcs: make([]*NativeFunc, 0, n), byName: make(map[string]*NativeFunc, n)}
 	for _, f := range t.m.Functions {
 		if f.IsDeclaration() {
 			continue
@@ -238,40 +245,56 @@ func (t *Translator) TranslateModule() (*NativeObject, error) {
 	return obj, nil
 }
 
-// TranslateFunction compiles a single function (JIT mode unit). It only
-// reads the module and builds per-call state, so independent functions
-// may be translated concurrently on one Translator (internal/llee/pipeline
-// relies on this). On a tier-2 translator (WithTier2), functions with
-// profile coverage go through the superblock pipeline; functions that
-// never ran under the profiler fall back to tier-1 lowering.
+// TranslateFunction compiles a single function (JIT mode unit). Each
+// call lowers in a workspace of its own, taken from a pool and returned
+// to it when the call is done; the module and the translator are only
+// read. So independent functions may be translated concurrently on one
+// Translator, and a translation allocates only what it returns. On a
+// tier-2 translator (WithTier2), functions with profile coverage go
+// through the superblock pipeline; functions that never ran under the
+// profiler fall back to tier-1 lowering. A panic in lowering comes back
+// as a *PanicError, and its workspace is dropped.
 func (t *Translator) TranslateFunction(f *core.Function) (nf *NativeFunc, err error) {
+	ws := workspaces.Get().(*workspace)
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("codegen: %%%s: %v", f.Name(), r)
+			nf, err = nil, &PanicError{Func: f.Name(), Value: r}
+			return
 		}
+		workspaces.Put(ws)
 	}()
 	if t.tier >= 2 {
-		if nf, ok := t.tryTier2(f); ok {
+		if nf, ok := t.tryTier2(ws, f); ok {
 			return nf, nil
 		}
 	}
-	return t.lower(f, nil, nil), nil
+	return t.lower(ws, f, nil, nil), nil
 }
+
+// PanicError reports a translation that panicked: the translator's own
+// invariant failed on Func, whose code is not returned.
+type PanicError struct {
+	Func  string
+	Value any // what the translator panicked with
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("codegen: %%%s: %v", e.Func, e.Value) }
 
 // lower is the one lowering every function takes on both targets and
 // both tiers: selection, copy coalescing, register allocation, frame
 // lowering, the branch peepholes (branch-polarity inversion, jump
-// threading), fallthrough elision and final layout. A non-nil perm
-// places blocks in trace order at the machine level — after register
-// allocation, so live intervals (and therefore spills) are measured in
-// the stable IR order the profile was gathered against. A non-nil hm
-// feeds per-block heat to the allocator for interval weights, which
-// makes it evict by heat; without one, the code is tier 1's and carries
-// its block table.
-func (t *Translator) lower(f *core.Function, perm []int, hm heat) *NativeFunc {
-	sel := newSelector(t, f)
+// threading), fallthrough elision and final layout, all in ws. A non-nil
+// perm places blocks in trace order at the machine level — after
+// register allocation, so live intervals (and therefore spills) are
+// measured in the stable IR order the profile was gathered against. A
+// non-nil hm feeds per-block heat to the allocator for interval weights,
+// which makes it evict by heat; without one, the code is tier 1's and
+// carries its block table.
+func (t *Translator) lower(ws *workspace, f *core.Function, perm []int, hm heat) *NativeFunc {
+	sel := newSelector(t, f, ws)
 	if hm != nil {
-		sel.blockHeat = make([]uint64, len(f.Blocks))
+		sel.blockHeat = zeroed(ws.blockHeat, len(f.Blocks))
+		ws.blockHeat = sel.blockHeat
 		for i, bb := range f.Blocks {
 			sel.blockHeat[i] = hm.of(bb)
 		}
@@ -287,33 +310,36 @@ func (t *Translator) lower(f *core.Function, perm []int, hm heat) *NativeFunc {
 	if t.spillOnly {
 		allocSpill(sel)
 	} else {
-		sel.rows = solveLiveness(sel)
-		coalesce(sel, sel.rows)
-		allocLinear(sel)
+		lr := solveLiveness(sel)
+		coalesce(sel, lr)
+		allocLinear(sel, lr)
 	}
 	if t.regallocNS != nil {
 		t.regallocNS.Observe(time.Since(start).Nanoseconds())
 		t.spills.Add(uint64(sel.nSpillStores))
 		t.reloads.Add(uint64(sel.nSpillLoads))
 	}
+	if lowerTestHook != nil {
+		lowerTestHook(sel)
+	}
 
 	addFrame(sel, perm)
 	invertBranches(sel)
 	threadJumps(sel)
 	elideFallthroughs(sel)
-	code, relocs := layout(sel)
 	nf := &NativeFunc{
 		Name:      f.Name(),
-		Code:      code,
-		Relocs:    relocs,
 		NumInstrs: len(sel.code),
 		NumLLVA:   f.NumInstructions(),
 	}
-	if hm == nil {
-		nf.Blocks = sel.blockOff
-	}
+	nf.Code, nf.Relocs, nf.Blocks = layout(sel, hm == nil)
 	return nf
 }
+
+// lowerTestHook, when set, runs in lower between register allocation
+// and frame lowering, once selection, coalescing and allocation have
+// written their tables. Tests set it to panic there.
+var lowerTestHook func(*selector)
 
 // elideFallthroughs removes an unconditional jump whose target is the
 // block that immediately follows it in layout order — or follows it once
@@ -334,7 +360,8 @@ func elideFallthroughs(s *selector) {
 	// backwards, a jump sees which of the instructions after it are gone.
 	// Until the walk reaches it, next[i] < 0 marks an instruction some
 	// branch targets.
-	next := make([]int, n+1)
+	next := zeroed(s.ws.next, n+1)
+	s.ws.next = next
 	for i := range s.code {
 		switch in := &s.code[i]; in.Op {
 		case target.MJmp, target.MJcc, target.MInvokePush:
@@ -378,24 +405,25 @@ func endsFlow(op target.MOp) bool {
 }
 
 // layout assigns byte offsets, resolves PC-relative branch targets and
-// encodes the final bytes. It leaves each block's byte offset in
-// s.blockOff.
-func layout(s *selector) ([]byte, []target.Reloc) {
-	d := s.desc
+// encodes the final bytes. With blocks set it also returns the block
+// table: each block's byte offset in the code, epilogue last.
+func layout(s *selector, blocks bool) ([]byte, []target.Reloc, BlockTable) {
+	d, ws := s.desc, s.ws
 	// Pass 1: measure offsets.
-	offs := make([]int, len(s.code)+1)
+	offs := zeroed(ws.offs, len(s.code)+1)
 	nRelocs := 0
-	var probe []byte
-	var rl []target.Reloc
 	for i := range s.code {
-		probe, rl = d.AppendEncoding(probe[:0], rl[:0], &s.code[i])
-		offs[i+1] = offs[i] + len(probe)
-		nRelocs += len(rl)
+		ws.probe, ws.rl = d.AppendEncoding(ws.probe[:0], ws.rl[:0], &s.code[i])
+		offs[i+1] = offs[i] + len(ws.probe)
+		nRelocs += len(ws.rl)
 	}
-	// Block index -> byte offset of its first instruction.
-	s.blockOff = make(BlockTable, 4*len(s.blockStart))
-	for b, idx := range s.blockStart {
-		binary.LittleEndian.PutUint32(s.blockOff[4*b:], uint32(offs[idx]))
+	ws.offs = offs
+	var table BlockTable
+	if blocks {
+		table = make(BlockTable, 4*len(s.blockStart))
+		for b, idx := range s.blockStart {
+			binary.LittleEndian.PutUint32(table[4*b:], uint32(offs[idx]))
+		}
 	}
 	// Pass 2: rewrite branch targets PC-relative and encode.
 	code := make([]byte, 0, offs[len(s.code)])
@@ -413,5 +441,5 @@ func layout(s *selector) ([]byte, []target.Reloc) {
 			panic(fmt.Sprintf("layout: instruction %d changed size during encoding", i))
 		}
 	}
-	return code, relocs
+	return code, relocs, table
 }

@@ -43,7 +43,7 @@ func TestElideUnreachableJumps(t *testing.T) {
 		wantStart: []int{0, 3, 4},
 	}} {
 		t.Run(c.name, func(t *testing.T) {
-			s := &selector{code: slices.Clone(c.code), blockStart: slices.Clone(c.start)}
+			s := &selector{code: slices.Clone(c.code), blockStart: slices.Clone(c.start), ws: new(workspace)}
 			if c.thread {
 				threadJumps(s)
 			}

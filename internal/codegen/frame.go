@@ -12,101 +12,103 @@ import (
 // block indices, so only the start table changes; every block ends in an
 // explicit branch — ret lowers to a jump to the epilogue label, invoke
 // to a jump to its normal successor — so no implicit fallthrough is
-// broken.
+// broken. The body is rewriteWithSlots' output, in the workspace's
+// second code buffer; the framed code goes back into the first.
 func addFrame(s *selector, perm []int) {
-	var prologue, epilogue []target.MInstr
-	if s.desc.StackArgs {
-		prologue, epilogue = frameVX86(s)
-	} else {
-		prologue, epilogue = frameVSPARC(s)
-	}
-	out := make([]target.MInstr, 0, len(prologue)+len(s.code)+len(epilogue))
-	out = append(out, prologue...)
+	ws := s.ws
+	body, start := s.code, s.blockStart
+	// Room for the body and a typical frame: a few instructions, plus a
+	// save and a restore per callee-saved register. Appends grow past it.
+	code := s.prologue(emptied(ws.code, len(body)+2*len(s.savedRegs)+24))
 	if perm == nil {
-		out = append(out, s.code...)
-		for i := range s.blockStart {
-			s.blockStart[i] += len(prologue)
+		n := len(code)
+		code = append(code, body...)
+		for i := range start {
+			start[i] += n
 		}
 	} else {
-		newStart := make([]int, len(s.blockStart))
+		newStart := zeroed(ws.start, len(start))
 		for _, bi := range perm {
-			newStart[bi] = len(out)
-			out = append(out, s.code[s.blockStart[bi]:s.blockStart[bi+1]]...)
+			newStart[bi] = len(code)
+			code = append(code, body[start[bi]:start[bi+1]]...)
 		}
-		newStart[len(newStart)-1] = len(out)
-		s.blockStart = newStart
+		newStart[len(newStart)-1] = len(code)
+		s.blockStart, ws.start = newStart, newStart
 	}
 	// blockStart's final entry is the epilogue label, pointing at the
 	// first epilogue instruction.
-	s.code = append(out, epilogue...)
+	s.code = s.epilogue(code)
+	ws.code = s.code
 }
 
-func frameVX86(s *selector) (prologue, epilogue []target.MInstr) {
+// prologue appends the function's prologue to code: the new frame, and
+// the callee-saved registers the function uses stored into its save area.
+func (s *selector) prologue(code []target.MInstr) []target.MInstr {
 	d := s.desc
-	frame := int64(s.saveArea) + int64(s.allocaBytes+s.spillBytes)
-	frame = (frame + 15) &^ 15
-
-	prologue = append(make([]target.MInstr, 0, 3+len(s.savedRegs)),
-		target.MInstr{Op: target.MPush, Rs1: d.FP},
-		target.MInstr{Op: target.MMovRR, Rd: d.FP, Rs1: d.SP},
-	)
-	if frame > 0 {
-		prologue = append(prologue, target.MInstr{Op: target.MAdjSP, Imm: -frame})
+	if d.StackArgs {
+		// vx86: the return address and the caller's FP sit above FP.
+		frame := int64(s.saveArea) + int64(s.allocaBytes+s.spillBytes)
+		frame = (frame + 15) &^ 15
+		code = append(code,
+			target.MInstr{Op: target.MPush, Rs1: d.FP},
+			target.MInstr{Op: target.MMovRR, Rd: d.FP, Rs1: d.SP},
+		)
+		if frame > 0 {
+			code = append(code, target.MInstr{Op: target.MAdjSP, Imm: -frame})
+		}
+		// Callee-saved registers actually used by this function, in the
+		// save area directly below FP.
+		for i, r := range s.savedRegs {
+			code = frameInstrs(code, d, target.MStore, r, int32(-8*(i+1)), r.IsFP())
+		}
+		return code
 	}
-	// Callee-saved registers actually used by this function, in the save
-	// area directly below FP.
-	for i, r := range s.savedRegs {
-		prologue = frameInstrs(prologue, d, target.MStore, r, int32(-8*(i+1)), r.IsFP())
-	}
-	epilogue = make([]target.MInstr, 0, 3+len(s.savedRegs))
-	for i, r := range s.savedRegs {
-		epilogue = frameInstrs(epilogue, d, target.MLoad, r, int32(-8*(i+1)), r.IsFP())
-	}
-	epilogue = append(epilogue,
-		target.MInstr{Op: target.MMovRR, Rd: d.SP, Rs1: d.FP},
-		target.MInstr{Op: target.MPop, Rd: d.FP},
-		target.MInstr{Op: target.MRet},
-	)
-	return prologue, epilogue
-}
-
-func frameVSPARC(s *selector) (prologue, epilogue []target.MInstr) {
-	d := s.desc
 	frame := int64(s.saveArea) + int64(s.allocaBytes) + int64(s.spillBytes) +
 		int64(8*s.maxStackArgs)
 	frame = (frame + 15) &^ 15
-
 	oldFPTmp := d.Scratch[1] // r12: free at function entry and exit
-
-	// Capacities are hints: a far save slot's address synthesis grows past.
-	prologue = make([]target.MInstr, 0, 12+len(s.savedRegs))
-	prologue = append(prologue, target.MInstr{Op: target.MMovRR, Rd: oldFPTmp, Rs1: d.FP})
-	prologue = append(prologue, target.MInstr{Op: target.MAdjSP, Imm: -frame})
+	code = append(code, target.MInstr{Op: target.MMovRR, Rd: oldFPTmp, Rs1: d.FP})
+	code = append(code, target.MInstr{Op: target.MAdjSP, Imm: -frame})
 	// FP <- SP + frame (the caller's SP)
-	prologue = appendImm(prologue, target.Reg(31), frame, d)
-	prologue = append(prologue, target.MInstr{Op: target.MALU, Alu: target.AAdd,
+	code = appendImm(code, target.Reg(31), frame, d)
+	code = append(code, target.MInstr{Op: target.MALU, Alu: target.AAdd,
 		Rd: d.FP, Rs1: d.SP, Rs2: 31, Size: 8})
 	// Save return address and the caller's FP at the top of the frame
 	// (frameInstrs synthesizes the address via the assembler temporary
 	// when a save slot exceeds disp9 range; slots can reach -288 with
 	// many callee-saved registers).
-	prologue = frameInstrs(prologue, d, target.MStore, target.Reg(3), -8, false) // RA
-	prologue = frameInstrs(prologue, d, target.MStore, oldFPTmp, -16, false)
+	code = frameInstrs(code, d, target.MStore, target.Reg(3), -8, false) // RA
+	code = frameInstrs(code, d, target.MStore, oldFPTmp, -16, false)
 	// Callee-saved registers actually used by this function.
 	for i, r := range s.savedRegs {
-		prologue = frameInstrs(prologue, d, target.MStore, r, int32(-24-8*i), r.IsFP())
+		code = frameInstrs(code, d, target.MStore, r, int32(-24-8*i), r.IsFP())
 	}
+	return code
+}
 
-	epilogue = make([]target.MInstr, 0, 5+len(s.savedRegs))
-	for i, r := range s.savedRegs {
-		epilogue = frameInstrs(epilogue, d, target.MLoad, r, int32(-24-8*i), r.IsFP())
+// epilogue appends the function's epilogue to code: the saved registers
+// restored, the caller's frame back, and the return.
+func (s *selector) epilogue(code []target.MInstr) []target.MInstr {
+	d := s.desc
+	if d.StackArgs {
+		for i, r := range s.savedRegs {
+			code = frameInstrs(code, d, target.MLoad, r, int32(-8*(i+1)), r.IsFP())
+		}
+		return append(code,
+			target.MInstr{Op: target.MMovRR, Rd: d.SP, Rs1: d.FP},
+			target.MInstr{Op: target.MPop, Rd: d.FP},
+			target.MInstr{Op: target.MRet},
+		)
 	}
-	epilogue = frameInstrs(epilogue, d, target.MLoad, target.Reg(3), -8, false)
-	epilogue = frameInstrs(epilogue, d, target.MLoad, oldFPTmp, -16, false)
-	epilogue = append(epilogue,
+	oldFPTmp := d.Scratch[1]
+	for i, r := range s.savedRegs {
+		code = frameInstrs(code, d, target.MLoad, r, int32(-24-8*i), r.IsFP())
+	}
+	code = frameInstrs(code, d, target.MLoad, target.Reg(3), -8, false)
+	code = frameInstrs(code, d, target.MLoad, oldFPTmp, -16, false)
+	return append(code,
 		target.MInstr{Op: target.MMovRR, Rd: d.SP, Rs1: d.FP},
 		target.MInstr{Op: target.MMovRR, Rd: d.FP, Rs1: oldFPTmp},
 		target.MInstr{Op: target.MRet},
 	)
-	return prologue, epilogue
 }

@@ -76,8 +76,15 @@ type allocation struct {
 	saved    []target.Reg // callee-saved registers handed out, ascending
 }
 
-func newAllocation(nv int) *allocation {
-	a := &allocation{assigned: make([]target.Reg, nv), slotOf: make([]int32, nv)}
+// newAllocation resets ws's allocation for nv virtual registers, none
+// of them placed yet.
+func newAllocation(ws *workspace, nv int) *allocation {
+	a := &ws.alloc
+	*a = allocation{
+		assigned: zeroed(a.assigned, nv),
+		slotOf:   zeroed(a.slotOf, nv),
+		saved:    a.saved[:0],
+	}
 	for i := range a.assigned {
 		a.assigned[i] = target.NoReg
 		a.slotOf[i] = -1
@@ -108,11 +115,10 @@ type rewritten struct {
 }
 
 // commit makes a and the code it rewrote to the selector's state.
-func (s *selector) commit(a *allocation, r *rewritten) {
+func (s *selector) commit(a *allocation, r rewritten) {
 	s.code, s.blockStart = r.code, r.blockStart
 	s.nSpillLoads, s.nSpillStores = r.loads, r.stores
 	s.spillBytes, s.savedRegs = a.nSlots*8, a.saved
-	s.rows = nil // they described the code just replaced
 }
 
 // allocSpill is the naive spill-everything allocator: every virtual
@@ -120,17 +126,16 @@ func (s *selector) commit(a *allocation, r *rewritten) {
 // into scratch registers and stores its result back. This reproduces the
 // paper's minimal-effort x86 back-end ("significant spill code").
 func allocSpill(s *selector) {
-	a := newAllocation(len(s.vFP))
+	a := newAllocation(s.ws, len(s.vFP))
 	slot := func(r target.Reg) {
 		if v := int(r) - int(target.VRegBase); r.IsVirtual() && a.slotOf[v] < 0 {
 			a.spill(v)
 		}
 	}
 	// Slots in first-appearance order.
-	var uses []target.Reg
+	var usesArr [8]target.Reg
 	for i := range s.code {
-		uses = instrUses(&s.code[i], uses[:0])
-		for _, r := range uses {
+		for _, r := range instrUses(&s.code[i], usesArr[:0]) {
 			slot(r)
 		}
 		slot(instrDef(&s.code[i]))
@@ -217,17 +222,17 @@ func (rw *rewriter) emitFrame(op target.MOp, reg target.Reg, disp int32, fp bool
 	rw.out.code = frameInstrs(rw.out.code, rw.s.desc, op, reg, disp, fp)
 }
 
-// rewriteWithSlots rewrites the code under allocation a: spilled virtual
-// registers load from / store to their frame slot through scratch
-// registers; assigned ones map to their physical register. The
-// selector's own code is left as it was, so two allocations can be
-// rewritten side by side.
-func rewriteWithSlots(s *selector, a *allocation) *rewritten {
-	d := s.desc
+// rewriteWithSlots rewrites the code under allocation a into the
+// workspace's second code buffer: spilled virtual registers load from /
+// store to their frame slot through scratch registers; assigned ones map
+// to their physical register. The selector's own code is left as it
+// was: commit makes the rewritten code the selector's.
+func rewriteWithSlots(s *selector, a *allocation) rewritten {
+	d, ws := s.desc, s.ws
 	rw := rewriter{s: s, a: a}
 	rw.out = rewritten{
-		code:       make([]target.MInstr, 0, len(s.code)+len(s.code)/4+8),
-		blockStart: make([]int, len(s.blockStart)),
+		code:       emptied(ws.code2, len(s.code)+len(s.code)/4+8),
+		blockStart: zeroed(ws.start2, len(s.blockStart)),
 	}
 	bi := 0
 	var usesArr, loaded [8]target.Reg
@@ -359,8 +364,8 @@ func rewriteWithSlots(s *selector, a *allocation) *rewritten {
 	for ; bi < len(s.blockStart); bi++ {
 		rw.out.blockStart[bi] = len(rw.out.code)
 	}
-	out := rw.out // rw, and with it every instruction copy, stays on the stack
-	return &out
+	ws.code2, ws.start2 = rw.out.code, rw.out.blockStart
+	return rw.out
 }
 
 // frameInstrs appends one 64-bit FP-relative frame-slot access,
@@ -477,17 +482,24 @@ func (lr *liveRows) row(kind, b int) []uint64 {
 
 // solveLiveness computes per-block use/def and solves live-in/live-out
 // word-wise to the fixpoint — the least one, whatever order it is
-// reached in.
+// reached in. The solution is the workspace's.
 func solveLiveness(s *selector) *liveRows {
+	ws := s.ws
 	nb := len(s.blockStart) - 1 // last entry is the (empty) epilogue label
 	words := (len(s.vFP) + 63) / 64
 	// The slab's last row is the force-spill set intervals fills.
-	lr := &liveRows{slab: make([]uint64, (rowKinds*(nb+1)+1)*words), words: words, nb: nb}
+	lr := &ws.rows
+	*lr = liveRows{
+		slab:     zeroed(lr.slab, (rowKinds*(nb+1)+1)*words),
+		words:    words,
+		nb:       nb,
+		handlers: lr.handlers[:0],
+	}
 
 	// Per-block use/def, successor lists (branch targets, in code order)
 	// and invoke handlers, in one walk.
-	succOff := make([]int32, nb+1)
-	succ := make([]int32, 0, 2*nb)
+	succOff := zeroed(ws.succOff, nb+1)
+	succ := emptied(ws.succ, 2*nb)
 	var ubArr [8]target.Reg
 	for b := 0; b < nb; b++ {
 		use, def := lr.row(useRow, b), lr.row(defRow, b)
@@ -512,6 +524,7 @@ func solveLiveness(s *selector) *liveRows {
 		}
 	}
 	succOff[nb] = int32(len(succ))
+	ws.succOff, ws.succ = succOff, succ
 
 	for changed := true; changed; {
 		changed = false
@@ -540,24 +553,15 @@ func solveLiveness(s *selector) *liveRows {
 	return lr
 }
 
-// computeLiveness is everything the linear scan needs to know about
-// s.code as it stands: the block-level solution — the coalescer's, when
-// it ran — and the intervals built from it.
-func computeLiveness(s *selector) *liveness {
-	lr := s.rows
-	if lr == nil {
-		lr = solveLiveness(s)
-	}
-	return lr.intervals(s)
-}
-
 // intervals builds the linear scan's input from the block-level
 // solution: one conservative interval per register, the scan order, the
-// call crossings and the force-spill set.
+// call crossings and the force-spill set. They are the workspace's.
 func (lr *liveRows) intervals(s *selector) *liveness {
-	nb, nv := lr.nb, len(s.vFP)
-	lv := &liveness{
-		ivals:      make([]interval, nv),
+	nb, nv, ws := lr.nb, len(s.vFP), s.ws
+	lv := &ws.live
+	*lv = liveness{
+		ivals:      zeroed(lv.ivals, nv),
+		order:      emptied(lv.order, nv),
 		forceSpill: lr.slab[len(lr.slab)-lr.words:],
 	}
 
@@ -594,7 +598,7 @@ func (lr *liveRows) intervals(s *selector) *liveness {
 			lv.ivals[v].weight += heat + 1
 		}
 	}
-	var callPos []int
+	callPos := ws.callPos[:0]
 	var ubArr [8]target.Reg
 	for b := 0; b < nb; b++ {
 		first, end := s.blockStart[b], s.blockStart[b+1]
@@ -622,7 +626,7 @@ func (lr *liveRows) intervals(s *selector) *liveness {
 	// last call sits at position p is always touched at a position > p,
 	// and the strict start <= p < end test below is sound even for
 	// intervals wrapping a loop back edge.
-	lv.order = make([]uint64, 0, nv)
+	ws.callPos = callPos
 	for v := range lv.ivals {
 		iv := &lv.ivals[v]
 		if iv.start < 0 {
@@ -672,14 +676,15 @@ func (lr *liveRows) intervals(s *selector) *liveness {
 // arrive in a total order, the active list and the pools are sequences,
 // and everything else is indexed by register number.
 func linearScan(s *selector, lv *liveness, byWeight bool) *allocation {
-	d := s.desc
-	a := newAllocation(len(lv.ivals))
+	d, ws := s.desc, s.ws
+	a := newAllocation(ws, len(lv.ivals))
 
 	// The four pools share one backing array; each is capped at its own
 	// size, which a release cannot exceed: it returns a register to the
 	// pool it came from.
-	backing := make([]target.Reg, 0,
+	backing := emptied(ws.backing,
 		len(d.Allocatable)+len(d.FPAllocatable)+len(d.CallerSaved)+len(d.FPCallerSaved))
+	ws.backing = backing
 	pool := func(regs []target.Reg) []target.Reg {
 		o := len(backing)
 		backing = append(backing, regs...)
@@ -703,11 +708,8 @@ func linearScan(s *selector, lv *liveness, byWeight bool) *allocation {
 	// started earlier.
 	var freeAt [128]int
 
-	type activeEntry struct {
-		v   int32
-		reg target.Reg
-	}
-	active := make([]activeEntry, 0, cap(backing))
+	active := emptied(ws.active, cap(backing))
+	ws.active = active
 
 	poolOf := func(r target.Reg) *[]target.Reg {
 		switch {
@@ -863,10 +865,17 @@ func linearScan(s *selector, lv *liveness, byWeight bool) *allocation {
 	return a
 }
 
-// allocLinear allocates with the classic furthest-end eviction rule, or,
-// when the selector carries profile heat (tier 2), by heat: the victim is
-// the cheapest value to spill.
-func allocLinear(s *selector) {
-	a := linearScan(s, computeLiveness(s), s.blockHeat != nil)
+// activeEntry is an interval linearScan has given a register.
+type activeEntry struct {
+	v   int32
+	reg target.Reg
+}
+
+// allocLinear allocates s.code, whose block liveness is lr, with the
+// classic furthest-end eviction rule, or, when the selector carries
+// profile heat (tier 2), by heat: the victim is the cheapest value to
+// spill.
+func allocLinear(s *selector, lr *liveRows) {
+	a := linearScan(s, lr.intervals(s), s.blockHeat != nil)
 	s.commit(a, rewriteWithSlots(s, a))
 }

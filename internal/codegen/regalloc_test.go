@@ -11,7 +11,7 @@ import (
 // Hand-built machine IR for the allocator's table tests: nv virtual
 // registers (all integer) and one instruction list per block.
 func mirSelector(d *target.Desc, nv int, blocks ...[]target.MInstr) *selector {
-	s := &selector{desc: d, vFP: make([]bool, nv)}
+	s := &selector{desc: d, vFP: make([]bool, nv), ws: new(workspace)}
 	for _, b := range blocks {
 		s.blockStart = append(s.blockStart, len(s.code))
 		s.code = append(s.code, b...)
@@ -19,6 +19,11 @@ func mirSelector(d *target.Desc, nv int, blocks ...[]target.MInstr) *selector {
 	s.blockStart = append(s.blockStart, len(s.code)) // epilogue label
 	return s
 }
+
+// computeLiveness is everything the linear scan needs to know about
+// s.code as it stands: its block-level liveness and the intervals built
+// from it.
+func computeLiveness(s *selector) *liveness { return solveLiveness(s).intervals(s) }
 
 func vr(i int) target.Reg { return target.VRegBase + target.Reg(i) }
 
@@ -178,7 +183,7 @@ func suiteSelectors(tb testing.TB, d *target.Desc) []*selector {
 			if f.IsDeclaration() {
 				continue
 			}
-			s := newSelector(tr, f)
+			s := newSelector(tr, f, new(workspace))
 			s.run()
 			sels = append(sels, s)
 		}

@@ -17,6 +17,9 @@ type selector struct {
 	desc *target.Desc
 	f    *core.Function
 	lay  core.Layout
+	// ws is the workspace the tables below, and every later stage's
+	// scratch, are carved from.
+	ws *workspace
 
 	code       []target.MInstr
 	blocks     []*core.BasicBlock
@@ -45,16 +48,6 @@ type selector struct {
 	// only on the tier-2 path. It weighs the allocator's live intervals
 	// so that heat-weighted eviction keeps hot-loop values in registers.
 	blockHeat []uint64
-
-	// rows is s.code's block liveness when a pass before register
-	// allocation has already solved it (coalesce), else nil:
-	// computeLiveness starts from it instead of solving again.
-	rows *liveRows
-
-	// blockOff is each block's byte offset in the final code (epilogue
-	// last), recorded by layout: on tier-1 code, the table a profile of
-	// it counts block entries by.
-	blockOff BlockTable
 }
 
 // valInfo is what selection knows of one instruction of the function.
@@ -68,12 +61,15 @@ type valInfo struct {
 	fused     bool // a comparison folded into its block's branch (vx86)
 }
 
-func newSelector(t *Translator, f *core.Function) *selector {
-	s := &selector{
+// newSelector returns ws's selector, reset to lower f.
+func newSelector(t *Translator, f *core.Function, ws *workspace) *selector {
+	s := &ws.sel
+	*s = selector{
 		t:     t,
 		desc:  t.desc,
 		f:     f,
 		lay:   t.lay,
+		ws:    ws,
 		nextV: target.VRegBase,
 	}
 	if !t.desc.StackArgs {
@@ -134,19 +130,19 @@ func (s *selector) block(bb *core.BasicBlock) int32 { return s.blockIdx[bb.Num()
 func (s *selector) reg(in *core.Instruction) target.Reg { return s.vals[in.Num()].reg }
 
 func (s *selector) run() {
-	f := s.f
+	f, ws := s.f, s.ws
 	s.blocks = f.Blocks
-	s.blockIdx = make([]int32, f.BlockSlots())
+	s.blockIdx = zeroed(ws.blockIdx, f.BlockSlots())
 	for i, bb := range f.Blocks {
 		s.blockIdx[bb.Num()] = int32(i)
 	}
-	s.vals = make([]valInfo, f.InstrSlots())
+	s.vals = zeroed(ws.vals, f.InstrSlots())
 	// About two virtual registers per instruction: results, phi
 	// carriers and materialized constants.
-	s.vFP = make([]bool, 0, 2*f.InstrSlots()+len(f.Params))
+	s.vFP = emptied(ws.vFP, 2*f.InstrSlots()+len(f.Params))
 	// Pre-assign virtual registers to every parameter and result-bearing
 	// instruction, so cross-block uses resolve regardless of layout order.
-	s.argRegs = make([]target.Reg, len(f.Params))
+	s.argRegs = zeroed(ws.argRegs, len(f.Params))
 	for i, p := range f.Params {
 		s.argRegs[i] = s.newVReg(isFPType(p.Type()))
 	}
@@ -198,8 +194,8 @@ func (s *selector) run() {
 	// Selection emits about two machine instructions per LLVA instruction
 	// on either target; sized for that, the list seldom regrows.
 	n := f.NumInstructions()
-	s.code = make([]target.MInstr, 0, 2*n+n/4+8)
-	s.blockStart = make([]int, len(f.Blocks)+1)
+	s.code = emptied(ws.code, 2*n+n/4+8)
+	s.blockStart = zeroed(ws.start, len(f.Blocks)+1)
 	for bi, bb := range f.Blocks {
 		s.blockStart[bi] = len(s.code)
 		if bi == 0 {
@@ -216,6 +212,8 @@ func (s *selector) run() {
 		}
 	}
 	s.blockStart[len(f.Blocks)] = len(s.code) // epilogue label
+	ws.blockIdx, ws.vals, ws.vFP, ws.argRegs = s.blockIdx, s.vals, s.vFP, s.argRegs
+	ws.code, ws.start = s.code, s.blockStart
 }
 
 // emitParamMoves copies incoming arguments into their virtual registers.

@@ -34,7 +34,8 @@ func (s *selector) selCall(bb *core.BasicBlock, in *core.Instruction,
 	args := in.CallArgs()
 
 	// Evaluate arguments into virtual registers first.
-	argRegs := make([]target.Reg, len(args))
+	argRegs := zeroed(s.ws.callArgs, len(args))
+	s.ws.callArgs = argRegs
 	for i, a := range args {
 		argRegs[i] = s.val(a)
 	}

@@ -72,12 +72,10 @@ func (t *Translator) Tier2Takes(name string) bool {
 // Tier2Takes does not take f. When a transformed body fails verification,
 // f is lowered at tier 1 instead (ok=true). tier2_funcs, superblocks and
 // tail_dup_instrs count what shipped.
-func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
+func (t *Translator) tryTier2(ws *workspace, f *core.Function) (*NativeFunc, bool) {
 	if !t.Tier2Takes(f.Name()) {
 		return nil, false
 	}
-	counts := t.art.BlockCounts(f.Name())
-
 	tier2Mu.Lock()
 	defer tier2Mu.Unlock()
 
@@ -86,14 +84,45 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	defer core.DiscardFunctionBody(clone)
 	observeSince(t.tier2CloneNS, start)
 
+	b := t.transformTier2(f, clone)
+	if b.err != nil {
+		// A transform produced invalid IR; tier-1 output is always safe.
+		return t.lower(ws, f, nil, nil), true
+	}
+	start = time.Now()
+	nf := t.lower(ws, clone, b.perm, b.hm)
+	observeSince(t.tier2LowerNS, start)
+	nf.NumLLVA = f.NumInstructions()
+	if t.tier2Funcs != nil {
+		t.tier2Funcs.Inc()
+		t.superblocks.Add(uint64(b.nSuper))
+		t.tailDupInstrs.Add(uint64(b.nDup))
+	}
+	return nf, true
+}
+
+// transformed is what tier 2's IR stage made of a hot function's clone:
+// the clone's heat and trace-order permutation, what superblock
+// formation counted, and the transformed clone's verification.
+type transformed struct {
+	perm         []int
+	hm           heat
+	nSuper, nDup int
+	err          error
+}
+
+// transformTier2 is tier 2's IR stage between cloning f and lowering the
+// clone: heat, hot inlining, superblock formation and verification. The
+// caller holds tier2Mu and discards the clone.
+func (t *Translator) transformTier2(f, clone *core.Function) (b transformed) {
 	// A block's heat is how often it was entered: the machine counted the
 	// entries of f's tier-1 code by LLVA block, and the clone keeps f's
 	// block order. Heat is indexed by block number, and the clone's
 	// numbers are its block indices.
-	hm := make(heat, len(clone.Blocks))
-	for _, c := range counts {
+	b.hm = make(heat, len(clone.Blocks))
+	for _, c := range t.art.BlockCounts(f.Name()) {
 		if c.Block >= 0 && c.Block < len(clone.Blocks) {
-			hm[c.Block] += c.Count
+			b.hm[c.Block] += c.Count
 		}
 	}
 
@@ -101,27 +130,14 @@ func (t *Translator) tryTier2(f *core.Function) (*NativeFunc, bool) {
 	// keeps every call a call: an inlined copy of a callee would go on
 	// running after llva.smc.replace replaced the callee.
 	if t.m.Function("llva.smc.replace") == nil {
-		hm = t.inlineHot(clone, hm)
+		b.hm = t.inlineHot(clone, b.hm)
 	}
-	perm, nSuper, nDup := formSuperblocks(clone, &hm)
+	b.perm, b.nSuper, b.nDup = formSuperblocks(clone, &b.hm)
 
-	start = time.Now()
-	err := core.VerifyFunction(clone)
+	start := time.Now()
+	b.err = core.VerifyFunction(clone)
 	observeSince(t.tier2VerifyNS, start)
-	if err != nil {
-		// A transform produced invalid IR; tier-1 output is always safe.
-		return t.lower(f, nil, nil), true
-	}
-	start = time.Now()
-	nf := t.lower(clone, perm, hm)
-	observeSince(t.tier2LowerNS, start)
-	nf.NumLLVA = f.NumInstructions()
-	if t.tier2Funcs != nil {
-		t.tier2Funcs.Inc()
-		t.superblocks.Add(uint64(nSuper))
-		t.tailDupInstrs.Add(uint64(nDup))
-	}
-	return nf, true
+	return b
 }
 
 // heat is the entry count of each block of a function being transformed,
@@ -588,7 +604,7 @@ func invertBranches(s *selector) {
 // are followed to a fixed point; the list of targets already visited
 // (chains are a few hops at most) breaks degenerate cycles.
 func threadJumps(s *selector) {
-	var seen []int32
+	seen := s.ws.seen
 	resolve := func(t int32) int32 {
 		seen = append(seen[:0], t)
 		for {
@@ -610,4 +626,5 @@ func threadJumps(s *selector) {
 			s.code[i].Target = resolve(s.code[i].Target)
 		}
 	}
+	s.ws.seen = seen
 }
