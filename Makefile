@@ -47,7 +47,7 @@ cross-build:
 bench:
 	$(GO) run ./cmd/llva-bench -tier2
 
-# bench-smoke compiles and runs the Table 2, pipeline, cache
+# bench-smoke compiles and runs the Table 2, cache
 # (BenchmarkCacheCodec, BenchmarkCASRead), session-start
 # (BenchmarkNewSession/-Large, BenchmarkMemNew), guest-memory-access
 # (BenchmarkLoadStore), block-engine dispatch (BenchmarkDispatch: one
@@ -64,7 +64,7 @@ bench:
 # must render. The serve smoke drives a short loadgen burst against an
 # in-process server: non-zero completions, zero 5xx.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Table2|ParallelTranslate|CacheCodec|CASRead|NewSession|MemNew|LoadStore|Dispatch|EncodeDecode|Optimize|Lower|AllocLinear' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Table2|CacheCodec|CASRead|NewSession|MemNew|LoadStore|Dispatch|EncodeDecode|Optimize|Lower|AllocLinear' -benchtime 1x ./...
 	$(GO) test -run TestTraceSmoke .
 	$(GO) test -count=1 -run TestLoadGenSmoke ./internal/serve/
 

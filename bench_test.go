@@ -14,7 +14,6 @@ package llva
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -24,7 +23,6 @@ import (
 	"llva/internal/core"
 	"llva/internal/interp"
 	"llva/internal/llee"
-	"llva/internal/llee/pipeline"
 	"llva/internal/machine"
 	"llva/internal/mem"
 	"llva/internal/passes"
@@ -384,31 +382,6 @@ func BenchmarkPoolAllocation(b *testing.B) {
 	}
 	b.ReportMetric(float64(pools), "pools")
 	b.ReportMetric(float64(rewritten), "sites-rewritten")
-}
-
-// BenchmarkParallelTranslate (P1): whole-module translation on the
-// worker-pool pipeline at increasing widths, against the serial
-// baseline (workers=1). The output is byte-identical at every width;
-// only the wall clock changes.
-func BenchmarkParallelTranslate(b *testing.B) {
-	for _, name := range []string{"bc", "gzip", "gap"} {
-		b.Run(name, func(b *testing.B) {
-			m := compiled(b, name)
-			tr, err := codegen.New(target.VX86, m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := pipeline.TranslateModule(m, target.VX86, tr.TranslateFunction, workers, nil); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		})
-	}
 }
 
 func mustParse(b *testing.B, src string) *core.Module {

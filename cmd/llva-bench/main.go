@@ -34,7 +34,6 @@ import (
 	"llva/internal/core"
 	"llva/internal/image"
 	"llva/internal/llee"
-	"llva/internal/llee/pipeline"
 	"llva/internal/mem"
 	"llva/internal/obj"
 	"llva/internal/prof"
@@ -166,14 +165,14 @@ func Measure(w *workloads.Workload, tier2 bool) (*Row, error) {
 	row.RatioSparc = float64(row.NumSparc) / float64(row.NumLLVA)
 
 	// vx86: expansion (columns 5-7) and JIT translate time (column 10),
-	// compiling the entire program like the paper's JIT measurement, on
-	// the translation worker pool (one worker per CPU).
+	// compiling the entire program serially like the paper's JIT
+	// measurement.
 	trX, err := codegen.New(target.VX86, m)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	objX, err := pipeline.TranslateModule(m, target.VX86, trX.TranslateFunction, 0, nil)
+	objX, err := trX.TranslateModule()
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 // llva-llc is the offline static translator: it compiles virtual object
-// code to native code for a simulated I-ISA — across a worker pool, one
-// worker per CPU — and reports the paper's Table 2
-// per-function metrics.
+// code to native code for a simulated I-ISA, one function after another
+// in module order, and reports the paper's Table 2 per-function metrics.
 //
 // Usage: llva-llc [-target vx86|vsparc] [-stats] input.bc
 package main
@@ -11,7 +10,7 @@ import (
 	"fmt"
 	"os"
 
-	"llva/internal/llee"
+	"llva/internal/codegen"
 	"llva/internal/obj"
 	"llva/internal/target"
 )
@@ -41,8 +40,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sys := llee.NewSystem()
-	nobj, err := sys.Translate(m, d)
+	tr, err := codegen.New(d, m)
+	if err != nil {
+		fatal(err)
+	}
+	nobj, err := tr.TranslateModule()
 	if err != nil {
 		fatal(err)
 	}

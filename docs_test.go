@@ -208,3 +208,51 @@ func TestDocsNameLiveFlagsAndRoutes(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsNameLiveMetrics: every full metric name in the first column of
+// README's metric table (labels {…} stripped; a .suffix shorthand for a
+// sibling of the name before it skipped) must appear as a string literal
+// in non-test Go under internal/, so that a metric no code records any
+// more cannot stay documented.
+func TestDocsNameLiveMetrics(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := regexp.MustCompile(`(?m)^\| Family \| Kind \| Meaning \|\n\|[-|]+\|\n((?:\|.*\n)*)`).FindSubmatch(readme)
+	if table == nil {
+		t.Fatal("README.md has no metric table (| Family | Kind | Meaning |)")
+	}
+	literals := map[string]bool{}
+	litRE := regexp.MustCompile(`"([a-z][\w.]*)"`)
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range litRE.FindAllSubmatch(src, -1) {
+			literals[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nameRE := regexp.MustCompile("`([a-z][\\w.]*)(?:\\{[^}`]*\\})?`")
+	names := 0
+	for _, row := range strings.Split(strings.TrimSpace(string(table[1])), "\n") {
+		cells := strings.Split(row, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		for _, m := range nameRE.FindAllStringSubmatch(cells[1], -1) {
+			names++
+			if !literals[m[1]] {
+				t.Errorf("README.md's metric table names %s, which no non-test Go under internal/ spells", m[1])
+			}
+		}
+	}
+	if names == 0 {
+		t.Fatal("README.md's metric table names no metric: the pattern has rotted")
+	}
+}

@@ -3,7 +3,6 @@ package llee
 import (
 	"testing"
 
-	"llva/internal/codegen"
 	"llva/internal/target"
 	"llva/internal/workloads"
 )
@@ -17,14 +16,7 @@ func benchCachedObject(b *testing.B) *cachedObject {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := codegen.New(target.VX86, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nobj, err := tr.TranslateModule()
-	if err != nil {
-		b.Fatal(err)
-	}
+	nobj := translateModule(b, m, target.VX86)
 	return &cachedObject{TargetName: "vx86", Module: m.Name, Funcs: tier1Records(nobj.Funcs)}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"llva/internal/codegen"
+	"llva/internal/core"
 	"llva/internal/target"
 )
 
@@ -32,6 +33,20 @@ func sampleCachedObject() *cachedObject {
 			{&codegen.NativeFunc{Name: "leaf", Code: bytes.Repeat([]byte{0xAB}, 300), NumInstrs: 150, NumLLVA: 50}, Stamp([]byte("a guest profile"))},
 		},
 	}
+}
+
+// translateModule is codegen's whole-module translation of m for d.
+func translateModule(t testing.TB, m *core.Module, d *target.Desc) *codegen.NativeObject {
+	t.Helper()
+	tr, err := codegen.New(d, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nobj, err := tr.TranslateModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nobj
 }
 
 // tier1Records wraps translations no profile guided as cache records.

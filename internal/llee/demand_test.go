@@ -3,6 +3,9 @@ package llee
 import (
 	"errors"
 	"fmt"
+	"io"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -132,5 +135,39 @@ func TestDemandPanicReleasesWaiters(t *testing.T) {
 	}
 	if got := ms.settled(); got != nil {
 		t.Errorf("settled = %v after a failed translation, want nil", got)
+	}
+}
+
+// TestTranslateAheadPanicIsErrTranslate: a panic while translating ahead
+// of execution fails that call with ErrTranslate naming the function it
+// was on, publishes nothing, and releases the state, so a second Preload
+// and an offline translation fail the same way instead of hanging.
+func TestTranslateAheadPanicIsErrTranslate(t *testing.T) {
+	m := compileChain(t, 4)
+	sys := NewSystem(WithStorage(NewMemStorage()))
+	defer sys.Close()
+	sess, err := sys.NewSession(m, target.VX86, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := sess.ms
+	// A tier-2 plan with no profile: picking the first function's tier
+	// panics, outside the code generator's own recovery.
+	ms.plan.tr2 = ms.tr.WithTier2(nil)
+	first := m.Functions[slices.IndexFunc(m.Functions, func(f *core.Function) bool { return !f.IsDeclaration() })]
+	nobj := ms.nobj // a cold start's: it holds nothing
+	calls := []func() error{
+		func() error { return sys.Preload(m, target.VX86) },
+		func() error { return sys.Preload(m, target.VX86) },
+		sess.TranslateOffline,
+	}
+	for i, call := range calls {
+		err := call()
+		if !errors.Is(err, ErrTranslate) || !strings.Contains(err.Error(), "%"+first.Name()+":") {
+			t.Errorf("call %d = %v, want ErrTranslate naming %%%s", i, err, first.Name())
+		}
+	}
+	if ms.held != nil || ms.nobj != nobj {
+		t.Errorf("a failed translation published code: %d records held, object replaced: %v", len(ms.held), ms.nobj != nobj)
 	}
 }

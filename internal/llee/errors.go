@@ -4,26 +4,26 @@ import (
 	"errors"
 	"fmt"
 
-	"llva/internal/llee/pipeline"
 	"llva/internal/machine"
 	"llva/internal/rt"
 )
 
 // Typed error taxonomy of the session API. Every failure surfaced by
 // System.NewSession and Session.Run classifies under exactly one of
-// these with errors.Is/errors.As, uniformly across the llee, machine,
-// and pipeline layers:
+// these with errors.Is/errors.As, uniformly across the llee and machine
+// layers:
 //
 //	ErrCanceled   the run's context was canceled or its deadline passed
 //	ErrOutOfGas   the run exhausted its WithGas cycle budget
+//	ErrInstrLimit the run passed the machine's instruction limit
 //	ErrTranslate  the translator rejected a function (JIT or offline)
 //	ErrBadModule  the module, target, or requested entry is unusable
 //	ErrExit       the program called exit() — an outcome, not a failure
 //	*ErrTrap      execution ended in an unhandled machine trap
 //
 // The sentinels for conditions detected below llee are re-exported from
-// the layer that owns them (llee imports machine and pipeline, never
-// the reverse), so errors.Is works against either package's name.
+// the layer that owns them (llee imports machine and rt, never the
+// reverse), so errors.Is works against either package's name.
 var (
 	// ErrCanceled is machine.ErrCanceled: Session.Run stopped at a block
 	// boundary because its context was done. The chain also matches the
@@ -34,9 +34,13 @@ var (
 	// errors.As with *machine.GasError to read the exact cycles consumed
 	// and the budget the run started with.
 	ErrOutOfGas = machine.ErrOutOfGas
-	// ErrTranslate is pipeline.ErrTranslate: a translation at a
-	// function's first call or ahead of execution failed.
-	ErrTranslate = pipeline.ErrTranslate
+	// ErrInstrLimit is machine.ErrInstrLimit: Session.Run stopped at a
+	// block boundary because the run passed the machine's instruction
+	// limit. Use errors.As with *machine.LimitError to read the limit.
+	ErrInstrLimit = machine.ErrInstrLimit
+	// ErrTranslate marks a failed translation, at a function's first call
+	// or ahead of execution; the error names the function.
+	ErrTranslate = errors.New("llee: translation failed")
 	// ErrExit is rt.ErrExit: the program called exit(). Use errors.As
 	// with *rt.ExitError to read the exit code.
 	ErrExit = rt.ErrExit

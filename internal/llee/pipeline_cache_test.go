@@ -93,10 +93,7 @@ func TestCorruptCacheFallsBackToJIT(t *testing.T) {
 	// real key and stamp. call is main's call of work, the relocation the
 	// hostile edits go for.
 	tampered := func(edit func(co *cachedObject, main *codegen.NativeFunc, call *target.Reloc)) func(*testing.T) Storage {
-		nobj, err := NewSystem().Translate(m, target.VX86)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nobj := translateModule(t, m, target.VX86)
 		co := &cachedObject{TargetName: target.VX86.Name, Module: m.Name, Funcs: tier1Records(nobj.Funcs)}
 		main := nobj.Func("main")
 		for i := range main.Relocs {

@@ -254,11 +254,9 @@ func mapRunError(err error) error {
 		return &ErrTrap{Num: te.Num, PC: te.PC, Cause: err}
 	}
 	var ce *machine.CancelError
-	if errors.As(err, &ce) {
-		return fmt.Errorf("llee: %w", err)
-	}
 	var ge *machine.GasError
-	if errors.As(err, &ge) {
+	var le *machine.LimitError
+	if errors.As(err, &ce) || errors.As(err, &ge) || errors.As(err, &le) {
 		return fmt.Errorf("llee: %w", err)
 	}
 	return err

@@ -22,7 +22,8 @@ import (
 // the whole workload suite on both targets, a pooled session that ran
 // once and was Reset must produce a bit-identical second run — same
 // value, same instruction and cycle counts, same output — as a fresh
-// session on the same preloaded state.
+// session on the same preloaded state. The preloaded code itself must be
+// byte-identical to codegen's TranslateModule.
 func TestResetDifferentialWorkloads(t *testing.T) {
 	suite := workloads.All()
 	if testing.Short() {
@@ -39,6 +40,21 @@ func TestResetDifferentialWorkloads(t *testing.T) {
 				sys := NewSystem()
 				if err := sys.Preload(m, d); err != nil {
 					t.Fatal(err)
+				}
+				// The code translated ahead of execution is codegen's own
+				// whole-module translation, function for function.
+				ms, err := sys.state(m, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := translateModule(t, m, d)
+				if len(ms.held) != len(ref.Funcs) {
+					t.Errorf("Preload holds %d functions, codegen translates %d", len(ms.held), len(ref.Funcs))
+				}
+				for _, nf := range ref.Funcs {
+					if cf, ok := ms.held[nf.Name]; !ok || !sameCode(cf.NativeFunc, nf) {
+						t.Errorf("%%%s: Preload's code differs from codegen's (held: %v)", nf.Name, ok)
+					}
 				}
 
 				var freshOut bytes.Buffer

@@ -11,7 +11,6 @@ import (
 	"llva/internal/codegen"
 	"llva/internal/core"
 	"llva/internal/image"
-	"llva/internal/llee/pipeline"
 	"llva/internal/mem"
 	"llva/internal/obj"
 	"llva/internal/prof"
@@ -190,18 +189,6 @@ func (sys *System) Telemetry() *telemetry.Registry { return sys.tele }
 // Storage returns the registered storage API (nil when none).
 func (sys *System) Storage() Storage { return sys.storage }
 
-// Translate compiles every defined function of m for d on the system's
-// worker pool and returns the native object, without executing anything
-// or touching storage — the static half of llva-llc. The output is
-// byte-identical to sequential translation.
-func (sys *System) Translate(m *core.Module, d *target.Desc) (*codegen.NativeObject, error) {
-	ms, err := sys.state(m, d)
-	if err != nil {
-		return nil, err
-	}
-	return ms.translateModule(ms.tr.TranslateFunction)
-}
-
 // Preload completes module m's code on target d before any session runs
 // (translateAhead): afterwards the state holds code for every defined
 // function, so every subsequent NewSession installs the whole module up
@@ -224,38 +211,56 @@ func (sys *System) Preload(m *core.Module, d *target.Desc) error {
 // and another profile, or none, produced it; any other record is just code,
 // whatever produced it) and, when missing is set, a defined function with
 // no record: all of them after a cold start, the rest over a partial
-// cache, none over a complete one. The gaps are translated on the worker
-// pool, each once with the translator p picks, written to the cache with
-// what the state already held when the storage API is registered, and
-// published under ms.mu, where NewSession snapshots what it installs.
-func (ms *moduleState) translateAhead(p *tier2Plan, missing bool) error {
+// cache, none over a complete one. The gaps are translated in module order
+// on the caller's goroutine, each once with the translator p picks, written
+// to the cache with what the state already held when the storage API is
+// registered, and published under ms.mu, where NewSession snapshots what it
+// installs. A failed or panicking translation is an ErrTranslate naming its
+// function, and publishes nothing.
+func (ms *moduleState) translateAhead(p *tier2Plan, missing bool) (err error) {
 	ms.preMu.Lock()
 	defer ms.preMu.Unlock()
 	// held changes only before the state is published and below, under
 	// preMu: reading it here needs no more than that.
 	held := ms.held
 	gap := func(f *core.Function) bool {
+		if f.IsDeclaration() {
+			return false
+		}
 		if cf, ok := held[f.Name()]; ok {
 			return p.hot(cf.Name) && cf.profile != p.profile
 		}
-		return missing && !f.IsDeclaration()
+		return missing
 	}
 	if !slices.ContainsFunc(ms.module.Functions, gap) {
 		return nil
 	}
-	nobj, err := ms.translateModule(func(f *core.Function) (*codegen.NativeFunc, error) {
-		if !gap(f) {
-			return nil, nil
+	ms.sys.tele.Events().Emit(telemetry.EvTranslateStart, ms.module.Name, int64(len(ms.module.Functions)))
+	start := time.Now()
+	// cur names the function the loop is on; a panic there fails this call
+	// alone, and one anywhere else is not the translator's to recover.
+	var cur string
+	defer func() {
+		if cur != "" {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%w: %%%s: translator panicked: %v", ErrTranslate, cur, r)
+			}
 		}
-		return ms.translate(p, f)
-	})
-	if err != nil {
-		return err
+	}()
+	fresh := make(map[string]cachedFunc)
+	for _, f := range ms.module.Functions {
+		cur = f.Name()
+		if !gap(f) {
+			continue
+		}
+		nf, err := ms.translate(p, f)
+		if err != nil {
+			return fmt.Errorf("%w: %%%s: %v", ErrTranslate, cur, err)
+		}
+		fresh[cur] = p.record(nf)
 	}
-	fresh := make(map[string]cachedFunc, len(nobj.Funcs))
-	for _, nf := range nobj.Funcs {
-		fresh[nf.Name] = p.record(nf)
-	}
+	cur = ""
+	ms.sys.recordTranslate(ms.module.Name, time.Since(start).Nanoseconds(), len(fresh))
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	table, err := ms.store(fresh)
@@ -637,20 +642,6 @@ func (ms *moduleState) store(fresh map[string]cachedFunc) (map[string]cachedFunc
 		}
 	}
 	return table, ms.sys.storage.Write(ms.key("native"), ms.stamp, encodeCachedObject(&co))
-}
-
-// translateModule runs translate over the module's defined functions on
-// the worker pool, one worker per CPU, and records the batch in telemetry.
-func (ms *moduleState) translateModule(translate func(*core.Function) (*codegen.NativeFunc, error)) (*codegen.NativeObject, error) {
-	tele := ms.sys.tele
-	tele.Events().Emit(telemetry.EvTranslateStart, ms.module.Name, int64(len(ms.module.Functions)))
-	start := time.Now()
-	nobj, err := pipeline.TranslateModule(ms.module, ms.desc, translate, 0, tele)
-	if err != nil {
-		return nil, err
-	}
-	ms.sys.recordTranslate(ms.module.Name, time.Since(start).Nanoseconds(), len(nobj.Funcs))
-	return nobj, nil
 }
 
 // translateOffline is translateAhead for callers whose point is the

@@ -600,10 +600,7 @@ func TestOlderTranslatorsCacheIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nobj, err := NewSystem().Translate(other, target.VX86)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nobj := translateModule(t, other, target.VX86)
 	stale := encodeCachedObject(&cachedObject{TargetName: "vx86", Module: "hot.c", Funcs: tier1Records(nobj.Funcs)})
 	if err := st.Write(codeKey, parentStamp, stale); err != nil {
 		t.Fatal(err)

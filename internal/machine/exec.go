@@ -214,7 +214,7 @@ func (mc *Machine) loop() error {
 			}
 		}
 		if mc.Stats.Instrs >= stop {
-			return fmt.Errorf("machine: instruction limit exceeded (%d)", max)
+			return &LimitError{PC: mc.pc, Limit: max}
 		}
 		// Gas is metered on the virtual clock at block boundaries: the
 		// block that crossed the budget ran to completion, then the run

@@ -39,6 +39,26 @@ func (e *GasError) Error() string {
 // Unwrap makes the error match ErrOutOfGas under errors.Is.
 func (e *GasError) Unwrap() error { return ErrOutOfGas }
 
+// ErrInstrLimit reports that RunContext stopped because the run retired
+// more than MaxInstrs instructions, the bound every run carries whether
+// or not it is metered. The concrete error is always a *LimitError.
+var ErrInstrLimit = errors.New("machine: instruction limit exceeded")
+
+// LimitError is returned when the instruction limit stops execution, at
+// a block boundary like gas: the run may overshoot Limit by at most the
+// length of the block that crossed it.
+type LimitError struct {
+	PC    uint64 // the next program counter at the boundary
+	Limit uint64 // the run's instruction limit
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("machine: instruction limit exceeded at pc=0x%x (%d)", e.PC, e.Limit)
+}
+
+// Unwrap makes the error match ErrInstrLimit under errors.Is.
+func (e *LimitError) Unwrap() error { return ErrInstrLimit }
+
 // SetGas sets the cycle budget of subsequent runs (0: unmetered). The
 // budget is per run, not cumulative: each RunContext starts a fresh
 // allowance of the configured size.

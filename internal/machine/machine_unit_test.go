@@ -55,7 +55,7 @@ loop:
 	mc, _ := loadProgram(t, src, target.VX86)
 	mc.MaxInstrs = 10_000
 	_, err := mc.Run("spin")
-	if err == nil || !strings.Contains(err.Error(), "instruction limit") {
+	if !errors.Is(err, ErrInstrLimit) {
 		t.Errorf("runaway loop not stopped: %v", err)
 	}
 	if mc.Stats.Instrs < 10_000 {
@@ -66,7 +66,7 @@ loop:
 	// gets the whole budget again.
 	first := mc.Stats.Instrs
 	_, err = mc.Run("spin")
-	if err == nil || !strings.Contains(err.Error(), "instruction limit") {
+	if !errors.Is(err, ErrInstrLimit) {
 		t.Errorf("second run not stopped: %v", err)
 	}
 	if second := mc.Stats.Instrs - first; second < 10_000 {

@@ -26,7 +26,7 @@ const (
 	CodeTooLarge    = "too_large"    // 413: request body over maxBodyBytes
 	CodeBadModule   = "bad_module"   // 400: module failed to compile/verify
 	CodeNotFound    = "not_found"    // 404: unknown module
-	CodeOutOfGas    = "out_of_gas"   // 402: the run exhausted its gas budget
+	CodeOutOfGas    = "out_of_gas"   // 402: the run exhausted its gas budget or the instruction limit
 	CodeTrap        = "trap"         // 422: the program died on an unhandled trap
 	CodeCanceled    = "canceled"     // 408: the run was canceled
 	CodeShed        = "shed"         // 429: worker pool saturated, request never started

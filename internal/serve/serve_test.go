@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,7 +13,9 @@ import (
 	"time"
 
 	"llva/internal/llee"
+	"llva/internal/machine"
 	"llva/internal/target"
+	"llva/internal/telemetry"
 )
 
 const quickProg = `
@@ -166,6 +169,25 @@ func TestOutOfGasOverHTTP(t *testing.T) {
 	}
 	if got := sys.Telemetry().CounterValue(MetricOutOfGas); got != 3 {
 		t.Fatalf("serve.out_of_gas = %d, want 3", got)
+	}
+}
+
+// TestInstrLimitIsOutOfGas: a run that passes the machine's instruction
+// limit, the bound an unmetered run carries, is answered like one that
+// spent its gas: 402 out_of_gas, counted in serve.out_of_gas and not as a
+// server fault in serve.errors.
+func TestInstrLimitIsOutOfGas(t *testing.T) {
+	tele := telemetry.New()
+	err := fmt.Errorf("llee: %w", &machine.LimitError{PC: 0x40, Limit: 10_000})
+	status, body := classifyError(err, tele)
+	if status != http.StatusPaymentRequired || body.Code != CodeOutOfGas {
+		t.Fatalf("classifyError = %d %s, want 402 %s", status, body.Code, CodeOutOfGas)
+	}
+	if got := tele.CounterValue(MetricOutOfGas); got != 1 {
+		t.Errorf("serve.out_of_gas = %d, want 1", got)
+	}
+	if got := tele.CounterValue(MetricErrors); got != 0 {
+		t.Errorf("serve.errors = %d, want 0", got)
 	}
 }
 

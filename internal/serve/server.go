@@ -413,6 +413,14 @@ func classifyError(err error, tele *telemetry.Registry) (int, *errorBody) {
 			CyclesUsed: ge.Used, GasBudget: ge.Budget,
 		}
 	}
+	// The instruction limit bounds an unmetered run the way gas bounds a
+	// metered one: the same answer, with no budget to report.
+	if errors.Is(err, llee.ErrInstrLimit) {
+		if tele != nil {
+			tele.Counter(MetricOutOfGas).Inc()
+		}
+		return http.StatusPaymentRequired, &errorBody{Code: CodeOutOfGas, Message: err.Error()}
+	}
 	var te *llee.ErrTrap
 	if errors.As(err, &te) {
 		if tele != nil {

@@ -10,7 +10,7 @@ const (
 	MetricShed        = "serve.shed"         // refused: worker pool saturated
 	MetricRateLimited = "serve.rate_limited" // refused: tenant over request rate
 	MetricGasDenied   = "serve.gas_denied"   // refused: tenant aggregate gas budget spent
-	MetricOutOfGas    = "serve.out_of_gas"   // runs stopped by their per-run gas budget
+	MetricOutOfGas    = "serve.out_of_gas"   // runs stopped by their per-run gas budget or the instruction limit
 	MetricErrors      = "serve.errors"       // runs that failed (trap, bad module, internal)
 	MetricCanceled    = "serve.canceled"     // runs canceled by the client or drain
 	MetricActive      = "serve.active"       // gauge: runs executing right now
