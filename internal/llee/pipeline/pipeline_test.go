@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"llva/internal/codegen"
+	"llva/internal/core"
 	"llva/internal/target"
 	"llva/internal/workloads"
 )
@@ -44,9 +46,46 @@ func sameObject(t *testing.T, seq, par *codegen.NativeObject) {
 	}
 }
 
-// TestParallelTranslateDifferential asserts the worker-pool translation
-// of every workload, on both targets, is byte-identical to the
-// sequential Translator.TranslateModule reference.
+// translateConcurrently translates every defined function of m on the
+// one Translator tr from n goroutines at once, each taking every n-th
+// function, as sessions translating at first call share their module's
+// translator. The result is assembled in module order.
+func translateConcurrently(tr *codegen.Translator, m *core.Module, n int) (*codegen.NativeObject, error) {
+	var defs []*core.Function
+	for _, f := range m.Functions {
+		if !f.IsDeclaration() {
+			defs = append(defs, f)
+		}
+	}
+	out := make([]*codegen.NativeFunc, len(defs))
+	errs := make([]error, len(defs))
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Walk the share backwards, so functions are lowered out of
+			// module order and pooled workspaces pass between them.
+			for i := len(defs) - 1 - g; i >= 0; i -= n {
+				out[i], errs[i] = tr.TranslateFunction(defs[i])
+			}
+		}(g)
+	}
+	wg.Wait()
+	obj := &codegen.NativeObject{TargetName: tr.Target().Name, Module: m.Name}
+	for i, nf := range out {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		obj.Add(nf)
+	}
+	return obj, nil
+}
+
+// TestParallelTranslateDifferential asserts that translating every
+// workload's functions concurrently on one shared Translator, on both
+// targets, is byte-identical to the sequential
+// Translator.TranslateModule reference.
 func TestParallelTranslateDifferential(t *testing.T) {
 	for _, w := range workloads.All() {
 		m, err := w.Compile()
@@ -64,7 +103,7 @@ func TestParallelTranslateDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 4, 8} {
-					par, err := TranslateModule(m, d, tr.TranslateFunction, workers, nil)
+					par, err := translateConcurrently(tr, m, workers)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -72,15 +111,5 @@ func TestParallelTranslateDifferential(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestWorkers checks the worker-count resolution rule.
-func TestWorkers(t *testing.T) {
-	if Workers(3) != 3 {
-		t.Error("explicit count not honored")
-	}
-	if Workers(0) < 1 || Workers(-1) < 1 {
-		t.Error("defaulted count must be >= 1")
 	}
 }
