@@ -55,7 +55,8 @@ bench:
 # (BenchmarkEncodeDecode), optimizer (BenchmarkOptimize, per-pass
 # ns/op over the suite) and translator (BenchmarkLower per target and
 # tier, BenchmarkAllocLinear; their doc comments give the before/after
-# command line) benchmarks once, as a CI-cheap check that the benchmarks
+# command line) and serve request (BenchmarkServeRun: one light run over
+# loopback HTTP) benchmarks once, as a CI-cheap check that the benchmarks
 # themselves stay green (in particular the block-engine execution path
 # under Table2RunTime), plus
 # the observability smoke: a workload under -trace-out and the
@@ -64,7 +65,7 @@ bench:
 # must render. The serve smoke drives a short loadgen burst against an
 # in-process server: non-zero completions, zero 5xx.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Table2|CacheCodec|CASRead|NewSession|MemNew|LoadStore|Dispatch|EncodeDecode|Optimize|Lower|AllocLinear' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Table2|CacheCodec|CASRead|NewSession|MemNew|LoadStore|Dispatch|EncodeDecode|Optimize|Lower|AllocLinear|ServeRun' -benchtime 1x ./...
 	$(GO) test -run TestTraceSmoke .
 	$(GO) test -count=1 -run TestLoadGenSmoke ./internal/serve/
 

@@ -1,7 +1,10 @@
 // llva-serve is the multi-tenant LLVA execution daemon: it loads
 // modules and runs them as llee Sessions against one shared System,
 // with per-run gas budgets, per-tenant rate limits and aggregate gas
-// budgets, and load shedding when the worker pool saturates.
+// budgets. Each run executes on its request's own handler goroutine, at
+// most -workers at once; a request is shed once -workers plus -queue
+// runs are admitted and unfinished, and a run that panics is answered
+// 500 internal without taking the process down.
 //
 // Usage:
 //
@@ -61,7 +64,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent executing sessions (0: one per CPU)")
 	queue := flag.Int("queue", 0, "admitted-but-not-started capacity before shedding (0: 4x workers)")
 	memSize := flag.Uint64("mem", 8<<20, "per-session simulated address space in bytes")
-	gasDefault := flag.Uint64("gas-default", 0, "gas budget for requests that omit one (0: unmetered)")
+	gasDefault := flag.Uint64("gas-default", 0, "gas budget for requests that omit one (0: the machine default, 4e9 cycles)")
 	gasMax := flag.Uint64("gas-max", 0, "hard cap on per-run gas budgets (0: uncapped)")
 	tenantRate := flag.Float64("tenant-rate", 0, "admitted requests/sec per tenant (0: unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 8, "per-tenant token-bucket burst")

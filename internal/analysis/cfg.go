@@ -126,11 +126,6 @@ func NewDomTreeCFG(c *CFG) *DomTree {
 // Unreachable blocks are vacuously dominated.
 func (dt *DomTree) Dominates(a, b int) bool { return dt.dom.Dominates(a, b) }
 
-// DominatesBlock is Dominates on *BasicBlock values.
-func (dt *DomTree) DominatesBlock(a, b *core.BasicBlock) bool {
-	return dt.Dominates(dt.CFG.Index(a), dt.CFG.Index(b))
-}
-
 // Frontiers computes the dominance frontier of every block (Cytron et
 // al.), the key structure for SSA phi placement.
 func (dt *DomTree) Frontiers() [][]int {

@@ -185,20 +185,6 @@ func (c *Constant) Int64() int64 {
 	}
 }
 
-// IsZero reports whether the constant is a zero of its type (integer 0,
-// float +0, false, null, or zeroinitializer).
-func (c *Constant) IsZero() bool {
-	switch c.CK {
-	case ConstInt, ConstBool:
-		return c.I == 0
-	case ConstFloat:
-		return c.F == 0
-	case ConstNull, ConstZero:
-		return true
-	}
-	return false
-}
-
 // truncInt masks v to the bit width of integer type t (identity for 64-bit).
 func truncInt(t *Type, v uint64) uint64 {
 	switch t.Kind() {

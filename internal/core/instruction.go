@@ -104,16 +104,6 @@ func (o Opcode) DefaultExceptionsEnabled() bool {
 	return false
 }
 
-// CanTrap reports whether executing the opcode can raise an exception at
-// all (regardless of the ExceptionsEnabled attribute).
-func (o Opcode) CanTrap() bool {
-	switch o {
-	case OpLoad, OpStore, OpDiv, OpRem, OpCall, OpInvoke, OpUnwind:
-		return true
-	}
-	return false
-}
-
 // Instruction is a single LLVA instruction. The result (if the type is
 // non-void) is itself the SSA Value defined by the instruction.
 //

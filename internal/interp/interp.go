@@ -30,6 +30,9 @@ const (
 	TrapUser        = 16 // first user-defined trap number
 )
 
+// maxSteps bounds the number of instructions one interpreter executes.
+const maxSteps = 2_000_000_000
+
 // Interp executes LLVA modules.
 type Interp struct {
 	m    *core.Module
@@ -41,8 +44,7 @@ type Interp struct {
 	funcAddr map[string]uint64
 	addrFunc map[uint64]*core.Function
 
-	steps    uint64
-	MaxSteps uint64
+	steps uint64
 
 	privileged   bool
 	trapHandlers map[uint64]uint64
@@ -53,7 +55,6 @@ type Interp struct {
 	// NEXT invocation of the function; active invocations are unaffected
 	// (paper, Section 3.4).
 	smcRedirect map[*core.Function]*core.Function
-	onSMC       func(*core.Function)
 
 	// Stats accumulates execution statistics.
 	Stats struct {
@@ -73,19 +74,12 @@ func WithMemSize(n uint64) Option {
 	return func(ip *Interp) { ip.mem = mem.New(n, ip.m.LittleEndian) }
 }
 
-// WithMaxSteps bounds the number of executed instructions (0 = default of
-// 2 billion).
-func WithMaxSteps(n uint64) Option {
-	return func(ip *Interp) { ip.MaxSteps = n }
-}
-
 // New creates an interpreter for module m writing program output to out.
 func New(m *core.Module, out io.Writer, opts ...Option) (*Interp, error) {
 	ip := &Interp{
 		m:            m,
 		mem:          mem.New(0, m.LittleEndian),
 		lay:          m.Layout(),
-		MaxSteps:     2_000_000_000,
 		privileged:   true,
 		trapHandlers: make(map[uint64]uint64),
 		smcRedirect:  make(map[*core.Function]*core.Function),
@@ -136,9 +130,6 @@ func (ip *Interp) GlobalAddr(name string) (uint64, bool) {
 	a, ok := ip.data.GlobalAddr[name]
 	return a, ok
 }
-
-// Steps returns the number of instructions executed so far.
-func (ip *Interp) Steps() uint64 { return ip.steps }
 
 // SetPrivileged sets the processor privileged bit.
 func (ip *Interp) SetPrivileged(p bool) { ip.privileged = p }
@@ -292,8 +283,8 @@ func (ip *Interp) execBlock(fr *frame, bb, prev *core.BasicBlock) (uint64, *core
 
 	for _, in := range instrs[nPhi:] {
 		ip.steps++
-		if ip.steps > ip.MaxSteps {
-			return 0, nil, &trap{kind: trapFatal, err: fmt.Errorf("interp: step limit exceeded (%d)", ip.MaxSteps)}
+		if ip.steps > maxSteps {
+			return 0, nil, &trap{kind: trapFatal, err: fmt.Errorf("interp: step limit exceeded (%d)", maxSteps)}
 		}
 		if in.IsTerminator() {
 			return ip.execTerminator(fr, in)

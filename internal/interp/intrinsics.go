@@ -21,20 +21,6 @@ import (
 //	llva.stack.depth() -> ulong                 count active frames
 //	llva.storage.register(sbyte*)               register the OS storage API (Section 4.1)
 //	llva.storage.get() -> sbyte*                query the registered API
-//
-// IntrinsicDecls returns their LLVA declarations; the trap-handler and smc
-// operands are passed as sbyte* so the declarations stay monomorphic.
-func IntrinsicDecls() string {
-	return `declare bool %llva.priv.get()
-declare void %llva.priv.set(bool %p)
-declare void %llva.trap.register(uint %num, sbyte* %handler)
-declare void %llva.trap.raise(uint %num)
-declare void %llva.smc.replace(sbyte* %target, sbyte* %source)
-declare ulong %llva.stack.depth()
-declare void %llva.storage.register(sbyte* %api)
-declare sbyte* %llva.storage.get()
-`
-}
 
 // privilegedIntrinsics require the privileged bit.
 var privilegedIntrinsics = map[string]bool{
@@ -106,13 +92,5 @@ func (ip *Interp) smcReplace(targetAddr, sourceAddr uint64) (uint64, *trap) {
 	}
 	ip.smcRedirect[target] = source
 	ip.Stats.SMCInvalidations++
-	if ip.onSMC != nil {
-		ip.onSMC(target)
-	}
 	return 0, nil
 }
-
-// OnSMC registers a callback fired when code is invalidated via
-// llva.smc.replace; the execution manager uses it to discard cached native
-// translations.
-func (ip *Interp) OnSMC(fn func(*core.Function)) { ip.onSMC = fn }

@@ -13,13 +13,12 @@ import (
 // these with errors.Is/errors.As, uniformly across the llee and machine
 // layers:
 //
-//	ErrCanceled   the run's context was canceled or its deadline passed
-//	ErrOutOfGas   the run exhausted its WithGas cycle budget
-//	ErrInstrLimit the run passed the machine's instruction limit
-//	ErrTranslate  the translator rejected a function (JIT or offline)
-//	ErrBadModule  the module, target, or requested entry is unusable
-//	ErrExit       the program called exit() — an outcome, not a failure
-//	*ErrTrap      execution ended in an unhandled machine trap
+//	ErrCanceled  the run's context was canceled or its deadline passed
+//	ErrOutOfGas  the run exhausted its cycle budget (WithGas or DefaultGas)
+//	ErrTranslate the translator rejected a function (JIT or offline)
+//	ErrBadModule the module, target, or requested entry is unusable
+//	ErrExit      the program called exit() — an outcome, not a failure
+//	*ErrTrap     execution ended in an unhandled machine trap
 //
 // The sentinels for conditions detected below llee are re-exported from
 // the layer that owns them (llee imports machine and rt, never the
@@ -30,14 +29,10 @@ var (
 	// context's own error (context.Canceled or context.DeadlineExceeded).
 	ErrCanceled = machine.ErrCanceled
 	// ErrOutOfGas is machine.ErrOutOfGas: Session.Run stopped at a block
-	// boundary because its WithGas cycle budget was exhausted. Use
-	// errors.As with *machine.GasError to read the exact cycles consumed
-	// and the budget the run started with.
+	// boundary because its cycle budget, WithGas's or machine.DefaultGas,
+	// was exhausted. Use errors.As with *machine.GasError to read the
+	// exact cycles consumed and the budget the run started with.
 	ErrOutOfGas = machine.ErrOutOfGas
-	// ErrInstrLimit is machine.ErrInstrLimit: Session.Run stopped at a
-	// block boundary because the run passed the machine's instruction
-	// limit. Use errors.As with *machine.LimitError to read the limit.
-	ErrInstrLimit = machine.ErrInstrLimit
 	// ErrTranslate marks a failed translation, at a function's first call
 	// or ahead of execution; the error names the function.
 	ErrTranslate = errors.New("llee: translation failed")

@@ -255,19 +255,19 @@ func mapRunError(err error) error {
 	}
 	var ce *machine.CancelError
 	var ge *machine.GasError
-	var le *machine.LimitError
-	if errors.As(err, &ce) || errors.As(err, &ge) || errors.As(err, &le) {
+	if errors.As(err, &ce) || errors.As(err, &ge) {
 		return fmt.Errorf("llee: %w", err)
 	}
 	return err
 }
 
-// SetGas replaces the session's per-run gas budget (0: unmetered) for
-// subsequent Runs; a serving layer reusing one session across requests
-// re-arms it per request. Must not race a Run in progress.
+// SetGas replaces the session's per-run gas budget (0:
+// machine.DefaultGas) for subsequent Runs; a serving layer reusing one
+// session across requests re-arms it per request. Must not race a Run in
+// progress.
 func (s *Session) SetGas(budget uint64) { s.mc.SetGas(budget) }
 
-// Gas returns the configured per-run gas budget (0: unmetered).
+// Gas returns the configured per-run gas budget (0: machine.DefaultGas).
 func (s *Session) Gas() uint64 { return s.mc.Gas() }
 
 // Machine exposes the underlying simulated processor (for statistics).
@@ -287,9 +287,6 @@ func (s *Session) System() *System { return s.sys }
 // CacheHit reports whether this session loaded a valid cached
 // translation instead of translating online.
 func (s *Session) CacheHit() bool { return s.cacheHit }
-
-// StorageAPIAddr reports the address registered via llva.storage.register.
-func (s *Session) StorageAPIAddr() uint64 { return s.storageAPIAddr }
 
 // TranslateOffline completes the module's code in the offline cache
 // without executing anything (idle-time translation, Section 4.1).

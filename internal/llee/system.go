@@ -90,11 +90,12 @@ func WithStorage(s Storage) SystemOption { return func(c *systemConfig) { c.stor
 func WithMemSize(n uint64) SessionOption { return func(c *sessionConfig) { c.memSize = n } }
 
 // WithGas sets a session's per-run gas budget in simulated cycles (0:
-// unmetered). Each Run starts a fresh allowance; a run that exhausts it
-// stops at the next block boundary with an error matching ErrOutOfGas
-// whose *machine.GasError carries the exact cycles consumed. The meter
-// reads the deterministic virtual clock, never wall time, so the same
-// program with the same budget stops at the same cycle on every run.
+// machine.DefaultGas, the bound every run carries). Each Run starts a
+// fresh allowance; a run that exhausts it stops at the next block
+// boundary with an error matching ErrOutOfGas whose *machine.GasError
+// carries the exact cycles consumed. The meter reads the deterministic
+// virtual clock, never wall time, so the same program with the same
+// budget stops at the same cycle on every run.
 func WithGas(budget uint64) SessionOption { return func(c *sessionConfig) { c.gas = budget } }
 
 // WithTelemetry aggregates the system's metrics and events into an

@@ -176,18 +176,10 @@ func (mc *Machine) RunContext(ctx context.Context, entry string, args ...uint64)
 func (mc *Machine) FPResult() uint64 { return mc.regs[mc.desc.FPRetReg] }
 
 // loop drives the block engine: fetch (or chain to) the block at the
-// current PC and execute it whole. The instruction limit and context
-// cancellation are checked at block granularity — a block is at most
-// maxBlockInstrs long, so the overshoot is bounded and the
-// per-instruction compares are gone.
+// current PC and execute it whole. Gas and context cancellation are
+// checked at block granularity — a block is at most maxBlockInstrs long,
+// so the overshoot is bounded and the per-instruction compares are gone.
 func (mc *Machine) loop() error {
-	max := mc.MaxInstrs
-	if max == 0 {
-		max = 2_000_000_000
-	}
-	// The budget is the run's own, like gas: a machine that is run again
-	// without a Reset starts a fresh one.
-	stop := mc.Stats.Instrs + max
 	// Done() of an uncancellable context is nil: the poll degenerates to
 	// one nil compare per block and execution is bit-identical to a run
 	// without a context.
@@ -213,17 +205,13 @@ func (mc *Machine) loop() error {
 			default:
 			}
 		}
-		if mc.Stats.Instrs >= stop {
-			return &LimitError{PC: mc.pc, Limit: max}
-		}
 		// Gas is metered on the virtual clock at block boundaries: the
 		// block that crossed the budget ran to completion, then the run
-		// stops here, before another block starts. Unmetered runs have
-		// gasStop at the clock's maximum, so this is one always-false
-		// compare. A run that halts on exactly its budget succeeds: the
-		// halt check above wins the boundary.
+		// stops here, before another block starts. A run that halts on
+		// exactly its budget succeeds: the halt check above wins the
+		// boundary.
 		if mc.Stats.Cycles >= mc.gasStop {
-			return &GasError{PC: mc.pc, Budget: mc.gasBudget, Used: mc.Stats.Cycles - mc.gasStart}
+			return &GasError{PC: mc.pc, Budget: mc.gasStop - mc.gasStart, Used: mc.Stats.Cycles - mc.gasStart}
 		}
 		// Profiling: count the block's entry, and take a deterministic
 		// virtual-PC sample at this block boundary when one is due. The

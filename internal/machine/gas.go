@@ -39,32 +39,18 @@ func (e *GasError) Error() string {
 // Unwrap makes the error match ErrOutOfGas under errors.Is.
 func (e *GasError) Unwrap() error { return ErrOutOfGas }
 
-// ErrInstrLimit reports that RunContext stopped because the run retired
-// more than MaxInstrs instructions, the bound every run carries whether
-// or not it is metered. The concrete error is always a *LimitError.
-var ErrInstrLimit = errors.New("machine: instruction limit exceeded")
+// DefaultGas is the cycle budget of a run that sets none: the one bound
+// every run carries, so an unmetered `while(1);` ends in a *GasError
+// like a metered one. The suite's longest vx86 run (crafty, 107 M
+// cycles) stays 37 times below it.
+const DefaultGas = 4_000_000_000
 
-// LimitError is returned when the instruction limit stops execution, at
-// a block boundary like gas: the run may overshoot Limit by at most the
-// length of the block that crossed it.
-type LimitError struct {
-	PC    uint64 // the next program counter at the boundary
-	Limit uint64 // the run's instruction limit
-}
-
-func (e *LimitError) Error() string {
-	return fmt.Sprintf("machine: instruction limit exceeded at pc=0x%x (%d)", e.PC, e.Limit)
-}
-
-// Unwrap makes the error match ErrInstrLimit under errors.Is.
-func (e *LimitError) Unwrap() error { return ErrInstrLimit }
-
-// SetGas sets the cycle budget of subsequent runs (0: unmetered). The
+// SetGas sets the cycle budget of subsequent runs (0: DefaultGas). The
 // budget is per run, not cumulative: each RunContext starts a fresh
 // allowance of the configured size.
 func (mc *Machine) SetGas(budget uint64) { mc.gasBudget = budget }
 
-// Gas returns the configured per-run cycle budget (0: unmetered).
+// Gas returns the configured per-run cycle budget (0: DefaultGas).
 func (mc *Machine) Gas() uint64 { return mc.gasBudget }
 
 // GasUsed returns the cycles consumed since the current (or last) run
@@ -72,14 +58,12 @@ func (mc *Machine) Gas() uint64 { return mc.gasBudget }
 func (mc *Machine) GasUsed() uint64 { return mc.Stats.Cycles - mc.gasStart }
 
 // armGas installs the absolute virtual-clock value at which the current
-// run exhausts. An unmetered run gets the maximum clock value, which the
-// simulated processor cannot reach (MaxInstrs bounds it long before), so
-// the per-block check is one always-false compare — no extra branch for
-// the common unmetered case.
+// run exhausts: its own budget, or DefaultGas when it set none.
 func (mc *Machine) armGas() {
-	mc.gasStart = mc.Stats.Cycles
-	mc.gasStop = ^uint64(0)
-	if mc.gasBudget != 0 {
-		mc.gasStop = mc.Stats.Cycles + mc.gasBudget
+	budget := mc.gasBudget
+	if budget == 0 {
+		budget = DefaultGas
 	}
+	mc.gasStart = mc.Stats.Cycles
+	mc.gasStop = mc.Stats.Cycles + budget
 }

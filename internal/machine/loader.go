@@ -114,11 +114,8 @@ type Machine struct {
 	tele        *telemetry.Registry
 	teleFlushed ExecStats
 
-	// MaxInstrs bounds execution (0 = 2 billion).
-	MaxInstrs uint64
-
 	// Gas metering (gas.go): gasBudget is the per-run cycle allowance
-	// set by SetGas (0: unmetered); gasStart/gasStop are the armed run's
+	// set by SetGas (0: DefaultGas); gasStart/gasStop are the armed run's
 	// virtual-clock window, checked once per block by loop().
 	gasBudget uint64
 	gasStart  uint64
@@ -186,7 +183,6 @@ func NewWithImage(d *target.Desc, m *core.Module, env *rt.Env, data *image.Data)
 		externs:    make([]string, 0, 8), // a program's handful, plus the JIT extern
 		bound:      make([]binding, 0, 8),
 		privileged: true,
-		MaxInstrs:  2_000_000_000,
 	}
 	// The virtual clock is installed once; the per-run hot path never
 	// rebuilds the closure.

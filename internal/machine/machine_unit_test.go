@@ -43,34 +43,30 @@ func loadProgram(t *testing.T, src string, d *target.Desc) (*Machine, *strings.B
 	return mc, &out
 }
 
-func TestInstructionLimit(t *testing.T) {
+// TestUnmeteredRunArmsDefaultGas: a run that sets no gas budget carries
+// DefaultGas, and each run its own: the second run on a machine, which
+// starts with the first one's cycles on the clock, gets the whole budget
+// again.
+func TestUnmeteredRunArmsDefaultGas(t *testing.T) {
 	src := `
-void %spin() {
+int %seven() {
 entry:
-    br label %loop
-loop:
-    br label %loop
+    ret int 7
 }
 `
 	mc, _ := loadProgram(t, src, target.VX86)
-	mc.MaxInstrs = 10_000
-	_, err := mc.Run("spin")
-	if !errors.Is(err, ErrInstrLimit) {
-		t.Errorf("runaway loop not stopped: %v", err)
-	}
-	if mc.Stats.Instrs < 10_000 {
-		t.Errorf("stopped after only %d instructions", mc.Stats.Instrs)
-	}
-	// The limit is each run's own: a second run on the same machine,
-	// which starts with the first one's instructions on the counter,
-	// gets the whole budget again.
-	first := mc.Stats.Instrs
-	_, err = mc.Run("spin")
-	if !errors.Is(err, ErrInstrLimit) {
-		t.Errorf("second run not stopped: %v", err)
-	}
-	if second := mc.Stats.Instrs - first; second < 10_000 {
-		t.Errorf("the second run was stopped after %d instructions, the first after %d", second, first)
+	for run := 0; run < 2; run++ {
+		start := mc.Stats.Cycles
+		if _, err := mc.Run("seven"); err != nil {
+			t.Fatal(err)
+		}
+		if mc.Stats.Cycles == start {
+			t.Fatalf("run %d retired no cycles", run)
+		}
+		if mc.gasStart != start || mc.gasStop != start+DefaultGas {
+			t.Errorf("run %d armed the window [%d, %d), want [%d, %d)",
+				run, mc.gasStart, mc.gasStop, start, start+DefaultGas)
+		}
 	}
 }
 

@@ -34,10 +34,6 @@ func (mc *Machine) SetProfiler(p *prof.Profiler) {
 	}
 }
 
-// EnableCallTracking turns on the shadow call stack without a profiler
-// — enough for crash-report backtraces.
-func (mc *Machine) EnableCallTracking() { mc.trackCalls = true }
-
 // EnableFlightRecorder arms the trap-time flight recorder: when a run
 // ends in an unhandled trap, a CrashReport with registers, backtrace,
 // a disassembly window, and the last events tail of events from the

@@ -75,17 +75,6 @@ func (p *Pipeline) Run(m *core.Module, s *Stats) (bool, error) {
 	return changed, nil
 }
 
-// O1 returns the basic pipeline: SSA construction and local cleanups.
-func O1() *Pipeline {
-	return &Pipeline{Passes: []Pass{
-		{"mem2reg", Mem2Reg},
-		{"instcombine", InstCombine},
-		{"simplifycfg", SimplifyCFG},
-		{"constprop", ConstProp},
-		{"dce", DCE},
-	}}
-}
-
 // O2 returns the full link-time pipeline described in Section 5.1,
 // iterated to a (bounded) fixpoint. Its last pass, BlockOrder, leaves
 // every function's blocks in reverse postorder.

@@ -1,9 +1,11 @@
 // Package serve is the multi-tenant execution service built on the
-// llee Session API: a Server manages a bounded worker pool of Sessions
-// against one shared System, admitting, metering (gas), rate-limiting,
-// and shedding requests; a Client maps the HTTP wire protocol back into
-// the llee error taxonomy so errors.Is(err, llee.ErrOutOfGas) holds on
-// both sides of the network.
+// llee Session API: a Server runs Sessions against one shared System,
+// each run on the goroutine of the request that asked for it and at most
+// Workers at once, admitting, metering (gas), rate-limiting, and
+// shedding requests, and containing a run's panic to its own 500
+// answer; a Client maps the HTTP wire protocol back into the llee error
+// taxonomy so errors.Is(err, llee.ErrOutOfGas) holds on both sides of
+// the network.
 package serve
 
 import (
@@ -26,20 +28,20 @@ const (
 	CodeTooLarge    = "too_large"    // 413: request body over maxBodyBytes
 	CodeBadModule   = "bad_module"   // 400: module failed to compile/verify
 	CodeNotFound    = "not_found"    // 404: unknown module
-	CodeOutOfGas    = "out_of_gas"   // 402: the run exhausted its gas budget or the instruction limit
+	CodeOutOfGas    = "out_of_gas"   // 402: the run exhausted its gas budget
 	CodeTrap        = "trap"         // 422: the program died on an unhandled trap
 	CodeCanceled    = "canceled"     // 408: the run was canceled
-	CodeShed        = "shed"         // 429: worker pool saturated, request never started
+	CodeShed        = "shed"         // 429: server saturated, request never started
 	CodeRateLimited = "rate_limited" // 429: tenant over its request rate
 	CodeGasBudget   = "gas_budget"   // 429: tenant exhausted its aggregate gas budget
 	CodeDraining    = "draining"     // 503: server is draining for shutdown
-	CodeInternal    = "internal"     // 500: unexpected server failure
+	CodeInternal    = "internal"     // 500: unexpected server failure, a panicked run included
 )
 
 // Admission sentinels: the server-side reasons a request is refused
 // before execution starts. RemoteError unwraps to these client-side.
 var (
-	ErrShed        = errors.New("serve: shed: worker pool saturated")
+	ErrShed        = errors.New("serve: shed: server saturated")
 	ErrRateLimited = errors.New("serve: tenant rate limit exceeded")
 	ErrGasBudget   = errors.New("serve: tenant gas budget exhausted")
 	ErrDraining    = errors.New("serve: server is draining")
@@ -71,9 +73,9 @@ type RunRequest struct {
 }
 
 // RunResponse is a completed run. QueueNS/ExecNS split the server-side
-// latency: time admitted-but-queued vs time executing (session
-// acquisition included), so clients can tell scheduling delay from run
-// cost. Reused reports the run was served by a pooled, reset session.
+// latency: time admitted and waiting for a slot vs time executing
+// (session acquisition included), so clients can tell scheduling delay
+// from run cost. Reused reports the run was served by a pooled, reset session.
 type RunResponse struct {
 	Value    uint64 `json:"value"`
 	Output   string `json:"output"`

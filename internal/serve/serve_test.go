@@ -13,9 +13,8 @@ import (
 	"time"
 
 	"llva/internal/llee"
-	"llva/internal/machine"
+	"llva/internal/rt"
 	"llva/internal/target"
-	"llva/internal/telemetry"
 )
 
 const quickProg = `
@@ -44,7 +43,7 @@ int main() {
 
 // newTestServer builds a Server on its own System plus an httptest
 // front end, and returns a connected client.
-func newTestServer(t *testing.T, cfg Config) (*Server, *Client, *llee.System) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *Client, *llee.System) {
 	t.Helper()
 	sys := llee.NewSystem()
 	cfg.System = sys
@@ -69,7 +68,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client, *llee.System) {
 	return srv, NewClient(hs.URL), sys
 }
 
-func mustLoad(t *testing.T, c *Client, name, src string) {
+func mustLoad(t testing.TB, c *Client, name, src string) {
 	t.Helper()
 	resp, err := c.Load(context.Background(), LoadRequest{Name: name, Source: src})
 	if err != nil {
@@ -169,25 +168,6 @@ func TestOutOfGasOverHTTP(t *testing.T) {
 	}
 	if got := sys.Telemetry().CounterValue(MetricOutOfGas); got != 3 {
 		t.Fatalf("serve.out_of_gas = %d, want 3", got)
-	}
-}
-
-// TestInstrLimitIsOutOfGas: a run that passes the machine's instruction
-// limit, the bound an unmetered run carries, is answered like one that
-// spent its gas: 402 out_of_gas, counted in serve.out_of_gas and not as a
-// server fault in serve.errors.
-func TestInstrLimitIsOutOfGas(t *testing.T) {
-	tele := telemetry.New()
-	err := fmt.Errorf("llee: %w", &machine.LimitError{PC: 0x40, Limit: 10_000})
-	status, body := classifyError(err, tele)
-	if status != http.StatusPaymentRequired || body.Code != CodeOutOfGas {
-		t.Fatalf("classifyError = %d %s, want 402 %s", status, body.Code, CodeOutOfGas)
-	}
-	if got := tele.CounterValue(MetricOutOfGas); got != 1 {
-		t.Errorf("serve.out_of_gas = %d, want 1", got)
-	}
-	if got := tele.CounterValue(MetricErrors); got != 0 {
-		t.Errorf("serve.errors = %d, want 0", got)
 	}
 }
 
@@ -309,6 +289,129 @@ func TestSaturationSheds(t *testing.T) {
 	})
 	if got := tele.CounterValue(MetricStarted); got != started0+1 {
 		t.Fatalf("serve.started = %d after the hang-up, want %d: the queued run started", got, started0+1)
+	}
+}
+
+// TestQueuedHangUpFreesItsPlace: with one slot and a one-run queue, a
+// run that hangs up while it waits gives its place back as soon as its
+// handler has returned: a third request is then admitted, not shed, and
+// runs once the slot frees.
+func TestQueuedHangUpFreesItsPlace(t *testing.T) {
+	srv, c, sys := newTestServer(t, Config{Workers: 1, Queue: 1})
+	mustLoad(t, c, "slow", slowProg)
+	mustLoad(t, c, "quick", quickProg)
+	tele := sys.Telemetry()
+
+	// A front end over the same server that numbers the run requests as
+	// they arrive and reports when the second one's handler returns.
+	var runs atomic.Int32
+	queuedGone := make(chan struct{})
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var n int32
+		if r.URL.Path == "/api/v1/run" {
+			n = runs.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+		if n == 2 {
+			close(queuedGone)
+		}
+	}))
+	defer front.Close()
+	c = NewClient(front.URL)
+
+	slowCtx, stopSlow := context.WithCancel(context.Background())
+	defer stopSlow()
+	slowDone := make(chan struct{})
+	go func() {
+		defer close(slowDone)
+		_, _ = c.Run(slowCtx, RunRequest{Module: "slow"})
+	}()
+	waitFor(t, "the slow run to start", func() bool { return tele.CounterValue(MetricStarted) == 1 })
+
+	queuedCtx, hangUp := context.WithCancel(context.Background())
+	queuedDone := make(chan struct{})
+	go func() {
+		defer close(queuedDone)
+		_, _ = c.Run(queuedCtx, RunRequest{Module: "quick"})
+	}()
+	waitFor(t, "the second run to queue", func() bool { return tele.Gauge(MetricQueueDepth).Value() == 1 })
+	hangUp()
+	<-queuedDone
+	<-queuedGone
+
+	third := make(chan error, 1)
+	go func() {
+		res, err := c.Run(context.Background(), RunRequest{Module: "quick"})
+		if err == nil && res.Output != "328350\n" {
+			err = fmt.Errorf("output %q", res.Output)
+		}
+		third <- err
+	}()
+	waitFor(t, "the third run to be admitted or refused", func() bool {
+		return tele.CounterValue(MetricAccepted) == 3 || tele.CounterValue(MetricShed) != 0
+	})
+	stopSlow()
+	<-slowDone
+	if err := <-third; err != nil {
+		t.Fatalf("third run, after the queued one hung up: %v", err)
+	}
+	if got := tele.CounterValue(MetricShed); got != 0 {
+		t.Errorf("serve.shed = %d, want 0", got)
+	}
+}
+
+// TestRunPanicIsContained: a run that panics costs that run only. Its
+// client gets 500 internal naming the panic value, serve.panics counts
+// it, its session is dropped rather than pooled, and the next run of the
+// same module succeeds on the one slot with serve.active back at 0.
+func TestRunPanicIsContained(t *testing.T) {
+	srv, c, sys := newTestServer(t, Config{Workers: 1, Queue: 1})
+	mustLoad(t, c, "quick", quickProg)
+	tele := sys.Telemetry()
+
+	var armed atomic.Bool
+	armed.Store(true)
+	runTestHook = func(sess *llee.Session) {
+		if armed.Swap(false) {
+			sess.Env().Register("print_int", func(*rt.Env, []uint64) (uint64, error) {
+				panic("guest extern exploded")
+			})
+		}
+	}
+	t.Cleanup(func() { runTestHook = nil })
+
+	_, err := c.Run(context.Background(), RunRequest{Module: "quick"})
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Status != http.StatusInternalServerError || re.Code != CodeInternal {
+		t.Fatalf("panicking run: want 500 internal, got %v", err)
+	}
+	if !strings.Contains(re.Message, "guest extern exploded") {
+		t.Errorf("500 message %q does not name the panic value", re.Message)
+	}
+	if got := tele.CounterValue(MetricPanics); got != 1 {
+		t.Errorf("serve.panics = %d, want 1", got)
+	}
+	if got := tele.Gauge(MetricActive).Value(); got != 0 {
+		t.Errorf("serve.active = %d after the panic, want 0", got)
+	}
+
+	res, err := c.Run(context.Background(), RunRequest{Module: "quick"})
+	if err != nil {
+		t.Fatalf("run after the panic: %v", err)
+	}
+	if want := "328350\n"; res.Output != want {
+		t.Fatalf("output %q, want %q", res.Output, want)
+	}
+	if res.Reused {
+		t.Error("the run after the panic reused the panicked run's session")
+	}
+	if got := tele.Gauge(MetricActive).Value(); got != 0 {
+		t.Errorf("serve.active = %d, want 0", got)
+	}
+	if got := srv.inflight.Load(); got != 0 {
+		t.Errorf("%d runs still counted in after both finished", got)
 	}
 }
 

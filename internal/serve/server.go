@@ -35,7 +35,7 @@ type Config struct {
 	Queue   int // admitted-but-not-started capacity (default: 4×Workers)
 
 	MemSize    uint64 // per-session simulated address space (0: llee default)
-	DefaultGas uint64 // budget when the request omits gas (0: unmetered)
+	DefaultGas uint64 // budget when the request omits gas (0: machine.DefaultGas)
 	MaxGas     uint64 // hard cap on requested gas (0: uncapped)
 
 	TenantRate  float64 // admitted requests/sec per tenant (0: unlimited)
@@ -45,11 +45,12 @@ type Config struct {
 	MaxOutput int // per-run captured output bytes (default 64 KiB)
 }
 
-// Server executes runs of registered modules on a bounded worker pool
-// of llee Sessions sharing one System. Admission control happens before
-// anything executes: draining, unknown module, tenant rate limit,
-// tenant gas budget, and a full queue each refuse the request with a
-// typed wire error — a shed request never starts executing.
+// Server executes runs of registered modules as llee Sessions sharing
+// one System, each on the goroutine of the handler that admitted it.
+// Admission control happens before anything executes: draining, unknown
+// module, tenant rate limit, tenant gas budget, and Workers+Queue runs
+// already admitted each refuse the request with a typed wire error — a
+// refused request never starts executing.
 type Server struct {
 	cfg     Config
 	tele    *telemetry.Registry
@@ -58,21 +59,27 @@ type Server struct {
 	modMu sync.RWMutex
 	mods  map[string]*moduleEntry
 
-	queue    chan *job
-	qMu      sync.RWMutex
-	qClosed  bool
+	// slots holds Workers slots: taking one starts a run, putting it back
+	// ends it. states lists them all, for a timed-out Drain to cancel.
+	slots  chan *workerState
+	states []*workerState
+
+	// inflight counts admitted, unfinished runs. Once draining, whoever
+	// sees it at zero closes idle.
+	inflight atomic.Int64
 	draining atomic.Bool
-	wg       sync.WaitGroup
+	idle     chan struct{}
+	idleOnce sync.Once
 
 	// halt is closed when a Drain's context expires. Every admitted run
-	// is then canceled: a queued one by the worker that takes it, before
-	// it starts; a running one by the handler waiting on it.
+	// is then canceled: a waiting one when it takes a slot, before it
+	// starts; a running one at its next block boundary.
 	halt     chan struct{}
 	haltOnce sync.Once
 
 	// pool holds finished reusable sessions keyed by module stamp, each
 	// list capped at Workers. Target and MemSize are fixed per server, so
-	// the stamp alone identifies compatible sessions. Workers pop, Reset,
+	// the stamp alone identifies compatible sessions. Runs pop, Reset,
 	// run, and push back; a replaced module's orphaned stamp is dropped
 	// wholesale.
 	poolMu sync.Mutex
@@ -84,33 +91,12 @@ type moduleEntry struct {
 	stamp string
 }
 
-// job is one admitted run. The worker that takes it writes the outcome
-// (result, or status and errB) and then closes done; handleRun reads
-// the outcome only after done is closed, so the close orders the writes
-// before the read.
-type job struct {
-	req      RunRequest
-	mod      *moduleEntry
-	gas      uint64
-	ctx      context.Context
-	cancel   context.CancelFunc
-	admitted time.Time
+// runTestHook, when set, is called with each run's session just before
+// it runs.
+var runTestHook func(*llee.Session)
 
-	result RunResponse
-	errB   *errorBody
-	status int
-	done   chan struct{}
-}
-
-// finish records the outcome's status and error body (nil on success,
-// after the worker has set result) and hands the job back to its handler.
-func (j *job) finish(status int, eb *errorBody) {
-	j.status, j.errB = status, eb
-	j.cancel()
-	close(j.done)
-}
-
-// New builds a Server and starts its worker pool.
+// New builds a Server. It starts no goroutine: every run executes on
+// its own request's handler.
 func New(cfg Config) (*Server, error) {
 	if cfg.System == nil || cfg.Target == nil {
 		return nil, errors.New("serve: Config.System and Config.Target are required")
@@ -129,13 +115,15 @@ func New(cfg Config) (*Server, error) {
 		tele:    cfg.System.Telemetry(),
 		limiter: newTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
 		mods:    make(map[string]*moduleEntry),
-		queue:   make(chan *job, cfg.Queue),
+		slots:   make(chan *workerState, cfg.Workers),
+		states:  make([]*workerState, cfg.Workers),
+		idle:    make(chan struct{}),
 		pool:    make(map[string][]*llee.Session),
 		halt:    make(chan struct{}),
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
+	for i := range s.states {
+		s.states[i] = &workerState{}
+		s.slots <- s.states[i]
 	}
 	return s, nil
 }
@@ -201,14 +189,13 @@ func (s *Server) Load(req LoadRequest) (LoadResponse, error) {
 	return LoadResponse{Name: req.Name, Stamp: ent.stamp}, nil
 }
 
-// admit runs the full admission pipeline. On refusal it returns a
-// status+errorBody and the job is never created; on admission the job
-// is queued and owned by the worker pool until it closes job.done.
-func (s *Server) admit(ctx context.Context, req RunRequest) (*job, int, *errorBody) {
+// admit runs the full admission pipeline and resolves req's defaults
+// (entry, gas) in place. On refusal it returns a status and errorBody;
+// an admitted run is counted in s.inflight until run returns.
+func (s *Server) admit(req *RunRequest) (*moduleEntry, int, *errorBody) {
 	s.tele.Counter(MetricRequests).Inc()
 	if s.draining.Load() {
-		return nil, http.StatusServiceUnavailable,
-			&errorBody{Code: CodeDraining, Message: "server is draining", RetryAfter: 10}
+		return nil, http.StatusServiceUnavailable, errDraining()
 	}
 	s.modMu.RLock()
 	mod := s.mods[req.Module]
@@ -231,65 +218,90 @@ func (s *Server) admit(ctx context.Context, req RunRequest) (*job, int, *errorBo
 			}
 		}
 	}
-	gas := req.Gas
-	if gas == 0 {
-		gas = s.cfg.DefaultGas
+	if req.Gas == 0 {
+		req.Gas = s.cfg.DefaultGas
 	}
-	if s.cfg.MaxGas > 0 && (gas == 0 || gas > s.cfg.MaxGas) {
-		gas = s.cfg.MaxGas
+	if s.cfg.MaxGas > 0 && (req.Gas == 0 || req.Gas > s.cfg.MaxGas) {
+		req.Gas = s.cfg.MaxGas
 	}
 	if req.Entry == "" {
 		req.Entry = "main"
 	}
-	j := &job{
-		req:      req,
-		mod:      mod,
-		gas:      gas,
-		admitted: time.Now(),
-		done:     make(chan struct{}),
+	// Counting the run in is the load-shedding decision, made before any
+	// execution state exists. Checking draining after the count refuses a
+	// run that a concurrent Drain may not have counted.
+	n := s.inflight.Add(1)
+	if s.draining.Load() {
+		s.leave()
+		return nil, http.StatusServiceUnavailable, errDraining()
 	}
-	j.ctx, j.cancel = context.WithCancel(ctx)
-	// Non-blocking enqueue is the load-shedding decision: a full queue
-	// means the pool is saturated and the request is refused NOW, before
-	// any execution state exists.
-	s.qMu.RLock()
-	if s.qClosed {
-		s.qMu.RUnlock()
-		j.cancel()
-		return nil, http.StatusServiceUnavailable,
-			&errorBody{Code: CodeDraining, Message: "server is draining", RetryAfter: 10}
-	}
-	select {
-	case s.queue <- j:
-		s.qMu.RUnlock()
-	default:
-		s.qMu.RUnlock()
-		j.cancel()
+	if n > int64(s.cfg.Workers+s.cfg.Queue) {
+		s.leave()
 		s.tele.Counter(MetricShed).Inc()
 		return nil, http.StatusTooManyRequests,
-			&errorBody{Code: CodeShed, Message: "worker pool saturated", RetryAfter: 1}
+			&errorBody{Code: CodeShed, Message: "server saturated", RetryAfter: 1}
 	}
 	s.tele.Counter(MetricAccepted).Inc()
 	s.tele.Gauge(MetricQueueDepth).Add(1)
-	return j, 0, nil
+	return mod, 0, nil
 }
 
-// workerState is one worker's reusable per-job scratch: the output
-// buffer, the limit writer wrapping it, and the session-option slice.
-// A worker runs one job at a time, so none of it needs pooling or
-// locking — the steady state allocates neither buffer nor slice.
+func errDraining() *errorBody {
+	return &errorBody{Code: CodeDraining, Message: "server is draining", RetryAfter: 10}
+}
+
+// leave counts an admitted run out, and tells a waiting Drain when it
+// was the last one.
+func (s *Server) leave() {
+	if s.inflight.Add(-1) == 0 && s.draining.Load() {
+		s.idleOnce.Do(func() { close(s.idle) })
+	}
+}
+
+// workerState is one slot: per-run scratch that one run at a time
+// reuses, so the steady state allocates neither buffer nor slice, and
+// the cancel func of the run holding it (mu orders it against Drain).
 type workerState struct {
 	out  bytes.Buffer
 	lw   limitWriter
 	opts []llee.SessionOption
+
+	mu     sync.Mutex
+	cancel context.CancelFunc
 }
 
-func (s *Server) worker() {
-	defer s.wg.Done()
-	w := &workerState{}
-	for j := range s.queue {
-		s.runJob(w, j)
+// acquire waits for a slot and arms it for a run under ctx, returning
+// the slot and the run's context. It returns a nil slot when the run
+// must not start: its client hung up, or a Drain timed out.
+func (s *Server) acquire(ctx context.Context) (*workerState, context.Context) {
+	var ws *workerState
+	select {
+	case ws = <-s.slots:
+	case <-ctx.Done():
+		return nil, ctx
 	}
+	ws.mu.Lock()
+	select {
+	case <-s.halt:
+	default:
+		if ctx.Err() == nil {
+			ctx, ws.cancel = context.WithCancel(ctx)
+			ws.mu.Unlock()
+			return ws, ctx
+		}
+	}
+	ws.mu.Unlock()
+	s.slots <- ws
+	return nil, ctx
+}
+
+// release ends the run holding ws and puts the slot back.
+func (s *Server) release(ws *workerState) {
+	ws.mu.Lock()
+	ws.cancel()
+	ws.cancel = nil
+	ws.mu.Unlock()
+	s.slots <- ws
 }
 
 // poolGet pops a reusable session for the module stamp, or nil.
@@ -320,12 +332,12 @@ func (s *Server) poolPut(stamp string, sess *llee.Session) {
 	}
 }
 
-// sessionFor acquires the job's session: a pooled one reset to pristine
-// state (re-armed with this job's output writer, gas and tenant) when
+// sessionFor acquires the run's session: a pooled one reset to pristine
+// state (re-armed with this run's output writer, gas and tenant) when
 // available, else a cold build sealed for later reuse.
-func (s *Server) sessionFor(w *workerState, j *job) (*llee.Session, bool, error) {
-	if sess := s.poolGet(j.mod.stamp); sess != nil {
-		if err := sess.Reset(&w.lw, j.gas, j.req.Tenant); err == nil {
+func (s *Server) sessionFor(ws *workerState, req *RunRequest, mod *moduleEntry) (*llee.Session, bool, error) {
+	if sess := s.poolGet(mod.stamp); sess != nil {
+		if err := sess.Reset(&ws.lw, req.Gas, req.Tenant); err == nil {
 			s.tele.Counter(MetricSessionReuse).Inc()
 			return sess, true, nil
 		}
@@ -333,44 +345,60 @@ func (s *Server) sessionFor(w *workerState, j *job) (*llee.Session, bool, error)
 		// drop the session and build cold.
 	}
 	s.tele.Counter(MetricSessionCold).Inc()
-	w.opts = append(w.opts[:0],
-		llee.WithGas(j.gas), llee.WithTenant(j.req.Tenant), llee.WithReuse(true))
+	ws.opts = append(ws.opts[:0],
+		llee.WithGas(req.Gas), llee.WithTenant(req.Tenant), llee.WithReuse(true))
 	if s.cfg.MemSize != 0 {
-		w.opts = append(w.opts, llee.WithMemSize(s.cfg.MemSize))
+		ws.opts = append(ws.opts, llee.WithMemSize(s.cfg.MemSize))
 	}
-	sess, err := s.cfg.System.NewSession(j.mod.mod, s.cfg.Target, &w.lw, w.opts...)
+	sess, err := s.cfg.System.NewSession(mod.mod, s.cfg.Target, &ws.lw, ws.opts...)
 	return sess, false, err
 }
 
-// runJob executes one admitted job on this worker's goroutine.
-func (s *Server) runJob(w *workerState, j *job) {
+// run executes an admitted request on the caller's goroutine: slot,
+// session, Run. A panic anywhere in them is recovered here and costs
+// that run only: it is answered 500 internal and its session is dropped,
+// not pooled, while the deferred calls restore the slot and gauges.
+func (s *Server) run(ctx context.Context, req *RunRequest, mod *moduleEntry) (resp RunResponse, status int, eb *errorBody) {
+	admitted := time.Now()
+	defer s.leave()
+	ws, ctx := s.acquire(ctx)
 	s.tele.Gauge(MetricQueueDepth).Add(-1)
-	if s.halted() || j.ctx.Err() != nil {
-		// Canceled while queued: it never starts.
+	if ws == nil {
+		// Canceled while waiting: it never starts.
 		s.tele.Counter(MetricCanceled).Inc()
-		j.finish(http.StatusRequestTimeout,
-			&errorBody{Code: CodeCanceled, Message: "canceled before execution started"})
-		return
+		return resp, http.StatusRequestTimeout,
+			&errorBody{Code: CodeCanceled, Message: "canceled before execution started"}
 	}
+	defer s.release(ws)
 	s.tele.Counter(MetricStarted).Inc()
 	s.tele.Gauge(MetricActive).Add(1)
 	defer s.tele.Gauge(MetricActive).Add(-1)
 	started := time.Now()
-	queueNS := started.Sub(j.admitted).Nanoseconds()
-	s.tele.Histogram(MetricQueueNS).Observe(queueNS)
+	resp.QueueNS = started.Sub(admitted).Nanoseconds()
+	s.tele.Histogram(MetricQueueNS).Observe(resp.QueueNS)
+	defer func() {
+		if p := recover(); p != nil {
+			s.tele.Counter(MetricPanics).Inc()
+			s.tele.Counter(MetricErrors).Inc()
+			status, eb = http.StatusInternalServerError,
+				&errorBody{Code: CodeInternal, Message: fmt.Sprintf("run panicked: %v", p)}
+		}
+	}()
 
-	w.out.Reset()
-	w.lw = limitWriter{w: &w.out, limit: s.cfg.MaxOutput}
-	sess, reused, err := s.sessionFor(w, j)
+	ws.out.Reset()
+	ws.lw = limitWriter{w: &ws.out, limit: s.cfg.MaxOutput}
+	sess, reused, err := s.sessionFor(ws, req, mod)
 	if err != nil {
 		s.tele.Histogram(MetricExecNS).Observe(time.Since(started).Nanoseconds())
-		s.tele.Counter(MetricErrors).Inc()
-		j.finish(classifyError(err, nil))
-		return
+		status, eb = s.classifyError(err)
+		return resp, status, eb
 	}
-	res, err := sess.Run(j.ctx, j.req.Entry, j.req.Args...)
-	execNS := time.Since(started).Nanoseconds()
-	s.tele.Histogram(MetricExecNS).Observe(execNS)
+	if runTestHook != nil {
+		runTestHook(sess)
+	}
+	res, err := sess.Run(ctx, req.Entry, req.Args...)
+	resp.ExecNS = time.Since(started).Nanoseconds()
+	s.tele.Histogram(MetricExecNS).Observe(resp.ExecNS)
 	var ee *rt.ExitError
 	if errors.As(err, &ee) {
 		// exit() is an outcome: the exit code is the value.
@@ -378,106 +406,76 @@ func (s *Server) runJob(w *workerState, j *job) {
 		err = nil
 	}
 	if err != nil {
-		j.finish(classifyError(err, s.tele))
-		// Errored runs left the machine consistent (traps, gas and
-		// cancels unwind at block boundaries): the session pools fine.
-		s.poolPut(j.mod.stamp, sess)
-		return
+		status, eb = s.classifyError(err)
+	} else {
+		s.tele.Counter(MetricCompleted).Inc()
+		status = http.StatusOK
+		resp.Value = res.Value
+		resp.Output = ws.out.String()
+		resp.Instrs = res.Instrs
+		resp.Cycles = res.Cycles
+		resp.WallNS = res.Wall.Nanoseconds()
+		resp.CacheHit = sess.CacheHit()
+		resp.Reused = reused
 	}
-	s.tele.Counter(MetricCompleted).Inc()
-	j.result = RunResponse{
-		Value:    res.Value,
-		Output:   w.out.String(),
-		Instrs:   res.Instrs,
-		Cycles:   res.Cycles,
-		WallNS:   res.Wall.Nanoseconds(),
-		QueueNS:  queueNS,
-		ExecNS:   execNS,
-		CacheHit: sess.CacheHit(),
-		Reused:   reused,
-	}
-	j.finish(http.StatusOK, nil)
-	s.poolPut(j.mod.stamp, sess)
+	// Errored runs left the machine consistent (traps, gas and cancels
+	// unwind at block boundaries): the session pools fine.
+	s.poolPut(mod.stamp, sess)
+	return resp, status, eb
 }
 
-// classifyError maps a run failure into the wire taxonomy (and bumps
-// the outcome counter when tele is non-nil).
-func classifyError(err error, tele *telemetry.Registry) (int, *errorBody) {
+// classifyError maps a run failure into the wire taxonomy and counts
+// its outcome.
+func (s *Server) classifyError(err error) (int, *errorBody) {
 	var ge *machine.GasError
 	if errors.As(err, &ge) {
-		if tele != nil {
-			tele.Counter(MetricOutOfGas).Inc()
-		}
+		s.tele.Counter(MetricOutOfGas).Inc()
 		return http.StatusPaymentRequired, &errorBody{
 			Code: CodeOutOfGas, Message: err.Error(),
 			CyclesUsed: ge.Used, GasBudget: ge.Budget,
 		}
 	}
-	// The instruction limit bounds an unmetered run the way gas bounds a
-	// metered one: the same answer, with no budget to report.
-	if errors.Is(err, llee.ErrInstrLimit) {
-		if tele != nil {
-			tele.Counter(MetricOutOfGas).Inc()
-		}
-		return http.StatusPaymentRequired, &errorBody{Code: CodeOutOfGas, Message: err.Error()}
-	}
-	var te *llee.ErrTrap
-	if errors.As(err, &te) {
-		if tele != nil {
-			tele.Counter(MetricErrors).Inc()
-		}
-		return http.StatusUnprocessableEntity, &errorBody{Code: CodeTrap, Message: err.Error()}
-	}
 	if errors.Is(err, llee.ErrCanceled) || errors.Is(err, context.Canceled) {
-		if tele != nil {
-			tele.Counter(MetricCanceled).Inc()
-		}
+		s.tele.Counter(MetricCanceled).Inc()
 		return http.StatusRequestTimeout, &errorBody{Code: CodeCanceled, Message: err.Error()}
 	}
-	if errors.Is(err, llee.ErrBadModule) {
-		if tele != nil {
-			tele.Counter(MetricErrors).Inc()
-		}
-		return http.StatusBadRequest, &errorBody{Code: CodeBadModule, Message: err.Error()}
+	s.tele.Counter(MetricErrors).Inc()
+	var te *llee.ErrTrap
+	if errors.As(err, &te) {
+		return http.StatusUnprocessableEntity, &errorBody{Code: CodeTrap, Message: err.Error()}
 	}
-	if tele != nil {
-		tele.Counter(MetricErrors).Inc()
+	if errors.Is(err, llee.ErrBadModule) {
+		return http.StatusBadRequest, &errorBody{Code: CodeBadModule, Message: err.Error()}
 	}
 	return http.StatusInternalServerError, &errorBody{Code: CodeInternal, Message: err.Error()}
 }
 
-// Drain stops admission (new requests get 503 draining), lets queued
-// and running jobs finish, and stops the workers. If ctx expires first,
-// every admitted run is canceled: a running one at its next block
-// boundary, a queued one when a worker takes it, without starting it.
-// Drain then returns ctx.Err after the workers exit.
+// Drain stops admission (new requests get 503 draining) and waits for
+// every admitted run, waiting or running, to finish. If ctx expires
+// first, every admitted run is canceled: a running one at its next block
+// boundary, a waiting one when it takes a slot, without starting it.
+// Drain then returns ctx.Err once they have all finished.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	s.qMu.Lock()
-	if !s.qClosed {
-		s.qClosed = true
-		close(s.queue)
+	if s.inflight.Load() == 0 {
+		s.idleOnce.Do(func() { close(s.idle) })
 	}
-	s.qMu.Unlock()
-	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
 	select {
-	case <-done:
+	case <-s.idle:
 		return nil
 	case <-ctx.Done():
-		s.haltOnce.Do(func() { close(s.halt) })
-		<-done
+		s.haltOnce.Do(func() {
+			close(s.halt)
+			for _, ws := range s.states {
+				ws.mu.Lock()
+				if ws.cancel != nil {
+					ws.cancel()
+				}
+				ws.mu.Unlock()
+			}
+		})
+		<-s.idle
 		return ctx.Err()
-	}
-}
-
-// halted reports whether a Drain timed out.
-func (s *Server) halted() bool {
-	select {
-	case <-s.halt:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -530,8 +528,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable,
-			&errorBody{Code: CodeDraining, Message: "server is draining", RetryAfter: 10})
+		writeError(w, http.StatusServiceUnavailable, errDraining())
 		return
 	}
 	resp, err := s.Load(req)
@@ -542,36 +539,23 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleRun admits the run, waits for the worker to finish the job, and
-// relays the outcome. A client that hangs up gets no answer: its handler
-// returns at once, and its run is canceled at the next block boundary,
-// or never starts if it is still queued.
+// handleRun admits the run, executes it on this goroutine, and writes
+// the outcome. A client that hangs up cancels its run: at the next block
+// boundary, or before it starts if it is still waiting for a slot.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	j, status, eb := s.admit(r.Context(), req)
-	if eb != nil {
-		writeError(w, status, eb)
-		return
+	mod, status, eb := s.admit(&req)
+	if eb == nil {
+		var resp RunResponse
+		if resp, status, eb = s.run(r.Context(), &req, mod); eb == nil {
+			writeJSON(w, http.StatusOK, &resp)
+			return
+		}
 	}
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
-		// The request's cancellation reaches j.ctx too, but canceling
-		// here makes the job read as canceled before the handler returns.
-		j.cancel()
-		return
-	case <-s.halt:
-		j.cancel()
-		<-j.done
-	}
-	if j.errB != nil {
-		writeError(w, j.status, j.errB)
-		return
-	}
-	writeJSON(w, http.StatusOK, &j.result)
+	writeError(w, status, eb)
 }
 
 // limitWriter caps captured program output so a guest cannot balloon
