@@ -15,21 +15,21 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"llva/internal/codegen"
 	"llva/internal/interp"
 	"llva/internal/llee"
 	"llva/internal/obj"
 	"llva/internal/prof"
+	"llva/internal/prof/debughttp"
 	"llva/internal/rt"
 	"llva/internal/target"
 	"llva/internal/telemetry"
@@ -58,11 +58,8 @@ func fatal(err error) {
 // /debug/llva/trace (Chrome trace_event JSON, Perfetto-loadable) and,
 // when sampling is on, the folded guest stacks at /debug/llva/prof.
 func serveMetrics(reg *telemetry.Registry, tracer *prof.Tracer, prober *prof.Profiler, addr string) {
-	reg.Publish("llva")
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/metrics/events", reg.EventsHandler())
-	mux.Handle("/debug/llva/trace", tracer.Handler())
+	debughttp.Register(mux, reg, tracer)
 	mux.HandleFunc("/debug/llva/prof", func(w http.ResponseWriter, r *http.Request) {
 		if prober == nil {
 			http.Error(w, "guest profiler not enabled (run with -prof)", http.StatusNotFound)
@@ -71,12 +68,6 @@ func serveMetrics(reg *telemetry.Registry, tracer *prof.Tracer, prober *prof.Pro
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_ = prober.WriteFolded(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatal(fmt.Errorf("metrics listener: %w", err))
@@ -249,13 +240,13 @@ func main() {
 		exit(0)
 	}
 	if *idleOpt {
-		ts, err := sess.IdleTimeOptimize()
-		if err != nil {
+		if err := sess.IdleTimeOptimize(); err != nil {
 			fatal(err)
 		}
 		if *stats {
 			fmt.Fprintf(os.Stderr, "idle-time: %d functions translated, %d of them at tier 2 (%d superblocks)\n",
-				reg.CounterValue(llee.MetricTranslations), ts.Tier2Funcs, ts.Traces)
+				reg.CounterValue(llee.MetricTranslations), reg.CounterValue(codegen.MetricTier2Funcs),
+				reg.CounterValue(codegen.MetricSuperblocks))
 		}
 		exit(0)
 	}

@@ -23,12 +23,10 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -36,6 +34,7 @@ import (
 
 	"llva/internal/llee"
 	"llva/internal/prof"
+	"llva/internal/prof/debughttp"
 	"llva/internal/serve"
 	"llva/internal/target"
 	"llva/internal/telemetry"
@@ -84,7 +83,6 @@ func main() {
 	}
 
 	reg := telemetry.New()
-	reg.Publish("llva")
 	tracer := prof.NewTracer()
 	sysOpts := []llee.SystemOption{
 		llee.WithTelemetry(reg),
@@ -124,15 +122,7 @@ func main() {
 	// surface llva-run exposes under -metrics-addr.
 	mux := http.NewServeMux()
 	srv.Register(mux)
-	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/metrics/events", reg.EventsHandler())
-	mux.Handle("/debug/llva/trace", tracer.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	debughttp.Register(mux, reg, tracer)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

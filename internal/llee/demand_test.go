@@ -1,6 +1,7 @@
 package llee
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"llva/internal/core"
 	"llva/internal/minic"
 	"llva/internal/target"
+	"llva/internal/telemetry"
 )
 
 // compileChain compiles n functions f0..f{n-1}, each calling the next,
@@ -41,8 +43,9 @@ func compileChain(t *testing.T, n int) *core.Module {
 
 // TestConcurrentDemandSingleFlight: 8 goroutines demand every function of
 // one module state at once. Exactly one demand per function performs the
-// translation, every demander gets that one translation, and all of them
-// settle for write-back. Run under -race by CI.
+// translation, every demander gets that one translation, and it is the
+// record the table holds for write-back and later sessions. Run under
+// -race by CI.
 func TestConcurrentDemandSingleFlight(t *testing.T) {
 	m := compileChain(t, 24)
 	sys := NewSystem()
@@ -66,7 +69,7 @@ func TestConcurrentDemandSingleFlight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for _, f := range fns {
-				nf, did, err := ms.demand(f.Name(), f)
+				nf, did, err := ms.code(&ms.plan, f, false)
 				if err != nil {
 					t.Errorf("demand %%%s: %v", f.Name(), err)
 					return
@@ -80,7 +83,6 @@ func TestConcurrentDemandSingleFlight(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	settled := ms.settled()
 	for i, f := range fns {
 		n := 0
 		for g := range results {
@@ -94,19 +96,20 @@ func TestConcurrentDemandSingleFlight(t *testing.T) {
 		if n != 1 {
 			t.Errorf("%%%s: %d demands performed the translation, want 1", f.Name(), n)
 		}
-		if settled[f.Name()] != results[0][i] {
-			t.Errorf("%%%s: settled translation is not the demanded one", f.Name())
+		if ms.held[f.Name()].NativeFunc != results[0][i] {
+			t.Errorf("%%%s: the table's record is not the demanded translation", f.Name())
 		}
 	}
-	if len(settled) != len(fns) {
-		t.Errorf("%d translations settled, want %d", len(settled), len(fns))
+	if len(ms.held) != len(fns) {
+		t.Errorf("the table holds %d functions, want %d", len(ms.held), len(fns))
 	}
 }
 
 // TestDemandPanicReleasesWaiters: a panic while translating fails the
 // demand that ran it and every later demand of that name with
-// ErrTranslate, instead of leaving them waiting forever, and settles no
-// code for write-back.
+// ErrTranslate, instead of leaving them waiting forever or ending the
+// process, and publishes no code. A session's run, whose first demand
+// hits the same translator, fails with ErrTranslate too.
 func TestDemandPanicReleasesWaiters(t *testing.T) {
 	m := compileChain(t, 1)
 	sys := NewSystem()
@@ -119,22 +122,25 @@ func TestDemandPanicReleasesWaiters(t *testing.T) {
 	// the code generator's own recovery.
 	ms.plan.tr2 = ms.tr.WithTier2(nil)
 	f := m.Function("f0")
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("the translator's panic did not reach the demand that ran it")
-			}
-		}()
-		ms.demand(f.Name(), f)
-	}()
+	if nf, performed, err := ms.code(&ms.plan, f, false); nf != nil || !performed || !errors.Is(err, ErrTranslate) ||
+		!strings.Contains(err.Error(), "%f0:") {
+		t.Errorf("the demand that ran the panicking translator = (%v, %v, %v), want (nil, true, ErrTranslate naming %%f0)", nf, performed, err)
+	}
 	for i := 0; i < 2; i++ {
-		nf, performed, err := ms.demand(f.Name(), f)
+		nf, performed, err := ms.code(&ms.plan, f, false)
 		if nf != nil || performed || !errors.Is(err, ErrTranslate) {
 			t.Errorf("demand after the panic = (%v, %v, %v), want (nil, false, ErrTranslate)", nf, performed, err)
 		}
 	}
-	if got := ms.settled(); got != nil {
-		t.Errorf("settled = %v after a failed translation, want nil", got)
+	s, err := sys.NewSession(m, target.VX86, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background(), "main"); !errors.Is(err, ErrTranslate) {
+		t.Errorf("a run reaching the function = %v, want ErrTranslate", err)
+	}
+	if n := len(s.ms.nobj.Funcs); n != 0 || ms.unwritten {
+		t.Errorf("a failed translation published code: %d functions linked, unwritten = %v", n, ms.unwritten)
 	}
 }
 
@@ -167,7 +173,135 @@ func TestTranslateAheadPanicIsErrTranslate(t *testing.T) {
 			t.Errorf("call %d = %v, want ErrTranslate naming %%%s", i, err, first.Name())
 		}
 	}
-	if ms.held != nil || ms.nobj != nobj {
-		t.Errorf("a failed translation published code: %d records held, object replaced: %v", len(ms.held), ms.nobj != nobj)
+	if rec := ms.held[first.Name()].NativeFunc; rec != nil || ms.nobj != nobj || ms.hit {
+		t.Errorf("a failed translation published code: record %v, object replaced: %v, hit: %v", rec != nil, ms.nobj != nobj, ms.hit)
+	}
+}
+
+// TestLaterSessionInstallsDemandedCode: what one session demanded is the
+// table's code, so a session created afterwards on the same System
+// installs it up front. Once every defined function was demanded, the
+// later session demands nothing, retires the cycles of a session that
+// installed a Preloaded module, and is reusable; a Preload then has
+// nothing left to translate.
+func TestLaterSessionInstallsDemandedCode(t *testing.T) {
+	m := compileChain(t, 6)
+	run := func(s *Session) uint64 {
+		t.Helper()
+		r, err := s.Run(context.Background(), "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Cycles
+	}
+	pre := NewSystem()
+	defer pre.Close()
+	if err := pre.Preload(m, target.VX86); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := pre.NewSession(m, target.VX86, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(ps)
+
+	reg := telemetry.New()
+	sys := NewSystem(WithStorage(NewMemStorage()), WithTelemetry(reg))
+	defer sys.Close()
+	first, err := sys.NewSession(m, target.VX86, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(first)
+	if n := first.Machine().Stats.JITRequests; n != uint64(first.ms.defined) {
+		t.Fatalf("the first session demanded %d functions, want all %d", n, first.ms.defined)
+	}
+	later, err := sys.NewSession(m, target.VX86, io.Discard, WithReuse(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !later.Resettable() {
+		t.Error("a session created after every function was demanded is not resettable")
+	}
+	if got := run(later); got != want {
+		t.Errorf("the later session retired %d cycles, a preloaded one %d", got, want)
+	}
+	if n := later.Machine().Stats.JITRequests; n != 0 {
+		t.Errorf("the later session demanded %d functions, want 0", n)
+	}
+	translated := reg.CounterValue(MetricTranslations)
+	if err := sys.Preload(m, target.VX86); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.CounterValue(MetricTranslations); n != translated {
+		t.Errorf("Preload after the demands took %s from %d to %d, want no change", MetricTranslations, translated, n)
+	}
+}
+
+// TestDemandsPreloadAndSessionsTranslateOnce: on one module state, 8
+// goroutines run sessions that demand every function while a Preload and
+// further NewSessions run beside them. Each function is translated
+// exactly once, and every run prints the same answer. Run under -race by
+// CI.
+func TestDemandsPreloadAndSessionsTranslateOnce(t *testing.T) {
+	m := compileChain(t, 24)
+	reg := telemetry.New()
+	sys := NewSystem(WithStorage(NewMemStorage()), WithTelemetry(reg))
+	defer sys.Close()
+	const goroutines = 8
+	var wg sync.WaitGroup
+	values := make([]uint64, goroutines)
+	start := make(chan struct{})
+	for g := range values {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := sys.NewSession(m, target.VX86, io.Discard)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			<-start
+			r, err := s.Run(context.Background(), "main")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			values[g] = r.Value
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		<-start
+		if err := sys.Preload(m, target.VX86); err != nil {
+			t.Error(err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < 4; i++ {
+			if _, err := sys.NewSession(m, target.VX86, io.Discard); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	for g, v := range values {
+		if v != values[0] {
+			t.Errorf("goroutine %d's run returned %d, goroutine 0's %d", g, v, values[0])
+		}
+	}
+	s, err := sys.NewSession(m, target.VX86, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, want := reg.CounterValue(MetricTranslations), uint64(s.ms.defined); n != want {
+		t.Errorf("%s = %d, want each of the %d functions translated once", MetricTranslations, n, want)
+	}
+	if n := len(s.ms.nobj.Funcs); n != s.ms.defined {
+		t.Errorf("a session after the Preload installs %d functions, want %d", n, s.ms.defined)
 	}
 }

@@ -10,29 +10,18 @@ package llee
 // translate: the module's code entry is a hit, and every hot function's
 // record in it carries that profile's stamp.
 
-// IdleStats reports what one IdleTimeOptimize did at tier 2: what its own
-// translations added to the code generator's counters, whatever else
-// translates on the System meanwhile.
-type IdleStats struct {
-	Tier2Funcs int // hot functions translated at tier 2 and stored (codegen.tier2_funcs)
-	Traces     int // superblocks formed in them (codegen.superblocks)
-}
-
 // idleTimeOptimize is what a WithTier2 System's Preload does, over the
 // guest profile stored now rather than the one the state was created
 // under: it completes the module's code entry, translating the functions
 // it lacks and those the profile marks hot and did not produce. Without a
 // profile it is translateOffline.
-func (ms *moduleState) idleTimeOptimize() (IdleStats, error) {
+func (ms *moduleState) idleTimeOptimize() error {
 	var p tier2Plan
 	if art, ok := ms.guestProfile(); ok {
 		var err error
 		if p, err = ms.planTier2(art); err != nil {
-			return IdleStats{}, err
+			return err
 		}
 	}
-	var stats IdleStats
-	p.tally = &stats
-	err := ms.translateOffline(&p)
-	return stats, err
+	return ms.translateOffline(&p)
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"llva/internal/codegen"
@@ -96,8 +95,7 @@ func idleFlow(t *testing.T, m *core.Module, d *target.Desc, rate int) (tier1, ti
 	}
 
 	sys, sess = start(io.Discard, nil)
-	_, err := sess.IdleTimeOptimize()
-	finish(sys, err)
+	finish(sys, sess.IdleTimeOptimize())
 
 	var out strings.Builder
 	reg2 = telemetry.New()
@@ -260,12 +258,11 @@ func TestIdleTimeWithoutProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := sess.IdleTimeOptimize()
-	if err != nil {
+	if err := sess.IdleTimeOptimize(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Traces != 0 {
-		t.Error("traces formed with no profile")
+	if n := sys.Telemetry().CounterValue(codegen.MetricSuperblocks); n != 0 {
+		t.Errorf("%d superblocks formed with no profile", n)
 	}
 	// And the translation landed in the cache.
 	m2, _ := minic.Compile("hot.c", hotProg)
@@ -279,101 +276,6 @@ func TestIdleTimeWithoutProfile(t *testing.T) {
 	}
 	if !sess2.CacheHit() {
 		t.Error("offline translation did not populate the cache")
-	}
-}
-
-// TestIdleTimeStatsAreThisCalls idle-optimizes two modules at once on one
-// System. Each call reports what it reports alone, not what the other's
-// tier-2 translations added to the shared counters meanwhile, and the
-// System's counters hold the sum. gzip translates functions at tier 2 and
-// ships no traces: its tier-1 loops are rotated already. hotProg's main
-// ships one.
-func TestIdleTimeStatsAreThisCalls(t *testing.T) {
-	var mods [2]*core.Module
-	var err error
-	if mods[0], err = workloads.ByName("gzip").CompileOptimized(); err != nil {
-		t.Fatal(err)
-	}
-	if mods[1], err = minic.Compile("hot.c", hotProg); err != nil {
-		t.Fatal(err)
-	}
-	seed := func(st Storage, m *core.Module) {
-		t.Helper()
-		sys := NewSystem(WithStorage(st))
-		sess, err := sys.NewSession(m, target.VX86, io.Discard, WithProfiler(prof.NewProfiler(25)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Run(context.Background(), "main"); err != nil && !errors.Is(err, ErrExit) {
-			t.Fatal(err)
-		}
-		if err := sess.StoreGuestProfile(); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var alone [2]IdleStats
-	for i, m := range mods {
-		st := NewMemStorage()
-		seed(st, m)
-		sess, err := NewSystem(WithStorage(st)).NewSession(m, target.VX86, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if alone[i], err = sess.IdleTimeOptimize(); err != nil {
-			t.Fatal(err)
-		}
-		if alone[i].Tier2Funcs == 0 {
-			t.Fatalf("%s alone: %+v, the test needs tier-2 work on both modules", m.Name, alone[i])
-		}
-	}
-	if alone[1].Traces == 0 {
-		t.Fatalf("%s alone: %+v, the test needs a trace", mods[1].Name, alone[1])
-	}
-
-	st := NewMemStorage()
-	for _, m := range mods {
-		seed(st, m)
-	}
-	reg := telemetry.New()
-	sys := NewSystem(WithStorage(st), WithTelemetry(reg))
-	// Both sessions first, then both calls released at once, so that each
-	// call's translations run while the other's do.
-	var sessions [2]*Session
-	for i, m := range mods {
-		if sessions[i], err = sys.NewSession(m, target.VX86, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got [2]IdleStats
-	var errs [2]error
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i, sess := range sessions {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			got[i], errs[i] = sess.IdleTimeOptimize()
-		}()
-	}
-	close(start)
-	wg.Wait()
-	for i, m := range mods {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if got[i] != alone[i] {
-			t.Errorf("%s: idle time beside another module reports %+v, alone %+v", m.Name, got[i], alone[i])
-		}
-	}
-	if n := reg.CounterValue(codegen.MetricTier2Funcs); n != uint64(alone[0].Tier2Funcs+alone[1].Tier2Funcs) {
-		t.Errorf("%s = %d, the calls report %d and %d", codegen.MetricTier2Funcs, n, alone[0].Tier2Funcs, alone[1].Tier2Funcs)
-	}
-	if n := reg.CounterValue(codegen.MetricSuperblocks); n != uint64(alone[0].Traces+alone[1].Traces) {
-		t.Errorf("%s = %d, the calls report %d and %d", codegen.MetricSuperblocks, n, alone[0].Traces, alone[1].Traces)
 	}
 }
 

@@ -363,32 +363,30 @@ func TestStorageReadFaultIsMiss(t *testing.T) {
 	}
 }
 
-// TestMergeForWriteBack: the write-back merge must preserve cached
-// functions no session retranslated, prefer the fresh translation on
-// collision, keep module function order, and drop names that are not
-// module functions — all from the in-memory view, never re-reading
-// storage.
+// TestMergeForWriteBack: the write-back merge is the table itself. What
+// a start read and what was translated since are the records of one
+// table, which write-back writes as it stands: module function order,
+// names that are not module functions dropped, all from the in-memory
+// view, never re-reading storage; and when nothing was published since the
+// last write, it writes nothing.
 func TestMergeForWriteBack(t *testing.T) {
 	m := compileTest(t) // defines work and main, in that order
-	rec := func(name string, fill byte) cachedFunc {
-		return cachedFunc{&codegen.NativeFunc{Name: name, Code: []byte{fill, fill}}, ""}
+	rec := func(name string, fill byte) entry {
+		return entry{cachedFunc: cachedFunc{&codegen.NativeFunc{Name: name, Code: []byte{fill, fill}}, ""}}
 	}
-	cached := map[string]cachedFunc{
-		"work": rec("work", 1), // only in the old cache: must survive
-		"main": rec("main", 2), // superseded by a fresh translation
-	}
-	fresh := map[string]cachedFunc{
-		"main":  rec("main", 3),
+	table := map[string]entry{
+		"main":  rec("main", 3),  // translated since the start
+		"work":  rec("work", 1),  // read by the start
 		"ghost": rec("ghost", 4), // not a module function: dropped
 	}
 	st := NewMemStorage()
-	ms := &moduleState{sys: NewSystem(WithStorage(st)), module: m, desc: target.VX86, stamp: "s", held: cached}
-	if _, err := ms.store(fresh); err != nil {
+	ms := &moduleState{sys: NewSystem(WithStorage(st)), module: m, desc: target.VX86, stamp: "s", held: table, unwritten: true}
+	if err := ms.writeBack(); err != nil {
 		t.Fatal(err)
 	}
 	data, _, ok, err := st.Read(ms.key("native"))
 	if err != nil || !ok {
-		t.Fatalf("the entry store wrote: ok=%v err=%v", ok, err)
+		t.Fatalf("the entry writeBack wrote: ok=%v err=%v", ok, err)
 	}
 	co, err := decodeCachedObject(data)
 	if err != nil {
@@ -397,7 +395,13 @@ func TestMergeForWriteBack(t *testing.T) {
 	if f := co.Funcs; len(f) != 2 || f[0].Name != "work" || f[0].Code[0] != 1 || f[1].Name != "main" || f[1].Code[0] != 3 {
 		t.Errorf("written entry = %+v, want work:1 main:3, in module order", f)
 	}
-	if cached["main"].Code[0] != 2 || len(cached) != 2 {
-		t.Error("the merge changed the table it was given: published tables are read without a copy")
+	if err := st.Delete(ms.key("native")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.writeBack(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, _ := st.Read(ms.key("native")); ok {
+		t.Error("a write-back with nothing published since the last one wrote the entry again")
 	}
 }

@@ -127,13 +127,17 @@ func (sys *System) NewSession(m *core.Module, d *target.Desc, out io.Writer, opt
 	}
 	mc.OnJIT = s.onJIT
 	mc.OnIntrinsic = s.onIntrinsic
-	// Preload can publish more code concurrently with session creation:
-	// snapshot the object under the state lock. Whatever it holds is
-	// installed now; a function it lacks is reached through its stub and
-	// translated on its first call.
+	// Other sessions and Preload can publish more code concurrently with
+	// session creation: link the table (when it changed since the last
+	// link) and snapshot the object under the state lock. Whatever it
+	// holds is installed now; a function it lacks is reached through its
+	// stub and demanded from the table on its first call.
 	ms.mu.Lock()
+	if ms.nobj == nil {
+		ms.link()
+	}
 	nobj := ms.nobj
-	s.cacheHit = ms.held != nil
+	s.cacheHit = ms.hit
 	ms.mu.Unlock()
 	if err := mc.LoadObject(nobj); err != nil {
 		return nil, err
@@ -261,12 +265,6 @@ func mapRunError(err error) error {
 	return err
 }
 
-// SetGas replaces the session's per-run gas budget (0:
-// machine.DefaultGas) for subsequent Runs; a serving layer reusing one
-// session across requests re-arms it per request. Must not race a Run in
-// progress.
-func (s *Session) SetGas(budget uint64) { s.mc.SetGas(budget) }
-
 // Gas returns the configured per-run gas budget (0: machine.DefaultGas).
 func (s *Session) Gas() uint64 { return s.mc.Gas() }
 
@@ -284,8 +282,11 @@ func (s *Session) Module() *core.Module { return s.ms.module }
 // System returns the owning system.
 func (s *Session) System() *System { return s.sys }
 
-// CacheHit reports whether this session loaded a valid cached
-// translation instead of translating online.
+// CacheHit reports whether this session's module code was translated
+// ahead of execution rather than online: read from a valid code entry
+// through the storage API, or completed by Preload, TranslateOffline or
+// IdleTimeOptimize on this System. Code that earlier sessions demanded
+// does not count.
 func (s *Session) CacheHit() bool { return s.cacheHit }
 
 // TranslateOffline completes the module's code in the offline cache
@@ -295,19 +296,21 @@ func (s *Session) TranslateOffline() error { return s.ms.translateOffline(&s.ms.
 // IdleTimeOptimize completes the module's code in the offline cache with,
 // when a guest profile is stored (StoreGuestProfile), its hot functions
 // translated at tier 2 under that profile, so a later WithTier2 start
-// translates nothing (Section 4.2).
-func (s *Session) IdleTimeOptimize() (IdleStats, error) { return s.ms.idleTimeOptimize() }
+// translates nothing (Section 4.2). What it translated at tier 2 adds to
+// the System's codegen.tier2_funcs and codegen.superblocks counters.
+func (s *Session) IdleTimeOptimize() error { return s.ms.idleTimeOptimize() }
 
 // onJIT translates one function on demand (honoring SMC redirects) and
 // installs its code in this session's machine: a function NewSession had
 // no code for, at its first call, or one llva.smc.replace invalidated,
-// at its next. The unredirected path goes through the module's
-// single-flight demand table: the demand finds a ready translation, waits
-// for the one in flight, or translates on this goroutine — each function
-// is translated once per system, at the tier moduleState.translate picks
-// for it, however many sessions demand it. Installation always happens
-// here, on the machine's goroutine, and only llva.smc.replace ever makes
-// a name demand code a second time.
+// at its next. The unredirected path goes through the module's code
+// table (moduleState.code): the demand takes the record it finds, waits
+// for the translation in flight, or translates on this goroutine — each
+// function is translated once per system, at the tier
+// moduleState.translate picks for it, however many sessions demand it,
+// and a translator panic fails this call with ErrTranslate. Installation
+// always happens here, on the machine's goroutine, and only
+// llva.smc.replace ever makes a name demand code a second time.
 func (s *Session) onJIT(name string) (uint64, error) {
 	body := name
 	if r, ok := s.redirect[name]; ok {
@@ -326,9 +329,9 @@ func (s *Session) onJIT(name string) (uint64, error) {
 	var err error
 	performed := true
 	if body == name {
-		nf, performed, err = s.ms.demand(name, f)
+		nf, performed, err = s.ms.code(&s.ms.plan, f, false)
 	} else {
-		// SMC-redirected bodies bypass the demand table: their
+		// SMC-redirected bodies bypass the code table: their
 		// translation is keyed by the callee's name but built from
 		// another body, and must stay private to this session.
 		nf, err = s.ms.tr.TranslateFunction(f)

@@ -3,7 +3,6 @@ package llee
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,12 +136,14 @@ func WithProfiler(p *prof.Profiler) SessionOption {
 
 // WithReuse marks the session a candidate for pooled reuse: a session
 // that installed code for every defined function of its module (after a
-// Preload, or from a complete cache) seals its machine after setup so
+// Preload, from a complete cache, or once earlier sessions of the System
+// demanded every function) seals its machine after setup so
 // Session.Reset can later return it to a bit-identical pristine state
-// instead of the caller discarding it. Sessions with anything left to
-// translate on demand and sessions with a profiler attached never become
-// reusable — Resettable reports the outcome. Default off: plain sessions
-// skip the seal snapshot and the per-store dirty-tracking branch.
+// instead of the caller discarding it. A session created while its
+// module's table still lacks a function, and a session with a profiler
+// attached, is not reusable — Resettable reports the outcome. Default
+// off: plain sessions skip the seal snapshot and the per-store
+// dirty-tracking branch.
 func WithReuse(on bool) SessionOption { return func(c *sessionConfig) { c.reuse = on } }
 
 // WithTenant labels a session with a tenant ID: carried on its trace
@@ -195,8 +196,9 @@ func (sys *System) Storage() Storage { return sys.storage }
 // function, so every subsequent NewSession installs the whole module up
 // front and translates nothing on demand. This is what makes sessions
 // poolable: only a machine with nothing left to install can be sealed for
-// reuse (WithReuse). Idempotent and safe under concurrency; sessions
-// created before it keep demanding what they lack and remain correct.
+// reuse (WithReuse). Idempotent and safe under concurrency: what a
+// session's demand translated is not translated again, and a session
+// created before it takes what it lacks from the table at first call.
 func (sys *System) Preload(m *core.Module, d *target.Desc) error {
 	ms, err := sys.state(m, d)
 	if err != nil {
@@ -207,84 +209,52 @@ func (sys *System) Preload(m *core.Module, d *target.Desc) error {
 
 // translateAhead is translation ahead of execution (paper, Section 4.1:
 // offline, or in OS idle time, "flagging it for translation and not
-// actual execution"), the one routine that fills the gaps of the state's
-// table. A gap is a record that is stale under p (p marks its function hot
-// and another profile, or none, produced it; any other record is just code,
-// whatever produced it) and, when missing is set, a defined function with
-// no record: all of them after a cold start, the rest over a partial
-// cache, none over a complete one. The gaps are translated in module order
-// on the caller's goroutine, each once with the translator p picks, written
-// to the cache with what the state already held when the storage API is
-// registered, and published under ms.mu, where NewSession snapshots what it
-// installs. A failed or panicking translation is an ErrTranslate naming its
-// function, and publishes nothing.
-func (ms *moduleState) translateAhead(p *tier2Plan, missing bool) (err error) {
-	ms.preMu.Lock()
-	defer ms.preMu.Unlock()
-	// held changes only before the state is published and below, under
-	// preMu: reading it here needs no more than that.
-	held := ms.held
-	gap := func(f *core.Function) bool {
-		if f.IsDeclaration() {
-			return false
-		}
-		if cf, ok := held[f.Name()]; ok {
-			return p.hot(cf.Name) && cf.profile != p.profile
-		}
-		return missing
-	}
-	if !slices.ContainsFunc(ms.module.Functions, gap) {
-		return nil
-	}
-	ms.sys.tele.Events().Emit(telemetry.EvTranslateStart, ms.module.Name, int64(len(ms.module.Functions)))
-	start := time.Now()
-	// cur names the function the loop is on; a panic there fails this call
-	// alone, and one anywhere else is not the translator's to recover.
-	var cur string
-	defer func() {
-		if cur != "" {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("%w: %%%s: translator panicked: %v", ErrTranslate, cur, r)
-			}
-		}
-	}()
-	fresh := make(map[string]cachedFunc)
+// actual execution"): it fills the gaps of the state's table. A gap is a
+// record that is stale under p and, when missing is set, a defined
+// function with no record: all of them after a cold start, the rest over a
+// partial cache or after some demands, none over a complete one. The gaps
+// are filled in module order on the caller's goroutine, each through code,
+// the path demands take, so a function another call is translating is
+// waited for, not translated twice. Then the table is written back when
+// the storage API is registered. The first failed translation ends the
+// call with its ErrTranslate.
+func (ms *moduleState) translateAhead(p *tier2Plan, missing bool) error {
+	var gaps []*core.Function
+	ms.mu.Lock()
 	for _, f := range ms.module.Functions {
-		cur = f.Name()
-		if !gap(f) {
+		if f.IsDeclaration() {
 			continue
 		}
-		nf, err := ms.translate(p, f)
+		if e := ms.held[f.Name()]; e.NativeFunc != nil && p.stale(e.cachedFunc) || e.NativeFunc == nil && missing {
+			gaps = append(gaps, f)
+		}
+	}
+	ms.mu.Unlock()
+	if len(gaps) > 0 {
+		ms.sys.tele.Events().Emit(telemetry.EvTranslateStart, ms.module.Name, int64(len(gaps)))
+		start := time.Now()
+		n := 0
+		var err error
+		for _, f := range gaps {
+			var performed bool
+			if _, performed, err = ms.code(p, f, true); err != nil {
+				break
+			}
+			if performed {
+				n++
+			}
+		}
+		ms.sys.recordTranslate(ms.module.Name, time.Since(start).Nanoseconds(), n)
 		if err != nil {
-			return fmt.Errorf("%w: %%%s: %v", ErrTranslate, cur, err)
-		}
-		fresh[cur] = p.record(nf)
-	}
-	cur = ""
-	ms.sys.recordTranslate(ms.module.Name, time.Since(start).Nanoseconds(), len(fresh))
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	table, err := ms.store(fresh)
-	if err != nil {
-		return err
-	}
-	ms.held = table
-	ms.link()
-	return nil
-}
-
-// link builds the object a session installs from the state's table: the
-// code it holds, whichever translator produced it, in module order. A
-// function the table lacks is left to its stub. The caller holds ms.mu, or
-// the system lock before the state is published.
-func (ms *moduleState) link() {
-	ms.nobj = &codegen.NativeObject{TargetName: ms.desc.Name, Module: ms.module.Name,
-		Funcs: make([]*codegen.NativeFunc, 0, len(ms.held))}
-	for _, f := range ms.module.Functions {
-		if cf, ok := ms.held[f.Name()]; ok {
-			ms.nobj.Funcs = append(ms.nobj.Funcs, cf.NativeFunc)
+			return err
 		}
 	}
+	if missing {
+		ms.mu.Lock()
+		ms.hit = true
+		ms.mu.Unlock()
+	}
+	return ms.writeBack()
 }
 
 // Close flushes every module's pending write-back. Existing sessions stay
@@ -312,10 +282,11 @@ func (sys *System) Close() error {
 }
 
 // moduleState is the system-wide state of one module on one target,
-// keyed by content stamp: the translator, the single-flight demand table
-// (demand.go), the table of code every session installs up front,
-// and what the persisted guest profile armed. It is created once, under
-// the system lock, before any session's machine exists.
+// keyed by content stamp: the translator, what the persisted guest profile
+// armed, and the one table of the module's code, which every session
+// installs from up front and demands from at first call (table.go). It is
+// created once, under the system lock, before any session's machine
+// exists.
 type moduleState struct {
 	sys    *System
 	module *core.Module // the canonical module copy every session executes
@@ -329,36 +300,28 @@ type moduleState struct {
 	// initializer encoding.
 	img *image.Data
 
-	// The table of code held ahead of execution: held is each function's
-	// record by name, decoded from the module's code entry or translated by
-	// translateAhead (nil until either happened: Session.CacheHit), and nobj
-	// the table linked into the object NewSession installs (link): nothing
-	// after a cold start, part of the module over a partial cache, all of it
-	// over a complete one or after a Preload. Both change after creation
-	// only in translateAhead, under mu, and a published table is never
-	// mutated, only replaced; NewSession and writeBack read them under mu.
-	held map[string]cachedFunc
-	nobj *codegen.NativeObject
-	// defined counts the module's defined functions: a session whose
-	// object holds that many has nothing left to translate on demand.
-	defined int
-
 	// plan governs this state's own translations: armed from the persisted
 	// guest profile when WithTier2 is on and one exists, else the zero plan.
 	// Written once under the system lock, before any session exists.
 	plan tier2Plan
+	// defined counts the module's defined functions: a session whose
+	// object holds that many has nothing left to translate on demand.
+	defined int
 
-	// preMu serializes translateAhead so concurrent Preloads of one module
-	// do the work once.
-	preMu sync.Mutex
-
-	mu      sync.Mutex
-	flushed int // settled translations persisted by the last write-back
-
-	// flightMu guards flights, the demand table: one flight per name a
-	// session demanded (demand.go).
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	// mu guards the code table and what is derived from it. held is the
+	// table, the one place the module's code lives: each function's entry
+	// by name (table.go), decoded from the module's code entry and filled
+	// by code, for demands and translation ahead of execution alike. nobj
+	// is the table linked into the object NewSession installs (link), nil
+	// when a record was published since. unwritten is set when the table
+	// holds records writeBack has not written yet. hit is what
+	// Session.CacheHit reports: the table was read from the code entry, or
+	// translateAhead completed it.
+	mu        sync.Mutex
+	held      map[string]entry
+	nobj      *codegen.NativeObject
+	unwritten bool
+	hit       bool
 }
 
 // tier2Plan is what a guest profile arms: the profile, the translator it
@@ -368,17 +331,7 @@ type moduleState struct {
 type tier2Plan struct {
 	profile string
 	tr2     *codegen.Translator
-	// tally, when set, adds up what this plan's tier-2 translations did
-	// (guarded by tier2Mu). Idle time's plan is its own, so its tally is
-	// what that one call translated.
-	tally *IdleStats
 }
-
-// tier2Mu runs tier-2 translations one at a time, so that what one added
-// to the codegen counters is its own even when another System shares the
-// registry (WithTelemetry). It costs no parallelism: the code generator
-// already serializes tier-2 translation process-wide.
-var tier2Mu sync.Mutex
 
 // planTier2 derives the plan of guest profile art.
 func (ms *moduleState) planTier2(art *prof.Artifact) (tier2Plan, error) {
@@ -392,6 +345,13 @@ func (ms *moduleState) planTier2(art *prof.Artifact) (tier2Plan, error) {
 // hot reports whether p translates name at tier 2, by p.tr2's own rule.
 func (p *tier2Plan) hot(name string) bool {
 	return p.tr2 != nil && p.tr2.Tier2Takes(name)
+}
+
+// stale reports whether p replaces cf ahead of execution: p marks its
+// function hot and another profile, or none, produced it. Any other record
+// is just code, whatever produced it.
+func (p *tier2Plan) stale(cf cachedFunc) bool {
+	return p.hot(cf.Name) && cf.profile != p.profile
 }
 
 // record is the cache record of nf, a translation made under p.
@@ -439,7 +399,9 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 		// The paper's translation strategy: look for a cached
 		// translation, validate its stamp, and fall back to online
 		// translation when any condition fails.
-		if ms.held = ms.readObject(); ms.held == nil {
+		if ms.held = ms.readObject(); ms.held != nil {
+			ms.hit = true
+		} else {
 			sys.tele.Counter(MetricCacheMisses).Inc()
 			sys.tele.Events().Emit(telemetry.EvCacheMiss, ms.key("native"), 0)
 		}
@@ -459,7 +421,6 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 			}
 		}
 	}
-	ms.link()
 	img, err := image.Build(m, mem.NullGuard)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadModule, err)
@@ -471,25 +432,20 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 
 // translate is the one place a translator is picked: tier 2 when p marks f
 // hot, else tier 1, for a demanded or an ahead-of-execution translation
-// alike (and p.record tags the result to match). demand and translateAhead
-// each call it once per function, so which code a name gets is settled
-// before its first translation and never revisited.
-func (ms *moduleState) translate(p *tier2Plan, f *core.Function) (*codegen.NativeFunc, error) {
-	if !p.hot(f.Name()) {
-		return ms.tr.TranslateFunction(f)
-	}
-	tier2Mu.Lock()
-	defer tier2Mu.Unlock()
-	if p.tally == nil {
+// alike (and p.record tags the result to match). Only code calls it, once
+// per function, so which code a name gets is settled before its first
+// translation and never revisited. A panic in the translator is returned
+// as an error: it costs the call that hit it, never the process.
+func (ms *moduleState) translate(p *tier2Plan, f *core.Function) (nf *codegen.NativeFunc, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			nf, err = nil, fmt.Errorf("translator panicked: %v", r)
+		}
+	}()
+	if p.hot(f.Name()) {
 		return p.tr2.TranslateFunction(f)
 	}
-	funcs := ms.sys.tele.Counter(codegen.MetricTier2Funcs)
-	traces := ms.sys.tele.Counter(codegen.MetricSuperblocks)
-	funcs0, traces0 := funcs.Value(), traces.Value()
-	nf, err := p.tr2.TranslateFunction(f)
-	p.tally.Tier2Funcs += int(funcs.Value() - funcs0)
-	p.tally.Traces += int(traces.Value() - traces0)
-	return nf, err
+	return ms.tr.TranslateFunction(f)
 }
 
 // key names one persisted artifact of this module on this target. The two
@@ -561,7 +517,7 @@ func (ms *moduleState) readStamped(key string) ([]byte, bool) {
 // a relocation names a symbol the module does not have, is a miss of that
 // function alone: counted, left out of the table, translated when called.
 // The table is nil on a miss and never on a hit.
-func (ms *moduleState) readObject() map[string]cachedFunc {
+func (ms *moduleState) readObject() map[string]entry {
 	tele := ms.sys.tele
 	key := ms.key("native")
 	data, ok := ms.readStamped(key)
@@ -577,7 +533,7 @@ func (ms *moduleState) readObject() map[string]cachedFunc {
 	}
 	tele.Counter(MetricCacheHits).Inc()
 	tele.Events().Emit(telemetry.EvCacheHit, key, 0)
-	held := make(map[string]cachedFunc, len(co.Funcs))
+	held := make(map[string]entry, len(co.Funcs))
 records:
 	for _, cf := range co.Funcs {
 		// machine.resolveSym interns extern-table entries on sight; any
@@ -589,60 +545,9 @@ records:
 				continue records
 			}
 		}
-		held[cf.Name] = cf
+		held[cf.Name] = entry{cachedFunc: cf}
 	}
 	return held
-}
-
-// writeBack persists the settled demand translations of every session so
-// the next start of this module skips straight to them (store). It never re-reads storage, and when nothing
-// settled since the last write-back (every run of a session that installed
-// the whole module up front) it writes and allocates nothing. Called after
-// every run and at System.Close.
-func (ms *moduleState) writeBack() error {
-	if ms.sys.storage == nil {
-		return nil
-	}
-	done := ms.settled()
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if len(done) == ms.flushed {
-		return nil
-	}
-	fresh := make(map[string]cachedFunc, len(done))
-	for name, nf := range done {
-		fresh[name] = ms.plan.record(nf)
-	}
-	_, err := ms.store(fresh)
-	if err == nil {
-		ms.flushed = len(done)
-	}
-	return err
-}
-
-// store lays fresh translations over the table the state holds (into a new
-// table: fresh wins on collision) and, when the storage API is registered,
-// writes the result as the module's code entry, records in module function
-// order, the deterministic cache layout; a name that is not a module
-// function is left out. It returns the new table. The caller holds ms.mu.
-func (ms *moduleState) store(fresh map[string]cachedFunc) (map[string]cachedFunc, error) {
-	table := make(map[string]cachedFunc, len(ms.held)+len(fresh))
-	for n, cf := range ms.held {
-		table[n] = cf
-	}
-	for n, cf := range fresh {
-		table[n] = cf
-	}
-	if ms.sys.storage == nil {
-		return table, nil
-	}
-	co := cachedObject{TargetName: ms.desc.Name, Module: ms.module.Name, Funcs: make([]cachedFunc, 0, len(table))}
-	for _, f := range ms.module.Functions {
-		if cf, ok := table[f.Name()]; ok {
-			co.Funcs = append(co.Funcs, cf)
-		}
-	}
-	return table, ms.sys.storage.Write(ms.key("native"), ms.stamp, encodeCachedObject(&co))
 }
 
 // translateOffline is translateAhead for callers whose point is the

@@ -84,13 +84,15 @@ func seedCodeCold(t *testing.T, st *MemStorage, d *target.Desc) (ref string, tie
 	return ref, tier1
 }
 
-// settledHot reports how many of the translations s's System settled
-// are of hot functions. Not every hot function need be among them:
-// tier 2 may have inlined one into its only caller, which then never
-// demands it.
-func settledHot(s *Session, hot map[string]bool) (n int) {
-	for name := range s.ms.settled() {
-		if hot[name] {
+// heldHot reports how many of the records in s's module state are of hot
+// functions: on a code-cold start, the hot functions demanded. Not every
+// hot function need be among them: tier 2 may have inlined one into its
+// only caller, which then never demands it.
+func heldHot(s *Session, hot map[string]bool) (n int) {
+	s.ms.mu.Lock()
+	defer s.ms.mu.Unlock()
+	for name, e := range s.ms.held {
+		if hot[name] && e.NativeFunc != nil {
 			n++
 		}
 	}
@@ -325,7 +327,7 @@ func TestTier2OnlineFirstCall(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every hot function that was translated was translated by tr2.
-		if got, want := reg.CounterValue(codegen.MetricTier2Funcs), settledHot(s, hot); want == 0 || got != uint64(want) {
+		if got, want := reg.CounterValue(codegen.MetricTier2Funcs), heldHot(s, hot); want == 0 || got != uint64(want) {
 			t.Errorf("%s = %d, want %d (> 0)", codegen.MetricTier2Funcs, got, want)
 		}
 		first[i] = r.Cycles
@@ -405,16 +407,16 @@ func TestTier2ConcurrentSessions(t *testing.T) {
 	if len(requests) != sessions*len(demanded) {
 		t.Errorf("%d demands of %d distinct functions by %d sessions", len(requests), len(demanded), sessions)
 	}
-	settled := sess[0].ms.settled()
+	held := sess[0].ms.held
 	for name := range demanded {
-		if settled[name] == nil {
-			t.Errorf("%s was demanded and has no settled translation", name)
+		if held[name].NativeFunc == nil {
+			t.Errorf("%s was demanded and the table holds no record of it", name)
 		}
 	}
-	if translated := reg.CounterValue(MetricTranslations); translated != uint64(len(demanded)) || len(settled) != len(demanded) {
-		t.Errorf("%d translations, %d settled, for %d distinct demanded functions", translated, len(settled), len(demanded))
+	if translated := reg.CounterValue(MetricTranslations); translated != uint64(len(demanded)) || len(held) != len(demanded) {
+		t.Errorf("%d translations, %d records held, for %d distinct demanded functions", translated, len(held), len(demanded))
 	}
-	if got, want := reg.CounterValue(codegen.MetricTier2Funcs), settledHot(sess[0], hot); want == 0 || got != uint64(want) {
+	if got, want := reg.CounterValue(codegen.MetricTier2Funcs), heldHot(sess[0], hot); want == 0 || got != uint64(want) {
 		t.Errorf("%s = %d, want %d (> 0)", codegen.MetricTier2Funcs, got, want)
 	}
 }
