@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short tier1 cross-build bench bench-smoke serve-bench fmt-check loc
+.PHONY: all build vet test race race-short fuzz-short tier1 cross-build bench bench-smoke serve-bench fmt-check loc
 
 all: tier1
 
@@ -26,6 +26,12 @@ race:
 # takes 8 of the run's 9 minutes on a 2-core host, hence the timeout.
 race-short:
 	$(GO) test -race -short -timeout 30m ./...
+
+# fuzz-short runs FuzzScalarOp beyond its seeds for 20 s: random operand
+# words for every scalar op and type, folded, interpreted, and run on both
+# targets at both tiers, must agree. Plain go test runs only the seeds.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz FuzzScalarOp -fuzztime 20s ./internal/machine
 
 # tier1 is the CI gate: everything must build, vet clean, and pass the
 # full test suite under the race detector.

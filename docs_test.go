@@ -15,7 +15,7 @@ import (
 func testFuncs(t *testing.T) map[string]bool {
 	t.Helper()
 	defined := map[string]bool{}
-	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w*)\(`)
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
 			return err
@@ -37,7 +37,7 @@ func testFuncs(t *testing.T) map[string]bool {
 // and the file or package that implements it. Every such citation must
 // name something the tree has, so that a rename or a deletion cannot leave
 // the docs pointing at nothing:
-//   - a code span that is one Test… or Benchmark… identifier (a trailing *
+//   - a code span that is one Test…, Benchmark… or Fuzz… identifier (a trailing *
 //     makes it a prefix) must name a function some _test.go file defines;
 //   - a code span that starts with "make X" must name a Makefile target;
 //   - a code span whose first word starts with cmd/, internal/, scripts/,
@@ -73,7 +73,7 @@ func TestDocsCiteLiveTests(t *testing.T) {
 		return err == nil && len(matches) > 0
 	}
 
-	citeRE := regexp.MustCompile("`((?:Test|Benchmark)[A-Z]\\w*\\*?)`")
+	citeRE := regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Z]\\w*\\*?)`")
 	makeRE := regexp.MustCompile("`make ([\\w-]+)")
 	pathRE := regexp.MustCompile("`((?:cmd|internal|scripts|examples|bench)/[^`\\s]*)")
 	identRE := regexp.MustCompile(`\.[A-Z]\w*$`) // internal/serve.Client names a package

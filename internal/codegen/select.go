@@ -2,7 +2,6 @@ package codegen
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"llva/internal/core"
@@ -294,24 +293,14 @@ func (s *selector) synthSym(reg target.Reg, sym string) {
 	s.emit(target.MInstr{Op: target.MMovRI, Rd: reg, Sym: sym, HasImm: true})
 }
 
-// canonConst computes the canonical 64-bit register image of a scalar
-// constant (same convention as the reference interpreter).
-func canonConst(c *core.Constant) int64 {
-	switch c.CK {
-	case core.ConstInt:
-		return c.Int64() // sign-extended for signed, small for unsigned
-	case core.ConstBool:
-		return int64(c.I & 1)
-	case core.ConstFloat:
-		f := c.F
-		if c.Type().Kind() == core.FloatKind {
-			f = float64(float32(f))
-		}
-		return int64(math.Float64bits(f))
-	case core.ConstNull, core.ConstZero, core.ConstUndef:
-		return 0
+// constWord is the register image of a scalar constant: its canonical
+// word.
+func constWord(c *core.Constant) int64 {
+	w, ok := c.Word()
+	if !ok {
+		panic("codegen: non-scalar constant operand " + c.Ident())
 	}
-	panic("codegen: non-scalar constant operand " + c.Ident())
+	return int64(w)
 }
 
 // val returns a register holding the canonical value of v, materializing
@@ -336,19 +325,14 @@ func (s *selector) val(v core.Value) target.Reg {
 		}
 		if x.Type().IsFloat() {
 			ir := s.newVReg(false)
-			s.synthImm(ir, canonConst(x))
+			s.synthImm(ir, constWord(x))
 			fr := s.newVReg(true)
 			s.emit(target.MInstr{Op: target.MCvt, Cvt: target.CvtBits,
 				Rd: fr, Rs1: ir, FP: true, Size: 8})
 			return fr
 		}
-		// Unsigned constants must materialize zero-extended.
-		imm := canonConst(x)
-		if x.CK == core.ConstInt && !x.Type().IsSigned() {
-			imm = int64(x.I)
-		}
 		r := s.newVReg(false)
-		s.synthImm(r, imm)
+		s.synthImm(r, constWord(x))
 		return r
 	case *core.GlobalVariable:
 		r := s.newVReg(false)
@@ -454,10 +438,7 @@ func (s *selector) immOperand(v core.Value) (int64, bool) {
 	if !ok || c.CK != core.ConstInt || s.desc.MaxImm == 0 {
 		return 0, false
 	}
-	imm := canonConst(c)
-	if !c.Type().IsSigned() {
-		imm = int64(c.I)
-	}
+	imm := constWord(c)
 	return imm, imm >= -s.desc.MaxImm-1 && imm <= s.desc.MaxImm
 }
 
@@ -486,26 +467,39 @@ func (s *selector) selBinary(in *core.Instruction) {
 		Size: size, Signed: t.IsSigned(), FP: fp, NoTrap: noTrap})
 }
 
-func condFor(op core.Opcode) target.Cond {
-	switch op {
+// cmpCond is the condition that tests cmp, and whether its operands are
+// compared swapped. The simulated processors order a NaN above every
+// number, so that a condition and its complement are exact (invertCond);
+// a float setgt or setge therefore compares its operands swapped, as
+// setlt or setle, which are false on a NaN as LLVA defines them.
+func cmpCond(cmp *core.Instruction) (target.Cond, bool) {
+	fp := isFPType(cmp.Operand(0).Type())
+	switch cmp.Op() {
 	case core.OpSetEQ:
-		return target.CondEQ
+		return target.CondEQ, false
 	case core.OpSetNE:
-		return target.CondNE
+		return target.CondNE, false
 	case core.OpSetLT:
-		return target.CondLT
+		return target.CondLT, false
 	case core.OpSetGT:
-		return target.CondGT
+		if fp {
+			return target.CondLT, true
+		}
+		return target.CondGT, false
 	case core.OpSetLE:
-		return target.CondLE
+		return target.CondLE, false
 	default:
-		return target.CondGE
+		if fp {
+			return target.CondLE, true
+		}
+		return target.CondGE, false
 	}
 }
 
 // emitCmp emits the flags-setting compare of cmp's operands (vx86), with
-// a constant right operand as an immediate where it fits.
-func (s *selector) emitCmp(cmp *core.Instruction) {
+// a constant right operand as an immediate where it fits, and returns the
+// condition that tests it.
+func (s *selector) emitCmp(cmp *core.Instruction) target.Cond {
 	ot := cmp.Operand(0).Type()
 	m := target.MInstr{Op: target.MCmp, Rs1: s.val(cmp.Operand(0)),
 		Signed: ot.IsSigned(), FP: isFPType(ot)}
@@ -514,20 +508,29 @@ func (s *selector) emitCmp(cmp *core.Instruction) {
 	} else {
 		m.Rs2 = s.val(cmp.Operand(1))
 	}
+	cond, swap := cmpCond(cmp)
+	if swap {
+		m.Rs1, m.Rs2 = m.Rs2, m.Rs1
+	}
 	s.emit(m)
+	return cond
 }
 
 func (s *selector) selCompare(in *core.Instruction) {
 	rd := s.reg(in)
 	if s.desc.HasFlags {
-		s.emitCmp(in)
-		s.emit(target.MInstr{Op: target.MSetCC, Cnd: condFor(in.Op()), Rd: rd})
+		cond := s.emitCmp(in)
+		s.emit(target.MInstr{Op: target.MSetCC, Cnd: cond, Rd: rd})
 		return
 	}
 	ot := in.Operand(0).Type()
 	x := s.val(in.Operand(0))
 	y := s.val(in.Operand(1))
-	s.emit(target.MInstr{Op: target.MSetCC, Cnd: condFor(in.Op()), Rd: rd,
+	cond, swap := cmpCond(in)
+	if swap {
+		x, y = y, x
+	}
+	s.emit(target.MInstr{Op: target.MSetCC, Cnd: cond, Rd: rd,
 		Rs1: x, Rs2: y, Signed: ot.IsSigned(), FP: isFPType(ot)})
 }
 
@@ -564,8 +567,8 @@ func (s *selector) selBr(bb *core.BasicBlock, in *core.Instruction) {
 
 	if ci, ok := cond.(*core.Instruction); ok && s.vals[ci.Num()].fused {
 		// compare-and-branch fusion (vx86)
-		s.emitCmp(ci)
-		s.emit(target.MInstr{Op: target.MJcc, Cnd: condFor(ci.Op()), Target: tTrue})
+		cond := s.emitCmp(ci)
+		s.emit(target.MInstr{Op: target.MJcc, Cnd: cond, Target: tTrue})
 		s.emit(target.MInstr{Op: target.MJmp, Target: tFalse})
 		return
 	}

@@ -172,33 +172,7 @@ func (c *Constant) Resolve(ref Value) error {
 
 // Int64 returns the constant integer's value sign-extended to 64 bits
 // according to its type.
-func (c *Constant) Int64() int64 {
-	switch c.ty.Kind() {
-	case SByteKind:
-		return int64(int8(c.I))
-	case ShortKind:
-		return int64(int16(c.I))
-	case IntKind:
-		return int64(int32(c.I))
-	default:
-		return int64(c.I)
-	}
-}
-
-// truncInt masks v to the bit width of integer type t (identity for 64-bit).
-func truncInt(t *Type, v uint64) uint64 {
-	switch t.Kind() {
-	case UByteKind, SByteKind:
-		return v & 0xff
-	case UShortKind, ShortKind:
-		return v & 0xffff
-	case UIntKind, IntKind:
-		return v & 0xffffffff
-	case BoolKind:
-		return v & 1
-	}
-	return v
-}
+func (c *Constant) Int64() int64 { return int64(ScalarOf(c.ty).Canon(c.I)) }
 
 // NewInt returns an integer constant of type t holding value v (truncated
 // to t's width). t must be an integer type.
@@ -206,7 +180,7 @@ func NewInt(t *Type, v int64) *Constant {
 	if !t.IsInteger() {
 		panic("core: NewInt with non-integer type " + t.String())
 	}
-	return &Constant{CK: ConstInt, ty: t, I: truncInt(t, uint64(v))}
+	return &Constant{CK: ConstInt, ty: t, I: ScalarOf(t).trunc(uint64(v))}
 }
 
 // NewUint returns an unsigned integer constant.
@@ -214,7 +188,7 @@ func NewUint(t *Type, v uint64) *Constant {
 	if !t.IsInteger() {
 		panic("core: NewUint with non-integer type " + t.String())
 	}
-	return &Constant{CK: ConstInt, ty: t, I: truncInt(t, v)}
+	return &Constant{CK: ConstInt, ty: t, I: ScalarOf(t).trunc(v)}
 }
 
 // NewFloat returns a floating-point constant of type t (float or double).

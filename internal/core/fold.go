@@ -1,283 +1,59 @@
 package core
 
-import "math"
-
 // FoldBinary evaluates a binary opcode over two constants, returning the
-// folded constant or nil when the operation cannot be folded (e.g. division
-// by zero, which must trap at run time, or operands that are not simple
-// scalars).
+// folded constant or nil when the operation cannot be folded: it faults
+// (division by zero, which must trap at run time), or an operand has no
+// defined word (undef, or the address of a global).
 func FoldBinary(ctx *TypeContext, op Opcode, x, y *Constant) *Constant {
 	if x.ty != y.ty {
 		return nil
 	}
-	t := x.ty
-	switch {
-	case t.IsInteger():
-		return foldInt(ctx, op, t, x, y)
-	case t.IsFloat():
-		return foldFloat(ctx, op, t, x, y)
-	case t.Kind() == BoolKind:
-		return foldBool(ctx, op, x, y)
-	case t.Kind() == PointerKind && op.IsComparison():
-		// Only null-vs-null pointer comparisons are foldable.
-		if x.CK == ConstNull && y.CK == ConstNull {
-			return foldCmpUint(ctx, op, 0, 0, false)
-		}
-	}
-	return nil
-}
-
-func foldInt(ctx *TypeContext, op Opcode, t *Type, x, y *Constant) *Constant {
-	if x.CK != ConstInt || y.CK != ConstInt {
-		return nil
-	}
-	signed := t.IsSigned()
-	a, b := x.I, y.I
-	sa, sb := x.Int64(), y.Int64()
-	switch op {
-	case OpAdd:
-		return NewUint(t, a+b)
-	case OpSub:
-		return NewUint(t, a-b)
-	case OpMul:
-		return NewUint(t, a*b)
-	case OpDiv:
-		if b == 0 {
-			return nil // traps at run time
-		}
-		if signed {
-			if sa == math.MinInt64 && sb == -1 {
-				return nil // overflow traps
-			}
-			return NewInt(t, sa/sb)
-		}
-		return NewUint(t, a/b)
-	case OpRem:
-		if b == 0 {
-			return nil
-		}
-		if signed {
-			if sa == math.MinInt64 && sb == -1 {
-				return nil
-			}
-			return NewInt(t, sa%sb)
-		}
-		return NewUint(t, a%b)
-	case OpAnd:
-		return NewUint(t, a&b)
-	case OpOr:
-		return NewUint(t, a|b)
-	case OpXor:
-		return NewUint(t, a^b)
-	}
 	if op.IsComparison() {
-		if signed {
-			return foldCmpInt(ctx, op, sa, sb)
-		}
-		return foldCmpUint(ctx, op, a, b, true)
+		return fold(op, x, y, ctx.Bool())
 	}
-	return nil
+	return fold(op, x, y, x.ty)
 }
 
 // FoldShift folds shl/shr where the amount is a ubyte constant.
 func FoldShift(op Opcode, x *Constant, amt *Constant) *Constant {
-	if x.CK != ConstInt || amt.CK != ConstInt {
+	return fold(op, x, amt, x.ty)
+}
+
+// fold evaluates x op y in x's type to a constant of type result.
+func fold(op Opcode, x, y *Constant, result *Type) *Constant {
+	a, okx := foldWord(x)
+	b, oky := foldWord(y)
+	if !okx || !oky {
 		return nil
 	}
-	t := x.ty
-	s := uint(amt.I)
-	bits := uint(8 * sizeOfInt(t))
-	if s >= bits {
-		// LLVA defines over-wide shifts as producing 0 (or the sign for
-		// arithmetic right shifts), matching a full shift-out.
-		if op == OpShr && t.IsSigned() && x.Int64() < 0 {
-			return NewInt(t, -1)
-		}
-		return NewUint(t, 0)
-	}
-	switch op {
-	case OpShl:
-		return NewUint(t, x.I<<s)
-	case OpShr:
-		if t.IsSigned() {
-			return NewInt(t, x.Int64()>>s)
-		}
-		return NewUint(t, x.I>>s)
-	}
-	return nil
-}
-
-func sizeOfInt(t *Type) int {
-	switch t.Kind() {
-	case UByteKind, SByteKind:
-		return 1
-	case UShortKind, ShortKind:
-		return 2
-	case UIntKind, IntKind:
-		return 4
-	default:
-		return 8
-	}
-}
-
-func foldFloat(ctx *TypeContext, op Opcode, t *Type, x, y *Constant) *Constant {
-	if x.CK != ConstFloat || y.CK != ConstFloat {
+	w, fault := ScalarOf(x.ty).Binary(op, a, b)
+	if fault != NoFault {
 		return nil
 	}
-	a, b := x.F, y.F
-	switch op {
-	case OpAdd:
-		return NewFloat(t, a+b)
-	case OpSub:
-		return NewFloat(t, a-b)
-	case OpMul:
-		return NewFloat(t, a*b)
-	case OpDiv:
-		return NewFloat(t, a/b) // IEEE: no trap, yields inf/nan
-	case OpRem:
-		return NewFloat(t, math.Mod(a, b))
-	case OpSetEQ:
-		return NewBool(ctx.Bool(), a == b)
-	case OpSetNE:
-		return NewBool(ctx.Bool(), a != b)
-	case OpSetLT:
-		return NewBool(ctx.Bool(), a < b)
-	case OpSetGT:
-		return NewBool(ctx.Bool(), a > b)
-	case OpSetLE:
-		return NewBool(ctx.Bool(), a <= b)
-	case OpSetGE:
-		return NewBool(ctx.Bool(), a >= b)
-	}
-	return nil
+	return constOfWord(result, w)
 }
 
-func foldBool(ctx *TypeContext, op Opcode, x, y *Constant) *Constant {
-	if (x.CK != ConstBool && x.CK != ConstInt) || (y.CK != ConstBool && y.CK != ConstInt) {
-		return nil
+// foldWord is c's word, or false for an undef, which folds to nothing.
+func foldWord(c *Constant) (uint64, bool) {
+	if c.CK == ConstUndef {
+		return 0, false
 	}
-	a, b := x.I&1, y.I&1
-	t := ctx.Bool()
-	switch op {
-	case OpAnd:
-		return NewBool(t, a&b != 0)
-	case OpOr:
-		return NewBool(t, a|b != 0)
-	case OpXor:
-		return NewBool(t, a^b != 0)
-	case OpSetEQ:
-		return NewBool(t, a == b)
-	case OpSetNE:
-		return NewBool(t, a != b)
-	case OpSetLT:
-		return NewBool(t, a < b)
-	case OpSetGT:
-		return NewBool(t, a > b)
-	case OpSetLE:
-		return NewBool(t, a <= b)
-	case OpSetGE:
-		return NewBool(t, a >= b)
-	}
-	return nil
-}
-
-func foldCmpInt(ctx *TypeContext, op Opcode, a, b int64) *Constant {
-	t := ctx.Bool()
-	switch op {
-	case OpSetEQ:
-		return NewBool(t, a == b)
-	case OpSetNE:
-		return NewBool(t, a != b)
-	case OpSetLT:
-		return NewBool(t, a < b)
-	case OpSetGT:
-		return NewBool(t, a > b)
-	case OpSetLE:
-		return NewBool(t, a <= b)
-	case OpSetGE:
-		return NewBool(t, a >= b)
-	}
-	return nil
-}
-
-func foldCmpUint(ctx *TypeContext, op Opcode, a, b uint64, _ bool) *Constant {
-	t := ctx.Bool()
-	switch op {
-	case OpSetEQ:
-		return NewBool(t, a == b)
-	case OpSetNE:
-		return NewBool(t, a != b)
-	case OpSetLT:
-		return NewBool(t, a < b)
-	case OpSetGT:
-		return NewBool(t, a > b)
-	case OpSetLE:
-		return NewBool(t, a <= b)
-	case OpSetGE:
-		return NewBool(t, a >= b)
-	}
-	return nil
+	return c.Word()
 }
 
 // FoldCast evaluates a cast of a constant to the destination type, or nil
-// when not foldable.
+// when not foldable: the operand is the address of a global, or a
+// non-zero integer becomes a pointer.
 func FoldCast(c *Constant, to *Type) *Constant {
-	from := c.ty
-	if from == to {
+	if c.ty == to {
 		return c
 	}
-	switch c.CK {
-	case ConstUndef:
+	if c.CK == ConstUndef {
 		return NewUndef(to)
-	case ConstInt, ConstBool:
-		switch {
-		case to.IsInteger():
-			// Sign- or zero-extend according to the SOURCE type's
-			// signedness, then truncate to the destination width.
-			if from.IsSigned() {
-				return NewInt(to, c.Int64())
-			}
-			return NewUint(to, c.I)
-		case to.Kind() == BoolKind:
-			return NewBool(to, c.I != 0)
-		case to.IsFloat():
-			if from.IsSigned() {
-				return NewFloat(to, float64(c.Int64()))
-			}
-			return NewFloat(to, float64(c.I))
-		case to.Kind() == PointerKind:
-			if c.I == 0 {
-				return NewNull(to)
-			}
-			return nil // arbitrary int-to-pointer is a runtime value
-		}
-	case ConstFloat:
-		switch {
-		case to.IsFloat():
-			return NewFloat(to, c.F)
-		case to.IsInteger():
-			if math.IsNaN(c.F) || math.IsInf(c.F, 0) {
-				return nil
-			}
-			if to.IsSigned() {
-				return NewInt(to, int64(c.F))
-			}
-			if c.F < 0 {
-				return NewInt(to, int64(c.F))
-			}
-			return NewUint(to, uint64(c.F))
-		case to.Kind() == BoolKind:
-			return NewBool(to, c.F != 0)
-		}
-	case ConstNull:
-		switch {
-		case to.Kind() == PointerKind:
-			return NewNull(to)
-		case to.IsInteger():
-			return NewUint(to, 0)
-		case to.Kind() == BoolKind:
-			return NewBool(to, false)
-		}
 	}
-	return nil
+	w, ok := c.Word()
+	if !ok {
+		return nil
+	}
+	return constOfWord(to, ScalarOf(c.ty).Cast(ScalarOf(to), w))
 }

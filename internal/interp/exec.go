@@ -5,45 +5,14 @@ import (
 	"math"
 
 	"llva/internal/core"
-	"llva/internal/mem"
 )
-
-// canon truncates a raw 64-bit word to the width of type t and re-extends
-// it to the canonical in-register form: sign-extended for signed integer
-// types, zero-extended otherwise.
-func canon(t *core.Type, v uint64) uint64 {
-	switch t.Kind() {
-	case core.BoolKind:
-		return v & 1
-	case core.UByteKind:
-		return uint64(uint8(v))
-	case core.SByteKind:
-		return uint64(int64(int8(v)))
-	case core.UShortKind:
-		return uint64(uint16(v))
-	case core.ShortKind:
-		return uint64(int64(int16(v)))
-	case core.UIntKind:
-		return uint64(uint32(v))
-	case core.IntKind:
-		return uint64(int64(int32(v)))
-	case core.FloatKind:
-		// Canonical float form: the float64 bits of the float32 value.
-		return math.Float64bits(float64(float32(math.Float64frombits(v))))
-	}
-	return v
-}
 
 // constBits converts a scalar constant to its canonical word.
 func (ip *Interp) constBits(c *core.Constant) (uint64, *trap) {
-	switch c.CK {
-	case core.ConstInt, core.ConstBool:
-		return canon(c.Type(), c.I), nil
-	case core.ConstFloat:
-		return canon(c.Type(), math.Float64bits(c.F)), nil
-	case core.ConstNull, core.ConstZero, core.ConstUndef:
-		return 0, nil
-	case core.ConstGlobal:
+	if w, ok := c.Word(); ok {
+		return w, nil
+	}
+	if c.CK == core.ConstGlobal {
 		switch ref := c.Ref.(type) {
 		case *core.GlobalVariable:
 			return ip.data.GlobalAddr[ref.Name()], nil
@@ -75,18 +44,7 @@ func (ip *Interp) operand(fr *frame, v core.Value) (uint64, *trap) {
 
 func (ip *Interp) execInstr(fr *frame, in *core.Instruction) (uint64, *trap) {
 	op := in.Op()
-	switch {
-	case op == core.OpShl || op == core.OpShr:
-		x, tr := ip.operand(fr, in.Operand(0))
-		if tr != nil {
-			return 0, tr
-		}
-		amt, tr := ip.operand(fr, in.Operand(1))
-		if tr != nil {
-			return 0, tr
-		}
-		return ip.shift(op, in.Type(), x, amt), nil
-	case op.IsBinary():
+	if op.IsBinary() {
 		x, tr := ip.operand(fr, in.Operand(0))
 		if tr != nil {
 			return 0, tr
@@ -95,7 +53,7 @@ func (ip *Interp) execInstr(fr *frame, in *core.Instruction) (uint64, *trap) {
 		if tr != nil {
 			return 0, tr
 		}
-		return ip.binary(in, op, in.Operand(0).Type(), x, y)
+		return ip.binary(in, x, y)
 	}
 	switch op {
 	case core.OpLoad:
@@ -140,7 +98,7 @@ func (ip *Interp) execInstr(fr *frame, in *core.Instruction) (uint64, *trap) {
 		if tr != nil {
 			return 0, tr
 		}
-		return castBits(in.Operand(0).Type(), in.Type(), x), nil
+		return core.ScalarOf(in.Operand(0).Type()).Cast(core.ScalarOf(in.Type()), x), nil
 	case core.OpCall:
 		v, _, tr := ip.execCall(fr, in)
 		return v, tr
@@ -241,7 +199,7 @@ func (ip *Interp) load(in *core.Instruction, t *core.Type, addr uint64) (uint64,
 		}
 		return v, nil
 	}
-	return canon(t, v), nil
+	return core.ScalarOf(t).Canon(v), nil
 }
 
 func (ip *Interp) store(in *core.Instruction, t *core.Type, addr, v uint64) *trap {
@@ -292,217 +250,20 @@ func (ip *Interp) gep(fr *frame, in *core.Instruction) (uint64, *trap) {
 	return addr, nil
 }
 
-func (ip *Interp) shift(op core.Opcode, t *core.Type, x, amt uint64) uint64 {
-	bits := uint64(8 * ip.lay.Size(t))
-	s := amt & 0xff
-	if s >= bits {
-		if op == core.OpShr && t.IsSigned() && int64(x) < 0 {
-			return canon(t, ^uint64(0))
-		}
-		return 0
+// binary evaluates a binary instruction on its operands' words. A fault
+// traps, or reads as 0 when the instruction's exceptions are disabled.
+func (ip *Interp) binary(in *core.Instruction, x, y uint64) (uint64, *trap) {
+	op := in.Op()
+	w, fault := core.ScalarOf(in.Operand(0).Type()).Binary(op, x, y)
+	if fault == core.NoFault {
+		return w, nil
 	}
-	switch op {
-	case core.OpShl:
-		return canon(t, x<<s)
-	default: // OpShr: arithmetic for signed, logical for unsigned
-		if t.IsSigned() {
-			return canon(t, uint64(int64(x)>>s))
-		}
-		// operate on the truncated unsigned value
-		return canon(t, truncTo(t, x)>>s)
+	if !in.ExceptionsEnabled {
+		ip.ignored()
+		return 0, nil
 	}
+	if fault == core.DivOverflow {
+		return 0, ip.deliver(TrapDivByZero, fmt.Errorf("%s overflow", op))
+	}
+	return 0, ip.deliver(TrapDivByZero, fmt.Errorf("%s by zero", op))
 }
-
-func truncTo(t *core.Type, v uint64) uint64 {
-	switch t.Kind() {
-	case core.UByteKind, core.SByteKind:
-		return v & 0xff
-	case core.UShortKind, core.ShortKind:
-		return v & 0xffff
-	case core.UIntKind, core.IntKind:
-		return v & 0xffffffff
-	case core.BoolKind:
-		return v & 1
-	}
-	return v
-}
-
-func (ip *Interp) binary(in *core.Instruction, op core.Opcode, t *core.Type, x, y uint64) (uint64, *trap) {
-	if t.IsFloat() {
-		return floatBinary(op, t, x, y), nil
-	}
-	// Pointers and booleans only support comparisons (and bool bitwise).
-	if op.IsComparison() {
-		var eq, lt bool
-		if t.IsSigned() {
-			eq, lt = int64(x) == int64(y), int64(x) < int64(y)
-		} else {
-			a, b := truncTo(t, x), truncTo(t, y)
-			if t.Kind() == core.PointerKind {
-				a, b = x, y
-			}
-			eq, lt = a == b, a < b
-		}
-		return cmpBits(op, eq, lt), nil
-	}
-	switch op {
-	case core.OpAdd:
-		return canon(t, x+y), nil
-	case core.OpSub:
-		return canon(t, x-y), nil
-	case core.OpMul:
-		return canon(t, x*y), nil
-	case core.OpDiv, core.OpRem:
-		if truncTo(t, y) == 0 {
-			if !in.ExceptionsEnabled {
-				ip.ignored()
-				return 0, nil
-			}
-			return 0, ip.deliver(TrapDivByZero, fmt.Errorf("%s by zero", op))
-		}
-		if t.IsSigned() {
-			a, b := int64(x), int64(y)
-			if a == math.MinInt64 && b == -1 {
-				if !in.ExceptionsEnabled {
-					ip.ignored()
-					return 0, nil
-				}
-				return 0, ip.deliver(TrapDivByZero, fmt.Errorf("%s overflow", op))
-			}
-			if op == core.OpDiv {
-				return canon(t, uint64(a/b)), nil
-			}
-			return canon(t, uint64(a%b)), nil
-		}
-		a, b := truncTo(t, x), truncTo(t, y)
-		if op == core.OpDiv {
-			return canon(t, a/b), nil
-		}
-		return canon(t, a%b), nil
-	case core.OpAnd:
-		return canon(t, x&y), nil
-	case core.OpOr:
-		return canon(t, x|y), nil
-	case core.OpXor:
-		return canon(t, x^y), nil
-	}
-	return 0, &trap{kind: trapFatal, err: fmt.Errorf("interp: bad binary op %s on %s", op, t)}
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// cmpBits maps (eq, lt) flags through the comparison opcode.
-func cmpBits(op core.Opcode, eq, lt bool) uint64 {
-	var r bool
-	switch op {
-	case core.OpSetEQ:
-		r = eq
-	case core.OpSetNE:
-		r = !eq
-	case core.OpSetLT:
-		r = lt
-	case core.OpSetGE:
-		r = !lt
-	case core.OpSetGT:
-		r = !lt && !eq
-	case core.OpSetLE:
-		r = lt || eq
-	}
-	return uint64(boolToInt(r))
-}
-
-func floatBinary(op core.Opcode, t *core.Type, x, y uint64) uint64 {
-	a, b := math.Float64frombits(x), math.Float64frombits(y)
-	var r float64
-	switch op {
-	case core.OpAdd:
-		r = a + b
-	case core.OpSub:
-		r = a - b
-	case core.OpMul:
-		r = a * b
-	case core.OpDiv:
-		r = a / b
-	case core.OpRem:
-		r = math.Mod(a, b)
-	case core.OpSetEQ:
-		return uint64(boolToInt(a == b))
-	case core.OpSetNE:
-		return uint64(boolToInt(a != b))
-	case core.OpSetLT:
-		return uint64(boolToInt(a < b))
-	case core.OpSetGT:
-		return uint64(boolToInt(a > b))
-	case core.OpSetLE:
-		return uint64(boolToInt(a <= b))
-	case core.OpSetGE:
-		return uint64(boolToInt(a >= b))
-	}
-	return canon(t, math.Float64bits(r))
-}
-
-// castBits implements the cast instruction on canonical words.
-func castBits(from, to *core.Type, v uint64) uint64 {
-	switch {
-	case from == to:
-		return v
-	case from.IsFloat():
-		f := math.Float64frombits(v)
-		switch {
-		case to.IsFloat():
-			return canon(to, v)
-		case to.Kind() == core.BoolKind:
-			return uint64(boolToInt(f != 0))
-		case to.IsInteger():
-			if math.IsNaN(f) {
-				return 0
-			}
-			if to.IsSigned() || f < 0 {
-				return canon(to, uint64(int64(clampF(f))))
-			}
-			return canon(to, uint64(clampFU(f)))
-		}
-		return 0
-	case to.IsFloat():
-		// integer/bool/pointer to float
-		if from.IsSigned() {
-			return canon(to, math.Float64bits(float64(int64(v))))
-		}
-		return canon(to, math.Float64bits(float64(truncTo(from, v))))
-	default:
-		// int/bool/pointer to int/bool/pointer: the canonical form
-		// already carries the source's extension; re-canonicalize at the
-		// destination width.
-		if to.Kind() == core.BoolKind {
-			return uint64(boolToInt(truncTo(from, v) != 0))
-		}
-		return canon(to, v)
-	}
-}
-
-func clampF(f float64) float64 {
-	if f > math.MaxInt64 {
-		return math.MaxInt64
-	}
-	if f < math.MinInt64 {
-		return math.MinInt64
-	}
-	return f
-}
-
-func clampFU(f float64) uint64 {
-	if f >= math.MaxUint64 {
-		return math.MaxUint64
-	}
-	if f < 0 {
-		return 0
-	}
-	return uint64(f)
-}
-
-var _ = mem.NullGuard

@@ -44,36 +44,6 @@ const (
 // gives it a slot.
 const unifiedRegs = 128
 
-// canon extends a raw value to the canonical register image for a width
-// and signedness (identical to the reference interpreter's convention).
-func canonInt(size uint8, signed bool, v uint64) uint64 {
-	switch size {
-	case 1:
-		if signed {
-			return uint64(int64(int8(v)))
-		}
-		return uint64(uint8(v))
-	case 2:
-		if signed {
-			return uint64(int64(int16(v)))
-		}
-		return uint64(uint16(v))
-	case 4:
-		if signed {
-			return uint64(int64(int32(v)))
-		}
-		return uint64(uint32(v))
-	}
-	return v
-}
-
-func canonFloat(size uint8, bits uint64) uint64 {
-	if size == 4 {
-		return math.Float64bits(float64(float32(math.Float64frombits(bits))))
-	}
-	return bits
-}
-
 // Run executes the named function to completion and returns the integer
 // return register value. It is RunContext with a background context:
 // uncancellable, and byte-for-byte the same execution.
@@ -250,7 +220,7 @@ func (mc *Machine) general(u *uop) error {
 			}
 			r[u.rd] = v
 		} else {
-			r[u.rd] = canonInt(u.size(), u.signed(), v)
+			r[u.rd] = u.scalar().Canon(v)
 		}
 	case uStG, uSt8, uSt16, uSt32, uSt64:
 		v := r[u.ra]
@@ -267,13 +237,9 @@ func (mc *Machine) general(u *uop) error {
 		if err != nil {
 			return &TrapError{Num: TrapMemoryFault, PC: mc.pc, Detail: err.Error()}
 		}
-		b := canonInt(u.size(), u.signed(), v)
-		if u.fp() {
-			if u.size() == 4 {
-				b = math.Float64bits(float64(math.Float32frombits(uint32(v))))
-			} else {
-				b = v
-			}
+		b := u.scalar().Canon(v)
+		if u.fp() && u.size() == 4 {
+			b = math.Float64bits(float64(math.Float32frombits(uint32(v))))
 		}
 		return mc.alu(u, r[u.ra], b)
 	case uCvt:
@@ -416,161 +382,63 @@ func cmpFloat(a, b uint64) (flags uint8) {
 	return flags
 }
 
+// aluOps maps each machine ALU op to the LLVA opcode it computes.
+var aluOps = [...]core.Opcode{
+	target.AAdd: core.OpAdd, target.ASub: core.OpSub, target.AMul: core.OpMul,
+	target.ADiv: core.OpDiv, target.ARem: core.OpRem, target.AAnd: core.OpAnd,
+	target.AOr: core.OpOr, target.AXor: core.OpXor, target.AShl: core.OpShl,
+	target.AShr: core.OpShr,
+}
+
+// scalar is the type a sized op computes on.
+func (u *uop) scalar() core.Scalar {
+	return core.Scalar{Bits: 8 * uint16(u.size()), Signed: u.signed(), Float: u.fp()}
+}
+
 // alu executes the ALU forms without an op of their own.
 func (mc *Machine) alu(u *uop, a, b uint64) error {
-	op, size, signed := target.ALUOp(u.k), u.size(), u.signed()
-	rd := &mc.regs[u.rd]
-	if u.fp() {
-		x, y := math.Float64frombits(a), math.Float64frombits(b)
-		var r float64
-		switch op {
-		case target.AAdd:
-			r = x + y
-		case target.ASub:
-			r = x - y
-		case target.AMul:
-			r = x * y
-		case target.ADiv:
-			r = x / y
-		case target.ARem:
-			r = math.Mod(x, y)
-		default:
-			return fmt.Errorf("machine: FP %s", op)
-		}
-		*rd = canonFloat(size, math.Float64bits(r))
-		return nil
+	op := target.ALUOp(u.k)
+	if u.fp() && op > target.ARem {
+		return fmt.Errorf("machine: FP %s", op)
 	}
-
-	var r uint64
-	switch op {
-	case target.AAdd:
-		r = a + b
-	case target.ASub:
-		r = a - b
-	case target.AMul:
-		r = a * b
-	case target.ADiv, target.ARem:
-		if truncBits(size, b) == 0 {
-			if u.noTrap() {
-				*rd = 0
-				return nil
-			}
-			return &TrapError{Num: TrapDivByZero, PC: mc.pc, Detail: op.String() + " by zero"}
-		}
-		if signed {
-			x, y := int64(a), int64(b)
-			if x == math.MinInt64 && y == -1 {
-				if u.noTrap() {
-					*rd = 0
-					return nil
-				}
-				return &TrapError{Num: TrapDivByZero, PC: mc.pc, Detail: "division overflow"}
-			}
-			if op == target.ADiv {
-				r = uint64(x / y)
-			} else {
-				r = uint64(x % y)
-			}
-		} else {
-			x, y := truncBits(size, a), truncBits(size, b)
-			if op == target.ADiv {
-				r = x / y
-			} else {
-				r = x % y
-			}
-		}
-	case target.AAnd:
-		r = a & b
-	case target.AOr:
-		r = a | b
-	case target.AXor:
-		r = a ^ b
-	case target.AShl, target.AShr:
-		bits := uint64(size) * 8
-		s := b & 0xff
-		if s >= bits {
-			*rd = 0
-			if op == target.AShr && signed && int64(a) < 0 {
-				*rd = ^uint64(0)
-			}
-			return nil
-		}
-		if op == target.AShl {
-			r = a << s
-		} else if signed {
-			r = uint64(int64(a) >> s)
-		} else {
-			r = truncBits(size, a) >> s
-		}
+	r, fault := u.scalar().Binary(aluOps[op], a, b)
+	switch {
+	case fault == core.NoFault:
+	case u.noTrap():
+		r = 0
+	case fault == core.DivOverflow:
+		return &TrapError{Num: TrapDivByZero, PC: mc.pc, Detail: "division overflow"}
+	default:
+		return &TrapError{Num: TrapDivByZero, PC: mc.pc, Detail: op.String() + " by zero"}
 	}
-	*rd = canonInt(size, signed, r)
+	mc.regs[u.rd] = r
 	return nil
 }
 
-func truncBits(size uint8, v uint64) uint64 {
-	switch size {
-	case 1:
-		return v & 0xff
-	case 2:
-		return v & 0xffff
-	case 4:
-		return v & 0xffffffff
-	}
-	return v
-}
+// float64Scalar is a float register's word, whatever its width: the
+// canonical form of both is the float64 bits.
+var float64Scalar = core.Scalar{Bits: 64, Float: true}
 
-// cvt executes the conversions without an op of their own.
+// cvt executes the conversions without an op of their own. Size is the
+// destination's; so is Signed, except in an integer-to-float conversion,
+// where it is the source's.
 func (mc *Machine) cvt(u *uop) {
 	v := mc.regs[u.ra]
-	size, signed := u.size(), u.signed()
-	rd := &mc.regs[u.rd]
+	bits, signed := 8*uint16(u.size()), u.signed()
+	var r uint64
 	switch target.CvtOp(u.k) {
 	case target.CvtIntExt:
-		*rd = canonInt(size, signed, v)
+		r = core.Scalar{Bits: bits, Signed: signed}.Canon(v)
 	case target.CvtIntToF:
-		var f float64
-		if signed {
-			f = float64(int64(v))
-		} else {
-			f = float64(v)
-		}
-		*rd = canonFloat(size, math.Float64bits(f))
+		r = core.Scalar{Bits: 64, Signed: signed}.Cast(core.Scalar{Bits: bits, Float: true}, v)
 	case target.CvtFToInt:
-		f := math.Float64frombits(v)
-		var r uint64
-		if math.IsNaN(f) {
-			r = 0
-		} else if signed || f < 0 {
-			r = uint64(int64(clampF(f)))
-		} else {
-			r = clampFU(f)
-		}
-		*rd = canonInt(size, signed, r)
+		r = float64Scalar.Cast(core.Scalar{Bits: bits, Signed: signed}, v)
 	case target.CvtFToF:
-		*rd = canonFloat(size, v)
+		r = core.Scalar{Bits: bits, Float: true}.Canon(v)
 	case target.CvtBits:
-		*rd = v
+		r = v
 	}
-}
-
-func clampF(f float64) float64 {
-	if f > math.MaxInt64 {
-		return math.MaxInt64
-	}
-	if f < math.MinInt64 {
-		return math.MinInt64
-	}
-	return f
-}
-
-func clampFU(f float64) uint64 {
-	if f >= math.MaxUint64 {
-		return math.MaxUint64
-	}
-	if f < 0 {
-		return 0
-	}
-	return uint64(f)
+	mc.regs[u.rd] = r
 }
 
 // binding is how callExt dispatches one entry of the extern table,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"llva/internal/core"
 	"llva/internal/mem"
 	"llva/internal/rt"
 	"llva/internal/target"
@@ -17,8 +18,9 @@ import (
 // byte order, trap mode, absent registers — when it executes it. Nothing
 // here is shared with uop.go or runBlock; what is shared is what neither
 // engine specialises: the call and JIT plumbing (callTo, handleJIT,
-// intrinsic) and the value helpers (canonInt, canonFloat, truncBits,
-// clampF, clampFU).
+// intrinsic) and the scalar semantics of ALU ops and conversions, which
+// both take from core.Scalar (and its literal-valued test,
+// TestScalarPinnedRules, is their oracle).
 //
 // It differs from the engine PR 22 shipped in one place, on purpose: a
 // stack-argument load of an extern call that faults is a TrapError, like
@@ -169,7 +171,7 @@ func (c *refCPU) exec(in *target.MInstr, size int) (bool, error) {
 			}
 			c.setReg(in.Rd, v)
 		} else {
-			c.setReg(in.Rd, canonInt(in.Size, in.Signed, v))
+			c.setReg(in.Rd, refScalar(in).Canon(v))
 		}
 	case target.MStore:
 		addr := c.effAddr(in)
@@ -357,133 +359,48 @@ func (c *refCPU) execALU(in *target.MInstr) error {
 		if err != nil {
 			return &TrapError{Num: TrapMemoryFault, PC: c.pc, Detail: err.Error()}
 		}
-		b = canonInt(in.Size, in.Signed, v)
-		if in.FP {
-			if in.Size == 4 {
-				b = math.Float64bits(float64(math.Float32frombits(uint32(v))))
-			} else {
-				b = v
-			}
+		b = refScalar(in).Canon(v)
+		if in.FP && in.Size == 4 {
+			b = math.Float64bits(float64(math.Float32frombits(uint32(v))))
 		}
 	default:
 		b = c.reg(in.Rs2)
 	}
 
-	if in.FP {
-		x, y := math.Float64frombits(a), math.Float64frombits(b)
-		var r float64
-		switch in.Alu {
-		case target.AAdd:
-			r = x + y
-		case target.ASub:
-			r = x - y
-		case target.AMul:
-			r = x * y
-		case target.ADiv:
-			r = x / y
-		case target.ARem:
-			r = math.Mod(x, y)
-		default:
-			return fmt.Errorf("machine: FP %s", in.Alu)
-		}
-		c.setReg(in.Rd, canonFloat(in.Size, math.Float64bits(r)))
-		return nil
+	if in.FP && in.Alu > target.ARem {
+		return fmt.Errorf("machine: FP %s", in.Alu)
 	}
-
-	size, signed := in.Size, in.Signed
-	var r uint64
-	switch in.Alu {
-	case target.AAdd:
-		r = a + b
-	case target.ASub:
-		r = a - b
-	case target.AMul:
-		r = a * b
-	case target.ADiv, target.ARem:
-		if truncBits(size, b) == 0 {
-			if in.NoTrap {
-				c.setReg(in.Rd, 0)
-				return nil
-			}
-			return &TrapError{Num: TrapDivByZero, PC: c.pc, Detail: in.Alu.String() + " by zero"}
-		}
-		if signed {
-			x, y := int64(a), int64(b)
-			if x == math.MinInt64 && y == -1 {
-				if in.NoTrap {
-					c.setReg(in.Rd, 0)
-					return nil
-				}
-				return &TrapError{Num: TrapDivByZero, PC: c.pc, Detail: "division overflow"}
-			}
-			if in.Alu == target.ADiv {
-				r = uint64(x / y)
-			} else {
-				r = uint64(x % y)
-			}
-		} else {
-			x, y := truncBits(size, a), truncBits(size, b)
-			if in.Alu == target.ADiv {
-				r = x / y
-			} else {
-				r = x % y
-			}
-		}
-	case target.AAnd:
-		r = a & b
-	case target.AOr:
-		r = a | b
-	case target.AXor:
-		r = a ^ b
-	case target.AShl, target.AShr:
-		bits := uint64(size) * 8
-		s := b & 0xff
-		if s >= bits {
-			if in.Alu == target.AShr && signed && int64(a) < 0 {
-				c.setReg(in.Rd, ^uint64(0))
-				return nil
-			}
-			c.setReg(in.Rd, 0)
-			return nil
-		}
-		if in.Alu == target.AShl {
-			r = a << s
-		} else if signed {
-			r = uint64(int64(a) >> s)
-		} else {
-			r = truncBits(size, a) >> s
-		}
+	r, fault := refScalar(in).Binary(aluOps[in.Alu], a, b)
+	switch {
+	case fault == core.NoFault:
+	case in.NoTrap:
+		r = 0
+	case fault == core.DivOverflow:
+		return &TrapError{Num: TrapDivByZero, PC: c.pc, Detail: "division overflow"}
+	default:
+		return &TrapError{Num: TrapDivByZero, PC: c.pc, Detail: in.Alu.String() + " by zero"}
 	}
-	c.setReg(in.Rd, canonInt(size, signed, r))
+	c.setReg(in.Rd, r)
 	return nil
+}
+
+// refScalar is the type an instruction's Size, Signed and FP describe.
+func refScalar(in *target.MInstr) core.Scalar {
+	return core.Scalar{Bits: 8 * uint16(in.Size), Signed: in.Signed, Float: in.FP}
 }
 
 func (c *refCPU) execCvt(in *target.MInstr) {
 	v := c.reg(in.Rs1)
+	bits := 8 * uint16(in.Size)
 	switch in.Cvt {
 	case target.CvtIntExt:
-		c.setReg(in.Rd, canonInt(in.Size, in.Signed, v))
+		c.setReg(in.Rd, core.Scalar{Bits: bits, Signed: in.Signed}.Canon(v))
 	case target.CvtIntToF:
-		var f float64
-		if in.Signed {
-			f = float64(int64(v))
-		} else {
-			f = float64(v)
-		}
-		c.setReg(in.Rd, canonFloat(in.Size, math.Float64bits(f)))
+		c.setReg(in.Rd, core.Scalar{Bits: 64, Signed: in.Signed}.Cast(core.Scalar{Bits: bits, Float: true}, v))
 	case target.CvtFToInt:
-		f := math.Float64frombits(v)
-		var r uint64
-		if math.IsNaN(f) {
-			r = 0
-		} else if in.Signed || f < 0 {
-			r = uint64(int64(clampF(f)))
-		} else {
-			r = clampFU(f)
-		}
-		c.setReg(in.Rd, canonInt(in.Size, in.Signed, r))
+		c.setReg(in.Rd, core.Scalar{Bits: 64, Float: true}.Cast(core.Scalar{Bits: bits, Signed: in.Signed}, v))
 	case target.CvtFToF:
-		c.setReg(in.Rd, canonFloat(in.Size, v))
+		c.setReg(in.Rd, core.Scalar{Bits: bits, Float: true}.Canon(v))
 	case target.CvtBits:
 		c.setReg(in.Rd, v)
 	}

@@ -178,8 +178,8 @@ var condTable = [...]uint8{
 func (u *uop) truth(flags uint8) uint64 { return uint64(u.sc >> flags & 1) }
 func (u *uop) holds(flags uint8) bool   { return u.truth(flags) != 0 }
 
-// identityCanon reports whether canonInt leaves a value of this size as
-// it is.
+// identityCanon reports whether core.Scalar.Canon leaves an integer of
+// this size as it is.
 func identityCanon(size uint8) bool { return size != 1 && size != 2 && size != 4 }
 
 // lower translates the instruction decoded at pc, n bytes long, to its
@@ -347,7 +347,7 @@ func (mc *Machine) lower(in *target.MInstr, pc uint64, n int) uop {
 // instruction, if it has one.
 func fastALU(in *target.MInstr) uopCode {
 	if in.FP {
-		if in.Size != 4 && !in.HasImm { // canonFloat rounds only to 4 bytes
+		if in.Size != 4 && !in.HasImm { // only a 4-byte float result rounds
 			switch in.Alu {
 			case target.AAdd:
 				return uFAdd

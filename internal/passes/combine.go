@@ -186,7 +186,7 @@ func combine(m *core.Module, in *core.Instruction, s *Stats) core.Value {
 		// wide as both (no information destroyed then recreated).
 		if inner, ok := src.(*core.Instruction); ok && inner.Op() == core.OpCast {
 			a := inner.Operand(0).Type()
-			if a == t && widthOf(inner.Type()) >= widthOf(a) && sameClass(a, inner.Type()) {
+			if a == t && core.ScalarOf(inner.Type()).Bits >= core.ScalarOf(a).Bits && sameClass(a, inner.Type()) {
 				s.Add("instcombine.castcast", 1)
 				return inner.Operand(0)
 			}
@@ -218,21 +218,6 @@ func combine(m *core.Module, in *core.Instruction, s *Stats) core.Value {
 		// addressing-mode fusion; keep the IR canonical here.
 	}
 	return nil
-}
-
-func widthOf(t *core.Type) int {
-	switch t.Kind() {
-	case core.BoolKind:
-		return 1
-	case core.UByteKind, core.SByteKind:
-		return 8
-	case core.UShortKind, core.ShortKind:
-		return 16
-	case core.UIntKind, core.IntKind, core.FloatKind:
-		return 32
-	default:
-		return 64
-	}
 }
 
 func sameClass(a, b *core.Type) bool {

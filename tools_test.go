@@ -46,8 +46,9 @@ func runTool(t *testing.T, bin string, args ...string) (string, string) {
 // README shows: minicc -> llva-dis -> llva-as -> llva-opt -> llva-llc ->
 // llva-run (cold, then warm through the storage-API cache; sampled, then
 // idle-time optimized, then tier 2 from the cache; a self-modifying
-// program on the interpreter, cold and warm), checking each artifact
-// flows into the next, and ends with one row of llva-bench's Table 2.
+// program on the interpreter, cold and warm; an out-of-range cast
+// unoptimized and at -O2), checking each artifact flows into the next,
+// and ends with one row of llva-bench's Table 2.
 func TestToolPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -173,7 +174,29 @@ int main() { print_int(fib(20)); print_nl(); return 0; }
 		}
 	}
 
-	// 9. one row of the paper's Table 2, tier 2 included
+	// 9. optimizing never changes what a program prints: an out-of-range
+	// float-to-int cast folds to the value every engine computes
+	castSrc := filepath.Join(work, "cast.llva")
+	if err := os.WriteFile(castSrc, []byte(castProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	castBC, castOpt := filepath.Join(work, "cast.bc"), filepath.Join(work, "cast-O2.bc")
+	runTool(t, bins["llva-as"], "-o", castBC, castSrc)
+	runTool(t, bins["llva-as"], "-o", castOpt, castSrc)
+	runTool(t, bins["llva-opt"], "-O2", castOpt)
+	if dis, _ := runTool(t, bins["llva-dis"], castOpt); strings.Contains(dis, "cast double") {
+		t.Errorf("llva-opt -O2 left the cast unfolded:\n%s", dis)
+	}
+	wantCast := "18446744073709551615\n"
+	for _, bc := range []string{castBC, castOpt} {
+		for _, engine := range [][]string{{"-interp"}, {"-target", "vx86"}, {"-target", "vsparc"}} {
+			if out, _ := runTool(t, bins["llva-run"], append(engine, bc)...); out != wantCast {
+				t.Errorf("%s on %v prints %q, want %q", filepath.Base(bc), engine, out, wantCast)
+			}
+		}
+	}
+
+	// 10. one row of the paper's Table 2, tier 2 included
 	table, err := exec.Command(bins["llva-bench"], "-workload", "ft", "-tier2").Output()
 	if err != nil {
 		t.Fatalf("llva-bench -workload ft -tier2: %v", err)
@@ -220,6 +243,21 @@ cont:
     %more = setlt long %i2, 6
     br bool %more, label %loop, label %done
 done:
+    ret int 0
+}
+`
+
+// castProgram prints an out-of-range float-to-int cast: 1e30 saturates
+// at ulong's maximum, folded or not.
+const castProgram = `
+declare void %print_uint(ulong %v)
+declare void %print_nl()
+
+int %main() {
+entry:
+    %u = cast double 1.0e30 to ulong
+    call void %print_uint(ulong %u)
+    call void %print_nl()
     ret int 0
 }
 `
