@@ -127,7 +127,7 @@ func (o *NativeObject) NumInstrs() int {
 // it, so code another revision emitted, and profiles counted in that
 // code's address space, are cache misses and not stale hits (paper,
 // Section 4.1: validate the cached translation, else translate online).
-const Revision = "5"
+const Revision = "6"
 
 // Metric names published to a shared registry via SetTelemetry.
 const (

@@ -231,14 +231,10 @@ func (s *selector) computeGEP(in *core.Instruction) {
 			if k == 0 {
 				scaled = idx
 			} else {
-				amt := s.newVReg(false)
-				s.synthImm(amt, int64(k))
-				s.emitALU(target.AShl, scaled, idx, amt, 8, true, false)
+				s.emitALUImm(target.AShl, scaled, idx, int64(k))
 			}
 		} else {
-			szr := s.newVReg(false)
-			s.synthImm(szr, size)
-			s.emitALU(target.AMul, scaled, idx, szr, 8, true, false)
+			s.emitALUImm(target.AMul, scaled, idx, size)
 		}
 		nr := s.newVReg(false)
 		s.emitALU(target.AAdd, nr, cur, scaled, 8, false, false)
@@ -249,12 +245,35 @@ func (s *selector) computeGEP(in *core.Instruction) {
 	}
 }
 
+// emitALUImm emits rd = rs1 <alu> imm on 64-bit signed words, with imm
+// as the instruction's immediate where the target encodes it (vx86) and
+// synthesized into a register where not (vsparc).
+func (s *selector) emitALUImm(alu target.ALUOp, rd, rs1 target.Reg, imm int64) {
+	if s.desc.MaxImm != 0 && imm >= -s.desc.MaxImm-1 && imm <= s.desc.MaxImm {
+		s.emit(target.MInstr{Op: target.MALU, Alu: alu, Rd: rd, Rs1: rs1,
+			HasImm: true, Imm: imm, Size: 8, Signed: true})
+		return
+	}
+	r := s.newVReg(false)
+	s.synthImm(r, imm)
+	s.emitALU(alu, rd, rs1, r, 8, true, false)
+}
+
 func (s *selector) selLoad(in *core.Instruction) {
 	t := in.Type()
 	m := s.addr(in.Operand(0))
-	s.emit(target.MInstr{Op: target.MLoad, Rd: s.reg(in), Base: m.base,
+	isBool := t.Kind() == core.BoolKind
+	rd := s.reg(in)
+	if isBool {
+		rd = s.newVReg(false)
+	}
+	s.emit(target.MInstr{Op: target.MLoad, Rd: rd, Base: m.base,
 		Index: m.index, Scale: m.scale, Disp: m.disp, Sym: m.sym, Size: s.sizeOf(t),
 		Signed: t.IsSigned(), FP: isFPType(t), NoTrap: !in.ExceptionsEnabled})
+	if isBool {
+		// A bool is its byte's low bit (core.ScalarOf(bool).Canon).
+		s.emitALUImm(target.AAnd, s.reg(in), rd, 1)
+	}
 }
 
 func (s *selector) selStore(in *core.Instruction) {

@@ -13,6 +13,7 @@ import (
 	"llva/internal/mem"
 	"llva/internal/minic"
 	"llva/internal/passes"
+	"llva/internal/prof"
 	"llva/internal/rt"
 	"llva/internal/target"
 )
@@ -422,6 +423,79 @@ int main() {
 					t.Errorf("malloc(%d) %s %s: err = %v, out = %q; want the interpreter's %q after %q",
 						n, label, d.Name, err, mout.String(), ref.Detail, out.String())
 				}
+			}
+		}
+	}
+}
+
+// loadedBoolLLVA stores the byte 2, reads it back as a bool and prints
+// the bool as a long, then 200 on the branch's false edge (100 on its
+// true one).
+const loadedBoolLLVA = `
+declare void %print_int(long %v)
+declare void %print_nl()
+
+int %main() {
+entry:
+    %p = alloca ubyte
+    store ubyte 2, ubyte* %p
+    %q = cast ubyte* %p to bool*
+    %b = load bool* %q
+    %w = cast bool %b to long
+    call void %print_int(long %w)
+    call void %print_nl()
+    br bool %b, label %yes, label %no
+yes:
+    call void %print_int(long 100)
+    call void %print_nl()
+    ret int 0
+no:
+    call void %print_int(long 200)
+    call void %print_nl()
+    ret int 0
+}
+`
+
+// TestLoadedBoolIsLowBit holds every engine to the interpreter's reading
+// of a bool in memory: its byte's low bit. The byte 2 is false on the
+// interpreter and on both targets at tier 1 and at tier 2.
+func TestLoadedBoolIsLowBit(t *testing.T) {
+	m := mustParseAsm(t, loadedBoolLLVA)
+	const want = "0\n200\n"
+	if _, out := runInterp(t, m); out != want {
+		t.Fatalf("interpreter prints %q, want %q", out, want)
+	}
+	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+		tr, err := codegen.New(d, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := tr.TranslateModule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := prof.NewProfiler(10)
+		for tier := 1; tier <= 2; tier++ {
+			var out strings.Builder
+			mc, err := New(d, m, rt.NewEnv(mem.New(0, true), &out))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mc.LoadObject(obj); err != nil {
+				t.Fatal(err)
+			}
+			if tier == 1 {
+				mc.SetProfiler(p)
+			}
+			if _, err := mc.Run("main"); err != nil {
+				t.Fatalf("%s tier %d: %v", d.Name, tier, err)
+			}
+			if out.String() != want {
+				t.Errorf("%s tier %d prints %q, want %q", d.Name, tier, out.String(), want)
+			}
+			// Tier 2 lowers main from the profile of the tier-1 run.
+			if obj, err = tr.WithTier2(p.Artifact(m.Name, d.Name)).TranslateModule(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

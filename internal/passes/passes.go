@@ -85,7 +85,6 @@ func O2() *Pipeline {
 		{"simplifycfg", SimplifyCFG},
 		{"constprop", ConstProp},
 		{"cse", CSE},
-		{"loadelim", LoadElim},
 		{"licm", LICM},
 		{"dce", DCE},
 		{"simplifycfg", SimplifyCFG},
@@ -115,7 +114,6 @@ func ByName(name string) (Pass, bool) {
 		{"simplifycfg", SimplifyCFG},
 		{"constprop", ConstProp},
 		{"cse", CSE},
-		{"loadelim", LoadElim},
 		{"licm", LICM},
 		{"dce", DCE},
 		{"adce", ADCE},

@@ -294,7 +294,7 @@ entry:
 	}
 	s := NewStats()
 	CSE(m, s)
-	LoadElim(m, s)
+	LICM(m, s)
 	if err := core.Verify(m); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package passes
 
 import (
 	"encoding/binary"
-	"slices"
 
 	"llva/internal/analysis"
 	"llva/internal/core"
@@ -329,75 +328,4 @@ func makeCSEKey(in *core.Instruction, nums *operandNumbers) cseKey {
 	}
 	key.rest = string(rest)
 	return key
-}
-
-// LoadElim forwards stored values to subsequent loads within a basic
-// block when the alias analysis proves the addresses equal and no
-// intervening instruction may write the location — redundant-load
-// elimination enabled by the typed representation.
-func LoadElim(m *core.Module, s *Stats) bool {
-	var buf []*core.Instruction
-	var avail available
-	return forEachDefined(m, func(f *core.Function) bool {
-		changed := false
-		for _, bb := range f.Blocks {
-			avail = avail[:0]
-			buf = append(buf[:0], bb.Instructions()...)
-			for _, in := range buf {
-				switch in.Op() {
-				case core.OpStore:
-					// invalidate may-aliasing entries
-					ptr := in.Operand(1)
-					avail = slices.DeleteFunc(avail, func(e availEntry) bool {
-						return analysis.Alias(e.addr, ptr) != analysis.NoAlias
-					})
-					avail.set(ptr, in.Operand(0))
-				case core.OpLoad:
-					addr := in.Operand(0)
-					if v := avail.get(addr); v != nil && v.Type() == in.Type() {
-						core.ReplaceAllUsesWith(in, v)
-						in.EraseFromParent()
-						s.Add("loadelim.forwarded", 1)
-						changed = true
-						continue
-					}
-					avail.set(addr, in)
-				case core.OpCall, core.OpInvoke:
-					// calls may write anything except provably local,
-					// non-escaping allocas
-					avail = slices.DeleteFunc(avail, func(e availEntry) bool {
-						base, isLocal := analysis.Base(e.addr)
-						return !isLocal || analysis.Escapes(base)
-					})
-				}
-			}
-		}
-		return changed
-	})
-}
-
-// available is what LoadElim knows of memory within one block: the
-// value last stored to or loaded from each address, one entry per
-// address. A block's addresses are few, so a list serves.
-type available []availEntry
-
-type availEntry struct{ addr, val core.Value }
-
-func (a available) get(addr core.Value) core.Value {
-	for _, e := range a {
-		if e.addr == addr {
-			return e.val
-		}
-	}
-	return nil
-}
-
-func (a *available) set(addr, val core.Value) {
-	for i := range *a {
-		if (*a)[i].addr == addr {
-			(*a)[i].val = val
-			return
-		}
-	}
-	*a = append(*a, availEntry{addr, val})
 }

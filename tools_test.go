@@ -196,7 +196,29 @@ int main() { print_int(fib(20)); print_nl(); return 0; }
 		}
 	}
 
-	// 10. one row of the paper's Table 2, tier 2 included
+	// 10. a !noexc load stays in a loop that stores to its address: ten
+	// trips of g = g + 1 print 10 with or without the optimizer
+	loopSrc := filepath.Join(work, "noexc.llva")
+	if err := os.WriteFile(loopSrc, []byte(noexcLoopProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loopBC := filepath.Join(work, "noexc.bc")
+	runTool(t, bins["llva-as"], "-o", loopBC, loopSrc)
+	loopBCs := []string{loopBC}
+	for _, opt := range [][]string{{"-passes", "licm"}, {"-O2"}} {
+		out := filepath.Join(work, "noexc"+opt[len(opt)-1]+".bc")
+		runTool(t, bins["llva-opt"], append(opt, "-o", out, loopBC)...)
+		loopBCs = append(loopBCs, out)
+	}
+	for _, bc := range loopBCs {
+		for _, engine := range [][]string{{"-interp"}, {"-target", "vx86"}, {"-target", "vsparc"}} {
+			if out, _ := runTool(t, bins["llva-run"], append(engine, bc)...); out != "10\n" {
+				t.Errorf("%s on %v prints %q, want \"10\\n\"", filepath.Base(bc), engine, out)
+			}
+		}
+	}
+
+	// 11. one row of the paper's Table 2, tier 2 included
 	table, err := exec.Command(bins["llva-bench"], "-workload", "ft", "-tier2").Output()
 	if err != nil {
 		t.Fatalf("llva-bench -workload ft -tier2: %v", err)
@@ -357,3 +379,30 @@ int main() { return (int)poke((long*)0); }
 		}
 	}
 }
+
+// noexcLoopProgram adds 1 to %g ten times through a !noexc load: the
+// load reads what the previous trip stored, so it may not leave the loop.
+const noexcLoopProgram = `
+declare void %print_int(long %v)
+declare void %print_nl()
+
+%g = global long 0
+
+int %main() {
+entry:
+    br label %loop
+loop:
+    %i = phi long [ 0, %entry ], [ %i1, %loop ]
+    %v = load long* %g !noexc
+    %v1 = add long %v, 1
+    store long %v1, long* %g
+    %i1 = add long %i, 1
+    %more = setlt long %i1, 10
+    br bool %more, label %loop, label %done
+done:
+    %r = load long* %g
+    call void %print_int(long %r)
+    call void %print_nl()
+    ret int 0
+}
+`
