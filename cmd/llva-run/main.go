@@ -7,7 +7,7 @@
 //
 //	[-interp] [-stats] [-translate-only] [-idle-optimize]
 //	[-timeout D] [-gas N]
-//	[-metrics-addr HOST:PORT] [-trace-log FILE] [-trace-out FILE]
+//	[-metrics-addr HOST:PORT] [-trace-out FILE]
 //	[-prof] [-prof-rate N] [-prof-out FILE] [-prof-store] [-tier2]
 //	[-tenant ID] [-flight-events N] prog.bc
 package main
@@ -54,12 +54,12 @@ func fatal(err error) {
 // serveMetrics exposes the registry (and the process's expvar/pprof
 // debug surface) on addr. It listens synchronously so a bad address
 // fails loudly, then serves in the background for the program's life.
-// The guest observability surface rides along: the live span trace at
+// The guest observability surface rides along: the live event trace at
 // /debug/llva/trace (Chrome trace_event JSON, Perfetto-loadable) and,
 // when sampling is on, the folded guest stacks at /debug/llva/prof.
-func serveMetrics(reg *telemetry.Registry, tracer *prof.Tracer, prober *prof.Profiler, addr string) {
+func serveMetrics(reg *telemetry.Registry, prober *prof.Profiler, addr string) {
 	mux := http.NewServeMux()
-	debughttp.Register(mux, reg, tracer)
+	debughttp.Register(mux, reg)
 	mux.HandleFunc("/debug/llva/prof", func(w http.ResponseWriter, r *http.Request) {
 		if prober == nil {
 			http.Error(w, "guest profiler not enabled (run with -prof)", http.StatusNotFound)
@@ -84,9 +84,8 @@ func main() {
 	stats := flag.Bool("stats", false, "print execution statistics to stderr")
 	offline := flag.Bool("translate-only", false, "offline-translate into the cache, do not execute")
 	idleOpt := flag.Bool("idle-optimize", false, "idle-time PGO: complete the module's cache entry, with every function the stored guest profile (-prof-store) counted entries of, if there is one, translated at tier 2 and tagged with its stamp, so a later start translates nothing; does not execute (needs -cache)")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics, /metrics/events, /debug/llva/trace, /debug/llva/prof, /debug/vars, /debug/pprof)")
-	traceLog := flag.String("trace-log", "", "write the structured event log as JSON lines to FILE at exit")
-	traceOut := flag.String("trace-out", "", "write the session span trace as Chrome trace_event JSON (Perfetto-loadable) to FILE at exit")
+	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics, /debug/llva/trace, /debug/llva/prof, /debug/vars, /debug/pprof)")
+	traceOut := flag.String("trace-out", "", "write the telemetry event ring (cache, translation and session events and spans) as Chrome trace_event JSON (Perfetto-loadable) to FILE at exit")
 	profOn := flag.Bool("prof", false, "profile the guest: count every block entry, and sample the virtual call stack every -prof-rate retired instructions")
 	profRate := flag.Int("prof-rate", prof.DefaultRate, "guest sampling period in retired virtual instructions: shapes -prof-out and /debug/llva/prof only, since the stored profile is the exact block entries")
 	profOut := flag.String("prof-out", "", "write the sampled guest call stacks as folded stacks to FILE at exit (implies -prof)")
@@ -110,9 +109,8 @@ func main() {
 	if *profOn {
 		prober = prof.NewProfiler(*profRate)
 	}
-	tracer := prof.NewTracer()
 	if *metricsAddr != "" {
-		serveMetrics(reg, tracer, prober, *metricsAddr)
+		serveMetrics(reg, prober, *metricsAddr)
 	}
 	if *traceOut != "" {
 		path := *traceOut
@@ -123,7 +121,7 @@ func main() {
 				return
 			}
 			defer f.Close()
-			if err := tracer.WriteChromeJSON(f); err != nil {
+			if err := reg.Events().WriteChromeJSON(f); err != nil {
 				fmt.Fprintln(os.Stderr, "llva-run: trace-out:", err)
 			}
 		})
@@ -139,20 +137,6 @@ func main() {
 			defer f.Close()
 			if err := prober.WriteFolded(f); err != nil {
 				fmt.Fprintln(os.Stderr, "llva-run: prof-out:", err)
-			}
-		})
-	}
-	if *traceLog != "" {
-		path := *traceLog
-		exitHooks = append(exitHooks, func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "llva-run: trace-log:", err)
-				return
-			}
-			defer f.Close()
-			if err := reg.WriteEventsJSONL(f); err != nil {
-				fmt.Fprintln(os.Stderr, "llva-run: trace-log:", err)
 			}
 		})
 	}
@@ -195,7 +179,6 @@ func main() {
 
 	sysOpts := []llee.SystemOption{
 		llee.WithTelemetry(reg),
-		llee.WithTracer(tracer),
 		llee.WithTier2(*tier2),
 	}
 	sessOpts := []llee.SessionOption{

@@ -15,7 +15,7 @@
 //
 // The service API lives under /api/v1 (load, run); the same mux
 // carries the llva-run observability surface: /metrics,
-// /metrics/events, /debug/llva/trace, /debug/vars and /debug/pprof.
+// /debug/llva/trace, /debug/vars and /debug/pprof.
 // SIGINT/SIGTERM drains gracefully: admission returns 503 draining,
 // admitted runs finish (up to -drain-timeout, then they are canceled),
 // then the cache is flushed and the process exits.
@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"llva/internal/llee"
-	"llva/internal/prof"
 	"llva/internal/prof/debughttp"
 	"llva/internal/serve"
 	"llva/internal/target"
@@ -83,10 +82,8 @@ func main() {
 	}
 
 	reg := telemetry.New()
-	tracer := prof.NewTracer()
 	sysOpts := []llee.SystemOption{
 		llee.WithTelemetry(reg),
-		llee.WithTracer(tracer),
 		llee.WithTier2(*tier2),
 	}
 	if *cacheDir != "" {
@@ -122,7 +119,7 @@ func main() {
 	// surface llva-run exposes under -metrics-addr.
 	mux := http.NewServeMux()
 	srv.Register(mux)
-	debughttp.Register(mux, reg, tracer)
+	debughttp.Register(mux, reg)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

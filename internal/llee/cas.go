@@ -252,7 +252,7 @@ func (s *CASStorage) evictLocked(idx map[string]casEntry, justWritten string) {
 		s.gcObject(idx, hash)
 		s.count(MetricCASEvictions)
 		if s.tele != nil {
-			s.tele.Events().Emit(telemetry.EvCacheEvicted, victim, 0)
+			s.tele.Events().Emit(telemetry.Event{Kind: telemetry.EvCacheEvicted, Name: victim})
 		}
 	}
 }

@@ -43,7 +43,7 @@ func (ms *moduleState) storeGuestProfile(p *prof.Profiler) error {
 		return err
 	}
 	ms.sys.tele.Counter(MetricProfileStores).Inc()
-	ms.sys.tele.Events().Emit(telemetry.EvProfileStored, key, int64(len(data)))
+	ms.sys.tele.Events().Emit(telemetry.Event{Kind: telemetry.EvProfileStored, Name: key, Value: int64(len(data))})
 	return nil
 }
 
@@ -65,7 +65,7 @@ func (ms *moduleState) loadGuestProfile() (*prof.Artifact, bool, error) {
 		return nil, false, fmt.Errorf("llee: guest profile: %w", err)
 	}
 	ms.sys.tele.Counter(MetricProfileLoads).Inc()
-	ms.sys.tele.Events().Emit(telemetry.EvProfileLoaded, key, int64(len(a.Blocks)))
+	ms.sys.tele.Events().Emit(telemetry.Event{Kind: telemetry.EvProfileLoaded, Name: key, Value: int64(len(a.Blocks))})
 	return a, true, nil
 }
 
@@ -78,7 +78,7 @@ func (ms *moduleState) guestProfile() (*prof.Artifact, bool) {
 	if err != nil {
 		key := ms.key("guestprof")
 		ms.sys.tele.Counter(MetricCacheCorrupt).Inc()
-		ms.sys.tele.Events().Emit(telemetry.EvCacheCorrupt, key, 0)
+		ms.sys.tele.Events().Emit(telemetry.Event{Kind: telemetry.EvCacheCorrupt, Name: key})
 		ms.evictCache(key)
 	}
 	return a, ok

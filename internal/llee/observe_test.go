@@ -30,17 +30,16 @@ int main() {
 }
 `
 
-// TestSessionSpanTracing: 8 concurrent sessions under one tracer must
-// produce a valid Chrome trace_event document with every session's
-// lifecycle spans on its own pid lane, carrying the session (and
-// tenant) correlation args.
+// TestSessionSpanTracing: 8 concurrent sessions of one System must leave
+// spans in its telemetry ring that render as a valid Chrome trace_event
+// document with every session's lifecycle spans on its own pid lane,
+// carrying the session (and tenant) correlation args.
 func TestSessionSpanTracing(t *testing.T) {
 	m, err := minic.Compile("chain.c", chainProg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := prof.NewTracer()
-	sys := NewSystem(WithTracer(tracer))
+	sys := NewSystem()
 	defer sys.Close()
 	const sessions = 8
 	var wg sync.WaitGroup
@@ -65,7 +64,7 @@ func TestSessionSpanTracing(t *testing.T) {
 	wg.Wait()
 
 	var b bytes.Buffer
-	if err := tracer.WriteChromeJSON(&b); err != nil {
+	if err := sys.Telemetry().Events().WriteChromeJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -83,8 +82,11 @@ func TestSessionSpanTracing(t *testing.T) {
 	runSpans := map[int]bool{}  // pid -> saw run:main complete span
 	newSpans := map[int]bool{}  // pid -> saw session.new
 	procNames := map[int]bool{} // pid -> named lane
-	sawLoad := false
+	sawLoad, spans := false, 0
 	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" {
+			spans++
+		}
 		switch {
 		case e.Ph == "X" && e.Name == "run:main":
 			runSpans[e.PID] = true
@@ -113,8 +115,8 @@ func TestSessionSpanTracing(t *testing.T) {
 			t.Errorf("session %d lane is unnamed", id)
 		}
 	}
-	if tracer.Spans() < sessions*2 {
-		t.Errorf("Spans() = %d, want >= %d", tracer.Spans(), sessions*2)
+	if spans < sessions*2 {
+		t.Errorf("%d spans, want >= %d", spans, sessions*2)
 	}
 }
 

@@ -32,9 +32,9 @@ type Session struct {
 	env *rt.Env
 	mc  *machine.Machine
 
-	// id is the session's process-unique ID — the "pid" lane of the
-	// span trace; tenant is the owning tenant's label, carried on
-	// every span; profiler is the attached guest profiler (nil: off).
+	// id is the session's process-unique ID — the lane of its events in
+	// the telemetry ring; tenant is the owning tenant's label, carried
+	// on every span; profiler is the attached guest profiler (nil: off).
 	id       uint64
 	tenant   string
 	profiler *prof.Profiler
@@ -81,18 +81,7 @@ func (sys *System) NewSession(m *core.Module, d *target.Desc, out io.Writer, opt
 		o(&cfg)
 	}
 	id := sys.sessionSeq.Add(1)
-	if sys.tracer != nil {
-		// Span labels and args are built only when a tracer is attached;
-		// the default (untraced) session pays no formatting allocations.
-		label := fmt.Sprintf("session %d", id)
-		if cfg.tenant != "" {
-			label += " (" + cfg.tenant + ")"
-		}
-		sys.tracer.NameProcess(int(id), label)
-		endNew := sys.tracer.Begin(int(id), 0, "llee", "session.new",
-			map[string]any{"session": id, "tenant": cfg.tenant, "module": m.Name})
-		defer endNew()
-	}
+	defer sys.span(telemetry.Event{Kind: telemetry.EvSessionNew, Session: id, Tenant: cfg.tenant}, time.Now())
 	ms, err := sys.state(m, d)
 	if err != nil {
 		return nil, err
@@ -206,10 +195,9 @@ func (s *Session) Run(ctx context.Context, entry string, args ...uint64) (Result
 		return Result{}, fmt.Errorf("%w: no entry function %%%s", ErrBadModule, entry)
 	}
 	instrs0, cycles0 := s.mc.Stats.Instrs, s.mc.Stats.Cycles
-	endRun := s.sys.tracer.Begin(int(s.id), 0, "guest", "run:"+entry, s.spanArgs())
 	start := time.Now()
 	v, err := s.mc.RunContext(ctx, entry, args...)
-	endRun()
+	s.span(telemetry.EvRun, entry, start)
 	res := Result{
 		Value:  v,
 		Instrs: s.mc.Stats.Instrs - instrs0,
@@ -218,32 +206,24 @@ func (s *Session) Run(ctx context.Context, entry string, args ...uint64) (Result
 	}
 	err = mapRunError(err)
 	if errors.Is(err, ErrCanceled) {
-		s.sys.tracer.Instant(int(s.id), 0, "guest", "cancel:"+entry, s.spanArgs())
+		s.sys.tele.Events().Emit(telemetry.Event{Kind: telemetry.EvCancel, Name: entry, Session: s.id, Tenant: s.tenant})
 	}
 	// The run is charged to its tenant however it ended: canceled,
 	// trapped, and out-of-gas runs consumed real simulated time.
 	s.sys.accountRun(s.tenant, res.Cycles)
-	endWB := s.sys.tracer.Begin(int(s.id), 0, "llee", "cache.writeback", s.spanArgs())
+	start = time.Now()
 	werr := s.ms.writeBack()
-	endWB()
+	s.span(telemetry.EvWriteBack, "", start)
 	if werr != nil && err == nil {
 		err = werr
 	}
 	return res, err
 }
 
-// spanArgs is the correlation payload every session span carries (nil
-// when tracing is off — spans are no-ops then, so the map would only be
-// per-run allocation noise).
-func (s *Session) spanArgs() map[string]any {
-	if s.sys.tracer == nil {
-		return nil
-	}
-	a := map[string]any{"session": s.id}
-	if s.tenant != "" {
-		a["tenant"] = s.tenant
-	}
-	return a
+// span emits a span of kind named name on the session's lane that began
+// at start and ends now.
+func (s *Session) span(kind telemetry.EventKind, name string, start time.Time) {
+	s.sys.span(telemetry.Event{Kind: kind, Name: name, Session: s.id, Tenant: s.tenant}, start)
 }
 
 // mapRunError lifts machine-level failures into the session taxonomy.
@@ -320,10 +300,6 @@ func (s *Session) onJIT(name string) (uint64, error) {
 	if f == nil || f.IsDeclaration() {
 		return 0, fmt.Errorf("%w: no body for %%%s", ErrBadModule, body)
 	}
-	tele := s.sys.tele
-	tele.Events().Emit(telemetry.EvJITRequest, name, 0)
-	tele.Events().Emit(telemetry.EvTranslateStart, body, 0)
-	endTr := s.sys.tracer.Begin(int(s.id), 0, "llee", "translate:"+name, s.spanArgs())
 	start := time.Now()
 	var nf *codegen.NativeFunc
 	var err error
@@ -336,7 +312,7 @@ func (s *Session) onJIT(name string) (uint64, error) {
 		// another body, and must stay private to this session.
 		nf, err = s.ms.tr.TranslateFunction(f)
 	}
-	endTr()
+	s.span(telemetry.EvJITRequest, name, start)
 	if err != nil {
 		return 0, err
 	}
@@ -345,9 +321,8 @@ func (s *Session) onJIT(name string) (uint64, error) {
 	// the whole translation (or the wait for it) otherwise.
 	// The translation counter moves only for the demand that performed
 	// the work, so N sessions of one module count each function once.
-	ns := time.Since(start).Nanoseconds()
-	tele.Histogram(MetricTranslateNS).Observe(ns)
-	tele.Events().Emit(telemetry.EvTranslateEnd, name, ns)
+	tele := s.sys.tele
+	tele.Histogram(MetricTranslateNS).Observe(time.Since(start).Nanoseconds())
 	if performed {
 		tele.Counter(MetricTranslations).Inc()
 	}
@@ -357,9 +332,9 @@ func (s *Session) onJIT(name string) (uint64, error) {
 		// are immutable once published.
 		nf.Name = name
 	}
-	endIn := s.sys.tracer.Begin(int(s.id), 0, "llee", "install:"+name, s.spanArgs())
+	start = time.Now()
 	addr, err := s.mc.InstallCode(nf)
-	endIn()
+	s.span(telemetry.EvInstall, name, start)
 	return addr, err
 }
 
@@ -385,7 +360,7 @@ func (s *Session) onIntrinsic(name string, args []uint64) (uint64, error) {
 		}
 		s.redirect[tgt] = src
 		s.sys.tele.Counter(MetricInvalidations).Inc()
-		s.sys.tele.Events().Emit(telemetry.EvInvalidate, tgt, 0)
+		s.sys.tele.Events().Emit(telemetry.Event{Kind: telemetry.EvInvalidate, Name: tgt, Session: s.id, Tenant: s.tenant})
 		// Mark this session's generated code invalid; regenerated on the
 		// next invocation (paper, Section 3.4). The shared cache keeps
 		// the original body's translation: it is still the correct

@@ -26,11 +26,10 @@ import (
 type System struct {
 	storage Storage // nil: no OS storage API registered
 	tele    *telemetry.Registry
-	tracer  *prof.Tracer // nil: span tracing off (all hooks no-op)
 	tier2   bool
 
-	// sessionSeq hands out session IDs — the "pid" lane of the span
-	// trace, and the correlation key across run/translate spans.
+	// sessionSeq hands out session IDs — the lane of a session's events
+	// in the telemetry ring (0 is the system's own).
 	sessionSeq atomic.Uint64
 
 	// tenants accumulates per-tenant usage (tenant.go): every Run of a
@@ -49,7 +48,7 @@ type System struct {
 // old shared-config design silently accepting and ignoring it:
 //
 //	SystemOption   process-wide policy, fixed at NewSystem — storage,
-//	               telemetry registry, tracer, tier-2
+//	               telemetry registry, tier-2
 //	SessionOption  per-run state, fixed at System.NewSession — memory
 //	               size, gas budget, tenant label, profiler, flight
 //	               recorder
@@ -64,7 +63,6 @@ type SessionOption func(*sessionConfig)
 type systemConfig struct {
 	storage Storage
 	tele    *telemetry.Registry
-	tracer  *prof.Tracer
 	tier2   bool
 }
 
@@ -118,12 +116,6 @@ func WithTelemetry(reg *telemetry.Registry) SystemOption {
 // hot functions only.
 func WithTier2(on bool) SystemOption { return func(c *systemConfig) { c.tier2 = on } }
 
-// WithTracer attaches a span tracer to the system: the session
-// lifecycle (load, translate, install, run, cancel, write-back) records
-// begin/end spans carrying session and tenant IDs, exportable as Chrome
-// trace_event JSON (Perfetto).
-func WithTracer(t *prof.Tracer) SystemOption { return func(c *systemConfig) { c.tracer = t } }
-
 // WithProfiler attaches a guest profiler to a session's machine, which
 // counts block entries (the profile StoreGuestProfile persists) and
 // samples call stacks (for WriteFolded and WriteReport). One profiler may
@@ -169,20 +161,14 @@ func NewSystem(opts ...SystemOption) *System {
 	sys := &System{
 		storage: cfg.storage,
 		tele:    cfg.tele,
-		tracer:  cfg.tracer,
 		tier2:   cfg.tier2,
 		mods:    make(map[string]*moduleState),
 	}
 	if sys.tele == nil {
 		sys.tele = telemetry.New()
 	}
-	sys.tracer.NameProcess(0, "llee system")
 	return sys
 }
-
-// Tracer returns the attached span tracer (nil when tracing is off;
-// prof.Tracer methods are nil-safe, so the result is always usable).
-func (sys *System) Tracer() *prof.Tracer { return sys.tracer }
 
 // Telemetry returns the system's metric registry (shared by all of its
 // sessions and their machines).
@@ -231,7 +217,6 @@ func (ms *moduleState) translateAhead(p *tier2Plan, missing bool) error {
 	}
 	ms.mu.Unlock()
 	if len(gaps) > 0 {
-		ms.sys.tele.Events().Emit(telemetry.EvTranslateStart, ms.module.Name, int64(len(gaps)))
 		start := time.Now()
 		n := 0
 		var err error
@@ -244,7 +229,7 @@ func (ms *moduleState) translateAhead(p *tier2Plan, missing bool) error {
 				n++
 			}
 		}
-		ms.sys.recordTranslate(ms.module.Name, time.Since(start).Nanoseconds(), n)
+		ms.sys.recordTranslate(ms.module.Name, start, n)
 		if err != nil {
 			return err
 		}
@@ -367,9 +352,7 @@ func (p *tier2Plan) record(nf *codegen.NativeFunc) cachedFunc {
 // compiled but identical modules share one state; the first caller's
 // module object becomes the canonical copy every session executes.
 func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
-	endLoad := sys.tracer.Begin(0, 0, "llee", "module.load",
-		map[string]any{"module": m.Name, "target": d.Name})
-	defer endLoad()
+	defer sys.span(telemetry.Event{Kind: telemetry.EvModuleLoad}, time.Now())
 	enc, err := obj.Encode(m)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadModule, err)
@@ -403,7 +386,7 @@ func (sys *System) state(m *core.Module, d *target.Desc) (*moduleState, error) {
 			ms.hit = true
 		} else {
 			sys.tele.Counter(MetricCacheMisses).Inc()
-			sys.tele.Events().Emit(telemetry.EvCacheMiss, ms.key("native"), 0)
+			sys.tele.Events().Emit(telemetry.Event{Kind: telemetry.EvCacheMiss, Name: ms.key("native")})
 		}
 		// A persisted guest profile (Section 4.2) is read, and a stale or
 		// corrupt one evicted, on every start; it arms tier 2 when that is
@@ -476,11 +459,11 @@ type cachedObject struct {
 func (ms *moduleState) evictCache(key string) {
 	tele := ms.sys.tele
 	if err := ms.sys.storage.Delete(key); err != nil {
-		tele.Events().Emit(telemetry.EvCacheEvicted, key+": "+err.Error(), -1)
+		tele.Events().Emit(telemetry.Event{Kind: telemetry.EvCacheEvicted, Name: key + ": " + err.Error(), Value: -1})
 		return
 	}
 	tele.Counter(MetricCacheEvictions).Inc()
-	tele.Events().Emit(telemetry.EvCacheEvicted, key, 0)
+	tele.Events().Emit(telemetry.Event{Kind: telemetry.EvCacheEvicted, Name: key})
 }
 
 // readStamped is the one read of a persisted artifact: the bytes stored
@@ -495,7 +478,7 @@ func (ms *moduleState) readStamped(key string) ([]byte, bool) {
 	data, got, ok, err := ms.sys.storage.Read(key)
 	if err != nil {
 		tele.Counter(MetricCacheReadErrors).Inc()
-		tele.Events().Emit(telemetry.EvCacheMiss, key+": "+err.Error(), -1)
+		tele.Events().Emit(telemetry.Event{Kind: telemetry.EvCacheMiss, Name: key + ": " + err.Error(), Value: -1})
 		return nil, false
 	}
 	if !ok {
@@ -503,7 +486,7 @@ func (ms *moduleState) readStamped(key string) ([]byte, bool) {
 	}
 	if got != ms.stamp {
 		tele.Counter(MetricStampMismatches).Inc()
-		tele.Events().Emit(telemetry.EvStampMismatch, key, 0)
+		tele.Events().Emit(telemetry.Event{Kind: telemetry.EvStampMismatch, Name: key})
 		ms.evictCache(key)
 		return nil, false
 	}
@@ -527,12 +510,12 @@ func (ms *moduleState) readObject() map[string]entry {
 	co, err := decodeCachedObject(data)
 	if err != nil || co.TargetName != ms.desc.Name {
 		tele.Counter(MetricCacheCorrupt).Inc()
-		tele.Events().Emit(telemetry.EvCacheCorrupt, key, 0)
+		tele.Events().Emit(telemetry.Event{Kind: telemetry.EvCacheCorrupt, Name: key})
 		ms.evictCache(key)
 		return nil
 	}
 	tele.Counter(MetricCacheHits).Inc()
-	tele.Events().Emit(telemetry.EvCacheHit, key, 0)
+	tele.Events().Emit(telemetry.Event{Kind: telemetry.EvCacheHit, Name: key})
 	held := make(map[string]entry, len(co.Funcs))
 records:
 	for _, cf := range co.Funcs {
@@ -541,7 +524,7 @@ records:
 		for _, r := range cf.Relocs {
 			if r.Kind != target.RelocExt && ms.module.Function(r.Sym) == nil && ms.module.Global(r.Sym) == nil {
 				tele.Counter(MetricCacheCorrupt).Inc()
-				tele.Events().Emit(telemetry.EvCacheCorrupt, key+": "+cf.Name, 0)
+				tele.Events().Emit(telemetry.Event{Kind: telemetry.EvCacheCorrupt, Name: key + ": " + cf.Name})
 				continue records
 			}
 		}

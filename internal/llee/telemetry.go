@@ -1,6 +1,10 @@
 package llee
 
-import "llva/internal/telemetry"
+import (
+	"time"
+
+	"llva/internal/telemetry"
+)
 
 // Metric families recorded by the execution manager. DESIGN.md's
 // Observability section documents the full schema.
@@ -28,9 +32,18 @@ const (
 	MetricResetDirtyPages = "llee.session.reset_dirty_pages"
 )
 
-// recordTranslate accounts one translation batch (n functions, ns total).
-func (sys *System) recordTranslate(name string, ns int64, n int) {
-	sys.tele.Histogram(MetricTranslateNS).Observe(ns)
+// recordTranslate accounts one translation batch of module name that
+// began at start and translated n functions.
+func (sys *System) recordTranslate(name string, start time.Time, n int) {
+	sys.tele.Histogram(MetricTranslateNS).Observe(time.Since(start).Nanoseconds())
 	sys.tele.Counter(MetricTranslations).Add(uint64(n))
-	sys.tele.Events().Emit(telemetry.EvTranslateEnd, name, ns)
+	sys.span(telemetry.Event{Kind: telemetry.EvTranslate, Name: name, Value: int64(n)}, start)
+}
+
+// span emits e as a span that began at start and ends now. A span lasts
+// at least 1 ns, so that no span reads as an instant on a coarse clock.
+func (sys *System) span(e telemetry.Event, start time.Time) {
+	e.Time = start.UnixNano()
+	e.Dur = max(time.Since(start).Nanoseconds(), 1)
+	sys.tele.Events().Emit(e)
 }

@@ -98,11 +98,8 @@ func TestProfilePersistenceRoundTrip(t *testing.T) {
 	if got := reg.CounterValue(MetricTranslations); got != 3 {
 		t.Errorf("%s = %d, want 3: main, cold and hot, each at its first call", MetricTranslations, got)
 	}
-	if len(reg.Events().Find(telemetry.EvTranslateEnd)) == 0 {
-		t.Error("no TranslateEnd events recorded")
-	}
-	if len(reg.Events().Find(telemetry.EvJITRequest)) == 0 {
-		t.Error("no JITRequest events recorded")
+	if evs := reg.Events().Find(telemetry.EvJITRequest); len(evs) == 0 || evs[0].Dur == 0 {
+		t.Errorf("JITRequest events %+v, want spans", evs)
 	}
 	// The machine flushed its execution counters into the same registry.
 	mcStats := sess2.Machine().Stats

@@ -52,7 +52,7 @@ func (mc *Machine) recordRunEnd(err error) {
 	if errors.As(err, &te) {
 		mc.Stats.Traps++
 		if mc.tele != nil {
-			mc.tele.Events().Emit(telemetry.EvTrapTaken, te.Detail, int64(te.Num))
+			mc.tele.Events().Emit(telemetry.Event{Kind: telemetry.EvTrapTaken, Name: te.Detail, Value: int64(te.Num)})
 		}
 		// The flight recorder snapshots the dying machine after the
 		// trap event lands in the ring, so the report's event tail

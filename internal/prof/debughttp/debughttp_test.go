@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"llva/internal/prof"
 	"llva/internal/telemetry"
 )
 
@@ -15,8 +14,8 @@ import (
 // registry and trace routes answer.
 func TestRegisterMountsTheSurface(t *testing.T) {
 	mux := http.NewServeMux()
-	Register(mux, telemetry.New(), prof.NewTracer())
-	for _, path := range []string{"/metrics", "/metrics/events", "/debug/llva/trace", "/debug/vars",
+	Register(mux, telemetry.New())
+	for _, path := range []string{"/metrics", "/debug/llva/trace", "/debug/vars",
 		"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/profile", "/debug/pprof/symbol", "/debug/pprof/trace"} {
 		if _, pattern := mux.Handler(httptest.NewRequest(http.MethodGet, path, nil)); pattern != path {
 			t.Errorf("%s is served by pattern %q", path, pattern)

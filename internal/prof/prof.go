@@ -1,10 +1,9 @@
 // Package prof is the guest-level observability layer: where
 // internal/telemetry observes the *host* (what the execution engine
 // did), prof observes the *guest* — where the virtual program spends
-// its virtual cycles, what the engine was doing when, and what the
-// machine looked like when it died.
+// its virtual cycles and what the machine looked like when it died.
 //
-// Three pillars:
+// Two pillars:
 //
 //   - Profiler: a guest profiler with two inputs. The machine samples at
 //     basic-block boundaries every Rate retired virtual instructions —
@@ -17,10 +16,6 @@
 //     each run. Only those go into the versioned artifact the tier-2
 //     translator consumes: a function with entries is translated at
 //     tier 2, and the entries weigh its blocks.
-//
-//   - Tracer: begin/end span tracing of the Session lifecycle and the
-//     translation pipeline, exported as Chrome trace_event JSON that
-//     loads directly in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 //   - CrashReport: the trap-time flight recorder's rendering — the
 //     unified register file, the virtual backtrace, a disassembly

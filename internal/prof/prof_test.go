@@ -2,7 +2,6 @@ package prof
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -170,58 +169,6 @@ func TestDecodeArtifactRejects(t *testing.T) {
 	}
 	if _, err := DecodeArtifact(good); err != nil {
 		t.Errorf("control decode failed: %v", err)
-	}
-}
-
-func TestTracerChromeJSON(t *testing.T) {
-	tr := NewTracer()
-	tr.NameProcess(1, "session 1")
-	tr.NameThread(1, 0, "guest")
-	end := tr.Begin(1, 0, "guest", "run:main", map[string]any{"session": 1})
-	tr.Instant(1, 0, "guest", "cancel:main", nil)
-	end()
-	if tr.Spans() != 1 {
-		t.Fatalf("Spans() = %d, want 1", tr.Spans())
-	}
-	var b bytes.Buffer
-	if err := tr.WriteChromeJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-		Unit        string           `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v\n%s", err, b.String())
-	}
-	if doc.Unit != "ms" {
-		t.Errorf("displayTimeUnit = %q, want ms", doc.Unit)
-	}
-	phases := map[string]int{}
-	for _, e := range doc.TraceEvents {
-		phases[e["ph"].(string)]++
-	}
-	if phases["X"] != 1 || phases["i"] != 1 || phases["M"] != 2 {
-		t.Errorf("phase counts = %v, want X:1 i:1 M:2", phases)
-	}
-}
-
-func TestTracerNilSafe(t *testing.T) {
-	var tr *Tracer
-	tr.NameProcess(0, "x")
-	tr.NameThread(0, 0, "y")
-	end := tr.Begin(0, 0, "c", "n", nil)
-	end()
-	tr.Instant(0, 0, "c", "n", nil)
-	if tr.Spans() != 0 {
-		t.Fatal("nil tracer recorded spans")
-	}
-	var b bytes.Buffer
-	if err := tr.WriteChromeJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(b.Bytes()) {
-		t.Fatalf("nil tracer wrote invalid JSON: %s", b.String())
 	}
 }
 

@@ -77,15 +77,14 @@ type RunRequest struct {
 // (session acquisition included), so clients can tell scheduling delay
 // from run cost. Reused reports the run was served by a pooled, reset session.
 type RunResponse struct {
-	Value    uint64 `json:"value"`
-	Output   string `json:"output"`
-	Instrs   uint64 `json:"instrs"`
-	Cycles   uint64 `json:"cycles"`
-	WallNS   int64  `json:"wall_ns"`
-	QueueNS  int64  `json:"queue_ns"`
-	ExecNS   int64  `json:"exec_ns"`
-	CacheHit bool   `json:"cache_hit"`
-	Reused   bool   `json:"reused,omitempty"`
+	Value   uint64 `json:"value"`
+	Output  string `json:"output"`
+	Instrs  uint64 `json:"instrs"`
+	Cycles  uint64 `json:"cycles"`
+	WallNS  int64  `json:"wall_ns"`
+	QueueNS int64  `json:"queue_ns"`
+	ExecNS  int64  `json:"exec_ns"`
+	Reused  bool   `json:"reused,omitempty"`
 }
 
 // errorBody is the wire form of every failure.

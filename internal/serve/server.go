@@ -415,7 +415,6 @@ func (s *Server) run(ctx context.Context, req *RunRequest, mod *moduleEntry) (re
 		resp.Instrs = res.Instrs
 		resp.Cycles = res.Cycles
 		resp.WallNS = res.Wall.Nanoseconds()
-		resp.CacheHit = sess.CacheHit()
 		resp.Reused = reused
 	}
 	// Errored runs left the machine consistent (traps, gas and cancels

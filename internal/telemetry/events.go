@@ -9,10 +9,14 @@ import (
 // EventKind is the type tag of a structured event.
 type EventKind uint8
 
+// The kinds from EvModuleLoad on are the execution manager's lifecycle:
+// spans of a module load, a session's construction, a run, a cache
+// write-back, one function's install and an ahead-of-execution
+// translation batch, and EvCancel, the instant a run was canceled.
+// EvJITRequest is a span too: one demand translation, from the call that
+// found no code to the code being ready.
 const (
-	EvTranslateStart EventKind = iota
-	EvTranslateEnd
-	EvCacheHit
+	EvCacheHit EventKind = iota
 	EvCacheMiss
 	EvStampMismatch
 	EvInvalidate
@@ -22,23 +26,35 @@ const (
 	EvJITRequest
 	EvCacheEvicted
 	EvCacheCorrupt
+	EvModuleLoad
+	EvSessionNew
+	EvRun
+	EvCancel
+	EvWriteBack
+	EvInstall
+	EvTranslate
 
 	numEventKinds // not a kind: the number of kinds above
 )
 
 var eventNames = [numEventKinds]string{
-	EvTranslateStart: "TranslateStart",
-	EvTranslateEnd:   "TranslateEnd",
-	EvCacheHit:       "CacheHit",
-	EvCacheMiss:      "CacheMiss",
-	EvStampMismatch:  "StampMismatch",
-	EvInvalidate:     "Invalidate",
-	EvTrapTaken:      "TrapTaken",
-	EvProfileLoaded:  "ProfileLoaded",
-	EvProfileStored:  "ProfileStored",
-	EvJITRequest:     "JITRequest",
-	EvCacheEvicted:   "CacheEvicted",
-	EvCacheCorrupt:   "CacheCorrupt",
+	EvCacheHit:      "CacheHit",
+	EvCacheMiss:     "CacheMiss",
+	EvStampMismatch: "StampMismatch",
+	EvInvalidate:    "Invalidate",
+	EvTrapTaken:     "TrapTaken",
+	EvProfileLoaded: "ProfileLoaded",
+	EvProfileStored: "ProfileStored",
+	EvJITRequest:    "JITRequest",
+	EvCacheEvicted:  "CacheEvicted",
+	EvCacheCorrupt:  "CacheCorrupt",
+	EvModuleLoad:    "module.load",
+	EvSessionNew:    "session.new",
+	EvRun:           "run",
+	EvCancel:        "cancel",
+	EvWriteBack:     "cache.writeback",
+	EvInstall:       "install",
+	EvTranslate:     "Translate",
 }
 
 func (k EventKind) String() string {
@@ -48,30 +64,24 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("Event(%d)", uint8(k))
 }
 
-// MarshalText makes event kinds render by name in JSON trace logs.
+// MarshalText makes event kinds render by name in JSON (crash reports).
 func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
-// UnmarshalText parses an event kind by name (trace-log consumers).
-func (k *EventKind) UnmarshalText(b []byte) error {
-	s := string(b)
-	for i, n := range eventNames {
-		if n == s {
-			*k = EventKind(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("telemetry: unknown event kind %q", s)
-}
-
 // Event is one structured occurrence: what happened (Kind), to what
-// (Name — a function, cache key, or trap detail), and an optional
-// magnitude (Value — nanoseconds, trap number, trace length...).
+// (Name — an entry point, a function, a cache key, or a trap detail),
+// and an optional magnitude (Value — bytes, trap number, functions
+// translated...). A span also has a duration (Dur; 0 is an instant) and
+// starts at Time. Session is the lane of the session it happened in (0:
+// the system's own), and Tenant the label that session ran for.
 type Event struct {
-	Seq   uint64    `json:"seq"`
-	Time  int64     `json:"time_unix_ns"`
-	Kind  EventKind `json:"kind"`
-	Name  string    `json:"name,omitempty"`
-	Value int64     `json:"value,omitempty"`
+	Seq     uint64    `json:"seq"`
+	Time    int64     `json:"time_unix_ns"`
+	Dur     int64     `json:"dur_ns,omitempty"`
+	Kind    EventKind `json:"kind"`
+	Name    string    `json:"name,omitempty"`
+	Value   int64     `json:"value,omitempty"`
+	Session uint64    `json:"session,omitempty"`
+	Tenant  string    `json:"tenant,omitempty"`
 }
 
 // Ring is a fixed-capacity event buffer: when full, the oldest events
@@ -92,9 +102,12 @@ func NewRing(cap int) *Ring {
 	return &Ring{buf: make([]Event, 0, cap)}
 }
 
-// Emit appends one event.
-func (r *Ring) Emit(kind EventKind, name string, value int64) {
-	now := time.Now().UnixNano()
+// Emit appends one event and numbers it. An event without a Time
+// happened now.
+func (r *Ring) Emit(e Event) {
+	if e.Time == 0 {
+		e.Time = time.Now().UnixNano()
+	}
 	r.mu.Lock()
 	seq := r.next
 	r.next++
@@ -102,7 +115,7 @@ func (r *Ring) Emit(kind EventKind, name string, value int64) {
 		r.mu.Unlock()
 		return
 	}
-	e := Event{Seq: seq, Time: now, Kind: kind, Name: name, Value: value}
+	e.Seq = seq
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, e)
 	} else {

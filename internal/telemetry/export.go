@@ -14,31 +14,11 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// WriteEventsJSONL writes the retained events as JSON lines (the
-// llva-run -trace-log format), oldest first.
-func (r *Registry) WriteEventsJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range r.events.Snapshot() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Handler serves the registry snapshot as JSON (the /metrics endpoint).
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w)
-	})
-}
-
-// EventsHandler serves the retained event log as JSON lines.
-func (r *Registry) EventsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = r.WriteEventsJSONL(w)
 	})
 }
 

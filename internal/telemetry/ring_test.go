@@ -12,7 +12,7 @@ func TestRingExactDroppedOnWrap(t *testing.T) {
 	const capacity, emits = 8, 20
 	r := NewRing(capacity)
 	for i := 0; i < emits; i++ {
-		r.Emit(EvTrapTaken, "e", int64(i))
+		r.Emit(Event{Kind: EvTrapTaken, Name: "e", Value: int64(i)})
 	}
 	if r.Total() != emits {
 		t.Errorf("Total() = %d, want %d", r.Total(), emits)
@@ -39,7 +39,7 @@ func TestRingExactDroppedOnWrap(t *testing.T) {
 func TestRingZeroCapacityCounts(t *testing.T) {
 	r := NewRing(0)
 	for i := 0; i < 5; i++ {
-		r.Emit(EvCacheHit, "x", 0)
+		r.Emit(Event{Kind: EvCacheHit, Name: "x"})
 	}
 	if r.Len() != 0 || r.Total() != 5 || r.Dropped() != 5 {
 		t.Errorf("len=%d total=%d dropped=%d, want 0/5/5", r.Len(), r.Total(), r.Dropped())
@@ -87,7 +87,7 @@ func TestRingConcurrentEmitSnapshot(t *testing.T) {
 		go func(w int) {
 			defer emitters.Done()
 			for i := 0; i < perWriter; i++ {
-				r.Emit(EvJITRequest, "f", int64(w))
+				r.Emit(Event{Kind: EvJITRequest, Name: "f", Value: int64(w)})
 			}
 		}(w)
 	}

@@ -97,7 +97,7 @@ func TestRingOverflow(t *testing.T) {
 	const capacity, emitted = 8, 27
 	r := NewRing(capacity)
 	for i := 0; i < emitted; i++ {
-		r.Emit(EvCacheMiss, "k", int64(i))
+		r.Emit(Event{Kind: EvCacheMiss, Name: "k", Value: int64(i)})
 	}
 	if r.Total() != emitted {
 		t.Fatalf("total = %d, want %d", r.Total(), emitted)
@@ -119,8 +119,8 @@ func TestRingOverflow(t *testing.T) {
 
 func TestRingUnderfillAndZeroCap(t *testing.T) {
 	r := NewRing(16)
-	r.Emit(EvCacheHit, "a", 1)
-	r.Emit(EvInvalidate, "b", 2)
+	r.Emit(Event{Kind: EvCacheHit, Name: "a", Value: 1})
+	r.Emit(Event{Kind: EvInvalidate, Name: "b", Value: 2})
 	evs := r.Snapshot()
 	if len(evs) != 2 || evs[0].Kind != EvCacheHit || evs[1].Kind != EvInvalidate {
 		t.Fatalf("underfilled snapshot wrong: %+v", evs)
@@ -130,7 +130,7 @@ func TestRingUnderfillAndZeroCap(t *testing.T) {
 	}
 
 	z := NewRing(0)
-	z.Emit(EvCacheHit, "x", 0)
+	z.Emit(Event{Kind: EvCacheHit, Name: "x"})
 	if z.Total() != 1 || z.Len() != 0 || z.Dropped() != 1 {
 		t.Fatalf("zero-cap ring: total=%d len=%d dropped=%d", z.Total(), z.Len(), z.Dropped())
 	}
@@ -147,7 +147,7 @@ func TestConcurrentRing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				r.Emit(EvTrapTaken, "t", int64(i))
+				r.Emit(Event{Kind: EvTrapTaken, Name: "t", Value: int64(i)})
 			}
 		}()
 	}
@@ -172,7 +172,7 @@ func TestSnapshotAndHandler(t *testing.T) {
 	reg.Counter("a.b").Add(3)
 	reg.Gauge("c.d", "fn", "main").Set(-7)
 	reg.Histogram("e.f").Observe(100)
-	reg.Events().Emit(EvProfileLoaded, "mod", 42)
+	reg.Events().Emit(Event{Kind: EvProfileLoaded, Name: "mod", Value: 42})
 
 	s := reg.Snapshot()
 	if s.Counters["a.b"] != 3 {
@@ -199,16 +199,6 @@ func TestSnapshotAndHandler(t *testing.T) {
 		t.Fatalf("handler snapshot mismatch: %+v", decoded)
 	}
 
-	// And the event log endpoint as JSONL.
-	rec = httptest.NewRecorder()
-	reg.EventsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/events", nil))
-	var ev Event
-	if err := json.Unmarshal(rec.Body.Bytes(), &ev); err != nil {
-		t.Fatalf("events body is not JSONL: %v", err)
-	}
-	if ev.Name != "mod" || ev.Value != 42 {
-		t.Fatalf("event = %+v", ev)
-	}
 }
 
 func TestKeyPanicsOnOddLabels(t *testing.T) {

@@ -134,13 +134,13 @@ int main() { print_int(fib(20)); print_nl(); return 0; }
 	// and a -tier2 start finds all of it in the one code entry and
 	// translates nothing
 	cache3 := filepath.Join(work, "cache3")
-	events := filepath.Join(work, "tier2.jsonl")
+	events := filepath.Join(work, "tier2.json")
 	runTool(t, bins["llva-run"], "-target", "vx86", "-cache", cache3, "-prof-store", bc2)
 	_, errIdle := runTool(t, bins["llva-run"], "-target", "vx86", "-cache", cache3, "-idle-optimize", "-stats", bc2)
 	if !strings.Contains(errIdle, "idle-time:") {
 		t.Errorf("-idle-optimize -stats printed no summary: %s", errIdle)
 	}
-	out4, err4 := runTool(t, bins["llva-run"], "-target", "vx86", "-cache", cache3, "-tier2", "-stats", "-trace-log", events, bc2)
+	out4, err4 := runTool(t, bins["llva-run"], "-target", "vx86", "-cache", cache3, "-tier2", "-stats", "-trace-out", events, bc2)
 	if out4 != want || !strings.Contains(err4, "cacheHit=true translated=0 ") {
 		t.Errorf("-tier2 run after -idle-optimize: out=%q stats=%s", out4, err4)
 	}
@@ -148,7 +148,7 @@ int main() { print_int(fib(20)); print_nl(); return 0; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(log), `"CacheHit"`); n != 1 || strings.Contains(string(log), `"JITRequest"`) {
+	if n := strings.Count(string(log), `"cat":"CacheHit"`); n != 1 || strings.Contains(string(log), `"cat":"JITRequest"`) {
 		t.Errorf("-tier2 run after -idle-optimize: %d CacheHit events, want one and no JITRequest:\n%s", n, log)
 	}
 
