@@ -1,8 +1,11 @@
 // llva-llc is the offline static translator: it compiles virtual object
 // code to native code for a simulated I-ISA, one function after another
 // in module order, and reports the paper's Table 2 per-function metrics.
+// With -S it also prints each function's native code, one instruction a
+// line: its byte offset, the instruction, its cycles in the target's
+// timing model, and the symbol of a relocation it carries.
 //
-// Usage: llva-llc [-target vx86|vsparc] [-stats] input.bc
+// Usage: llva-llc [-target vx86|vsparc] [-stats] [-S] input.bc
 package main
 
 import (
@@ -18,9 +21,10 @@ import (
 func main() {
 	tgt := flag.String("target", "vsparc", "target I-ISA: vx86 or vsparc")
 	stats := flag.Bool("stats", true, "print per-function translation metrics")
+	asm := flag.Bool("S", false, "print each function's native code")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: llva-llc [-target vx86|vsparc] input.bc")
+		fmt.Fprintln(os.Stderr, "usage: llva-llc [-target vx86|vsparc] [-stats] [-S] input.bc")
 		os.Exit(2)
 	}
 	var d *target.Desc
@@ -48,6 +52,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *asm {
+		for _, f := range nobj.Funcs {
+			if err := printCode(d, f); err != nil {
+				fatal(err)
+			}
+		}
+	}
 	if *stats {
 		fmt.Printf("%-24s %10s %10s %8s %10s\n", "function", "#llva", "#native", "ratio", "bytes")
 		totLLVA, totNative, totBytes := 0, 0, 0
@@ -67,6 +78,32 @@ func main() {
 		fmt.Printf("llva object size: %d bytes; native size: %d bytes (%.2fx)\n",
 			len(data), totBytes, float64(totBytes)/float64(len(data)))
 	}
+}
+
+// printCode prints f's native code as translated: relocation slots read
+// as zero, so a relocated operand shows its symbol beside it, and a
+// branch shows the offset it goes to.
+func printCode(d *target.Desc, f *codegen.NativeFunc) error {
+	fmt.Printf("%s:\n", f.Name)
+	r := 0
+	for off := 0; off < len(f.Code); {
+		in, n, err := d.DecodeFrom(f.Code, off)
+		if err != nil {
+			return fmt.Errorf("%s+%#x: %v", f.Name, off, err)
+		}
+		line := fmt.Sprintf("  %04x  %-36s %2d", off, in.String(), d.Cycles(&in))
+		switch in.Op {
+		case target.MJmp, target.MJcc, target.MInvokePush:
+			line += fmt.Sprintf("  => %04x", off+int(in.Target)*d.RelBranchScale)
+		}
+		for ; r < len(f.Relocs) && int(f.Relocs[r].Offset) < off+n; r++ {
+			line += "  @" + f.Relocs[r].Sym
+		}
+		fmt.Println(line)
+		off += n
+	}
+	fmt.Println()
+	return nil
 }
 
 func fatal(err error) {

@@ -80,9 +80,10 @@ func assertAgree(t *testing.T, results map[string]uint64) {
 	}
 }
 
-// TestHugeFrame forces frame displacements far beyond vsparc's disp9
-// range (a 4 KiB local array plus dozens of locals), exercising the
-// assembler-temporary address synthesis in spills and prologue.
+// TestHugeFrame forces frame displacements beyond vsparc's simm13
+// displacement range (a 4 KiB local array plus dozens of locals),
+// exercising the assembler-temporary address synthesis in spills and
+// prologue.
 func TestHugeFrame(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("long %f(long %x) {\nentry:\n")
@@ -114,6 +115,64 @@ func TestHugeFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertAgree(t, runBoth(t, m, "f", 7))
+}
+
+// TestSwitchWideCases: a switch on a long whose cases lie on both sides
+// of each target's immediate range compares the ones inside as
+// immediates and the rest, 1<<40 among them, through a register, and
+// takes the same edge as the interpreter on every case and between them.
+func TestSwitchWideCases(t *testing.T) {
+	cases := []int64{1 << 40, -(1 << 40), 1 << 31, -(1 << 31) - 1, 4096, -4097, 4095, -4096, 7}
+	var b strings.Builder
+	b.WriteString("long %f(long %x) {\nentry:\n    mbr long %x, label %other [")
+	for i, c := range cases {
+		if i > 0 {
+			b.WriteString(",")
+		}
+		fmt.Fprintf(&b, " long %d, label %%c%d", c, i)
+	}
+	b.WriteString(" ]\n")
+	for i := range cases {
+		fmt.Fprintf(&b, "c%d:\n    ret long %d\n", i, 100+i)
+	}
+	b.WriteString("other:\n    ret long 999\n}\n")
+	m, err := asm.Parse("switch", b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+		tr, err := codegen.New(d, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nf, err := tr.TranslateFunction(m.Function("f"))
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		imm, reg := 0, 0
+		for off := 0; off < len(nf.Code); {
+			in, n, err := d.DecodeFrom(nf.Code, off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in.Op == target.MCmp || in.Op == target.MSetCC {
+				if in.HasImm {
+					imm++
+				} else {
+					reg++
+				}
+			}
+			off += n
+		}
+		if imm == 0 || reg == 0 {
+			t.Errorf("%s: %d immediate and %d register compares, want some of each", d.Name, imm, reg)
+		}
+	}
+	for _, c := range cases {
+		for _, x := range []int64{c - 1, c, c + 1} {
+			assertAgree(t, runBoth(t, m, "f", uint64(x)))
+		}
+	}
 }
 
 // TestManyArguments exceeds vsparc's six argument registers and vx86's

@@ -70,13 +70,17 @@ func (s *selector) prologue(code []target.MInstr) []target.MInstr {
 	code = append(code, target.MInstr{Op: target.MMovRR, Rd: oldFPTmp, Rs1: d.FP})
 	code = append(code, target.MInstr{Op: target.MAdjSP, Imm: -frame})
 	// FP <- SP + frame (the caller's SP)
-	code = appendImm(code, target.Reg(31), frame, d)
-	code = append(code, target.MInstr{Op: target.MALU, Alu: target.AAdd,
-		Rd: d.FP, Rs1: d.SP, Rs2: 31, Size: 8})
+	if d.ImmFits(frame) {
+		code = append(code, target.MInstr{Op: target.MALU, Alu: target.AAdd,
+			Rd: d.FP, Rs1: d.SP, Rs2: target.NoReg, HasImm: true, Imm: frame, Size: 8})
+	} else {
+		code = appendImm(code, target.Reg(31), frame, d)
+		code = append(code, target.MInstr{Op: target.MALU, Alu: target.AAdd,
+			Rd: d.FP, Rs1: d.SP, Rs2: 31, Size: 8})
+	}
 	// Save return address and the caller's FP at the top of the frame
 	// (frameInstrs synthesizes the address via the assembler temporary
-	// when a save slot exceeds disp9 range; slots can reach -288 with
-	// many callee-saved registers).
+	// when a save slot is beyond the displacement range).
 	code = frameInstrs(code, d, target.MStore, target.Reg(3), -8, false) // RA
 	code = frameInstrs(code, d, target.MStore, oldFPTmp, -16, false)
 	// Callee-saved registers actually used by this function.

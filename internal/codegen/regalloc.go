@@ -370,12 +370,13 @@ func rewriteWithSlots(s *selector, a *allocation) rewritten {
 
 // frameInstrs appends one 64-bit FP-relative frame-slot access,
 // synthesizing the address through the assembler temporary when the
-// displacement exceeds the target's range (vsparc disp9). All register
-// save/restore and spill traffic in the back-end funnels through here.
+// displacement exceeds the target's range (Desc.DispFits). All register
+// save/restore, spill and overflow-argument traffic in the back-end
+// funnels through here.
 func frameInstrs(list []target.MInstr, d *target.Desc, op target.MOp,
 	reg target.Reg, disp int32, fp bool) []target.MInstr {
 	base := d.FP
-	if d.WordSize == 4 && (disp < -256 || disp > 255) {
+	if !d.DispFits(int64(disp)) {
 		at := target.Reg(31)
 		list = appendImm(list, at, int64(disp), d)
 		list = append(list, target.MInstr{Op: target.MALU, Alu: target.AAdd,

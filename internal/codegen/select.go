@@ -245,33 +245,10 @@ func (s *selector) emitParamMoves() {
 			}
 		}
 		// overflow argument on the stack at [FP + 8k]
-		s.emitFrameAccess(target.MLoad, s.argRegs[i], d.FP, int32(8*stackIdx),
-			8, false, isFPType(p.Type()))
+		s.code = frameInstrs(s.code, d, target.MLoad, s.argRegs[i], int32(8*stackIdx),
+			isFPType(p.Type()))
 		stackIdx++
 	}
-}
-
-// emitFrameAccess emits a frame-relative load/store, synthesizing the
-// address through the scratch register when the displacement exceeds the
-// target's range (vsparc disp9).
-func (s *selector) emitFrameAccess(op target.MOp, reg, base target.Reg,
-	disp int32, size uint8, signed, fp bool) {
-	d := s.desc
-	if d.WordSize == 4 && (disp < -256 || disp > 255) {
-		at := target.Reg(31) // vsparc assembler temporary
-		s.synthImm(at, int64(disp))
-		s.emit(target.MInstr{Op: target.MALU, Alu: target.AAdd, Rd: at,
-			Rs1: base, Rs2: at, Size: 8})
-		base, disp = at, 0
-	}
-	mi := target.MInstr{Op: op, Base: base, Index: target.NoReg, Disp: disp,
-		Size: size, Signed: signed, FP: fp}
-	if op == target.MLoad {
-		mi.Rd = reg
-	} else {
-		mi.Rs1 = reg
-	}
-	s.emit(mi)
 }
 
 // synthImm materializes a 64-bit immediate into reg. On vx86 this is one
@@ -431,15 +408,15 @@ func aluOpFor(op core.Opcode) target.ALUOp {
 }
 
 // immOperand reports whether v is an integer constant the target encodes
-// as an ALU or compare immediate, and its register image: the one val
-// would materialize (unsigned constants zero-extended).
+// as an ALU, compare or setcc immediate, and its register image: the one
+// val would materialize (unsigned constants zero-extended).
 func (s *selector) immOperand(v core.Value) (int64, bool) {
 	c, ok := v.(*core.Constant)
-	if !ok || c.CK != core.ConstInt || s.desc.MaxImm == 0 {
+	if !ok || c.CK != core.ConstInt {
 		return 0, false
 	}
 	imm := constWord(c)
-	return imm, imm >= -s.desc.MaxImm-1 && imm <= s.desc.MaxImm
+	return imm, s.desc.ImmFits(imm)
 }
 
 func (s *selector) selBinary(in *core.Instruction) {
@@ -454,8 +431,8 @@ func (s *selector) selBinary(in *core.Instruction) {
 	}
 	noTrap := (in.Op() == core.OpDiv || in.Op() == core.OpRem) && !in.ExceptionsEnabled
 	// Constant right operands — shift counts included — embed as
-	// immediates where the target's encoding allows (vx86 imm32), avoiding
-	// a materialization.
+	// immediates where the target's range allows (vx86 imm32, vsparc
+	// simm13), avoiding a materialization.
 	if imm, ok := s.immOperand(in.Operand(1)); ok {
 		s.emit(target.MInstr{Op: target.MALU, Alu: alu, Rd: rd, Rs1: x,
 			HasImm: true, Imm: imm, Size: size, Signed: t.IsSigned(),
@@ -496,12 +473,12 @@ func cmpCond(cmp *core.Instruction) (target.Cond, bool) {
 	}
 }
 
-// emitCmp emits the flags-setting compare of cmp's operands (vx86), with
-// a constant right operand as an immediate where it fits, and returns the
+// cmpOperands returns an instruction of op comparing cmp's operands, with
+// a constant right operand as an immediate where it fits, and the
 // condition that tests it.
-func (s *selector) emitCmp(cmp *core.Instruction) target.Cond {
+func (s *selector) cmpOperands(op target.MOp, cmp *core.Instruction) (target.MInstr, target.Cond) {
 	ot := cmp.Operand(0).Type()
-	m := target.MInstr{Op: target.MCmp, Rs1: s.val(cmp.Operand(0)),
+	m := target.MInstr{Op: op, Rd: target.NoReg, Rs1: s.val(cmp.Operand(0)),
 		Signed: ot.IsSigned(), FP: isFPType(ot)}
 	if imm, ok := s.immOperand(cmp.Operand(1)); ok {
 		m.Rs2, m.HasImm, m.Imm = target.NoReg, true, imm
@@ -512,6 +489,13 @@ func (s *selector) emitCmp(cmp *core.Instruction) target.Cond {
 	if swap {
 		m.Rs1, m.Rs2 = m.Rs2, m.Rs1
 	}
+	return m, cond
+}
+
+// emitCmp emits the flags-setting compare of cmp's operands (vx86) and
+// returns the condition that tests it.
+func (s *selector) emitCmp(cmp *core.Instruction) target.Cond {
+	m, cond := s.cmpOperands(target.MCmp, cmp)
 	s.emit(m)
 	return cond
 }
@@ -523,15 +507,9 @@ func (s *selector) selCompare(in *core.Instruction) {
 		s.emit(target.MInstr{Op: target.MSetCC, Cnd: cond, Rd: rd})
 		return
 	}
-	ot := in.Operand(0).Type()
-	x := s.val(in.Operand(0))
-	y := s.val(in.Operand(1))
-	cond, swap := cmpCond(in)
-	if swap {
-		x, y = y, x
-	}
-	s.emit(target.MInstr{Op: target.MSetCC, Cnd: cond, Rd: rd,
-		Rs1: x, Rs2: y, Signed: ot.IsSigned(), FP: isFPType(ot)})
+	m, cond := s.cmpOperands(target.MSetCC, in)
+	m.Rd, m.Cnd = rd, cond
+	s.emit(m)
 }
 
 func (s *selector) selRet(in *core.Instruction) {
@@ -593,16 +571,20 @@ func (s *selector) selMbr(bb *core.BasicBlock, in *core.Instruction) {
 	v := s.val(in.Operand(0))
 	for i, cv := range in.Cases {
 		tgt := s.block(in.Block(i + 1))
+		// v == case, with a case beyond the immediate range in a register.
+		eq := target.MInstr{Op: target.MCmp, Rs1: v, Rs2: target.NoReg, HasImm: true,
+			Imm: cv, Signed: true}
+		if !s.desc.ImmFits(cv) {
+			eq.Rs2, eq.HasImm, eq.Imm = s.newVReg(false), false, 0
+			s.synthImm(eq.Rs2, cv)
+		}
 		if s.desc.HasFlags {
-			s.emit(target.MInstr{Op: target.MCmp, Rs1: v, Rs2: target.NoReg,
-				HasImm: true, Imm: cv, Signed: true})
+			s.emit(eq)
 			s.emit(target.MInstr{Op: target.MJcc, Cnd: target.CondEQ, Target: tgt})
 		} else {
-			cr := s.newVReg(false)
-			s.synthImm(cr, cv)
 			tr := s.newVReg(false)
-			s.emit(target.MInstr{Op: target.MSetCC, Cnd: target.CondEQ,
-				Rd: tr, Rs1: v, Rs2: cr, Signed: true})
+			eq.Op, eq.Cnd, eq.Rd = target.MSetCC, target.CondEQ, tr
+			s.emit(eq)
 			s.emit(target.MInstr{Op: target.MJcc, Cnd: target.CondNE, Rs1: tr, Target: tgt})
 		}
 	}

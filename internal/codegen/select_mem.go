@@ -142,7 +142,7 @@ func (s *selector) addr(ptr core.Value) memOperand {
 	// All-constant indices (vsparc, or beyond vx86's int32): base + disp.
 	if off, idx, _, ok := s.gepAffine(in); ok && idx == nil {
 		base := s.val(in.Operand(0))
-		if s.fitsDisp(off) {
+		if s.desc.DispFits(off) {
 			return memOperand{base: base, index: target.NoReg, disp: int32(off)}
 		}
 		return memOperand{base: s.addImm(base, off), index: target.NoReg}
@@ -150,13 +150,6 @@ func (s *selector) addr(ptr core.Value) memOperand {
 	// General: compute the address, use it directly.
 	s.computeGEP(in)
 	return memOperand{base: s.reg(in), index: target.NoReg}
-}
-
-func (s *selector) fitsDisp(off int64) bool {
-	if s.desc.WordSize == 4 {
-		return off >= -256 && off <= 255
-	}
-	return off >= -(1<<31) && off < 1<<31
 }
 
 // addImm returns a register holding base+off.
@@ -171,9 +164,7 @@ func (s *selector) addImm(base target.Reg, off int64) target.Reg {
 			Index: target.NoReg, Disp: int32(off), HasMem: true})
 		return rd
 	}
-	t := s.newVReg(false)
-	s.synthImm(t, off)
-	s.emitALU(target.AAdd, rd, base, t, 8, false, false)
+	s.emitALUImm(target.AAdd, rd, base, off)
 	return rd
 }
 
@@ -246,10 +237,10 @@ func (s *selector) computeGEP(in *core.Instruction) {
 }
 
 // emitALUImm emits rd = rs1 <alu> imm on 64-bit signed words, with imm
-// as the instruction's immediate where the target encodes it (vx86) and
-// synthesized into a register where not (vsparc).
+// as the instruction's immediate where it is in the target's range and
+// synthesized into a register where not.
 func (s *selector) emitALUImm(alu target.ALUOp, rd, rs1 target.Reg, imm int64) {
-	if s.desc.MaxImm != 0 && imm >= -s.desc.MaxImm-1 && imm <= s.desc.MaxImm {
+	if s.desc.ImmFits(imm) {
 		s.emit(target.MInstr{Op: target.MALU, Alu: alu, Rd: rd, Rs1: rs1,
 			HasImm: true, Imm: imm, Size: 8, Signed: true})
 		return
@@ -296,9 +287,7 @@ func (s *selector) selAlloca(in *core.Instruction) {
 				Index: target.NoReg, Disp: -off, HasMem: true})
 			return
 		}
-		t := s.newVReg(false)
-		s.synthImm(t, int64(-off))
-		s.emitALU(target.AAdd, rd, s.desc.FP, t, 8, false, false)
+		s.emitALUImm(target.AAdd, rd, s.desc.FP, int64(-off))
 		return
 	}
 	// Dynamic alloca: SP -= round16(count * size); rd = SP.

@@ -381,8 +381,8 @@ func TestMergeForWriteBack(t *testing.T) {
 	}
 	st := NewMemStorage()
 	ms := &moduleState{sys: NewSystem(WithStorage(st)), module: m, desc: target.VX86, stamp: "s", held: table, unwritten: true}
-	if err := ms.writeBack(); err != nil {
-		t.Fatal(err)
+	if wrote, err := ms.writeBack(); err != nil || !wrote {
+		t.Fatalf("writeBack with unwritten records: wrote=%v err=%v", wrote, err)
 	}
 	data, _, ok, err := st.Read(ms.key("native"))
 	if err != nil || !ok {
@@ -398,8 +398,8 @@ func TestMergeForWriteBack(t *testing.T) {
 	if err := st.Delete(ms.key("native")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.writeBack(); err != nil {
-		t.Fatal(err)
+	if wrote, err := ms.writeBack(); err != nil || wrote {
+		t.Fatalf("writeBack with nothing unwritten: wrote=%v err=%v", wrote, err)
 	}
 	if _, _, ok, _ := st.Read(ms.key("native")); ok {
 		t.Error("a write-back with nothing published since the last one wrote the entry again")

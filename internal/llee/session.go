@@ -211,9 +211,13 @@ func (s *Session) Run(ctx context.Context, entry string, args ...uint64) (Result
 	// The run is charged to its tenant however it ended: canceled,
 	// trapped, and out-of-gas runs consumed real simulated time.
 	s.sys.accountRun(s.tenant, res.Cycles)
+	// A write-back span only for a run that gave storage a write: most
+	// runs publish nothing, and their no-op spans would crowd the ring.
 	start = time.Now()
-	werr := s.ms.writeBack()
-	s.span(telemetry.EvWriteBack, "", start)
+	wrote, werr := s.ms.writeBack()
+	if wrote {
+		s.span(telemetry.EvWriteBack, "", start)
+	}
 	if werr != nil && err == nil {
 		err = werr
 	}

@@ -239,7 +239,8 @@ func (ms *moduleState) translateAhead(p *tier2Plan, missing bool) error {
 		ms.hit = true
 		ms.mu.Unlock()
 	}
-	return ms.writeBack()
+	_, err := ms.writeBack()
+	return err
 }
 
 // Close flushes every module's pending write-back. Existing sessions stay
@@ -259,7 +260,7 @@ func (sys *System) Close() error {
 	sys.mu.Unlock()
 	var first error
 	for _, ms := range mods {
-		if err := ms.writeBack(); err != nil && first == nil {
+		if _, err := ms.writeBack(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -101,16 +101,17 @@ func (ms *moduleState) link() {
 // this module skips straight to them. It never re-reads storage, and when
 // nothing was published since the last write (every run of a session that
 // installed the whole module up front) it writes and allocates nothing.
+// It reports whether it gave the storage API a write, failed or not.
 // Called after every run, at the end of translateAhead and at
 // System.Close.
-func (ms *moduleState) writeBack() error {
+func (ms *moduleState) writeBack() (bool, error) {
 	if ms.sys.storage == nil {
-		return nil
+		return false, nil
 	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if !ms.unwritten {
-		return nil
+		return false, nil
 	}
 	co := cachedObject{TargetName: ms.desc.Name, Module: ms.module.Name, Funcs: make([]cachedFunc, 0, len(ms.held))}
 	for _, f := range ms.module.Functions {
@@ -119,8 +120,8 @@ func (ms *moduleState) writeBack() error {
 		}
 	}
 	if err := ms.sys.storage.Write(ms.key("native"), ms.stamp, encodeCachedObject(&co)); err != nil {
-		return err
+		return true, err
 	}
 	ms.unwritten = false
-	return nil
+	return true, nil
 }

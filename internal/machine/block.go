@@ -261,13 +261,13 @@ func (mc *Machine) runBlock(b *block) (*block, error) {
 		case uSetCC:
 			r[u.rd] = u.truth(mc.flags)
 		case uSetCmpS:
-			mc.flags = cmpSigned(r[u.ra], r[u.rb])
+			mc.flags = cmpSigned(r[u.ra], r[u.rb]+u.imm)
 			r[u.rd] = u.truth(mc.flags)
 		case uSetCmpU:
-			mc.flags = cmpUnsigned(r[u.ra], r[u.rb])
+			mc.flags = cmpUnsigned(r[u.ra], r[u.rb]+u.imm)
 			r[u.rd] = u.truth(mc.flags)
 		case uSetCmpF:
-			mc.flags = cmpFloat(r[u.ra], r[u.rb])
+			mc.flags = cmpFloat(r[u.ra], r[u.rb]+u.imm)
 			r[u.rd] = u.truth(mc.flags)
 
 		// Terminators. A conditional branch not taken is the block's last

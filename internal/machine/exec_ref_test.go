@@ -56,6 +56,15 @@ func (c *refCPU) reg(r target.Reg) uint64 {
 	return 0 // NoReg
 }
 
+// cmpOperand is the right operand of a compare or setcc: its immediate,
+// or its second register.
+func (c *refCPU) cmpOperand(in *target.MInstr) uint64 {
+	if in.HasImm {
+		return uint64(in.Imm)
+	}
+	return c.reg(in.Rs2)
+}
+
 func (c *refCPU) setReg(r target.Reg, v uint64) {
 	if r < unifiedRegs {
 		c.regs[r] = v
@@ -190,21 +199,12 @@ func (c *refCPU) exec(in *target.MInstr, size int) (bool, error) {
 	case target.MALU:
 		return false, c.execALU(in)
 	case target.MCmp:
-		a := c.reg(in.Rs1)
-		var b uint64
-		if in.HasImm {
-			b = uint64(in.Imm)
-		} else {
-			b = c.reg(in.Rs2)
-		}
-		c.compare(a, b, in.Signed, in.FP)
+		c.compare(c.reg(in.Rs1), c.cmpOperand(in), in.Signed, in.FP)
 	case target.MSetCC:
-		if d.HasFlags {
-			c.setReg(in.Rd, refBoolWord(c.condHolds(in.Cnd)))
-		} else {
-			c.compare(c.reg(in.Rs1), c.reg(in.Rs2), in.Signed, in.FP)
-			c.setReg(in.Rd, refBoolWord(c.condHolds(in.Cnd)))
+		if !d.HasFlags {
+			c.compare(c.reg(in.Rs1), c.cmpOperand(in), in.Signed, in.FP)
 		}
+		c.setReg(in.Rd, refBoolWord(c.condHolds(in.Cnd)))
 	case target.MJmp:
 		c.pc = c.relTarget(in)
 		return true, nil

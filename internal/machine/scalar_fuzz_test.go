@@ -124,41 +124,50 @@ func buildScalarGate() (*scalarGate, error) {
 	if h.ip, err = interp.New(m, &strings.Builder{}); err != nil {
 		return nil, err
 	}
+	h.mcs, h.names, err = tieredMachines(m)
+	return h, err
+}
+
+// tieredMachines translates m for vx86 and vsparc, profiles every
+// function on tier 1 and translates m again at tier 2 from that profile,
+// and returns the four machines with their names.
+func tieredMachines(m *core.Module) (mcs []*Machine, names []string, err error) {
 	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
 		tr, err := codegen.New(d, m)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		obj, err := tr.TranslateModule()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		t1, err := loadScalarMachine(d, m, obj)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Every function runs once under the profiler, so tier 2 lowers
 		// every one of them.
 		p := prof.NewProfiler(10)
 		t1.SetProfiler(p)
 		for _, f := range m.Functions {
-			if _, err := t1.Run(f.Name(), 1, 1); err != nil {
-				return nil, fmt.Errorf("%s: profile %s: %v", d.Name, f.Name(), err)
+			var te *TrapError
+			if _, err := t1.Run(f.Name(), 1, 1); err != nil && !errors.As(err, &te) {
+				return nil, nil, fmt.Errorf("%s: profile %s: %v", d.Name, f.Name(), err)
 			}
 		}
 		t1.SetProfiler(nil)
 		obj2, err := tr.WithTier2(p.Artifact(m.Name, d.Name)).TranslateModule()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		t2, err := loadScalarMachine(d, m, obj2)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		h.mcs = append(h.mcs, t1, t2)
-		h.names = append(h.names, d.Name+" tier 1", d.Name+" tier 2")
+		mcs = append(mcs, t1, t2)
+		names = append(names, d.Name+" tier 1", d.Name+" tier 2")
 	}
-	return h, nil
+	return mcs, names, nil
 }
 
 func loadScalarMachine(d *target.Desc, m *core.Module, obj *codegen.NativeObject) (*Machine, error) {

@@ -131,7 +131,8 @@ const (
 	uCmpS
 	uCmpU
 	uCmpF
-	// uSetCC reads the flags (flags targets); uSetCmp* compare first.
+	// uSetCC reads the flags (flags targets); uSetCmp* compare first, r[ra]
+	// with r[rb] + imm as the compares do.
 	uSetCC
 	uSetCmpS
 	uSetCmpU
@@ -294,7 +295,12 @@ func (mc *Machine) lower(in *target.MInstr, pc uint64, n int) uop {
 	case target.MSetCC:
 		u.op, u.rd, u.sc = uSetCC, mc.dstSlot(in.Rd), condTable[in.Cnd]
 		if !d.HasFlags {
-			u.op, u.ra, u.rb = cmpOp(in, uSetCmpS, uSetCmpU, uSetCmpF), srcSlot(in.Rs1), srcSlot(in.Rs2)
+			u.op, u.ra = cmpOp(in, uSetCmpS, uSetCmpU, uSetCmpF), srcSlot(in.Rs1)
+			if in.HasImm {
+				u.imm = uint64(in.Imm)
+			} else {
+				u.rb = srcSlot(in.Rs2)
+			}
 		}
 	case target.MJmp:
 		u.op, u.imm = uJmp, relTarget

@@ -73,6 +73,15 @@ func oracleForms(d *target.Desc, rng *rand.Rand) []form {
 	imms := []int64{0, 1, -1, 2, 7, 8, 31, 32, 63, 64, 255, 256, -128, 1 << 31, -(1 << 31),
 		math.MaxInt64, math.MinInt64, 0x1234_5678_9abc_def0, oracleWin + 24, 0xfff, 0x1000}
 	imm := func() int64 { return imms[rng.Intn(len(imms))] }
+	// An ALU, compare or setcc immediate is drawn from the target's
+	// range, its edges included.
+	var aluImms []int64
+	for _, v := range append(imms, d.MaxImm, -d.MaxImm-1, d.MaxImm-1) {
+		if d.ImmFits(v) {
+			aluImms = append(aluImms, v)
+		}
+	}
+	aluImm := func() int64 { return aluImms[rng.Intn(len(aluImms))] }
 	bools := []bool{false, true}
 	sizes := []uint8{1, 2, 4, 8, 0, 3} // 0 and 3 are encodable, and must fault or pass through as ever
 	withMem := func(in *target.MInstr, indexed bool) {
@@ -170,7 +179,7 @@ func oracleForms(d *target.Desc, rng *rand.Rand) []form {
 							case 0:
 								in.Rs2 = reg()
 							case 1:
-								in.HasImm, in.Imm = true, imm()
+								in.HasImm, in.Imm = true, aluImm()
 							default:
 								in.HasMem = true
 								withMem(&in, src == 3)
@@ -189,7 +198,7 @@ func oracleForms(d *target.Desc, rng *rand.Rand) []form {
 				in := mi(target.MCmp)
 				in.Signed, in.FP, in.Rs1 = signed, fp, reg()
 				if hasImm {
-					in.HasImm, in.Imm = true, imm()
+					in.HasImm, in.Imm = true, aluImm()
 				} else {
 					in.Rs2 = reg()
 				}
@@ -201,10 +210,17 @@ func oracleForms(d *target.Desc, rng *rand.Rand) []form {
 	for cnd := target.CondEQ; cnd <= target.CondLE; cnd++ {
 		for _, signed := range bools {
 			for _, fp := range bools {
-				in := mi(target.MSetCC)
-				in.Cnd, in.Signed, in.FP = cnd, signed, fp
-				in.Rd, in.Rs1, in.Rs2 = reg(), reg(), reg()
-				add("setcc."+cnd.String()+flagsOf(&in), in)
+				for _, hasImm := range bools {
+					in := mi(target.MSetCC)
+					in.Cnd, in.Signed, in.FP = cnd, signed, fp
+					in.Rd, in.Rs1 = reg(), reg()
+					if hasImm {
+						in.HasImm, in.Imm = true, aluImm()
+					} else {
+						in.Rs2 = reg()
+					}
+					add("setcc."+cnd.String()+flagsOf(&in), in)
+				}
 			}
 		}
 		jcc := mi(target.MJcc)

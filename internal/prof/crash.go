@@ -110,6 +110,9 @@ func (c *CrashReport) Render(w io.Writer) error {
 			if e.Value != 0 {
 				fmt.Fprintf(w, " (%d)", e.Value)
 			}
+			if e.Dur > 0 { // a span: Time is its start
+				fmt.Fprintf(w, " [%v]", time.Duration(e.Dur))
+			}
 			fmt.Fprintln(w)
 		}
 	}

@@ -192,7 +192,11 @@ func TestCrashReportRender(t *testing.T) {
 			{PC: 0x1230, Text: "mov r2, 0"},
 			{PC: 0x1234, Text: "mload.64 r1, [r2+0]", Fault: true},
 		},
-		Events: []telemetry.Event{{Kind: telemetry.EvTrapTaken, Name: "oops", Value: 5}},
+		Events: []telemetry.Event{
+			{Kind: telemetry.EvModuleLoad, Time: 1e9, Dur: 1500},
+			{Kind: telemetry.EvSessionNew, Time: 1e9, Dur: 2_250_000},
+			{Kind: telemetry.EvTrapTaken, Name: "oops", Value: 5},
+		},
 	}
 	var b strings.Builder
 	if err := c.Render(&b); err != nil {
@@ -207,10 +211,16 @@ func TestCrashReportRender(t *testing.T) {
 		"r1  = 0x7",
 		"=> 0x00001234",
 		"TrapTaken",
+		// Two spans that start together show how long each lasted.
+		"module.load     [1.5µs]",
+		"session.new     [2.25ms]",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "oops (5) [") {
+		t.Errorf("an instant event shows a duration:\n%s", out)
 	}
 }
 

@@ -5,12 +5,20 @@ package target
 // loader, and processor are all parameterised over it.
 type Desc struct {
 	Name     string
-	WordSize int // immediate-encoding granularity: 8 = imm64, 4 = 16-bit chunks
+	WordSize int // constant-synthesis granularity: 8 = one imm64 movi, 4 = 16-bit chunks
 
-	StackArgs   bool  // arguments passed on the stack (vx86) vs registers
-	HasFlags    bool  // condition codes live in a flags register
-	MemOperands bool  // ALU ops may take a memory source operand
-	MaxImm      int64 // largest immediate foldable into ALU/compare (0 = none)
+	StackArgs   bool // arguments passed on the stack (vx86) vs registers
+	HasFlags    bool // condition codes live in a flags register
+	MemOperands bool // ALU ops may take a memory source operand
+
+	// The operand ranges, the one place the selector, the register
+	// allocator and the encoder read them: an ALU, compare or setcc
+	// immediate lies in [-MaxImm-1, MaxImm] (ImmFits) and encodes in a
+	// field just wide enough for it; a memory displacement the translator
+	// emits lies in [-MaxDisp-1, MaxDisp] (DispFits), and one beyond goes
+	// through the assembler temporary.
+	MaxImm  int64
+	MaxDisp int64
 
 	RelBranchScale  int // byte scale of MJmp/MJcc/MInvokePush targets
 	CallTargetScale int // byte scale of MCall targets
@@ -37,8 +45,9 @@ type Desc struct {
 	FPCallerSaved []Reg
 }
 
-// VX86 is the CISC-flavoured target: 64-bit immediates, stack-passed
-// arguments, flags-based compares, memory operands, and a 16-register
+// VX86 is the CISC-flavoured target: 32-bit ALU and compare immediates
+// and displacements, 64-bit constant moves, stack-passed arguments,
+// flags-based compares, memory operands, and a 16-register
 // file split x86-64 style between caller-saved and callee-saved
 // allocatable registers. It models the paper's IA-32 back-end once the
 // JIT applies real (if simple) register allocation.
@@ -55,6 +64,7 @@ var VX86 = &Desc{
 	HasFlags:    true,
 	MemOperands: true,
 	MaxImm:      1<<31 - 1,
+	MaxDisp:     1<<31 - 1,
 
 	RelBranchScale:  1,
 	CallTargetScale: 1,
@@ -77,10 +87,12 @@ var VX86 = &Desc{
 }
 
 // VSPARC is the RISC-flavoured target: register-passed arguments,
-// compare-into-register (no flags), 16-bit immediate synthesis
-// (sethi/or chains), ±255-byte memory displacements, and a large
-// allocatable file split between caller scratch and callee-saved
-// registers. It models the paper's SPARC V9 back-end.
+// compare-into-register (no flags), SPARC V9's signed 13-bit immediate
+// (simm13, [-4096, 4095]) in every ALU op, setcc and memory
+// displacement, wider constants synthesized from 16-bit chunks
+// (sethi/or chains), and a large allocatable file split between caller
+// scratch and callee-saved registers. It models the paper's SPARC V9
+// back-end.
 //
 // Integer file: r0 zero, r1 SP, r2 FP, r3 RA (link), r4–r9 args,
 // r10 return, r11–r13 scratch, r14–r30 allocatable, r31 assembler temp.
@@ -88,6 +100,9 @@ var VX86 = &Desc{
 var VSPARC = &Desc{
 	Name:     "vsparc",
 	WordSize: 4,
+
+	MaxImm:  1<<12 - 1,
+	MaxDisp: 1<<12 - 1,
 
 	RelBranchScale:  1,
 	CallTargetScale: 1,
@@ -111,6 +126,26 @@ var VSPARC = &Desc{
 		FPBase + 15, FPBase + 16, FPBase + 17, FPBase + 18, FPBase + 19,
 		FPBase + 20, FPBase + 21, FPBase + 22, FPBase + 23, FPBase + 24,
 	},
+}
+
+// ImmFits reports whether v encodes as an ALU, compare or setcc
+// immediate on d.
+func (d *Desc) ImmFits(v int64) bool { return v >= -d.MaxImm-1 && v <= d.MaxImm }
+
+// DispFits reports whether v is a memory displacement the translator may
+// emit on d.
+func (d *Desc) DispFits(v int64) bool { return v >= -d.MaxDisp-1 && v <= d.MaxDisp }
+
+// immBytes is the width of d's immediate field: the narrowest of 2, 4
+// and 8 bytes that holds every value ImmFits admits.
+func (d *Desc) immBytes() int {
+	switch {
+	case d.MaxImm < 1<<15:
+		return 2
+	case d.MaxImm < 1<<31:
+		return 4
+	}
+	return 8
 }
 
 // Cycles returns the virtual cost of one instruction. The model is

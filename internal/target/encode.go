@@ -135,6 +135,22 @@ func (d *Desc) AppendEncoding(code []byte, relocs []Reloc, in *MInstr) ([]byte, 
 	rel := func(kind RelocKind) {
 		relocs = append(relocs, Reloc{Offset: uint32(len(code)), Kind: kind, Sym: in.Sym})
 	}
+	// An ALU, compare or setcc immediate outside the target's range is
+	// the translator's bug: refuse it rather than truncate it.
+	putImm := func() {
+		if !d.ImmFits(in.Imm) {
+			panic(fmt.Sprintf("target: %s: immediate %d outside %s's range [%d, %d]",
+				in.String(), in.Imm, d.Name, -d.MaxImm-1, d.MaxImm))
+		}
+		switch d.immBytes() {
+		case 2:
+			put16(uint16(in.Imm))
+		case 4:
+			put32(uint32(in.Imm))
+		default:
+			put64(uint64(in.Imm))
+		}
+	}
 
 	put8(byte(in.Op))
 	put8(encFlags(in))
@@ -185,7 +201,7 @@ func (d *Desc) AppendEncoding(code []byte, relocs []Reloc, in *MInstr) ([]byte, 
 		putReg(in.Rs1)
 		switch {
 		case in.HasImm:
-			put64(uint64(in.Imm))
+			putImm()
 		case in.HasMem:
 			putReg(in.Base)
 			putReg(in.Index)
@@ -197,7 +213,7 @@ func (d *Desc) AppendEncoding(code []byte, relocs []Reloc, in *MInstr) ([]byte, 
 	case MCmp:
 		putReg(in.Rs1)
 		if in.HasImm {
-			put64(uint64(in.Imm))
+			putImm()
 		} else {
 			putReg(in.Rs2)
 		}
@@ -205,7 +221,11 @@ func (d *Desc) AppendEncoding(code []byte, relocs []Reloc, in *MInstr) ([]byte, 
 		put8(byte(in.Cnd))
 		putReg(in.Rd)
 		putReg(in.Rs1)
-		putReg(in.Rs2)
+		if in.HasImm {
+			putImm()
+		} else {
+			putReg(in.Rs2)
+		}
 	case MJmp:
 		put32(uint32(in.Target))
 	case MJcc:
@@ -286,6 +306,17 @@ func (r *decoder) u32() uint32 {
 	v := binary.LittleEndian.Uint32(r.b[r.pos:])
 	r.pos += 4
 	return v
+}
+
+// imm reads an ALU, compare or setcc immediate field of d's width.
+func (r *decoder) imm(d *Desc) int64 {
+	switch d.immBytes() {
+	case 2:
+		return int64(int16(r.u16()))
+	case 4:
+		return int64(int32(r.u32()))
+	}
+	return int64(r.u64())
 }
 
 func (r *decoder) u64() uint64 {
@@ -375,7 +406,7 @@ func (d *Desc) DecodeFrom(b []byte, pos int) (MInstr, int, error) {
 		in.Rs1 = r.reg()
 		switch {
 		case in.HasImm:
-			in.Imm = int64(r.u64())
+			in.Imm = r.imm(d)
 		case in.HasMem:
 			in.Base = r.reg()
 			in.Index = r.reg()
@@ -387,7 +418,7 @@ func (d *Desc) DecodeFrom(b []byte, pos int) (MInstr, int, error) {
 	case MCmp:
 		in.Rs1 = r.reg()
 		if in.HasImm {
-			in.Imm = int64(r.u64())
+			in.Imm = r.imm(d)
 		} else {
 			in.Rs2 = r.reg()
 		}
@@ -395,7 +426,11 @@ func (d *Desc) DecodeFrom(b []byte, pos int) (MInstr, int, error) {
 		in.Cnd = Cond(r.u8())
 		in.Rd = r.reg()
 		in.Rs1 = r.reg()
-		in.Rs2 = r.reg()
+		if in.HasImm {
+			in.Imm = r.imm(d)
+		} else {
+			in.Rs2 = r.reg()
+		}
 	case MJmp:
 		in.Target = int32(r.u32())
 	case MJcc:

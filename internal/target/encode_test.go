@@ -3,6 +3,7 @@ package target
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -25,7 +26,9 @@ func none(in MInstr) MInstr {
 // roundTripCases lists, for every opcode, instructions covering each
 // operand shape its encoding distinguishes. Registers are nonzero so that
 // none() can tell a used operand from an absent one; field values are
-// what the encoding can carry on d (vsparc immediates are 16-bit chunks).
+// what the encoding can carry on d: vsparc constant moves are 16-bit
+// chunks, and ALU, compare and setcc immediates lie at the edges of d's
+// range.
 func roundTripCases(d *Desc) map[MOp][]MInstr {
 	r, f := Reg(7), FPBase+9
 	movi := []MInstr{
@@ -71,15 +74,22 @@ func roundTripCases(d *Desc) map[MOp][]MInstr {
 		MLea:       mem(MLea, MInstr{Rd: r}),
 		MALU: {
 			{Op: MALU, Alu: AShr, Size: 4, Rd: r, Rs1: Reg(8), Rs2: Reg(9), Signed: true},
-			{Op: MALU, Alu: AAdd, Size: 8, Rd: r, Rs1: r, HasImm: true, Imm: math.MinInt64},
+			{Op: MALU, Alu: AAdd, Size: 8, Rd: r, Rs1: r, HasImm: true, Imm: -d.MaxImm - 1},
+			{Op: MALU, Alu: AShl, Size: 4, Rd: r, Rs1: r, HasImm: true, Imm: d.MaxImm},
 			{Op: MALU, Alu: ADiv, Size: 8, Rd: f, Rs1: f, HasMem: true, FP: true,
 				Base: d.FP, Index: Reg(9), Scale: 4, Disp: -24},
 		},
 		MCmp: {
 			{Op: MCmp, Rs1: r, Rs2: Reg(8), Signed: true},
-			{Op: MCmp, Rs1: r, HasImm: true, Imm: math.MaxInt64},
+			{Op: MCmp, Rs1: r, HasImm: true, Imm: d.MaxImm},
+			{Op: MCmp, Rs1: r, HasImm: true, Imm: -d.MaxImm - 1, Signed: true},
 		},
-		MSetCC:   {{Op: MSetCC, Cnd: CondGT, Rd: r, Rs1: Reg(8), Rs2: Reg(9)}, {Op: MSetCC, Cnd: CondNE, Rd: r}},
+		MSetCC: {
+			{Op: MSetCC, Cnd: CondGT, Rd: r, Rs1: Reg(8), Rs2: Reg(9)},
+			{Op: MSetCC, Cnd: CondNE, Rd: r},
+			{Op: MSetCC, Cnd: CondLE, Rd: r, Rs1: Reg(8), HasImm: true, Imm: -d.MaxImm - 1, Signed: true},
+			{Op: MSetCC, Cnd: CondEQ, Rd: r, Rs1: Reg(8), HasImm: true, Imm: d.MaxImm},
+		},
 		MCallInd: {{Op: MCallInd, Rs1: r}},
 		MPush:    {{Op: MPush, Rs1: d.FP}},
 		MPop:     {{Op: MPop, Rd: d.FP}},
@@ -130,6 +140,56 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestImmediateFieldWidth: an ALU, compare or setcc immediate takes the
+// narrowest field that holds the target's range (vsparc's simm13 two
+// bytes, vx86's int32 four), and one outside the range panics instead of
+// being truncated.
+func TestImmediateFieldWidth(t *testing.T) {
+	r := Reg(7)
+	for _, c := range []struct {
+		d     *Desc
+		bytes int
+	}{{VSPARC, 2}, {VX86, 4}} {
+		d := c.d
+		for _, shape := range []MInstr{
+			{Op: MALU, Alu: AAdd, Size: 8, Rd: r, Rs1: r},
+			{Op: MCmp, Rs1: r, Signed: true},
+			{Op: MSetCC, Cnd: CondLT, Rd: r, Rs1: r},
+		} {
+			reg := none(shape)
+			reg.Rs2 = Reg(9)
+			regLen := len(encodeOnce(d, reg))
+			for _, v := range []int64{0, d.MaxImm, -d.MaxImm - 1} {
+				in := none(shape)
+				in.HasImm, in.Imm = true, v
+				if n := len(encodeOnce(d, in)); n != regLen-1+c.bytes {
+					t.Errorf("%s: %s encodes to %d bytes, want %d", d.Name, &in, n, regLen-1+c.bytes)
+				}
+			}
+			for _, v := range []int64{d.MaxImm + 1, -d.MaxImm - 2, math.MaxInt64, math.MinInt64} {
+				in := none(shape)
+				in.HasImm, in.Imm = true, v
+				func() {
+					defer func() {
+						msg, _ := recover().(string)
+						if !strings.Contains(msg, "outside "+d.Name+"'s range") {
+							t.Errorf("%s: encoding %s panicked with %q, want an out-of-range panic", d.Name, &in, msg)
+						}
+					}()
+					code := encodeOnce(d, in)
+					t.Errorf("%s: %s encoded to % x", d.Name, &in, code)
+				}()
+			}
+		}
+	}
+}
+
+// encodeOnce returns in's encoding on d.
+func encodeOnce(d *Desc, in MInstr) []byte {
+	code, _ := d.Encode(&in, nil)
+	return code
 }
 
 // TestRelocationsPatchWhatDecodeReads: a symbolic instruction reports its

@@ -196,6 +196,9 @@ func (in *MInstr) String() string {
 	if in.Op == MCvt {
 		fmt.Fprintf(&b, ".%s", in.Cvt)
 	}
+	if in.Op == MMovRI && in.HasImm {
+		b.WriteString(".or") // vsparc: merge a chunk into Rd
+	}
 	if in.FP {
 		b.WriteString(".f")
 	}
@@ -219,7 +222,15 @@ func (in *MInstr) String() string {
 		}
 		fmt.Fprintf(&b, " [%s+%s*%d%+d]", base, in.Index, in.Scale, in.Disp)
 	}
-	if in.HasImm {
+	switch {
+	case in.Op == MMovRI && in.Sym == "":
+		// A constant move's immediate is its operand, in either vsparc
+		// form; Scale shifts a vsparc chunk.
+		fmt.Fprintf(&b, " $%d", in.Imm)
+		if in.Scale != 0 {
+			fmt.Fprintf(&b, "<<%d", 16*int(in.Scale))
+		}
+	case in.HasImm:
 		fmt.Fprintf(&b, " $%d", in.Imm)
 	}
 	if in.Sym != "" && !mem {

@@ -4,16 +4,19 @@
 // byte encoding with load-time relocations.
 //
 //   - vx86: CISC-flavoured — stack-passed arguments, a flags register,
-//     memory operands and 32-bit immediates, no allocatable registers
-//     (the spill-everything back-end of Section 5.2).
+//     memory operands, 32-bit ALU and compare immediates and
+//     displacements, 64-bit constant moves, and a 16-register file split
+//     between caller-saved and callee-saved registers.
 //   - vsparc: RISC-flavoured — register arguments, compare-into-register,
-//     16-bit immediate chunks (sethi/or-style synthesis), disp9 memory
-//     displacements, and a large callee-saved allocatable file served by
-//     linear scan.
+//     SPARC V9's signed 13-bit immediates and displacements, wider
+//     constants synthesized from 16-bit chunks (sethi/or style), and a
+//     large callee-saved allocatable file.
 //
-// Both simulate 64-bit little-endian processors; WordSize distinguishes
-// the *encoding* granularity (8 = x86-style imm64, 4 = SPARC-style
-// 16-bit chunk synthesis), not the data width.
+// Both are served by the same linear-scan register allocator. Each
+// target's operand ranges live in its Desc (MaxImm, MaxDisp). Both
+// simulate 64-bit little-endian processors; WordSize distinguishes the
+// constant-synthesis granularity (8 = x86-style imm64, 4 = SPARC-style
+// 16-bit chunks), not the data width.
 package target
 
 import "fmt"

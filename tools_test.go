@@ -89,11 +89,20 @@ int main() { print_int(fib(20)); print_nl(); return 0; }
 	// 3. optimize the reassembled object in place
 	runTool(t, bins["llva-opt"], "-O2", "-stats", bc2)
 
-	// 4. offline translation metrics for both targets
+	// 4. offline translation metrics for both targets, and the native
+	// code itself: fib's n < 2 and n - 1 are ALU and compare immediates
+	// on both (vsparc's simm13 holds them), and its recursive calls are
+	// relocated
 	for _, tgt := range []string{"vx86", "vsparc"} {
 		stats, _ := runTool(t, bins["llva-llc"], "-target", tgt, bc2)
 		if !strings.Contains(stats, "TOTAL") || !strings.Contains(stats, "fib") {
 			t.Errorf("llva-llc %s output missing metrics:\n%s", tgt, stats)
+		}
+		code, _ := runTool(t, bins["llva-llc"], "-target", tgt, "-S", "-stats=false", bc2)
+		for _, want := range []string{"fib:\n", " $2 ", " $1 ", "@fib\n", "  ret "} {
+			if !strings.Contains(code, want) {
+				t.Errorf("llva-llc -S -target %s: no %q in\n%s", tgt, want, code)
+			}
 		}
 	}
 
