@@ -1,6 +1,8 @@
 // llva-llc is the offline static translator: it compiles virtual object
 // code to native code for a simulated I-ISA, one function after another
-// in module order, and reports the paper's Table 2 per-function metrics.
+// in module order, and reports the paper's Table 2 per-function metrics,
+// with the callee-saved registers each prologue saves and the spill
+// stores register allocation left.
 // With -S it also prints each function's native code, one instruction a
 // line: its byte offset, the instruction, its cycles in the target's
 // timing model, and the symbol of a relocation it carries.
@@ -16,6 +18,7 @@ import (
 	"llva/internal/codegen"
 	"llva/internal/obj"
 	"llva/internal/target"
+	"llva/internal/telemetry"
 )
 
 func main() {
@@ -48,33 +51,54 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	nobj, err := tr.TranslateModule()
-	if err != nil {
-		fatal(err)
+	// Each function's saves and spills are what the translator's
+	// counters gained while it translated that function.
+	reg := telemetry.New()
+	tr.SetTelemetry(reg)
+	type row struct {
+		f              *codegen.NativeFunc
+		saved, spilled uint64
+	}
+	var rows []row
+	for _, f := range m.Functions {
+		if f.IsDeclaration() {
+			continue
+		}
+		saves, spills := reg.CounterValue(codegen.MetricSaves), reg.CounterValue(codegen.MetricSpills)
+		nf, err := tr.TranslateFunction(f)
+		if err != nil {
+			fatal(err)
+		}
+		rows = append(rows, row{nf, reg.CounterValue(codegen.MetricSaves) - saves,
+			reg.CounterValue(codegen.MetricSpills) - spills})
 	}
 	if *asm {
-		for _, f := range nobj.Funcs {
-			if err := printCode(d, f); err != nil {
+		for _, r := range rows {
+			if err := printCode(d, r.f); err != nil {
 				fatal(err)
 			}
 		}
 	}
 	if *stats {
-		fmt.Printf("%-24s %10s %10s %8s %10s\n", "function", "#llva", "#native", "ratio", "bytes")
+		const line = "%-24s %10d %10d %8.2f %10d %6d %6d\n"
+		fmt.Printf("%-24s %10s %10s %8s %10s %6s %6s\n", "function", "#llva", "#native", "ratio", "bytes", "saved", "spills")
 		totLLVA, totNative, totBytes := 0, 0, 0
-		for _, f := range nobj.Funcs {
+		var totSaved, totSpilled uint64
+		for _, r := range rows {
+			f := r.f
 			ratio := 0.0
 			if f.NumLLVA > 0 {
 				ratio = float64(f.NumInstrs) / float64(f.NumLLVA)
 			}
-			fmt.Printf("%-24s %10d %10d %8.2f %10d\n",
-				f.Name, f.NumLLVA, f.NumInstrs, ratio, len(f.Code))
+			fmt.Printf(line, f.Name, f.NumLLVA, f.NumInstrs, ratio, len(f.Code), r.saved, r.spilled)
 			totLLVA += f.NumLLVA
 			totNative += f.NumInstrs
 			totBytes += len(f.Code)
+			totSaved += r.saved
+			totSpilled += r.spilled
 		}
-		fmt.Printf("%-24s %10d %10d %8.2f %10d\n", "TOTAL",
-			totLLVA, totNative, float64(totNative)/float64(totLLVA), totBytes)
+		fmt.Printf(line, "TOTAL", totLLVA, totNative, float64(totNative)/float64(totLLVA),
+			totBytes, totSaved, totSpilled)
 		fmt.Printf("llva object size: %d bytes; native size: %d bytes (%.2fx)\n",
 			len(data), totBytes, float64(totBytes)/float64(len(data)))
 	}

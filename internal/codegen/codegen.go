@@ -13,8 +13,8 @@
 // into an unwind handler are spilled to frame slots, since the unwinder
 // restores only SP and FP). The paper's naive spill-everything allocator
 // ("the x86 back-end performs virtually no optimization and very simple
-// register allocation resulting in significant spill code") survives as
-// a differential-testing oracle behind UseSpillAllocator.
+// register allocation resulting in significant spill code") survives in
+// the tests, as a differential oracle for it.
 //
 // The translator runs in offline mode (whole module) or JIT mode (one
 // function at a time, on demand) — both produce identical code.
@@ -127,12 +127,13 @@ func (o *NativeObject) NumInstrs() int {
 // it, so code another revision emitted, and profiles counted in that
 // code's address space, are cache misses and not stale hits (paper,
 // Section 4.1: validate the cached translation, else translate online).
-const Revision = "7"
+const Revision = "8"
 
 // Metric names published to a shared registry via SetTelemetry.
 const (
 	MetricSpills        = "codegen.spills"
 	MetricReloads       = "codegen.reloads"
+	MetricSaves         = "codegen.saves"
 	MetricRegallocNS    = "codegen.regalloc_ns"
 	MetricTier2Funcs    = "codegen.tier2_funcs"
 	MetricSuperblocks   = "codegen.superblocks"
@@ -150,9 +151,6 @@ type Translator struct {
 	m    *core.Module
 	lay  core.Layout
 
-	// spillOnly forces the naive allocator (test oracle).
-	spillOnly bool
-
 	// tier is 1 (fast, profile-free, the default) or 2 (profile-guided
 	// superblock formation + hot inlining; see tier2.go). Tier 2 carries
 	// the guiding profile in art.
@@ -161,6 +159,7 @@ type Translator struct {
 
 	// telemetry handles; nil until SetTelemetry wires them
 	spills, reloads *telemetry.Counter
+	saves           *telemetry.Counter
 	regallocNS      *telemetry.Histogram
 	tier2Funcs      *telemetry.Counter
 	superblocks     *telemetry.Counter
@@ -191,13 +190,15 @@ func (t *Translator) Target() *target.Desc { return t.desc }
 
 // SetTelemetry publishes the translator's counters into reg: spill
 // stores and reloads emitted by register allocation (codegen.spills /
-// codegen.reloads), per-function allocation time (codegen.regalloc_ns),
+// codegen.reloads), the callee-saved registers prologues save
+// (codegen.saves), per-function allocation time (codegen.regalloc_ns),
 // and what tier 2 shipped and spent (codegen.tier2_*). Call it before
 // translation begins; the handles are atomic, so concurrent
 // TranslateFunction calls remain safe.
 func (t *Translator) SetTelemetry(reg *telemetry.Registry) {
 	t.spills = reg.Counter(MetricSpills)
 	t.reloads = reg.Counter(MetricReloads)
+	t.saves = reg.Counter(MetricSaves)
 	t.regallocNS = reg.Histogram(MetricRegallocNS)
 	t.tier2Funcs = reg.Counter(MetricTier2Funcs)
 	t.superblocks = reg.Counter(MetricSuperblocks)
@@ -213,11 +214,6 @@ func observeSince(h *telemetry.Histogram, start time.Time) {
 		h.Observe(time.Since(start).Nanoseconds())
 	}
 }
-
-// UseSpillAllocator forces the paper's naive spill-everything allocator
-// for every function. It survives as the differential-testing oracle for
-// the global linear-scan allocator.
-func (t *Translator) UseSpillAllocator(on bool) { t.spillOnly = on }
 
 // Module returns the module being translated.
 func (t *Translator) Module() *core.Module { return t.m }
@@ -303,13 +299,11 @@ func (t *Translator) lower(ws *workspace, f *core.Function, perm []int, hm heat)
 
 	// Register allocation: the global linear scan handles both targets
 	// and invoke-containing functions (values live into an unwind handler
-	// are force-spilled; see linearScan), on coalesced code. The naive
-	// allocator runs only as the differential-testing oracle, and on the
-	// code as selected: it checks the coalescer too.
+	// are force-spilled; see linearScan), on coalesced code. A test hook
+	// may allocate instead: the differential tests' spill-everything
+	// oracle, on the code as selected, which checks the coalescer too.
 	start := time.Now()
-	if t.spillOnly {
-		allocSpill(sel)
-	} else {
+	if allocTestHook == nil || !allocTestHook(sel) {
 		lr := solveLiveness(sel)
 		coalesce(sel, lr)
 		allocLinear(sel, lr)
@@ -318,6 +312,7 @@ func (t *Translator) lower(ws *workspace, f *core.Function, perm []int, hm heat)
 		t.regallocNS.Observe(time.Since(start).Nanoseconds())
 		t.spills.Add(uint64(sel.nSpillStores))
 		t.reloads.Add(uint64(sel.nSpillLoads))
+		t.saves.Add(uint64(len(sel.savedRegs)))
 	}
 	if lowerTestHook != nil {
 		lowerTestHook(sel)
@@ -335,6 +330,10 @@ func (t *Translator) lower(ws *workspace, f *core.Function, perm []int, hm heat)
 	nf.Code, nf.Relocs, nf.Blocks = layout(sel, hm == nil)
 	return nf
 }
+
+// allocTestHook, when set, runs in lower in place of coalescing and the
+// linear scan, and reports whether it allocated the function.
+var allocTestHook func(*selector) bool
 
 // lowerTestHook, when set, runs in lower between register allocation
 // and frame lowering, once selection, coalescing and allocation have

@@ -454,3 +454,85 @@ func TestConcurrentTier1Translation(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLoopBodyWorkBuiltOnce pins what the selector keeps out of a loop
+// body and what it leaves there. A constant whose materialization takes
+// more than one instruction — a vsparc global address or wide integer,
+// an FP constant on either target — is built once, after the entry
+// block's parameter moves; a one-instruction one stays at its use
+// (vsparc: 5000 and 10000). And the rem of a div's operands costs no
+// second divide: it is x − q·y from the div's quotient, multiplied by the
+// div's own divisor register.
+func TestLoopBodyWorkBuiltOnce(t *testing.T) {
+	src := `
+%glob = global long 5
+
+long %h(long %n) {
+entry:
+    br label %loop
+loop:
+    %i = phi long [ 0, %entry ], [ %i1, %loop ]
+    %s = phi long [ 0, %entry ], [ %s5, %loop ]
+    %x = xor long %i, 100000
+    %g = load long* %glob
+    %d = cast long %i to double
+    %e = mul double %d, 1.5
+    %ei = cast double %e to long
+    %k = add long %x, 5000
+    %q = div long %i, 10000
+    %r = rem long %i, 10000
+    %s1 = add long %s, %k
+    %s2 = add long %s1, %g
+    %s3 = add long %s2, %ei
+    %s4 = add long %s3, %q
+    %s5 = add long %s4, %r
+    %i1 = add long %i, 1
+    %c = setlt long %i1, %n
+    br bool %c, label %loop, label %done
+done:
+    ret long %s5
+}
+`
+	m, err := asm.Parse("builtonce", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	assertAgree(t, runBoth(t, m, "h", 20017))
+	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+		tr, err := codegen.New(d, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nf, err := tr.TranslateFunction(m.Function("h"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var movis, cvts, divides int
+		for pos, end := int(nf.Blocks.Off(1)), int(nf.Blocks.Off(2)); pos < end; {
+			in, n, err := d.DecodeFrom(nf.Code, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case in.Op == target.MMovRI:
+				movis++
+			case in.Op == target.MCvt && in.Cvt == target.CvtBits:
+				cvts++
+			case in.Op == target.MALU && (in.Alu == target.ADiv || in.Alu == target.ARem):
+				divides++
+			}
+			pos += n
+		}
+		wantMovis := 0
+		if d == target.VSPARC {
+			wantMovis = 2
+		}
+		if movis != wantMovis || cvts != 0 || divides != 1 {
+			t.Errorf("%s loop body: %d movi, %d cvt.bits, %d divides; want %d, 0, 1",
+				d.Name, movis, cvts, divides, wantMovis)
+		}
+	}
+}

@@ -33,9 +33,10 @@ const nativeGoldenPath = "testdata/native_golden.json"
 // nativeGolden pins the translator's output on the workload suite: one
 // SHA-256 over code bytes and relocations per function, keyed
 // "tier/target/workload/function", and per tier the registry counters
-// the translations added up to plus, per target, the instructions and
-// the register moves emitted in total, so that a change to the code shows
-// as a number and not only as changed hashes. Per workload it holds the
+// the translations added up to plus, per target, the instructions, the
+// register moves and the callee-saved register saves emitted in total, so
+// that a change to the code shows as a number and not only as changed
+// hashes. Per workload it holds the
 // rest of the paper's Table 2 that is exact: the module's LLVA
 // instructions, object-code and static-data bytes, and the instructions
 // and cycles one vx86 run retires at tier 1 and at tier 2. A change that
@@ -161,11 +162,20 @@ func TestNativeGolden(t *testing.T) {
 	got := nativeGolden{Revision: codegen.Revision, Funcs: map[string]string{},
 		Counters:  map[string]map[string]uint64{"tier1": {}, "tier2": {}},
 		Workloads: map[string]map[string]uint64{}}
-	record := func(tier string, d *target.Desc, w *workloads.Workload, obj *codegen.NativeObject) {
+	// translate translates w's module with tr, whose telemetry goes to reg, and
+	// records the code under tier.
+	translate := func(tier string, d *target.Desc, w *workloads.Workload, tr *codegen.Translator, reg *telemetry.Registry) *codegen.NativeObject {
+		saves := reg.CounterValue(codegen.MetricSaves)
+		obj, err := tr.TranslateModule()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, nf := range obj.Funcs {
 			got.Funcs[tier+"/"+d.Name+"/"+w.Name+"/"+nf.Name] = hashNative(nf)
 		}
 		countCode(t, got.Counters[tier], d, obj)
+		got.Counters[tier][d.Name+".saves"] += reg.CounterValue(codegen.MetricSaves) - saves
+		return obj
 	}
 	reg1, reg2 := telemetry.New(), telemetry.New()
 	for _, w := range workloads.All() {
@@ -181,11 +191,7 @@ func TestNativeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr.SetTelemetry(reg1)
-			obj, err := tr.TranslateModule()
-			if err != nil {
-				t.Fatal(err)
-			}
-			record("tier1", d, w, obj)
+			obj := translate("tier1", d, w, tr, reg1)
 			if d != target.VX86 || testing.Short() {
 				continue
 			}
@@ -195,11 +201,7 @@ func TestNativeGolden(t *testing.T) {
 			}
 			tr2.SetTelemetry(reg2)
 			art, st1 := suiteProfile(t, d, m, obj)
-			obj2, err := tr2.WithTier2(art).TranslateModule()
-			if err != nil {
-				t.Fatal(err)
-			}
-			record("tier2", d, w, obj2)
+			obj2 := translate("tier2", d, w, tr2.WithTier2(art), reg2)
 			st2 := runSuite(t, d, m, obj2, nil)
 			table2["vx86.t1.instrs"], table2["vx86.t1.cycles"] = st1.Instrs, st1.Cycles
 			table2["vx86.t2.instrs"], table2["vx86.t2.cycles"] = st2.Instrs, st2.Cycles

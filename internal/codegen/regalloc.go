@@ -121,28 +121,6 @@ func (s *selector) commit(a *allocation, r rewritten) {
 	s.spillBytes, s.savedRegs = a.nSlots*8, a.saved
 }
 
-// allocSpill is the naive spill-everything allocator: every virtual
-// register lives in a stack slot; each instruction loads its operands
-// into scratch registers and stores its result back. This reproduces the
-// paper's minimal-effort x86 back-end ("significant spill code").
-func allocSpill(s *selector) {
-	a := newAllocation(s.ws, len(s.vFP))
-	slot := func(r target.Reg) {
-		if v := int(r) - int(target.VRegBase); r.IsVirtual() && a.slotOf[v] < 0 {
-			a.spill(v)
-		}
-	}
-	// Slots in first-appearance order.
-	var usesArr [8]target.Reg
-	for i := range s.code {
-		for _, r := range instrUses(&s.code[i], usesArr[:0]) {
-			slot(r)
-		}
-		slot(instrDef(&s.code[i]))
-	}
-	s.commit(a, rewriteWithSlots(s, a))
-}
-
 // rewriter carries rewriteWithSlots' state. The per-instruction part is
 // a handful of fixed arrays: an instruction names at most five registers.
 type rewriter struct {
@@ -652,7 +630,9 @@ func (lr *liveRows) intervals(s *selector) *liveness {
 // both back-ends. It walks the live intervals in start order over two
 // pools per register class from target.Desc: caller-saved registers for
 // intervals containing no call, callee-saved registers (saved by the
-// prologue) for intervals that cross one. When every pool is exhausted
+// prologue) for intervals that cross one. Each pool stays in Desc order
+// and the scan takes its lowest free register, so a function with at
+// most k values live at once uses the first k. When every pool is exhausted
 // it spills second-chance style: a victim interval loses its register
 // to the current one and moves to a frame slot — and a non-crossing
 // victim gets a second chance to relocate into a caller-saved register
@@ -694,8 +674,15 @@ func linearScan(s *selector, lv *liveness, byWeight bool) *allocation {
 	calleeInt, calleeFP := pool(d.Allocatable), pool(d.FPAllocatable)
 	callerInt, callerFP := pool(d.CallerSaved), pool(d.FPCallerSaved)
 
-	// Physical registers number below 128 (target.Reg).
+	// Physical registers number below 128 (target.Reg). rank is a
+	// register's place in its Desc pool.
 	var callerSet, used [128]bool
+	var rank [128]int
+	for _, p := range [][]target.Reg{calleeInt, calleeFP, callerInt, callerFP} {
+		for i, r := range p {
+			rank[r] = i
+		}
+	}
 	for _, r := range callerInt {
 		callerSet[r] = true
 	}
@@ -723,6 +710,10 @@ func linearScan(s *selector, lv *liveness, byWeight bool) *allocation {
 		}
 		return &calleeInt
 	}
+	// expire returns the registers of intervals ended before pos to their
+	// pools, each at its Desc place: a pool stays in Desc order, so take
+	// hands out the lowest free register and a function touches only as
+	// many registers as it holds values live at once.
 	expire := func(pos int) {
 		keep := active[:0]
 		for _, e := range active {
@@ -731,7 +722,8 @@ func linearScan(s *selector, lv *liveness, byWeight bool) *allocation {
 					freeAt[e.reg] = end
 				}
 				p := poolOf(e.reg)
-				*p = append(*p, e.reg)
+				i, _ := slices.BinarySearchFunc(*p, e.reg, func(a, b target.Reg) int { return rank[a] - rank[b] })
+				*p = slices.Insert(*p, i, e.reg)
 			} else {
 				keep = append(keep, e)
 			}

@@ -165,6 +165,71 @@ func TestLivenessWordBoundaries(t *testing.T) {
 	}
 }
 
+// TestRegisterRules pins what the pools promise. A function with at most
+// k values live at once uses only the first k registers of its pool:
+// the scan takes the lowest free register, so it does not rotate through
+// the file (and make a prologue save registers never live together).
+// The pool is the caller-saved registers, then the callee-saved ones, for
+// a value no call crosses, and the callee-saved ones for a value one
+// crosses. So a vsparc leaf function with at most 8 integer values live
+// at once saves no callee-saved register: r14–r21 are caller-saved.
+func TestRegisterRules(t *testing.T) {
+	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+		for w := 1; w <= 9; w++ {
+			for _, calls := range []bool{false, true} {
+				// v0..v(w-1) are constants, then v(i) = v(i-1) + v(i-w),
+				// each definition followed by a call when calls is set:
+				// w+1 values are live at every add.
+				const n = 40
+				var code []target.MInstr
+				for i := 0; i < n; i++ {
+					if i < w {
+						code = append(code, movi(vr(i), int64(i)))
+					} else {
+						code = append(code, add(vr(i), vr(i-1), vr(i-w)))
+					}
+					if calls {
+						code = append(code, target.MInstr{Op: target.MCall, Sym: "g"})
+					}
+				}
+				code = append(code, storeFP(vr(n-1), d), jmp(1))
+				s := mirSelector(d, n, code)
+				lv := computeLiveness(s)
+				k := 0
+				for pos := range s.code {
+					live := 0
+					for _, iv := range lv.ivals {
+						if iv.start <= pos && pos <= iv.end {
+							live++
+						}
+					}
+					k = max(k, live)
+				}
+				if k != w+1 {
+					t.Fatalf("%s w=%d: %d values live at once, want %d", d.Name, w, k, w+1)
+				}
+				pool := slices.Concat(d.CallerSaved, d.Allocatable)
+				if calls {
+					pool = d.Allocatable
+				}
+				if k > len(pool) {
+					continue
+				}
+				a := linearScan(s, lv, false)
+				for v, r := range a.assigned {
+					if i := slices.Index(pool, r); i < 0 || i >= k {
+						t.Errorf("%s w=%d calls=%v: v%d in %v, outside the first %d of %v",
+							d.Name, w, calls, v, r, k, pool)
+					}
+				}
+				if d == target.VSPARC && !calls && k <= 8 && len(a.saved) > 0 {
+					t.Errorf("vsparc leaf, %d values live at once: saves %v", k, a.saved)
+				}
+			}
+		}
+	}
+}
+
 // suiteSelectors runs instruction selection over every function of the
 // workload suite for d.
 func suiteSelectors(tb testing.TB, d *target.Desc) []*selector {

@@ -30,6 +30,12 @@ type selector struct {
 	vFP     []bool       // virtual register class, indexed by vreg - VRegBase
 	nextV   target.Reg
 
+	// entry holds the constants built once for the whole function
+	// (materialize), spliced in after the entry block's parameter moves,
+	// which end at paramEnd.
+	entry    []target.MInstr
+	paramEnd int
+
 	// frame state
 	saveArea     int32 // reserved register-save area below FP
 	allocaBytes  int32
@@ -58,6 +64,14 @@ type valInfo struct {
 	// starts at FP.
 	allocaOff int32
 	fused     bool // a comparison folded into its block's branch (vx86)
+	// quot is, for a rem, the div of its operands whose quotient it
+	// reuses (pairDivRem); divHere selects that div at the rem, and early
+	// marks a div so selected ahead of its own place. divisor is the
+	// register of a binary op's right operand, 0 for an immediate: a
+	// div's divisor, which its rem multiplies by.
+	quot           *core.Instruction
+	divHere, early bool
+	divisor        target.Reg
 }
 
 // newSelector returns ws's selector, reset to lower f.
@@ -71,18 +85,14 @@ func newSelector(t *Translator, f *core.Function, ws *workspace) *selector {
 		ws:    ws,
 		nextV: target.VRegBase,
 	}
+	// The save area below FP has a slot for every callee-saved register:
+	// alloca offsets are assigned during selection, before allocation
+	// knows which registers the function uses. vsparc keeps the return
+	// address and the caller's FP at its top; vx86 keeps them above FP
+	// (pushed by call and the prologue).
+	s.saveArea = int32(8 * (len(t.desc.Allocatable) + len(t.desc.FPAllocatable)))
 	if !t.desc.StackArgs {
-		// vsparc: fixed register-save area at the top of the frame:
-		// return address, caller's FP, and up to 33 callee-saved slots
-		// (17 integer + 15 FP allocatable registers).
-		s.saveArea = 280
-	} else {
-		// vx86: the return address and caller's FP live above FP (pushed
-		// by call and the prologue), so the save area below FP holds only
-		// callee-saved registers. It is sized for the full pool because
-		// alloca offsets are assigned during selection, before allocation
-		// knows which registers the function uses.
-		s.saveArea = int32(8 * (len(t.desc.Allocatable) + len(t.desc.FPAllocatable)))
+		s.saveArea += 16
 	}
 	return s
 }
@@ -139,6 +149,11 @@ func (s *selector) run() {
 	// About two virtual registers per instruction: results, phi
 	// carriers and materialized constants.
 	s.vFP = emptied(ws.vFP, 2*f.InstrSlots()+len(f.Params))
+	s.entry = ws.entry[:0]
+	if ws.consts == nil {
+		ws.consts = make(map[constKey]target.Reg)
+	}
+	clear(ws.consts)
 	// Pre-assign virtual registers to every parameter and result-bearing
 	// instruction, so cross-block uses resolve regardless of layout order.
 	s.argRegs = zeroed(ws.argRegs, len(f.Params))
@@ -199,6 +214,7 @@ func (s *selector) run() {
 		s.blockStart[bi] = len(s.code)
 		if bi == 0 {
 			s.emitParamMoves()
+			s.paramEnd = len(s.code)
 		}
 		// Phi headers: copy carriers into phi registers.
 		for _, phi := range bb.Phis() {
@@ -206,13 +222,20 @@ func (s *selector) run() {
 			s.emit(target.MInstr{Op: target.MMovRR, Rd: v.reg,
 				Rs1: v.carrier, FP: isFPType(phi.Type())})
 		}
+		s.pairDivRem(bb)
 		for _, in := range bb.Instructions() {
 			s.selectInstr(bb, in)
 		}
 	}
 	s.blockStart[len(f.Blocks)] = len(s.code) // epilogue label
+	if n := len(s.entry); n > 0 {
+		s.code = slices.Insert(s.code, s.paramEnd, s.entry...)
+		for bi := 1; bi < len(s.blockStart); bi++ {
+			s.blockStart[bi] += n
+		}
+	}
 	ws.blockIdx, ws.vals, ws.vFP, ws.argRegs = s.blockIdx, s.vals, s.vFP, s.argRegs
-	ws.code, ws.start = s.code, s.blockStart
+	ws.code, ws.start, ws.entry = s.code, s.blockStart, s.entry
 }
 
 // emitParamMoves copies incoming arguments into their virtual registers.
@@ -280,6 +303,44 @@ func constWord(c *core.Constant) int64 {
 	return int64(w)
 }
 
+// constKey names what materialize builds: a symbol's address, or a
+// scalar constant's canonical word, moved into an FP register if fp.
+type constKey struct {
+	sym  string
+	word uint64
+	fp   bool
+}
+
+// materialize returns a register holding k. A materialization of one
+// instruction is emitted at the use. A longer one — a vsparc symbol
+// address or wide integer, an FP constant on either target — is built
+// once, after the entry block's parameter moves, and its register serves
+// every use in the function.
+func (s *selector) materialize(k constKey) target.Reg {
+	if r, ok := s.ws.consts[k]; ok {
+		return r
+	}
+	at := len(s.code)
+	r := s.newVReg(false)
+	if k.sym != "" {
+		s.synthSym(r, k.sym)
+	} else {
+		s.synthImm(r, int64(k.word))
+	}
+	if k.fp {
+		fr := s.newVReg(true)
+		s.emit(target.MInstr{Op: target.MCvt, Cvt: target.CvtBits,
+			Rd: fr, Rs1: r, FP: true, Size: 8})
+		r = fr
+	}
+	if len(s.code)-at > 1 {
+		s.entry = append(s.entry, s.code[at:]...)
+		s.code = s.code[:at]
+		s.ws.consts[k] = r
+	}
+	return r
+}
+
 // val returns a register holding the canonical value of v, materializing
 // constants and symbol addresses as needed.
 func (s *selector) val(v core.Value) target.Reg {
@@ -296,29 +357,13 @@ func (s *selector) val(v core.Value) target.Reg {
 		return s.reg(x)
 	case *core.Constant:
 		if x.CK == core.ConstGlobal {
-			r := s.newVReg(false)
-			s.synthSym(r, x.Ref.Name())
-			return r
+			return s.materialize(constKey{sym: x.Ref.Name()})
 		}
-		if x.Type().IsFloat() {
-			ir := s.newVReg(false)
-			s.synthImm(ir, constWord(x))
-			fr := s.newVReg(true)
-			s.emit(target.MInstr{Op: target.MCvt, Cvt: target.CvtBits,
-				Rd: fr, Rs1: ir, FP: true, Size: 8})
-			return fr
-		}
-		r := s.newVReg(false)
-		s.synthImm(r, constWord(x))
-		return r
+		return s.materialize(constKey{word: uint64(constWord(x)), fp: x.Type().IsFloat()})
 	case *core.GlobalVariable:
-		r := s.newVReg(false)
-		s.synthSym(r, x.Name())
-		return r
+		return s.materialize(constKey{sym: x.Name()})
 	case *core.Function:
-		r := s.newVReg(false)
-		s.synthSym(r, x.Name())
-		return r
+		return s.materialize(constKey{sym: x.Name()})
 	}
 	panic(fmt.Sprintf("codegen: bad operand %T", v))
 }
@@ -336,7 +381,9 @@ func (s *selector) selectInstr(bb *core.BasicBlock, in *core.Instruction) {
 		}
 		s.selCompare(in)
 	case op.IsBinary():
-		s.selBinary(in)
+		if !s.vals[in.Num()].early {
+			s.selBinary(in)
+		}
 	default:
 		switch op {
 		case core.OpRet:
@@ -419,7 +466,89 @@ func (s *selector) immOperand(v core.Value) (int64, bool) {
 	return imm, s.desc.ImmFits(imm)
 }
 
+// pairDivRem pairs each integer rem of bb with a div of the same
+// operands in bb, so that the rem costs a multiply and a subtract,
+// x − (x/y)·y, instead of a second divide: by core.Scalar the two agree
+// modulo 2^w at every width w whenever the divide does not fault. It
+// pairs them in two cases:
+//   - the div comes first and traps (exceptions enabled): a faulting
+//     divisor stops execution there, before the rem;
+//   - y is a constant that cannot fault, neither 0 nor, at 64-bit signed
+//     width, -1: then a div after the rem is selected at the rem.
+func (s *selector) pairDivRem(bb *core.BasicBlock) {
+	for ri, rem := range bb.Instructions() {
+		if rem.Op() != core.OpRem || !rem.Type().IsInteger() {
+			continue
+		}
+		x, y := rem.Operand(0), rem.Operand(1)
+		safe := s.divisorCannotFault(y)
+		for di, div := range bb.Instructions() {
+			if div.Op() != core.OpDiv || div.Type() != rem.Type() ||
+				!sameOperand(div.Operand(0), x) || !sameOperand(div.Operand(1), y) {
+				continue
+			}
+			if di < ri && (div.ExceptionsEnabled || safe) {
+				s.vals[rem.Num()].quot = div
+			} else if di > ri && safe {
+				s.vals[rem.Num()].quot = div
+				if dv := &s.vals[div.Num()]; !dv.early {
+					dv.early = true
+					s.vals[rem.Num()].divHere = true
+				}
+			}
+			break
+		}
+	}
+}
+
+// divisorCannotFault reports whether y is an integer constant no div or
+// rem faults on.
+func (s *selector) divisorCannotFault(y core.Value) bool {
+	c, ok := y.(*core.Constant)
+	if !ok || c.CK != core.ConstInt {
+		return false
+	}
+	w := constWord(c)
+	return w != 0 && !(w == -1 && c.Type().IsSigned() && s.sizeOf(c.Type()) == 8)
+}
+
+// sameOperand reports whether a and b are one value: the same SSA value,
+// or equal constants (constants are not interned).
+func sameOperand(a, b core.Value) bool {
+	if a == b {
+		return true
+	}
+	ca, ok1 := a.(*core.Constant)
+	cb, ok2 := b.(*core.Constant)
+	return ok1 && ok2 && ca.Key() == cb.Key()
+}
+
+// selRemFromQuot selects rem as x − q·y, q the quotient of its paired
+// div (pairDivRem).
+func (s *selector) selRemFromQuot(rem *core.Instruction) {
+	v := s.vals[rem.Num()]
+	if v.divHere {
+		s.selBinary(v.quot)
+	}
+	t := rem.Type()
+	size, signed := s.sizeOf(t), t.IsSigned()
+	prod := s.newVReg(false)
+	m := target.MInstr{Op: target.MALU, Alu: target.AMul, Rd: prod, Rs1: s.reg(v.quot),
+		Size: size, Signed: signed}
+	if imm, ok := s.immOperand(rem.Operand(1)); ok {
+		m.HasImm, m.Imm = true, imm
+	} else {
+		m.Rs2 = s.vals[v.quot.Num()].divisor
+	}
+	s.emit(m)
+	s.emitALU(target.ASub, s.reg(rem), s.val(rem.Operand(0)), prod, size, signed, false)
+}
+
 func (s *selector) selBinary(in *core.Instruction) {
+	if s.vals[in.Num()].quot != nil {
+		s.selRemFromQuot(in)
+		return
+	}
 	t := in.Type()
 	fp := isFPType(t)
 	rd := s.reg(in)
@@ -442,6 +571,7 @@ func (s *selector) selBinary(in *core.Instruction) {
 	y := s.val(in.Operand(1))
 	s.emit(target.MInstr{Op: target.MALU, Alu: alu, Rd: rd, Rs1: x, Rs2: y,
 		Size: size, Signed: t.IsSigned(), FP: fp, NoTrap: noTrap})
+	s.vals[in.Num()].divisor = y
 }
 
 // cmpCond is the condition that tests cmp, and whether its operands are

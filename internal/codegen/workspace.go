@@ -33,6 +33,8 @@ type workspace struct {
 	argRegs   []target.Reg
 	callArgs  []target.Reg
 	blockHeat []uint64
+	entry     []target.MInstr
+	consts    map[constKey]target.Reg
 
 	// liveness and coalescing
 	rows          liveRows

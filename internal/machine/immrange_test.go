@@ -24,7 +24,7 @@ var immEdges = []int64{-4097, -4096, -1, 1, 4095, 4096,
 // vsparc at tiers 1 and 2, at every integer width and signedness. A
 // constant inside a target's range is the instruction's immediate
 // (Desc.ImmFits), one outside goes through a register, so both sides of
-// each edge are held.
+// each edge are held. So are the div/rem pairs of divRemPairs.
 func TestImmediateRangeTable(t *testing.T) {
 	m := core.NewModule("immrange")
 	ctx := m.Types()
@@ -72,6 +72,7 @@ func TestImmediateRangeTable(t *testing.T) {
 			}
 		}
 	}
+	pairs := divRemPairs(m)
 	if err := core.Verify(m); err != nil {
 		t.Fatal(err)
 	}
@@ -116,4 +117,107 @@ func TestImmediateRangeTable(t *testing.T) {
 	if imms == 0 || imms == len(rows) {
 		t.Fatalf("%d of %d constants are vsparc immediates: the table misses one side of the range", imms, len(rows))
 	}
+
+	// The div/rem pairs: the interpreter computes both quotients, and so
+	// every engine must, whatever it makes of the rem.
+	for _, p := range pairs {
+		f := m.Function(p.name)
+		ty := f.Params[0].Type()
+		for _, x := range canonSet(ty, []uint64{0, 1, 7, 1<<64 - 1, 4095, 1<<64 - 4096, 10000,
+			1<<64 - 10001, math.MaxInt32, 1<<64 - 1<<31, math.MaxInt64, 1 << 63, 0x1234_5678_9abc_def0}) {
+			argSets := [][]uint64{{x}}
+			if p.param {
+				argSets = nil
+				for _, y := range canonSet(ty, []uint64{0, 1<<64 - 1, 7}) {
+					argSets = append(argSets, []uint64{x, y})
+				}
+			}
+			for _, args := range argSets {
+				row := fmt.Sprintf("%s%#x", p.desc, args)
+				w, err := ip.Run(p.name, args...)
+				want := engineOutcome(t, row, "interpreter", w, err)
+				for i, mc := range mcs {
+					w, err := mc.Run(p.name, args...)
+					if got := engineOutcome(t, row, names[i], w, err); got != want {
+						t.Errorf("%s: %s gives %v, the interpreter %v", row, names[i], got, want)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d div/rem pair functions", len(pairs))
+}
+
+// divRemPair is a function of TestImmediateRangeTable that computes the
+// quotient and the remainder of one pair of operands and returns both,
+// as q·1000003 + r.
+type divRemPair struct {
+	name, desc string
+	param      bool // the divisor is the second parameter, not a constant
+}
+
+// divRemPairs adds to m, for every integer type, both orders of div and
+// rem and every pair of their exception flags, one function for each
+// constant divisor (1, -1, 2, 7, 4095, 4096, 10000 and the type's
+// minimum, canonicalised) and one whose divisor is a parameter, passed 0,
+// -1 and 7. The selector computes such a rem from its div's quotient
+// where no fault can tell them apart (a div that traps first, or a
+// constant divisor neither 0 nor 64-bit signed -1), and these rows hold
+// it to the interpreter on the fault's side too.
+func divRemPairs(m *core.Module) []divRemPair {
+	ctx := m.Types()
+	var out []divRemPair
+	for _, ty := range []*core.Type{ctx.SByte(), ctx.UByte(), ctx.Short(), ctx.UShort(),
+		ctx.Int(), ctx.UInt(), ctx.Long(), ctx.ULong()} {
+		sc := core.ScalarOf(ty)
+		minimum := uint64(0)
+		if ty.IsSigned() {
+			minimum = sc.Canon(1 << (sc.Bits - 1))
+		}
+		var divisors []core.Value
+		seen := map[uint64]bool{}
+		for _, c := range []uint64{1, 1<<64 - 1, 2, 7, 4095, 4096, 10000, minimum} {
+			if w := sc.Canon(c); !seen[w] {
+				seen[w] = true
+				divisors = append(divisors, core.NewUint(ty, w))
+			}
+		}
+		divisors = append(divisors, nil) // the parameter
+		for _, c := range divisors {
+			for _, remFirst := range []bool{false, true} {
+				for flags := 0; flags < 4; flags++ {
+					p := divRemPair{name: fmt.Sprintf("pair%d", len(out)), param: c == nil}
+					params := []*core.Type{ty}
+					if p.param {
+						params = append(params, ty)
+					}
+					f := m.NewFunction(p.name, ctx.Function(ty, params, false))
+					b := core.NewBuilder(f)
+					b.SetBlock(f.NewBlock("entry"))
+					x, y := core.Value(f.Params[0]), c
+					if p.param {
+						y = f.Params[1]
+					}
+					var q, r *core.Instruction
+					if remFirst {
+						r = b.Rem(x, y, "r")
+						q = b.Div(x, y, "q")
+					} else {
+						q = b.Div(x, y, "q")
+						r = b.Rem(x, y, "r")
+					}
+					q.ExceptionsEnabled, r.ExceptionsEnabled = flags&1 != 0, flags&2 != 0
+					b.Ret(b.Add(b.Mul(q, core.NewUint(ty, 1000003), "qk"), r, "both"))
+					divisor := "%y"
+					if !p.param {
+						divisor = c.(*core.Constant).Ident()
+					}
+					p.desc = fmt.Sprintf("%s %s div/rem %s (remFirst=%v, div exc=%v, rem exc=%v)",
+						p.name, ty, divisor, remFirst, q.ExceptionsEnabled, r.ExceptionsEnabled)
+					out = append(out, p)
+				}
+			}
+		}
+	}
+	return out
 }

@@ -90,13 +90,22 @@ var VX86 = &Desc{
 // compare-into-register (no flags), SPARC V9's signed 13-bit immediate
 // (simm13, [-4096, 4095]) in every ALU op, setcc and memory
 // displacement, wider constants synthesized from 16-bit chunks
-// (sethi/or chains), and a large allocatable file split between caller
-// scratch and callee-saved registers. It models the paper's SPARC V9
-// back-end.
+// (sethi/or chains), and a large allocatable file split between
+// caller-saved and callee-saved registers. It models the paper's SPARC
+// V9 back-end.
 //
 // Integer file: r0 zero, r1 SP, r2 FP, r3 RA (link), r4–r9 args,
-// r10 return, r11–r13 scratch, r14–r30 allocatable, r31 assembler temp.
-// FP file: f0 return, f1–f6 args, f7–f9 scratch, f10–f24 allocatable.
+// r10 return, r11–r13 scratch, r14–r21 caller-saved, r22–r30
+// callee-saved, r31 assembler temp. FP file: f0 return, f1–f6 args,
+// f7–f9 scratch, f10–f16 caller-saved, f17–f24 callee-saved.
+//
+// The caller-saved part follows SPARC V9, where %g and %o are
+// caller-saved: a value no call crosses takes one, so a leaf function
+// with at most 8 integer values live at once saves no register in its
+// prologue. The split of 8 is measured: 3, 4, 6, 8, 10 and 12
+// caller-saved registers (FP one fewer) give 286.6, 285.7, 284.5, 283.1,
+// 282.3 and 282.5 M suite cycles, and 8 gives the fewest instructions
+// and bytes (EXPERIMENTS.md, "Translated code stops redoing work").
 var VSPARC = &Desc{
 	Name:     "vsparc",
 	WordSize: 4,
@@ -118,13 +127,15 @@ var VSPARC = &Desc{
 	Scratch:   [3]Reg{Reg(11), Reg(12), Reg(13)},
 	FPScratch: [3]Reg{FPBase + 7, FPBase + 8, FPBase + 9},
 
-	Allocatable: []Reg{
-		14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30,
-	},
+	Allocatable: []Reg{22, 23, 24, 25, 26, 27, 28, 29, 30},
 	FPAllocatable: []Reg{
-		FPBase + 10, FPBase + 11, FPBase + 12, FPBase + 13, FPBase + 14,
-		FPBase + 15, FPBase + 16, FPBase + 17, FPBase + 18, FPBase + 19,
-		FPBase + 20, FPBase + 21, FPBase + 22, FPBase + 23, FPBase + 24,
+		FPBase + 17, FPBase + 18, FPBase + 19, FPBase + 20,
+		FPBase + 21, FPBase + 22, FPBase + 23, FPBase + 24,
+	},
+	CallerSaved: []Reg{14, 15, 16, 17, 18, 19, 20, 21},
+	FPCallerSaved: []Reg{
+		FPBase + 10, FPBase + 11, FPBase + 12, FPBase + 13,
+		FPBase + 14, FPBase + 15, FPBase + 16,
 	},
 }
 

@@ -10,10 +10,12 @@
 //   - vsparc: RISC-flavoured — register arguments, compare-into-register,
 //     SPARC V9's signed 13-bit immediates and displacements, wider
 //     constants synthesized from 16-bit chunks (sethi/or style), and a
-//     large callee-saved allocatable file.
+//     large allocatable file split SPARC V9 style: 8 integer and 7 FP
+//     caller-saved registers (as %g and %o are), the rest callee-saved.
 //
-// Both are served by the same linear-scan register allocator. Each
-// target's operand ranges live in its Desc (MaxImm, MaxDisp). Both
+// Both are served by the same linear-scan register allocator, which
+// takes the lowest free register of a pool in Desc order. Each target's
+// register pools and operand ranges live in its Desc (MaxImm, MaxDisp). Both
 // simulate 64-bit little-endian processors; WordSize distinguishes the
 // constant-synthesis granularity (8 = x86-style imm64, 4 = SPARC-style
 // 16-bit chunks), not the data width.
