@@ -86,7 +86,7 @@ func main() {
 	idleOpt := flag.Bool("idle-optimize", false, "idle-time PGO: complete the module's cache entry, with every function the stored guest profile (-prof-store) counted entries of, if there is one, translated at tier 2 and tagged with its stamp, so a later start translates nothing; does not execute (needs -cache)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics, /debug/llva/trace, /debug/llva/prof, /debug/vars, /debug/pprof)")
 	traceOut := flag.String("trace-out", "", "write the telemetry event ring (cache, translation and session events and spans) as Chrome trace_event JSON (Perfetto-loadable) to FILE at exit")
-	profOn := flag.Bool("prof", false, "profile the guest: count every block entry, and sample the virtual call stack every -prof-rate retired instructions")
+	profOn := flag.Bool("prof", false, "profile the guest: count every block entry, and sample the virtual call stack every -prof-rate retired instructions; with -stats, also print the sample report and the census of retired instructions and cycles by op")
 	profRate := flag.Int("prof-rate", prof.DefaultRate, "guest sampling period in retired virtual instructions: shapes -prof-out and /debug/llva/prof only, since the stored profile is the exact block entries")
 	profOut := flag.String("prof-out", "", "write the sampled guest call stacks as folded stacks to FILE at exit (implies -prof)")
 	profStore := flag.Bool("prof-store", false, "persist the guest profile's block entries through the storage API after the run, merged into the stored ones (implies -prof, needs -cache)")
@@ -291,6 +291,7 @@ func main() {
 	}
 	if *stats && prober != nil {
 		_ = prober.WriteReport(os.Stderr)
+		_ = prober.WriteCensus(os.Stderr)
 	}
 	exit(code)
 }

@@ -127,7 +127,7 @@ func (o *NativeObject) NumInstrs() int {
 // it, so code another revision emitted, and profiles counted in that
 // code's address space, are cache misses and not stale hits (paper,
 // Section 4.1: validate the cached translation, else translate online).
-const Revision = "8"
+const Revision = "9"
 
 // Metric names published to a shared registry via SetTelemetry.
 const (
@@ -412,6 +412,11 @@ func layout(s *selector, blocks bool) ([]byte, []target.Reloc, BlockTable) {
 	offs := zeroed(ws.offs, len(s.code)+1)
 	nRelocs := 0
 	for i := range s.code {
+		// A memory operand the target lacks is the translator's bug,
+		// refused as an out-of-range immediate is (AppendEncoding).
+		if !d.MemFits(&s.code[i]) {
+			panic(fmt.Sprintf("layout: %s: not one of %s's addressing forms", s.code[i].String(), d.Name))
+		}
 		ws.probe, ws.rl = d.AppendEncoding(ws.probe[:0], ws.rl[:0], &s.code[i])
 		offs[i+1] = offs[i] + len(ws.probe)
 		nRelocs += len(ws.rl)

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"llva/internal/core"
+	"llva/internal/target"
 )
 
 // CoalesceCopies selects f and coalesces it, returning how many copies
@@ -59,4 +60,19 @@ func PanicInLowering(name string, v any) (reused func() bool, restore func()) {
 		return again
 	}
 	return reused, func() { lowerTestHook = nil }
+}
+
+// WidenFirstLoad makes every lowering until restore give its first load
+// an index register scaled by 4 and a displacement, [base + base*4 + 8],
+// between register allocation and frame lowering.
+func WidenFirstLoad() (restore func()) {
+	lowerTestHook = func(s *selector) {
+		for i := range s.code {
+			if in := &s.code[i]; in.Op == target.MLoad {
+				in.Index, in.Scale, in.Disp = in.Base, 4, 8
+				return
+			}
+		}
+	}
+	return func() { lowerTestHook = nil }
 }

@@ -78,10 +78,14 @@ func (s *selector) prologue(code []target.MInstr) []target.MInstr {
 		code = append(code, target.MInstr{Op: target.MALU, Alu: target.AAdd,
 			Rd: d.FP, Rs1: d.SP, Rs2: 31, Size: 8})
 	}
-	// Save return address and the caller's FP at the top of the frame
-	// (frameInstrs synthesizes the address via the assembler temporary
-	// when a save slot is beyond the displacement range).
-	code = frameInstrs(code, d, target.MStore, target.Reg(3), -8, false) // RA
+	// Save the return address and the caller's FP at the top of the
+	// frame (frameInstrs synthesizes the address via the assembler
+	// temporary when a save slot is beyond the displacement range). A
+	// leaf, which calls nothing, keeps its return address in r3, as a
+	// SPARC V9 leaf routine keeps %o7; its slot stays in the frame.
+	if s.hasCalls {
+		code = frameInstrs(code, d, target.MStore, target.Reg(3), -8, false) // RA
+	}
 	code = frameInstrs(code, d, target.MStore, oldFPTmp, -16, false)
 	// Callee-saved registers actually used by this function.
 	for i, r := range s.savedRegs {
@@ -108,7 +112,9 @@ func (s *selector) epilogue(code []target.MInstr) []target.MInstr {
 	for i, r := range s.savedRegs {
 		code = frameInstrs(code, d, target.MLoad, r, int32(-24-8*i), r.IsFP())
 	}
-	code = frameInstrs(code, d, target.MLoad, target.Reg(3), -8, false)
+	if s.hasCalls {
+		code = frameInstrs(code, d, target.MLoad, target.Reg(3), -8, false)
+	}
 	code = frameInstrs(code, d, target.MLoad, oldFPTmp, -16, false)
 	return append(code,
 		target.MInstr{Op: target.MMovRR, Rd: d.SP, Rs1: d.FP},

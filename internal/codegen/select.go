@@ -63,7 +63,7 @@ type valInfo struct {
 	// the frame's register-save area is never empty, so no alloca
 	// starts at FP.
 	allocaOff int32
-	fused     bool // a comparison folded into its block's branch (vx86)
+	fused     bool // a comparison folded into its block's branch
 	// quot is, for a rem, the div of its operands whose quotient it
 	// reuses (pairDivRem); divHere selects that div at the rem, and early
 	// marks a div so selected ahead of its own place. divisor is the
@@ -191,17 +191,23 @@ func (s *selector) run() {
 			}
 		}
 	}
-	// Identify comparisons fusable into compare-and-branch (vx86).
-	if s.desc.HasFlags {
-		for _, bb := range f.Blocks {
-			term := bb.Terminator()
-			if term == nil || term.Op() != core.OpBr || term.NumBlocks() != 2 {
-				continue
-			}
-			cmp, ok := term.Operand(0).(*core.Instruction)
-			if ok && cmp.Op().IsComparison() && cmp.Parent() == bb && cmp.NumUses() == 1 {
-				s.vals[cmp.Num()].fused = true
-			}
+	// Identify comparisons fused into their block's branch: on a target
+	// with flags (vx86) every one, into compare-and-branch; on one
+	// without (vsparc) a compare with zero, into a branch on the register
+	// (zeroBranch).
+	for _, bb := range f.Blocks {
+		term := bb.Terminator()
+		if term == nil || term.Op() != core.OpBr || term.NumBlocks() != 2 {
+			continue
+		}
+		cmp, ok := term.Operand(0).(*core.Instruction)
+		if !ok || !cmp.Op().IsComparison() || cmp.Parent() != bb || cmp.NumUses() != 1 {
+			continue
+		}
+		if s.desc.HasFlags {
+			s.vals[cmp.Num()].fused = true
+		} else if _, _, ok := zeroBranch(cmp); ok {
+			s.vals[cmp.Num()].fused = true
 		}
 	}
 
@@ -397,8 +403,14 @@ func (s *selector) selectInstr(bb *core.BasicBlock, in *core.Instruction) {
 		case core.OpStore:
 			s.selStore(in)
 		case core.OpGetElementPtr:
-			// Multi-use or non-fused GEPs compute an address value.
-			if !s.gepFoldable(in) {
+			// Multi-use or non-fused GEPs compute an address value. One
+			// whose uses in its block all read [base + index] (gepShift)
+			// shifts its index here, once.
+			if idx, k, local, _ := s.gepShift(in); local {
+				if k > 0 {
+					s.emitALUImm(target.AShl, s.reg(in), s.val(idx), int64(k))
+				}
+			} else if !s.gepFoldable(in) {
 				s.computeGEP(in)
 			}
 		case core.OpAlloca:
@@ -622,6 +634,69 @@ func (s *selector) cmpOperands(op target.MOp, cmp *core.Instruction) (target.MIn
 	return m, cond
 }
 
+// zeroBranch reports whether cmp compares an integer, pointer or bool
+// with the zero of its type (0, null, false) in a form a target without
+// flags branches on directly, as SPARC V9's BPr (brz, brnz, brlz, brgez,
+// brgz, brlez) tests a register against zero: it returns the operand
+// compared and the condition. A zero on the left is swapped to the right
+// first. A signed operand takes all six conditions; an unsigned one, a
+// pointer or a bool only eq and ne, with >u 0 as ne and <=u 0 as eq (<u 0
+// and >=u 0 keep their setcc).
+func zeroBranch(cmp *core.Instruction) (core.Value, target.Cond, bool) {
+	x, z := cmp.Operand(0), cmp.Operand(1)
+	if x.Type().IsFloat() {
+		return nil, 0, false
+	}
+	cond, _ := cmpCond(cmp)
+	if !isZero(z) {
+		if !isZero(x) {
+			return nil, 0, false
+		}
+		x = z
+		cond = swapCond(cond)
+	}
+	if x.Type().IsSigned() {
+		return x, cond, true
+	}
+	switch cond {
+	case target.CondEQ, target.CondLE:
+		return x, target.CondEQ, true
+	case target.CondNE, target.CondGT:
+		return x, target.CondNE, true
+	}
+	return nil, 0, false
+}
+
+// isZero reports whether v is the zero of an integer, pointer or bool
+// type.
+func isZero(v core.Value) bool {
+	c, ok := v.(*core.Constant)
+	if !ok {
+		return false
+	}
+	switch c.CK {
+	case core.ConstInt, core.ConstBool, core.ConstNull, core.ConstZero:
+		w, _ := c.Word()
+		return w == 0
+	}
+	return false
+}
+
+// swapCond is the condition that holds of (y, x) when c holds of (x, y).
+func swapCond(c target.Cond) target.Cond {
+	switch c {
+	case target.CondLT:
+		return target.CondGT
+	case target.CondGT:
+		return target.CondLT
+	case target.CondLE:
+		return target.CondGE
+	case target.CondGE:
+		return target.CondLE
+	}
+	return c
+}
+
 // emitCmp emits the flags-setting compare of cmp's operands (vx86) and
 // returns the condition that tests it.
 func (s *selector) emitCmp(cmp *core.Instruction) target.Cond {
@@ -634,7 +709,8 @@ func (s *selector) selCompare(in *core.Instruction) {
 	rd := s.reg(in)
 	if s.desc.HasFlags {
 		cond := s.emitCmp(in)
-		s.emit(target.MInstr{Op: target.MSetCC, Cnd: cond, Rd: rd})
+		s.emit(target.MInstr{Op: target.MSetCC, Cnd: cond, Rd: rd,
+			Rs1: target.NoReg, Rs2: target.NoReg})
 		return
 	}
 	m, cond := s.cmpOperands(target.MSetCC, in)
@@ -674,16 +750,23 @@ func (s *selector) selBr(bb *core.BasicBlock, in *core.Instruction) {
 	cond := in.Operand(0)
 
 	if ci, ok := cond.(*core.Instruction); ok && s.vals[ci.Num()].fused {
-		// compare-and-branch fusion (vx86)
-		cond := s.emitCmp(ci)
-		s.emit(target.MInstr{Op: target.MJcc, Cnd: cond, Target: tTrue})
+		if s.desc.HasFlags {
+			// compare-and-branch fusion (vx86)
+			cond := s.emitCmp(ci)
+			s.emit(target.MInstr{Op: target.MJcc, Cnd: cond, Rs1: target.NoReg, Target: tTrue})
+		} else {
+			// branch on register (vsparc, BPr)
+			x, cond, _ := zeroBranch(ci)
+			s.emit(target.MInstr{Op: target.MJcc, Cnd: cond, Rs1: s.val(x), Target: tTrue})
+		}
 		s.emit(target.MInstr{Op: target.MJmp, Target: tFalse})
 		return
 	}
 	c := s.val(cond)
 	if s.desc.HasFlags {
-		s.emit(target.MInstr{Op: target.MCmp, Rs1: c, Rs2: target.NoReg, HasImm: true, Imm: 0})
-		s.emit(target.MInstr{Op: target.MJcc, Cnd: target.CondNE, Target: tTrue})
+		s.emit(target.MInstr{Op: target.MCmp, Rd: target.NoReg, Rs1: c, Rs2: target.NoReg,
+			HasImm: true, Imm: 0})
+		s.emit(target.MInstr{Op: target.MJcc, Cnd: target.CondNE, Rs1: target.NoReg, Target: tTrue})
 	} else {
 		s.emit(target.MInstr{Op: target.MJcc, Cnd: target.CondNE, Rs1: c, Target: tTrue})
 	}
@@ -702,15 +785,15 @@ func (s *selector) selMbr(bb *core.BasicBlock, in *core.Instruction) {
 	for i, cv := range in.Cases {
 		tgt := s.block(in.Block(i + 1))
 		// v == case, with a case beyond the immediate range in a register.
-		eq := target.MInstr{Op: target.MCmp, Rs1: v, Rs2: target.NoReg, HasImm: true,
-			Imm: cv, Signed: true}
+		eq := target.MInstr{Op: target.MCmp, Rd: target.NoReg, Rs1: v, Rs2: target.NoReg,
+			HasImm: true, Imm: cv, Signed: true}
 		if !s.desc.ImmFits(cv) {
 			eq.Rs2, eq.HasImm, eq.Imm = s.newVReg(false), false, 0
 			s.synthImm(eq.Rs2, cv)
 		}
 		if s.desc.HasFlags {
 			s.emit(eq)
-			s.emit(target.MInstr{Op: target.MJcc, Cnd: target.CondEQ, Target: tgt})
+			s.emit(target.MInstr{Op: target.MJcc, Cnd: target.CondEQ, Rs1: target.NoReg, Target: tgt})
 		} else {
 			tr := s.newVReg(false)
 			eq.Op, eq.Cnd, eq.Rd = target.MSetCC, target.CondEQ, tr

@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"math/bits"
+
 	"llva/internal/core"
 	"llva/internal/target"
 )
@@ -28,6 +30,9 @@ func (s *selector) gepFoldable(in *core.Instruction) bool {
 		return false
 	}
 	if in.NumUses() > 1 {
+		if _, _, local, _ := s.gepShift(in); local {
+			return true
+		}
 		if m, _, ok := s.gepMode(in); !ok || m.sym == "" {
 			return false
 		}
@@ -77,23 +82,47 @@ func (s *selector) gepAffine(in *core.Instruction) (off int64, idx core.Value, s
 	return off, idx, scale, true
 }
 
-// gepMode returns the one vx86 addressing mode a GEP's address is,
-// [base + idx*scale + off] with a global's symbol standing in for the
-// base when the GEP is off one, but with its base and index still LLVA
-// values; or ok=false: vsparc has no such mode, or the GEP has two
-// dynamic indices, a scale other than 1, 2, 4 or 8, or an offset beyond
-// an int32.
+// gepMode returns the one addressing mode a GEP's address is, [base +
+// idx*scale + off] with a global's symbol standing in for the base when
+// the GEP is off one (vx86), but with its base and index still LLVA
+// values; or ok=false: the GEP has two dynamic indices, or its scale or
+// offset is not one of the target's forms (Desc.AddrFits). On vsparc
+// that leaves [base + off] and a one-byte element's [base + idx].
 func (s *selector) gepMode(in *core.Instruction) (m memOperand, idx core.Value, ok bool) {
-	if !s.desc.MemOperands {
-		return m, nil, false
-	}
 	off, idx, scale, ok := s.gepAffine(in)
-	if !ok || idx != nil && scale != 1 && scale != 2 && scale != 4 && scale != 8 ||
-		off < -(1<<31) || off >= 1<<31 {
+	sym := s.globalSym(in.Operand(0))
+	if !ok || !s.desc.AddrFits(target.Addr{Sym: sym != "", Index: idx != nil, Scale: scale, Disp: off}) {
 		return m, nil, false
 	}
 	return memOperand{base: target.NoReg, index: target.NoReg, scale: uint8(scale),
-		disp: int32(off), sym: s.globalSym(in.Operand(0))}, idx, true
+		disp: int32(off), sym: sym}, idx, true
+}
+
+// gepShift reports whether a GEP's address is [base + (idx << k)] on a
+// target whose indexed form takes no scale (vsparc, SPARC V9's [rs1 +
+// rs2]): the GEP has one dynamic index, no constant offset and an
+// element of 2^k bytes. local reports whether every use is the address
+// of a load or store in the GEP's own block: then the shift is selected
+// once, at the GEP, into the GEP's own register, which holds nothing else
+// (with k = 0 there is none: the uses read idx). A GEP with one use
+// elsewhere is shifted at that use, where its address used to be
+// computed.
+func (s *selector) gepShift(in *core.Instruction) (idx core.Value, k int, local, ok bool) {
+	d := s.desc
+	if !d.AddrFits(target.Addr{Index: true, Scale: 1}) || d.AddrFits(target.Addr{Index: true, Scale: 2}) ||
+		in.NumUses() == 0 {
+		return nil, 0, false, false
+	}
+	off, idx, scale, ok := s.gepAffine(in)
+	if !ok || idx == nil || off != 0 || scale <= 0 || scale&(scale-1) != 0 {
+		return nil, 0, false, false
+	}
+	local = true
+	for _, u := range in.UseList() {
+		local = local && u.User.Parent() == in.Parent() &&
+			(u.User.Op() == core.OpLoad || u.User.Op() == core.OpStore && u.Index == 1)
+	}
+	return idx, bits.TrailingZeros64(uint64(scale)), local, true
 }
 
 // gepOperand selects the registers of gepMode's operand.
@@ -111,7 +140,7 @@ func (s *selector) gepOperand(in *core.Instruction, m memOperand, idx core.Value
 // when the target addresses memory through an absolute displacement
 // (vx86), and "" otherwise.
 func (s *selector) globalSym(v core.Value) string {
-	if !s.desc.MemOperands {
+	if !s.desc.AddrFits(target.Addr{Sym: true}) {
 		return ""
 	}
 	switch x := v.(type) {
@@ -139,13 +168,18 @@ func (s *selector) addr(ptr core.Value) memOperand {
 	if m, idx, ok := s.gepMode(in); ok {
 		return s.gepOperand(in, m, idx)
 	}
-	// All-constant indices (vsparc, or beyond vx86's int32): base + disp.
-	if off, idx, _, ok := s.gepAffine(in); ok && idx == nil {
-		base := s.val(in.Operand(0))
-		if s.desc.DispFits(off) {
-			return memOperand{base: base, index: target.NoReg, disp: int32(off)}
+	if idx, k, local, ok := s.gepShift(in); ok {
+		// [base + (idx << k)] (vsparc), shifted at the GEP or here
+		m := memOperand{base: s.val(in.Operand(0)), index: s.reg(in), scale: 1}
+		if !local {
+			m.index = s.newVReg(false)
+			s.emitALUImm(target.AShl, m.index, s.val(idx), int64(k))
 		}
-		return memOperand{base: s.addImm(base, off), index: target.NoReg}
+		return m
+	}
+	// All-constant indices beyond the displacement range.
+	if off, idx, _, ok := s.gepAffine(in); ok && idx == nil {
+		return memOperand{base: s.addImm(s.val(in.Operand(0)), off), index: target.NoReg}
 	}
 	// General: compute the address, use it directly.
 	s.computeGEP(in)
@@ -171,7 +205,7 @@ func (s *selector) addImm(base target.Reg, off int64) target.Reg {
 // computeGEP materializes a GEP's address into its virtual register.
 func (s *selector) computeGEP(in *core.Instruction) {
 	// One addressing mode: one lea rd, [base + idx*scale + off] (vx86).
-	if m, idx, ok := s.gepMode(in); ok && (m.sym != "" || idx != nil || m.disp != 0) {
+	if m, idx, ok := s.gepMode(in); ok && s.desc.MemOperands && (m.sym != "" || idx != nil || m.disp != 0) {
 		m = s.gepOperand(in, m, idx)
 		s.emit(target.MInstr{Op: target.MLea, Rd: s.reg(in), Base: m.base,
 			Index: m.index, Scale: m.scale, Disp: m.disp, Sym: m.sym, HasMem: true})
@@ -204,7 +238,7 @@ func (s *selector) computeGEP(in *core.Instruction) {
 			continue
 		}
 		idx := s.val(idxOp)
-		if s.desc.MemOperands && (size == 1 || size == 2 || size == 4 || size == 8) {
+		if s.desc.MemOperands && s.desc.AddrFits(target.Addr{Index: true, Scale: size}) {
 			// lea cur', [cur + idx*size]
 			nr := s.newVReg(false)
 			s.emit(target.MInstr{Op: target.MLea, Rd: nr, Base: cur,
@@ -331,8 +365,9 @@ func (s *selector) selCast(in *core.Instruction) {
 			s.emit(target.MInstr{Op: target.MCvt, Cvt: target.CvtBits, Rd: z,
 				Rs1: zi, FP: true, Size: 8})
 			if s.desc.HasFlags {
-				s.emit(target.MInstr{Op: target.MCmp, Rs1: src, Rs2: z, FP: true})
-				s.emit(target.MInstr{Op: target.MSetCC, Cnd: target.CondNE, Rd: rd})
+				s.emit(target.MInstr{Op: target.MCmp, Rd: target.NoReg, Rs1: src, Rs2: z, FP: true})
+				s.emit(target.MInstr{Op: target.MSetCC, Cnd: target.CondNE, Rd: rd,
+					Rs1: target.NoReg, Rs2: target.NoReg})
 			} else {
 				s.emit(target.MInstr{Op: target.MSetCC, Cnd: target.CondNE,
 					Rd: rd, Rs1: src, Rs2: z, FP: true})
@@ -340,9 +375,10 @@ func (s *selector) selCast(in *core.Instruction) {
 			return
 		}
 		if s.desc.HasFlags {
-			s.emit(target.MInstr{Op: target.MCmp, Rs1: src, Rs2: target.NoReg,
+			s.emit(target.MInstr{Op: target.MCmp, Rd: target.NoReg, Rs1: src, Rs2: target.NoReg,
 				HasImm: true, Imm: 0})
-			s.emit(target.MInstr{Op: target.MSetCC, Cnd: target.CondNE, Rd: rd})
+			s.emit(target.MInstr{Op: target.MSetCC, Cnd: target.CondNE, Rd: rd,
+				Rs1: target.NoReg, Rs2: target.NoReg})
 		} else {
 			s.emit(target.MInstr{Op: target.MSetCC, Cnd: target.CondNE,
 				Rd: rd, Rs1: src, Rs2: target.VSZero})

@@ -129,6 +129,7 @@ func (mc *Machine) RunContext(ctx context.Context, entry string, args ...uint64)
 	mc.callStack = mc.callStack[:0]
 	if mc.prof != nil {
 		mc.profNext = mc.Stats.Instrs + mc.prof.Rate()
+		mc.profTaken = mc.Stats.BranchesTaken
 	}
 
 	mc.armGas()

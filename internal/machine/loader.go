@@ -92,6 +92,7 @@ type Machine struct {
 	// flight recorder fields capture the trap-time snapshot.
 	prof        *prof.Profiler
 	profNext    uint64
+	profTaken   uint64 // Stats.BranchesTaken when the run began
 	trackCalls  bool
 	callStack   []uint64
 	sampleStack []string
@@ -273,10 +274,10 @@ func (mc *Machine) InvalidateFunction(name string) error {
 		jmp := target.MInstr{Op: target.MJmp,
 			Target: int32((int64(stub) - int64(r.lo)) / int64(mc.desc.RelBranchScale))}
 		patch, _ := mc.desc.Encode(&jmp, nil)
+		mc.invalidateBlocks(r.lo, r.hi)
 		if err := mc.mem.WriteBytes(r.lo, patch); err != nil {
 			return fmt.Errorf("machine: invalidate %s: %w", name, err)
 		}
-		mc.invalidateBlocks(r.lo, r.hi)
 	}
 	return nil
 }

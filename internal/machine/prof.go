@@ -86,22 +86,45 @@ func (mc *Machine) bodyAt(pc uint64) (codeRange, bool) {
 // instruction of its own, and its start is the next block's: it gets no
 // entries. Neither do the blocks of a body without a block table (tier-2
 // code), nor those of a lazy stub, which belongs to no body: the callee's
-// own blocks count its entries.
+// own blocks count its entries. Every block, stubs included, adds its
+// instructions to the census (census).
 func (mc *Machine) flushHits(b *block) {
 	if b.hits == 0 {
 		return
 	}
-	if r, found := mc.bodyAt(b.entry); found && mc.prof != nil {
-		t := r.blocks
-		off, end := b.entry-r.lo, b.end-r.lo
-		n := t.Len() - 1 // the last entry is the epilogue's
-		for i := sort.Search(n, func(i int) bool { return t.Off(i) >= off }); i < n && t.Off(i) < end; i++ {
-			if t.Off(i) < t.Off(i+1) {
-				mc.prof.AddBlockHits(r.name, i, b.hits)
+	if mc.prof != nil {
+		if r, found := mc.bodyAt(b.entry); found {
+			t := r.blocks
+			off, end := b.entry-r.lo, b.end-r.lo
+			n := t.Len() - 1 // the last entry is the epilogue's
+			for i := sort.Search(n, func(i int) bool { return t.Off(i) >= off }); i < n && t.Off(i) < end; i++ {
+				if t.Off(i) < t.Off(i+1) {
+					mc.prof.AddBlockHits(r.name, i, b.hits)
+				}
 			}
 		}
+		mc.census(b)
 	}
 	b.hits = 0
+}
+
+// census hands the profiler what b's entries retired, op by op: every
+// instruction of b once per entry, at its Desc.Cycles. A block runs
+// whole unless it traps, so over runs that end without a trap the census
+// plus the taken branches (recordRunEnd) is Stats.Cycles exactly. The
+// block is decoded again here, from the code it was built from
+// (invalidation flushes a block before its code is patched), so that
+// building and running blocks do no census work.
+func (mc *Machine) census(b *block) {
+	view := mc.code[:mc.codeEnd-mc.codeBase]
+	for at := b.entry; at < b.end; {
+		in, n, err := mc.desc.DecodeFrom(view, int(at-mc.codeBase))
+		if err != nil {
+			return
+		}
+		mc.prof.AddCensus(in.OpName(), b.hits, b.hits*mc.desc.Cycles(&in))
+		at += uint64(n)
+	}
 }
 
 // virtualStack renders the shadow call stack as function names,

@@ -14,6 +14,7 @@ import (
 	"llva/internal/rt"
 	"llva/internal/target"
 	"llva/internal/telemetry"
+	"llva/internal/workloads"
 )
 
 // hotLoopSrc spends nearly all of its retired instructions inside %hot:
@@ -309,4 +310,47 @@ func loadCompiled(t *testing.T, m *core.Module, d *target.Desc) (*Machine, *stri
 		t.Fatal(err)
 	}
 	return mc, &out
+}
+
+// TestCensusMatchesCycles: the profiler's census is exact. On every
+// workload at O2, on both targets at tier 1, the census's cycles (its
+// taken-branch row included) are Stats.Cycles and its instructions
+// Stats.Instrs. With -v it prints each target's census over the suite.
+func TestCensusMatchesCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the workload suite")
+	}
+	for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
+		suite := prof.NewProfiler(0)
+		for _, w := range workloads.All() {
+			m, err := w.CompileOptimized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc, _ := loadCompiled(t, m, d)
+			p := prof.NewProfiler(0)
+			mc.SetProfiler(p)
+			if _, err := mc.Run("main"); err != nil {
+				t.Fatalf("%s on %s: %v", w.Name, d.Name, err)
+			}
+			var instrs, cycles, taken uint64
+			for _, r := range p.Census() {
+				instrs += r.Instrs
+				cycles += r.Cycles
+				if r.Op == prof.TakenBranch {
+					taken = r.Cycles
+				}
+				suite.AddCensus(r.Op, r.Instrs, r.Cycles)
+			}
+			if cycles != mc.Stats.Cycles || instrs != mc.Stats.Instrs || taken != mc.Stats.BranchesTaken {
+				t.Errorf("%s on %s: census %d cycles, %d instrs, %d taken branches; the machine %d, %d, %d",
+					w.Name, d.Name, cycles, instrs, taken, mc.Stats.Cycles, mc.Stats.Instrs, mc.Stats.BranchesTaken)
+			}
+		}
+		if testing.Verbose() {
+			var b strings.Builder
+			_ = suite.WriteCensus(&b)
+			t.Logf("%s tier 1, the suite at O2:\n%s", d.Name, b.String())
+		}
+	}
 }

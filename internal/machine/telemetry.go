@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 
+	"llva/internal/prof"
 	"llva/internal/telemetry"
 )
 
@@ -41,12 +42,14 @@ func (mc *Machine) SetTelemetry(reg *telemetry.Registry) { mc.tele = reg }
 func (mc *Machine) Telemetry() *telemetry.Registry { return mc.tele }
 
 // recordRunEnd accounts a finished Run: trap classification plus the
-// counter flush, and the block entry counts handed to the profiler.
+// counter flush, and the block entry counts, the census and the run's
+// taken branches handed to the profiler.
 func (mc *Machine) recordRunEnd(err error) {
 	if mc.prof != nil {
 		for _, b := range mc.blocks {
 			mc.flushHits(b)
 		}
+		mc.prof.AddCensus(prof.TakenBranch, 0, mc.Stats.BranchesTaken-mc.profTaken)
 	}
 	var te *TrapError
 	if errors.As(err, &te) {

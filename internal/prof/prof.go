@@ -15,7 +15,9 @@
 //     every block entry exactly, handing the counts over at the end of
 //     each run. Only those go into the versioned artifact the tier-2
 //     translator consumes: a function with entries is translated at
-//     tier 2, and the entries weigh its blocks.
+//     tier 2, and the entries weigh its blocks. At the same flushes the
+//     machine takes an exact census of what it retired: instructions
+//     and cycles by op, and the taken branches (AddCensus).
 //
 //   - CrashReport: the trap-time flight recorder's rendering — the
 //     unified register file, the virtual backtrace, a disassembly
@@ -69,7 +71,21 @@ type Profiler struct {
 	funcs map[string]*FuncStat
 	// blocks counts the entries of each executed block (AddBlockHits).
 	blocks map[blockKey]uint64
+	// census counts retired instructions and cycles by op (AddCensus).
+	census map[string]*CensusRow
 	total  uint64
+}
+
+// TakenBranch is the census row of taken branches: each costs one
+// redirect cycle on top of its instruction's own.
+const TakenBranch = "taken-branch"
+
+// CensusRow is what the guest retired of one op, named as
+// target.MInstr.OpName names it (alu.add, load, setcc, jcc), or the
+// TakenBranch row: its instructions and their cycles.
+type CensusRow struct {
+	Op             string
+	Instrs, Cycles uint64
 }
 
 // blockKey names one executed LLVA block: its function, and its index
@@ -91,6 +107,7 @@ func NewProfiler(rate int) *Profiler {
 		seen:   make(map[string]bool),
 		funcs:  make(map[string]*FuncStat),
 		blocks: make(map[blockKey]uint64),
+		census: make(map[string]*CensusRow),
 	}
 }
 
@@ -138,6 +155,59 @@ func (p *Profiler) AddBlockHits(fn string, block int, n uint64) {
 	p.mu.Lock()
 	p.blocks[blockKey{fn, block}] += n
 	p.mu.Unlock()
+}
+
+// AddCensus records that the guest retired instrs more instructions of
+// op, costing cycles.
+func (p *Profiler) AddCensus(op string, instrs, cycles uint64) {
+	p.mu.Lock()
+	row := p.census[op]
+	if row == nil {
+		row = &CensusRow{Op: op}
+		p.census[op] = row
+	}
+	row.Instrs += instrs
+	row.Cycles += cycles
+	p.mu.Unlock()
+}
+
+// Census returns the census by cycles (descending), ties broken by op.
+func (p *Profiler) Census() []CensusRow {
+	p.mu.Lock()
+	out := make([]CensusRow, 0, len(p.census))
+	for _, r := range p.census {
+		out = append(out, *r)
+	}
+	p.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Cycles != out[j].Cycles {
+			return out[i].Cycles > out[j].Cycles
+		}
+		return out[i].Op < out[j].Op
+	})
+	return out
+}
+
+// WriteCensus writes the census as a table: each op's retired
+// instructions and cycles, with its share of all cycles.
+func (p *Profiler) WriteCensus(w io.Writer) error {
+	rows := p.Census()
+	var instrs, cycles uint64
+	for _, r := range rows {
+		instrs += r.Instrs
+		cycles += r.Cycles
+	}
+	if _, err := fmt.Fprintf(w, "%-16s %14s %14s %7s\n", "OP", "INSTRS", "CYCLES", "CYC%"); err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if _, err := fmt.Fprintf(w, "%-16s %14d %14d %6.2f%%\n",
+			r.Op, r.Instrs, r.Cycles, 100*float64(r.Cycles)/float64(max(cycles, 1))); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "census: %d instrs, %d cycles\n", instrs, cycles)
+	return err
 }
 
 // stat returns the record for fn; callers hold p.mu.

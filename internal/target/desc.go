@@ -1,5 +1,7 @@
 package target
 
+import "slices"
+
 // Desc describes one simulated I-ISA: its register convention, encoding
 // properties, and timing model. The translator, register allocator,
 // loader, and processor are all parameterised over it.
@@ -9,7 +11,7 @@ type Desc struct {
 
 	StackArgs   bool // arguments passed on the stack (vx86) vs registers
 	HasFlags    bool // condition codes live in a flags register
-	MemOperands bool // ALU ops may take a memory source operand
+	MemOperands bool // ALU ops may take a memory source operand, and lea computes an address
 
 	// The operand ranges, the one place the selector, the register
 	// allocator and the encoder read them: an ALU, compare or setcc
@@ -19,6 +21,16 @@ type Desc struct {
 	// through the assembler temporary.
 	MaxImm  int64
 	MaxDisp int64
+
+	// The addressing forms, read through AddrFits: a memory operand is
+	// [base + disp] with disp within DispFits, or, when IndexScales is
+	// not empty, [base + index*scale + disp] with scale one of
+	// IndexScales and disp within DispFits if IndexDisp, else 0. With
+	// AbsAddr a global's symbol may stand in for the base: the loader
+	// adds its address to disp (RelocDisp32).
+	IndexScales []int64
+	IndexDisp   bool
+	AbsAddr     bool
 
 	RelBranchScale  int // byte scale of MJmp/MJcc/MInvokePush targets
 	CallTargetScale int // byte scale of MCall targets
@@ -65,6 +77,9 @@ var VX86 = &Desc{
 	MemOperands: true,
 	MaxImm:      1<<31 - 1,
 	MaxDisp:     1<<31 - 1,
+	IndexScales: []int64{1, 2, 4, 8},
+	IndexDisp:   true,
+	AbsAddr:     true,
 
 	RelBranchScale:  1,
 	CallTargetScale: 1,
@@ -92,7 +107,11 @@ var VX86 = &Desc{
 // displacement, wider constants synthesized from 16-bit chunks
 // (sethi/or chains), and a large allocatable file split between
 // caller-saved and callee-saved registers. It models the paper's SPARC
-// V9 back-end.
+// V9 back-end, with three more of SPARC V9's forms: a conditional branch
+// tests one register against zero under any condition (BPr: brz, brlz,
+// brgez, ...), a memory operand is [rs1 + rs2] or [rs1 + simm13] and
+// never scaled, and a leaf routine keeps its return address in the link
+// register, as it keeps %o7.
 //
 // Integer file: r0 zero, r1 SP, r2 FP, r3 RA (link), r4–r9 args,
 // r10 return, r11–r13 scratch, r14–r21 caller-saved, r22–r30
@@ -110,8 +129,9 @@ var VSPARC = &Desc{
 	Name:     "vsparc",
 	WordSize: 4,
 
-	MaxImm:  1<<12 - 1,
-	MaxDisp: 1<<12 - 1,
+	MaxImm:      1<<12 - 1,
+	MaxDisp:     1<<12 - 1,
+	IndexScales: []int64{1},
 
 	RelBranchScale:  1,
 	CallTargetScale: 1,
@@ -146,6 +166,41 @@ func (d *Desc) ImmFits(v int64) bool { return v >= -d.MaxImm-1 && v <= d.MaxImm 
 // DispFits reports whether v is a memory displacement the translator may
 // emit on d.
 func (d *Desc) DispFits(v int64) bool { return v >= -d.MaxDisp-1 && v <= d.MaxDisp }
+
+// Addr is the shape of a memory operand, as AddrFits judges it:
+// whether a symbol stands in for its base, whether it has an index
+// register and that register's scale, and its displacement.
+type Addr struct {
+	Sym   bool
+	Index bool
+	Scale int64
+	Disp  int64
+}
+
+// AddrFits reports whether a is one of d's addressing forms: vx86 has
+// [base + index*{1,2,4,8} + disp32] and absolute [sym + ...], vsparc
+// SPARC V9's [base + index] and [base + simm13].
+func (d *Desc) AddrFits(a Addr) bool {
+	if a.Sym && !d.AbsAddr {
+		return false
+	}
+	if !a.Index {
+		return d.DispFits(a.Disp)
+	}
+	return slices.Contains(d.IndexScales, a.Scale) &&
+		(a.Disp == 0 || d.IndexDisp && d.DispFits(a.Disp))
+}
+
+// MemFits reports whether in's memory operand, if it has one, is one of
+// d's addressing forms.
+func (d *Desc) MemFits(in *MInstr) bool {
+	switch {
+	case in.Op == MLoad, in.Op == MStore, in.Op == MLea, in.Op == MALU && in.HasMem:
+		return d.AddrFits(Addr{Sym: in.Sym != "", Index: in.Index != NoReg,
+			Scale: int64(in.Scale), Disp: int64(in.Disp)})
+	}
+	return true
+}
 
 // immBytes is the width of d's immediate field: the narrowest of 2, 4
 // and 8 bytes that holds every value ImmFits admits.

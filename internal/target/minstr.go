@@ -183,13 +183,12 @@ type MInstr struct {
 	Sym string // symbol for MCall/MCallExt and symbolic MMovRI
 }
 
-// String renders the instruction for diagnostics and panics.
+// String renders the instruction for diagnostics and panics: its op,
+// then the operands the op has and nothing else. A register field holding
+// NoReg is absent (a vx86 setcc or jcc reads the flags, not a register).
 func (in *MInstr) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s", in.Op)
-	if in.Op == MALU {
-		fmt.Fprintf(&b, ".%s", in.Alu)
-	}
+	b.WriteString(in.OpName())
 	if in.Op == MJcc || in.Op == MSetCC {
 		fmt.Fprintf(&b, ".%s", in.Cnd)
 	}
@@ -205,36 +204,73 @@ func (in *MInstr) String() string {
 	if in.Size != 0 {
 		fmt.Fprintf(&b, ".%d", in.Size)
 	}
-	for _, r := range []Reg{in.Rd, in.Rs1, in.Rs2} {
-		if r != NoReg {
-			fmt.Fprintf(&b, " %s", r)
+	regs := func(rs ...Reg) {
+		for _, r := range rs {
+			if r != NoReg {
+				fmt.Fprintf(&b, " %s", r)
+			}
 		}
 	}
-	mem := in.Base != NoReg || in.Index != NoReg
-	if in.Op == MLoad || in.Op == MStore || in.Op == MLea {
-		// A symbol on a memory operand is its absolute base.
-		mem = mem || in.Sym != ""
-	}
-	if mem {
+	mem := func() {
 		base := in.Base.String()
 		if in.Sym != "" {
+			// A symbol on a memory operand is its absolute base.
 			base = "@" + in.Sym
 		}
 		fmt.Fprintf(&b, " [%s+%s*%d%+d]", base, in.Index, in.Scale, in.Disp)
 	}
-	switch {
-	case in.Op == MMovRI && in.Sym == "":
+	// src is the second source: an immediate, the memory operand of an
+	// ALU op that has one, or Rs2.
+	src := func() {
+		switch {
+		case in.HasImm:
+			fmt.Fprintf(&b, " $%d", in.Imm)
+		case in.Op == MALU && in.HasMem:
+			mem()
+		default:
+			regs(in.Rs2)
+		}
+	}
+	switch in.Op {
+	case MMovRR, MCvt:
+		regs(in.Rd, in.Rs1)
+	case MMovRI:
+		regs(in.Rd)
+		if in.Sym != "" {
+			fmt.Fprintf(&b, " @%s", in.Sym)
+			break
+		}
 		// A constant move's immediate is its operand, in either vsparc
 		// form; Scale shifts a vsparc chunk.
 		fmt.Fprintf(&b, " $%d", in.Imm)
 		if in.Scale != 0 {
 			fmt.Fprintf(&b, "<<%d", 16*int(in.Scale))
 		}
-	case in.HasImm:
-		fmt.Fprintf(&b, " $%d", in.Imm)
-	}
-	if in.Sym != "" && !mem {
-		fmt.Fprintf(&b, " @%s", in.Sym)
+	case MLoad, MLea:
+		regs(in.Rd)
+		mem()
+	case MStore:
+		regs(in.Rs1)
+		mem()
+	case MALU:
+		regs(in.Rd, in.Rs1)
+		src()
+	case MCmp:
+		regs(in.Rs1)
+		src()
+	case MSetCC:
+		regs(in.Rd, in.Rs1)
+		if in.Rs1 != NoReg {
+			src()
+		}
+	case MJcc, MCallInd, MPush:
+		regs(in.Rs1)
+	case MPop:
+		regs(in.Rd)
+	case MCall, MCallExt:
+		if in.Sym != "" {
+			fmt.Fprintf(&b, " @%s", in.Sym)
+		}
 	}
 	switch in.Op {
 	case MJmp, MJcc, MCall, MCallExt, MInvokePush:
@@ -243,4 +279,24 @@ func (in *MInstr) String() string {
 		fmt.Fprintf(&b, " #%d", in.Imm)
 	}
 	return b.String()
+}
+
+// aluOpNames are the names OpName gives an MALU, one per operation.
+var aluOpNames = func() (names [aluOpCount]string) {
+	for a := range names {
+		names[a] = "alu." + ALUOp(a).String()
+	}
+	return names
+}()
+
+// OpName names what in does as String names it: its op, and an ALU op's
+// operation (alu.add). A decoded instruction's name is not allocated.
+func (in *MInstr) OpName() string {
+	switch {
+	case in.Op != MALU:
+		return in.Op.String()
+	case in.Alu < aluOpCount:
+		return aluOpNames[in.Alu]
+	}
+	return "alu." + in.Alu.String()
 }

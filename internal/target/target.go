@@ -7,15 +7,20 @@
 //     memory operands, 32-bit ALU and compare immediates and
 //     displacements, 64-bit constant moves, and a 16-register file split
 //     between caller-saved and callee-saved registers.
-//   - vsparc: RISC-flavoured — register arguments, compare-into-register,
-//     SPARC V9's signed 13-bit immediates and displacements, wider
-//     constants synthesized from 16-bit chunks (sethi/or style), and a
-//     large allocatable file split SPARC V9 style: 8 integer and 7 FP
-//     caller-saved registers (as %g and %o are), the rest callee-saved.
+//   - vsparc: RISC-flavoured — register arguments, compare-into-register
+//     and SPARC V9's branch on a register compared with zero, SPARC V9's
+//     signed 13-bit immediates and displacements and its [rs1 + rs2]
+//     and [rs1 + simm13] addresses, wider constants synthesized from
+//     16-bit chunks (sethi/or style), a link register (r3) a leaf
+//     routine never saves, and a large allocatable file split SPARC V9
+//     style: 8 integer and 7 FP caller-saved registers (as %g and %o
+//     are), the rest callee-saved.
 //
 // Both are served by the same linear-scan register allocator, which
 // takes the lowest free register of a pool in Desc order. Each target's
-// register pools and operand ranges live in its Desc (MaxImm, MaxDisp). Both
+// register pools, operand ranges (MaxImm, MaxDisp) and addressing forms
+// (IndexScales, IndexDisp, AbsAddr, read through AddrFits) live in its
+// Desc. Both
 // simulate 64-bit little-endian processors; WordSize distinguishes the
 // constant-synthesis granularity (8 = x86-style imm64, 4 = SPARC-style
 // 16-bit chunks), not the data width.

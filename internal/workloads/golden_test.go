@@ -35,11 +35,7 @@ func TestWorkloadGoldenOutputs(t *testing.T) {
 			if !ok {
 				t.Fatalf("no golden output recorded for %s", w.Name)
 			}
-			m, err := w.Compile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, got := interpRun(t, m)
+			_, got := interpretedRun(t, w, false)
 			if got != want {
 				t.Errorf("output drifted:\n got: %q\nwant: %q", got, want)
 			}

@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"llva/internal/codegen"
@@ -15,16 +17,65 @@ import (
 
 func interpRun(t *testing.T, m *core.Module) (int, string) {
 	t.Helper()
+	code, out, err := interpret(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, out
+}
+
+func interpret(m *core.Module) (int, string, error) {
 	var out strings.Builder
 	ip, err := interp.New(m, &out)
 	if err != nil {
-		t.Fatalf("interp: %v", err)
+		return 0, "", fmt.Errorf("interp: %w", err)
 	}
 	code, err := ip.RunMain()
 	if err != nil {
-		t.Fatalf("run: %v\noutput: %s", err, out.String())
+		return 0, "", fmt.Errorf("run: %v\noutput: %s", err, out.String())
 	}
-	return code, out.String()
+	return code, out.String(), nil
+}
+
+// interpreted is the interpreter's run of one (workload, O0 or O2)
+// module, made once per test binary and kept, error included: the tests
+// that read it each assert their own property of it.
+type interpreted struct {
+	once sync.Once
+	code int
+	out  string
+	err  error
+}
+
+type runKey struct {
+	name string
+	opt  bool // O2
+}
+
+var interpretedRuns sync.Map // runKey -> *interpreted
+
+// interpretedRun returns the exit status and output of w's module, O2 if
+// opt, on the interpreter.
+func interpretedRun(t *testing.T, w *Workload, opt bool) (int, string) {
+	t.Helper()
+	v, _ := interpretedRuns.LoadOrStore(runKey{w.Name, opt}, &interpreted{})
+	r := v.(*interpreted)
+	r.once.Do(func() {
+		compile := w.Compile
+		if opt {
+			compile = w.CompileOptimized
+		}
+		m, err := compile()
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.code, r.out, r.err = interpret(m)
+	})
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.code, r.out
 }
 
 func machineRun(t *testing.T, m *core.Module, d *target.Desc) (int, string) {
@@ -74,11 +125,7 @@ func TestWorkloadsCompile(t *testing.T) {
 func TestWorkloadsRun(t *testing.T) {
 	for _, w := range All() {
 		t.Run(w.Name, func(t *testing.T) {
-			m1, err := w.Compile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			code1, out1 := interpRun(t, m1)
+			code1, out1 := interpretedRun(t, w, false)
 			if code1 != 0 {
 				t.Errorf("exit status %d, want 0\noutput: %s", code1, out1)
 			}
@@ -94,16 +141,8 @@ func TestWorkloadsRun(t *testing.T) {
 func TestWorkloadsOptimizationPreservesOutput(t *testing.T) {
 	for _, w := range All() {
 		t.Run(w.Name, func(t *testing.T) {
-			m0, err := w.Compile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, out0 := interpRun(t, m0)
-			m2, err := w.CompileOptimized()
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, out2 := interpRun(t, m2)
+			_, out0 := interpretedRun(t, w, false)
+			_, out2 := interpretedRun(t, w, true)
 			if out0 != out2 {
 				t.Errorf("O2 changed output:\nO0: %q\nO2: %q", out0, out2)
 			}
@@ -124,7 +163,7 @@ func TestWorkloadsCrossEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refCode, refOut := interpRun(t, m)
+			refCode, refOut := interpretedRun(t, w, true)
 			for _, d := range []*target.Desc{target.VX86, target.VSPARC} {
 				code, out := machineRun(t, m, d)
 				if code != refCode || out != refOut {

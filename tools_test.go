@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -292,6 +293,63 @@ entry:
     ret int 0
 }
 `
+
+// TestLLCPrintsOperandsUsed: llva-llc -S prints an instruction's
+// operands and nothing else. A compare-and-branch on vx86 (cmp, setcc,
+// jcc) names no r0 it does not read, and a vsparc jcc, a branch on one
+// register compared with zero (SPARC V9's BPr), names exactly one.
+func TestLLCPrintsOperandsUsed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bins := buildTools(t, "minicc", "llva-llc")
+	work := t.TempDir()
+	src := filepath.Join(work, "down.c")
+	if err := os.WriteFile(src, []byte(`
+long down(long n, long k) {
+	long s = 0;
+	while (n > 0) { if (n != k) s = s + n; n = n - 3; }
+	return s;
+}
+int main() { print_int(down(100, 7)); print_nl(); return 0; }
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bc := filepath.Join(work, "down.bc")
+	runTool(t, bins["minicc"], "-O", "-o", bc, src)
+	isReg := func(f string) bool {
+		return len(f) > 1 && (f[0] == 'r' || f[0] == 'f') && strings.Trim(f[1:], "0123456789") == ""
+	}
+	for _, tgt := range []string{"vx86", "vsparc"} {
+		code, _ := runTool(t, bins["llva-llc"], "-target", tgt, "-S", "-stats=false", bc)
+		jccs := 0
+		for _, line := range strings.Split(code, "\n") {
+			fields := strings.Fields(line)
+			if len(fields) < 2 {
+				continue
+			}
+			op := strings.SplitN(fields[1], ".", 2)[0]
+			regs := 0
+			for _, f := range fields[2:] {
+				if isReg(f) {
+					regs++
+				}
+			}
+			switch {
+			case tgt == "vx86" && (op == "cmp" || op == "setcc" || op == "jcc") && slices.Contains(fields, "r0"):
+				t.Errorf("vx86: %q names r0", line)
+			case tgt == "vsparc" && op == "jcc":
+				jccs++
+				if regs != 1 {
+					t.Errorf("vsparc: %q names %d registers, want 1", line, regs)
+				}
+			}
+		}
+		if tgt == "vsparc" && jccs == 0 {
+			t.Errorf("vsparc: no jcc in\n%s", code)
+		}
+	}
+}
 
 // TestTraceSmoke drives the guest observability surface end to end: a
 // loop-heavy workload runs under -trace-out and the sampling profiler,
