@@ -27,15 +27,18 @@ race:
 race-short:
 	$(GO) test -race -short -timeout 30m ./...
 
-# fuzz-short runs two fuzz targets beyond their seeds for 20 s each.
+# fuzz-short runs three fuzz targets beyond their seeds for 20 s each.
 # FuzzScalarOp: random operand words for every scalar op and type, folded,
 # interpreted, and run on both targets at both tiers, must agree.
 # FuzzOptimizeMemory: a random function of loads, stores, calls, diamonds
 # and loops must print the same on the interpreter before and after O2.
-# Plain go test runs only the seeds.
+# FuzzDecodeFrom: arbitrary bytes decode to a *DecodeError or to an
+# instruction that encodes back to exactly those bytes.
+# Plain go test runs only the seeds and the checked-in corpora.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzScalarOp -fuzztime 20s ./internal/machine
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeMemory -fuzztime 20s ./internal/passes
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrom -fuzztime 20s ./internal/target
 
 # tier1 is the CI gate: everything must build, vet clean, and pass the
 # full test suite under the race detector.

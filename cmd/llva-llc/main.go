@@ -116,8 +116,7 @@ func printCode(d *target.Desc, f *codegen.NativeFunc) error {
 			return fmt.Errorf("%s+%#x: %v", f.Name, off, err)
 		}
 		line := fmt.Sprintf("  %04x  %-36s %2d", off, in.String(), d.Cycles(&in))
-		switch in.Op {
-		case target.MJmp, target.MJcc, target.MInvokePush:
+		if in.Op.Is(target.Branches) {
 			line += fmt.Sprintf("  => %04x", off+int(in.Target)*d.RelBranchScale)
 		}
 		for ; r < len(f.Relocs) && int(f.Relocs[r].Offset) < off+n; r++ {

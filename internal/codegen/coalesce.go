@@ -97,7 +97,7 @@ func coalesce(s *selector, lr *liveRows) {
 		}
 		for i := s.blockStart[b+1] - 1; i >= s.blockStart[b]; i-- {
 			m := &s.code[i]
-			if d := denseOf(instrDef(m)); d >= 0 {
+			if d := denseOf(m.Def()); d >= 0 {
 				// d is defined here: it interferes with what is live after
 				// the instruction, except the register it was copied from.
 				src := -1
@@ -118,7 +118,7 @@ func coalesce(s *selector, lr *liveRows) {
 				}
 				clearBit(live, d)
 			}
-			for _, r := range instrUses(m, ubArr[:0]) {
+			for _, r := range m.AppendUses(ubArr[:0]) {
 				if k := denseOf(r); k >= 0 {
 					setBit(live, k)
 				}

@@ -276,6 +276,13 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("codegen: %%%s: %v", e.Func, e.Value) }
 
+// Unwrap returns what the translator panicked with, if it is an error
+// (a *target.CheckError from layout).
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
 // lower is the one lowering every function takes on both targets and
 // both tiers: selection, copy coalescing, register allocation, frame
 // lowering, the branch peepholes (branch-polarity inversion, jump
@@ -362,8 +369,7 @@ func elideFallthroughs(s *selector) {
 	next := zeroed(s.ws.next, n+1)
 	s.ws.next = next
 	for i := range s.code {
-		switch in := &s.code[i]; in.Op {
-		case target.MJmp, target.MJcc, target.MInvokePush:
+		if in := &s.code[i]; in.Op.Is(target.Branches) {
 			next[s.blockStart[in.Target]] = -1
 		}
 	}
@@ -376,7 +382,7 @@ func elideFallthroughs(s *selector) {
 			continue
 		}
 		if t := s.blockStart[in.Target]; t > i && next[t] == next[i+1] ||
-			!targeted && i > 0 && endsFlow(s.code[i-1].Op) {
+			!targeted && i > 0 && s.code[i-1].Op.Is(target.NoFallthrough) {
 			next[i] = next[i+1]
 		}
 	}
@@ -397,29 +403,22 @@ func elideFallthroughs(s *selector) {
 	}
 }
 
-// endsFlow reports whether op never falls through to the next
-// instruction.
-func endsFlow(op target.MOp) bool {
-	return op == target.MJmp || op == target.MRet || op == target.MUnwind
-}
-
 // layout assigns byte offsets, resolves PC-relative branch targets and
 // encodes the final bytes. With blocks set it also returns the block
 // table: each block's byte offset in the code, epilogue last.
 func layout(s *selector, blocks bool) ([]byte, []target.Reloc, BlockTable) {
 	d, ws := s.desc, s.ws
+	// Code the target cannot encode as it stands is the translator's bug.
+	if err := d.Check(s.code); err != nil {
+		panic(err)
+	}
 	// Pass 1: measure offsets.
 	offs := zeroed(ws.offs, len(s.code)+1)
 	nRelocs := 0
 	for i := range s.code {
-		// A memory operand the target lacks is the translator's bug,
-		// refused as an out-of-range immediate is (AppendEncoding).
-		if !d.MemFits(&s.code[i]) {
-			panic(fmt.Sprintf("layout: %s: not one of %s's addressing forms", s.code[i].String(), d.Name))
-		}
-		ws.probe, ws.rl = d.AppendEncoding(ws.probe[:0], ws.rl[:0], &s.code[i])
-		offs[i+1] = offs[i] + len(ws.probe)
-		nRelocs += len(ws.rl)
+		n, relocs := d.EncodedLen(&s.code[i])
+		offs[i+1] = offs[i] + n
+		nRelocs += relocs
 	}
 	ws.offs = offs
 	var table BlockTable
@@ -434,8 +433,7 @@ func layout(s *selector, blocks bool) ([]byte, []target.Reloc, BlockTable) {
 	relocs := make([]target.Reloc, 0, nRelocs)
 	for i := range s.code {
 		in := s.code[i]
-		switch in.Op {
-		case target.MJmp, target.MJcc, target.MInvokePush:
+		if in.Op.Is(target.Branches) {
 			delta := offs[s.blockStart[in.Target]] - offs[i]
 			in.Target = int32(delta / d.RelBranchScale)
 		}

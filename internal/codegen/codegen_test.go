@@ -236,7 +236,7 @@ b:
 		jmps := 0
 		off := 0
 		for off < len(nf.Code) {
-			in, n, err := d.Decode(nf.Code[off:])
+			in, n, err := d.DecodeFrom(nf.Code[off:], 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,57 +9,6 @@ import (
 	"llva/internal/target"
 )
 
-// instrDefs returns the register defined by the instruction (or NoReg),
-// and instrUses appends the registers it reads.
-func instrDef(m *target.MInstr) target.Reg {
-	switch m.Op {
-	case target.MMovRR, target.MLoad, target.MLea, target.MSetCC,
-		target.MPop, target.MCvt, target.MALU:
-		return m.Rd
-	case target.MMovRI:
-		return m.Rd
-	}
-	return target.NoReg
-}
-
-func instrUses(m *target.MInstr, out []target.Reg) []target.Reg {
-	add := func(r target.Reg) {
-		if r != target.NoReg {
-			out = append(out, r)
-		}
-	}
-	switch m.Op {
-	case target.MMovRR, target.MCvt, target.MPush, target.MCallInd:
-		add(m.Rs1)
-	case target.MMovRI:
-		if m.HasImm { // vsparc "or" form reads its destination
-			add(m.Rd)
-		}
-	case target.MALU:
-		add(m.Rs1)
-		if !m.HasImm {
-			add(m.Rs2)
-		}
-		if m.HasMem {
-			add(m.Base)
-			add(m.Index)
-		}
-	case target.MCmp, target.MSetCC:
-		add(m.Rs1)
-		add(m.Rs2)
-	case target.MJcc:
-		add(m.Rs1)
-	case target.MLoad, target.MLea:
-		add(m.Base)
-		add(m.Index)
-	case target.MStore:
-		add(m.Rs1)
-		add(m.Base)
-		add(m.Index)
-	}
-	return out
-}
-
 // slotDisp computes the FP-relative displacement of spill slot i.
 func (s *selector) slotDisp(slot int32) int32 {
 	return -(s.saveArea + s.allocaBytes + 8*(slot+1))
@@ -270,13 +219,13 @@ func rewriteWithSlots(s *selector, a *allocation) rewritten {
 
 		rw.busy = [2]uint64{}
 		rw.nScr, rw.intNext, rw.fpNext = 0, 0, 0
-		uses := instrUses(&in, usesArr[:0])
+		uses := in.AppendUses(usesArr[:0])
 		for _, r := range uses {
 			if !r.IsVirtual() {
 				rw.setBusy(r)
 			}
 		}
-		if dd := instrDef(&in); dd != target.NoReg && !dd.IsVirtual() {
+		if dd := in.Def(); dd != target.NoReg && !dd.IsVirtual() {
 			rw.setBusy(dd)
 		}
 
@@ -297,7 +246,7 @@ func rewriteWithSlots(s *selector, a *allocation) rewritten {
 				rw.emitFrame(target.MLoad, rw.mapReg(r), s.slotDisp(sl), s.isFPReg(r))
 			}
 		}
-		def := instrDef(&in)
+		def := in.Def()
 		defSlot, defSpilled := a.slot(def)
 		in.Rd = rw.mapReg(in.Rd)
 		in.Rs1 = rw.mapReg(in.Rs1)
@@ -316,9 +265,8 @@ func rewriteWithSlots(s *selector, a *allocation) rewritten {
 		}
 
 		// Update the forwarding window.
-		switch in.Op {
-		case target.MCall, target.MCallInd, target.MCallExt, target.MRet,
-			target.MUnwind, target.MInvokePush:
+		switch {
+		case in.Op.Is(target.Calls | target.NoFallthrough), in.Op == target.MInvokePush:
 			// calls and unwinds clobber scratch registers
 			lastV, lastR = target.NoReg, target.NoReg
 		default:
@@ -485,19 +433,18 @@ func solveLiveness(s *selector) *liveRows {
 		succOff[b] = int32(len(succ))
 		for i := s.blockStart[b]; i < s.blockStart[b+1]; i++ {
 			m := &s.code[i]
-			switch m.Op {
-			case target.MJmp, target.MJcc:
+			if m.Op.Is(target.Branches) {
 				succ = append(succ, m.Target)
-			case target.MInvokePush:
-				succ = append(succ, m.Target)
+			}
+			if m.Op == target.MInvokePush {
 				lr.handlers = append(lr.handlers, m.Target)
 			}
-			for _, r := range instrUses(m, ubArr[:0]) {
+			for _, r := range m.AppendUses(ubArr[:0]) {
 				if v := int(r) - int(target.VRegBase); r.IsVirtual() && !hasBit(def, v) {
 					setBit(use, v)
 				}
 			}
-			if d := instrDef(m); d.IsVirtual() {
+			if d := m.Def(); d.IsVirtual() {
 				setBit(def, int(d-target.VRegBase))
 			}
 		}
@@ -589,14 +536,13 @@ func (lr *liveRows) intervals(s *selector) *liveness {
 		}
 		for i := first; i < end; i++ {
 			m := &s.code[i]
-			switch m.Op {
-			case target.MCall, target.MCallInd, target.MCallExt:
+			if m.Op.Is(target.Calls) {
 				callPos = append(callPos, i)
 			}
-			for _, r := range instrUses(m, ubArr[:0]) {
+			for _, r := range m.AppendUses(ubArr[:0]) {
 				touchWeigh(r, i)
 			}
-			touchWeigh(instrDef(m), i)
+			touchWeigh(m.Def(), i)
 		}
 	}
 

@@ -45,10 +45,10 @@ func allocSpill(s *selector) {
 	// Slots in first-appearance order.
 	var usesArr [8]target.Reg
 	for i := range s.code {
-		for _, r := range instrUses(&s.code[i], usesArr[:0]) {
+		for _, r := range s.code[i].AppendUses(usesArr[:0]) {
 			slot(r)
 		}
-		slot(instrDef(&s.code[i]))
+		slot(s.code[i].Def())
 	}
 	s.commit(a, rewriteWithSlots(s, a))
 }

@@ -621,8 +621,7 @@ func threadJumps(s *selector) {
 		}
 	}
 	for i := range s.code {
-		switch s.code[i].Op {
-		case target.MJmp, target.MJcc:
+		if s.code[i].Op.Is(target.Branches) {
 			s.code[i].Target = resolve(s.code[i].Target)
 		}
 	}

@@ -144,3 +144,24 @@ func TestAddressingFormRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckErrorUnwraps: the *PanicError of a translation whose code
+// Check refused unwraps to the *target.CheckError, naming the memory
+// operand and the addressing rule.
+func TestCheckErrorUnwraps(t *testing.T) {
+	m, err := asm.Parse("v9", v9Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := codegen.WidenFirstLoad()
+	defer restore()
+	tr, err := codegen.New(target.VSPARC, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = tr.TranslateFunction(m.Function("leaf"))
+	var ce *target.CheckError
+	if !errors.As(err, &ce) || ce.Field != target.FMem || ce.Rule != target.RuleAddr {
+		t.Errorf("err = %v, want a *target.CheckError refusing the memory operand", err)
+	}
+}

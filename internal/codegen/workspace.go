@@ -50,11 +50,9 @@ type workspace struct {
 	active  []activeEntry
 
 	// branch peepholes and layout
-	seen  []int32
-	next  []int
-	offs  []int
-	probe []byte
-	rl    []target.Reloc
+	seen []int32
+	next []int
+	offs []int
 }
 
 // workspaces pools the workspaces of finished translations. A lowering

@@ -68,17 +68,6 @@ func (mc *Machine) sealOps(scratch []uop) []uop {
 	return mc.opChunk[start:len(mc.opChunk):len(mc.opChunk)]
 }
 
-// isTerminator reports whether op can redirect the PC (or always traps)
-// and therefore ends a basic block.
-func isTerminator(op target.MOp) bool {
-	switch op {
-	case target.MJmp, target.MJcc, target.MCall, target.MCallInd,
-		target.MCallExt, target.MRet, target.MUnwind, target.MTrap:
-		return true
-	}
-	return false
-}
-
 // blockFor returns the cached block at pc, predecoding it on a miss.
 func (mc *Machine) blockFor(pc uint64) (*block, error) {
 	if b := mc.blocks[pc]; b != nil {
@@ -124,7 +113,7 @@ func (mc *Machine) buildBlock(pc uint64) (*block, error) {
 		if last := len(ops) - 1; last < 0 || !fuse(&ops[last], &u) {
 			ops = append(ops, u)
 		}
-		if isTerminator(in.Op) {
+		if in.Op.Is(target.EndsBlock) {
 			break
 		}
 	}

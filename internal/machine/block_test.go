@@ -145,7 +145,7 @@ func walkTo(t *testing.T, mc *Machine, entry, pc uint64) (instrs uint64, cycles 
 		if err != nil {
 			t.Fatalf("walk: %v", err)
 		}
-		in, n, err := mc.desc.Decode(raw)
+		in, n, err := mc.desc.DecodeFrom(raw, 0)
 		if err != nil {
 			t.Fatalf("walk decode at 0x%x: %v", a, err)
 		}
@@ -478,7 +478,7 @@ entry:
 			if err != nil {
 				t.Fatalf("%s: the smallest body (%d bytes) ends inside the %d-byte patch: %v", d.Name, len(body), len(patch), err)
 			}
-			if isTerminator(in.Op) {
+			if in.Op.Is(target.EndsBlock) {
 				t.Fatalf("%s: the %d-byte patch covers a %s at offset %d of the smallest body", d.Name, len(patch), in.Op, off)
 			}
 			off += n

@@ -95,7 +95,7 @@ func (c *refCPU) build(pc uint64) ([]refDecoded, uint64, error) {
 		cum += c.desc.Cycles(&in)
 		instrs = append(instrs, refDecoded{in: in, n: n, pc: at, cum: cum})
 		at += uint64(n)
-		if isTerminator(in.Op) {
+		if in.Op.Is(target.EndsBlock) {
 			break
 		}
 	}

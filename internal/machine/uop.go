@@ -184,52 +184,74 @@ func (u *uop) holds(flags uint8) bool   { return u.truth(flags) != 0 }
 func identityCanon(size uint8) bool { return size != 1 && size != 2 && size != 4 }
 
 // lower translates the instruction decoded at pc, n bytes long, to its
-// uop. The block-position fields (off, n, cum) are the caller's.
+// uop. The block-position fields (off, n, cum) are the caller's. The
+// operand slots come from the fields of the instruction's form; the
+// switch on the op only picks the uop code.
 func (mc *Machine) lower(in *target.MInstr, pc uint64, n int) uop {
 	d := mc.desc
 	u := uop{rd: sinkSlot, ra: zeroSlot, rb: zeroSlot, rx: zeroSlot}
-	sized := func() {
-		u.aux = uint64(in.Size)
-		if in.Signed {
-			u.aux |= auxSigned
-		}
-		if in.FP {
-			u.aux |= auxFP
-		}
-		if in.NoTrap {
-			u.aux |= auxNoTrap
-		}
+	if in.Op.Is(target.Calls) {
+		u.aux = pc + uint64(n) // the return address
 	}
-	memOperand := func() {
-		u.rb, u.rx, u.sc, u.disp = srcSlot(in.Base), srcSlot(in.Index), in.Scale, in.Disp
-	}
-	relTarget := uint64(int64(pc) + int64(in.Target)*int64(d.RelBranchScale))
-	little := mc.mem.LittleEndian()
-
-	switch in.Op {
-	case target.MNop:
-		u.op = uNop
-	case target.MMovRR:
-		u.op, u.rd, u.ra = uMov, mc.dstSlot(in.Rd), srcSlot(in.Rs1)
-	case target.MMovRI:
-		u.op, u.rd, u.imm = uMovI, mc.dstSlot(in.Rd), uint64(in.Imm)
-		if d.WordSize == 4 {
-			// vsparc builds constants from 16-bit chunks: set writes a
-			// sign-extended chunk shifted into place, or (HasImm) merges
-			// one into the register.
-			chunk := uint64(in.Imm) & 0xffff
-			sh := uint(in.Scale) * 16
-			if in.HasImm {
-				u.op, u.ra, u.imm = uOr64, srcSlot(in.Rd), chunk<<sh
-			} else {
+	for _, f := range in.Fields() {
+		switch f {
+		case target.FRd:
+			u.rd = mc.dstSlot(in.Rd)
+		case target.FRs1:
+			u.ra = srcSlot(in.Rs1)
+		case target.FRs2:
+			u.rb = srcSlot(in.Rs2)
+		case target.FImm, target.FImm32:
+			u.imm = uint64(in.Imm)
+		case target.FMem:
+			u.rb, u.rx, u.sc = srcSlot(in.Base), srcSlot(in.Index), in.Scale
+		case target.FDisp:
+			u.disp = in.Disp
+		case target.FSize:
+			u.aux = uint64(in.Size)
+			for i, set := range [...]bool{in.Signed, in.FP, in.NoTrap} {
+				if set {
+					u.aux |= auxSigned << i
+				}
+			}
+		case target.FCond:
+			u.sc = condTable[in.Cnd]
+		case target.FALU:
+			u.k = uint8(in.Alu)
+		case target.FCvt:
+			u.k = uint8(in.Cvt)
+		case target.FNArgs:
+			u.k = in.NArgs
+		case target.FTarget:
+			u.imm = uint64(int64(pc) + int64(in.Target)*int64(d.RelBranchScale))
+		case target.FCallee:
+			u.imm = uint64(in.Target) * uint64(d.CallTargetScale)
+		case target.FExtern:
+			u.imm = uint64(int64(in.Target))
+		case target.FConst:
+			u.imm = uint64(in.Imm)
+			if d.WordSize == 4 {
+				// vsparc builds constants from 16-bit chunks: set writes
+				// a sign-extended chunk shifted into place, or (HasImm)
+				// merges one into the register.
+				chunk := uint64(in.Imm) & 0xffff
+				sh := uint(in.Scale) * 16
 				u.imm = uint64(int64(int16(chunk))) << sh
+				if in.HasImm {
+					u.ra, u.imm = srcSlot(in.Rd), chunk<<sh
+				}
 			}
 		}
+	}
+	little := mc.mem.LittleEndian()
+
+	u.op = uopOf[in.Op]
+	switch in.Op {
+	case target.MMovRI:
+		if d.WordSize == 4 && in.HasImm {
+			u.op = uOr64
+		}
 	case target.MLoad:
-		u.rd = mc.dstSlot(in.Rd)
-		memOperand()
-		sized()
-		u.op = uLdG
 		// A float wider or narrower than 4 bytes is loaded as its raw,
 		// zero-extended bits.
 		if signed := in.Signed && !in.FP; little && !(in.FP && in.Size == 4) {
@@ -251,10 +273,6 @@ func (mc *Machine) lower(in *target.MInstr, pc uint64, n int) uop {
 			}
 		}
 	case target.MStore:
-		u.ra = srcSlot(in.Rs1)
-		memOperand()
-		sized()
-		u.op = uStG
 		if little && !(in.FP && in.Size == 4) {
 			switch in.Size {
 			case 1:
@@ -267,63 +285,21 @@ func (mc *Machine) lower(in *target.MInstr, pc uint64, n int) uop {
 				u.op = uSt64
 			}
 		}
-	case target.MLea:
-		u.op, u.rd = uLea, mc.dstSlot(in.Rd)
-		memOperand()
 	case target.MALU:
-		u.rd, u.ra, u.k = mc.dstSlot(in.Rd), srcSlot(in.Rs1), uint8(in.Alu)
-		sized()
-		switch {
-		case in.HasImm:
-			u.op, u.imm = uALU, uint64(in.Imm)
-		case in.HasMem:
-			u.op = uALUM
-			memOperand()
-		default:
-			u.op, u.rb = uALU, srcSlot(in.Rs2)
-		}
-		if u.op == uALU {
+		if !in.HasMem || in.HasImm {
 			u.op = fastALU(in)
 		}
 	case target.MCmp:
-		u.op, u.ra = cmpOp(in, uCmpS, uCmpU, uCmpF), srcSlot(in.Rs1)
-		if in.HasImm {
-			u.imm = uint64(in.Imm)
-		} else {
-			u.rb = srcSlot(in.Rs2)
-		}
+		u.op = cmpOp(in, uCmpS, uCmpU, uCmpF)
 	case target.MSetCC:
-		u.op, u.rd, u.sc = uSetCC, mc.dstSlot(in.Rd), condTable[in.Cnd]
 		if !d.HasFlags {
-			u.op, u.ra = cmpOp(in, uSetCmpS, uSetCmpU, uSetCmpF), srcSlot(in.Rs1)
-			if in.HasImm {
-				u.imm = uint64(in.Imm)
-			} else {
-				u.rb = srcSlot(in.Rs2)
-			}
+			u.op = cmpOp(in, uSetCmpS, uSetCmpU, uSetCmpF)
 		}
-	case target.MJmp:
-		u.op, u.imm = uJmp, relTarget
 	case target.MJcc:
-		u.op, u.sc, u.imm = uJcc, condTable[in.Cnd], relTarget
 		if !d.HasFlags {
-			u.op, u.ra = uJccZ, srcSlot(in.Rs1)
+			u.op = uJccZ
 		}
-	case target.MCall:
-		u.op, u.imm, u.aux = uCall, uint64(in.Target)*uint64(d.CallTargetScale), pc+uint64(n)
-	case target.MCallInd:
-		u.op, u.ra, u.aux = uCallInd, srcSlot(in.Rs1), pc+uint64(n)
-	case target.MCallExt:
-		u.op, u.imm, u.k = uCallExt, uint64(int64(in.Target)), in.NArgs
-	case target.MRet:
-		u.op = uRet
-	case target.MPush:
-		u.op, u.ra = uPush, srcSlot(in.Rs1)
-	case target.MPop:
-		u.op, u.rd = uPop, mc.dstSlot(in.Rd)
 	case target.MCvt:
-		u.op, u.rd, u.ra, u.k = uCvt, mc.dstSlot(in.Rd), srcSlot(in.Rs1), uint8(in.Cvt)
-		sized()
 		switch {
 		case in.Cvt == target.CvtBits,
 			in.Cvt == target.CvtIntExt && identityCanon(in.Size),
@@ -332,21 +308,23 @@ func (mc *Machine) lower(in *target.MInstr, pc uint64, n int) uop {
 		case in.Cvt == target.CvtIntExt && in.Size == 4 && in.Signed:
 			u.op = uSext32
 		}
-	case target.MInvokePush:
-		u.op, u.imm = uInvokePush, relTarget
-	case target.MInvokePop:
-		u.op = uInvokePop
-	case target.MUnwind:
-		u.op = uUnwind
-	case target.MTrap:
-		u.op, u.imm = uTrap, uint64(in.Imm)
 	case target.MAdjSP:
-		u.op, u.rd, u.ra, u.imm = uAdd64, uint8(d.SP), uint8(d.SP), uint64(in.Imm)
-	default:
-		// The decoder admits no other opcode.
-		panic("machine: lower: unknown op " + in.Op.String())
+		u.rd, u.ra = uint8(d.SP), uint8(d.SP)
 	}
 	return u
+}
+
+// uopOf is each op's uop before lower specialises it: the general forms
+// of loads, stores, ALU ops and conversions, a setcc or jcc that reads
+// the flags, and the one form of everything else.
+var uopOf = [...]uopCode{
+	target.MNop: uNop, target.MMovRR: uMov, target.MMovRI: uMovI,
+	target.MLoad: uLdG, target.MStore: uStG, target.MLea: uLea,
+	target.MALU: uALUM, target.MSetCC: uSetCC, target.MJmp: uJmp, target.MJcc: uJcc,
+	target.MCall: uCall, target.MCallInd: uCallInd, target.MCallExt: uCallExt,
+	target.MRet: uRet, target.MPush: uPush, target.MPop: uPop, target.MCvt: uCvt,
+	target.MInvokePush: uInvokePush, target.MInvokePop: uInvokePop,
+	target.MUnwind: uUnwind, target.MTrap: uTrap, target.MAdjSP: uAdd64,
 }
 
 // fastALU picks the specialised form of a register/immediate ALU

@@ -32,6 +32,10 @@ type Desc struct {
 	IndexDisp   bool
 	AbsAddr     bool
 
+	// IntRegs and FPRegs size the register files: r0..IntRegs-1 and
+	// f0..FPRegs-1 (Check).
+	IntRegs, FPRegs int
+
 	RelBranchScale  int // byte scale of MJmp/MJcc/MInvokePush targets
 	CallTargetScale int // byte scale of MCall targets
 
@@ -80,6 +84,8 @@ var VX86 = &Desc{
 	IndexScales: []int64{1, 2, 4, 8},
 	IndexDisp:   true,
 	AbsAddr:     true,
+	IntRegs:     16,
+	FPRegs:      13,
 
 	RelBranchScale:  1,
 	CallTargetScale: 1,
@@ -132,6 +138,8 @@ var VSPARC = &Desc{
 	MaxImm:      1<<12 - 1,
 	MaxDisp:     1<<12 - 1,
 	IndexScales: []int64{1},
+	IntRegs:     32,
+	FPRegs:      25,
 
 	RelBranchScale:  1,
 	CallTargetScale: 1,
@@ -191,29 +199,6 @@ func (d *Desc) AddrFits(a Addr) bool {
 		(a.Disp == 0 || d.IndexDisp && d.DispFits(a.Disp))
 }
 
-// MemFits reports whether in's memory operand, if it has one, is one of
-// d's addressing forms.
-func (d *Desc) MemFits(in *MInstr) bool {
-	switch {
-	case in.Op == MLoad, in.Op == MStore, in.Op == MLea, in.Op == MALU && in.HasMem:
-		return d.AddrFits(Addr{Sym: in.Sym != "", Index: in.Index != NoReg,
-			Scale: int64(in.Scale), Disp: int64(in.Disp)})
-	}
-	return true
-}
-
-// immBytes is the width of d's immediate field: the narrowest of 2, 4
-// and 8 bytes that holds every value ImmFits admits.
-func (d *Desc) immBytes() int {
-	switch {
-	case d.MaxImm < 1<<15:
-		return 2
-	case d.MaxImm < 1<<31:
-		return 4
-	}
-	return 8
-}
-
 // Cycles returns the virtual cost of one instruction. The model is
 // deliberately simple and deterministic (a blocking in-order pipeline):
 // memory traffic costs 2 cycles, multiplies 4, divides 12, FP
@@ -222,36 +207,17 @@ func (d *Desc) immBytes() int {
 // for every taken branch — the redirect penalty that makes trace-driven
 // layout (Section 4.2) measurable.
 func (d *Desc) Cycles(in *MInstr) uint64 {
-	switch in.Op {
-	case MLoad, MStore, MPush, MPop:
-		return 2
-	case MALU:
-		if in.HasMem {
-			// memory-operand ALU pays the load on top of the op
-			return 2 + d.Cycles(&MInstr{Op: MALU, Alu: in.Alu, FP: in.FP})
-		}
-		switch in.Alu {
-		case ADiv, ARem:
-			return 12
-		case AMul:
-			return 4
-		default:
-			if in.FP {
-				return 4
-			}
-			return 1
-		}
-	case MCvt:
-		switch in.Cvt {
-		case CvtIntToF, CvtFToInt, CvtFToF:
-			return 2
-		}
-		return 1
-	case MCall, MCallInd, MCallExt, MRet:
-		return 2
-	case MInvokePush, MUnwind:
-		return 4
-	default:
-		return 1
+	sh := in.shape()
+	c, alu := uint64(sh.cycles), sh.named&(1<<FALU) != 0
+	switch {
+	case alu && (in.Alu == ADiv || in.Alu == ARem):
+		c += 12
+	case alu && (in.Alu == AMul || in.FP):
+		c += 4
+	case alu:
+		c++
+	case sh.named&(1<<FCvt) != 0 && in.Cvt != CvtIntExt && in.Cvt != CvtBits:
+		c++
 	}
+	return c
 }

@@ -2,7 +2,6 @@ package target
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -61,9 +60,12 @@ const (
 	fSigned
 	fFP
 	fNoTrap
+
+	fAll = 1<<iota - 1
 )
 
-// encReg packs a register operand into one byte.
+// encReg packs a register operand into one byte: 0xFF is NoReg, bit 6
+// marks the FP file.
 func encReg(r Reg) byte {
 	switch {
 	case r == NoReg:
@@ -75,44 +77,40 @@ func encReg(r Reg) byte {
 	}
 }
 
-func decReg(b byte) Reg {
+// decReg unpacks a register byte; a byte encReg never writes (bit 7 set,
+// other than 0xFF) is refused.
+func decReg(b byte) (Reg, bool) {
 	switch {
 	case b == 0xFF:
-		return NoReg
+		return NoReg, true
+	case b&0x80 != 0:
+		return 0, false
 	case b&0x40 != 0:
-		return FPBase + Reg(b&0x3F)
+		return FPBase + Reg(b&0x3F), true
 	default:
-		return Reg(b)
+		return Reg(b), true
 	}
 }
 
 func encFlags(in *MInstr) byte {
-	var f byte
-	if in.HasImm {
-		f |= fHasImm
+	return bit(in.HasImm)*fHasImm | bit(in.HasMem)*fHasMem | bit(in.Signed)*fSigned |
+		bit(in.FP)*fFP | bit(in.NoTrap)*fNoTrap
+}
+
+// bit is 1 for true and 0 for false.
+func bit(b bool) byte {
+	if b {
+		return 1
 	}
-	if in.HasMem {
-		f |= fHasMem
-	}
-	if in.Signed {
-		f |= fSigned
-	}
-	if in.FP {
-		f |= fFP
-	}
-	if in.NoTrap {
-		f |= fNoTrap
-	}
-	return f
+	return 0
 }
 
 // Encode appends the byte encoding of one instruction to code and
 // returns the extended slice plus any relocations (offsets relative to
-// the appended instruction's first byte). The encoded length of an
-// instruction is a pure function of its operand shape — never of
-// displacement or target *values* — so the translator's measure and
-// emit passes always agree, and every encoding fits the processor's
-// 16-byte fetch window.
+// the appended instruction's first byte). The encoding is the op byte,
+// the flags byte and the fields of in's form in order, so its length is
+// EncodedLen's: the translator's measure and emit passes always agree,
+// and every encoding fits the processor's 16-byte fetch window.
 func (d *Desc) Encode(in *MInstr, code []byte) ([]byte, []Reloc) {
 	start := len(code)
 	code, relocs := d.AppendEncoding(code, nil, in)
@@ -126,349 +124,140 @@ func (d *Desc) Encode(in *MInstr, code []byte) ([]byte, []Reloc) {
 // many instructions: it appends in's encoding to code and its
 // relocations to relocs, their offsets relative to code's first byte.
 func (d *Desc) AppendEncoding(code []byte, relocs []Reloc, in *MInstr) ([]byte, []Reloc) {
-	start := len(code)
-	put8 := func(b byte) { code = append(code, b) }
-	putReg := func(r Reg) { put8(encReg(r)) }
-	put16 := func(v uint16) { code = binary.LittleEndian.AppendUint16(code, v) }
-	put32 := func(v uint32) { code = binary.LittleEndian.AppendUint32(code, v) }
-	put64 := func(v uint64) { code = binary.LittleEndian.AppendUint64(code, v) }
-	rel := func(kind RelocKind) {
-		relocs = append(relocs, Reloc{Offset: uint32(len(code)), Kind: kind, Sym: in.Sym})
-	}
-	// An ALU, compare or setcc immediate outside the target's range is
-	// the translator's bug: refuse it rather than truncate it.
-	putImm := func() {
-		if !d.ImmFits(in.Imm) {
-			panic(fmt.Sprintf("target: %s: immediate %d outside %s's range [%d, %d]",
-				in.String(), in.Imm, d.Name, -d.MaxImm-1, d.MaxImm))
-		}
-		switch d.immBytes() {
-		case 2:
-			put16(uint16(in.Imm))
-		case 4:
-			put32(uint32(in.Imm))
-		default:
-			put64(uint64(in.Imm))
-		}
-	}
-
-	put8(byte(in.Op))
-	put8(encFlags(in))
-	switch in.Op {
-	case MNop, MRet, MInvokePop, MUnwind:
-		// no operands
-	case MMovRR:
-		putReg(in.Rd)
-		putReg(in.Rs1)
-	case MMovRI:
-		putReg(in.Rd)
-		if d.WordSize == 4 {
-			put8(in.Scale)
-			if in.Sym != "" {
-				if in.HasImm {
-					rel(RelocLo16)
-				} else {
-					rel(RelocHi16)
-				}
-			}
-			put16(uint16(in.Imm))
-		} else {
-			if in.Sym != "" {
-				rel(RelocAbs)
-			}
-			put64(uint64(in.Imm))
-		}
-	case MLoad, MStore, MLea:
-		if in.Op == MStore {
-			putReg(in.Rs1)
-		} else {
-			putReg(in.Rd)
-		}
-		putReg(in.Base)
-		putReg(in.Index)
-		put8(in.Scale)
-		if in.Op != MLea {
-			put8(in.Size)
-		}
-		if in.Sym != "" {
-			rel(RelocDisp32)
-		}
-		put32(uint32(in.Disp))
-	case MALU:
-		put8(byte(in.Alu))
-		put8(in.Size)
-		putReg(in.Rd)
-		putReg(in.Rs1)
-		switch {
-		case in.HasImm:
-			putImm()
-		case in.HasMem:
-			putReg(in.Base)
-			putReg(in.Index)
-			put8(in.Scale)
-			put32(uint32(in.Disp))
-		default:
-			putReg(in.Rs2)
-		}
-	case MCmp:
-		putReg(in.Rs1)
-		if in.HasImm {
-			putImm()
-		} else {
-			putReg(in.Rs2)
-		}
-	case MSetCC:
-		put8(byte(in.Cnd))
-		putReg(in.Rd)
-		putReg(in.Rs1)
-		if in.HasImm {
-			putImm()
-		} else {
-			putReg(in.Rs2)
-		}
-	case MJmp:
-		put32(uint32(in.Target))
-	case MJcc:
-		put8(byte(in.Cnd))
-		putReg(in.Rs1)
-		put32(uint32(in.Target))
-	case MCall:
-		if in.Sym != "" {
-			rel(RelocCall)
-		}
-		put32(uint32(in.Target))
-	case MCallInd:
-		putReg(in.Rs1)
-	case MCallExt:
-		put8(in.NArgs)
-		if in.Sym != "" {
-			rel(RelocExt)
-		}
-		put32(uint32(in.Target))
-	case MPush:
-		putReg(in.Rs1)
-	case MPop:
-		putReg(in.Rd)
-	case MCvt:
-		put8(byte(in.Cvt))
-		put8(in.Size)
-		putReg(in.Rd)
-		putReg(in.Rs1)
-	case MInvokePush:
-		put32(uint32(in.Target))
-	case MTrap, MAdjSP:
-		put32(uint32(int32(in.Imm)))
-	default:
+	if in.Op >= mOpCount {
 		panic(fmt.Sprintf("target: encode of unknown op %d", in.Op))
 	}
-	if len(code)-start > 16 {
-		panic(fmt.Sprintf("target: %s encodes to %d bytes (> 16-byte fetch window)",
-			in.Op, len(code)-start))
+	le := binary.LittleEndian
+	code = append(code, byte(in.Op), encFlags(in))
+	for _, f := range in.Fields() {
+		if kind, off, ok := d.reloc(in, f); ok {
+			relocs = append(relocs, Reloc{Offset: uint32(len(code) + off), Kind: kind, Sym: in.Sym})
+		}
+		switch f {
+		case FRd, FRs1, FRs2:
+			code = append(code, encReg(*in.reg(f)))
+		case FImm:
+			// An immediate outside the target's range is the
+			// translator's bug: refuse it rather than truncate it.
+			if !d.ImmFits(in.Imm) {
+				panic(fmt.Sprintf("target: %s: immediate %d outside %s's range [%d, %d]",
+					in.String(), in.Imm, d.Name, -d.MaxImm-1, d.MaxImm))
+			}
+			switch d.fieldLen(f) {
+			case 2:
+				code = le.AppendUint16(code, uint16(in.Imm))
+			case 4:
+				code = le.AppendUint32(code, uint32(in.Imm))
+			default:
+				code = le.AppendUint64(code, uint64(in.Imm))
+			}
+		case FMem:
+			code = append(code, encReg(in.Base), encReg(in.Index), in.Scale)
+		case FDisp:
+			code = le.AppendUint32(code, uint32(in.Disp))
+		case FSize, FCond, FALU, FCvt, FNArgs:
+			code = append(code, *in.small(f))
+		case FTarget, FCallee, FExtern:
+			code = le.AppendUint32(code, uint32(in.Target))
+		case FConst:
+			if d.WordSize == 4 {
+				code = le.AppendUint16(append(code, in.Scale), uint16(in.Imm))
+			} else {
+				code = le.AppendUint64(code, uint64(in.Imm))
+			}
+		case FImm32:
+			code = le.AppendUint32(code, uint32(in.Imm))
+		}
 	}
 	return code, relocs
 }
 
-var errTruncated = errors.New("truncated instruction")
-
-type decoder struct {
-	b   []byte
-	pos int
-	err error
+// DecodeError is bytes DecodeFrom refused: the field of an op's
+// encoding, starting at Off, that runs past the end of the bytes or
+// holds a value the encoder never writes.
+type DecodeError struct {
+	Off   int
+	Op    MOp
+	Field Field
 }
 
-func (r *decoder) u8() byte {
-	if r.err != nil || r.pos >= len(r.b) {
-		r.err = errTruncated
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *decoder) reg() Reg { return decReg(r.u8()) }
-
-func (r *decoder) u16() uint16 {
-	if r.err != nil || r.pos+2 > len(r.b) {
-		r.err = errTruncated
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.pos:])
-	r.pos += 2
-	return v
-}
-
-func (r *decoder) u32() uint32 {
-	if r.err != nil || r.pos+4 > len(r.b) {
-		r.err = errTruncated
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.pos:])
-	r.pos += 4
-	return v
-}
-
-// imm reads an ALU, compare or setcc immediate field of d's width.
-func (r *decoder) imm(d *Desc) int64 {
-	switch d.immBytes() {
-	case 2:
-		return int64(int16(r.u16()))
-	case 4:
-		return int64(int32(r.u32()))
-	}
-	return int64(r.u64())
-}
-
-func (r *decoder) u64() uint64 {
-	if r.err != nil || r.pos+8 > len(r.b) {
-		r.err = errTruncated
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
-	return v
-}
-
-// Decode reads one instruction from the front of b, returning it and
-// its encoded length. Decoding works on unpatched code (relocation
-// slots read as zero), which the translator relies on when inspecting
-// raw native objects.
-func (d *Desc) Decode(b []byte) (MInstr, int, error) {
-	return d.DecodeFrom(b, 0)
+func (e *DecodeError) Error() string {
+	return fmt.Sprintf("target: %s: %s field at offset %d truncated or invalid", e.Op, e.Field, e.Off)
 }
 
 // DecodeFrom reads one instruction at offset pos of b, returning it and
-// its encoded length. It is the processor's predecode entry point: the
+// its encoded length. Decoding works on unpatched code (relocation
+// slots read as zero), which the translator relies on when inspecting
+// raw native objects. It is the processor's predecode entry point: the
 // machine holds a single view of its whole code segment and decodes in
-// place, instead of cutting a fresh fetch window per instruction.
+// place, instead of cutting a fresh fetch window per instruction. Bytes
+// the encoder never writes are a *DecodeError, so an instruction
+// DecodeFrom accepts encodes back to exactly the bytes it came from.
 func (d *Desc) DecodeFrom(b []byte, pos int) (MInstr, int, error) {
-	if pos < 0 || pos > len(b) {
-		return MInstr{}, 0, errTruncated
+	if pos < 0 || pos >= len(b) {
+		return MInstr{}, 0, &DecodeError{Off: pos, Field: FOp}
 	}
-	r := &decoder{b: b, pos: pos}
-	var in MInstr
-	op := MOp(r.u8())
+	op := MOp(b[pos])
 	if op >= mOpCount {
-		return in, 0, fmt.Errorf("target: bad opcode byte 0x%02x", byte(op))
+		return MInstr{}, 0, &DecodeError{Off: pos, Op: op, Field: FOp}
 	}
+	if pos+1 >= len(b) || b[pos+1]&^fAll != 0 {
+		return MInstr{}, 0, &DecodeError{Off: pos + 1, Op: op, Field: FFlags}
+	}
+	flags := b[pos+1]
+	var in MInstr
 	in.Op = op
-	flags := r.u8()
-	in.HasImm = flags&fHasImm != 0
-	in.HasMem = flags&fHasMem != 0
-	in.Signed = flags&fSigned != 0
-	in.FP = flags&fFP != 0
-	in.NoTrap = flags&fNoTrap != 0
-	// Absent operands default to NoReg so decoded instructions mirror
-	// what the selector built.
 	in.Rd, in.Rs1, in.Rs2, in.Base, in.Index = NoReg, NoReg, NoReg, NoReg, NoReg
-
-	switch op {
-	case MNop, MRet, MInvokePop, MUnwind:
-	case MMovRR:
-		in.Rd = r.reg()
-		in.Rs1 = r.reg()
-	case MMovRI:
-		in.Rd = r.reg()
-		if d.WordSize == 4 {
-			in.Scale = r.u8()
-			in.Imm = int64(r.u16())
-		} else {
-			in.Imm = int64(r.u64())
+	in.HasImm, in.HasMem, in.Signed = flags&fHasImm != 0, flags&fHasMem != 0, flags&fSigned != 0
+	in.FP, in.NoTrap = flags&fFP != 0, flags&fNoTrap != 0
+	p := pos + 2
+	le := binary.LittleEndian
+	for _, f := range in.Fields() {
+		w := d.fieldLen(f)
+		if p+w > len(b) {
+			return MInstr{}, 0, &DecodeError{Off: p, Op: op, Field: f}
 		}
-	case MLoad:
-		in.Rd = r.reg()
-		in.Base = r.reg()
-		in.Index = r.reg()
-		in.Scale = r.u8()
-		in.Size = r.u8()
-		in.Disp = int32(r.u32())
-	case MStore:
-		in.Rs1 = r.reg()
-		in.Base = r.reg()
-		in.Index = r.reg()
-		in.Scale = r.u8()
-		in.Size = r.u8()
-		in.Disp = int32(r.u32())
-	case MLea:
-		in.Rd = r.reg()
-		in.Base = r.reg()
-		in.Index = r.reg()
-		in.Scale = r.u8()
-		in.Disp = int32(r.u32())
-	case MALU:
-		alu := ALUOp(r.u8())
-		if alu >= aluOpCount {
-			return in, 0, fmt.Errorf("target: bad ALU op byte 0x%02x", byte(alu))
+		ok := true
+		switch f {
+		case FRd, FRs1, FRs2:
+			*in.reg(f), ok = decReg(b[p])
+		case FImm:
+			switch w {
+			case 2:
+				in.Imm = int64(int16(le.Uint16(b[p:])))
+			case 4:
+				in.Imm = int64(int32(le.Uint32(b[p:])))
+			default:
+				in.Imm = int64(le.Uint64(b[p:]))
+			}
+			ok = d.ImmFits(in.Imm)
+		case FMem:
+			var okIndex bool
+			in.Base, ok = decReg(b[p])
+			in.Index, okIndex = decReg(b[p+1])
+			in.Scale, ok = b[p+2], ok && okIndex
+		case FDisp:
+			in.Disp = int32(le.Uint32(b[p:]))
+		case FSize, FCond, FALU, FCvt, FNArgs:
+			*in.small(f) = b[p]
+			ok = int(b[p]) < fieldLimit[f]
+		case FTarget, FCallee, FExtern:
+			in.Target = int32(le.Uint32(b[p:]))
+		case FConst:
+			if d.WordSize == 4 {
+				in.Scale, in.Imm = b[p], int64(le.Uint16(b[p+1:]))
+			} else {
+				in.Imm = int64(le.Uint64(b[p:]))
+			}
+		case FImm32:
+			in.Imm = int64(int32(le.Uint32(b[p:])))
 		}
-		in.Alu = alu
-		in.Size = r.u8()
-		in.Rd = r.reg()
-		in.Rs1 = r.reg()
-		switch {
-		case in.HasImm:
-			in.Imm = r.imm(d)
-		case in.HasMem:
-			in.Base = r.reg()
-			in.Index = r.reg()
-			in.Scale = r.u8()
-			in.Disp = int32(r.u32())
-		default:
-			in.Rs2 = r.reg()
+		if !ok {
+			return MInstr{}, 0, &DecodeError{Off: p, Op: op, Field: f}
 		}
-	case MCmp:
-		in.Rs1 = r.reg()
-		if in.HasImm {
-			in.Imm = r.imm(d)
-		} else {
-			in.Rs2 = r.reg()
-		}
-	case MSetCC:
-		in.Cnd = Cond(r.u8())
-		in.Rd = r.reg()
-		in.Rs1 = r.reg()
-		if in.HasImm {
-			in.Imm = r.imm(d)
-		} else {
-			in.Rs2 = r.reg()
-		}
-	case MJmp:
-		in.Target = int32(r.u32())
-	case MJcc:
-		in.Cnd = Cond(r.u8())
-		in.Rs1 = r.reg()
-		in.Target = int32(r.u32())
-	case MCall:
-		in.Target = int32(r.u32())
-	case MCallInd:
-		in.Rs1 = r.reg()
-	case MCallExt:
-		in.NArgs = r.u8()
-		in.Target = int32(r.u32())
-	case MPush:
-		in.Rs1 = r.reg()
-	case MPop:
-		in.Rd = r.reg()
-	case MCvt:
-		cvt := CvtOp(r.u8())
-		if cvt >= cvtOpCount {
-			return in, 0, fmt.Errorf("target: bad cvt op byte 0x%02x", byte(cvt))
-		}
-		in.Cvt = cvt
-		in.Size = r.u8()
-		in.Rd = r.reg()
-		in.Rs1 = r.reg()
-	case MInvokePush:
-		in.Target = int32(r.u32())
-	case MTrap, MAdjSP:
-		in.Imm = int64(int32(r.u32()))
+		p += w
 	}
-	if in.Cnd >= condCount {
-		return in, 0, fmt.Errorf("target: bad condition byte 0x%02x", byte(in.Cnd))
-	}
-	if r.err != nil {
-		return in, 0, r.err
-	}
-	return in, r.pos - pos, nil
+	return in, p - pos, nil
 }
 
 // Patch applies one relocation value to encoded code at offset. It

@@ -2,7 +2,9 @@ package target
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -106,36 +108,119 @@ func roundTripCases(d *Desc) map[MOp][]MInstr {
 	return cases
 }
 
-// TestEncodeDecodeRoundTrip: on both targets, every opcode in every
-// operand shape decodes to the instruction that was encoded, at its
-// encoded length, from any offset of a buffer, and fits the 16-byte fetch
-// window. The branch and call rows carry the extreme displacements: a
-// jump the machine writes itself (InvalidateFunction) must reach a stub
-// anywhere in the code segment, in either direction.
+// symbolCase is an instruction whose symbol relocates one of its fields,
+// and the relocation that must report it.
+type symbolCase struct {
+	in   MInstr
+	kind RelocKind
+}
+
+// symbolCases lists, on d, an instruction for every shape with a field a
+// symbol relocates.
+func symbolCases(d *Desc) []symbolCase {
+	r := Reg(7)
+	lo, hi := RelocAbs, RelocAbs
+	if d.WordSize == 4 {
+		lo, hi = RelocLo16, RelocHi16
+	}
+	return []symbolCase{
+		{MInstr{Op: MMovRI, Rd: r, Sym: "g"}, hi},
+		{MInstr{Op: MMovRI, Rd: r, HasImm: true, Sym: "g"}, lo},
+		{MInstr{Op: MLoad, Rd: r, Index: Reg(9), Scale: 4, Size: 4, Disp: 40, Sym: "g"}, RelocDisp32},
+		{MInstr{Op: MStore, Rs1: r, Size: 8, Disp: -8, Sym: "g"}, RelocDisp32},
+		{MInstr{Op: MLea, Rd: r, Disp: 16, Sym: "g"}, RelocDisp32},
+		{MInstr{Op: MALU, Alu: AAdd, Size: 8, Rd: r, Rs1: r, HasMem: true, Disp: 8, Sym: "g"}, RelocDisp32},
+		{MInstr{Op: MCall, Sym: "f"}, RelocCall},
+		{MInstr{Op: MCallExt, NArgs: 2, Sym: "print_int"}, RelocExt},
+	}
+}
+
+// shapeKey names one shape of an op's form, and whether the instruction
+// carries a symbol.
+type shapeKey struct {
+	op  MOp
+	src int
+	sym bool
+}
+
+// keyOf is in's shape. An op without a memory or immediate second source
+// has one shape, under srcReg.
+func keyOf(in *MInstr) shapeKey {
+	fm := &opForms[in.Op]
+	k := srcReg
+	switch {
+	case in.HasImm:
+		k = srcImm
+	case in.HasMem:
+		k = srcMem
+	}
+	if slices.Equal(fm.shapes[k].fields, fm.shapes[srcReg].fields) {
+		k = srcReg
+	}
+	return shapeKey{in.Op, k, in.Sym != ""}
+}
+
+// TestEncodeDecodeRoundTrip: on both targets, every shape the form table
+// admits — each op, each second source it has, with and without a
+// symbol where a field takes one — has a case, and every case decodes to
+// the instruction that was encoded, at EncodedLen's length, from any
+// offset of a buffer, and fits the 16-byte fetch window. A symbol
+// reports one relocation of its field's kind inside the instruction. The
+// branch and call rows carry the extreme displacements: a jump the
+// machine writes itself (InvalidateFunction) must reach a stub anywhere
+// in the code segment, in either direction.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, d := range []*Desc{VX86, VSPARC} {
-		cases := roundTripCases(d)
-		for op := MOp(0); op < mOpCount; op++ {
-			if len(cases[op]) == 0 {
-				t.Errorf("%s: no round-trip case for %s", d.Name, op)
+		var cases []symbolCase
+		for _, cs := range roundTripCases(d) {
+			for _, c := range cs {
+				cases = append(cases, symbolCase{in: c})
 			}
-			for _, c := range cases[op] {
-				want := none(c)
-				code, relocs := d.Encode(&want, []byte{0xEE, 0xEE, 0xEE})
-				if len(relocs) != 0 {
-					t.Errorf("%s: %s: %d relocations for an instruction without a symbol", d.Name, &want, len(relocs))
-				}
-				n := len(code) - 3
-				if n > 16 {
-					t.Errorf("%s: %s encodes to %d bytes", d.Name, &want, n)
-				}
-				got, gotN, err := d.DecodeFrom(code, 3)
-				if err != nil {
-					t.Errorf("%s: %s: decode: %v", d.Name, &want, err)
+		}
+		cases = append(cases, symbolCases(d)...)
+		covered := map[shapeKey]bool{}
+		for _, c := range cases {
+			want := none(c.in)
+			covered[keyOf(&want)] = true
+			code, relocs := d.Encode(&want, []byte{0xEE, 0xEE, 0xEE})
+			n := len(code) - 3
+			if en, er := d.EncodedLen(&want); en != n || er != len(relocs) {
+				t.Errorf("%s: %s: EncodedLen %d bytes, %d relocations; encoded %d, %d", d.Name, &want, en, er, n, len(relocs))
+			}
+			if n > 16 {
+				t.Errorf("%s: %s encodes to %d bytes", d.Name, &want, n)
+			}
+			switch {
+			case want.Sym == "" && len(relocs) != 0:
+				t.Errorf("%s: %s: %d relocations for an instruction without a symbol", d.Name, &want, len(relocs))
+			case want.Sym != "" && (len(relocs) != 1 || relocs[0].Kind != c.kind || relocs[0].Sym != want.Sym ||
+				int(relocs[0].Offset) < 2 || int(relocs[0].Offset) >= n):
+				t.Errorf("%s: %s: relocations %+v, want one of kind %d inside its %d bytes", d.Name, &want, relocs, c.kind, n)
+			}
+			got, gotN, err := d.DecodeFrom(code, 3)
+			if err != nil {
+				t.Errorf("%s: %s: decode: %v", d.Name, &want, err)
+				continue
+			}
+			want.Sym = "" // a decoded instruction knows no symbols
+			if got != want || gotN != n {
+				t.Errorf("%s: decoded %+v (%d bytes), encoded %+v (%d bytes)", d.Name, got, gotN, want, n)
+			}
+		}
+		for op := MOp(0); op < mOpCount; op++ {
+			fm := &opForms[op]
+			for k, sh := range fm.shapes {
+				if k != srcReg && slices.Equal(sh.fields, fm.shapes[srcReg].fields) {
 					continue
 				}
-				if got != want || gotN != n {
-					t.Errorf("%s: decoded %+v (%d bytes), encoded %+v (%d bytes)", d.Name, got, gotN, want, n)
+				symbolic := slices.ContainsFunc(sh.fields, func(f Field) bool {
+					_, _, ok := d.reloc(&MInstr{Sym: "g"}, f)
+					return ok
+				})
+				for _, sym := range []bool{false, true} {
+					if (!sym || symbolic) && !covered[shapeKey{op, k, sym}] {
+						t.Errorf("%s: no round-trip case for %s shape %v (symbol %v)", d.Name, op, sh.fields, sym)
+					}
 				}
 			}
 		}
@@ -213,7 +298,7 @@ func TestRelocationsPatchWhatDecodeReads(t *testing.T) {
 				t.Fatalf("%s: %s: relocations %+v", d.Name, &c.in, relocs)
 			}
 			d.Patch(code, relocs[0].Offset, c.kind, c.val)
-			got, _, err := d.Decode(code)
+			got, _, err := d.DecodeFrom(code, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +330,7 @@ func TestDisp32RelocAddsAddend(t *testing.T) {
 		if err := VX86.Patch(code, relocs[0].Offset, RelocDisp32, addr); err != nil {
 			t.Fatalf("%s: patch with %#x: %v", &in, addr, err)
 		}
-		got, _, err := VX86.Decode(code)
+		got, _, err := VX86.DecodeFrom(code, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,38 +378,64 @@ func TestMemOperandSymString(t *testing.T) {
 	}
 }
 
+// badEncodings are byte strings no instruction encodes to on d, each
+// with the field DecodeFrom must name: an opcode, ALU operation,
+// conversion or condition that does not exist, a flag bit outside the
+// five defined ones, a register byte with bit 7 set other than 0xFF, and
+// on vsparc an immediate its 2-byte field holds but simm13 does not.
+func badEncodings(d *Desc) []badEncoding {
+	bad := []badEncoding{
+		{[]byte{byte(mOpCount), 0}, FOp},
+		{[]byte{0xFF, 0}, FOp},
+		{[]byte{byte(MALU), 0, byte(aluOpCount), 8, 1, 2, 3}, FALU},
+		{[]byte{byte(MCvt), 0, byte(cvtOpCount), 8, 1, 2}, FCvt},
+		{[]byte{byte(MJcc), 0, byte(condCount), 1, 0, 0, 0, 0}, FCond},
+		{[]byte{byte(MSetCC), 0, byte(condCount), 1, 2, 3}, FCond},
+		{[]byte{byte(MNop), 0x20}, FFlags},
+		{[]byte{byte(MRet), 0x80}, FFlags},
+		{[]byte{byte(MMovRR), 0, 0x80, 1}, FRd},
+		{[]byte{byte(MLoad), 0, 1, 2, 0xFE, 4, 8, 0, 0, 0, 0}, FMem},
+	}
+	if d.fieldLen(FImm) == 2 {
+		bad = append(bad, badEncoding{[]byte{byte(MCmp), fHasImm, 1, 0x00, 0x10}, FImm}) // 4096
+	}
+	return bad
+}
+
+type badEncoding struct {
+	b     []byte
+	field Field
+}
+
 // TestDecodeTruncated: code is read from storage and from guest memory,
 // so DecodeFrom sees arbitrary bytes. An instruction cut short anywhere,
-// an offset outside the buffer, and bytes that name no opcode, ALU
-// operation, conversion or condition are errors, never panics.
+// an offset outside the buffer, and bytes the encoder never writes are
+// each a *DecodeError naming the field, never a panic.
 func TestDecodeTruncated(t *testing.T) {
+	refused := func(d *Desc, what string, b []byte, pos int) *DecodeError {
+		in, _, err := d.DecodeFrom(b, pos)
+		var de *DecodeError
+		if !errors.As(err, &de) {
+			t.Errorf("%s: %s: decoded to %s, err %v; want a *DecodeError", d.Name, what, &in, err)
+		}
+		return de
+	}
 	for _, d := range []*Desc{VX86, VSPARC} {
 		for op, cs := range roundTripCases(d) {
 			for _, c := range cs {
 				in := none(c)
 				code, _ := d.Encode(&in, nil)
 				for cut := 0; cut < len(code); cut++ {
-					if _, _, err := d.DecodeFrom(code[:cut], 0); err == nil {
-						t.Errorf("%s: %s cut to %d of %d bytes decoded without error", d.Name, op, cut, len(code))
-					}
+					refused(d, fmt.Sprintf("%s cut to %d of %d bytes", op, cut, len(code)), code[:cut], 0)
 				}
 				for _, pos := range []int{-1, len(code), len(code) + 1} {
-					if _, _, err := d.DecodeFrom(code, pos); err == nil {
-						t.Errorf("%s: %s decoded at offset %d of %d bytes", d.Name, op, pos, len(code))
-					}
+					refused(d, fmt.Sprintf("%s at offset %d of %d bytes", op, pos, len(code)), code, pos)
 				}
 			}
 		}
-		for _, bad := range [][]byte{
-			{byte(mOpCount), 0},
-			{0xFF, 0},
-			{byte(MALU), 0, byte(aluOpCount), 8, 1, 2, 3},
-			{byte(MCvt), 0, byte(cvtOpCount), 8, 1, 2},
-			{byte(MJcc), 0, byte(condCount), 1, 0, 0, 0, 0},
-			{byte(MSetCC), 0, byte(condCount), 1, 2, 3},
-		} {
-			if in, _, err := d.Decode(bad); err == nil {
-				t.Errorf("%s: % x decoded to %s", d.Name, bad, &in)
+		for _, bad := range badEncodings(d) {
+			if de := refused(d, fmt.Sprintf("% x", bad.b), bad.b, 0); de != nil && de.Field != bad.field {
+				t.Errorf("%s: % x: refused the %s field, want %s", d.Name, bad.b, de.Field, bad.field)
 			}
 		}
 	}

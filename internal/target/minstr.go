@@ -150,10 +150,8 @@ func (c CvtOp) String() string {
 	return fmt.Sprintf("cvt(%d)", uint8(c))
 }
 
-// MInstr is one machine-IR instruction. Operand fields are interpreted
-// per opcode; unused register fields hold NoReg. Disp/Base/Index/Scale
-// form a memory operand for MLoad/MStore/MLea and (on targets with
-// MemOperands) the memory source of an MALU with HasMem set.
+// MInstr is one machine-IR instruction. Which operand fields it has is
+// its op's form (Fields, form.go); every reader ignores the others.
 type MInstr struct {
 	Op  MOp
 	Alu ALUOp
@@ -184,99 +182,65 @@ type MInstr struct {
 }
 
 // String renders the instruction for diagnostics and panics: its op,
-// then the operands the op has and nothing else. A register field holding
-// NoReg is absent (a vx86 setcc or jcc reads the flags, not a register).
+// then the fields its form names and nothing else. A register field
+// holding NoReg is absent (a vx86 setcc or jcc reads the flags, not a
+// register).
 func (in *MInstr) String() string {
 	var b strings.Builder
 	b.WriteString(in.OpName())
-	if in.Op == MJcc || in.Op == MSetCC {
+	if in.Op >= mOpCount {
+		return b.String()
+	}
+	sh := in.shape()
+	if sh.named&(1<<FCond) != 0 {
 		fmt.Fprintf(&b, ".%s", in.Cnd)
 	}
-	if in.Op == MCvt {
+	if sh.named&(1<<FCvt) != 0 {
 		fmt.Fprintf(&b, ".%s", in.Cvt)
 	}
-	if in.Op == MMovRI && in.HasImm {
+	if sh.named&(1<<FConst) != 0 && in.HasImm {
 		b.WriteString(".or") // vsparc: merge a chunk into Rd
 	}
 	if in.FP {
 		b.WriteString(".f")
 	}
-	if in.Size != 0 {
+	if sh.named&(1<<FSize) != 0 && in.Size != 0 {
 		fmt.Fprintf(&b, ".%d", in.Size)
 	}
-	regs := func(rs ...Reg) {
-		for _, r := range rs {
-			if r != NoReg {
+	for _, f := range sh.fields {
+		switch f {
+		case FRd, FRs1, FRs2:
+			if r := *in.reg(f); r != NoReg {
 				fmt.Fprintf(&b, " %s", r)
 			}
-		}
-	}
-	mem := func() {
-		base := in.Base.String()
-		if in.Sym != "" {
-			// A symbol on a memory operand is its absolute base.
-			base = "@" + in.Sym
-		}
-		fmt.Fprintf(&b, " [%s+%s*%d%+d]", base, in.Index, in.Scale, in.Disp)
-	}
-	// src is the second source: an immediate, the memory operand of an
-	// ALU op that has one, or Rs2.
-	src := func() {
-		switch {
-		case in.HasImm:
+		case FImm:
 			fmt.Fprintf(&b, " $%d", in.Imm)
-		case in.Op == MALU && in.HasMem:
-			mem()
-		default:
-			regs(in.Rs2)
+		case FMem:
+			base := in.Base.String()
+			if in.Sym != "" {
+				// A symbol on a memory operand is its absolute base.
+				base = "@" + in.Sym
+			}
+			fmt.Fprintf(&b, " [%s+%s*%d%+d]", base, in.Index, in.Scale, in.Disp)
+		case FConst:
+			switch {
+			case in.Sym != "":
+				fmt.Fprintf(&b, " @%s", in.Sym)
+			case in.Scale != 0: // Scale shifts a vsparc chunk
+				fmt.Fprintf(&b, " $%d<<%d", in.Imm, 16*int(in.Scale))
+			default:
+				fmt.Fprintf(&b, " $%d", in.Imm)
+			}
+		case FCallee, FExtern:
+			if in.Sym != "" {
+				fmt.Fprintf(&b, " @%s", in.Sym)
+			}
+			fmt.Fprintf(&b, " ->%d", in.Target)
+		case FTarget:
+			fmt.Fprintf(&b, " ->%d", in.Target)
+		case FImm32:
+			fmt.Fprintf(&b, " #%d", in.Imm)
 		}
-	}
-	switch in.Op {
-	case MMovRR, MCvt:
-		regs(in.Rd, in.Rs1)
-	case MMovRI:
-		regs(in.Rd)
-		if in.Sym != "" {
-			fmt.Fprintf(&b, " @%s", in.Sym)
-			break
-		}
-		// A constant move's immediate is its operand, in either vsparc
-		// form; Scale shifts a vsparc chunk.
-		fmt.Fprintf(&b, " $%d", in.Imm)
-		if in.Scale != 0 {
-			fmt.Fprintf(&b, "<<%d", 16*int(in.Scale))
-		}
-	case MLoad, MLea:
-		regs(in.Rd)
-		mem()
-	case MStore:
-		regs(in.Rs1)
-		mem()
-	case MALU:
-		regs(in.Rd, in.Rs1)
-		src()
-	case MCmp:
-		regs(in.Rs1)
-		src()
-	case MSetCC:
-		regs(in.Rd, in.Rs1)
-		if in.Rs1 != NoReg {
-			src()
-		}
-	case MJcc, MCallInd, MPush:
-		regs(in.Rs1)
-	case MPop:
-		regs(in.Rd)
-	case MCall, MCallExt:
-		if in.Sym != "" {
-			fmt.Fprintf(&b, " @%s", in.Sym)
-		}
-	}
-	switch in.Op {
-	case MJmp, MJcc, MCall, MCallExt, MInvokePush:
-		fmt.Fprintf(&b, " ->%d", in.Target)
-	case MTrap, MAdjSP:
-		fmt.Fprintf(&b, " #%d", in.Imm)
 	}
 	return b.String()
 }
