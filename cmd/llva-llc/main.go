@@ -111,7 +111,8 @@ func printCode(d *target.Desc, f *codegen.NativeFunc) error {
 	fmt.Printf("%s:\n", f.Name)
 	r := 0
 	for off := 0; off < len(f.Code); {
-		in, n, err := d.DecodeFrom(f.Code, off)
+		var in target.MInstr
+		n, err := d.DecodeFrom(f.Code, off, &in)
 		if err != nil {
 			return fmt.Errorf("%s+%#x: %v", f.Name, off, err)
 		}

@@ -127,7 +127,7 @@ func (o *NativeObject) NumInstrs() int {
 // it, so code another revision emitted, and profiles counted in that
 // code's address space, are cache misses and not stale hits (paper,
 // Section 4.1: validate the cached translation, else translate online).
-const Revision = "9"
+const Revision = "10"
 
 // Metric names published to a shared registry via SetTelemetry.
 const (
@@ -286,13 +286,13 @@ func (e *PanicError) Unwrap() error {
 // lower is the one lowering every function takes on both targets and
 // both tiers: selection, copy coalescing, register allocation, frame
 // lowering, the branch peepholes (branch-polarity inversion, jump
-// threading), fallthrough elision and final layout, all in ws. A non-nil
-// perm places blocks in trace order at the machine level — after
-// register allocation, so live intervals (and therefore spills) are
-// measured in the stable IR order the profile was gathered against. A
-// non-nil hm feeds per-block heat to the allocator for interval weights,
-// which makes it evict by heat; without one, the code is tier 1's and
-// carries its block table.
+// threading), fallthrough elision, the flags pass (flags.go) and final
+// layout, all in ws. A non-nil perm places blocks in trace order at the
+// machine level — after register allocation, so live intervals (and
+// therefore spills) are measured in the stable IR order the profile was
+// gathered against. A non-nil hm feeds per-block heat to the allocator
+// for interval weights, which makes it evict by heat; without one, the
+// code is tier 1's and carries its block table.
 func (t *Translator) lower(ws *workspace, f *core.Function, perm []int, hm heat) *NativeFunc {
 	sel := newSelector(t, f, ws)
 	if hm != nil {
@@ -322,13 +322,20 @@ func (t *Translator) lower(ws *workspace, f *core.Function, perm []int, hm heat)
 		t.saves.Add(uint64(len(sel.savedRegs)))
 	}
 	if lowerTestHook != nil {
-		lowerTestHook(sel)
+		lowerTestHook(sel, afterAlloc)
 	}
 
 	addFrame(sel, perm)
 	invertBranches(sel)
 	threadJumps(sel)
 	elideFallthroughs(sel)
+	if lowerTestHook != nil {
+		lowerTestHook(sel, afterLayout)
+	}
+	useALUFlags(sel)
+	if lowerTestHook != nil {
+		lowerTestHook(sel, afterFlags)
+	}
 	nf := &NativeFunc{
 		Name:      f.Name(),
 		NumInstrs: len(sel.code),
@@ -342,10 +349,22 @@ func (t *Translator) lower(ws *workspace, f *core.Function, perm []int, hm heat)
 // linear scan, and reports whether it allocated the function.
 var allocTestHook func(*selector) bool
 
-// lowerTestHook, when set, runs in lower between register allocation
-// and frame lowering, once selection, coalescing and allocation have
-// written their tables. Tests set it to panic there.
-var lowerTestHook func(*selector)
+// lowerTestHook, when set, runs in lower at each of its stages: between
+// register allocation and frame lowering, once selection, coalescing and
+// allocation have written their tables; once the code is framed, its
+// blocks placed (in trace order at tier 2) and its branches final; and
+// after the flags pass. Tests set it to panic there, or to check the
+// code.
+var lowerTestHook func(*selector, lowerStage)
+
+// lowerStage names the point of lower at which lowerTestHook runs.
+type lowerStage uint8
+
+const (
+	afterAlloc lowerStage = iota
+	afterLayout
+	afterFlags
+)
 
 // elideFallthroughs removes an unconditional jump whose target is the
 // block that immediately follows it in layout order — or follows it once

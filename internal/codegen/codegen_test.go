@@ -151,7 +151,8 @@ func TestSwitchWideCases(t *testing.T) {
 		}
 		imm, reg := 0, 0
 		for off := 0; off < len(nf.Code); {
-			in, n, err := d.DecodeFrom(nf.Code, off)
+			var in target.MInstr
+			n, err := d.DecodeFrom(nf.Code, off, &in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +237,8 @@ b:
 		jmps := 0
 		off := 0
 		for off < len(nf.Code) {
-			in, n, err := d.DecodeFrom(nf.Code[off:], 0)
+			var in target.MInstr
+			n, err := d.DecodeFrom(nf.Code[off:], 0, &in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -512,7 +514,8 @@ done:
 		}
 		var movis, cvts, divides int
 		for pos, end := int(nf.Blocks.Off(1)), int(nf.Blocks.Off(2)); pos < end; {
-			in, n, err := d.DecodeFrom(nf.Code, pos)
+			var in target.MInstr
+			n, err := d.DecodeFrom(nf.Code, pos, &in)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,7 +45,10 @@ func PanicInLowering(name string, v any) (reused func() bool, restore func()) {
 	var mu sync.Mutex
 	var dropped *workspace
 	again := false
-	lowerTestHook = func(s *selector) {
+	lowerTestHook = func(s *selector, at lowerStage) {
+		if at != afterAlloc {
+			return
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		if dropped == nil && s.f.Name() == name {
@@ -66,12 +69,29 @@ func PanicInLowering(name string, v any) (reused func() bool, restore func()) {
 // an index register scaled by 4 and a displacement, [base + base*4 + 8],
 // between register allocation and frame lowering.
 func WidenFirstLoad() (restore func()) {
-	lowerTestHook = func(s *selector) {
+	lowerTestHook = func(s *selector, at lowerStage) {
+		if at != afterAlloc {
+			return
+		}
 		for i := range s.code {
 			if in := &s.code[i]; in.Op == target.MLoad {
 				in.Index, in.Scale, in.Disp = in.Base, 4, 8
 				return
 			}
+		}
+	}
+	return func() { lowerTestHook = nil }
+}
+
+// CheckEveryStage makes every lowering until restore hold its code to
+// Desc.Check at each stage lowerTestHook sees: after register
+// allocation, after layout (trace order at tier 2) and after the flags
+// pass. report gets the function, the stage and the refusal.
+func CheckEveryStage(report func(fn, stage string, err error)) (restore func()) {
+	names := [...]string{afterAlloc: "allocation", afterLayout: "layout", afterFlags: "the flags pass"}
+	lowerTestHook = func(s *selector, at lowerStage) {
+		if err := s.desc.Check(s.code); err != nil {
+			report(s.f.Name(), names[at], err)
 		}
 	}
 	return func() { lowerTestHook = nil }

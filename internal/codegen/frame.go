@@ -72,7 +72,7 @@ func (s *selector) prologue(code []target.MInstr) []target.MInstr {
 	// FP <- SP + frame (the caller's SP)
 	if d.ImmFits(frame) {
 		code = append(code, target.MInstr{Op: target.MALU, Alu: target.AAdd,
-			Rd: d.FP, Rs1: d.SP, Rs2: target.NoReg, HasImm: true, Imm: frame, Size: 8})
+			Rd: d.FP, Rs1: d.SP, HasImm: true, Imm: frame, Size: 8})
 	} else {
 		code = appendImm(code, target.Reg(31), frame, d)
 		code = append(code, target.MInstr{Op: target.MALU, Alu: target.AAdd,

@@ -58,7 +58,8 @@ func countCode(t *testing.T, c map[string]uint64, d *target.Desc, obj *codegen.N
 	for _, nf := range obj.Funcs {
 		c[d.Name+".instrs"] += uint64(nf.NumInstrs)
 		for pos := 0; pos < len(nf.Code); {
-			in, n, err := d.DecodeFrom(nf.Code, pos)
+			var in target.MInstr
+			n, err := d.DecodeFrom(nf.Code, pos, &in)
 			if err != nil {
 				t.Fatalf("%s %s+%d: %v", d.Name, nf.Name, pos, err)
 			}

@@ -620,10 +620,9 @@ func cmpCond(cmp *core.Instruction) (target.Cond, bool) {
 // condition that tests it.
 func (s *selector) cmpOperands(op target.MOp, cmp *core.Instruction) (target.MInstr, target.Cond) {
 	ot := cmp.Operand(0).Type()
-	m := target.MInstr{Op: op, Rd: target.NoReg, Rs1: s.val(cmp.Operand(0)),
-		Signed: ot.IsSigned(), FP: isFPType(ot)}
+	m := target.MInstr{Op: op, Rs1: s.val(cmp.Operand(0)), Signed: ot.IsSigned(), FP: isFPType(ot)}
 	if imm, ok := s.immOperand(cmp.Operand(1)); ok {
-		m.Rs2, m.HasImm, m.Imm = target.NoReg, true, imm
+		m.HasImm, m.Imm = true, imm
 	} else {
 		m.Rs2 = s.val(cmp.Operand(1))
 	}
@@ -764,8 +763,7 @@ func (s *selector) selBr(bb *core.BasicBlock, in *core.Instruction) {
 	}
 	c := s.val(cond)
 	if s.desc.HasFlags {
-		s.emit(target.MInstr{Op: target.MCmp, Rd: target.NoReg, Rs1: c, Rs2: target.NoReg,
-			HasImm: true, Imm: 0})
+		s.emit(target.MInstr{Op: target.MCmp, Rs1: c, HasImm: true, Imm: 0})
 		s.emit(target.MInstr{Op: target.MJcc, Cnd: target.CondNE, Rs1: target.NoReg, Target: tTrue})
 	} else {
 		s.emit(target.MInstr{Op: target.MJcc, Cnd: target.CondNE, Rs1: c, Target: tTrue})
@@ -785,8 +783,7 @@ func (s *selector) selMbr(bb *core.BasicBlock, in *core.Instruction) {
 	for i, cv := range in.Cases {
 		tgt := s.block(in.Block(i + 1))
 		// v == case, with a case beyond the immediate range in a register.
-		eq := target.MInstr{Op: target.MCmp, Rd: target.NoReg, Rs1: v, Rs2: target.NoReg,
-			HasImm: true, Imm: cv, Signed: true}
+		eq := target.MInstr{Op: target.MCmp, Rs1: v, HasImm: true, Imm: cv, Signed: true}
 		if !s.desc.ImmFits(cv) {
 			eq.Rs2, eq.HasImm, eq.Imm = s.newVReg(false), false, 0
 			s.synthImm(eq.Rs2, cv)

@@ -365,7 +365,7 @@ func (s *selector) selCast(in *core.Instruction) {
 			s.emit(target.MInstr{Op: target.MCvt, Cvt: target.CvtBits, Rd: z,
 				Rs1: zi, FP: true, Size: 8})
 			if s.desc.HasFlags {
-				s.emit(target.MInstr{Op: target.MCmp, Rd: target.NoReg, Rs1: src, Rs2: z, FP: true})
+				s.emit(target.MInstr{Op: target.MCmp, Rs1: src, Rs2: z, FP: true})
 				s.emit(target.MInstr{Op: target.MSetCC, Cnd: target.CondNE, Rd: rd,
 					Rs1: target.NoReg, Rs2: target.NoReg})
 			} else {
@@ -375,8 +375,7 @@ func (s *selector) selCast(in *core.Instruction) {
 			return
 		}
 		if s.desc.HasFlags {
-			s.emit(target.MInstr{Op: target.MCmp, Rd: target.NoReg, Rs1: src, Rs2: target.NoReg,
-				HasImm: true, Imm: 0})
+			s.emit(target.MInstr{Op: target.MCmp, Rs1: src, HasImm: true, Imm: 0})
 			s.emit(target.MInstr{Op: target.MSetCC, Cnd: target.CondNE, Rd: rd,
 				Rs1: target.NoReg, Rs2: target.NoReg})
 		} else {

@@ -44,7 +44,8 @@ func decodeAll(t *testing.T, d *target.Desc, nf *codegen.NativeFunc) []target.MI
 	t.Helper()
 	var out []target.MInstr
 	for pos := 0; pos < len(nf.Code); {
-		in, n, err := d.DecodeFrom(nf.Code, pos)
+		var in target.MInstr
+		n, err := d.DecodeFrom(nf.Code, pos, &in)
 		if err != nil {
 			t.Fatal(err)
 		}

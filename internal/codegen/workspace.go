@@ -49,10 +49,11 @@ type workspace struct {
 	backing []target.Reg
 	active  []activeEntry
 
-	// branch peepholes and layout
-	seen []int32
-	next []int
-	offs []int
+	// branch peepholes, the flags pass and layout
+	flags flagsWalk
+	seen  []int32
+	next  []int
+	offs  []int
 }
 
 // workspaces pools the workspaces of finished translations. A lowering

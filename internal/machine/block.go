@@ -97,8 +97,9 @@ func (mc *Machine) buildBlock(pc uint64) (*block, error) {
 	at := pc
 	var instrs uint8 // at most maxBlockInstrs
 	var cum uint16   // at most maxBlockInstrs x 14, the dearest instruction
+	var in target.MInstr
 	for instrs < maxBlockInstrs && at < mc.codeEnd {
-		in, n, err := mc.desc.DecodeFrom(view, int(at-mc.codeBase))
+		n, err := mc.desc.DecodeFrom(view, int(at-mc.codeBase), &in)
 		if err != nil {
 			if instrs == 0 {
 				return nil, fmt.Errorf("machine: decode at 0x%x: %w", at, err)
@@ -232,6 +233,9 @@ func (mc *Machine) runBlock(b *block) (*block, error) {
 			r[u.rd] = r[u.ra] | (r[u.rb] + u.imm)
 		case uXor64:
 			r[u.rd] = r[u.ra] ^ (r[u.rb] + u.imm)
+		case uAnd64F:
+			v := r[u.ra] & (r[u.rb] + u.imm)
+			r[u.rd], mc.flags = v, cmpSigned(v, 0)
 		case uSext32:
 			r[u.rd] = uint64(int64(int32(r[u.ra])))
 		case uFAdd:
@@ -380,7 +384,8 @@ fault:
 	mc.retire(u)
 	mc.pc = b.pc(u)
 	if te, ok := err.(*TrapError); ok && te.Mnemonic == "" && te.PC == mc.pc {
-		if in, _, derr := mc.desc.DecodeFrom(mc.code[:mc.codeEnd-mc.codeBase], int(mc.pc-mc.codeBase)); derr == nil {
+		var in target.MInstr
+		if _, derr := mc.desc.DecodeFrom(mc.code[:mc.codeEnd-mc.codeBase], int(mc.pc-mc.codeBase), &in); derr == nil {
 			te.Mnemonic = in.String()
 		}
 	}

@@ -145,7 +145,8 @@ func walkTo(t *testing.T, mc *Machine, entry, pc uint64) (instrs uint64, cycles 
 		if err != nil {
 			t.Fatalf("walk: %v", err)
 		}
-		in, n, err := mc.desc.DecodeFrom(raw, 0)
+		var in target.MInstr
+		n, err := mc.desc.DecodeFrom(raw, 0, &in)
 		if err != nil {
 			t.Fatalf("walk decode at 0x%x: %v", a, err)
 		}
@@ -474,7 +475,8 @@ entry:
 		}
 		body := nativeFor(t, smallest, "f", d).Code
 		for off := 0; off < len(patch); {
-			in, n, err := d.DecodeFrom(body, off)
+			var in target.MInstr
+			n, err := d.DecodeFrom(body, off, &in)
 			if err != nil {
 				t.Fatalf("%s: the smallest body (%d bytes) ends inside the %d-byte patch: %v", d.Name, len(body), len(patch), err)
 			}

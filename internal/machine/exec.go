@@ -59,6 +59,21 @@ func (mc *Machine) Run(entry string, args ...uint64) (uint64, error) {
 // the returned error is a *CancelError matching both ErrCanceled and
 // ctx.Err() under errors.Is.
 func (mc *Machine) RunContext(ctx context.Context, entry string, args ...uint64) (uint64, error) {
+	if err := mc.enter(entry, args); err != nil {
+		return 0, err
+	}
+	mc.armGas()
+	mc.runCtx = ctx
+	err := mc.loop()
+	mc.runCtx = nil
+	mc.recordRunEnd(err)
+	return mc.regs[mc.desc.RetReg], err
+}
+
+// enter prepares a run of the named function: its code (a lazy stub if
+// it has none yet), the initial stack and arguments, the PC, and the
+// observability hooks.
+func (mc *Machine) enter(entry string, args []uint64) error {
 	addr, ok := mc.funcAddr[entry]
 	if !ok {
 		// Entry may need a lazy stub (JIT mode).
@@ -66,10 +81,10 @@ func (mc *Machine) RunContext(ctx context.Context, entry string, args ...uint64)
 			var err error
 			addr, err = mc.makeStub(entry)
 			if err != nil {
-				return 0, err
+				return err
 			}
 		} else {
-			return 0, fmt.Errorf("machine: no code for %%%s", entry)
+			return fmt.Errorf("machine: no code for %%%s", entry)
 		}
 	}
 	// A halt address: one word of unreachable code region.
@@ -84,12 +99,12 @@ func (mc *Machine) RunContext(ctx context.Context, entry string, args ...uint64)
 		for i := len(args) - 1; i >= 0; i-- {
 			sp -= 8
 			if err := mc.mem.Store(sp, 8, args[i]); err != nil {
-				return 0, err
+				return err
 			}
 		}
 		sp -= 8
 		if err := mc.mem.Store(sp, 8, mc.haltAddr); err != nil {
-			return 0, err
+			return err
 		}
 		mc.regs[d.SP] = sp
 	} else {
@@ -116,7 +131,7 @@ func (mc *Machine) RunContext(ctx context.Context, entry string, args ...uint64)
 			// overflow arguments at [SP + 8k], matching the callee's
 			// expectation of [FP + 8k]
 			if err := mc.mem.Store(mc.regs[d.SP]+uint64(8*stackIdx), 8, a); err != nil {
-				return 0, err
+				return err
 			}
 			stackIdx++
 		}
@@ -131,16 +146,7 @@ func (mc *Machine) RunContext(ctx context.Context, entry string, args ...uint64)
 		mc.profNext = mc.Stats.Instrs + mc.prof.Rate()
 		mc.profTaken = mc.Stats.BranchesTaken
 	}
-
-	mc.armGas()
-	mc.runCtx = ctx
-	err := mc.loop()
-	mc.runCtx = nil
-	mc.recordRunEnd(err)
-	if err != nil {
-		return mc.regs[d.RetReg], err
-	}
-	return mc.regs[d.RetReg], nil
+	return nil
 }
 
 // FPResult returns the FP return register (for FP-returning entry points).
@@ -396,7 +402,8 @@ func (u *uop) scalar() core.Scalar {
 	return core.Scalar{Bits: 8 * uint16(u.size()), Signed: u.signed(), Float: u.fp()}
 }
 
-// alu executes the ALU forms without an op of their own.
+// alu executes the ALU forms without an op of their own, setting the
+// flags from the result when the op does.
 func (mc *Machine) alu(u *uop, a, b uint64) error {
 	op := target.ALUOp(u.k)
 	if u.fp() && op > target.ARem {
@@ -413,6 +420,9 @@ func (mc *Machine) alu(u *uop, a, b uint64) error {
 		return &TrapError{Num: TrapDivByZero, PC: mc.pc, Detail: op.String() + " by zero"}
 	}
 	mc.regs[u.rd] = r
+	if u.setsFlags() {
+		mc.flags = cmpSigned(r, 0)
+	}
 	return nil
 }
 

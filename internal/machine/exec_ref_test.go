@@ -25,9 +25,18 @@ import (
 // It differs from the engine PR 22 shipped in one place, on purpose: a
 // stack-argument load of an extern call that faults is a TrapError, like
 // every other guest memory fault (it was the bare *mem.Fault).
+//
+// A flag-setting ALU op (SetsFlags) leaves the flags a signed compare of
+// its result with zero leaves. With x86 set the reference follows x86's
+// own rule instead: every ALU op SetsFlagsFits admits sets the flags so,
+// marked or not, and every other integer ALU op (a multiply, a divide, a
+// shift by a register), a stack adjustment and a call of any kind
+// scramble them. Code that reads only flags its own compare or marked op
+// left runs the same in both modes.
 type refCPU struct {
 	*Machine
 	flagEQ, flagLT bool
+	x86            bool
 }
 
 // refDecoded is one predecoded instruction inside a reference block.
@@ -85,7 +94,8 @@ func (c *refCPU) build(pc uint64) ([]refDecoded, uint64, error) {
 	at := pc
 	var cum uint64
 	for len(instrs) < maxBlockInstrs && at < c.codeEnd {
-		in, n, err := c.desc.DecodeFrom(view, int(at-c.codeBase))
+		var in target.MInstr
+		n, err := c.desc.DecodeFrom(view, int(at-c.codeBase), &in)
 		if err != nil {
 			if len(instrs) == 0 {
 				return nil, 0, fmt.Errorf("machine: decode at 0x%x: %w", at, err)
@@ -222,14 +232,17 @@ func (c *refCPU) exec(in *target.MInstr, size int) (bool, error) {
 		}
 	case target.MCall:
 		c.Stats.Calls++
+		c.scramble()
 		ret := c.pc + uint64(size)
 		tgt := uint64(in.Target) * uint64(d.CallTargetScale)
 		return true, c.callTo(tgt, ret)
 	case target.MCallInd:
 		c.Stats.Calls++
+		c.scramble()
 		ret := c.pc + uint64(size)
 		return true, c.callTo(c.reg(in.Rs1), ret)
 	case target.MCallExt:
+		c.scramble()
 		return c.execCallExt(in)
 	case target.MRet:
 		if d.StackArgs {
@@ -292,6 +305,7 @@ func (c *refCPU) exec(in *target.MInstr, size int) (bool, error) {
 	case target.MTrap:
 		return false, &TrapError{Num: uint64(in.Imm), PC: c.pc, Detail: "explicit trap"}
 	case target.MAdjSP:
+		c.scramble()
 		c.regs[d.SP] = c.regs[d.SP] + uint64(in.Imm)
 	default:
 		return false, fmt.Errorf("machine: unimplemented op %s", in.Op)
@@ -381,7 +395,53 @@ func (c *refCPU) execALU(in *target.MInstr) error {
 		return &TrapError{Num: TrapDivByZero, PC: c.pc, Detail: in.Alu.String() + " by zero"}
 	}
 	c.setReg(in.Rd, r)
+	switch {
+	case in.SetsFlags, c.x86 && c.desc.SetsFlagsFits(in):
+		c.compare(r, 0, true, false)
+	case !in.FP:
+		c.scramble()
+	}
 	return nil
+}
+
+// scramble leaves the flags undefined, in x86 mode: inverted, so that a
+// branch that read them would go the other way.
+func (c *refCPU) scramble() {
+	if c.x86 {
+		c.flagEQ, c.flagLT = !c.flagEQ, !c.flagLT
+	}
+}
+
+// run executes the named function to completion on the reference, as
+// Machine.Run does on the engine, and returns the integer return
+// register. A run that retires more than limit instructions stops with
+// an error.
+func (c *refCPU) run(entry string, limit uint64) (uint64, error) {
+	if err := c.enter(entry, nil); err != nil {
+		return 0, err
+	}
+	type built struct {
+		instrs []refDecoded
+		end    uint64
+	}
+	blocks := map[uint64]built{}
+	for c.pc != c.haltAddr {
+		b, ok := blocks[c.pc]
+		if !ok {
+			var err error
+			if b.instrs, b.end, err = c.build(c.pc); err != nil {
+				return 0, err
+			}
+			blocks[c.pc] = b
+		}
+		if err := c.runBlock(b.instrs, b.end); err != nil {
+			return c.regs[c.desc.RetReg], err
+		}
+		if c.Stats.Instrs > limit {
+			return 0, fmt.Errorf("reference: more than %d instructions", limit)
+		}
+	}
+	return c.regs[c.desc.RetReg], nil
 }
 
 // refScalar is the type an instruction's Size, Signed and FP describe.

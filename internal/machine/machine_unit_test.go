@@ -239,7 +239,8 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, _, err := d.DecodeFrom(mc.code, int(addr-mc.codeBase))
+	var in target.MInstr
+	_, err = d.DecodeFrom(mc.code, int(addr-mc.codeBase), &in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,8 +117,9 @@ func (mc *Machine) flushHits(b *block) {
 // building and running blocks do no census work.
 func (mc *Machine) census(b *block) {
 	view := mc.code[:mc.codeEnd-mc.codeBase]
+	var in target.MInstr
 	for at := b.entry; at < b.end; {
-		in, n, err := mc.desc.DecodeFrom(view, int(at-mc.codeBase))
+		n, err := mc.desc.DecodeFrom(view, int(at-mc.codeBase), &in)
 		if err != nil {
 			return
 		}
@@ -247,7 +248,8 @@ func (mc *Machine) disasmWindow(pc uint64, before, after int) []prof.DisasmLine 
 	faultIdx := -1
 	at := start
 	for at < mc.codeEnd {
-		in, n, err := mc.desc.DecodeFrom(view, int(at-mc.codeBase))
+		var in target.MInstr
+		n, err := mc.desc.DecodeFrom(view, int(at-mc.codeBase), &in)
 		if err != nil {
 			break
 		}
@@ -289,7 +291,8 @@ func (mc *Machine) disasmWindowFrom(pc uint64, count int) []prof.DisasmLine {
 	var lines []prof.DisasmLine
 	at := pc
 	for at < mc.codeEnd && len(lines) <= count {
-		in, n, err := mc.desc.DecodeFrom(view, int(at-mc.codeBase))
+		var in target.MInstr
+		n, err := mc.desc.DecodeFrom(view, int(at-mc.codeBase), &in)
 		if err != nil {
 			break
 		}

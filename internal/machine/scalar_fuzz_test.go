@@ -24,6 +24,12 @@ import (
 // operation folds to nil and traps with the same trap number everywhere,
 // or yields 0 everywhere when its exceptions are disabled.
 //
+// An integer ALU op is also branched on: a second function computes the
+// result before each of four branches on it compared with zero (eq, ne,
+// lt, ge), so that vx86 may set the flags with the op and drop the
+// compare, and returns which branches were taken; every machine must
+// take the interpreter's.
+//
 // An input is (op, ty, x, y): op indexes the gate's ops, ty the operand
 // type in its types, and x, y are raw words, canonicalised to their
 // types. The seeds give every legal (op, type) pair each of its boundary
@@ -69,6 +75,7 @@ type scalarGate struct {
 	types []*core.Type
 	ops   []scalarOp
 	fn    [][][2]string // [op][ty][exceptions enabled]: the function's name, "" if illegal
+	br    [][]string    // [op][ty]: the branching function of an integer ALU op, or ""
 	ip    *interp.Interp
 	mcs   []*Machine // vx86 and vsparc, each at tier 1 and tier 2
 	names []string
@@ -104,8 +111,10 @@ func buildScalarGate() (*scalarGate, error) {
 		h.ops = append(h.ops, scalarOp{op: core.OpCast, to: to})
 	}
 	h.fn = make([][][2]string, len(h.ops))
+	h.br = make([][]string, len(h.ops))
 	for oi, so := range h.ops {
 		h.fn[oi] = make([][2]string, len(h.types))
+		h.br[oi] = make([]string, len(h.types))
 		for ti, t := range h.types {
 			if !legalScalarOp(so.op, t) {
 				continue
@@ -114,6 +123,10 @@ func buildScalarGate() (*scalarGate, error) {
 				name := fmt.Sprintf("f%d_%d_%d", oi, ti, exc)
 				h.fn[oi][ti][exc] = name
 				h.define(name, so, t, exc == 1)
+			}
+			if so.op <= core.OpShr && t.IsInteger() {
+				h.br[oi][ti] = fmt.Sprintf("b%d_%d", oi, ti)
+				h.defineBranches(h.br[oi][ti], so, t)
 			}
 		}
 	}
@@ -227,6 +240,46 @@ func (h *scalarGate) define(name string, so scalarOp, t *core.Type, exc bool) {
 	b.Ret(v)
 }
 
+// defineBranches adds %name(x, y), which computes x op y afresh before
+// each of four branches on the result compared with zero, under eq, ne,
+// lt and ge in turn, and returns the four outcomes as the bits of a long.
+func (h *scalarGate) defineBranches(name string, so scalarOp, t *core.Type) {
+	ctx := h.m.Types()
+	params := []*core.Type{t, t}
+	if so.op == core.OpShl || so.op == core.OpShr {
+		params[1] = ctx.UByte()
+	}
+	f := h.m.NewFunction(name, ctx.Function(ctx.Long(), params, false))
+	b := core.NewBuilder(f)
+	from := f.NewBlock("entry")
+	b.SetBlock(from)
+	zero, long := core.NewUint(t, 0), ctx.Long()
+	var taken []*core.Instruction
+	for k, cmp := range []func(x, y core.Value, n string) *core.Instruction{b.SetEQ, b.SetNE, b.SetLT, b.SetGE} {
+		x, y := f.Params[0], f.Params[1]
+		r := map[core.Opcode]func(x, y core.Value, n string) *core.Instruction{
+			core.OpAdd: b.Add, core.OpSub: b.Sub, core.OpMul: b.Mul, core.OpDiv: b.Div,
+			core.OpRem: b.Rem, core.OpAnd: b.And, core.OpOr: b.Or, core.OpXor: b.Xor,
+			core.OpShl: b.Shl, core.OpShr: b.Shr,
+		}[so.op](x, y, "r")
+		r.ExceptionsEnabled = true
+		yes, join := f.NewBlock(fmt.Sprintf("yes%d", k)), f.NewBlock(fmt.Sprintf("join%d", k))
+		b.CondBr(cmp(r, zero, "c"), yes, join)
+		b.SetBlock(yes)
+		b.Br(join)
+		b.SetBlock(join)
+		p := b.Phi(long, "taken")
+		p.AddPhiIncoming(core.NewInt(long, 1), yes)
+		p.AddPhiIncoming(core.NewInt(long, 0), from)
+		taken, from = append(taken, p), join
+	}
+	mask := core.Value(taken[0])
+	for k, p := range taken[1:] {
+		mask = b.Or(mask, b.Shl(p, core.NewUint(ctx.UByte(), uint64(k+1)), "bit"), "mask")
+	}
+	b.Ret(mask)
+}
+
 // operandTypes are the types of an op's two operands on type t.
 func (h *scalarGate) operandTypes(op int, t *core.Type) (*core.Type, *core.Type) {
 	switch h.ops[op].op {
@@ -304,6 +357,12 @@ func (h *scalarGate) check(t *testing.T, op, ty int, x, y uint64) {
 		t.Errorf("%s !noexc: the interpreter gives %v, want %v", row, noexc, want)
 	}
 	h.runAll(t, row+" !noexc", h.fn[op][ty][0], args, ret, want)
+
+	if br := h.br[op][ty]; br != "" {
+		w, err := h.ip.Run(br, args...)
+		taken := engineOutcome(t, row, "interpreter", w, err)
+		h.runAll(t, row+" branches", br, args, h.m.Types().Long(), taken)
+	}
 }
 
 // runAll holds every machine's run of %name(args) to want.

@@ -45,12 +45,14 @@ const (
 	auxSigned = 1 << (8 + iota)
 	auxFP
 	auxNoTrap
+	auxSetsFlags
 )
 
-func (u *uop) size() uint8  { return uint8(u.aux) }
-func (u *uop) signed() bool { return u.aux&auxSigned != 0 }
-func (u *uop) fp() bool     { return u.aux&auxFP != 0 }
-func (u *uop) noTrap() bool { return u.aux&auxNoTrap != 0 }
+func (u *uop) size() uint8     { return uint8(u.aux) }
+func (u *uop) signed() bool    { return u.aux&auxSigned != 0 }
+func (u *uop) fp() bool        { return u.aux&auxFP != 0 }
+func (u *uop) noTrap() bool    { return u.aux&auxNoTrap != 0 }
+func (u *uop) setsFlags() bool { return u.aux&auxSetsFlags != 0 }
 
 // Register slots. A uop names its operands by index into Machine.regs,
 // which has a slot for every uint8, so an access is never range-checked.
@@ -118,6 +120,11 @@ const (
 	uAnd64
 	uOr64
 	uXor64
+	// The 64-bit and that also sets the flags from its result (a vx86
+	// ALU op with SetsFlags): crafty's popcount loops run it, and took
+	// half as long again on uALU. Every other such op is uALU or uALUM
+	// with auxSetsFlags.
+	uAnd64F
 	uFAdd // double precision
 	uFSub
 	uFMul
@@ -220,6 +227,10 @@ func (mc *Machine) lower(in *target.MInstr, pc uint64, n int) uop {
 			u.k = uint8(in.Alu)
 		case target.FCvt:
 			u.k = uint8(in.Cvt)
+		case target.FSetsFlags:
+			if in.SetsFlags {
+				u.aux |= auxSetsFlags
+			}
 		case target.FNArgs:
 			u.k = in.NArgs
 		case target.FTarget:
@@ -289,6 +300,9 @@ func (mc *Machine) lower(in *target.MInstr, pc uint64, n int) uop {
 		if !in.HasMem || in.HasImm {
 			u.op = fastALU(in)
 		}
+		if in.SetsFlags {
+			u.op = flagForm[u.op]
+		}
 	case target.MCmp:
 		u.op = cmpOp(in, uCmpS, uCmpU, uCmpF)
 	case target.MSetCC:
@@ -326,6 +340,12 @@ var uopOf = [...]uopCode{
 	target.MInvokePush: uInvokePush, target.MInvokePop: uInvokePop,
 	target.MUnwind: uUnwind, target.MTrap: uTrap, target.MAdjSP: uAdd64,
 }
+
+// flagForm is the form of each ALU uop that also sets the flags: uAnd64F
+// for the 64-bit and, else uALU or uALUM, which read auxSetsFlags. Only
+// integer forms can set them (target.Desc.SetsFlagsFits).
+var flagForm = [...]uopCode{uAdd64: uALU, uSub64: uALU, uAnd64: uAnd64F,
+	uOr64: uALU, uXor64: uALU, uAddS32: uALU, uSubS32: uALU, uALU: uALU, uALUM: uALUM}
 
 // fastALU picks the specialised form of a register/immediate ALU
 // instruction, if it has one.

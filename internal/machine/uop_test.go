@@ -96,7 +96,7 @@ func oracleForms(d *target.Desc, rng *rand.Rand) []form {
 			on bool
 			s  string
 		}{{in.Signed, "s"}, {in.FP, "f"}, {in.NoTrap, "nt"}, {in.HasImm, "ri"}, {in.HasMem, "rm"},
-			{in.Index != target.NoReg, "x"}} {
+			{in.Index != target.NoReg, "x"}, {in.SetsFlags, "sf"}} {
 			if f.on {
 				s += "." + f.s
 			}
@@ -166,6 +166,10 @@ func oracleForms(d *target.Desc, rng *rand.Rand) []form {
 			}
 		}
 	}
+	// Each ALU form the target may set the flags on, again with SetsFlags:
+	// added last, so that the forms above draw the operands they always
+	// did.
+	var flagged []form
 	for alu := target.AAdd; alu <= target.AShr; alu++ {
 		for _, size := range sizes {
 			for _, signed := range bools {
@@ -185,6 +189,9 @@ func oracleForms(d *target.Desc, rng *rand.Rand) []form {
 								withMem(&in, src == 3)
 							}
 							add("alu."+alu.String()+flagsOf(&in), in)
+							if in.SetsFlags = true; d.SetsFlagsFits(&in) {
+								flagged = append(flagged, form{"alu." + alu.String() + flagsOf(&in), []target.MInstr{in}})
+							}
 						}
 					}
 				}
@@ -296,7 +303,7 @@ func oracleForms(d *target.Desc, rng *rand.Rand) []form {
 		adj.Imm = by
 		add("adjsp", adj)
 	}
-	return forms
+	return append(forms, flagged...)
 }
 
 func encodeOne(d *target.Desc, in *target.MInstr) []byte {

@@ -36,9 +36,10 @@ func BenchmarkEncodeDecode(b *testing.B) {
 			perInstr(b)
 		})
 		b.Run(d.Name+"/decode", func(b *testing.B) {
+			var in MInstr
 			for i := 0; i < b.N; i++ {
 				for pos := 0; pos < len(code); {
-					_, n, err := d.DecodeFrom(code, pos)
+					n, err := d.DecodeFrom(code, pos, &in)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -171,6 +171,25 @@ var VSPARC = &Desc{
 // immediate on d.
 func (d *Desc) ImmFits(v int64) bool { return v >= -d.MaxImm-1 && v <= d.MaxImm }
 
+// SetsFlagsFits reports whether in may set the flags from its result on
+// d, as an x86 ALU op sets ZF, SF and, clearing it, OF: only where the
+// target has flags, and only an integer add, sub, and, or, xor, or a
+// shift by an immediate inside the operation's width. x86 leaves the
+// flags undefined after a multiply or divide, and alone after a shift
+// by zero; SSE arithmetic does not touch them.
+func (d *Desc) SetsFlagsFits(in *MInstr) bool {
+	if !d.HasFlags || in.Op != MALU || in.FP {
+		return false
+	}
+	switch in.Alu {
+	case AAdd, ASub, AAnd, AOr, AXor:
+		return true
+	case AShl, AShr:
+		return in.HasImm && in.Imm > 0 && in.Imm < 8*int64(in.Size)
+	}
+	return false
+}
+
 // DispFits reports whether v is a memory displacement the translator may
 // emit on d.
 func (d *Desc) DispFits(v int64) bool { return v >= -d.MaxDisp-1 && v <= d.MaxDisp }

@@ -60,6 +60,7 @@ const (
 	fSigned
 	fFP
 	fNoTrap
+	fSetsFlags
 
 	fAll = 1<<iota - 1
 )
@@ -92,6 +93,8 @@ func decReg(b byte) (Reg, bool) {
 	}
 }
 
+// encFlags is in's flags byte but for fSetsFlags, which the encoder
+// sets with the field that names it.
 func encFlags(in *MInstr) byte {
 	return bit(in.HasImm)*fHasImm | bit(in.HasMem)*fHasMem | bit(in.Signed)*fSigned |
 		bit(in.FP)*fFP | bit(in.NoTrap)*fNoTrap
@@ -128,6 +131,7 @@ func (d *Desc) AppendEncoding(code []byte, relocs []Reloc, in *MInstr) ([]byte, 
 		panic(fmt.Sprintf("target: encode of unknown op %d", in.Op))
 	}
 	le := binary.LittleEndian
+	flags := len(code) + 1
 	code = append(code, byte(in.Op), encFlags(in))
 	for _, f := range in.Fields() {
 		if kind, off, ok := d.reloc(in, f); ok {
@@ -167,6 +171,12 @@ func (d *Desc) AppendEncoding(code []byte, relocs []Reloc, in *MInstr) ([]byte, 
 			}
 		case FImm32:
 			code = le.AppendUint32(code, uint32(in.Imm))
+		case FSetsFlags:
+			// A bit the decoder refuses is the translator's bug.
+			if in.SetsFlags && !d.SetsFlagsFits(in) {
+				panic(fmt.Sprintf("target: %s: %s sets no flags", in.String(), d.Name))
+			}
+			code[flags] |= bit(in.SetsFlags) * fSetsFlags
 		}
 	}
 	return code, relocs
@@ -185,37 +195,46 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("target: %s: %s field at offset %d truncated or invalid", e.Op, e.Field, e.Off)
 }
 
-// DecodeFrom reads one instruction at offset pos of b, returning it and
-// its encoded length. Decoding works on unpatched code (relocation
-// slots read as zero), which the translator relies on when inspecting
-// raw native objects. It is the processor's predecode entry point: the
-// machine holds a single view of its whole code segment and decodes in
-// place, instead of cutting a fresh fetch window per instruction. Bytes
-// the encoder never writes are a *DecodeError, so an instruction
-// DecodeFrom accepts encodes back to exactly the bytes it came from.
-func (d *Desc) DecodeFrom(b []byte, pos int) (MInstr, int, error) {
+// DecodeFrom reads one instruction at offset pos of b into *in,
+// returning its encoded length. Decoding works on unpatched code
+// (relocation slots read as zero), which the translator relies on when
+// inspecting raw native objects. It is the processor's predecode entry
+// point: the machine holds a single view of its whole code segment and
+// decodes in place, into the caller's instruction, instead of cutting a
+// fresh fetch window per instruction or copying one out. Bytes the
+// encoder never writes are a *DecodeError, and leave *in undefined, so
+// an instruction DecodeFrom accepts encodes back to exactly the bytes it
+// came from.
+func (d *Desc) DecodeFrom(b []byte, pos int, in *MInstr) (int, error) {
 	if pos < 0 || pos >= len(b) {
-		return MInstr{}, 0, &DecodeError{Off: pos, Field: FOp}
+		return 0, &DecodeError{Off: pos, Field: FOp}
 	}
 	op := MOp(b[pos])
 	if op >= mOpCount {
-		return MInstr{}, 0, &DecodeError{Off: pos, Op: op, Field: FOp}
+		return 0, &DecodeError{Off: pos, Op: op, Field: FOp}
 	}
 	if pos+1 >= len(b) || b[pos+1]&^fAll != 0 {
-		return MInstr{}, 0, &DecodeError{Off: pos + 1, Op: op, Field: FFlags}
+		return 0, &DecodeError{Off: pos + 1, Op: op, Field: FFlags}
 	}
 	flags := b[pos+1]
-	var in MInstr
-	in.Op = op
+	// Field by field: a composite literal would be built aside and
+	// copied in whole, behind a write barrier for Sym.
+	in.Op, in.Alu, in.Cnd, in.Cvt = op, 0, 0, 0
 	in.Rd, in.Rs1, in.Rs2, in.Base, in.Index = NoReg, NoReg, NoReg, NoReg, NoReg
+	in.Scale, in.Size, in.Disp, in.Imm, in.Target, in.NArgs = 0, 0, 0, 0, 0, 0
 	in.HasImm, in.HasMem, in.Signed = flags&fHasImm != 0, flags&fHasMem != 0, flags&fSigned != 0
-	in.FP, in.NoTrap = flags&fFP != 0, flags&fNoTrap != 0
+	in.FP, in.NoTrap, in.SetsFlags = flags&fFP != 0, flags&fNoTrap != 0, flags&fSetsFlags != 0
+	in.Sym = ""
+	sh := in.shape()
+	if in.SetsFlags && sh.named&(1<<FSetsFlags) == 0 {
+		return 0, &DecodeError{Off: pos + 1, Op: op, Field: FFlags}
+	}
 	p := pos + 2
 	le := binary.LittleEndian
-	for _, f := range in.Fields() {
+	for _, f := range sh.fields {
 		w := d.fieldLen(f)
 		if p+w > len(b) {
-			return MInstr{}, 0, &DecodeError{Off: p, Op: op, Field: f}
+			return 0, &DecodeError{Off: p, Op: op, Field: f}
 		}
 		ok := true
 		switch f {
@@ -253,11 +272,15 @@ func (d *Desc) DecodeFrom(b []byte, pos int) (MInstr, int, error) {
 			in.Imm = int64(int32(le.Uint32(b[p:])))
 		}
 		if !ok {
-			return MInstr{}, 0, &DecodeError{Off: p, Op: op, Field: f}
+			return 0, &DecodeError{Off: p, Op: op, Field: f}
 		}
 		p += w
 	}
-	return in, p - pos, nil
+	// Whether the bit is legal depends on the op, size and immediate.
+	if in.SetsFlags && !d.SetsFlagsFits(in) {
+		return 0, &DecodeError{Off: pos + 1, Op: op, Field: FFlags}
+	}
+	return p - pos, nil
 }
 
 // Patch applies one relocation value to encoded code at offset. It

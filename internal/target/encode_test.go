@@ -105,6 +105,14 @@ func roundTripCases(d *Desc) map[MOp][]MInstr {
 	for _, in := range branches {
 		cases[in.Op] = append(cases[in.Op], in)
 	}
+	if d.HasFlags {
+		// ALU ops that set the flags, in each second source.
+		cases[MALU] = append(cases[MALU],
+			MInstr{Op: MALU, Alu: AAnd, Size: 8, Rd: r, Rs1: r, Rs2: Reg(9), SetsFlags: true},
+			MInstr{Op: MALU, Alu: AShl, Size: 1, Rd: r, Rs1: r, HasImm: true, Imm: 7, SetsFlags: true, Signed: true},
+			MInstr{Op: MALU, Alu: ASub, Size: 4, Rd: r, Rs1: r, HasMem: true, SetsFlags: true,
+				Base: d.FP, Index: NoReg, Disp: -8})
+	}
 	return cases
 }
 
@@ -197,7 +205,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				int(relocs[0].Offset) < 2 || int(relocs[0].Offset) >= n):
 				t.Errorf("%s: %s: relocations %+v, want one of kind %d inside its %d bytes", d.Name, &want, relocs, c.kind, n)
 			}
-			got, gotN, err := d.DecodeFrom(code, 3)
+			var got MInstr
+			gotN, err := d.DecodeFrom(code, 3, &got)
 			if err != nil {
 				t.Errorf("%s: %s: decode: %v", d.Name, &want, err)
 				continue
@@ -298,7 +307,8 @@ func TestRelocationsPatchWhatDecodeReads(t *testing.T) {
 				t.Fatalf("%s: %s: relocations %+v", d.Name, &c.in, relocs)
 			}
 			d.Patch(code, relocs[0].Offset, c.kind, c.val)
-			got, _, err := d.DecodeFrom(code, 0)
+			var got MInstr
+			_, err := d.DecodeFrom(code, 0, &got)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -330,7 +340,8 @@ func TestDisp32RelocAddsAddend(t *testing.T) {
 		if err := VX86.Patch(code, relocs[0].Offset, RelocDisp32, addr); err != nil {
 			t.Fatalf("%s: patch with %#x: %v", &in, addr, err)
 		}
-		got, _, err := VX86.DecodeFrom(code, 0)
+		var got MInstr
+		_, err := VX86.DecodeFrom(code, 0, &got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,8 +392,11 @@ func TestMemOperandSymString(t *testing.T) {
 // badEncodings are byte strings no instruction encodes to on d, each
 // with the field DecodeFrom must name: an opcode, ALU operation,
 // conversion or condition that does not exist, a flag bit outside the
-// five defined ones, a register byte with bit 7 set other than 0xFF, and
-// on vsparc an immediate its 2-byte field holds but simm13 does not.
+// six defined ones, the flag-setting bit where SetsFlagsFits refuses it
+// (an op other than MALU, a multiply or a shift by a register or by
+// zero, and any ALU op on vsparc), a register byte with bit 7 set other
+// than 0xFF, and on vsparc an immediate its 2-byte field holds but
+// simm13 does not.
 func badEncodings(d *Desc) []badEncoding {
 	bad := []badEncoding{
 		{[]byte{byte(mOpCount), 0}, FOp},
@@ -395,6 +409,14 @@ func badEncodings(d *Desc) []badEncoding {
 		{[]byte{byte(MRet), 0x80}, FFlags},
 		{[]byte{byte(MMovRR), 0, 0x80, 1}, FRd},
 		{[]byte{byte(MLoad), 0, 1, 2, 0xFE, 4, 8, 0, 0, 0, 0}, FMem},
+		{[]byte{byte(MALU), fSetsFlags, byte(AMul), 8, 1, 2, 3}, FFlags},
+		{[]byte{byte(MALU), fSetsFlags, byte(AShl), 8, 1, 2, 3}, FFlags},
+		{[]byte{byte(MCmp), fSetsFlags, 1, 2}, FFlags},
+	}
+	if !d.HasFlags {
+		bad = append(bad, badEncoding{[]byte{byte(MALU), fSetsFlags, byte(AAdd), 8, 1, 2, 3}, FFlags})
+	} else {
+		bad = append(bad, badEncoding{[]byte{byte(MALU), fSetsFlags | fHasImm, byte(AShr), 4, 1, 2, 0, 0, 0, 0}, FFlags})
 	}
 	if d.fieldLen(FImm) == 2 {
 		bad = append(bad, badEncoding{[]byte{byte(MCmp), fHasImm, 1, 0x00, 0x10}, FImm}) // 4096
@@ -413,7 +435,8 @@ type badEncoding struct {
 // each a *DecodeError naming the field, never a panic.
 func TestDecodeTruncated(t *testing.T) {
 	refused := func(d *Desc, what string, b []byte, pos int) *DecodeError {
-		in, _, err := d.DecodeFrom(b, pos)
+		var in MInstr
+		_, err := d.DecodeFrom(b, pos, &in)
 		var de *DecodeError
 		if !errors.As(err, &de) {
 			t.Errorf("%s: %s: decoded to %s, err %v; want a *DecodeError", d.Name, what, &in, err)

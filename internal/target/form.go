@@ -11,22 +11,23 @@ import "fmt"
 type Field uint8
 
 const (
-	FRd     Field = iota + 1 // Rd, one byte
-	FRs1                     // Rs1, one byte
-	FRs2                     // Rs2, one byte
-	FImm                     // Imm, within Desc.ImmFits; its width is the narrowest of 2, 4 and 8 bytes that holds the range
-	FMem                     // a memory operand's Base, Index and Scale, one byte each
-	FDisp                    // a memory operand's Disp, four bytes; a symbol adds RelocDisp32
-	FSize                    // Size, one byte
-	FCond                    // Cnd, one byte
-	FALU                     // Alu, one byte
-	FCvt                     // Cvt, one byte
-	FNArgs                   // NArgs, one byte
-	FTarget                  // Target, a block (a PC-relative offset after layout), four bytes
-	FCallee                  // Target of a direct call, four bytes; a symbol adds RelocCall
-	FExtern                  // Target, an extern-table index, four bytes; a symbol adds RelocExt
-	FConst                   // MMovRI's Imm: eight bytes, or with WordSize 4 Scale and a 16-bit chunk
-	FImm32                   // Imm of a trap or a stack adjustment, four bytes
+	FRd        Field = iota + 1 // Rd, one byte
+	FRs1                        // Rs1, one byte
+	FRs2                        // Rs2, one byte
+	FImm                        // Imm, within Desc.ImmFits; its width is the narrowest of 2, 4 and 8 bytes that holds the range
+	FMem                        // a memory operand's Base, Index and Scale, one byte each
+	FDisp                       // a memory operand's Disp, four bytes; a symbol adds RelocDisp32
+	FSize                       // Size, one byte
+	FCond                       // Cnd, one byte
+	FALU                        // Alu, one byte
+	FCvt                        // Cvt, one byte
+	FNArgs                      // NArgs, one byte
+	FTarget                     // Target, a block (a PC-relative offset after layout), four bytes
+	FCallee                     // Target of a direct call, four bytes; a symbol adds RelocCall
+	FExtern                     // Target, an extern-table index, four bytes; a symbol adds RelocExt
+	FConst                      // MMovRI's Imm: eight bytes, or with WordSize 4 Scale and a 16-bit chunk
+	FImm32                      // Imm of a trap or a stack adjustment, four bytes
+	FSetsFlags                  // SetsFlags: no bytes, a bit of the flags byte, legal where Desc.SetsFlagsFits
 
 	// The two bytes every encoding opens with, which a DecodeError may
 	// name.
@@ -44,7 +45,7 @@ var fieldNames = [...]string{
 	FRd: "rd", FRs1: "rs1", FRs2: "rs2", FImm: "imm", FMem: "mem", FDisp: "disp",
 	FSize: "size", FCond: "cond", FALU: "alu", FCvt: "cvt", FNArgs: "nargs",
 	FTarget: "target", FCallee: "callee", FExtern: "extern", FConst: "const",
-	FImm32: "imm32", FOp: "op", FFlags: "flags",
+	FImm32: "imm32", FSetsFlags: "setsflags", FOp: "op", FFlags: "flags",
 }
 
 func (f Field) String() string { return fieldNames[f] }
@@ -125,7 +126,7 @@ var opForms = [mOpCount]form{
 	MLoad:       newForm(DefinesRd, 2, FRd, FMem, FSize, FDisp),
 	MStore:      newForm(0, 2, FRs1, FMem, FSize, FDisp),
 	MLea:        newForm(DefinesRd, 1, FRd, FMem, FDisp),
-	MALU:        newForm(DefinesRd, 0, FALU, FSize, FRd, FRs1, fSrcMem),
+	MALU:        newForm(DefinesRd, 0, FALU, FSize, FRd, FRs1, fSrcMem, FSetsFlags),
 	MCmp:        newForm(0, 1, FRs1, fSrc),
 	MSetCC:      newForm(DefinesRd, 1, FCond, FRd, FRs1, fSrc),
 	MJmp:        newForm(Branches|EndsBlock|NoFallthrough, 1, FTarget),
@@ -229,13 +230,22 @@ func (in *MInstr) AppendUses(out []Reg) []Reg {
 // narrowest of 2, 4 and 8 bytes that holds d's range, a constant move's
 // a 64-bit constant or a shift (Scale) and a 16-bit chunk.
 func (d *Desc) fieldLen(f Field) int {
-	if w := fieldWidth[f]; w != 0 {
-		return int(w)
+	switch f {
+	case FImm:
+		return d.immLen()
+	case FConst:
+		if d.WordSize == 4 {
+			return 3
+		}
+		return 8
 	}
+	return int(fieldWidth[f])
+}
+
+// immLen is the width of d's immediate field.
+func (d *Desc) immLen() int {
 	switch {
-	case f == FConst && d.WordSize == 4:
-		return 3
-	case f == FConst, d.MaxImm >= 1<<31:
+	case d.MaxImm >= 1<<31:
 		return 8
 	case d.MaxImm >= 1<<15:
 		return 4
@@ -246,7 +256,8 @@ func (d *Desc) fieldLen(f Field) int {
 // fieldWidth is the encoded width of the fields that are the same on
 // every target.
 var fieldWidth = [...]uint8{FRd: 1, FRs1: 1, FRs2: 1, FMem: 3, FDisp: 4, FSize: 1,
-	FCond: 1, FALU: 1, FCvt: 1, FNArgs: 1, FTarget: 4, FCallee: 4, FExtern: 4, FImm32: 4}
+	FCond: 1, FALU: 1, FCvt: 1, FNArgs: 1, FTarget: 4, FCallee: 4, FExtern: 4, FImm32: 4,
+	FSetsFlags: 0}
 
 // reloc reports the relocation in's symbol puts on its field f, if any,
 // and the slot's offset in the field.
@@ -296,6 +307,7 @@ const (
 	RuleSize  Rule = "size not 1, 2, 4 or 8"
 	RuleImm   Rule = "immediate outside the target's range"
 	RuleAddr  Rule = "not one of the target's addressing forms"
+	RuleFlags Rule = "sets the flags where the target's op leaves them undefined"
 )
 
 // CheckError reports the first instruction of a function's code that
@@ -316,9 +328,10 @@ func (e *CheckError) Error() string {
 // Check reports the first instruction of code that d cannot encode as
 // it stands: a named register outside d's file, a condition, ALU
 // operation or conversion that does not exist, a size other than 1, 2,
-// 4 or 8, an immediate outside d's range, or a memory operand that is
-// not one of d's addressing forms. It reads only the fields each
-// instruction's form names.
+// 4 or 8, an immediate outside d's range, a memory operand that is not
+// one of d's addressing forms, or flags set where SetsFlagsFits says
+// they cannot be. It reads only the fields each instruction's form
+// names.
 func (d *Desc) Check(code []MInstr) error {
 	for i := range code {
 		in := &code[i]
@@ -347,6 +360,8 @@ func (d *Desc) Check(code []MInstr) error {
 			f, broken = FALU, RuleValue
 		case named&(1<<FCvt) != 0 && in.Cvt >= cvtOpCount:
 			f, broken = FCvt, RuleValue
+		case named&(1<<FSetsFlags) != 0 && in.SetsFlags && !d.SetsFlagsFits(in):
+			f, broken = FSetsFlags, RuleFlags
 		}
 		if broken != "" {
 			return &CheckError{Target: d.Name, Index: i, Instr: *in, Field: f, Rule: broken}

@@ -38,7 +38,8 @@ func FuzzDecodeFrom(f *testing.F) {
 		if sparc {
 			d = VSPARC
 		}
-		in, n, err := d.DecodeFrom(b, 0)
+		var in MInstr
+		n, err := d.DecodeFrom(b, 0, &in)
 		if err != nil {
 			var de *DecodeError
 			if !errors.As(err, &de) {

@@ -177,6 +177,9 @@ type MInstr struct {
 	Signed bool // signed variant (compares, shifts, div, extensions)
 	FP     bool // floating-point variant
 	NoTrap bool // suppress trapping behaviour (speculative loads)
+	// SetsFlags: an ALU op also leaves the flags as a compare of its
+	// result with zero would (vx86, where SetsFlagsFits).
+	SetsFlags bool
 
 	Sym string // symbol for MCall/MCallExt and symbolic MMovRI
 }
@@ -206,6 +209,9 @@ func (in *MInstr) String() string {
 	}
 	if sh.named&(1<<FSize) != 0 && in.Size != 0 {
 		fmt.Fprintf(&b, ".%d", in.Size)
+	}
+	if sh.named&(1<<FSetsFlags) != 0 && in.SetsFlags {
+		b.WriteString(".sf")
 	}
 	for _, f := range sh.fields {
 		switch f {

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"llva/internal/workloads"
 )
 
 // buildTools compiles the command-line tools once into a temp dir.
@@ -348,6 +350,59 @@ int main() { print_int(down(100, 7)); print_nl(); return 0; }
 		if tgt == "vsparc" && jccs == 0 {
 			t.Errorf("vsparc: no jcc in\n%s", code)
 		}
+	}
+}
+
+// TestLLCCraftyFlags: on vx86, crafty's search branches on the flags
+// its popcount loops' and sets: each loop's backward jcc.ne (the loop
+// whose body opens with x - 1) follows a flag-setting and (alu.and.8.sf),
+// never a cmp with zero, on the loop path and, through the same test,
+// on the entry path.
+func TestLLCCraftyFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bins := buildTools(t, "minicc", "llva-llc")
+	work := t.TempDir()
+	src := filepath.Join(work, "crafty.c")
+	if err := os.WriteFile(src, []byte(workloads.ByName("crafty").Source), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bc := filepath.Join(work, "crafty.bc")
+	runTool(t, bins["minicc"], "-O", "-o", bc, src)
+	code, _ := runTool(t, bins["llva-llc"], "-target", "vx86", "-S", "-stats=false", bc)
+	var fn string
+	var lines []string // search's instructions: offset, then the rest
+	for _, line := range strings.Split(code, "\n") {
+		switch {
+		case strings.HasSuffix(line, ":") && !strings.HasPrefix(line, " "):
+			fn = strings.TrimSuffix(line, ":")
+		case fn == "search" && strings.TrimSpace(line) != "":
+			lines = append(lines, strings.TrimSpace(line))
+		}
+	}
+	at := map[string]string{} // offset -> instruction
+	for _, l := range lines {
+		if f := strings.Fields(l); len(f) > 1 {
+			at[f[0]] = strings.Join(f[1:], " ")
+		}
+	}
+	loops := 0
+	for i, l := range lines {
+		f := strings.Fields(l)
+		if len(f) < 5 || f[1] != "jcc.ne" || !strings.HasPrefix(f[2], "->-") || i == 0 {
+			continue
+		}
+		if !strings.HasPrefix(at[f[len(f)-1]], "alu.sub.8 ") || !strings.Contains(at[f[len(f)-1]], " $1 ") {
+			continue // not a popcount loop
+		}
+		loops++
+		if prev := strings.Fields(lines[i-1]); prev[1] != "alu.and.8.sf" {
+			t.Errorf("the popcount loop's %q follows %q, want a flag-setting and", l, lines[i-1])
+		}
+	}
+	if loops < 2 {
+		t.Errorf("%d popcount loops in search, want 2:\n%s", loops, strings.Join(lines, "\n"))
 	}
 }
 
